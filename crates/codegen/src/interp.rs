@@ -157,7 +157,12 @@ pub(crate) fn record_local_writes(
 }
 
 /// Execute one iteration's statements against a processor's memory.
-fn compute(nest: &LoopNest, point: &[i64], mem: &mut Memory, init: &dyn Fn(&str, &[i64]) -> f64) {
+pub(crate) fn compute(
+    nest: &LoopNest,
+    point: &[i64],
+    mem: &mut Memory,
+    init: &dyn Fn(&str, &[i64]) -> f64,
+) {
     for stmt in nest.stmts() {
         let reads: Vec<f64> = stmt
             .reads()
@@ -189,6 +194,16 @@ impl RunState {
             mailbox: HashMap::new(),
             messages: 0,
             words: 0,
+        }
+    }
+
+    /// The finished run: per-processor memories plus their gather.
+    fn finish(self, nest: &LoopNest, prog: &crate::ops::SpmdProgram) -> RunResult {
+        RunResult {
+            gathered: gather(nest, prog, &self.memories),
+            memories: self.memories,
+            messages: self.messages,
+            words: self.words,
         }
     }
 }
@@ -242,7 +257,11 @@ fn exec_op(
 
 /// Gather the global result: every element taken from the processor
 /// that performed the globally last (sequential-order) write to it.
-fn gather(nest: &LoopNest, prog: &crate::ops::SpmdProgram, memories: &[Memory]) -> Memory {
+pub(crate) fn gather(
+    nest: &LoopNest,
+    prog: &crate::ops::SpmdProgram,
+    memories: &[Memory],
+) -> Memory {
     let mut proc_of_point = vec![0u32; prog.points.len()];
     for (p, ops) in prog.per_proc.iter().enumerate() {
         for op in ops {
@@ -311,14 +330,7 @@ pub fn run(
             return Err(InterpError::Deadlock { blocked });
         }
     }
-
-    let gathered = gather(nest, prog, &st.memories);
-    Ok(RunResult {
-        memories: st.memories,
-        gathered,
-        messages: st.messages,
-        words: st.words,
-    })
+    Ok(st.finish(nest, prog))
 }
 
 /// Run a generated SPMD program under an explicit global op order:
@@ -360,13 +372,7 @@ pub fn run_schedule(
     if let Some(p) = (0..n_procs).find(|&p| st.pcs[p] < prog.per_proc[p].len()) {
         return Err(InterpError::IncompleteSchedule { proc: p as u32 });
     }
-    let gathered = gather(nest, prog, &st.memories);
-    Ok(RunResult {
-        memories: st.memories,
-        gathered,
-        messages: st.messages,
-        words: st.words,
-    })
+    Ok(st.finish(nest, prog))
 }
 
 #[cfg(test)]

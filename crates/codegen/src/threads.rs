@@ -57,7 +57,7 @@ impl std::fmt::Display for ThreadError {
 
 impl std::error::Error for ThreadError {}
 
-use crate::interp::{install, payload, record_local_writes, PayloadItem};
+use crate::interp::{compute, gather, install, payload, record_local_writes, PayloadItem};
 
 type Msg = (Tag, Vec<PayloadItem>);
 
@@ -124,15 +124,7 @@ pub fn run_threaded(
                         }
                         Op::Compute { point } => {
                             let pt = &program.points[*point as usize];
-                            for stmt in nest.stmts() {
-                                let reads: Vec<f64> = stmt
-                                    .reads()
-                                    .iter()
-                                    .map(|r| mem.read(r.array(), &r.element_at(pt), &init))
-                                    .collect();
-                                let value = stmt.semantics().eval(&reads);
-                                mem.write(stmt.write().array(), stmt.write().element_at(pt), value);
-                            }
+                            compute(nest, pt, &mut mem, init);
                             record_local_writes(nest, pt, *point, &mut versions);
                         }
                         Op::Send { to, tag } => {
@@ -179,32 +171,7 @@ pub fn run_threaded_gathered(
     init: &(dyn Fn(&str, &[i64]) -> f64 + Sync),
 ) -> Result<Memory, ThreadError> {
     let memories = run_threaded(nest, cg, init)?;
-    let prog = &cg.program;
-    let mut proc_of_point = vec![0u32; prog.points.len()];
-    for (p, ops) in prog.per_proc.iter().enumerate() {
-        for op in ops {
-            if let Op::Compute { point } = op {
-                proc_of_point[*point as usize] = p as u32;
-            }
-        }
-    }
-    let mut last_writer: HashMap<Element, u32> = HashMap::new();
-    for (id, pt) in prog.points.iter().enumerate() {
-        for stmt in nest.stmts() {
-            let e = (
-                stmt.write().array().to_string(),
-                stmt.write().element_at(pt),
-            );
-            last_writer.insert(e, proc_of_point[id]);
-        }
-    }
-    let mut gathered = Memory::new();
-    for ((array, element), owner) in last_writer {
-        if let Some(v) = memories[owner as usize].get(&array, &element) {
-            gathered.write(&array, element, v);
-        }
-    }
-    Ok(gathered)
+    Ok(gather(nest, &cg.program, &memories))
 }
 
 #[cfg(test)]

@@ -1,19 +1,28 @@
 //! Configuration exploration: let the cost model choose the compile.
 //!
 //! The paper fixes Π and the grouping vector by hand; a compiler has to
-//! *choose* them. [`explore`] sweeps the legal time transformations
+//! *choose* them. [`explore_with`] sweeps the legal time transformations
 //! within a coefficient bound, every maximal grouping-vector choice, and
-//! the requested machine sizes, simulates each configuration, and ranks
-//! by makespan. Deterministic: ties break toward smaller Π, smaller
+//! the requested machine sizes, costs each configuration, and ranks by
+//! makespan. Deterministic: ties break toward smaller Π, smaller
 //! grouping index, smaller machine.
+//!
+//! There is one sweep; each candidate asks one of two cost oracles:
+//!
+//! * **simulate** (the default) — map, statically check if asked, and
+//!   run the machine simulator at the nest's own size;
+//! * **closed form** (`ExploreConfig::symbolic`) — evaluate the
+//!   symbolic cost engine's `T_exec` at the target size, falling back
+//!   to the simulator per candidate when no exact form is derived.
 //!
 //! The sweep is organised for throughput without giving up determinism
 //! (see `docs/PERFORMANCE.md`):
 //!
 //! * **stage caching** — dependence extraction runs once per nest, and
 //!   the partitioning prefix of the pipeline
-//!   ([`Pipeline::stage_partition_with_deps`]) runs once per
-//!   (Π, grouping) pair, shared across every machine size;
+//!   ([`Pipeline::stage_partition_with_deps`]) runs at most once per
+//!   (Π, grouping) pair, shared across every machine size; the
+//!   closed-form oracle's [`ProbeCache`] is shared the same way;
 //! * **parallelism** — (Π, grouping) pairs fan out over a
 //!   [`loom_obs::Pool`], whose `map_indexed` returns results in input
 //!   order whatever order the workers ran; each worker reuses one
@@ -22,8 +31,10 @@
 //!   bound ([`crate::analytic::makespan_lower_bound`]) already exceeds
 //!   the current k-th best simulated makespan cannot enter the top-k
 //!   and is skipped (`explore.pruned` counts them). Pruning is disabled
-//!   when `top == 0` (every candidate is kept) and under fault
-//!   injection (crash remap can beat the fault-free bound).
+//!   when `top == 0` (every candidate is kept), under fault injection
+//!   (crash remap can beat the fault-free bound), and under the
+//!   closed-form oracle (a form claimed exact is not a simulated
+//!   makespan, so it must never tighten the gate).
 //!
 //! The ranked candidate list is **byte-identical** across thread counts
 //! and with pruning on or off; `tests-int/tests/explore.rs` asserts it
@@ -59,18 +70,18 @@ pub struct Candidate {
 /// Symbolic exploration: rank candidates by closed-form `T_exec`
 /// instead of simulating each one at the target size.
 ///
-/// `nest` passed to [`explore`] **must** be `family(size)`'s nest —
-/// the closed forms are derived over `family` and evaluated at `size`,
-/// while dependence extraction and Π enumeration read the nest. A
-/// configuration whose derivation comes back
-/// [`Derivation::Unknown`] falls back to simulating at the target size
-/// (counted by `explore.symbolic.fallback`), so the ranking is always
-/// populated; [`Derivation::Infeasible`] configurations are skipped
-/// exactly as the simulating explorer skips partition/mapping failures.
+/// `nest` passed to [`explore_with`] **must** be `family(size)`'s nest
+/// — the closed forms are derived over `family` and evaluated at
+/// `size`, while dependence extraction and Π enumeration read the nest.
+/// A configuration whose derivation comes back [`Derivation::Unknown`]
+/// falls back to simulating at the target size (counted by
+/// `explore.symbolic.fallback`), so the ranking is always populated;
+/// [`Derivation::Infeasible`] configurations are skipped exactly as the
+/// simulator skips partition/mapping failures.
 ///
-/// Pruning does not apply (formula evaluation is already O(1)), and
-/// `machine.static_check` is honoured only on the fallback path — an
-/// exact candidate never materialises its target-size partitioning.
+/// Pruning does not apply, and `machine.static_check` is honoured only
+/// on the fallback path — an exact candidate never materialises its
+/// target-size partitioning.
 #[derive(Clone)]
 pub struct SymbolicExplore {
     /// The size family the explored nest belongs to.
@@ -200,12 +211,31 @@ impl PruneGate {
     }
 }
 
-/// The seed implementation of [`explore`], kept as the determinism
+/// Rank candidates by makespan — ties break toward smaller |Π|₁, then
+/// lexicographically smaller Π, grouping, and machine — and keep the
+/// `top` best (0 = all).
+fn rank(mut results: Vec<Candidate>, top: usize) -> Vec<Candidate> {
+    results.sort_by_key(|c| {
+        (
+            c.makespan,
+            c.pi.iter().map(|x| x.abs()).sum::<i64>(),
+            c.pi.clone(),
+            c.grouping,
+            c.cube_dim,
+        )
+    });
+    if top > 0 {
+        results.truncate(top);
+    }
+    results
+}
+
+/// The seed implementation of [`explore_with`], kept as the determinism
 /// oracle and the bench baseline: fully serial, no pruning, no stage
 /// caching — the entire pipeline (dependences → Π → partitioning → TIG
 /// → mapping → simulation) re-runs for every (Π, grouping, cube_dim)
-/// triple. `config.threads` and `config.prune` are ignored.
-/// [`explore`] must return a byte-identical ranked list;
+/// triple. `config.threads`, `config.prune` and `config.symbolic` are
+/// ignored. [`explore_with`] must return a byte-identical ranked list;
 /// `tests-int/tests/explore.rs` and `repro_explore` both enforce it.
 pub fn explore_reference(
     nest: &LoopNest,
@@ -253,46 +283,52 @@ pub fn explore_reference(
             }
         }
     }
-    results.sort_by_key(|c| {
-        (
-            c.makespan,
-            c.pi.iter().map(|x| x.abs()).sum::<i64>(),
-            c.pi.clone(),
-            c.grouping,
-            c.cube_dim,
-        )
-    });
-    if config.top > 0 {
-        results.truncate(config.top);
+    Ok(rank(results, config.top))
+}
+
+/// Per-pair accounting of the sweep.
+#[derive(Clone, Copy, Default)]
+struct Counts {
+    simulated: u64,
+    pruned: u64,
+    exact: u64,
+    fallback: u64,
+    infeasible: u64,
+    probe_sims: u64,
+    probe_points: u64,
+}
+
+impl Counts {
+    fn add(&mut self, other: Counts) {
+        self.simulated += other.simulated;
+        self.pruned += other.pruned;
+        self.exact += other.exact;
+        self.fallback += other.fallback;
+        self.infeasible += other.infeasible;
+        self.probe_sims += other.probe_sims;
+        self.probe_points += other.probe_points;
     }
-    Ok(results)
 }
 
 /// Explore configurations for a nest across the given hypercube
-/// dimensions; returns candidates ranked by simulated makespan.
+/// dimensions; returns candidates ranked by makespan (see the module
+/// docs for the two cost oracles).
 ///
-/// Configurations whose mapping fails (machine larger than the block
-/// count) are skipped silently; other pipeline failures propagate.
-pub fn explore(
-    nest: &LoopNest,
-    cube_dims: &[usize],
-    config: &ExploreConfig,
-) -> Result<Vec<Candidate>, PipelineError> {
-    explore_with(nest, cube_dims, config, &Recorder::disabled())
-}
-
-/// [`explore`] with instrumentation: `explore.candidates` /
-/// `explore.simulated` / `explore.pruned` counters, `pool.*` counters
-/// and per-worker busy spans, and an `explore.total` span.
+/// Configurations whose partitioning or mapping fails (grouping choice
+/// not maximal, machine larger than the block count) are skipped
+/// silently; other pipeline failures propagate, the first in input
+/// order winning whatever order the workers hit them in.
+///
+/// Records `explore.candidates` / `explore.simulated` counters, plus
+/// `explore.pruned` when simulating or `explore.symbolic.*` under the
+/// closed-form oracle, `pool.*` counters and per-worker busy spans, and
+/// an `explore.total` span.
 pub fn explore_with(
     nest: &LoopNest,
     cube_dims: &[usize],
     config: &ExploreConfig,
     recorder: &Recorder,
 ) -> Result<Vec<Candidate>, PipelineError> {
-    if let Some(sym) = &config.symbolic {
-        return explore_symbolic(nest, cube_dims, config, sym, recorder);
-    }
     let _total = recorder.span("explore.total");
     let deps =
         crate::pipeline::admitted_dependence_vectors(nest, DepOptions::default(), true, recorder)?;
@@ -307,19 +343,23 @@ pub fn explore_with(
     recorder.add("explore.candidates", (pairs.len() * cube_dims.len()) as u64);
 
     // Pruning is sound only when a k-th best exists to compare against
-    // (top > 0) and the machine is fault-free (crash remap can beat the
-    // fault-free lower bound; see A8 in EXPERIMENTS.md).
-    let pruning = config.prune && config.top > 0 && config.machine.faults.is_none();
+    // (top > 0), the machine is fault-free (crash remap can beat the
+    // fault-free lower bound; see A8 in EXPERIMENTS.md), and every
+    // makespan in the gate was simulated.
+    let pruning = config.prune
+        && config.top > 0
+        && config.machine.faults.is_none()
+        && config.symbolic.is_none();
     let gate = Mutex::new(PruneGate::new(if pruning { config.top } else { 0 }));
 
     let pool = Pool::with_recorder(config.threads, recorder.clone());
-    type PairOutcome = Result<(Vec<Candidate>, u64, u64), PipelineError>;
+    type PairOutcome = Result<(Vec<Candidate>, Counts), PipelineError>;
     let outcomes: Vec<PairOutcome> = pool.map_indexed_with(
         &pairs,
         SimScratch::default,
         |scratch, _idx, &(pi_idx, grouping)| {
             // Per-candidate pipeline stages run un-instrumented: the
-            // sweep-level counters above are the meaningful signal, and
+            // sweep-level counters are the meaningful signal, and
             // thousands of interleaved stage spans are not.
             let rec = Recorder::disabled();
             let pi = &pis[pi_idx];
@@ -332,15 +372,70 @@ pub fn explore_with(
                 machine: Some(config.machine.clone()),
                 ..Default::default()
             };
-            let mut found = Vec::new();
-            let (mut pruned, mut simulated) = (0u64, 0u64);
-            let stage = match pipeline.stage_partition_with_deps(&base, &rec, deps.clone()) {
-                Ok(stage) => stage,
-                // Grouping choice not maximal: a legitimate skip.
-                Err(PipelineError::Partition(_)) => return Ok((found, pruned, simulated)),
-                Err(e) => return Err(e),
+            let candidate = |cube_dim, makespan, messages, blocks| Candidate {
+                pi: pi.clone(),
+                grouping,
+                cube_dim,
+                makespan,
+                messages,
+                blocks,
             };
+            let mut found = Vec::new();
+            let mut counts = Counts::default();
+            let mut cache = ProbeCache::new();
+            // The partitioning prefix at the nest's own size, built on
+            // the first cube the simulator has to cost.
+            let mut stage = None;
             for &cube_dim in cube_dims {
+                if let Some(sym) = &config.symbolic {
+                    let derived = symbolic_cost::derive(
+                        &*sym.family,
+                        &deps,
+                        pi,
+                        &base.partition,
+                        cube_dim,
+                        sym.size,
+                        &config.machine,
+                        &sym.opts,
+                        &mut cache,
+                    );
+                    match derived {
+                        Derivation::Exact(cost) => {
+                            if let (Some(makespan), Some(messages), Some(blocks)) = (
+                                cost.makespan(sym.size),
+                                cost.messages_at(sym.size),
+                                cost.blocks_at(sym.size),
+                            ) {
+                                counts.exact += 1;
+                                found.push(candidate(
+                                    cube_dim,
+                                    makespan,
+                                    messages,
+                                    blocks as usize,
+                                ));
+                                continue;
+                            }
+                            // Overflow at the target: fall through to
+                            // the simulator, which shares the
+                            // explorer's u64 domain.
+                        }
+                        Derivation::Infeasible { .. } => {
+                            counts.infeasible += 1;
+                            continue;
+                        }
+                        Derivation::Unknown { .. } => {}
+                    }
+                    counts.fallback += 1;
+                }
+                if stage.is_none() {
+                    match pipeline.stage_partition_with_deps(&base, &rec, deps.clone()) {
+                        Ok(s) => stage = Some(s),
+                        // Grouping choice not maximal: skip the pair.
+                        Err(PipelineError::Partition(_)) => break,
+                        Err(e) => return Err(e),
+                    }
+                }
+                let stage = stage.as_ref().expect("stage built above");
                 let cfg = PipelineConfig {
                     cube_dim,
                     ..base.clone()
@@ -351,8 +446,8 @@ pub fn explore_with(
                     Err(PipelineError::Mapping(_)) => continue,
                     Err(e) => return Err(e),
                 };
-                if config.machine.static_check {
-                    stage.check_with(&mapping, &rec)?;
+                if let Some(mode) = config.machine.static_check_mode() {
+                    stage.check_mode(&mapping, mode, &rec)?;
                 }
                 let program = stage.program(&placement);
                 if pruning {
@@ -367,192 +462,21 @@ pub fn explore_with(
                         topology.as_ref(),
                     );
                     if gate.lock().unwrap().should_prune(bound) {
-                        pruned += 1;
+                        counts.pruned += 1;
                         continue;
                     }
                 }
                 let report = run_machine(&program, target, &config.machine, &rec, Some(scratch))?;
-                simulated += 1;
+                counts.simulated += 1;
                 if pruning {
                     gate.lock().unwrap().record(report.makespan);
                 }
-                found.push(Candidate {
-                    pi: pi.clone(),
-                    grouping,
+                found.push(candidate(
                     cube_dim,
-                    makespan: report.makespan,
-                    messages: report.messages,
-                    blocks: stage.partitioning.num_blocks(),
-                });
-            }
-            Ok((found, pruned, simulated))
-        },
-    );
-
-    // Merge in input order; the first error in input order propagates,
-    // whatever order the workers hit errors in.
-    let mut results: Vec<Candidate> = Vec::new();
-    let (mut pruned_total, mut simulated_total) = (0u64, 0u64);
-    for outcome in outcomes {
-        let (found, pruned, simulated) = outcome?;
-        results.extend(found);
-        pruned_total += pruned;
-        simulated_total += simulated;
-    }
-    recorder.add("explore.pruned", pruned_total);
-    recorder.add("explore.simulated", simulated_total);
-
-    results.sort_by_key(|c| {
-        (
-            c.makespan,
-            c.pi.iter().map(|x| x.abs()).sum::<i64>(),
-            c.pi.clone(),
-            c.grouping,
-            c.cube_dim,
-        )
-    });
-    if config.top > 0 {
-        results.truncate(config.top);
-    }
-    Ok(results)
-}
-
-/// Per-pair accounting of the symbolic sweep.
-#[derive(Clone, Copy, Default)]
-struct SymCounts {
-    exact: u64,
-    fallback: u64,
-    infeasible: u64,
-    simulated: u64,
-    probe_sims: u64,
-    probe_points: u64,
-}
-
-/// The size-free sweep behind `ExploreConfig::symbolic`: each
-/// (Π, grouping) pair derives one closed form per machine size from a
-/// shared [`ProbeCache`] (probe partitionings and probe simulations are
-/// paid once per pair, not once per cube), evaluates it at the target
-/// size in O(1), and only falls back to the simulator on
-/// [`Derivation::Unknown`]. Candidate ordering and tie-breaking are the
-/// sort key of [`explore`], so exact derivations make the ranked list
-/// byte-identical to the simulating path — `tests-int` asserts it per
-/// builtin workload.
-fn explore_symbolic(
-    nest: &LoopNest,
-    cube_dims: &[usize],
-    config: &ExploreConfig,
-    sym: &SymbolicExplore,
-    recorder: &Recorder,
-) -> Result<Vec<Candidate>, PipelineError> {
-    let _total = recorder.span("explore.total");
-    let deps =
-        crate::pipeline::admitted_dependence_vectors(nest, DepOptions::default(), true, recorder)?;
-    let pis = legal_pis(nest, &deps, config.pi_bound);
-    let pipeline = Pipeline::new(nest.clone());
-
-    let pairs: Vec<(usize, usize)> = (0..pis.len())
-        .flat_map(|p| (0..deps.len()).map(move |g| (p, g)))
-        .collect();
-    recorder.add("explore.candidates", (pairs.len() * cube_dims.len()) as u64);
-
-    let pool = Pool::with_recorder(config.threads, recorder.clone());
-    type PairOutcome = Result<(Vec<Candidate>, SymCounts), PipelineError>;
-    let outcomes: Vec<PairOutcome> = pool.map_indexed_with(
-        &pairs,
-        SimScratch::default,
-        |scratch, _idx, &(pi_idx, grouping)| {
-            let rec = Recorder::disabled();
-            let pi = &pis[pi_idx];
-            let pcfg = loom_partition::PartitionConfig {
-                grouping_choice: Some(grouping),
-                seed: None,
-            };
-            let mut cache = ProbeCache::new();
-            let mut found = Vec::new();
-            let mut counts = SymCounts::default();
-            // The fallback path's partitioning prefix at the *target*
-            // size, built at most once per pair and only if needed.
-            let mut stage = None;
-            'cubes: for &cube_dim in cube_dims {
-                let derived = symbolic_cost::derive(
-                    &*sym.family,
-                    &deps,
-                    pi,
-                    &pcfg,
-                    cube_dim,
-                    sym.size,
-                    &config.machine,
-                    &sym.opts,
-                    &mut cache,
-                );
-                match derived {
-                    Derivation::Exact(cost) => {
-                        if let (Some(makespan), Some(messages), Some(blocks)) = (
-                            cost.makespan(sym.size),
-                            cost.messages_at(sym.size),
-                            cost.blocks_at(sym.size),
-                        ) {
-                            counts.exact += 1;
-                            found.push(Candidate {
-                                pi: pi.clone(),
-                                grouping,
-                                cube_dim,
-                                makespan,
-                                messages,
-                                blocks: blocks as usize,
-                            });
-                            continue 'cubes;
-                        }
-                        // Overflow at the target: fall through to the
-                        // simulator, which shares the explorer's u64
-                        // domain.
-                    }
-                    Derivation::Infeasible { .. } => {
-                        counts.infeasible += 1;
-                        continue 'cubes;
-                    }
-                    Derivation::Unknown { .. } => {}
-                }
-                counts.fallback += 1;
-                if stage.is_none() {
-                    let base = PipelineConfig {
-                        time_fn: Some(pi.clone()),
-                        partition: pcfg.clone(),
-                        machine: Some(config.machine.clone()),
-                        ..Default::default()
-                    };
-                    match pipeline.stage_partition_with_deps(&base, &rec, deps.clone()) {
-                        Ok(s) => stage = Some((s, base)),
-                        // Grouping choice not maximal at the target:
-                        // skip the pair, as the simulating sweep does.
-                        Err(PipelineError::Partition(_)) => break 'cubes,
-                        Err(e) => return Err(e),
-                    }
-                }
-                let (stage, base) = stage.as_ref().unwrap();
-                let cfg = PipelineConfig {
-                    cube_dim,
-                    ..base.clone()
-                };
-                let (mapping, placement, target) = match stage.map_with(&cfg, &rec) {
-                    Ok(x) => x,
-                    Err(PipelineError::Mapping(_)) => continue 'cubes,
-                    Err(e) => return Err(e),
-                };
-                if config.machine.static_check {
-                    stage.check_with(&mapping, &rec)?;
-                }
-                let program = stage.program(&placement);
-                let report = run_machine(&program, target, &config.machine, &rec, Some(scratch))?;
-                counts.simulated += 1;
-                found.push(Candidate {
-                    pi: pi.clone(),
-                    grouping,
-                    cube_dim,
-                    makespan: report.makespan,
-                    messages: report.messages,
-                    blocks: stage.partitioning.num_blocks(),
-                });
+                    report.makespan,
+                    report.messages,
+                    stage.partitioning.num_blocks(),
+                ));
             }
             counts.probe_sims = cache.sims();
             counts.probe_points = cache.points_spent();
@@ -560,38 +484,26 @@ fn explore_symbolic(
         },
     );
 
+    // Merge in input order; the first error in input order propagates,
+    // whatever order the workers hit errors in.
     let mut results: Vec<Candidate> = Vec::new();
-    let mut total = SymCounts::default();
+    let mut total = Counts::default();
     for outcome in outcomes {
         let (found, counts) = outcome?;
         results.extend(found);
-        total.exact += counts.exact;
-        total.fallback += counts.fallback;
-        total.infeasible += counts.infeasible;
-        total.simulated += counts.simulated;
-        total.probe_sims += counts.probe_sims;
-        total.probe_points += counts.probe_points;
+        total.add(counts);
     }
-    recorder.add("explore.symbolic.exact", total.exact);
-    recorder.add("explore.symbolic.fallback", total.fallback);
-    recorder.add("explore.symbolic.infeasible", total.infeasible);
-    recorder.add("explore.symbolic.probe_sims", total.probe_sims);
-    recorder.add("explore.symbolic.probe_points", total.probe_points);
     recorder.add("explore.simulated", total.simulated);
-
-    results.sort_by_key(|c| {
-        (
-            c.makespan,
-            c.pi.iter().map(|x| x.abs()).sum::<i64>(),
-            c.pi.clone(),
-            c.grouping,
-            c.cube_dim,
-        )
-    });
-    if config.top > 0 {
-        results.truncate(config.top);
+    if config.symbolic.is_none() {
+        recorder.add("explore.pruned", total.pruned);
+    } else {
+        recorder.add("explore.symbolic.exact", total.exact);
+        recorder.add("explore.symbolic.fallback", total.fallback);
+        recorder.add("explore.symbolic.infeasible", total.infeasible);
+        recorder.add("explore.symbolic.probe_sims", total.probe_sims);
+        recorder.add("explore.symbolic.probe_points", total.probe_points);
     }
-    Ok(results)
+    Ok(rank(results, config.top))
 }
 
 #[cfg(test)]
@@ -614,7 +526,7 @@ mod tests {
     #[test]
     fn explores_and_ranks_matvec() {
         let w = loom_workloads::matvec::workload(12);
-        let best = explore(&w.nest, &[1, 2], &cfg()).unwrap();
+        let best = explore_with(&w.nest, &[1, 2], &cfg(), &Recorder::disabled()).unwrap();
         assert!(!best.is_empty());
         // Ranked ascending by makespan.
         for pair in best.windows(2) {
@@ -653,7 +565,7 @@ mod tests {
     #[test]
     fn respects_top_limit() {
         let w = loom_workloads::l1::workload(4);
-        let best = explore(&w.nest, &[0, 1], &cfg()).unwrap();
+        let best = explore_with(&w.nest, &[0, 1], &cfg(), &Recorder::disabled()).unwrap();
         assert!(best.len() <= 5);
     }
 
@@ -680,7 +592,7 @@ mod tests {
         let w = loom_workloads::matvec::workload(10);
         let baseline = explore_reference(&w.nest, &[0, 1, 2], &cfg()).unwrap();
         assert_eq!(
-            explore(
+            explore_with(
                 &w.nest,
                 &[0, 1, 2],
                 &ExploreConfig {
@@ -688,6 +600,7 @@ mod tests {
                     prune: false,
                     ..cfg()
                 },
+                &Recorder::disabled(),
             )
             .unwrap(),
             baseline,
@@ -695,7 +608,7 @@ mod tests {
         );
         for threads in [2, 4] {
             for prune in [false, true] {
-                let got = explore(
+                let got = explore_with(
                     &w.nest,
                     &[0, 1, 2],
                     &ExploreConfig {
@@ -703,6 +616,7 @@ mod tests {
                         prune,
                         ..cfg()
                     },
+                    &Recorder::disabled(),
                 )
                 .unwrap();
                 assert_eq!(got, baseline, "threads={threads} prune={prune}");

@@ -98,6 +98,23 @@ pub struct MachineOptions {
     pub faults: Option<FaultConfig>,
 }
 
+impl MachineOptions {
+    /// The static-check engine these options select: `None` unless
+    /// `static_check` is set; then interleaving wins over symbolic,
+    /// and enumerative is the default.
+    pub fn static_check_mode(&self) -> Option<loom_check::CheckMode> {
+        if !self.static_check {
+            None
+        } else if self.interleave_check {
+            Some(loom_check::CheckMode::Interleaving)
+        } else if self.symbolic_check {
+            Some(loom_check::CheckMode::Symbolic)
+        } else {
+            Some(loom_check::CheckMode::Enumerative)
+        }
+    }
+}
+
 impl Default for MachineOptions {
     fn default() -> MachineOptions {
         MachineOptions {
@@ -384,27 +401,12 @@ impl Pipeline {
             config.uniformize,
             recorder,
         )?;
-        let pi = match &config.time_fn {
-            Some(coeffs) => {
-                let pi = TimeFn::new(coeffs.clone());
-                pi.check_legal(&deps).map_err(PipelineError::TimeFn)?;
-                coeffs.clone()
-            }
-            None => loom_hyperplane::find_optimal_with(
-                &deps,
-                self.nest.space(),
-                config.search,
-                recorder,
-            )
-            .map_err(PipelineError::TimeFn)?
-            .coeffs()
-            .to_vec(),
-        };
+        let pi = self.time_fn(config, &deps, recorder)?;
         let machine = config.machine.clone().unwrap_or_default();
         let derived = crate::symbolic_cost::derive(
             family,
             &deps,
-            &pi,
+            pi.coeffs(),
             &config.partition,
             config.cube_dim,
             target_size,
@@ -431,20 +433,7 @@ impl Pipeline {
         // 2. Time transformation (hyperplane method).
         let pi = {
             let _s = recorder.span("pipeline.time_fn");
-            match &config.time_fn {
-                Some(coeffs) => {
-                    let pi = TimeFn::new(coeffs.clone());
-                    pi.check_legal(&deps).map_err(PipelineError::TimeFn)?;
-                    pi
-                }
-                None => loom_hyperplane::find_optimal_with(
-                    &deps,
-                    self.nest.space(),
-                    config.search,
-                    recorder,
-                )
-                .map_err(PipelineError::TimeFn)?,
-            }
+            self.time_fn(config, &deps, recorder)?
         };
 
         // 2b. Statement-level offsets (fine-grain schedule): derived
@@ -502,6 +491,27 @@ impl Pipeline {
             comm,
             tig,
         })
+    }
+
+    /// The time transformation Π: the fixed one checked legal for
+    /// `deps`, or the hyperplane search's optimum.
+    fn time_fn(
+        &self,
+        config: &PipelineConfig,
+        deps: &[Point],
+        recorder: &Recorder,
+    ) -> Result<TimeFn, PipelineError> {
+        match &config.time_fn {
+            Some(coeffs) => {
+                let pi = TimeFn::new(coeffs.clone());
+                pi.check_legal(deps).map_err(PipelineError::TimeFn)?;
+                Ok(pi)
+            }
+            None => {
+                loom_hyperplane::find_optimal_with(deps, self.nest.space(), config.search, recorder)
+                    .map_err(PipelineError::TimeFn)
+            }
+        }
     }
 }
 
@@ -593,17 +603,12 @@ impl PartitionedStage<'_> {
         Ok((mapping, placement, target))
     }
 
-    /// Step 4b — static verification (`loom-check`): every rule runs
+    /// Step 4b — static verification (`loom-check`) with the engine
+    /// [`MachineOptions::static_check_mode`] picks: every rule runs
     /// against the stage's artifacts plus the given mapping, counters
-    /// land as `check.<code>`, and error-severity diagnostics abort the
-    /// pipeline before any simulation is paid for.
-    pub fn check_with(&self, mapping: &Mapping, recorder: &Recorder) -> Result<(), PipelineError> {
-        self.check_mode(mapping, loom_check::CheckMode::Enumerative, recorder)
-    }
-
-    /// [`check_with`](PartitionedStage::check_with) with an explicit
-    /// engine choice; symbolic runs additionally record the
-    /// `check.symbolic.*` proof-discharge counters.
+    /// land as `check.<code>` (symbolic runs add the `check.symbolic.*`
+    /// proof-discharge counters), and error-severity diagnostics abort
+    /// the pipeline before any simulation is paid for.
     pub fn check_mode(
         &self,
         mapping: &Mapping,
@@ -657,14 +662,11 @@ impl PartitionedStage<'_> {
         scratch: Option<&mut SimScratch>,
     ) -> Result<PipelineOutput, PipelineError> {
         let (mapping, placement, target) = self.map_with(config, recorder)?;
-        if let Some(opts) = config.machine.as_ref().filter(|o| o.static_check) {
-            let mode = if opts.interleave_check {
-                loom_check::CheckMode::Interleaving
-            } else if opts.symbolic_check {
-                loom_check::CheckMode::Symbolic
-            } else {
-                loom_check::CheckMode::Enumerative
-            };
+        if let Some(mode) = config
+            .machine
+            .as_ref()
+            .and_then(MachineOptions::static_check_mode)
+        {
             self.check_mode(&mapping, mode, recorder)?;
         }
 
@@ -1120,6 +1122,26 @@ mod tests {
         assert!(!opts.static_check);
         assert!(!opts.symbolic_check);
         assert!(opts.faults.is_none());
+    }
+
+    #[test]
+    fn static_check_mode_follows_the_engine_flags() {
+        use loom_check::CheckMode;
+        let mode = |static_check, symbolic_check, interleave_check| {
+            MachineOptions {
+                static_check,
+                symbolic_check,
+                interleave_check,
+                ..Default::default()
+            }
+            .static_check_mode()
+        };
+        // Off: the engine flags alone never turn the check on.
+        assert_eq!(mode(false, true, true), None);
+        assert_eq!(mode(true, false, false), Some(CheckMode::Enumerative));
+        assert_eq!(mode(true, true, false), Some(CheckMode::Symbolic));
+        assert_eq!(mode(true, true, true), Some(CheckMode::Interleaving));
+        assert_eq!(mode(true, false, true), Some(CheckMode::Interleaving));
     }
 
     #[test]

@@ -176,7 +176,11 @@ fn parallel_closed_forms_match_the_simulator_exactly() {
 /// (matvec), mix exact and fallback (conv: serial derives, the
 /// parallel cubes hit regime transients), or all ride the fallback
 /// because the probe budget is too small to derive anything (matmul
-/// with a one-point budget).
+/// with a one-point budget) — on every thread count and prune setting.
+/// Pruning never engages under the closed-form oracle, and the serial
+/// sweep's per-oracle counts are pinned: `(simulated, exact, fallback,
+/// infeasible)` with the closed form, `(simulated, pruned)` per prune
+/// setting with the simulator.
 #[test]
 fn symbolic_explore_ranking_is_byte_identical_with_honest_fallback() {
     let classic = MachineParams::classic_1991();
@@ -185,8 +189,8 @@ fn symbolic_explore_ranking_is_byte_identical_with_honest_fallback() {
         size: i64,
         params: MachineParams,
         budget: Option<u64>,
-        expect_exact: bool,
-        require_fallback: bool,
+        closed_form: [u64; 4],
+        simulate: [(u64, u64); 2],
     }
     let cases = [
         Case {
@@ -194,24 +198,24 @@ fn symbolic_explore_ranking_is_byte_identical_with_honest_fallback() {
             size: 12,
             params: classic,
             budget: None,
-            expect_exact: true,
-            require_fallback: false,
+            closed_form: [8, 16, 8, 0],
+            simulate: [(24, 0), (18, 6)],
         },
         Case {
             name: "conv",
             size: 10,
             params: low_latency(),
             budget: None,
-            expect_exact: true,
-            require_fallback: true,
+            closed_form: [16, 14, 16, 6],
+            simulate: [(30, 0), (24, 6)],
         },
         Case {
             name: "matmul",
             size: 5,
             params: classic,
             budget: Some(1),
-            expect_exact: false,
-            require_fallback: true,
+            closed_form: [63, 0, 66, 0],
+            simulate: [(63, 0), (30, 33)],
         },
     ];
     for case in cases {
@@ -221,7 +225,7 @@ fn symbolic_explore_ranking_is_byte_identical_with_honest_fallback() {
             pi_bound: 2,
             top: 10,
             machine: machine(case.params),
-            threads: 2,
+            threads: 1,
             prune: true,
             symbolic: None,
         };
@@ -230,47 +234,59 @@ fn symbolic_explore_ranking_is_byte_identical_with_honest_fallback() {
         if let Some(b) = case.budget {
             opts.max_probe_points = b;
         }
-        let rec = Recorder::enabled();
-        let got = explore_with(
-            &nest,
-            &[0, 1, 2],
-            &ExploreConfig {
-                symbolic: Some(SymbolicExplore {
-                    family: Arc::new({
-                        let fam = fam.clone();
-                        move |n| fam(n).nest
-                    }),
-                    size: case.size,
-                    opts,
-                }),
-                ..cfg
-            },
-            &rec,
-        )
-        .expect("symbolic explore runs");
-        assert_eq!(
-            got, baseline,
-            "{}: symbolic ranking must be byte-identical to the simulating sweep",
-            case.name
-        );
-        let counters = rec.counters();
-        let exact = counters.get("explore.symbolic.exact").copied().unwrap_or(0);
-        let fallback = counters
-            .get("explore.symbolic.fallback")
-            .copied()
-            .unwrap_or(0);
-        assert_eq!(
-            exact > 0,
-            case.expect_exact,
-            "{}: exact counter {exact} (counters {counters:?})",
-            case.name
-        );
-        if case.require_fallback {
-            assert!(
-                fallback > 0,
-                "{}: expected fallback candidates (counters {counters:?})",
-                case.name
-            );
+        let symbolic = SymbolicExplore {
+            family: Arc::new({
+                let fam = fam.clone();
+                move |n| fam(n).nest
+            }),
+            size: case.size,
+            opts,
+        };
+        for threads in [1, 4] {
+            for prune in [false, true] {
+                for closed_form in [false, true] {
+                    let ctx = format!(
+                        "{} threads={threads} prune={prune} closed_form={closed_form}",
+                        case.name
+                    );
+                    let rec = Recorder::enabled();
+                    let got = explore_with(
+                        &nest,
+                        &[0, 1, 2],
+                        &ExploreConfig {
+                            threads,
+                            prune,
+                            symbolic: closed_form.then(|| symbolic.clone()),
+                            ..cfg.clone()
+                        },
+                        &rec,
+                    )
+                    .expect("explore runs");
+                    assert_eq!(got, baseline, "{ctx}: ranking must equal the reference");
+                    let counters = rec.counters();
+                    let get = |k: &str| counters.get(k).copied().unwrap_or(0);
+                    if closed_form {
+                        assert_eq!(get("explore.pruned"), 0, "{ctx}: {counters:?}");
+                    }
+                    if threads > 1 {
+                        // Which candidates the shared gate prunes
+                        // depends on worker timing.
+                        continue;
+                    }
+                    if closed_form {
+                        let counts = [
+                            get("explore.simulated"),
+                            get("explore.symbolic.exact"),
+                            get("explore.symbolic.fallback"),
+                            get("explore.symbolic.infeasible"),
+                        ];
+                        assert_eq!(counts, case.closed_form, "{ctx}: {counters:?}");
+                    } else {
+                        let counts = (get("explore.simulated"), get("explore.pruned"));
+                        assert_eq!(counts, case.simulate[prune as usize], "{ctx}: {counters:?}");
+                    }
+                }
+            }
         }
     }
 }

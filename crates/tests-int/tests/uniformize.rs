@@ -8,7 +8,7 @@
 use loom_check::{
     admit_uniformized, certify_cover, check_access_dependences_uniformized, Report, UniformizeStats,
 };
-use loom_core::explore::{explore, ExploreConfig};
+use loom_core::explore::{explore_with, ExploreConfig};
 use loom_core::pipeline::MachineOptions;
 use loom_core::{Pipeline, PipelineConfig};
 use loom_exec::memory::address_hash_init;
@@ -16,7 +16,7 @@ use loom_exec::{equivalent, execute_in_order, schedule_order, sequential};
 use loom_hyperplane::{find_optimal, Schedule, SearchConfig};
 use loom_loopir::{parse_nest, Access, Aff, DepOptions, IterSpace, LoopNest, Point, Stmt};
 use loom_machine::MachineParams;
-use loom_obs::SplitMix64;
+use loom_obs::{Recorder, SplitMix64};
 
 fn repo_path(rel: &str) -> String {
     format!("{}/../../{rel}", env!("CARGO_MANIFEST_DIR"))
@@ -262,7 +262,7 @@ fn vardist_pipeline_goldens() {
     }
 }
 
-/// `explore` ranks mappings for formerly-rejected nests: the seed's
+/// The explorer ranks mappings for formerly-rejected nests: the seed's
 /// explorer refused these inputs outright (LC010 before any candidate
 /// was tried); with uniformization it returns a non-empty ranked list
 /// whose best candidate carries a legal Π for the folded set.
@@ -274,8 +274,13 @@ fn explore_ranks_mappings_for_formerly_rejected_nests() {
         "vardist_diag2d.loom",
     ] {
         let nest = read_sample(sample);
-        let ranked = explore(&nest, &[0], &ExploreConfig::default())
-            .unwrap_or_else(|e| panic!("{sample}: explore rejected: {e}"));
+        let ranked = explore_with(
+            &nest,
+            &[0],
+            &ExploreConfig::default(),
+            &Recorder::disabled(),
+        )
+        .unwrap_or_else(|e| panic!("{sample}: explore rejected: {e}"));
         assert!(!ranked.is_empty(), "{sample}: no candidates ranked");
         let best = &ranked[0];
         assert!(best.makespan > 0, "{sample}");
