@@ -66,8 +66,9 @@ impl Args {
         self.flags.get(key).map(String::as_str) == Some("true")
     }
 
-    /// The observability output flags shared by `simulate`, `check`,
-    /// `explore`, and `profile`.
+    /// The observability output flags: `--metrics-out`/`--flame-out` on
+    /// `simulate`, `check`, `explore`, and `profile`; `--trace-out` on
+    /// `simulate` and `profile`.
     pub fn obs_flags(&self) -> ObsFlags {
         ObsFlags {
             metrics_out: self.flags.get("metrics-out").cloned(),
@@ -91,10 +92,11 @@ impl Args {
     }
 }
 
-/// Output-artifact flags every observability-producing subcommand
-/// accepts with the same names: `--metrics-out FILE`, `--trace-out
-/// FILE`, `--flame-out FILE`. Parsed in one place so the flag surface
-/// stays uniform across the CLI.
+/// Output-artifact flags, with the same names on every
+/// observability-producing subcommand: `--metrics-out FILE`,
+/// `--trace-out FILE` (only where a run is simulated), `--flame-out
+/// FILE`. Parsed in one place so the flag surface stays uniform across
+/// the CLI.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ObsFlags {
     /// Counters/spans/simulator metrics JSON destination.

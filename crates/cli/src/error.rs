@@ -67,6 +67,13 @@ impl std::fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
+impl From<loom_core::PipelineError> for CliError {
+    /// A pipeline stage failed on a well-formed invocation. Exit 1.
+    fn from(e: loom_core::PipelineError) -> CliError {
+        CliError::failed(format!("pipeline failed: {e}"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

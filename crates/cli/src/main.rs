@@ -1,25 +1,16 @@
 //! `loom` — command-line driver for the Sheu–Tai partitioning and
-//! mapping pipeline.
+//! mapping pipeline. Run it without arguments for the subcommands and
+//! their flags ([`usage`]).
 //!
-//! ```text
-//! loom workloads
-//! loom partition --workload matmul --size 4 [--pi 1,1,1] [--grouping 1]
-//! loom map       --workload matvec --size 16 --cube 2
-//! loom simulate  --workload sor --size 16 --cube 3
-//!                [--t-calc 1 --t-start 50 --t-comm 5] [--batch] [--contention]
-//!                [--fault-plan plan.json --fault-seed 7 --recovery remap]
-//! loom codegen   --workload l1 --size 4 --cube 1 [--run]
-//! loom check     --workload sor --size 8 --cube 2 [--symbolic]
-//!                [--format human|json|sarif] [--allow LC004]
-//! loom viz       --workload sor --size 8 [--dot]
-//! loom explore   --workload matvec --size 16 [--pi-bound 1] [--top 10]
-//!                [--threads 4] [--no-prune] [--bench-out bench.json]
-//!                [--symbolic] [--symbolic-budget POINTS]
-//! loom profile   --workload matvec --size 16 --cube 2 [--top 3] [--json]
-//!                [--trace-out t.json] [--metrics-out m.json] [--flame-out f.txt]
-//! loom obs diff  old.json new.json [--threshold 1] [--warn-only] [--json]
-//! loom table1    [--m 1024]
-//! ```
+//! Every pipeline subcommand takes one path from flags to results. The
+//! input — a builtin named in [`BUILTINS`], instantiated from its
+//! `loom_workloads::family_of` size family, or a `--file` nest — is
+//! resolved once into its nest, dependence set `D` and Π by [`load`]; a
+//! variable-distance `.loom` nest is folded and certified there, once.
+//! [`config`] and [`machine_options`] turn the flags into the pipeline's
+//! configuration, and the subcommand runs the pipeline's own stages on
+//! the result (`stage_partition_with_deps`, `map_with`, `check_mode`,
+//! `complete_with`, `run_machine`). [`Obs`] writes the output flags.
 //!
 //! Setting `LOOM_FLIGHT_DIR` makes every pipeline-running subcommand
 //! flush its flight-recorder ring (JSONL) into that directory on exit.
@@ -33,15 +24,16 @@
 mod args;
 mod error;
 
-use args::Args;
+use args::{Args, ObsFlags};
 use error::CliError;
 use loom_core::analytic::table1_rows;
-use loom_core::pipeline::MachineOptions;
+use loom_core::pipeline::{run_machine, MachineOptions};
 use loom_core::report::Table;
-use loom_core::{Pipeline, PipelineConfig};
-use loom_machine::MachineParams;
+use loom_core::{PartitionedStage, Pipeline, PipelineConfig, PipelineError, Placement, Target};
+use loom_machine::{MachineParams, SimReport};
+use loom_mapping::Mapping;
 use loom_obs::{FlightRecorder, Json, Recorder};
-use loom_workloads::Workload;
+use loom_workloads::Family;
 
 fn usage() -> ! {
     eprintln!(
@@ -70,10 +62,10 @@ fn usage() -> ! {
          \x20               --file NEST.loom (parse a .loom nest; variable-distance\n\
          \x20               dependences are folded and certified per LC016 unless\n\
          \x20               --no-uniformize restores the front-end rejection)\n\
-         output flags (simulate/check/explore/profile):\n\
-         \x20               --metrics-out FILE (counters + simulator metrics JSON),\n\
-         \x20               --trace-out FILE (Chrome/Perfetto trace JSON),\n\
-         \x20               --flame-out FILE (collapsed-stack flamegraph export)\n\
+         output flags:   --metrics-out FILE (counters + simulator metrics JSON) and\n\
+         \x20               --flame-out FILE (collapsed-stack flamegraph export) on\n\
+         \x20               simulate/check/explore/profile; --trace-out FILE\n\
+         \x20               (Chrome/Perfetto trace JSON) on simulate/profile\n\
          simulate flags: --t-calc/--t-start/--t-comm, --batch, --contention,\n\
          \x20               --mesh RxC | --ring N (instead of --cube),\n\
          \x20               --validate (replay the trace through verify_trace)\n\
@@ -83,6 +75,43 @@ fn usage() -> ! {
          \x20               --degradation-out FILE (degradation report JSON)"
     );
     std::process::exit(2)
+}
+
+/// The builtin workloads, in `loom workloads` order: listed name, the
+/// other names it answers to, `loom_workloads::family_of` key, whether
+/// `--size2` is a tap count (clamped to `--size`), the size it is listed
+/// at, and its role in the paper.
+#[rustfmt::skip]
+#[allow(clippy::type_complexity)]
+const BUILTINS: [(&str, &[&str], &str, bool, i64, &str); 10] = [
+    ("l1",         &[],          "l1",         false, 4, "§II running example"),
+    ("matmul",     &[],          "matmul",     false, 4, "§III Example 2"),
+    ("matvec",     &[],          "matvec",     false, 8, "§IV / Table I"),
+    ("conv1d",     &["conv"],    "conv",       true,  8, "§I motivation"),
+    ("sor",        &["stencil"], "sor",        false, 6, "extension"),
+    ("transitive", &["tc"],      "transitive", false, 4, "§I motivation"),
+    ("dft",        &[],          "dft",        false, 8, "§I motivation"),
+    ("conv2d",     &[],          "conv2d",     true,  4, "extension (4-deep)"),
+    ("triangular", &["tri"],     "triangular", false, 6, "extension (affine bounds)"),
+    ("heat2d",     &["heat"],    "heat2d",     false, 3, "extension (negative deps)"),
+];
+
+/// `--workload` with `--size`/`--size2`: the builtin's size family
+/// (secondary extent pinned) and the size to instantiate it at. The
+/// nest every subcommand runs and the family `explore --symbolic`
+/// ranks over are this one family.
+fn builtin(a: &Args) -> Result<(Family, i64), CliError> {
+    let size = a.int_flag("size", 8)?;
+    let size2 = a.int_flag("size2", size)?;
+    let name = a.str_flag("workload", "l1");
+    BUILTINS
+        .iter()
+        .find(|(listed, aliases, ..)| *listed == name || aliases.contains(&name.as_str()))
+        .and_then(|&(_, _, key, taps, ..)| {
+            loom_workloads::family_of(key, Some(if taps { size2.min(size) } else { size2 }))
+        })
+        .map(|family| (family, size))
+        .ok_or_else(|| CliError::usage(format!("unknown workload `{name}`; run `loom workloads`")))
 }
 
 /// Parse `--file` into a nest through the resilient front end.
@@ -125,16 +154,82 @@ fn pi_flag(a: &Args) -> Result<Option<Vec<i64>>, CliError> {
     }
 }
 
-/// `--pi` if given, else the optimal legal time function for `deps`.
-fn pick_pi(
-    a: &Args,
+/// What a pipeline subcommand runs on, resolved once by [`load`].
+struct Input {
+    /// The pipeline over the nest.
+    pipeline: Pipeline,
+    /// The dependence set `D` (the certified folded set for a
+    /// variable-distance nest).
+    deps: Vec<loom_loopir::Point>,
+    /// `--pi`, else the builtin's canonical Π, else the optimal one.
+    pi: Vec<i64>,
+    /// A builtin's size family and size; `None` for a `--file` nest.
+    family: Option<(Family, i64)>,
+    /// The fold's certificate and tightness diagnostics (`LC016`/
+    /// `LC017`); empty unless the nest was uniformized.
+    folded: Vec<loom_check::Diagnostic>,
+}
+
+/// Resolve `--file` or `--workload` into an [`Input`]. This is the
+/// CLI's one dependence extraction, through the pipeline's own
+/// admission (`admitted_dependence_vectors`, proof counters on `rec`):
+/// a variable-distance nest is folded and certified here, once, unless
+/// `--no-uniformize` restores the front-end rejection. `Ok(None)` means
+/// an uncertifiable nest's report was rendered and `--allow` left no
+/// error in it.
+fn load(a: &Args, rec: &Recorder) -> Result<Option<Input>, CliError> {
+    let path = a.flags.get("file");
+    let (nest, builtin_pi, family) = match path {
+        Some(path) => (parse_file_nest(a, path)?, None, None),
+        None => {
+            let (family, size) = builtin(a)?;
+            let w = family(size);
+            (w.nest, Some(w.pi), Some((family, size)))
+        }
+    };
+    let label = path.map_or_else(|| nest.name().to_string(), String::clone);
+    let admitted = {
+        let _s = rec.span("pipeline.deps");
+        loom_core::pipeline::admitted_dependence_vectors(
+            &nest,
+            loom_loopir::DepOptions::default(),
+            !a.switch("no-uniformize"),
+            rec,
+        )
+    };
+    let (deps, folded) = match admitted {
+        Ok(admitted) => admitted,
+        Err(PipelineError::StaticCheck(mut report)) => {
+            apply_allow(a, &mut report);
+            render_report(a, &report)?;
+            return if report.has_errors() {
+                Err(CliError::Diagnostics)
+            } else {
+                Ok(None)
+            };
+        }
+        Err(PipelineError::Deps(e)) => return Err(CliError::usage(format!("{label}: {e}"))),
+        Err(e) => return Err(e.into()),
+    };
+    let pi = match pi_flag(a)?.or(builtin_pi) {
+        Some(pi) => pi,
+        None => optimal_pi(&nest, &deps, &label)?,
+    };
+    Ok(Some(Input {
+        pipeline: Pipeline::new(nest),
+        deps,
+        pi,
+        family,
+        folded,
+    }))
+}
+
+/// The optimal legal time function for a `--file` nest.
+fn optimal_pi(
     nest: &loom_loopir::LoopNest,
     deps: &[Vec<i64>],
     label: &str,
 ) -> Result<Vec<i64>, CliError> {
-    if let Some(pi) = pi_flag(a)? {
-        return Ok(pi);
-    }
     let pi =
         loom_hyperplane::find_optimal(deps, nest.space(), loom_hyperplane::SearchConfig::default())
             .map_err(|e| CliError::failed(format!("{label}: no legal time function: {e}")))?
@@ -151,68 +246,44 @@ fn pick_pi(
     Ok(pi)
 }
 
-fn pick_workload(a: &Args) -> Result<Workload, CliError> {
-    if let Some(path) = a.flags.get("file").cloned() {
-        let nest = parse_file_nest(a, &path)?;
-        let opts = loom_loopir::DepOptions::default();
-        let deps = match loom_loopir::deps::dependence_vectors(&nest, opts) {
-            Ok(deps) => deps,
-            // Non-uniform nests go through certified uniformization
-            // (LC016) unless --no-uniformize restores the seed
-            // rejection; an uncertifiable nest renders its report.
-            Err(loom_loopir::Error::NonUniform { .. }) if !a.switch("no-uniformize") => {
-                let mut stats = loom_check::UniformizeStats::default();
-                match loom_check::admit_uniformized(&nest, opts, &mut stats) {
-                    Ok((u, _diags)) => {
-                        let vecs: Vec<String> = u
-                            .vectors
-                            .iter()
-                            .map(|v| {
-                                let parts: Vec<String> = v.iter().map(|x| x.to_string()).collect();
-                                format!("({})", parts.join(","))
-                            })
-                            .collect();
-                        eprintln!(
-                            "note: {path}: variable-distance dependences folded into the \
-                             certified synthesized set {{{}}} (LC016); run \
-                             `loom check --file {path}` for the certificate and the \
-                             tightness report",
-                            vecs.join(", ")
-                        );
-                        u.vectors
-                    }
-                    Err(report) => {
-                        let mut report = report;
-                        apply_allow(a, &mut report);
-                        render_report(a, &report)?;
-                        return Err(CliError::Diagnostics);
-                    }
-                }
-            }
-            Err(e) => return Err(CliError::usage(format!("{path}: {e}"))),
-        };
-        let pi = pick_pi(a, &nest, &deps, &path)?;
-        return Ok(Workload { nest, deps, pi });
+/// [`load`] for every subcommand but `check`: an uncertifiable nest
+/// fails, and an admitted fold is noted on stderr.
+fn resolve(a: &Args, rec: &Recorder) -> Result<Input, CliError> {
+    let input = load(a, rec)?.ok_or(CliError::Diagnostics)?;
+    if let (Some(path), false) = (a.flags.get("file"), input.folded.is_empty()) {
+        let vecs: Vec<String> = input
+            .deps
+            .iter()
+            .map(|v| {
+                let parts: Vec<String> = v.iter().map(|x| x.to_string()).collect();
+                format!("({})", parts.join(","))
+            })
+            .collect();
+        eprintln!(
+            "note: {path}: variable-distance dependences folded into the \
+             certified synthesized set {{{}}} (LC016); run \
+             `loom check --file {path}` for the certificate and the \
+             tightness report",
+            vecs.join(", ")
+        );
     }
-    let size = a.int_flag("size", 8)?;
-    let size2 = a.int_flag("size2", size)?;
-    Ok(match a.str_flag("workload", "l1").as_str() {
-        "l1" => loom_workloads::l1::workload(size),
-        "matmul" => loom_workloads::matmul::workload(size),
-        "matvec" => loom_workloads::matvec::workload(size),
-        "conv" | "conv1d" => loom_workloads::conv::workload(size, size2.min(size)),
-        "sor" | "stencil" => loom_workloads::sor::workload(size, size2),
-        "transitive" | "tc" => loom_workloads::transitive::workload(size),
-        "dft" => loom_workloads::dft::workload(size),
-        "conv2d" => loom_workloads::conv2d::workload(size, size2.min(size)),
-        "heat2d" | "heat" => loom_workloads::heat2d::workload(size, size2),
-        "triangular" | "tri" => loom_workloads::triangular::workload(size),
-        other => {
-            return Err(CliError::usage(format!(
-                "unknown workload `{other}`; run `loom workloads`"
-            )))
-        }
-    })
+    Ok(input)
+}
+
+impl Input {
+    /// Stages 1–4 through the pipeline: Algorithm 1 on the resolved `D`
+    /// and Π, then the mapping onto the configured target.
+    fn stage(
+        &self,
+        cfg: &PipelineConfig,
+        rec: &Recorder,
+    ) -> Result<(PartitionedStage<'_>, Mapping, Placement, Target), CliError> {
+        let stage = self
+            .pipeline
+            .stage_partition_with_deps(cfg, rec, self.deps.clone())?;
+        let (mapping, placement, target) = stage.map_with(cfg, rec)?;
+        Ok((stage, mapping, placement, target))
+    }
 }
 
 fn machine_params(a: &Args) -> Result<MachineParams, CliError> {
@@ -224,54 +295,79 @@ fn machine_params(a: &Args) -> Result<MachineParams, CliError> {
     })
 }
 
-fn pick_target(a: &Args) -> Result<Option<loom_core::Target>, CliError> {
+fn pick_target(a: &Args) -> Result<Option<Target>, CliError> {
     if let Some(mesh) = a.flags.get("mesh") {
         let parts: Vec<&str> = mesh.split(['x', 'X']).collect();
         if let [r, c] = parts[..] {
             if let (Ok(rows), Ok(cols)) = (r.parse(), c.parse()) {
-                return Ok(Some(loom_core::Target::Mesh { rows, cols }));
+                return Ok(Some(Target::Mesh { rows, cols }));
             }
         }
         return Err(CliError::usage("error: --mesh expects RxC (e.g. 2x4)"));
     }
     if let Some(ring) = a.flags.get("ring") {
         return match ring.parse() {
-            Ok(n) => Ok(Some(loom_core::Target::Ring(n))),
+            Ok(n) => Ok(Some(Target::Ring(n))),
             Err(_) => Err(CliError::usage("error: --ring expects an integer")),
         };
     }
     Ok(None)
 }
 
-/// `--grouping` as an index, when given.
-fn grouping_choice(a: &Args) -> Result<Option<usize>, CliError> {
-    match a.flags.get("grouping") {
-        None => Ok(None),
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| CliError::usage("error: --grouping expects an index")),
-    }
+/// The one flag → [`PipelineConfig`] builder: Π (resolved by [`load`]),
+/// `--cube`/`--mesh`/`--ring` and `--grouping`. The machine model is
+/// [`machine_options`]; only `simulate` runs it through the pipeline.
+fn config(a: &Args, pi: &[i64]) -> Result<PipelineConfig, CliError> {
+    let grouping_choice = (a.flags.get("grouping").map(|v| v.parse()).transpose())
+        .map_err(|_| CliError::usage("error: --grouping expects an index"))?;
+    Ok(PipelineConfig {
+        time_fn: Some(pi.to_vec()),
+        cube_dim: a.int_flag("cube", 1)?.max(0) as usize,
+        target: pick_target(a)?,
+        partition: loom_partition::PartitionConfig {
+            grouping_choice,
+            seed: None,
+        },
+        machine: None,
+        ..Default::default()
+    })
+}
+
+/// The one flag → [`MachineOptions`] builder: the §IV timing
+/// parameters, the simulator switches, and the telemetry the output
+/// flags need. Faults are `simulate`'s alone ([`fault_config`]).
+fn machine_options(a: &Args) -> Result<MachineOptions, CliError> {
+    Ok(MachineOptions {
+        params: machine_params(a)?,
+        batch_messages: a.switch("batch"),
+        link_contention: a.switch("contention"),
+        record_trace: a.flags.contains_key("trace-out"),
+        collect_metrics: a.flags.contains_key("metrics-out") || a.flags.contains_key("trace-out"),
+        validate_trace: a.switch("validate"),
+        ..Default::default()
+    })
 }
 
 /// Build the fault configuration from `--fault-plan` / `--fault-seed`
 /// / `--recovery`. The plan is statically validated (rule `LC008`)
-/// against the machine the run will target before it is accepted; any
-/// error diagnostic refuses the run.
-fn fault_config(a: &Args) -> Result<Option<loom_machine::FaultConfig>, CliError> {
+/// against the machine `cfg` targets before it is accepted; any error
+/// diagnostic refuses the run.
+fn fault_config(
+    a: &Args,
+    cfg: &PipelineConfig,
+) -> Result<Option<loom_machine::FaultConfig>, CliError> {
     let Some(path) = a.flags.get("fault-plan") else {
         return Ok(None);
     };
     let src = std::fs::read_to_string(path)
         .map_err(|e| CliError::usage(format!("cannot read {path}: {e}")))?;
-    let doc = loom_obs::Json::parse(&src)
-        .map_err(|e| CliError::usage(format!("{path}: invalid JSON: {e}")))?;
+    let doc =
+        Json::parse(&src).map_err(|e| CliError::usage(format!("{path}: invalid JSON: {e}")))?;
     let plan = loom_machine::FaultPlan::from_json(&doc)
         .map_err(|e| CliError::usage(format!("{path}: invalid fault plan: {e}")))?;
-    let topology = pick_target(a)?
-        .unwrap_or(loom_core::Target::Hypercube(
-            a.int_flag("cube", 1)?.max(0) as usize
-        ))
+    let topology = cfg
+        .target
+        .unwrap_or(Target::Hypercube(cfg.cube_dim))
         .topology();
     // Route the LC008 diagnostics through a Report so `--allow LC008`
     // downgrades them exactly like every other rule: suppression and
@@ -296,71 +392,59 @@ fn fault_config(a: &Args) -> Result<Option<loom_machine::FaultConfig>, CliError>
     Ok(Some(fc))
 }
 
-fn run_pipeline(
-    a: &Args,
-    w: &Workload,
-    with_machine: bool,
-) -> Result<loom_core::PipelineOutput, CliError> {
-    run_pipeline_with(a, w, with_machine, &Recorder::disabled())
+/// A subcommand's enabled recorder (its flight ring honors
+/// `LOOM_FLIGHT_DIR`) and the output flags it writes at the end.
+struct Obs {
+    rec: Recorder,
+    out: ObsFlags,
+    command: &'static str,
 }
 
-fn run_pipeline_with(
-    a: &Args,
-    w: &Workload,
-    with_machine: bool,
-    recorder: &Recorder,
-) -> Result<loom_core::PipelineOutput, CliError> {
-    let machine = if with_machine {
-        Some(MachineOptions {
-            params: machine_params(a)?,
-            batch_messages: a.switch("batch"),
-            link_contention: a.switch("contention"),
-            record_trace: a.flags.contains_key("trace-out"),
-            collect_metrics: a.flags.contains_key("metrics-out")
-                || a.flags.contains_key("trace-out"),
-            validate_trace: a.switch("validate"),
-            faults: fault_config(a)?,
-            ..Default::default()
+impl Obs {
+    /// `traced` marks the subcommands that simulate and so have a trace
+    /// to write; `--trace-out` anywhere else is a usage error, not a
+    /// file that silently never appears.
+    fn new(a: &Args, command: &'static str, traced: bool) -> Result<Obs, CliError> {
+        let out = a.obs_flags();
+        if out.trace_out.is_some() && !traced {
+            return Err(CliError::usage(format!(
+                "error: --trace-out applies to simulate and profile, not {command}"
+            )));
+        }
+        Ok(Obs {
+            rec: Recorder::enabled_with_flight(FlightRecorder::from_env()),
+            out,
+            command,
         })
-    } else {
-        None
-    };
-    let config = PipelineConfig {
-        time_fn: pi_flag(a)?.or(Some(w.pi.clone())),
-        cube_dim: a.int_flag("cube", 1)?.max(0) as usize,
-        target: pick_target(a)?,
-        partition: loom_partition::PartitionConfig {
-            grouping_choice: grouping_choice(a)?,
-            seed: None,
-        },
-        machine,
-        ..Default::default()
-    };
-    Pipeline::new(w.nest.clone())
-        .run_with(&config, recorder)
-        .map_err(|e| CliError::failed(format!("pipeline failed: {e}")))
-}
-
-/// An enabled recorder whose flight ring honors `LOOM_FLIGHT_DIR`.
-fn obs_recorder() -> Recorder {
-    Recorder::enabled_with_flight(FlightRecorder::from_env())
-}
-
-/// Flush the recorder's flight ring to `LOOM_FLIGHT_DIR` (no-op when
-/// the variable is unset).
-fn flush_flight(rec: &Recorder, name: &str) {
-    if let Some(path) = rec.flight().flush_to_env_dir(name) {
-        eprintln!("flight log written to {}", path.display());
     }
-}
 
-/// Write the collapsed-stack span export for `--flame-out`.
-fn write_flame(rec: &Recorder, path: &str) -> Result<(), CliError> {
-    write_out(
-        path,
-        loom_obs::flight::collapsed_stacks(&rec.spans()),
-        "flamegraph",
-    )
+    /// Write `--metrics-out` (with the run's simulator telemetry, if
+    /// any), `--trace-out` (the document `trace` renders, with its
+    /// name), and `--flame-out`, then flush the flight ring.
+    fn finish(
+        &self,
+        sim: Option<&SimReport>,
+        trace: impl FnOnce() -> Option<(&'static str, Json)>,
+    ) -> Result<(), CliError> {
+        if let Some(path) = &self.out.metrics_out {
+            let doc = loom_core::obs_export::metrics_json(&self.rec, sim);
+            write_out(path, doc.render_pretty(), "metrics")?;
+        }
+        if let Some(path) = &self.out.trace_out {
+            let (what, doc) = trace().ok_or_else(|| {
+                CliError::failed("internal error: no trace recorded despite --trace-out")
+            })?;
+            write_out(path, doc.render_pretty(), what)?;
+        }
+        if let Some(path) = &self.out.flame_out {
+            let flame = loom_obs::flight::collapsed_stacks(&self.rec.spans());
+            write_out(path, flame, "flamegraph")?;
+        }
+        if let Some(path) = self.rec.flight().flush_to_env_dir(self.command) {
+            eprintln!("flight log written to {}", path.display());
+        }
+        Ok(())
+    }
 }
 
 fn write_out(path: &str, contents: String, what: &str) -> Result<(), CliError> {
@@ -372,67 +456,32 @@ fn write_out(path: &str, contents: String, what: &str) -> Result<(), CliError> {
 
 fn cmd_workloads() {
     let mut t = Table::new(["name", "depth", "D", "paper role"]);
-    for (name, w, role) in [
-        ("l1", loom_workloads::l1::workload(4), "§II running example"),
-        (
-            "matmul",
-            loom_workloads::matmul::workload(4),
-            "§III Example 2",
-        ),
-        (
-            "matvec",
-            loom_workloads::matvec::workload(8),
-            "§IV / Table I",
-        ),
-        (
-            "conv1d",
-            loom_workloads::conv::workload(8, 4),
-            "§I motivation",
-        ),
-        ("sor", loom_workloads::sor::workload(6, 6), "extension"),
-        (
-            "transitive",
-            loom_workloads::transitive::workload(4),
-            "§I motivation",
-        ),
-        ("dft", loom_workloads::dft::workload(8), "§I motivation"),
-        (
-            "conv2d",
-            loom_workloads::conv2d::workload(4, 2),
-            "extension (4-deep)",
-        ),
-        (
-            "triangular",
-            loom_workloads::triangular::workload(6),
-            "extension (affine bounds)",
-        ),
-        (
-            "heat2d",
-            loom_workloads::heat2d::workload(3, 4),
-            "extension (negative deps)",
-        ),
-    ] {
-        t.row([
-            name.to_string(),
-            format!("{}", w.nest.dim()),
-            format!("{:?}", w.deps),
-            role.to_string(),
-        ]);
+    for (name, _, key, _, size, role) in BUILTINS {
+        if let Some(family) = loom_workloads::family_of(key, None) {
+            let w = family(size);
+            t.row([
+                name.to_string(),
+                format!("{}", w.nest.dim()),
+                format!("{:?}", w.deps),
+                role.to_string(),
+            ]);
+        }
     }
     println!("{t}");
 }
 
 fn cmd_partition(a: &Args) -> Result<(), CliError> {
-    let w = pick_workload(a)?;
     // Partitioning is machine-independent; default to the 1-processor
     // cube so a small block count never fails the mapping stage.
-    let mut a2 = a.clone();
-    a2.flags.entry("cube".into()).or_insert_with(|| "0".into());
-    let out = run_pipeline(&a2, &w, false)?;
-    println!("{}", w.nest);
-    println!("D = {:?}", out.deps);
-    println!("{} ({} steps)", out.pi, out.pi.steps(w.nest.space()));
-    let p = &out.partitioning;
+    let mut a = a.clone();
+    a.flags.entry("cube".into()).or_insert_with(|| "0".into());
+    let input = resolve(&a, &Recorder::disabled())?;
+    let (stage, ..) = input.stage(&config(&a, &input.pi)?, &Recorder::disabled())?;
+    let nest = input.pipeline.nest();
+    println!("{nest}");
+    println!("D = {:?}", stage.deps);
+    println!("{} ({} steps)", stage.pi, stage.pi.steps(nest.space()));
+    let p = &stage.partitioning;
     println!(
         "r = {}, beta = {}, {} projected points -> {} blocks (largest {})",
         p.vectors().r,
@@ -443,9 +492,9 @@ fn cmd_partition(a: &Args) -> Result<(), CliError> {
     );
     println!(
         "arcs: {} total, {} interblock ({:.0}%)",
-        out.comm.total_arcs,
-        out.comm.interblock_arcs,
-        100.0 * out.comm.interblock_fraction()
+        stage.comm.total_arcs,
+        stage.comm.interblock_arcs,
+        100.0 * stage.comm.interblock_fraction()
     );
     if a.switch("blocks") {
         for (b, block) in p.blocks().iter().enumerate() {
@@ -469,33 +518,40 @@ fn cmd_partition(a: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_map(a: &Args) -> Result<(), CliError> {
-    let w = pick_workload(a)?;
-    let out = run_pipeline(a, &w, false)?;
+    let input = resolve(a, &Recorder::disabled())?;
+    let (stage, mapping, ..) = input.stage(&config(a, &input.pi)?, &Recorder::disabled())?;
     let mut t = Table::new(["block", "size", "processor"]);
-    for (b, &proc) in out.mapping.assignment().iter().enumerate() {
+    for (b, &proc) in mapping.assignment().iter().enumerate() {
         t.row([
             format!("B{b}"),
-            format!("{}", out.partitioning.block(b).len()),
-            format!("P{proc:0w$b}", w = out.mapping.cube().dim().max(1)),
+            format!("{}", stage.partitioning.block(b).len()),
+            format!("P{proc:0w$b}", w = mapping.cube().dim().max(1)),
         ]);
     }
     println!("{t}");
-    let q = loom_mapping::metrics::evaluate(&out.tig, out.mapping.assignment(), out.mapping.cube());
+    let q = loom_mapping::metrics::evaluate(&stage.tig, mapping.assignment(), mapping.cube());
     println!("quality: {q}");
     Ok(())
 }
 
 fn cmd_simulate(a: &Args) -> Result<(), CliError> {
-    let w = pick_workload(a)?;
-    let rec = obs_recorder();
-    let out = run_pipeline_with(a, &w, true, &rec)?;
-    let sim = out
-        .sim_report()
-        .map_err(|e| CliError::failed(format!("pipeline failed: {e}")))?;
-    let params = machine_params(a)?;
+    let obs = Obs::new(a, "simulate", true)?;
+    let input = resolve(a, &obs.rec)?;
+    let mut cfg = config(a, &input.pi)?;
+    let machine = MachineOptions {
+        faults: fault_config(a, &cfg)?,
+        ..machine_options(a)?
+    };
+    let params = machine.params;
+    cfg.machine = Some(machine);
+    let out = input
+        .pipeline
+        .stage_partition_with_deps(&cfg, &obs.rec, input.deps.clone())?
+        .complete_with(&cfg, &obs.rec, None)?;
+    let sim = out.sim_report()?;
     println!(
         "{} on {:?} ({} procs), t_calc={} t_start={} t_comm={}{}{}",
-        w.nest.name(),
+        input.pipeline.nest().name(),
         out.target,
         out.placement.num_procs(),
         params.t_calc,
@@ -549,39 +605,23 @@ fn cmd_simulate(a: &Args) -> Result<(), CliError> {
         // PipelineError::Trace, so reaching here means a clean replay.
         println!("trace validated: no violations");
     }
-    let obs = a.obs_flags();
-    if let Some(path) = &obs.metrics_out {
-        let doc = loom_core::obs_export::metrics_json(&rec, Some(sim));
-        write_out(path, doc.render_pretty(), "metrics")?;
-    }
-    if let Some(path) = &obs.trace_out {
-        match loom_machine::trace::chrome_trace(sim, out.placement.num_procs()) {
-            Some(doc) => write_out(path, doc.render_pretty(), "trace")?,
-            None => {
-                return Err(CliError::failed(
-                    "internal error: no trace recorded despite --trace-out",
-                ))
-            }
-        }
-    }
-    if let Some(path) = &obs.flame_out {
-        write_flame(&rec, path)?;
-    }
-    flush_flight(&rec, "simulate");
-    Ok(())
+    obs.finish(Some(sim), || {
+        loom_machine::trace::chrome_trace(sim, out.placement.num_procs()).map(|d| ("trace", d))
+    })
 }
 
 fn cmd_codegen(a: &Args) -> Result<(), CliError> {
-    let w = pick_workload(a)?;
-    let out = run_pipeline(a, &w, false)?;
+    let input = resolve(a, &Recorder::disabled())?;
+    let (stage, mapping, ..) = input.stage(&config(a, &input.pi)?, &Recorder::disabled())?;
+    let nest = input.pipeline.nest();
     let cg = loom_codegen::generate(
-        &w.nest,
-        &out.partitioning,
-        out.mapping.assignment(),
-        out.mapping.cube().len(),
+        nest,
+        &stage.partitioning,
+        mapping.assignment(),
+        mapping.cube().len(),
     )
     .map_err(|e| CliError::failed(format!("codegen refused: {e}")))?;
-    println!("{}", loom_codegen::render::render(&w.nest, &cg));
+    println!("{}", loom_codegen::render::render(nest, &cg));
     println!(
         "{} computes, {} messages",
         cg.program.num_computes(),
@@ -589,9 +629,9 @@ fn cmd_codegen(a: &Args) -> Result<(), CliError> {
     );
     if a.switch("run") {
         use loom_exec::memory::address_hash_init;
-        let result = loom_codegen::run(&w.nest, &cg, &address_hash_init)
+        let result = loom_codegen::run(nest, &cg, &address_hash_init)
             .map_err(|e| CliError::failed(format!("SPMD run failed: {e}")))?;
-        let serial = loom_exec::sequential(&w.nest, &address_hash_init);
+        let serial = loom_exec::sequential(nest, &address_hash_init);
         match loom_exec::equivalent(&result.gathered, &serial) {
             Ok(()) => println!("verified: bit-identical to sequential execution"),
             Err(d) => return Err(CliError::failed(format!("DIVERGED: {d:?}"))),
@@ -667,85 +707,43 @@ fn cmd_check(a: &Args) -> Result<(), CliError> {
             "--symbolic and --interleave/--corrupt are mutually exclusive",
         ));
     }
-    // Load `--file` nests by hand: a non-uniform nest goes through the
-    // uniformization engine and either continues with the certified
-    // folded set (the certificate rides along in the report) or comes
-    // back as a rejection report on stdout, not a front-end abort on
-    // stderr.
-    let mut pre_diags: Vec<loom_check::Diagnostic> = Vec::new();
-    let w = if let Some(path) = a.flags.get("file").cloned() {
-        let nest = parse_file_nest(a, &path)?;
-        match loom_loopir::deps::dependence_vectors(&nest, loom_loopir::DepOptions::default()) {
-            Ok(deps) => {
-                let pi = pick_pi(a, &nest, &deps, &path)?;
-                Workload { nest, deps, pi }
-            }
-            Err(e @ loom_loopir::Error::NonUniform { .. }) if a.switch("no-uniformize") => {
-                return Err(CliError::usage(format!("{path}: {e}")));
-            }
-            Err(loom_loopir::Error::NonUniform { .. }) => {
-                let mut stats = loom_check::UniformizeStats::default();
-                let (diags, uniformized) =
-                    loom_check::check_access_dependences_uniformized(&nest, None, &mut stats);
-                match uniformized {
-                    Some(u) => {
-                        pre_diags = diags;
-                        let deps = u.vectors;
-                        let pi = pick_pi(a, &nest, &deps, &path)?;
-                        Workload { nest, deps, pi }
-                    }
-                    None => {
-                        let mut report = loom_check::Report::from_diagnostics(diags);
-                        apply_allow(a, &mut report);
-                        render_report(a, &report)?;
-                        return if report.has_errors() {
-                            Err(CliError::Diagnostics)
-                        } else {
-                            Ok(())
-                        };
-                    }
-                }
-            }
-            Err(e) => return Err(CliError::usage(format!("{path}: {e}"))),
-        }
-    } else {
-        pick_workload(a)?
+    let obs = Obs::new(a, "check", false)?;
+    // An uncertifiable nest's report is the check's verdict. The check
+    // engines count their own uniformization proofs, so the load does
+    // not record them.
+    let Some(input) = load(a, &Recorder::disabled())? else {
+        return Ok(());
     };
-    let pi = loom_hyperplane::TimeFn::new(pi_flag(a)?.unwrap_or_else(|| w.pi.clone()));
-    let cube_dim = a.int_flag("cube", 1)?.max(0) as usize;
-    let rec = obs_recorder();
+    // The verifier checks Algorithm 2's hypercube mapping.
+    let cfg = PipelineConfig {
+        target: None,
+        ..config(a, &input.pi)?
+    };
+    let pi = loom_hyperplane::TimeFn::new(input.pi.clone());
 
-    // Stage the pipeline by hand rather than through `run_pipeline`: an
-    // illegal Π must come back as an LC001/LC009 diagnostic on stdout,
-    // not as a partitioner error on stderr.
+    // An illegal Π must come back as an LC001/LC009 diagnostic on
+    // stdout, not as a partitioner error on stderr, so legality is
+    // checked before the pipeline stages run.
     let mut report = loom_check::Report::from_diagnostics(if symbolic {
-        loom_check::check_legality_symbolic(&pi, &w.deps)
+        loom_check::check_legality_symbolic(&pi, &input.deps)
     } else {
-        loom_check::check_legality(&pi, &w.deps)
+        loom_check::check_legality(&pi, &input.deps)
     });
     if !report.has_errors() {
-        let config = loom_partition::PartitionConfig {
-            grouping_choice: grouping_choice(a)?,
-            seed: None,
-        };
-        let partitioning =
-            loom_partition::partition(w.nest.space().clone(), w.deps.clone(), pi.clone(), &config)
-                .map_err(|e| CliError::failed(format!("partitioning failed: {e}")))?;
-        let tig = loom_partition::Tig::from_partitioning(&partitioning);
-        let mapping = loom_mapping::map_partitioning(&partitioning, cube_dim)
-            .map_err(|e| CliError::failed(format!("mapping failed: {e}")))?;
-        if let Some(mode) = a.flags.get("corrupt") {
+        let (stage, mapping, ..) = input.stage(&cfg, &obs.rec)?;
+        report = if let Some(mode) = a.flags.get("corrupt") {
             // Seeded-mutation mode: generate the SPMD program, corrupt
             // it, and run the interleaving engine's program-level
             // rules on the result — an expect-fail harness for LC013–
             // LC015 counterexamples.
             let mutation = parse_mutation(mode)?;
             let seed = a.int_flag("corrupt-seed", 1)?.max(0) as u64;
+            let nest = input.pipeline.nest();
             let mut cg = loom_codegen::generate(
-                &w.nest,
-                &partitioning,
+                nest,
+                &stage.partitioning,
                 mapping.assignment(),
-                1usize << mapping.cube().dim(),
+                mapping.cube().len(),
             )
             .map_err(|e| CliError::failed(format!("codegen failed: {e}")))?;
             cg.program =
@@ -754,53 +752,36 @@ fn cmd_check(a: &Args) -> Result<(), CliError> {
                         "--corrupt {mode}: the program has no eligible site"
                     ))
                 })?;
-            report = loom_check::check_program(
-                &w.nest,
+            loom_check::check_program(
+                nest,
                 &cg,
                 &loom_check::InterleaveOptions::default(),
-                &rec,
-            );
+                &obs.rec,
+            )
         } else {
-            report = loom_check::check_pipeline_mode(
-                &loom_check::PipelineCheck {
-                    nest: &w.nest,
-                    deps: &w.deps,
-                    pi: &pi,
-                    partitioning: &partitioning,
-                    tig: &tig,
-                    assignment: mapping.assignment(),
-                    cube_dim: mapping.cube().dim(),
-                },
-                if interleave {
-                    loom_check::CheckMode::Interleaving
-                } else if symbolic {
-                    loom_check::CheckMode::Symbolic
-                } else {
-                    loom_check::CheckMode::Enumerative
-                },
-                &rec,
-            );
-        }
+            let mode = if interleave {
+                loom_check::CheckMode::Interleaving
+            } else if symbolic {
+                loom_check::CheckMode::Symbolic
+            } else {
+                loom_check::CheckMode::Enumerative
+            };
+            match stage.check_mode(&mapping, mode, &obs.rec) {
+                Ok(report) | Err(PipelineError::StaticCheck(report)) => report,
+                Err(e) => return Err(e.into()),
+            }
+        };
     }
-    // Prepend the uniformization certificate/tightness diagnostics of
-    // an admitted --file nest — except in symbolic mode, where
-    // check_pipeline_mode re-runs the engine and already includes them.
-    if !pre_diags.is_empty() && !symbolic {
-        let mut merged = loom_check::Report::from_diagnostics(pre_diags);
+    // Prepend the fold's certificate/tightness diagnostics — except in
+    // symbolic mode, whose LC010 rule re-derives and reports them.
+    if !input.folded.is_empty() && !symbolic {
+        let mut merged = loom_check::Report::from_diagnostics(input.folded);
         merged.extend(report.diagnostics().to_vec());
         report = merged;
     }
     apply_allow(a, &mut report);
     render_report(a, &report)?;
-    let obs = a.obs_flags();
-    if let Some(path) = &obs.metrics_out {
-        let doc = loom_core::obs_export::metrics_json(&rec, None);
-        write_out(path, doc.render_pretty(), "metrics")?;
-    }
-    if let Some(path) = &obs.flame_out {
-        write_flame(&rec, path)?;
-    }
-    flush_flight(&rec, "check");
+    obs.finish(None, || None)?;
     if report.has_errors() {
         return Err(CliError::Diagnostics);
     }
@@ -808,72 +789,62 @@ fn cmd_check(a: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_viz(a: &Args) -> Result<(), CliError> {
-    let w = pick_workload(a)?;
-    let out = run_pipeline(a, &w, false)?;
+    let input = resolve(a, &Recorder::disabled())?;
+    let (stage, mapping, ..) = input.stage(&config(a, &input.pi)?, &Recorder::disabled())?;
     if a.switch("dot") {
-        println!("{}", loom_viz::group_graph_dot(&out.partitioning));
+        println!("{}", loom_viz::group_graph_dot(&stage.partitioning));
         println!(
             "{}",
-            loom_viz::tig_dot(&out.tig, Some(out.mapping.assignment()))
+            loom_viz::tig_dot(&stage.tig, Some(mapping.assignment()))
         );
         return Ok(());
     }
-    match loom_viz::block_grid(&out.partitioning) {
+    match loom_viz::block_grid(&stage.partitioning) {
         Some(grid) => {
+            let space = input.pipeline.nest().space();
             println!("blocks (one letter per block):\n{grid}");
-            let sched = loom_hyperplane::Schedule::build(out.pi.clone(), w.nest.space());
+            let sched = loom_hyperplane::Schedule::build(stage.pi.clone(), space);
             println!(
                 "hyperplane steps (mod 10):\n{}",
-                loom_viz::wavefront_grid(&sched, w.nest.space()).unwrap()
+                loom_viz::wavefront_grid(&sched, space).unwrap()
             );
         }
         None => {
             println!("(space is not 2-D; emitting DOT instead)\n");
-            println!("{}", loom_viz::group_graph_dot(&out.partitioning));
+            println!("{}", loom_viz::group_graph_dot(&stage.partitioning));
         }
     }
     Ok(())
 }
 
-/// `--symbolic`: the size family behind the picked builtin workload, so
-/// the explorer can rank by closed-form `T_exec`. A `--file` nest has
-/// no size family, so the combination is a usage error.
-fn symbolic_explore(a: &Args) -> Result<loom_core::explore::SymbolicExplore, CliError> {
-    if a.flags.contains_key("file") {
+/// `--symbolic`: rank over the input's own size family. A `--file`
+/// nest has no size family, so the combination is a usage error.
+fn symbolic_explore(
+    a: &Args,
+    input: &Input,
+) -> Result<loom_core::explore::SymbolicExplore, CliError> {
+    let Some((family, size)) = input.family.clone() else {
         return Err(CliError::usage(
             "error: --symbolic needs a size-parameterized builtin workload; \
              a --file nest has no size family",
         ));
-    }
-    let size = a.int_flag("size", 8)?;
-    let size2 = a.int_flag("size2", size)?;
-    let raw = a.str_flag("workload", "l1");
-    // Pin the secondary parameter exactly as `pick_workload` does, so
-    // `family(size)` reproduces the nest being explored.
-    let (name, size2) = match raw.as_str() {
-        "conv" | "conv1d" => ("conv", Some(size2.min(size))),
-        "conv2d" => ("conv2d", Some(size2.min(size))),
-        "sor" | "stencil" => ("sor", Some(size2)),
-        "heat2d" | "heat" => ("heat2d", Some(size2)),
-        "transitive" | "tc" => ("transitive", None),
-        "triangular" | "tri" => ("triangular", None),
-        other => (other, None),
     };
-    let fam = loom_workloads::family_of(name, size2).ok_or_else(|| {
-        CliError::usage(format!("unknown workload `{raw}`; run `loom workloads`"))
-    })?;
-    let family: loom_core::symbolic_cost::NestFamily = std::sync::Arc::new(move |n| fam(n).nest);
     let mut opts = loom_core::symbolic_cost::DeriveOptions::default();
     if let Some(b) = a.flags.get("symbolic-budget") {
         opts.max_probe_points = b.parse().map_err(|_| {
             CliError::usage("error: --symbolic-budget expects a point count (integer)")
         })?;
     }
-    Ok(loom_core::explore::SymbolicExplore { family, size, opts })
+    Ok(loom_core::explore::SymbolicExplore {
+        family: std::sync::Arc::new(move |n| family(n).nest),
+        size,
+        opts,
+    })
 }
 
 fn cmd_explore(a: &Args) -> Result<(), CliError> {
-    let w = pick_workload(a)?;
+    let obs = Obs::new(a, "explore", false)?;
+    let input = resolve(a, &obs.rec)?;
     let dims: Vec<usize> = a
         .int_list_flag("cubes")?
         .map(|v| v.into_iter().map(|x| x.max(0) as usize).collect())
@@ -881,69 +852,53 @@ fn cmd_explore(a: &Args) -> Result<(), CliError> {
     let cfg = loom_core::explore::ExploreConfig {
         pi_bound: a.int_flag("pi-bound", 1)?.max(1),
         top: a.int_flag("top", 10)?.max(1) as usize,
+        // Candidates are costed on the fault-free model under the given
+        // timing parameters; the simulator switches stay at defaults.
         machine: MachineOptions {
-            params: machine_params(a)?,
+            params: machine_options(a)?.params,
             ..Default::default()
         },
         threads: a.int_flag("threads", 0)?.max(0) as usize,
         prune: !a.switch("no-prune"),
         symbolic: if a.switch("symbolic") {
-            Some(symbolic_explore(a)?)
+            Some(symbolic_explore(a, &input)?)
         } else {
             None
         },
     };
-    let rec = obs_recorder();
     let start = std::time::Instant::now();
-    let best = loom_core::explore::explore_with(&w.nest, &dims, &cfg, &rec)
+    let nest = input.pipeline.nest();
+    let best = loom_core::explore::explore_with_deps(nest, input.deps, &dims, &cfg, &obs.rec)
         .map_err(|e| CliError::failed(format!("exploration failed: {e}")))?;
     let wall_us = start.elapsed().as_micros() as u64;
-    if let Some(path) = &a.obs_flags().flame_out {
-        write_flame(&rec, path)?;
-    }
-    flush_flight(&rec, "explore");
-    if let Some(path) = a.flags.get("metrics-out") {
-        let doc = loom_core::obs_export::metrics_json(&rec, None);
-        std::fs::write(path, doc.render_pretty())
-            .map_err(|e| CliError::failed(format!("cannot write {path}: {e}")))?;
-        eprintln!("metrics written to {path}");
-    }
+    obs.finish(None, || None)?;
+    let counters = obs.rec.counters();
+    let get = |k: &str| counters.get(k).copied().unwrap_or(0);
     if let Some(path) = a.flags.get("bench-out") {
-        let counters = rec.counters();
-        let get = |k: &str| counters.get(k).copied().unwrap_or(0);
+        let count = |k: &str| Json::from(get(k));
         let mut fields = vec![
-            ("workload", loom_obs::Json::from(w.nest.name())),
-            (
-                "candidates",
-                loom_obs::Json::from(get("explore.candidates")),
-            ),
-            ("simulated", loom_obs::Json::from(get("explore.simulated"))),
-            ("pruned", loom_obs::Json::from(get("explore.pruned"))),
-            ("wall_us", loom_obs::Json::from(wall_us)),
-            ("ranked", loom_obs::Json::from(best.len())),
+            ("workload", Json::from(nest.name())),
+            ("candidates", count("explore.candidates")),
+            ("simulated", count("explore.simulated")),
+            ("pruned", count("explore.pruned")),
+            ("wall_us", Json::from(wall_us)),
+            ("ranked", Json::from(best.len())),
         ];
         if cfg.symbolic.is_some() {
-            fields.push((
-                "symbolic_exact",
-                loom_obs::Json::from(get("explore.symbolic.exact")),
-            ));
-            fields.push((
-                "symbolic_fallback",
-                loom_obs::Json::from(get("explore.symbolic.fallback")),
-            ));
-            fields.push((
-                "symbolic_probe_points",
-                loom_obs::Json::from(get("explore.symbolic.probe_points")),
-            ));
+            fields.extend([
+                ("symbolic_exact", count("explore.symbolic.exact")),
+                ("symbolic_fallback", count("explore.symbolic.fallback")),
+                (
+                    "symbolic_probe_points",
+                    count("explore.symbolic.probe_points"),
+                ),
+            ]);
         }
-        let doc = loom_obs::Json::obj(fields);
-        std::fs::write(path, doc.render_pretty())
+        std::fs::write(path, Json::obj(fields).render_pretty())
             .map_err(|e| CliError::failed(format!("cannot write {path}: {e}")))?;
         eprintln!("bench summary written to {path}");
     }
     if cfg.symbolic.is_some() {
-        let counters = rec.counters();
-        let get = |k: &str| counters.get(k).copied().unwrap_or(0);
         eprintln!(
             "symbolic: {} exact, {} fallback, {} infeasible \
              ({} probe sims, {} probe points)",
@@ -973,43 +928,21 @@ fn cmd_explore(a: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_profile(a: &Args) -> Result<(), CliError> {
-    let w = pick_workload(a)?;
-    let rec = obs_recorder();
-    let cfg = PipelineConfig {
-        time_fn: pi_flag(a)?.or(Some(w.pi.clone())),
-        cube_dim: a.int_flag("cube", 1)?.max(0) as usize,
-        target: pick_target(a)?,
-        machine: None,
-        ..Default::default()
-    };
-    // Stage by hand: the profiler needs the Program and SimConfig,
-    // which PipelineOutput does not carry.
-    let pipeline = Pipeline::new(w.nest.clone());
-    let stage = pipeline
-        .stage_partition(&cfg, &rec)
-        .map_err(|e| CliError::failed(format!("pipeline failed: {e}")))?;
-    let (_mapping, placement, target) = stage
-        .map_with(&cfg, &rec)
-        .map_err(|e| CliError::failed(format!("pipeline failed: {e}")))?;
+    let obs = Obs::new(a, "profile", true)?;
+    let input = resolve(a, &obs.rec)?;
+    let (stage, _, placement, target) = input.stage(&config(a, &input.pi)?, &obs.rec)?;
     let program = stage.program(&placement);
-    let sim_cfg = loom_machine::SimConfig {
-        params: machine_params(a)?,
-        topology: target.topology(),
-        words_per_arc: 1,
-        batch_messages: a.switch("batch"),
-        link_contention: a.switch("contention"),
+    // The profiler walks the trace and the telemetry, so record both.
+    let machine = MachineOptions {
         record_trace: true,
         collect_metrics: true,
+        ..machine_options(a)?
     };
-    let report = {
-        let _s = rec.span("pipeline.simulate");
-        loom_machine::simulate(&program, &sim_cfg)
-            .map_err(|e| CliError::failed(format!("simulation failed: {e}")))?
-    };
+    let report = run_machine(&program, target, &machine, &obs.rec, None)?;
     let k = a.int_flag("top", 3)?.max(1) as usize;
     let profile = {
-        let _s = rec.span("profile.critical_path");
-        loom_machine::critical_path_top_k(&program, &sim_cfg, &report, k)
+        let _s = obs.rec.span("profile.critical_path");
+        loom_machine::critical_path_top_k(&program, &machine.sim_config(target), &report, k)
             .map_err(|e| CliError::failed(format!("profiling failed: {e}")))?
     };
     if a.switch("json") {
@@ -1017,36 +950,16 @@ fn cmd_profile(a: &Args) -> Result<(), CliError> {
     } else {
         println!(
             "{} on {:?} ({} procs)",
-            w.nest.name(),
+            input.pipeline.nest().name(),
             target,
             placement.num_procs()
         );
         print!("{}", profile.render_human());
     }
-    let obs = a.obs_flags();
-    if let Some(path) = &obs.trace_out {
-        match loom_machine::trace::chrome_trace_annotated(
-            &report,
-            placement.num_procs(),
-            Some(&profile),
-        ) {
-            Some(doc) => write_out(path, doc.render_pretty(), "annotated trace")?,
-            None => {
-                return Err(CliError::failed(
-                    "internal error: no trace recorded despite profiling",
-                ))
-            }
-        }
-    }
-    if let Some(path) = &obs.metrics_out {
-        let doc = loom_core::obs_export::metrics_json(&rec, Some(&report));
-        write_out(path, doc.render_pretty(), "metrics")?;
-    }
-    if let Some(path) = &obs.flame_out {
-        write_flame(&rec, path)?;
-    }
-    flush_flight(&rec, "profile");
-    Ok(())
+    obs.finish(Some(&report), || {
+        loom_machine::trace::chrome_trace_annotated(&report, placement.num_procs(), Some(&profile))
+            .map(|d| ("annotated trace", d))
+    })
 }
 
 /// Read + parse a JSON document for `loom obs diff` (size- and
@@ -1135,5 +1048,24 @@ fn main() {
     if let Err(e) = result {
         e.render();
         std::process::exit(e.exit_code());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_builtin_has_a_family_and_unique_names() {
+        let mut names = Vec::new();
+        for (name, aliases, key, ..) in BUILTINS {
+            assert!(loom_workloads::family_of(key, None).is_some(), "{key}");
+            names.push(name);
+            names.extend(aliases);
+        }
+        let count = names.len();
+        names.sort();
+        names.dedup();
+        assert_eq!(names.len(), count, "a name answers to two builtins");
     }
 }

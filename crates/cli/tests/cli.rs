@@ -319,3 +319,95 @@ fn explore_ranks() {
     assert!(out.contains("rank"));
     assert!(out.contains("makespan"));
 }
+
+/// The `makespan` a `simulate` run or a `profile --json` run reports.
+fn makespan_of(out: &str) -> u64 {
+    let line = out
+        .lines()
+        .find(|l| {
+            l.trim_start()
+                .trim_start_matches('"')
+                .starts_with("makespan")
+        })
+        .unwrap_or_else(|| panic!("no makespan in:\n{out}"));
+    let digits: String = line.chars().filter(char::is_ascii_digit).collect();
+    digits.parse().unwrap()
+}
+
+#[test]
+fn profile_and_simulate_agree_on_the_grouping_choice() {
+    let base = [
+        "--workload",
+        "matmul",
+        "--size",
+        "4",
+        "--cube",
+        "2",
+        "--grouping",
+        "1",
+    ];
+    let (sim, _, ok) = loom(&[&["simulate"][..], &base].concat());
+    assert!(ok, "{sim}");
+    let (prof, err, ok) = loom(&[&["profile"][..], &base, &["--json"]].concat());
+    assert!(ok, "{err}");
+    assert_eq!(makespan_of(&sim), 1193);
+    assert_eq!(makespan_of(&prof), makespan_of(&sim));
+}
+
+#[test]
+fn symbolic_explore_ranks_the_same_nest_as_plain_explore() {
+    // Secondary extents below the family clamp (conv2d taps ≥ 1, heat2d
+    // grid ≥ 2) and a plain builtin: both rankings must cost one nest.
+    let cases: [&[&str]; 3] = [
+        &["--workload", "conv2d", "--size", "3", "--size2", "0"],
+        &["--workload", "heat2d", "--size", "3", "--size2", "1"],
+        &["--workload", "matvec", "--size", "12", "--pi-bound", "2"],
+    ];
+    std::thread::scope(|s| {
+        let runs: Vec<_> = cases
+            .iter()
+            .map(|case| {
+                s.spawn(move || {
+                    let (plain, _, ok) = loom(&[&["explore"][..], case].concat());
+                    assert!(ok, "{plain}");
+                    let (symbolic, err, ok) =
+                        loom(&[&["explore"][..], case, &["--symbolic"]].concat());
+                    assert!(ok, "{err}");
+                    (case, plain, symbolic)
+                })
+            })
+            .collect();
+        for run in runs {
+            let (case, plain, symbolic) = run.join().unwrap();
+            assert!(
+                plain.lines().count() > 3,
+                "{case:?}: empty ranking\n{plain}"
+            );
+            assert_eq!(plain, symbolic, "{case:?}");
+        }
+    });
+}
+
+#[test]
+fn trace_out_without_a_simulation_is_a_usage_error() {
+    for cmd in ["check", "explore"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_loom"))
+            .args([
+                cmd,
+                "--workload",
+                "l1",
+                "--size",
+                "4",
+                "--trace-out",
+                "t.json",
+            ])
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd}: {err}");
+        assert!(
+            err.contains("--trace-out applies to simulate and profile"),
+            "{err}"
+        );
+    }
+}

@@ -44,7 +44,7 @@ use crate::analytic::makespan_lower_bound_with;
 use crate::pipeline::{run_machine, MachineOptions, Pipeline, PipelineConfig, PipelineError};
 use crate::symbolic_cost::{self, Derivation, DeriveOptions, NestFamily, ProbeCache};
 use loom_hyperplane::TimeFn;
-use loom_loopir::{DepOptions, LoopNest};
+use loom_loopir::{DepOptions, LoopNest, Point};
 use loom_machine::SimScratch;
 use loom_obs::{Pool, Recorder};
 use std::collections::BinaryHeap;
@@ -247,7 +247,8 @@ pub fn explore_reference(
         DepOptions::default(),
         true,
         &Recorder::disabled(),
-    )?;
+    )?
+    .0;
     let pis = legal_pis(nest, &deps, config.pi_bound);
     let mut results: Vec<Candidate> = Vec::new();
     for pi in &pis {
@@ -322,16 +323,28 @@ impl Counts {
 /// Records `explore.candidates` / `explore.simulated` counters, plus
 /// `explore.pruned` when simulating or `explore.symbolic.*` under the
 /// closed-form oracle, `pool.*` counters and per-worker busy spans, and
-/// an `explore.total` span.
+/// an `explore.total` span around the sweep.
 pub fn explore_with(
     nest: &LoopNest,
     cube_dims: &[usize],
     config: &ExploreConfig,
     recorder: &Recorder,
 ) -> Result<Vec<Candidate>, PipelineError> {
-    let _total = recorder.span("explore.total");
-    let deps =
+    let (deps, _) =
         crate::pipeline::admitted_dependence_vectors(nest, DepOptions::default(), true, recorder)?;
+    explore_with_deps(nest, deps, cube_dims, config, recorder)
+}
+
+/// [`explore_with`] over a dependence set already extracted (and, for a
+/// folded nest, certified) by the caller.
+pub fn explore_with_deps(
+    nest: &LoopNest,
+    deps: Vec<Point>,
+    cube_dims: &[usize],
+    config: &ExploreConfig,
+    recorder: &Recorder,
+) -> Result<Vec<Candidate>, PipelineError> {
+    let _total = recorder.span("explore.total");
     let pis = legal_pis(nest, &deps, config.pi_bound);
     let pipeline = Pipeline::new(nest.clone());
 

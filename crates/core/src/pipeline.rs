@@ -113,6 +113,20 @@ impl MachineOptions {
             Some(loom_check::CheckMode::Enumerative)
         }
     }
+
+    /// The simulator configuration these options select on `target`
+    /// (validation needs the trace, so it implies recording it).
+    pub fn sim_config(&self, target: Target) -> SimConfig {
+        SimConfig {
+            params: self.params,
+            topology: target.topology(),
+            words_per_arc: self.words_per_arc,
+            batch_messages: self.batch_messages,
+            link_contention: self.link_contention,
+            record_trace: self.record_trace || self.validate_trace,
+            collect_metrics: self.collect_metrics,
+        }
+    }
 }
 
 impl Default for MachineOptions {
@@ -369,6 +383,7 @@ impl Pipeline {
                 config.uniformize,
                 recorder,
             )?
+            .0
         };
         self.stage_partition_with_deps(config, recorder, deps)
     }
@@ -400,7 +415,8 @@ impl Pipeline {
             config.dep_options,
             config.uniformize,
             recorder,
-        )?;
+        )?
+        .0;
         let pi = self.time_fn(config, &deps, recorder)?;
         let machine = config.machine.clone().unwrap_or_default();
         let derived = crate::symbolic_cost::derive(
@@ -521,16 +537,18 @@ impl Pipeline {
 /// proven sound by the Presburger core (`LC016`) before the folded
 /// vectors are handed to the rest of the pipeline. An uncertifiable
 /// nest is rejected with the full diagnostic report; `Unknown`
-/// verdicts reject too — the pipeline never admits wrongly. Proof
+/// verdicts reject too — the pipeline never admits wrongly. An
+/// admitted fold comes back with its certificate and tightness
+/// diagnostics (`LC016`/`LC017`; empty for a uniform nest). Proof
 /// counts land on `recorder` as `check.uniformize.*` counters.
-pub(crate) fn admitted_dependence_vectors(
+pub fn admitted_dependence_vectors(
     nest: &LoopNest,
     opts: DepOptions,
     uniformize: bool,
     recorder: &Recorder,
-) -> Result<Vec<Point>, PipelineError> {
+) -> Result<(Vec<Point>, Vec<loom_check::Diagnostic>), PipelineError> {
     match loom_loopir::deps::dependence_vectors(nest, opts) {
-        Ok(deps) => Ok(deps),
+        Ok(deps) => Ok((deps, Vec::new())),
         Err(loom_loopir::Error::NonUniform { .. }) if uniformize => {
             let mut stats = loom_check::UniformizeStats::default();
             let admitted = loom_check::admit_uniformized(nest, opts, &mut stats);
@@ -541,7 +559,7 @@ pub(crate) fn admitted_dependence_vectors(
             recorder.add("check.uniformize.unknown", stats.unknown);
             recorder.add("check.uniformize.tightness", stats.tightness_warnings);
             match admitted {
-                Ok((u, _diags)) => Ok(u.vectors),
+                Ok((u, diags)) => Ok((u.vectors, diags)),
                 Err(report) => Err(PipelineError::StaticCheck(report)),
             }
         }
@@ -603,18 +621,19 @@ impl PartitionedStage<'_> {
         Ok((mapping, placement, target))
     }
 
-    /// Step 4b — static verification (`loom-check`) with the engine
-    /// [`MachineOptions::static_check_mode`] picks: every rule runs
-    /// against the stage's artifacts plus the given mapping, counters
-    /// land as `check.<code>` (symbolic runs add the `check.symbolic.*`
-    /// proof-discharge counters), and error-severity diagnostics abort
-    /// the pipeline before any simulation is paid for.
+    /// Step 4b — static verification (`loom-check`) with the given
+    /// engine: every rule runs against the stage's artifacts plus the
+    /// given mapping, and counters land as `check.<code>` (symbolic runs
+    /// add the `check.symbolic.*` proof-discharge counters). The report
+    /// comes back either way: as `Ok` when it holds no error-severity
+    /// diagnostic, else inside [`PipelineError::StaticCheck`], which
+    /// aborts the pipeline before any simulation is paid for.
     pub fn check_mode(
         &self,
         mapping: &Mapping,
         mode: loom_check::CheckMode,
         recorder: &Recorder,
-    ) -> Result<(), PipelineError> {
+    ) -> Result<loom_check::Report, PipelineError> {
         let _s = recorder.span("pipeline.check");
         let report = loom_check::check_pipeline_mode(
             &loom_check::PipelineCheck {
@@ -632,7 +651,7 @@ impl PartitionedStage<'_> {
         if report.has_errors() {
             return Err(PipelineError::StaticCheck(report));
         }
-        Ok(())
+        Ok(report)
     }
 
     /// The executable form of this stage's blocks under a placement.
@@ -718,15 +737,7 @@ pub fn run_machine(
     let _s = recorder.span("pipeline.simulate");
     let mut local = SimScratch::default();
     let scratch = scratch.unwrap_or(&mut local);
-    let sim_config = SimConfig {
-        params: opts.params,
-        topology: target.topology(),
-        words_per_arc: opts.words_per_arc,
-        batch_messages: opts.batch_messages,
-        link_contention: opts.link_contention,
-        record_trace: opts.record_trace || opts.validate_trace,
-        collect_metrics: opts.collect_metrics,
-    };
+    let sim_config = opts.sim_config(target);
     let report = match &opts.faults {
         None => simulate_scratch(program, &sim_config, scratch).map_err(PipelineError::Sim)?,
         Some(fc) => {
