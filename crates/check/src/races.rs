@@ -23,6 +23,7 @@ use crate::diag::{Diagnostic, RuleId, Span};
 use loom_codegen::{Op, SpmdProgram, Tag};
 use loom_loopir::LoopNest;
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 
 /// One executed `Compute`, with the vector clock at its occurrence.
 struct ComputeEvent {
@@ -48,70 +49,58 @@ pub fn check_races(nest: &LoopNest, program: &SpmdProgram) -> Vec<Diagnostic> {
     let n = program.num_procs();
     let mut out = Vec::new();
 
-    // Phase 1: propagate vector clocks to a fixpoint. Each processor
-    // advances through its op list until it blocks on an unsatisfied
-    // Recv; Sends deposit a clock snapshot keyed by (from, to, tag) and
-    // Recvs join it. BTreeMap keeps the scan deterministic.
-    let mut ip = vec![0usize; n];
+    // Phase 1: propagate vector clocks to a fixpoint under the
+    // round-robin driver. Sends deposit a clock snapshot keyed by
+    // (from, to, tag) and Recvs join it. BTreeMap keeps the scan
+    // deterministic.
     let mut clock: Vec<Vec<u64>> = vec![vec![0; n]; n];
     let mut mailbox: BTreeMap<(u32, u32, Tag), Vec<u64>> = BTreeMap::new();
     let mut computes: Vec<ComputeEvent> = Vec::new();
-    loop {
-        let mut progressed = false;
-        for p in 0..n {
-            while ip[p] < program.per_proc[p].len() {
-                match program.per_proc[p][ip[p]] {
-                    Op::Recv { from, tag } => match mailbox.remove(&(from, p as u32, tag)) {
-                        Some(snapshot) => {
-                            for (c, s) in clock[p].iter_mut().zip(&snapshot) {
-                                *c = (*c).max(*s);
-                            }
-                        }
-                        None => break,
-                    },
-                    Op::Compute { point } => {
-                        clock[p][p] += 1;
-                        computes.push(ComputeEvent {
-                            proc: p,
-                            point,
-                            clock: clock[p].clone(),
-                        });
-                    }
-                    Op::Send { to, tag } => {
-                        clock[p][p] += 1;
-                        mailbox.insert((p as u32, to, tag), clock[p].clone());
+    let Ok(pcs) = program.round_robin(|p, op| -> Result<bool, Infallible> {
+        match *op {
+            Op::Recv { from, tag } => match mailbox.remove(&(from, p as u32, tag)) {
+                Some(snapshot) => {
+                    for (c, s) in clock[p].iter_mut().zip(&snapshot) {
+                        *c = (*c).max(*s);
                     }
                 }
-                ip[p] += 1;
-                progressed = true;
+                None => return Ok(false),
+            },
+            Op::Compute { point } => {
+                clock[p][p] += 1;
+                computes.push(ComputeEvent {
+                    proc: p,
+                    point,
+                    clock: clock[p].clone(),
+                });
+            }
+            Op::Send { to, tag } => {
+                clock[p][p] += 1;
+                mailbox.insert((p as u32, to, tag), clock[p].clone());
             }
         }
-        if !progressed {
-            break;
-        }
-    }
+        Ok(true)
+    });
 
     // Phase 2: LC007. Anything still blocked is a Recv whose message
     // can never arrive — the program deadlocks there. Messages left in
     // the mailbox were sent but never consumed.
     let mut deadlocked = false;
-    for (p, &stuck_at) in ip.iter().enumerate() {
-        if stuck_at < program.per_proc[p].len() {
-            if let Op::Recv { from, tag } = program.per_proc[p][stuck_at] {
-                deadlocked = true;
-                out.push(Diagnostic::error(
-                    RuleId::UnmatchedMessage,
-                    Span::ProgramOp {
-                        proc: p as u32,
-                        op: stuck_at,
-                    },
-                    format!(
-                        "receive of message (source point {}, dep {}) from P{from} \
-                         can never be satisfied; the program deadlocks here",
-                        tag.src_point, tag.dep
-                    ),
-                ));
-            }
+    for (p, &stuck_at) in pcs.iter().enumerate() {
+        if let Some(&Op::Recv { from, tag }) = program.per_proc[p].get(stuck_at) {
+            deadlocked = true;
+            out.push(Diagnostic::error(
+                RuleId::UnmatchedMessage,
+                Span::ProgramOp {
+                    proc: p as u32,
+                    op: stuck_at,
+                },
+                format!(
+                    "receive of message (source point {}, dep {}) from P{from} \
+                     can never be satisfied; the program deadlocks here",
+                    tag.src_point, tag.dep
+                ),
+            ));
         }
     }
     for (from, to, tag) in mailbox.into_keys() {

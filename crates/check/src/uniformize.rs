@@ -1,6 +1,6 @@
 //! Rules `LC016`–`LC018` — certified uniformization.
 //!
-//! The loopir pass ([`loom_loopir::uniformize`]) *synthesizes* a basis
+//! The loopir pass ([`loom_loopir::uniformize`](mod@loom_loopir::uniformize)) *synthesizes* a basis
 //! of constant vectors from a bounded sample of each non-uniform access
 //! pair's conflicts. Sampling proves nothing beyond the sampled prefix,
 //! so admission into the pipeline runs through this module, which turns

@@ -1,29 +1,49 @@
-//! A blocking message-passing interpreter for generated SPMD programs.
+//! The one stepping core for generated SPMD programs, and the two
+//! deterministic schedulers over it.
 //!
-//! Each processor owns a private [`Memory`]; messages are matched by
-//! tag; receives block. The scheduler is deterministic round-robin with
-//! run-to-block semantics, so a run either completes identically every
-//! time or reports the same deadlock.
+//! `Processor::step` is the only definition of what an op does: each
+//! processor owns a private [`Memory`] plus a version map, and a
+//! `Recv`/`Compute`/`Send` reads and writes them against a `Mailbox`
+//! — the one thing executors differ in. [`run`] (round-robin,
+//! run-to-block, through [`SpmdProgram::round_robin`]) and
+//! [`run_schedule`] (an explicit replayed op order) share an in-memory
+//! mailbox where an absent message reports the receiver blocked;
+//! [`crate::threads`] runs one OS thread per processor over channels
+//! that block. Every scheduler returns the same [`RunError`] for the
+//! same fault.
 
 use crate::gen::{Codegen, PayloadSpec};
-use crate::ops::{Op, Tag};
+use crate::ops::{Op, SpmdProgram, Tag};
+use loom_exec::execute_iteration;
 use loom_exec::memory::{Element, Memory};
 use loom_loopir::LoopNest;
 use std::collections::HashMap;
 
-/// Interpreter failure.
-#[derive(Clone, Debug, PartialEq)]
-pub enum InterpError {
+/// An execution failure, from any of the three executors.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RunError {
     /// No processor can make progress; lists each blocked processor and
-    /// the tag it waits for.
+    /// the tag it waits for. The threaded runner reports the receive
+    /// whose channel closed or timed out.
     Deadlock {
         /// `(processor, tag waited on)` for every blocked processor.
         blocked: Vec<(u32, Tag)>,
     },
-    /// A `Compute` op referenced an out-of-range point id.
+    /// A `Compute` op or a `Send` tag names a point id outside the
+    /// iteration table.
     BadPoint {
         /// The offending id.
         id: u32,
+    },
+    /// A `Send` tag names a dependence with no payload spec.
+    UnknownDependence {
+        /// The offending dependence index.
+        dep: u16,
+    },
+    /// A `Send` targets a processor the program does not have.
+    UnknownProcessor {
+        /// The offending destination.
+        to: u32,
     },
     /// A replayed schedule ([`run_schedule`]) named a processor that
     /// does not exist or has no ops left at that step.
@@ -36,26 +56,28 @@ pub enum InterpError {
         /// The first unfinished processor.
         proc: u32,
     },
+    /// A worker thread of the threaded runner panicked.
+    WorkerPanicked {
+        /// The processor whose thread died.
+        proc: u32,
+    },
 }
 
-impl std::fmt::Display for InterpError {
+impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            InterpError::Deadlock { blocked } => {
-                write!(f, "SPMD deadlock; blocked: {blocked:?}")
-            }
-            InterpError::BadPoint { id } => write!(f, "compute of unknown point {id}"),
-            InterpError::BadSchedule { at } => {
-                write!(f, "schedule step {at} names a processor with no op to run")
-            }
-            InterpError::IncompleteSchedule { proc } => {
-                write!(f, "schedule ended before P{proc} finished")
-            }
+            RunError::Deadlock { blocked } => write!(f, "SPMD deadlock; blocked: {blocked:?}"),
+            RunError::BadPoint { id } => write!(f, "op names unknown point {id}"),
+            RunError::UnknownDependence { dep } => write!(f, "send names unknown dependence {dep}"),
+            RunError::UnknownProcessor { to } => write!(f, "send targets nonexistent P{to}"),
+            RunError::BadSchedule { at } => write!(f, "schedule step {at} has no op to run"),
+            RunError::IncompleteSchedule { proc } => write!(f, "schedule left P{proc} unfinished"),
+            RunError::WorkerPanicked { proc } => write!(f, "worker P{proc} panicked"),
         }
     }
 }
 
-impl std::error::Error for InterpError {}
+impl std::error::Error for RunError {}
 
 /// What a run produced.
 #[derive(Clone, Debug)]
@@ -82,193 +104,199 @@ pub struct RunResult {
 /// into absent slots.
 pub type PayloadItem = (Element, f64, Option<u32>);
 
-/// Evaluate the payload of a message for dependence `dep` produced at
-/// iteration `src` (point id `src_id`) on processor memory `mem`.
-pub(crate) fn payload(
-    nest: &LoopNest,
-    specs: &[PayloadSpec],
-    point: &[i64],
-    src_id: u32,
-    mem: &Memory,
-    init: &dyn Fn(&str, &[i64]) -> f64,
-) -> Vec<PayloadItem> {
-    let mut out = Vec::new();
-    for spec in specs {
-        match spec {
-            PayloadSpec::Write { stmt } => {
-                let w = nest.stmts()[*stmt].write();
-                let e = w.element_at(point);
-                let v = mem.read(w.array(), &e, init);
-                out.push(((w.array().to_string(), e), v, Some(src_id)));
+/// What every step of one execution reads.
+pub(crate) struct Ctx<'a> {
+    pub(crate) nest: &'a LoopNest,
+    pub(crate) cg: &'a Codegen,
+    pub(crate) init: &'a dyn Fn(&str, &[i64]) -> f64,
+}
+
+impl<'a> Ctx<'a> {
+    fn point(&self, id: u32) -> Result<&'a [i64], RunError> {
+        let points = &self.cg.program.points;
+        points
+            .get(id as usize)
+            .map(Vec::as_slice)
+            .ok_or(RunError::BadPoint { id })
+    }
+}
+
+/// Where a processor's messages go and come from.
+pub(crate) trait Mailbox {
+    /// Deliver `items`, tagged `tag`, to processor `to`.
+    fn send(&mut self, to: u32, tag: Tag, items: Vec<PayloadItem>);
+    /// Take the message tagged `tag` addressed to processor `p`;
+    /// `Ok(None)` means it has not arrived and `p` is blocked.
+    fn recv(&mut self, p: u32, tag: Tag) -> Result<Option<Vec<PayloadItem>>, RunError>;
+}
+
+/// One processor's private state: its memory and, per element it
+/// wrote or received, the id of the writing iteration (see
+/// [`PayloadItem`]).
+#[derive(Default)]
+pub(crate) struct Processor {
+    pub(crate) mem: Memory,
+    versions: HashMap<Element, u32>,
+}
+
+impl Processor {
+    /// Execute `op` as processor `p`. `Ok(false)` means `p` is blocked
+    /// on a `Recv` whose message `mail` does not have yet; the op did
+    /// not run.
+    pub(crate) fn step(
+        &mut self,
+        cx: &Ctx,
+        p: usize,
+        op: &Op,
+        mail: &mut impl Mailbox,
+    ) -> Result<bool, RunError> {
+        match *op {
+            Op::Recv { from: _, tag } => {
+                let Some(items) = mail.recv(p as u32, tag)? else {
+                    return Ok(false);
+                };
+                self.install(items);
             }
-            PayloadSpec::Reads { stmt, array } => {
-                for r in nest.stmts()[*stmt].reads() {
-                    if r.array() == array {
-                        let e = r.element_at(point);
-                        let v = mem.read(array, &e, init);
-                        out.push(((array.clone(), e), v, None));
+            Op::Compute { point } => {
+                let pt = cx.point(point)?;
+                execute_iteration(cx.nest, pt, &mut self.mem, cx.init);
+                for stmt in cx.nest.stmts() {
+                    let w = stmt.write();
+                    self.versions
+                        .insert((w.array().to_string(), w.element_at(pt)), point);
+                }
+            }
+            Op::Send { to, tag } => {
+                let pt = cx.point(tag.src_point)?;
+                let Some(specs) = cx.cg.payload_specs.get(tag.dep as usize) else {
+                    return Err(RunError::UnknownDependence { dep: tag.dep });
+                };
+                if to as usize >= cx.cg.program.num_procs() {
+                    return Err(RunError::UnknownProcessor { to });
+                }
+                mail.send(to, tag, self.payload(cx, specs, pt, tag.src_point));
+            }
+        }
+        Ok(true)
+    }
+
+    /// The payload of the message for one dependence produced at
+    /// iteration `point` (id `src_id`), read from this memory.
+    fn payload(
+        &self,
+        cx: &Ctx,
+        specs: &[PayloadSpec],
+        point: &[i64],
+        src_id: u32,
+    ) -> Vec<PayloadItem> {
+        let mut out = Vec::new();
+        for spec in specs {
+            match spec {
+                PayloadSpec::Write { stmt } => {
+                    let w = cx.nest.stmts()[*stmt].write();
+                    let e = w.element_at(point);
+                    let v = self.mem.read(w.array(), &e, cx.init);
+                    out.push(((w.array().to_string(), e), v, Some(src_id)));
+                }
+                PayloadSpec::Reads { stmt, array } => {
+                    for r in cx.nest.stmts()[*stmt].reads() {
+                        if r.array() == array {
+                            let e = r.element_at(point);
+                            let v = self.mem.read(array, &e, cx.init);
+                            out.push(((array.clone(), e), v, None));
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Install received items under the version rule (see
+    /// [`PayloadItem`]).
+    fn install(&mut self, items: Vec<PayloadItem>) {
+        for (key, v, writer) in items {
+            match writer {
+                Some(w) => {
+                    if self.versions.get(&key).is_none_or(|&cur| cur < w) {
+                        self.mem.write(&key.0, key.1.clone(), v);
+                        self.versions.insert(key, w);
+                    }
+                }
+                None => {
+                    if self.mem.get(&key.0, &key.1).is_none() {
+                        self.mem.write(&key.0, key.1, v);
                     }
                 }
             }
         }
     }
-    out
 }
 
-/// Install received items into a processor's memory under the version
-/// rule (see [`PayloadItem`]).
-pub(crate) fn install(
-    mem: &mut Memory,
-    versions: &mut HashMap<Element, u32>,
-    items: Vec<PayloadItem>,
-) {
-    for ((array, element), v, writer) in items {
-        let key = (array, element);
-        match writer {
-            Some(w) => {
-                if versions.get(&key).is_none_or(|&cur| cur < w) {
-                    mem.write(&key.0, key.1.clone(), v);
-                    versions.insert(key, w);
-                }
-            }
-            None => {
-                if mem.get(&key.0, &key.1).is_none() {
-                    mem.write(&key.0, key.1, v);
-                }
-            }
-        }
-    }
-}
-
-/// Record the writes one computed iteration performs, for versioning.
-pub(crate) fn record_local_writes(
-    nest: &LoopNest,
-    point: &[i64],
-    id: u32,
-    versions: &mut HashMap<Element, u32>,
-) {
-    for stmt in nest.stmts() {
-        let key = (
-            stmt.write().array().to_string(),
-            stmt.write().element_at(point),
-        );
-        versions.insert(key, id);
-    }
-}
-
-/// Execute one iteration's statements against a processor's memory.
-pub(crate) fn compute(
-    nest: &LoopNest,
-    point: &[i64],
-    mem: &mut Memory,
-    init: &dyn Fn(&str, &[i64]) -> f64,
-) {
-    for stmt in nest.stmts() {
-        let reads: Vec<f64> = stmt
-            .reads()
-            .iter()
-            .map(|r| mem.read(r.array(), &r.element_at(point), init))
-            .collect();
-        let value = stmt.semantics().eval(&reads);
-        mem.write(stmt.write().array(), stmt.write().element_at(point), value);
-    }
-}
-
-/// The mutable machine state one run threads through [`exec_op`].
-struct RunState {
-    memories: Vec<Memory>,
-    versions: Vec<HashMap<Element, u32>>,
-    pcs: Vec<usize>,
-    /// Mailbox keyed by (destination proc, tag).
-    mailbox: HashMap<(u32, Tag), Vec<PayloadItem>>,
+/// The deterministic schedulers' mailbox: a message waits under
+/// `(destination, tag)` until received.
+#[derive(Default)]
+struct Slots {
+    waiting: HashMap<(u32, Tag), Vec<PayloadItem>>,
     messages: u64,
     words: u64,
 }
 
-impl RunState {
-    fn new(n_procs: usize) -> RunState {
-        RunState {
-            memories: vec![Memory::new(); n_procs],
-            versions: vec![HashMap::new(); n_procs],
-            pcs: vec![0; n_procs],
-            mailbox: HashMap::new(),
-            messages: 0,
-            words: 0,
-        }
+impl Mailbox for Slots {
+    fn send(&mut self, to: u32, tag: Tag, items: Vec<PayloadItem>) {
+        self.messages += 1;
+        self.words += items.len() as u64;
+        self.waiting.insert((to, tag), items);
     }
 
-    /// The finished run: per-processor memories plus their gather.
-    fn finish(self, nest: &LoopNest, prog: &crate::ops::SpmdProgram) -> RunResult {
-        RunResult {
-            gathered: gather(nest, prog, &self.memories),
-            memories: self.memories,
-            messages: self.messages,
-            words: self.words,
-        }
+    fn recv(&mut self, p: u32, tag: Tag) -> Result<Option<Vec<PayloadItem>>, RunError> {
+        Ok(self.waiting.remove(&(p, tag)))
     }
 }
 
-/// Execute processor `p`'s next op. `Ok(true)` means progress was
-/// made; `Ok(false)` means `p` is blocked on an unsatisfied `Recv`.
-fn exec_op(
-    nest: &LoopNest,
-    cg: &Codegen,
-    st: &mut RunState,
-    p: usize,
-    init: &dyn Fn(&str, &[i64]) -> f64,
-) -> Result<bool, InterpError> {
-    let prog = &cg.program;
-    match &prog.per_proc[p][st.pcs[p]] {
-        Op::Recv { from: _, tag } => {
-            let Some(items) = st.mailbox.remove(&(p as u32, *tag)) else {
-                return Ok(false); // blocked
-            };
-            install(&mut st.memories[p], &mut st.versions[p], items);
-        }
-        Op::Compute { point } => {
-            let id = *point as usize;
-            if id >= prog.points.len() {
-                return Err(InterpError::BadPoint { id: *point });
-            }
-            let pt = prog.points[id].clone();
-            compute(nest, &pt, &mut st.memories[p], init);
-            record_local_writes(nest, &pt, *point, &mut st.versions[p]);
-        }
-        Op::Send { to, tag } => {
-            let id = tag.src_point as usize;
-            if id >= prog.points.len() {
-                return Err(InterpError::BadPoint { id: tag.src_point });
-            }
-            let pt = prog.points[id].clone();
-            let specs = cg
-                .payload_specs
-                .get(tag.dep as usize)
-                .map(Vec::as_slice)
-                .unwrap_or(&[]);
-            let items = payload(nest, specs, &pt, tag.src_point, &st.memories[p], init);
-            st.messages += 1;
-            st.words += items.len() as u64;
-            st.mailbox.insert((*to, *tag), items);
+/// Every processor of one deterministic run, plus their mailbox.
+struct Machine<'a> {
+    cx: Ctx<'a>,
+    procs: Vec<Processor>,
+    slots: Slots,
+}
+
+impl<'a> Machine<'a> {
+    fn new(cx: Ctx<'a>) -> Machine<'a> {
+        let procs = (0..cx.cg.program.num_procs())
+            .map(|_| Processor::default())
+            .collect();
+        Machine {
+            cx,
+            procs,
+            slots: Slots::default(),
         }
     }
-    st.pcs[p] += 1;
-    Ok(true)
+
+    fn step(&mut self, p: usize, op: &Op) -> Result<bool, RunError> {
+        self.procs[p].step(&self.cx, p, op, &mut self.slots)
+    }
+
+    /// The finished run: per-processor memories plus their gather.
+    fn finish(self) -> RunResult {
+        let memories: Vec<Memory> = self.procs.into_iter().map(|p| p.mem).collect();
+        RunResult {
+            gathered: gather(self.cx.nest, &self.cx.cg.program, &memories),
+            memories,
+            messages: self.slots.messages,
+            words: self.slots.words,
+        }
+    }
 }
 
 /// Gather the global result: every element taken from the processor
 /// that performed the globally last (sequential-order) write to it.
-pub(crate) fn gather(
-    nest: &LoopNest,
-    prog: &crate::ops::SpmdProgram,
-    memories: &[Memory],
-) -> Memory {
+pub(crate) fn gather(nest: &LoopNest, prog: &SpmdProgram, memories: &[Memory]) -> Memory {
     let mut proc_of_point = vec![0u32; prog.points.len()];
-    for (p, ops) in prog.per_proc.iter().enumerate() {
-        for op in ops {
-            if let Op::Compute { point } = op {
-                if (*point as usize) < proc_of_point.len() {
-                    proc_of_point[*point as usize] = p as u32;
-                }
+    for p in 0..prog.num_procs() {
+        for id in prog.computes_of(p) {
+            if let Some(owner) = proc_of_point.get_mut(id as usize) {
+                *owner = p as u32;
             }
         }
     }
@@ -291,46 +319,26 @@ pub(crate) fn gather(
     gathered
 }
 
-/// Run a generated SPMD program to completion.
+/// Run a generated SPMD program to completion under the deterministic
+/// round-robin, run-to-block scheduler: a run either completes
+/// identically every time or reports the same deadlock.
 pub fn run(
     nest: &LoopNest,
     cg: &Codegen,
     init: &dyn Fn(&str, &[i64]) -> f64,
-) -> Result<RunResult, InterpError> {
+) -> Result<RunResult, RunError> {
     let prog = &cg.program;
-    let n_procs = prog.num_procs();
-    let mut st = RunState::new(n_procs);
-
-    loop {
-        let mut progress = false;
-        let mut all_done = true;
-        for p in 0..n_procs {
-            let ops = &prog.per_proc[p];
-            while st.pcs[p] < ops.len() {
-                if !exec_op(nest, cg, &mut st, p, init)? {
-                    break; // blocked
-                }
-                progress = true;
-            }
-            if st.pcs[p] < ops.len() {
-                all_done = false;
-            }
-        }
-        if all_done {
-            break;
-        }
-        if !progress {
-            let blocked = (0..n_procs)
-                .filter(|&p| st.pcs[p] < prog.per_proc[p].len())
-                .map(|p| match prog.per_proc[p][st.pcs[p]] {
-                    Op::Recv { tag, .. } => (p as u32, tag),
-                    _ => unreachable!("only receives block"),
-                })
-                .collect();
-            return Err(InterpError::Deadlock { blocked });
-        }
+    let mut m = Machine::new(Ctx { nest, cg, init });
+    let pcs = prog.round_robin(|p, op| m.step(p, op))?;
+    let blocked: Vec<(u32, Tag)> = pcs
+        .iter()
+        .enumerate()
+        .filter_map(|(p, &pc)| prog.per_proc[p].get(pc)?.mailbox_key(p as u32))
+        .collect();
+    if !blocked.is_empty() {
+        return Err(RunError::Deadlock { blocked });
     }
-    Ok(st.finish(nest, prog))
+    Ok(m.finish())
 }
 
 /// Run a generated SPMD program under an explicit global op order:
@@ -341,44 +349,41 @@ pub fn run(
 /// uses to compare the final memory state across explored schedules
 /// and against the sequential oracle.
 ///
-/// Errors: [`InterpError::Deadlock`] if a scheduled `Recv` has no
-/// message, [`InterpError::BadSchedule`] if a step names a processor
-/// with nothing left to run, and [`InterpError::IncompleteSchedule`]
+/// Errors: [`RunError::Deadlock`] if a scheduled `Recv` has no
+/// message, [`RunError::BadSchedule`] if a step names a processor
+/// with nothing left to run, and [`RunError::IncompleteSchedule`]
 /// if the schedule ends early.
 pub fn run_schedule(
     nest: &LoopNest,
     cg: &Codegen,
     schedule: &[u32],
     init: &dyn Fn(&str, &[i64]) -> f64,
-) -> Result<RunResult, InterpError> {
+) -> Result<RunResult, RunError> {
     let prog = &cg.program;
-    let n_procs = prog.num_procs();
-    let mut st = RunState::new(n_procs);
+    let mut m = Machine::new(Ctx { nest, cg, init });
+    let mut pcs = vec![0usize; prog.num_procs()];
     for (at, &proc) in schedule.iter().enumerate() {
         let p = proc as usize;
-        if p >= n_procs || st.pcs[p] >= prog.per_proc[p].len() {
-            return Err(InterpError::BadSchedule { at });
+        let Some(op) = pcs.get(p).and_then(|&pc| prog.per_proc[p].get(pc)) else {
+            return Err(RunError::BadSchedule { at });
+        };
+        if !m.step(p, op)? {
+            let blocked = op.mailbox_key(proc).into_iter().collect();
+            return Err(RunError::Deadlock { blocked });
         }
-        if !exec_op(nest, cg, &mut st, p, init)? {
-            let tag = match prog.per_proc[p][st.pcs[p]] {
-                Op::Recv { tag, .. } => tag,
-                _ => unreachable!("only receives block"),
-            };
-            return Err(InterpError::Deadlock {
-                blocked: vec![(proc, tag)],
-            });
-        }
+        pcs[p] += 1;
     }
-    if let Some(p) = (0..n_procs).find(|&p| st.pcs[p] < prog.per_proc[p].len()) {
-        return Err(InterpError::IncompleteSchedule { proc: p as u32 });
+    if let Some(p) = (0..pcs.len()).find(|&p| pcs[p] < prog.per_proc[p].len()) {
+        return Err(RunError::IncompleteSchedule { proc: p as u32 });
     }
-    Ok(st.finish(nest, prog))
+    Ok(m.finish())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::generate;
+    use crate::gen::{generate, CodegenError};
+    use crate::threads::run_threaded_gathered;
     use loom_exec::memory::address_hash_init;
     use loom_exec::{equivalent, sequential};
     use loom_hyperplane::TimeFn;
@@ -458,7 +463,27 @@ mod tests {
             }
         }
         let err = run(&w.nest, &cg, &|_, _| 0.0).unwrap_err();
-        assert!(matches!(err, InterpError::Deadlock { .. }));
+        assert!(matches!(err, RunError::Deadlock { .. }));
+    }
+
+    /// The driver's own round-robin order, recorded through the stepping
+    /// core. On a failing program it ends with the failing step.
+    fn round_robin_schedule(nest: &LoopNest, cg: &Codegen) -> Vec<u32> {
+        let mut m = Machine::new(Ctx {
+            nest,
+            cg,
+            init: &address_hash_init,
+        });
+        let mut schedule = Vec::new();
+        let _ = cg.program.round_robin(|p, op| {
+            schedule.push(p as u32);
+            let ran = m.step(p, op)?;
+            if !ran {
+                schedule.pop();
+            }
+            Ok::<_, RunError>(ran)
+        });
+        schedule
     }
 
     #[test]
@@ -474,41 +499,133 @@ mod tests {
         let cg = generate(&w.nest, &p, &[0, 1, 1, 0], 2).unwrap();
         // The round-robin run-to-block order, replayed explicitly, must
         // reproduce the free run bit for bit.
-        let mut schedule = Vec::new();
-        {
-            let prog = &cg.program;
-            let mut pcs = vec![0usize; prog.num_procs()];
-            let mut mailbox = std::collections::HashSet::new();
-            loop {
-                let mut progress = false;
-                #[allow(clippy::needless_range_loop)] // pcs and per_proc walk in lockstep
-                for p in 0..prog.num_procs() {
-                    while pcs[p] < prog.per_proc[p].len() {
-                        match prog.per_proc[p][pcs[p]] {
-                            Op::Recv { tag, .. } => {
-                                if !mailbox.remove(&(p as u32, tag)) {
-                                    break;
-                                }
-                            }
-                            Op::Send { to, tag } => {
-                                mailbox.insert((to, tag));
-                            }
-                            Op::Compute { .. } => {}
-                        }
-                        schedule.push(p as u32);
-                        pcs[p] += 1;
-                        progress = true;
-                    }
-                }
-                if !progress {
-                    break;
-                }
-            }
-        }
+        let schedule = round_robin_schedule(&w.nest, &cg);
         let free = run(&w.nest, &cg, &address_hash_init).unwrap();
         let replayed = run_schedule(&w.nest, &cg, &schedule, &address_hash_init).unwrap();
         assert_eq!(equivalent(&replayed.gathered, &free.gathered), Ok(()));
         assert_eq!(replayed.messages, free.messages);
+    }
+
+    #[test]
+    fn executors_agree_on_every_builtin() {
+        for w in loom_workloads::all_default() {
+            let name = w.nest.name();
+            let p = partition(
+                w.nest.space().clone(),
+                w.verified_deps(),
+                TimeFn::new(w.pi.clone()),
+                &PartitionConfig::default(),
+            )
+            .unwrap();
+            let serial = sequential(&w.nest, &address_hash_init);
+            for procs in [2, 4] {
+                let assignment: Vec<usize> = (0..p.num_blocks()).map(|b| b % procs).collect();
+                // conv2d accumulates y over a 2-D tap lattice: value
+                // routing is (correctly) refused rather than mis-computed.
+                let cg = match generate(&w.nest, &p, &assignment, procs) {
+                    Err(CodegenError::MultiDimensionalAccumulation { .. }) if name == "conv2d" => {
+                        continue
+                    }
+                    Ok(cg) if name != "conv2d" => cg,
+                    other => panic!("{name}: unexpected {:?}", other.map(|_| ())),
+                };
+                let at = format!("{name} on {procs} procs");
+                let free = run(&w.nest, &cg, &address_hash_init)
+                    .unwrap_or_else(|e| panic!("{at}: run: {e}"));
+                let schedule = round_robin_schedule(&w.nest, &cg);
+                let replayed = run_schedule(&w.nest, &cg, &schedule, &address_hash_init)
+                    .unwrap_or_else(|e| panic!("{at}: run_schedule: {e}"));
+                let threaded = run_threaded_gathered(&w.nest, &cg, &address_hash_init)
+                    .unwrap_or_else(|e| panic!("{at}: threads: {e}"));
+                for (executor, gathered) in [
+                    ("run", &free.gathered),
+                    ("run_schedule", &replayed.gathered),
+                    ("run_threaded_gathered", &threaded),
+                ] {
+                    assert_eq!(
+                        equivalent(gathered, &serial),
+                        Ok(()),
+                        "{at}: {executor} diverged"
+                    );
+                }
+                assert_eq!(
+                    (replayed.messages, replayed.words),
+                    (free.messages, free.words),
+                    "{at}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn corrupted_ops_fail_alike_on_every_executor() {
+        let w = loom_workloads::l1::workload(4);
+        let p = partition(
+            w.nest.space().clone(),
+            w.verified_deps(),
+            TimeFn::new(w.pi.clone()),
+            &PartitionConfig::default(),
+        )
+        .unwrap();
+        let valid = generate(&w.nest, &p, &[0, 1, 1, 0], 2).unwrap();
+        let n_points = valid.program.points.len() as u32;
+        // (what, how the program is corrupted, expected error)
+        type Corrupt = fn(&mut [Vec<Op>], u32);
+        let cases: [(&str, Corrupt, RunError); 4] = [
+            (
+                "compute of a point outside the table, last on P0",
+                |ops, n| ops[0].push(Op::Compute { point: n }),
+                RunError::BadPoint { id: n_points },
+            ),
+            (
+                "the same compute first on P1, so P0 starves",
+                |ops, n| ops[1].insert(0, Op::Compute { point: n }),
+                RunError::BadPoint { id: n_points },
+            ),
+            (
+                "message for a dependence with no payload spec",
+                |ops, _| {
+                    let tag = Tag {
+                        src_point: 0,
+                        dep: 99,
+                    };
+                    ops[0].push(Op::Send { to: 1, tag });
+                    ops[1].push(Op::Recv { from: 0, tag });
+                },
+                RunError::UnknownDependence { dep: 99 },
+            ),
+            (
+                "send to a processor that does not exist",
+                |ops, _| {
+                    let tag = Tag {
+                        src_point: 0,
+                        dep: 0,
+                    };
+                    ops[0].push(Op::Send { to: 7, tag });
+                },
+                RunError::UnknownProcessor { to: 7 },
+            ),
+        ];
+        for (what, corrupt, expected) in cases {
+            let mut cg = valid.clone();
+            corrupt(&mut cg.program.per_proc, n_points);
+            let schedule = round_robin_schedule(&w.nest, &cg);
+            let init = &address_hash_init;
+            let results = [
+                ("run", run(&w.nest, &cg, init).err()),
+                (
+                    "run_schedule",
+                    run_schedule(&w.nest, &cg, &schedule, init).err(),
+                ),
+                (
+                    "run_threaded_gathered",
+                    run_threaded_gathered(&w.nest, &cg, init).err(),
+                ),
+            ];
+            for (executor, err) in results {
+                assert_eq!(err.as_ref(), Some(&expected), "{what}: {executor}");
+            }
+        }
     }
 
     #[test]
@@ -530,12 +647,12 @@ mod tests {
             .expect("some processor starts unblocked") as u32;
         assert!(matches!(
             run_schedule(&w.nest, &cg, &[p0], &address_hash_init),
-            Err(InterpError::IncompleteSchedule { .. })
+            Err(RunError::IncompleteSchedule { .. })
         ));
         // Nonexistent processor.
         assert!(matches!(
             run_schedule(&w.nest, &cg, &[9], &address_hash_init),
-            Err(InterpError::BadSchedule { at: 0 })
+            Err(RunError::BadSchedule { at: 0 })
         ));
     }
 

@@ -11,10 +11,15 @@
 //!   of [`ops::Op`]s (`Recv`, `Compute`, `Send`) tagged with the
 //!   dependence arcs they serve,
 //! * renders it as readable pseudo-code ([`render`]),
-//! * and *runs* it under a blocking message-passing interpreter with
-//!   per-processor private memories ([`interp`]), which detects
-//!   deadlock and whose gathered result is compared bit-for-bit against
-//!   the sequential oracle in the tests.
+//! * and *runs* it with per-processor private memories. One stepping
+//!   core ([`interp`]) defines what each op does; three schedulers
+//!   drive it: [`run`] (deterministic round-robin run-to-block via
+//!   [`SpmdProgram::round_robin`], which detects deadlock),
+//!   [`run_schedule`] (replay of an explicit op order), and
+//!   [`run_threaded_gathered`] (one OS thread per processor over
+//!   channels). All three report one [`RunError`], and their gathered
+//!   results are compared bit-for-bit against the sequential oracle in
+//!   the tests.
 //!
 //! Anti and output dependences carry no data across private memories —
 //! they become empty synchronization tokens that only enforce ordering,
@@ -29,6 +34,6 @@ pub mod render;
 pub mod threads;
 
 pub use gen::{generate, CodegenError};
-pub use interp::{run, run_schedule, InterpError};
+pub use interp::{run, run_schedule, RunError};
 pub use ops::{Op, SpmdProgram, Tag};
-pub use threads::{run_threaded, run_threaded_gathered, ThreadError};
+pub use threads::run_threaded_gathered;

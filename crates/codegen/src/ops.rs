@@ -150,6 +150,35 @@ impl SpmdProgram {
             .map(|((_, tag), _)| tag)
             .collect()
     }
+
+    /// The deterministic round-robin, run-to-block driver: each
+    /// processor in turn runs `step(p, op)` on its next ops until `step`
+    /// reports it blocked (`Ok(false)`: a `Recv` whose message is not
+    /// there yet); passes repeat until one makes no progress. What a
+    /// step does — values, vector clocks — is the caller's. Returns the
+    /// final program counters: a processor with `pcs[p]` short of its
+    /// op count is blocked forever on that `Recv` — a deadlock.
+    pub fn round_robin<E>(
+        &self,
+        mut step: impl FnMut(usize, &Op) -> Result<bool, E>,
+    ) -> Result<Vec<usize>, E> {
+        let mut pcs = vec![0usize; self.num_procs()];
+        loop {
+            let mut progressed = false;
+            for (p, ops) in self.per_proc.iter().enumerate() {
+                while let Some(op) = ops.get(pcs[p]) {
+                    if !step(p, op)? {
+                        break;
+                    }
+                    pcs[p] += 1;
+                    progressed = true;
+                }
+            }
+            if !progressed {
+                return Ok(pcs);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

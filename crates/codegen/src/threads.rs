@@ -2,18 +2,20 @@
 //! with message channels — the closest a host machine gets to the
 //! paper's multicomputer.
 //!
-//! One thread per simulated processor, each owning a private
-//! [`Memory`]; sends go through `std::sync::mpsc` channels; receives
-//! block on the channel and buffer out-of-order tags. Because the
-//! generated programs are deadlock-free (receives always wait on
-//! strictly earlier hyperplane steps), the threads always terminate,
-//! and because each processor's value computation is fully determined
-//! by its program, the gathered result is *bit-identical* across runs
-//! and to the sequential oracle — asserted by the tests.
+//! One thread per simulated processor, each stepping its own op list
+//! through the shared `Processor::step` core; sends go through
+//! `std::sync::mpsc` channels, and receives block on the channel and
+//! buffer out-of-order tags. Because the generated programs are
+//! deadlock-free (receives always wait on strictly earlier hyperplane
+//! steps), the threads always terminate, and because each processor's
+//! value computation is fully determined by its program, the gathered
+//! result is *bit-identical* across runs and to the sequential oracle
+//! — asserted by the tests.
 
 use crate::gen::Codegen;
-use crate::ops::{Op, Tag};
-use loom_exec::memory::{Element, Memory};
+use crate::interp::{gather, Ctx, Mailbox, PayloadItem, Processor, RunError};
+use crate::ops::Tag;
+use loom_exec::memory::Memory;
 use loom_loopir::LoopNest;
 use std::collections::HashMap;
 use std::sync::mpsc;
@@ -25,197 +27,160 @@ use std::time::Duration;
 /// *cyclically*, which channel closure alone cannot detect.
 const RECV_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// A threaded-run failure.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ThreadError {
-    /// A receive's channel closed — or timed out — before its tag
-    /// arrived: the program was inconsistent (a matching send never
-    /// executed, possibly in a deadlocked cycle).
-    MissingMessage {
-        /// The processor that was waiting.
-        proc: u32,
-        /// The tag it waited for.
-        tag: Tag,
-    },
-    /// A worker thread panicked.
-    WorkerPanicked {
-        /// The processor whose thread died.
-        proc: u32,
-    },
+type Msg = (Tag, Vec<PayloadItem>);
+
+/// One worker's mailbox: its own channel's receiving end, a sender to
+/// every other processor, and the messages that arrived ahead of their
+/// receive.
+struct Channels {
+    rx: mpsc::Receiver<Msg>,
+    /// `None` in the worker's own slot: holding a sender to its own
+    /// channel would keep it open forever, so a blocked receive could
+    /// never observe closure when a matching send is missing. A
+    /// message to self goes straight to `stash`.
+    senders: Vec<Option<mpsc::Sender<Msg>>>,
+    stash: HashMap<Tag, Vec<PayloadItem>>,
 }
 
-impl std::fmt::Display for ThreadError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ThreadError::MissingMessage { proc, tag } => {
-                write!(f, "P{proc} waited forever for {tag:?}")
+impl Mailbox for Channels {
+    fn send(&mut self, to: u32, tag: Tag, items: Vec<PayloadItem>) {
+        match &self.senders[to as usize] {
+            // A closed receiver means that processor failed; surfaced
+            // at join time.
+            Some(tx) => {
+                let _ = tx.send((tag, items));
             }
-            ThreadError::WorkerPanicked { proc } => write!(f, "worker P{proc} panicked"),
+            None => {
+                self.stash.insert(tag, items);
+            }
+        }
+    }
+
+    fn recv(&mut self, p: u32, tag: Tag) -> Result<Option<Vec<PayloadItem>>, RunError> {
+        loop {
+            if let Some(items) = self.stash.remove(&tag) {
+                return Ok(Some(items));
+            }
+            match self.rx.recv_timeout(RECV_TIMEOUT) {
+                Ok((t, items)) if t == tag => return Ok(Some(items)),
+                Ok((t, items)) => {
+                    self.stash.insert(t, items);
+                }
+                // Disconnected or timed out: either way the matching
+                // send is missing.
+                Err(_) => {
+                    let blocked = vec![(p, tag)];
+                    return Err(RunError::Deadlock { blocked });
+                }
+            }
         }
     }
 }
 
-impl std::error::Error for ThreadError {}
-
-use crate::interp::{compute, gather, install, payload, record_local_writes, PayloadItem};
-
-type Msg = (Tag, Vec<PayloadItem>);
-
-/// Execute the SPMD program on real threads; returns per-processor
-/// memories in processor order.
-pub fn run_threaded(
+/// Run the SPMD program on one OS thread per processor and gather to a
+/// single global memory (same rule as the deterministic interpreter:
+/// each element from its last writer). A worker's own failure is
+/// reported ahead of the receives it starves elsewhere.
+pub fn run_threaded_gathered(
     nest: &LoopNest,
     cg: &Codegen,
     init: &(dyn Fn(&str, &[i64]) -> f64 + Sync),
-) -> Result<Vec<Memory>, ThreadError> {
+) -> Result<Memory, RunError> {
     let n_procs = cg.program.num_procs();
-    let mut senders: Vec<mpsc::Sender<Msg>> = Vec::with_capacity(n_procs);
-    let mut receivers: Vec<Option<mpsc::Receiver<Msg>>> = Vec::with_capacity(n_procs);
-    for _ in 0..n_procs {
-        let (tx, rx) = mpsc::channel();
-        senders.push(tx);
-        receivers.push(Some(rx));
-    }
-
-    let results: Vec<Result<Memory, ThreadError>> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n_procs);
-        #[allow(clippy::needless_range_loop)]
-        for p in 0..n_procs {
-            let rx = receivers[p].take().expect("receiver taken once");
-            // Each worker gets senders to every *other* processor; the
-            // slot for itself stays empty. Generated programs never send
-            // to self, and holding a sender to one's own channel would
-            // keep it open forever — a blocked receive could then never
-            // observe closure when a matching send is missing.
-            let senders: Vec<Option<mpsc::Sender<Msg>>> = senders
-                .iter()
-                .enumerate()
-                .map(|(q, tx)| (q != p).then(|| tx.clone()))
-                .collect();
-            let program = &cg.program;
-            let specs = &cg.payload_specs;
-            handles.push(scope.spawn(move || -> Result<Memory, ThreadError> {
-                let mut mem = Memory::new();
-                let mut versions: HashMap<Element, u32> = HashMap::new();
-                let mut stash: HashMap<Tag, Vec<PayloadItem>> = HashMap::new();
-                for op in &program.per_proc[p] {
-                    match op {
-                        Op::Recv { from: _, tag } => {
-                            let items = loop {
-                                if let Some(items) = stash.remove(tag) {
-                                    break items;
-                                }
-                                match rx.recv_timeout(RECV_TIMEOUT) {
-                                    Ok((t, items)) if t == *tag => break items,
-                                    Ok((t, items)) => {
-                                        stash.insert(t, items);
-                                    }
-                                    Err(_) => {
-                                        // Disconnected or timed out: either
-                                        // way the matching send is missing.
-                                        return Err(ThreadError::MissingMessage {
-                                            proc: p as u32,
-                                            tag: *tag,
-                                        });
-                                    }
-                                }
-                            };
-                            install(&mut mem, &mut versions, items);
-                        }
-                        Op::Compute { point } => {
-                            let pt = &program.points[*point as usize];
-                            compute(nest, pt, &mut mem, init);
-                            record_local_writes(nest, pt, *point, &mut versions);
-                        }
-                        Op::Send { to, tag } => {
-                            let pt = &program.points[tag.src_point as usize];
-                            let items = payload(
-                                nest,
-                                &specs[tag.dep as usize],
-                                pt,
-                                tag.src_point,
-                                &mem,
-                                init,
-                            );
-                            // A closed receiver means that processor
-                            // failed; surfaced at join time.
-                            let tx = senders[*to as usize]
-                                .as_ref()
-                                .expect("generated programs never send to self");
-                            let _ = tx.send((*tag, items));
-                        }
+    let (senders, receivers): (Vec<_>, Vec<_>) = (0..n_procs).map(|_| mpsc::channel()).unzip();
+    let results: Vec<Result<Memory, RunError>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = receivers
+            .into_iter()
+            .enumerate()
+            .map(|(p, rx)| {
+                let senders = senders
+                    .iter()
+                    .enumerate()
+                    .map(|(q, tx)| (q != p).then(|| tx.clone()))
+                    .collect();
+                let mut mail = Channels {
+                    rx,
+                    senders,
+                    stash: HashMap::new(),
+                };
+                scope.spawn(move || {
+                    let cx = Ctx { nest, cg, init };
+                    let mut proc = Processor::default();
+                    for op in &cg.program.per_proc[p] {
+                        // A channel receive waits rather than reporting
+                        // the worker blocked.
+                        proc.step(&cx, p, op, &mut mail)?;
                     }
-                }
-                Ok(mem)
-            }));
-        }
+                    Ok(proc.mem)
+                })
+            })
+            .collect();
         drop(senders);
         handles
             .into_iter()
             .enumerate()
             .map(|(p, h)| {
                 h.join()
-                    .unwrap_or(Err(ThreadError::WorkerPanicked { proc: p as u32 }))
+                    .unwrap_or(Err(RunError::WorkerPanicked { proc: p as u32 }))
             })
             .collect()
     });
-
-    results.into_iter().collect()
-}
-
-/// Run threaded and gather to a single global memory (same rule as the
-/// deterministic interpreter: each element from its last writer).
-pub fn run_threaded_gathered(
-    nest: &LoopNest,
-    cg: &Codegen,
-    init: &(dyn Fn(&str, &[i64]) -> f64 + Sync),
-) -> Result<Memory, ThreadError> {
-    let memories = run_threaded(nest, cg, init)?;
-    Ok(gather(nest, &cg.program, &memories))
+    let mut starved = None;
+    let mut memories = Vec::with_capacity(n_procs);
+    for result in results {
+        match result {
+            Ok(mem) => memories.push(mem),
+            Err(e @ RunError::Deadlock { .. }) => {
+                starved.get_or_insert(e);
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    match starved {
+        Some(e) => Err(e),
+        None => Ok(gather(nest, &cg.program, &memories)),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen::generate;
+    use crate::ops::Op;
     use loom_exec::memory::address_hash_init;
     use loom_exec::{equivalent, sequential};
     use loom_hyperplane::TimeFn;
     use loom_partition::{partition, PartitionConfig};
 
-    fn check(w: &loom_workloads::Workload, procs: usize) {
-        let p = partition(
-            w.nest.space().clone(),
-            w.verified_deps(),
-            TimeFn::new(w.pi.clone()),
-            &PartitionConfig::default(),
-        )
-        .unwrap();
-        let assignment: Vec<usize> = (0..p.num_blocks()).map(|b| b % procs).collect();
-        let cg = match generate(&w.nest, &p, &assignment, procs) {
-            Ok(cg) => cg,
-            Err(e) => {
-                // conv2d accumulates y over a 2-D tap lattice: value
-                // routing is (correctly) refused rather than mis-computed.
-                assert_eq!(w.nest.name(), "conv2d", "{}: unexpected {e}", w.nest.name());
-                return;
-            }
-        };
-        let gathered = run_threaded_gathered(&w.nest, &cg, &address_hash_init)
-            .unwrap_or_else(|e| panic!("{}: {e}", w.nest.name()));
-        let serial = sequential(&w.nest, &address_hash_init);
-        assert_eq!(
-            equivalent(&gathered, &serial),
-            Ok(()),
-            "{} diverged under real threads",
-            w.nest.name()
-        );
-    }
-
     #[test]
     fn threads_match_oracle_on_all_workloads() {
         for w in loom_workloads::all_default() {
-            check(&w, 4);
+            let name = w.nest.name();
+            let p = partition(
+                w.nest.space().clone(),
+                w.verified_deps(),
+                TimeFn::new(w.pi.clone()),
+                &PartitionConfig::default(),
+            )
+            .unwrap();
+            let assignment: Vec<usize> = (0..p.num_blocks()).map(|b| b % 4).collect();
+            let cg = match generate(&w.nest, &p, &assignment, 4) {
+                Ok(cg) => cg,
+                // conv2d accumulates y over a 2-D tap lattice: value
+                // routing is (correctly) refused rather than mis-computed.
+                Err(e) => {
+                    assert_eq!(name, "conv2d", "{name}: unexpected {e}");
+                    continue;
+                }
+            };
+            let gathered = run_threaded_gathered(&w.nest, &cg, &address_hash_init)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let serial = sequential(&w.nest, &address_hash_init);
+            assert_eq!(
+                equivalent(&gathered, &serial),
+                Ok(()),
+                "{name} diverged under real threads"
+            );
         }
     }
 
@@ -271,7 +236,28 @@ mod tests {
                 break;
             }
         }
-        let err = run_threaded(&w.nest, &cg, &|_, _| 0.0).unwrap_err();
-        assert!(matches!(err, ThreadError::MissingMessage { .. }));
+        let err = run_threaded_gathered(&w.nest, &cg, &|_, _| 0.0).unwrap_err();
+        assert!(matches!(err, RunError::Deadlock { .. }));
+    }
+
+    #[test]
+    fn self_send_is_delivered_as_the_interpreter_delivers_it() {
+        // A worker holds no sender to its own channel; a message to
+        // itself must still arrive, as it does in the shared mailbox.
+        let w = loom_workloads::l1::workload(4);
+        let p = partition(
+            w.nest.space().clone(),
+            w.verified_deps(),
+            TimeFn::new(w.pi.clone()),
+            &PartitionConfig::default(),
+        )
+        .unwrap();
+        let mut cg = generate(&w.nest, &p, &[0, 1, 1, 0], 2).unwrap();
+        let src_point = cg.program.computes_of(0).last().unwrap();
+        let tag = Tag { src_point, dep: 0 };
+        cg.program.per_proc[0].extend([Op::Send { to: 0, tag }, Op::Recv { from: 0, tag }]);
+        let threaded = run_threaded_gathered(&w.nest, &cg, &address_hash_init).unwrap();
+        let interp = crate::run(&w.nest, &cg, &address_hash_init).unwrap();
+        assert_eq!(equivalent(&threaded, &interp.gathered), Ok(()));
     }
 }

@@ -19,7 +19,7 @@
 //! whose coefficients cycle with a small period (Table I's own `W(M)`
 //! has period `N` through `l = ⌊(N−2)/N·M⌋ + 1`).
 //!
-//! [`derive`] therefore:
+//! [`derive`](fn@derive) therefore:
 //!
 //! 1. **guards** the configuration: uniform dependences that are stable
 //!    across sizes, a fault-free machine, Lemma 1 discharged by the
@@ -350,7 +350,7 @@ impl SymbolicCost {
     }
 }
 
-/// Outcome of [`derive`].
+/// Outcome of [`derive`](fn@derive).
 #[derive(Clone, Debug)]
 pub enum Derivation {
     /// Every component admitted an exactly-validated closed form.
@@ -407,7 +407,7 @@ enum Probe {
 /// The resumable state of the symbolic-cost stage: every partitioning
 /// and every probe simulation, memoized by size (and cube dimension).
 /// One cache serves one `(family, Π, grouping, machine options)`
-/// combination across any number of [`derive`] calls — exploration
+/// combination across any number of [`derive`](fn@derive) calls — exploration
 /// reuses it across every machine size, and a later call with a larger
 /// target resumes from the probes already paid for.
 pub struct ProbeCache {

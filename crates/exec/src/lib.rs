@@ -43,5 +43,5 @@ pub mod oracle;
 pub mod ordered;
 
 pub use memory::Memory;
-pub use oracle::sequential;
+pub use oracle::{execute_iteration, sequential};
 pub use ordered::{equivalent, execute_in_order, schedule_order, trace_order, Divergence};

@@ -4,8 +4,8 @@
 use crate::memory::Memory;
 use loom_loopir::LoopNest;
 
-/// Execute one iteration's statement body against `mem`.
-pub(crate) fn execute_iteration(
+/// Execute one iteration's statement body against `mem`; every executor uses it.
+pub fn execute_iteration(
     nest: &LoopNest,
     point: &[i64],
     mem: &mut Memory,

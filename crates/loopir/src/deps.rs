@@ -151,7 +151,7 @@ pub type AccessSite<'a> = (usize, &'a Access, bool);
 
 /// A write-involved access pair whose linear subscript parts differ —
 /// outside the uniform class [`extract_dependences`] handles, and the
-/// raw material the [`crate::uniformize`] pass folds into synthesized
+/// raw material the [`crate::uniformize`](mod@crate::uniformize) pass folds into synthesized
 /// constant vectors.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NonUniformPair {
@@ -203,7 +203,7 @@ pub fn extract_dependences(nest: &LoopNest, opts: DepOptions) -> Result<Vec<Depe
 /// [`extract_dependences`] with the uniformity requirement relaxed:
 /// write-involved access pairs whose linear subscript parts differ are
 /// collected as [`NonUniformPair`]s (in extraction order) instead of
-/// aborting, so the [`crate::uniformize`] pass can fold them. The
+/// aborting, so the [`crate::uniformize`](mod@crate::uniformize) pass can fold them. The
 /// uniform pairs are extracted exactly as [`extract_dependences`] does,
 /// and [`Error::Overflow`] still propagates.
 pub fn extract_dependences_relaxed(

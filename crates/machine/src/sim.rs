@@ -1152,8 +1152,7 @@ pub fn oracle_summary(
 /// Run the program under a deterministic fault plan.
 ///
 /// The fault-free baseline is simulated first (trace and metrics
-/// suppressed) so the attached
-/// [`DegradationReport`](crate::fault::DegradationReport) can report
+/// suppressed) so the attached [`DegradationReport`] can report
 /// makespan inflation; the degraded run then executes with the plan's
 /// noise stream seeded from [`FaultConfig::seed`]. An empty plan takes
 /// exactly the baseline code path, so its report matches [`simulate`]

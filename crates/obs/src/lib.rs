@@ -28,7 +28,7 @@
 //!   single-thread mode is the exact serial path,
 //! * [`rng`] — a deterministic [`SplitMix64`] generator for seeded
 //!   baselines and property-style tests,
-//! * [`bench`] — a tiny wall-clock micro-benchmark harness
+//! * [`bench`](mod@bench) — a tiny wall-clock micro-benchmark harness
 //!   ([`bench::Bench`]) backing the `harness = false` bench targets.
 //!
 //! ```
