@@ -127,29 +127,6 @@ pub fn maybe_append_history(name: &str, doc: &Json) {
     }
 }
 
-/// Run independent jobs on scoped OS threads and collect results in
-/// input order — the bench harness's way of sweeping machine sizes /
-/// mappings in parallel on the host. The simulator itself stays
-/// single-threaded and deterministic; only *independent simulations*
-/// run concurrently.
-pub fn parallel_sweep<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .into_iter()
-            .map(|item| scope.spawn(|| f(item)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep job panicked"))
-            .collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,38 +134,6 @@ mod tests {
     #[test]
     fn paper_matmul_is_17_groups() {
         assert_eq!(paper_matmul_partitioning().num_blocks(), 17);
-    }
-
-    #[test]
-    fn parallel_sweep_preserves_order_and_runs_concurrently() {
-        let results = parallel_sweep(vec![3u64, 1, 4, 1, 5], |x| x * 10);
-        assert_eq!(results, vec![30, 10, 40, 10, 50]);
-        // Simulations in parallel give the same answers as serially.
-        use loom_machine::{simulate, MachineParams, Program, SimConfig};
-        let w = loom_workloads::matvec::workload(12);
-        let p = partition_workload(&w);
-        let dims = vec![0usize, 1, 2];
-        let parallel = parallel_sweep(dims.clone(), |d| {
-            let m = loom_mapping::map_partitioning(&p, d).unwrap();
-            let prog = Program::from_partitioning(&p, m.assignment(), 1 << d, 2);
-            simulate(
-                &prog,
-                &SimConfig::paper_hypercube(d, MachineParams::classic_1991()),
-            )
-            .unwrap()
-            .makespan
-        });
-        for (i, &d) in dims.iter().enumerate() {
-            let m = loom_mapping::map_partitioning(&p, d).unwrap();
-            let prog = Program::from_partitioning(&p, m.assignment(), 1 << d, 2);
-            let serial = simulate(
-                &prog,
-                &SimConfig::paper_hypercube(d, MachineParams::classic_1991()),
-            )
-            .unwrap()
-            .makespan;
-            assert_eq!(parallel[i], serial);
-        }
     }
 
     #[test]

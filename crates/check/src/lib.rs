@@ -51,9 +51,9 @@
 //! stay available as the cross-validation oracle.
 //!
 //! The checks run standalone (each `check_*` function takes exactly
-//! the artifacts it inspects), through [`check_pipeline`] on a bundle
-//! of everything the pipeline produced, via `loom check` on the CLI,
-//! or as a gated `loom-core` pipeline stage
+//! the artifacts it inspects), through [`check_pipeline_mode`] on a
+//! bundle of everything the pipeline produced, via `loom check` on the
+//! CLI, or as a gated `loom-core` pipeline stage
 //! (`MachineOptions::static_check` / `symbolic_check`).
 
 #![deny(missing_docs)]
@@ -102,7 +102,7 @@ use loom_loopir::{LoopNest, Point};
 use loom_obs::Recorder;
 use loom_partition::{Partitioning, Tig};
 
-/// Everything the pipeline produced, bundled for [`check_pipeline`].
+/// Everything the pipeline produced, bundled for [`check_pipeline_mode`].
 pub struct PipelineCheck<'a> {
     /// The source nest.
     pub nest: &'a LoopNest,
@@ -143,30 +143,21 @@ pub enum CheckMode {
     Interleaving,
 }
 
-/// Run every check against a pipeline's artifacts.
+/// Run every check of one engine against a pipeline's artifacts.
 ///
-/// The race scan (`LC005`/`LC007`) needs an SPMD program; it is
-/// generated here from the partitioning and assignment. Nests outside
-/// the value-routable class (e.g. multi-dimensional accumulations like
-/// conv2d) cannot be code-generated, and the race scan is skipped with
-/// an `Info` diagnostic instead of an error — the remaining rules
-/// still run.
-pub fn check_pipeline(input: &PipelineCheck<'_>) -> Report {
-    check_pipeline_with(input, &Recorder::disabled())
-}
-
-/// [`check_pipeline`] with instrumentation: when `recorder` is enabled,
-/// the run records a `check.total` span and one `check.<code>` counter
-/// per diagnostic.
-pub fn check_pipeline_with(input: &PipelineCheck<'_>, recorder: &Recorder) -> Report {
-    check_pipeline_mode(input, CheckMode::Enumerative, recorder)
-}
-
-/// [`check_pipeline_with`] with an explicit engine choice.
-///
-/// Symbolic runs additionally record how the proof obligations were
-/// discharged as `check.symbolic.lattice` / `check.symbolic.fm` /
+/// When `recorder` is enabled, the run records a `check.total` span
+/// and one `check.<code>` counter per diagnostic; symbolic runs also
+/// record how the proof obligations were discharged as
+/// `check.symbolic.lattice` / `check.symbolic.fm` /
 /// `check.symbolic.fallback` counters.
+///
+/// The enumerative race scan (`LC005`/`LC007`) and the interleaving
+/// rules (`LC013`–`LC015`) need an SPMD program; it is generated here
+/// from the partitioning and assignment. Nests outside the
+/// value-routable class (e.g. multi-dimensional accumulations like
+/// conv2d) cannot be code-generated, and those rules are skipped with
+/// an `Info` diagnostic under the engine's own rule id instead of an
+/// error — the remaining rules still run.
 pub fn check_pipeline_mode(
     input: &PipelineCheck<'_>,
     mode: CheckMode,
@@ -199,21 +190,6 @@ pub fn check_pipeline_mode(
         input.cube_dim,
     ));
     match mode {
-        CheckMode::Enumerative => {
-            match loom_codegen::generate(
-                input.nest,
-                input.partitioning,
-                input.assignment,
-                1usize << input.cube_dim,
-            ) {
-                Ok(cg) => report.extend(check_races(input.nest, &cg.program)),
-                Err(e) => report.push(Diagnostic::info(
-                    RuleId::DataRace,
-                    Span::Nest,
-                    format!("race analysis skipped: no SPMD program ({e})"),
-                )),
-            }
-        }
         CheckMode::Symbolic => {
             let mut stats = SymbolicStats::default();
             report.extend(check_lemma1_symbolic(input.partitioning, &mut stats));
@@ -238,22 +214,29 @@ pub fn check_pipeline_mode(
             recorder.add("check.uniformize.unknown", ustats.unknown);
             recorder.add("check.uniformize.tightness", ustats.tightness_warnings);
         }
-        CheckMode::Interleaving => {
+        CheckMode::Enumerative | CheckMode::Interleaving => {
+            let (rule, what) = match mode {
+                CheckMode::Enumerative => (RuleId::DataRace, "race analysis"),
+                _ => (RuleId::InterleavingDeadlock, "interleaving exploration"),
+            };
             match loom_codegen::generate(
                 input.nest,
                 input.partitioning,
                 input.assignment,
                 1usize << input.cube_dim,
             ) {
+                Ok(cg) if mode == CheckMode::Enumerative => {
+                    report.extend(check_races(input.nest, &cg.program))
+                }
                 Ok(cg) => {
                     let sub =
                         check_program(input.nest, &cg, &InterleaveOptions::default(), recorder);
                     report.extend(sub.diagnostics().to_vec());
                 }
                 Err(e) => report.push(Diagnostic::info(
-                    RuleId::InterleavingDeadlock,
+                    rule,
                     Span::Nest,
-                    format!("interleaving exploration skipped: no SPMD program ({e})"),
+                    format!("{what} skipped: no SPMD program ({e})"),
                 )),
             }
         }
@@ -312,7 +295,7 @@ mod tests {
     use loom_mapping::map_partitioning;
     use loom_partition::{partition, PartitionConfig};
 
-    fn bundle_of(w: &loom_workloads::Workload, cube_dim: usize) -> Report {
+    fn bundle_of(w: &loom_workloads::Workload, cube_dim: usize, mode: CheckMode) -> Report {
         let deps = w.verified_deps();
         let pi = w.time_fn();
         let p = partition(
@@ -324,33 +307,48 @@ mod tests {
         .unwrap();
         let tig = Tig::from_partitioning(&p);
         let m = map_partitioning(&p, cube_dim).unwrap();
-        check_pipeline(&PipelineCheck {
-            nest: &w.nest,
-            deps: &deps,
-            pi: &pi,
-            partitioning: &p,
-            tig: &tig,
-            assignment: m.assignment(),
-            cube_dim,
-        })
+        check_pipeline_mode(
+            &PipelineCheck {
+                nest: &w.nest,
+                deps: &deps,
+                pi: &pi,
+                partitioning: &p,
+                tig: &tig,
+                assignment: m.assignment(),
+                cube_dim,
+            },
+            mode,
+            &Recorder::disabled(),
+        )
     }
 
     #[test]
     fn l1_pipeline_is_clean() {
         let w = loom_workloads::l1::workload(4);
-        let r = bundle_of(&w, 1);
+        let r = bundle_of(&w, 1, CheckMode::Enumerative);
         assert!(!r.has_errors(), "{}", r.render_human());
     }
 
     #[test]
     fn conv2d_skips_races_with_info() {
+        // Both program-needing engines share one generation site; each
+        // reports the refusal under its own rule id.
         let w = loom_workloads::conv2d::workload(4, 2);
-        let r = bundle_of(&w, 1);
-        assert!(!r.has_errors(), "{}", r.render_human());
-        assert!(r
-            .diagnostics()
-            .iter()
-            .any(|d| d.severity == Severity::Info && d.rule == RuleId::DataRace));
+        for (mode, rule) in [
+            (CheckMode::Enumerative, RuleId::DataRace),
+            (CheckMode::Interleaving, RuleId::InterleavingDeadlock),
+        ] {
+            let r = bundle_of(&w, 1, mode);
+            assert!(!r.has_errors(), "{mode:?}: {}", r.render_human());
+            let skips: Vec<_> = r
+                .diagnostics()
+                .iter()
+                .filter(|d| d.message.contains("no SPMD program"))
+                .collect();
+            assert_eq!(skips.len(), 1, "{mode:?}: {}", r.render_human());
+            assert_eq!(skips[0].severity, Severity::Info);
+            assert_eq!(skips[0].rule, rule);
+        }
     }
 
     #[test]
@@ -410,7 +408,7 @@ mod tests {
         let mut scrambled = m.assignment().to_vec();
         scrambled.reverse();
         let rec = Recorder::enabled();
-        let report = check_pipeline_with(
+        let report = check_pipeline_mode(
             &PipelineCheck {
                 nest: &w.nest,
                 deps: &deps,
@@ -420,6 +418,7 @@ mod tests {
                 assignment: &scrambled,
                 cube_dim: 1,
             },
+            CheckMode::Enumerative,
             &rec,
         );
         let counters = rec.counters();

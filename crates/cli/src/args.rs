@@ -61,6 +61,19 @@ impl Args {
         }
     }
 
+    /// An integer flag with a default and an inclusive minimum; a
+    /// malformed or out-of-range value is a typed usage error naming
+    /// the flag, never a silently clamped run.
+    pub fn int_flag_at_least(&self, key: &str, default: i64, min: i64) -> Result<i64, CliError> {
+        let v = self.int_flag(key, default)?;
+        if v < min {
+            return Err(CliError::usage(format!(
+                "error: --{key} expects an integer >= {min}, got `{v}`"
+            )));
+        }
+        Ok(v)
+    }
+
     /// A boolean switch.
     pub fn switch(&self, key: &str) -> bool {
         self.flags.get(key).map(String::as_str) == Some("true")
@@ -154,6 +167,14 @@ mod tests {
         assert!(matches!(e, CliError::Usage(_)));
         let e = a.int_list_flag("pi").unwrap_err();
         assert!(matches!(e, CliError::Usage(_)));
+        // Below the flag's minimum is a usage error naming the flag; the
+        // minimum itself, and the default when absent, are accepted.
+        let a = args(&["explore", "--pi-bound", "-1", "--top", "1"]);
+        let e = a.int_flag_at_least("pi-bound", 1, 1).unwrap_err();
+        assert_eq!(e.exit_code(), 2);
+        assert!(e.to_string().contains("--pi-bound"), "{e}");
+        assert_eq!(a.int_flag_at_least("top", 10, 1), Ok(1));
+        assert_eq!(a.int_flag_at_least("threads", 0, 0), Ok(0));
     }
 
     #[test]

@@ -288,10 +288,10 @@ impl Input {
 
 fn machine_params(a: &Args) -> Result<MachineParams, CliError> {
     Ok(MachineParams {
-        t_calc: a.int_flag("t-calc", 1)?.max(0) as u64,
-        t_start: a.int_flag("t-start", 50)?.max(0) as u64,
-        t_comm: a.int_flag("t-comm", 5)?.max(0) as u64,
-        t_recv: a.int_flag("t-recv", 0)?.max(0) as u64,
+        t_calc: a.int_flag_at_least("t-calc", 1, 0)? as u64,
+        t_start: a.int_flag_at_least("t-start", 50, 0)? as u64,
+        t_comm: a.int_flag_at_least("t-comm", 5, 0)? as u64,
+        t_recv: a.int_flag_at_least("t-recv", 0, 0)? as u64,
     })
 }
 
@@ -322,7 +322,7 @@ fn config(a: &Args, pi: &[i64]) -> Result<PipelineConfig, CliError> {
         .map_err(|_| CliError::usage("error: --grouping expects an index"))?;
     Ok(PipelineConfig {
         time_fn: Some(pi.to_vec()),
-        cube_dim: a.int_flag("cube", 1)?.max(0) as usize,
+        cube_dim: a.int_flag_at_least("cube", 1, 0)? as usize,
         target: pick_target(a)?,
         partition: loom_partition::PartitionConfig {
             grouping_choice,
@@ -387,7 +387,7 @@ fn fault_config(
         .map_err(|e: String| CliError::usage(format!("error: {e}")))?;
     let mut fc = loom_machine::FaultConfig::new(plan, policy);
     if a.flags.contains_key("fault-seed") {
-        fc.seed_override = Some(a.int_flag("fault-seed", 0)?.max(0) as u64);
+        fc.seed_override = Some(a.int_flag_at_least("fault-seed", 0, 0)? as u64);
     }
     Ok(Some(fc))
 }
@@ -606,7 +606,8 @@ fn cmd_simulate(a: &Args) -> Result<(), CliError> {
         println!("trace validated: no violations");
     }
     obs.finish(Some(sim), || {
-        loom_machine::trace::chrome_trace(sim, out.placement.num_procs()).map(|d| ("trace", d))
+        loom_machine::trace::chrome_trace(sim, out.placement.num_procs(), None)
+            .map(|d| ("trace", d))
     })
 }
 
@@ -737,7 +738,7 @@ fn cmd_check(a: &Args) -> Result<(), CliError> {
             // rules on the result — an expect-fail harness for LC013–
             // LC015 counterexamples.
             let mutation = parse_mutation(mode)?;
-            let seed = a.int_flag("corrupt-seed", 1)?.max(0) as u64;
+            let seed = a.int_flag_at_least("corrupt-seed", 1, 0)? as u64;
             let nest = input.pipeline.nest();
             let mut cg = loom_codegen::generate(
                 nest,
@@ -845,20 +846,23 @@ fn symbolic_explore(
 fn cmd_explore(a: &Args) -> Result<(), CliError> {
     let obs = Obs::new(a, "explore", false)?;
     let input = resolve(a, &obs.rec)?;
-    let dims: Vec<usize> = a
-        .int_list_flag("cubes")?
-        .map(|v| v.into_iter().map(|x| x.max(0) as usize).collect())
-        .unwrap_or_else(|| vec![1, 2, 3]);
+    let dims: Vec<usize> = match a.int_list_flag("cubes")? {
+        Some(v) if v.iter().any(|&x| x < 0) => {
+            return Err(CliError::usage("error: --cubes expects integers >= 0"))
+        }
+        Some(v) => v.into_iter().map(|x| x as usize).collect(),
+        None => vec![1, 2, 3],
+    };
     let cfg = loom_core::explore::ExploreConfig {
-        pi_bound: a.int_flag("pi-bound", 1)?.max(1),
-        top: a.int_flag("top", 10)?.max(1) as usize,
+        pi_bound: a.int_flag_at_least("pi-bound", 1, 1)?,
+        top: a.int_flag_at_least("top", 10, 1)? as usize,
         // Candidates are costed on the fault-free model under the given
         // timing parameters; the simulator switches stay at defaults.
         machine: MachineOptions {
             params: machine_options(a)?.params,
             ..Default::default()
         },
-        threads: a.int_flag("threads", 0)?.max(0) as usize,
+        threads: a.int_flag_at_least("threads", 0, 0)? as usize,
         prune: !a.switch("no-prune"),
         symbolic: if a.switch("symbolic") {
             Some(symbolic_explore(a, &input)?)
@@ -939,7 +943,7 @@ fn cmd_profile(a: &Args) -> Result<(), CliError> {
         ..machine_options(a)?
     };
     let report = run_machine(&program, target, &machine, &obs.rec, None)?;
-    let k = a.int_flag("top", 3)?.max(1) as usize;
+    let k = a.int_flag_at_least("top", 3, 1)? as usize;
     let profile = {
         let _s = obs.rec.span("profile.critical_path");
         loom_machine::critical_path_top_k(&program, &machine.sim_config(target), &report, k)
@@ -957,7 +961,7 @@ fn cmd_profile(a: &Args) -> Result<(), CliError> {
         print!("{}", profile.render_human());
     }
     obs.finish(Some(&report), || {
-        loom_machine::trace::chrome_trace_annotated(&report, placement.num_procs(), Some(&profile))
+        loom_machine::trace::chrome_trace(&report, placement.num_procs(), Some(&profile))
             .map(|d| ("annotated trace", d))
     })
 }
@@ -982,11 +986,11 @@ fn cmd_obs(a: &Args) -> Result<(), CliError> {
                 "usage: loom obs diff <old.json> <new.json> [--threshold B] [--warn-only] [--json]",
             )),
         };
+    let opts = loom_obs::DiffOptions {
+        tolerance_buckets: a.int_flag_at_least("threshold", 1, 0)? as usize,
+    };
     let old = read_json(&old_path)?;
     let new = read_json(&new_path)?;
-    let opts = loom_obs::DiffOptions {
-        tolerance_buckets: a.int_flag("threshold", 1)?.max(0) as usize,
-    };
     let report = loom_obs::diff::diff(&old, &new, &opts);
     if a.switch("json") {
         println!("{}", report.to_json().render_pretty());
@@ -1012,7 +1016,7 @@ fn cmd_obs(a: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_table1(a: &Args) -> Result<(), CliError> {
-    let m = a.int_flag("m", 1024)?.max(1) as u64;
+    let m = a.int_flag_at_least("m", 1024, 1)? as u64;
     let params = machine_params(a)?;
     let mut t = Table::new(["N", "T_exec (symbolic)", "ticks"]);
     for (n, terms) in table1_rows(m) {

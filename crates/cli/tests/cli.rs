@@ -411,3 +411,70 @@ fn trace_out_without_a_simulation_is_a_usage_error() {
         );
     }
 }
+
+#[test]
+fn out_of_range_numeric_flags_are_usage_errors() {
+    // Every bounded numeric flag refuses a value below its minimum with
+    // exit 2 and a message naming the flag, instead of running a
+    // different configuration.
+    let faults = concat!(env!("CARGO_MANIFEST_DIR"), "/../../samples/faults.json");
+    let sim = ["simulate", "--workload", "l1", "--size", "4"];
+    let cases: &[(&[&str], &str)] = &[
+        (&[&sim[..], &["--t-calc", "-1"]].concat(), "--t-calc"),
+        (&[&sim[..], &["--t-start", "-50"]].concat(), "--t-start"),
+        (&[&sim[..], &["--t-comm", "-1"]].concat(), "--t-comm"),
+        (&[&sim[..], &["--t-recv", "-1"]].concat(), "--t-recv"),
+        (&[&sim[..], &["--cube", "-1"]].concat(), "--cube"),
+        (
+            &[
+                &sim[..],
+                &["--cube", "2", "--fault-plan", faults, "--fault-seed", "-1"],
+            ]
+            .concat(),
+            "--fault-seed",
+        ),
+        (
+            &[
+                "check",
+                "--workload",
+                "l1",
+                "--size",
+                "4",
+                "--corrupt",
+                "drop-send",
+                "--corrupt-seed",
+                "-1",
+            ],
+            "--corrupt-seed",
+        ),
+        (
+            &["explore", "--workload", "l1", "--pi-bound", "-1"],
+            "--pi-bound",
+        ),
+        (&["explore", "--workload", "l1", "--top", "0"], "--top"),
+        (
+            &["explore", "--workload", "l1", "--threads", "-1"],
+            "--threads",
+        ),
+        (
+            &["explore", "--workload", "l1", "--cubes", "1,-1"],
+            "--cubes",
+        ),
+        (&["profile", "--workload", "l1", "--top", "0"], "--top"),
+        (
+            &["obs", "diff", "a.json", "b.json", "--threshold", "-1"],
+            "--threshold",
+        ),
+        (&["table1", "--m", "-4"], "--m"),
+    ];
+    for (args, flag) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_loom"))
+            .args(*args)
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(flag), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+}

@@ -84,14 +84,6 @@ pub struct MachineOptions {
     /// enumerative point-and-message walk. Only consulted when
     /// `static_check` is set.
     pub symbolic_check: bool,
-    /// Run the static check with the interleaving engine
-    /// ([`loom_check::CheckMode::Interleaving`]): `LC015` bounds every
-    /// op index and access image of the generated program, then
-    /// `LC013`/`LC014` model-check deadlock-freedom and determinacy
-    /// over **all** message interleavings with dynamic partial-order
-    /// reduction. Only consulted when `static_check` is set; takes
-    /// precedence over `symbolic_check`.
-    pub interleave_check: bool,
     /// Inject faults during simulation: the deterministic plan plus the
     /// recovery policy ([`loom_machine::fault`]). `None` simulates the
     /// paper's perfectly reliable machine.
@@ -100,13 +92,13 @@ pub struct MachineOptions {
 
 impl MachineOptions {
     /// The static-check engine these options select: `None` unless
-    /// `static_check` is set; then interleaving wins over symbolic,
-    /// and enumerative is the default.
+    /// `static_check` is set; then symbolic if `symbolic_check` is set,
+    /// enumerative otherwise. The interleaving engine is reached through
+    /// [`PartitionedStage::check_mode`] with
+    /// [`loom_check::CheckMode::Interleaving`].
     pub fn static_check_mode(&self) -> Option<loom_check::CheckMode> {
         if !self.static_check {
             None
-        } else if self.interleave_check {
-            Some(loom_check::CheckMode::Interleaving)
         } else if self.symbolic_check {
             Some(loom_check::CheckMode::Symbolic)
         } else {
@@ -141,7 +133,6 @@ impl Default for MachineOptions {
             validate_trace: false,
             static_check: false,
             symbolic_check: false,
-            interleave_check: false,
             faults: None,
         }
     }
@@ -665,15 +656,10 @@ impl PartitionedStage<'_> {
     }
 
     /// Finish the pipeline (mapping → static check → simulation),
-    /// consuming the stage into a full [`PipelineOutput`].
-    pub fn complete(self, config: &PipelineConfig) -> Result<PipelineOutput, PipelineError> {
-        self.complete_with(config, &Recorder::disabled(), None)
-    }
-
-    /// [`complete`](PartitionedStage::complete) with instrumentation
-    /// and an optional reusable [`SimScratch`]: back-to-back
-    /// completions through the same scratch skip the simulator's buffer
-    /// allocations while staying bit-identical to fresh-state runs.
+    /// consuming the stage into a full [`PipelineOutput`]. `recorder`
+    /// instruments the run; an optional reusable [`SimScratch`] lets
+    /// back-to-back completions skip the simulator's buffer allocations
+    /// while staying bit-identical to fresh-state runs.
     pub fn complete_with(
         self,
         config: &PipelineConfig,
@@ -1138,21 +1124,18 @@ mod tests {
     #[test]
     fn static_check_mode_follows_the_engine_flags() {
         use loom_check::CheckMode;
-        let mode = |static_check, symbolic_check, interleave_check| {
+        let mode = |static_check, symbolic_check| {
             MachineOptions {
                 static_check,
                 symbolic_check,
-                interleave_check,
                 ..Default::default()
             }
             .static_check_mode()
         };
-        // Off: the engine flags alone never turn the check on.
-        assert_eq!(mode(false, true, true), None);
-        assert_eq!(mode(true, false, false), Some(CheckMode::Enumerative));
-        assert_eq!(mode(true, true, false), Some(CheckMode::Symbolic));
-        assert_eq!(mode(true, true, true), Some(CheckMode::Interleaving));
-        assert_eq!(mode(true, false, true), Some(CheckMode::Interleaving));
+        // Off: the engine flag alone never turns the check on.
+        assert_eq!(mode(false, true), None);
+        assert_eq!(mode(true, false), Some(CheckMode::Enumerative));
+        assert_eq!(mode(true, true), Some(CheckMode::Symbolic));
     }
 
     #[test]
@@ -1177,40 +1160,6 @@ mod tests {
         let counters = rec.counters();
         assert!(counters.contains_key("check.symbolic.lattice"));
         assert_eq!(counters.get("check.symbolic.fallback"), Some(&0));
-    }
-
-    #[test]
-    fn interleave_check_gate_passes_and_records_exploration_counters() {
-        let w = loom_workloads::l1::workload(6);
-        let rec = Recorder::enabled();
-        let out = Pipeline::new(w.nest)
-            .run_with(
-                &PipelineConfig {
-                    cube_dim: 2,
-                    machine: Some(MachineOptions {
-                        static_check: true,
-                        interleave_check: true,
-                        ..Default::default()
-                    }),
-                    ..Default::default()
-                },
-                &rec,
-            )
-            .unwrap();
-        assert!(out.sim.is_some());
-        let counters = rec.counters();
-        // A generated program is a Kahn network: DPOR visits exactly
-        // one interleaving while the naive baseline visits more.
-        assert_eq!(counters.get("check.interleave.explored"), Some(&1));
-        assert!(counters.get("check.interleave.naive").copied().unwrap_or(0) > 1);
-        assert_eq!(counters.get("check.interleave.deadlocks"), Some(&0));
-        assert!(
-            counters
-                .get("check.absint.parametric")
-                .copied()
-                .unwrap_or(0)
-                > 0
-        );
     }
 
     #[test]

@@ -28,7 +28,8 @@
 //!    on every probe;
 //! 2. **probes** the configuration at a window of small sizes through
 //!    the real pipeline and the real discrete-event engine (the
-//!    *validation oracle*, [`loom_machine::oracle_summary`]);
+//!    *validation oracle*, [`loom_machine::simulate_scratch`], the
+//!    same entry the explorer simulates through);
 //! 3. **fits** each quantity as a quasi-polynomial by finite
 //!    differences, per residue class, trying periods in ascending
 //!    order; a fit is accepted only if it also reproduces at least two
@@ -53,7 +54,7 @@
 
 use crate::pipeline::MachineOptions;
 use loom_loopir::{DepOptions, LoopNest, Point};
-use loom_machine::{oracle_summary, simulate_scratch, Program, SimConfig, SimScratch, Topology};
+use loom_machine::{simulate_scratch, Program, SimConfig, SimScratch, Topology};
 use loom_partition::{partition, PartitionConfig, Partitioning};
 use std::collections::BTreeMap;
 
@@ -595,8 +596,8 @@ impl ProbeCache {
         );
         let max_proc_flops = {
             let mut per_proc = vec![0u64; num_procs];
-            for (t, &f) in program.task_flops.iter().enumerate() {
-                per_proc[program.proc_of[t] as usize] += f;
+            for &q in &program.proc_of {
+                per_proc[q as usize] += program.flops;
             }
             per_proc.into_iter().max().unwrap_or(0) as i128
         };
@@ -609,21 +610,16 @@ impl ProbeCache {
             record_trace: profile,
             collect_metrics: profile,
         };
-        let (makespan, messages, prof) = if profile {
-            let report = simulate_scratch(&program, &sim_cfg, scratch)
-                .map_err(|e| format!("probe simulation failed at size {n}: {e:?}"))?;
+        let report = simulate_scratch(&program, &sim_cfg, scratch)
+            .map_err(|e| format!("probe simulation failed at size {n}: {e:?}"))?;
+        let (makespan, messages) = (report.makespan, report.messages);
+        let prof = if profile {
             let cp = loom_machine::critical_path(&program, &sim_cfg, &report)
                 .map_err(|e| format!("probe profiling failed at size {n}: {e:?}"))?;
             let a = cp.components;
-            (
-                report.makespan,
-                report.messages,
-                Some((a.compute as i128, a.startup as i128, a.transit as i128)),
-            )
+            Some((a.compute as i128, a.startup as i128, a.transit as i128))
         } else {
-            let s = oracle_summary(&program, &sim_cfg, scratch)
-                .map_err(|e| format!("probe simulation failed at size {n}: {e:?}"))?;
-            (s.makespan, s.messages, None)
+            None
         };
         // LC011 cross-check: the AP-overlap traffic summary must agree
         // with the engine's message count (unbatched runs only — the

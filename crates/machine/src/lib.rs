@@ -60,7 +60,7 @@ pub use metrics::SimMetrics;
 pub use profile::{critical_path, critical_path_top_k, Attribution, CriticalPathReport};
 pub use program::Program;
 pub use sim::{
-    oracle_summary, simulate, simulate_scratch, simulate_with_faults, simulate_with_faults_scratch,
-    OracleSummary, SimConfig, SimError, SimReport, SimScratch,
+    simulate, simulate_scratch, simulate_with_faults, simulate_with_faults_scratch, SimConfig,
+    SimError, SimReport, SimScratch,
 };
 pub use topology::Topology;

@@ -437,8 +437,7 @@ impl<'a> Walker<'a> {
                         visited.insert(Visit::Task(i));
                         let rec = self.trace[i];
                         let dur = end - start;
-                        let nominal =
-                            self.program.task_flops[rec.task as usize] * self.config.params.t_calc;
+                        let nominal = self.program.flops * self.config.params.t_calc;
                         let slow = dur.saturating_sub(nominal);
                         components.compute += dur - slow;
                         components.fault_recovery += slow;

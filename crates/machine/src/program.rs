@@ -4,27 +4,17 @@ use loom_partition::Partitioning;
 
 /// A dependence-graph program ready for simulation: tasks with
 /// hyperplane priorities, dependence arcs, and a processor assignment.
-///
-/// Two granularities produce programs: *fine* (one task per iteration,
-/// [`Program::from_partitioning`]) and *coarse* (one task per
-/// block × hyperplane step with per-step aggregated messages,
-/// [`Program::from_partitioning_coarse`] — the execution model §IV's
-/// cost analysis assumes).
+/// [`Program::from_partitioning`] builds one task per iteration.
 #[derive(Clone, Debug)]
 pub struct Program {
     /// Hyperplane step of each task, used as the dispatch priority.
     pub step_of: Vec<i64>,
-    /// Dependence arcs `(src, dst)` by task id.
+    /// Dependence arcs `(src, dst)` by task id; each remote arc carries
+    /// `SimConfig::words_per_arc` words.
     pub arcs: Vec<(u32, u32)>,
-    /// Words carried per arc, aligned with `arcs` (fine-grain programs
-    /// use 1 and let `SimConfig::words_per_arc` scale it).
-    pub arc_words: Vec<u64>,
     /// Processor of each task.
     pub proc_of: Vec<u32>,
-    /// Per-task flop counts.
-    pub task_flops: Vec<u64>,
-    /// Flops per task for uniform (fine-grain) programs — kept for the
-    /// paper's `2W·t_calc` accounting; equals `task_flops[i]` there.
+    /// Flops per task (the paper's `2W·t_calc` accounting).
     pub flops: u64,
     /// Number of processors.
     pub num_procs: usize,
@@ -72,94 +62,10 @@ impl Program {
         let proc_of: Vec<u32> = (0..cs.len())
             .map(|id| proc_of_block[p.block_of(id)] as u32)
             .collect();
-        let n = step_of.len();
-        let n_arcs = arcs.len();
         Program {
             step_of,
             arcs,
-            arc_words: vec![1; n_arcs],
             proc_of,
-            task_flops: vec![flops; n],
-            flops,
-            num_procs,
-        }
-    }
-
-    /// Build a *coarse-grain* program: one task per (block, hyperplane
-    /// step) executing all of the block's iterations at that step, with
-    /// cross-block dependences aggregated into one arc per
-    /// (src task, dst task) whose word count is the number of underlying
-    /// iteration-level arcs — the "send the step's boundary values
-    /// together" model of the paper's §IV analysis.
-    pub fn from_partitioning_coarse(
-        p: &Partitioning,
-        proc_of_block: &[usize],
-        num_procs: usize,
-        flops: u64,
-    ) -> Program {
-        assert_eq!(
-            proc_of_block.len(),
-            p.num_blocks(),
-            "assignment/blocks mismatch"
-        );
-        assert!(proc_of_block.iter().all(|&x| x < num_procs));
-        let cs = p.structure();
-        let pi = p.time_fn();
-
-        // Task = (block, step) with at least one iteration.
-        use std::collections::BTreeMap;
-        let mut task_of: BTreeMap<(usize, i64), u32> = BTreeMap::new();
-        let mut step_of: Vec<i64> = Vec::new();
-        let mut proc_of: Vec<u32> = Vec::new();
-        let mut task_flops: Vec<u64> = Vec::new();
-        let mut point_task: Vec<u32> = vec![0; cs.len()];
-        #[allow(clippy::needless_range_loop)]
-        for id in 0..cs.len() {
-            let b = p.block_of(id);
-            let s = pi.time_of(&cs.points()[id]);
-            let t = *task_of.entry((b, s)).or_insert_with(|| {
-                step_of.push(s);
-                proc_of.push(proc_of_block[b] as u32);
-                task_flops.push(0);
-                (step_of.len() - 1) as u32
-            });
-            task_flops[t as usize] += flops;
-            point_task[id] = t;
-        }
-
-        // Aggregate iteration arcs into task arcs with word counts;
-        // same-task arcs vanish (intra-task sequencing).
-        let mut agg: BTreeMap<(u32, u32), u64> = BTreeMap::new();
-        for id in 0..cs.len() {
-            for (succ, _) in cs.successors(id) {
-                let (a, b) = (point_task[id], point_task[succ]);
-                if a != b {
-                    *agg.entry((a, b)).or_insert(0) += 1;
-                }
-            }
-        }
-        let mut arcs = Vec::with_capacity(agg.len());
-        let mut arc_words = Vec::with_capacity(agg.len());
-        for ((a, b), w) in agg {
-            debug_assert!(
-                step_of[a as usize] < step_of[b as usize],
-                "coarse arcs must advance in time"
-            );
-            arcs.push((a, b));
-            // Same-processor arcs carry no words (sequencing only).
-            arc_words.push(if proc_of[a as usize] == proc_of[b as usize] {
-                0
-            } else {
-                w
-            });
-        }
-
-        Program {
-            step_of,
-            arcs,
-            arc_words,
-            proc_of,
-            task_flops,
             flops,
             num_procs,
         }
@@ -180,14 +86,10 @@ impl Program {
             "arc endpoint out of range"
         );
         assert!(proc_of.iter().all(|&p| (p as usize) < num_procs));
-        let n = step_of.len();
-        let n_arcs = arcs.len();
         Program {
             step_of,
             arcs,
-            arc_words: vec![1; n_arcs],
             proc_of,
-            task_flops: vec![flops; n],
             flops,
             num_procs,
         }
@@ -200,11 +102,6 @@ impl Program {
             .iter()
             .filter(|&&(a, b)| self.proc_of[a as usize] != self.proc_of[b as usize])
             .count()
-    }
-
-    /// Total flops across all tasks.
-    pub fn total_flops(&self) -> u64 {
-        self.task_flops.iter().sum()
     }
 }
 
@@ -239,40 +136,6 @@ mod tests {
         // One block per proc → remote = the 12 interblock arcs.
         let spread = Program::from_partitioning(&p, &[0, 1, 2, 3], 4, 3);
         assert_eq!(spread.remote_arcs(), 12);
-    }
-
-    #[test]
-    fn coarse_program_aggregates() {
-        let p = l1();
-        let fine = Program::from_partitioning(&p, &[0, 0, 1, 1], 2, 3);
-        let coarse = Program::from_partitioning_coarse(&p, &[0, 0, 1, 1], 2, 3);
-        // A corollary of Theorem 1: a Sheu–Tai block holds at most one
-        // iteration per hyperplane step, so (block, step) tasks are in
-        // bijection with iterations — coarse task count equals fine.
-        assert_eq!(coarse.len(), fine.len());
-        assert_eq!(coarse.total_flops(), fine.total_flops());
-        // Same-processor arcs were demoted to zero-word sequencing.
-        assert!(coarse
-            .arcs
-            .iter()
-            .zip(&coarse.arc_words)
-            .all(|(&(a, b), &w)| {
-                (coarse.proc_of[a as usize] == coarse.proc_of[b as usize]) == (w == 0)
-            }));
-        // Coarse remote arcs aggregate multiple words.
-        let remote_words: u64 = coarse
-            .arcs
-            .iter()
-            .zip(&coarse.arc_words)
-            .filter(|(&(a, b), _)| coarse.proc_of[a as usize] != coarse.proc_of[b as usize])
-            .map(|(_, &w)| w)
-            .sum();
-        // Total remote words equal the fine-grain remote arc count.
-        assert_eq!(remote_words as usize, fine.remote_arcs());
-        // Arcs always advance in step.
-        for &(a, b) in &coarse.arcs {
-            assert!(coarse.step_of[a as usize] < coarse.step_of[b as usize]);
-        }
     }
 
     #[test]

@@ -274,7 +274,7 @@ struct Proc {
 /// before use; only spare capacity is carried over.
 #[derive(Default)]
 pub struct SimScratch {
-    out: Vec<Vec<(u32, u64)>>,
+    out: Vec<Vec<u32>>,
     indeg: Vec<u32>,
     proc_of: Vec<u32>,
     done: Vec<bool>,
@@ -317,7 +317,7 @@ struct RetryState {
 struct Engine<'a> {
     program: &'a Program,
     config: &'a SimConfig,
-    out: Vec<Vec<(u32, u64)>>,
+    out: Vec<Vec<u32>>,
     indeg: Vec<u32>,
     /// Mutable task→processor map; diverges from `program.proc_of`
     /// only when `Remap` recovery moves tasks off a crashed processor.
@@ -368,9 +368,9 @@ impl<'a> Engine<'a> {
         let mut indeg = std::mem::take(&mut scratch.indeg);
         indeg.clear();
         indeg.resize(n_tasks, 0);
-        // Adjacency (successor, words) and in-degrees.
-        for (k, &(a, b)) in program.arcs.iter().enumerate() {
-            out[a as usize].push((b, program.arc_words[k]));
+        // Adjacency and in-degrees.
+        for &(a, b) in &program.arcs {
+            out[a as usize].push(b);
             indeg[b as usize] += 1;
         }
         let mut proc_of = std::mem::take(&mut scratch.proc_of);
@@ -450,8 +450,8 @@ impl<'a> Engine<'a> {
         }));
     }
 
-    fn dur_of(&self, task: u32) -> u64 {
-        self.program.task_flops[task as usize] * self.config.params.t_calc
+    fn dur_of(&self) -> u64 {
+        self.program.flops * self.config.params.t_calc
     }
 
     /// Retire one incoming arc of `w`; returns the owner processor when
@@ -522,7 +522,7 @@ impl<'a> Engine<'a> {
     }
 
     fn start_task(&mut self, p: usize, now: u64, task: u32) {
-        let mut dur = self.dur_of(task);
+        let mut dur = self.dur_of();
         if let Some(f) = self.faults.as_mut() {
             if f.has_slow && dur > 0 {
                 // The slowdown factor at the start tick governs the
@@ -816,7 +816,7 @@ impl<'a> Engine<'a> {
                 self.running[p] = None;
                 start
             }
-            _ => now.saturating_sub(self.dur_of(task)),
+            _ => now.saturating_sub(self.dur_of()),
         };
         self.done[task as usize] = true;
         self.completed += 1;
@@ -830,14 +830,14 @@ impl<'a> Engine<'a> {
             });
         }
         // Local arcs complete immediately; remote arcs queue sends.
-        let mut remote: Vec<(u32, u32, u64)> = Vec::new(); // (dst_proc, dst_task, words)
+        let mut remote: Vec<(u32, u32)> = Vec::new(); // (dst_proc, dst_task)
         for i in 0..self.out[task as usize].len() {
-            let (w, arc_w) = self.out[task as usize][i];
+            let w = self.out[task as usize][i];
             let q = self.proc_of[w as usize];
             if q as usize == p {
                 self.complete_arc(w);
             } else {
-                remote.push((q, w, arc_w));
+                remote.push((q, w));
             }
         }
         if self.config.batch_messages {
@@ -846,27 +846,25 @@ impl<'a> Engine<'a> {
             while i < remote.len() {
                 let dst = remote[i].0;
                 let mut tasks = Vec::new();
-                let mut words = 0u64;
                 while i < remote.len() && remote[i].0 == dst {
                     tasks.push(remote[i].1);
-                    words += remote[i].2 * self.config.words_per_arc;
                     i += 1;
                 }
                 self.procs[p].sends.push_back(PendingSend {
                     dst_proc: dst,
                     src_task: task,
+                    words: tasks.len() as u64 * self.config.words_per_arc,
                     tasks,
-                    words,
                     attempt: 0,
                 });
             }
         } else {
-            for (dst, w, arc_w) in remote {
+            for (dst, w) in remote {
                 self.procs[p].sends.push_back(PendingSend {
                     dst_proc: dst,
                     src_task: task,
                     tasks: vec![w],
-                    words: arc_w * self.config.words_per_arc,
+                    words: self.config.words_per_arc,
                     attempt: 0,
                 });
             }
@@ -1114,39 +1112,6 @@ pub fn simulate_scratch(
     scratch: &mut SimScratch,
 ) -> Result<SimReport, SimError> {
     Engine::new(program, config, None, scratch)?.run(scratch)
-}
-
-/// One probe's result, reduced to the quantities the symbolic cost
-/// engine fits closed forms over. Everything else (traces, metrics,
-/// per-processor detail) is deliberately dropped: the oracle protocol
-/// is "same numbers or the derivation is wrong".
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OracleSummary {
-    /// Simulated makespan in ticks.
-    pub makespan: u64,
-    /// Messages sent (after batching, when configured).
-    pub messages: u64,
-    /// Words moved.
-    pub words: u64,
-}
-
-/// The validation-oracle entry point of `loom_core::symbolic_cost`:
-/// simulate `program` and return only the closed-form-checkable
-/// summary. Identical to [`simulate_scratch`] underneath — the symbolic
-/// engine's probes and its final validation runs go through the *same*
-/// discrete-event engine the explorer uses, so "symbolic == simulated"
-/// is a statement about one engine, not two.
-pub fn oracle_summary(
-    program: &Program,
-    config: &SimConfig,
-    scratch: &mut SimScratch,
-) -> Result<OracleSummary, SimError> {
-    let report = simulate_scratch(program, config, scratch)?;
-    Ok(OracleSummary {
-        makespan: report.makespan,
-        messages: report.messages,
-        words: report.words,
-    })
 }
 
 /// Run the program under a deterministic fault plan.

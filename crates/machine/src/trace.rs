@@ -90,27 +90,6 @@ pub fn verify_trace(program: &Program, trace: &[TaskRecord]) -> Vec<TraceViolati
     violations
 }
 
-/// Render a trace as Chrome trace-viewer JSON (`chrome://tracing`,
-/// Perfetto, or Speedscope all open it): one complete event per task,
-/// one row per processor. Times are emitted in microseconds 1:1 with
-/// simulator ticks.
-pub fn to_chrome_json(trace: &[TaskRecord]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in trace.iter().enumerate() {
-        let sep = if i + 1 == trace.len() { "" } else { "," };
-        out.push_str(&format!(
-            "  {{\"name\": \"task {}\", \"ph\": \"X\", \"pid\": 0, \"tid\": {}, \"ts\": {}, \"dur\": {}}}{}\n",
-            r.task,
-            r.proc,
-            r.start,
-            r.end - r.start,
-            sep
-        ));
-    }
-    out.push(']');
-    out
-}
-
 /// Render a full simulator report as a Chrome trace-event JSON value
 /// (`chrome://tracing`, Perfetto, or Speedscope all open it): one
 /// thread track per processor carrying nested `B`/`E` slices per task,
@@ -125,19 +104,15 @@ pub fn to_chrome_json(trace: &[TaskRecord]) -> String {
 /// slice on the impacted processor's own track spanning the direct
 /// delay the fault caused there.
 ///
+/// When a [`CriticalPathReport`] is supplied, a `critical path` track
+/// (tid two past the last processor, clear of the `faults` track) gets
+/// one `X` slice per path segment, so the makespan-bounding chain
+/// lights up as its own lane in Perfetto. With `profile: None` no such
+/// track exists.
+///
 /// Returns `None` when the report carries no trace
 /// (`record_trace: false`).
-pub fn chrome_trace(report: &SimReport, num_procs: usize) -> Option<Json> {
-    chrome_trace_annotated(report, num_procs, None)
-}
-
-/// [`chrome_trace`] plus an optional critical-path overlay: when a
-/// [`CriticalPathReport`] is supplied, a `critical path` track (tid two
-/// past the last processor, clear of the `faults` track) gets one `X`
-/// slice per path segment, so the makespan-bounding chain lights up as
-/// its own lane in Perfetto. With `profile: None` the output is
-/// byte-identical to [`chrome_trace`].
-pub fn chrome_trace_annotated(
+pub fn chrome_trace(
     report: &SimReport,
     num_procs: usize,
     profile: Option<&CriticalPathReport>,
@@ -294,33 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn chrome_json_shape() {
-        let trace = vec![
-            TaskRecord {
-                task: 0,
-                proc: 0,
-                start: 0,
-                end: 5,
-            },
-            TaskRecord {
-                task: 1,
-                proc: 1,
-                start: 2,
-                end: 9,
-            },
-        ];
-        let json = to_chrome_json(&trace);
-        assert!(json.starts_with('['));
-        assert!(json.ends_with(']'));
-        assert!(json.contains("\"tid\": 1"));
-        assert!(json.contains("\"dur\": 7"));
-        assert_eq!(json.matches("\"ph\": \"X\"").count(), 2);
-        // No trailing comma before the closing bracket.
-        assert!(!json.contains(",\n]"));
-        assert_eq!(to_chrome_json(&[]), "[\n]");
-    }
-
-    #[test]
     fn chrome_trace_has_per_proc_tracks_and_flows() {
         // A diamond across processors, with metrics for flow arrows.
         let prog = Program::from_parts(
@@ -333,7 +281,7 @@ mod tests {
         let mut cfg = traced_config();
         cfg.collect_metrics = true;
         let r = simulate(&prog, &cfg).unwrap();
-        let json = chrome_trace(&r, 4).unwrap();
+        let json = chrome_trace(&r, 4, None).unwrap();
         let evs = json.as_arr().unwrap();
         // 1 process + 4 thread metadata events.
         let meta = evs
@@ -361,7 +309,7 @@ mod tests {
         let mut no_trace = traced_config();
         no_trace.record_trace = false;
         let r2 = simulate(&prog, &no_trace).unwrap();
-        assert!(chrome_trace(&r2, 4).is_none());
+        assert!(chrome_trace(&r2, 4, None).is_none());
     }
 
     #[test]
@@ -382,7 +330,7 @@ mod tests {
             &FaultConfig::new(plan, RecoveryPolicy::RetryOnly),
         )
         .unwrap();
-        let json = chrome_trace(&r, 4).unwrap();
+        let json = chrome_trace(&r, 4, None).unwrap();
         let evs = json.as_arr().unwrap();
         // The reroute hit materializes the faults track and its pin.
         let instants: Vec<_> = evs
@@ -410,8 +358,16 @@ mod tests {
         .unwrap();
         let base = simulate(&prog, &cfg).unwrap();
         assert_eq!(
-            chrome_trace(&empty, 4).unwrap().as_arr().unwrap().len(),
-            chrome_trace(&base, 4).unwrap().as_arr().unwrap().len()
+            chrome_trace(&empty, 4, None)
+                .unwrap()
+                .as_arr()
+                .unwrap()
+                .len(),
+            chrome_trace(&base, 4, None)
+                .unwrap()
+                .as_arr()
+                .unwrap()
+                .len()
         );
     }
 
@@ -429,15 +385,10 @@ mod tests {
         cfg.collect_metrics = true;
         let r = simulate(&prog, &cfg).unwrap();
         let cp = critical_path(&prog, &cfg, &r).unwrap();
-        // Without a profile, the annotated export IS the plain export.
-        let plain = chrome_trace(&r, 4).unwrap();
-        assert_eq!(
-            chrome_trace_annotated(&r, 4, None).unwrap().render(),
-            plain.render()
-        );
-        // With one, a named track materializes past the fault tid, and
-        // its slices tile the makespan.
-        let annotated = chrome_trace_annotated(&r, 4, Some(&cp)).unwrap();
+        // With a profile, a named track materializes past the fault
+        // tid, and its slices tile the makespan.
+        let plain = chrome_trace(&r, 4, None).unwrap();
+        let annotated = chrome_trace(&r, 4, Some(&cp)).unwrap();
         let evs = annotated.as_arr().unwrap();
         assert!(evs.len() > plain.as_arr().unwrap().len());
         let cp_slices: Vec<_> = evs

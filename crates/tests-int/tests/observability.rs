@@ -122,14 +122,14 @@ const GOLDEN: &str = r#"[
 #[test]
 fn chrome_trace_golden_two_proc() {
     let (_, report) = two_proc_report();
-    let json = chrome_trace(&report, 2).unwrap();
+    let json = chrome_trace(&report, 2, None).unwrap();
     assert_eq!(json.render_pretty(), GOLDEN);
 }
 
 #[test]
 fn chrome_trace_is_valid_and_nested() {
     let (_, report) = two_proc_report();
-    let json = chrome_trace(&report, 2).unwrap();
+    let json = chrome_trace(&report, 2, None).unwrap();
     // Valid JSON: the exporter's own parser round-trips it.
     let reparsed = Json::parse(&json.render_pretty()).unwrap();
     assert_eq!(reparsed, json);

@@ -9,15 +9,15 @@
 //! human and the JSON rendering.
 
 use loom_check::{
-    check_gray, check_legality, check_lemma1, check_pipeline, check_races, PipelineCheck, Report,
-    Severity,
+    check_gray, check_legality, check_lemma1, check_pipeline_mode, check_races, CheckMode,
+    PipelineCheck, Report, Severity,
 };
 use loom_codegen::{generate, Op};
 use loom_exec::memory::address_hash_init;
 use loom_exec::{equivalent, execute_in_order, sequential, Divergence};
 use loom_hyperplane::TimeFn;
 use loom_mapping::map_partitioning;
-use loom_obs::SplitMix64;
+use loom_obs::{Recorder, SplitMix64};
 use loom_partition::{partition, PartitionConfig, Partitioning, Tig};
 use loom_workloads::Workload;
 
@@ -114,15 +114,19 @@ fn random_pi_legality_matches_exec_oracle() {
 fn all_builtin_workloads_check_clean() {
     for w in loom_workloads::all_default() {
         let (p, tig, assignment) = pipeline_artifacts(&w, 1);
-        let report = check_pipeline(&PipelineCheck {
-            nest: &w.nest,
-            deps: &w.deps,
-            pi: &TimeFn::new(w.pi.clone()),
-            partitioning: &p,
-            tig: &tig,
-            assignment: &assignment,
-            cube_dim: 1,
-        });
+        let report = check_pipeline_mode(
+            &PipelineCheck {
+                nest: &w.nest,
+                deps: &w.deps,
+                pi: &TimeFn::new(w.pi.clone()),
+                partitioning: &p,
+                tig: &tig,
+                assignment: &assignment,
+                cube_dim: 1,
+            },
+            CheckMode::Enumerative,
+            &Recorder::disabled(),
+        );
         assert!(
             !report.has_errors(),
             "{}:\n{}",
