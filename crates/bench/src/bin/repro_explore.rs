@@ -115,19 +115,24 @@ fn low_latency() -> MachineParams {
 struct SymLeg {
     ranked: Vec<Candidate>,
     micros: u64,
+    routed: u64,
     exact: u64,
     fallback: u64,
     probe_points: u64,
 }
 
-/// One `--symbolic` sweep: derive closed forms per (Π, grouping) pair,
-/// evaluate at `size`, fall back to the simulator only on `Unknown`.
+/// One `--symbolic` sweep: derive closed forms per (Π, grouping) pair
+/// within `budget` probe points, evaluate at `size`, fall back to the
+/// simulator only on `Unknown` — or, when the budget would pay for
+/// validating every candidate at the target itself, route the whole
+/// sweep to the simulator.
 fn run_symbolic(
     name: &str,
     size: i64,
     pi_bound: i64,
     cube_dims: &[usize],
     params: MachineParams,
+    budget: u64,
 ) -> SymLeg {
     let fam = loom_workloads::family_of(name, None).expect("builtin family");
     let nest = fam(size).nest;
@@ -140,7 +145,10 @@ fn run_symbolic(
         symbolic: Some(SymbolicExplore {
             family: Arc::new(move |n| fam(n).nest),
             size,
-            opts: DeriveOptions::default(),
+            opts: DeriveOptions {
+                max_probe_points: budget,
+                ..DeriveOptions::default()
+            },
         }),
         ..config(pi_bound, THREADS, true)
     };
@@ -151,6 +159,7 @@ fn run_symbolic(
     SymLeg {
         ranked,
         micros,
+        routed: counters["explore.symbolic.routed"],
         exact: counters["explore.symbolic.exact"],
         fallback: counters["explore.symbolic.fallback"],
         probe_points: counters["explore.symbolic.probe_points"],
@@ -248,15 +257,20 @@ fn main() {
     // --- symbolic sweep: closed-form T_exec vs the simulating path ---
     //
     // Identity rows run both paths and assert the byte-identical
-    // ranking; the speedup row scales the size until the simulating
-    // path pays millions of points per candidate while the symbolic
-    // path still derives from small probe windows; the final row
-    // evaluates a space the simulator cannot reach at all.
+    // ranking: at the default budget their targets are routed to the
+    // simulator, and the conv and sor rows set a budget that prices the
+    // target out, so they rank by closed forms (with honest fallback).
+    // The speedup rows scale the size until the simulating path pays
+    // millions of points per candidate while the symbolic path still
+    // derives from small probe windows; the final row evaluates a space
+    // the simulator cannot reach at all.
     println!("symbolic explore: closed-form T_exec vs simulating sweep\n");
     let mut st = Table::new([
         "workload",
         "size",
         "machine",
+        "budget",
+        "routed",
         "exact",
         "fallback",
         "baseline_ms",
@@ -271,49 +285,101 @@ fn main() {
         &'static [usize],
         MachineParams,
         &'static str,
+        u64,
     );
-    let ident: &[SymRow] = if smoke {
-        &[(
-            "matvec",
-            12,
-            2,
-            &[0, 1, 2],
-            MachineParams::classic_1991(),
-            "classic_1991",
-        )]
-    } else {
-        &[
+    let default_budget = DeriveOptions::default().max_probe_points;
+    let classic = MachineParams::classic_1991();
+    let conv_priced_out: SymRow = (
+        "conv",
+        500,
+        2,
+        &[0, 1, 2],
+        low_latency(),
+        "low_latency",
+        11_999,
+    );
+    let ident: Vec<SymRow> = if smoke {
+        vec![
             (
                 "matvec",
                 12,
                 2,
                 &[0, 1, 2],
-                MachineParams::classic_1991(),
+                classic,
                 "classic_1991",
+                default_budget,
             ),
-            ("matvec", 24, 2, &[0, 1, 2], low_latency(), "low_latency"),
-            ("conv", 10, 2, &[0, 1, 2], low_latency(), "low_latency"),
+            conv_priced_out,
+        ]
+    } else {
+        vec![
+            (
+                "matvec",
+                12,
+                2,
+                &[0, 1, 2],
+                classic,
+                "classic_1991",
+                default_budget,
+            ),
+            (
+                "matvec",
+                24,
+                2,
+                &[0, 1, 2],
+                low_latency(),
+                "low_latency",
+                default_budget,
+            ),
+            (
+                "conv",
+                10,
+                2,
+                &[0, 1, 2],
+                low_latency(),
+                "low_latency",
+                default_budget,
+            ),
             (
                 "sor",
                 10,
                 2,
                 &[0, 1, 2],
-                MachineParams::classic_1991(),
+                classic,
                 "classic_1991",
+                default_budget,
+            ),
+            conv_priced_out,
+            ("sor", 500, 2, &[0, 1, 2], classic, "classic_1991", 17_999),
+        ]
+    };
+    let speedup_rows: Vec<SymRow> = if smoke {
+        vec![]
+    } else {
+        vec![
+            (
+                "matvec",
+                1024,
+                1,
+                &[1, 2],
+                low_latency(),
+                "low_latency",
+                default_budget,
+            ),
+            (
+                "matvec",
+                2048,
+                1,
+                &[1, 2],
+                low_latency(),
+                "low_latency",
+                default_budget,
             ),
         ]
     };
-    let speedup_rows: &[SymRow] = if smoke {
-        &[]
-    } else {
-        &[
-            ("matvec", 1024, 1, &[1, 2], low_latency(), "low_latency"),
-            ("matvec", 2048, 1, &[1, 2], low_latency(), "low_latency"),
-        ]
-    };
-    for &(name, size, pi_bound, dims, params, mname) in ident.iter().chain(speedup_rows) {
+    for &(name, size, pi_bound, dims, params, mname, budget) in ident.iter().chain(&speedup_rows) {
         let (reference, baseline_us) = run_reference_with(name, size, pi_bound, dims, params);
-        let sym = run_symbolic(name, size, pi_bound, dims, params);
+        let sym = run_symbolic(name, size, pi_bound, dims, params, budget);
         assert_eq!(
             sym.ranked, reference,
             "SYMBOLIC RANKING DIVERGED for {name} at size {size}"
@@ -323,6 +389,8 @@ fn main() {
             name.to_string(),
             format!("{size}"),
             mname.to_string(),
+            format!("{budget}"),
+            format!("{}", sym.routed),
             format!("{}", sym.exact),
             format!("{}", sym.fallback),
             format!("{:.1}", baseline_us as f64 / 1000.0),
@@ -334,6 +402,8 @@ fn main() {
             ("size", Json::from(size)),
             ("machine", Json::from(mname)),
             ("pi_bound", Json::from(pi_bound)),
+            ("budget", Json::from(budget)),
+            ("routed", Json::from(sym.routed)),
             ("exact", Json::from(sym.exact)),
             ("fallback", Json::from(sym.fallback)),
             ("probe_points", Json::from(sym.probe_points)),
@@ -348,16 +418,28 @@ fn main() {
         // simulating path is out of reach, the closed forms evaluate in
         // O(1). Rehearse at a reachable size first: the sweep only runs
         // at M = 10⁶ when no candidate needed the simulator fallback
-        // (one fallback there would BE the unreachable simulation).
-        let rehearsal = run_symbolic("matvec", 64, 1, &[1, 2], low_latency());
+        // (one fallback there would BE the unreachable simulation). The
+        // rehearsal target must be too large to route, or it would
+        // rehearse the simulator instead of the derivation.
+        let rehearsal = run_symbolic("matvec", 1024, 1, &[1, 2], low_latency(), default_budget);
+        assert_eq!(rehearsal.routed, 0, "the rehearsal must derive");
         if rehearsal.fallback == 0 {
-            let sym = run_symbolic("matvec", 1_000_000, 1, &[1, 2], low_latency());
-            assert_eq!(sym.fallback, 0, "10^6 sweep must not simulate");
+            let sym = run_symbolic(
+                "matvec",
+                1_000_000,
+                1,
+                &[1, 2],
+                low_latency(),
+                default_budget,
+            );
+            assert_eq!(sym.routed + sym.fallback, 0, "10^6 sweep must not simulate");
             let best = &sym.ranked[0];
             st.row([
                 "matvec".to_string(),
                 "1000000".to_string(),
                 "low_latency".to_string(),
+                format!("{default_budget}"),
+                format!("{}", sym.routed),
                 format!("{}", sym.exact),
                 format!("{}", sym.fallback),
                 "unreachable".to_string(),
@@ -369,7 +451,9 @@ fn main() {
                 ("size", Json::from(1_000_000i64)),
                 ("machine", Json::from("low_latency")),
                 ("pi_bound", Json::from(1i64)),
+                ("budget", Json::from(default_budget)),
                 ("space_points", Json::from(2_000_000_000_000u64)),
+                ("routed", Json::from(sym.routed)),
                 ("exact", Json::from(sym.exact)),
                 ("fallback", Json::from(sym.fallback)),
                 ("probe_points", Json::from(sym.probe_points)),
@@ -379,7 +463,7 @@ fn main() {
             ]));
         } else {
             println!(
-                "skipping the 10^6 row: rehearsal at size 64 needed {} fallback(s)",
+                "skipping the 10^6 row: rehearsal at size 1024 needed {} fallback(s)",
                 rehearsal.fallback
             );
         }

@@ -492,9 +492,9 @@ fn cmd_partition(a: &Args) -> Result<(), CliError> {
     );
     println!(
         "arcs: {} total, {} interblock ({:.0}%)",
-        stage.comm.total_arcs,
-        stage.comm.interblock_arcs,
-        100.0 * stage.comm.interblock_fraction()
+        stage.comm().total_arcs,
+        stage.comm().interblock_arcs,
+        100.0 * stage.comm().interblock_fraction()
     );
     if a.switch("blocks") {
         for (b, block) in p.blocks().iter().enumerate() {
@@ -529,7 +529,7 @@ fn cmd_map(a: &Args) -> Result<(), CliError> {
         ]);
     }
     println!("{t}");
-    let q = loom_mapping::metrics::evaluate(&stage.tig, mapping.assignment(), mapping.cube());
+    let q = loom_mapping::metrics::evaluate(stage.tig(), mapping.assignment(), mapping.cube());
     println!("quality: {q}");
     Ok(())
 }
@@ -796,7 +796,7 @@ fn cmd_viz(a: &Args) -> Result<(), CliError> {
         println!("{}", loom_viz::group_graph_dot(&stage.partitioning));
         println!(
             "{}",
-            loom_viz::tig_dot(&stage.tig, Some(mapping.assignment()))
+            loom_viz::tig_dot(stage.tig(), Some(mapping.assignment()))
         );
         return Ok(());
     }
@@ -890,6 +890,7 @@ fn cmd_explore(a: &Args) -> Result<(), CliError> {
         ];
         if cfg.symbolic.is_some() {
             fields.extend([
+                ("symbolic_routed", count("explore.symbolic.routed")),
                 ("symbolic_exact", count("explore.symbolic.exact")),
                 ("symbolic_fallback", count("explore.symbolic.fallback")),
                 (
@@ -902,7 +903,17 @@ fn cmd_explore(a: &Args) -> Result<(), CliError> {
             .map_err(|e| CliError::failed(format!("cannot write {path}: {e}")))?;
         eprintln!("bench summary written to {path}");
     }
-    if cfg.symbolic.is_some() {
+    if let Some(sym) = &cfg.symbolic {
+        let routed = get("explore.symbolic.routed");
+        if routed > 0 {
+            eprintln!(
+                "symbolic: target ranked by simulation (2 x {} cubes x {} points \
+                 <= budget {}): {routed} candidates routed",
+                dims.len(),
+                nest.space().count(),
+                sym.opts.max_probe_points,
+            );
+        }
         eprintln!(
             "symbolic: {} exact, {} fallback, {} infeasible \
              ({} probe sims, {} probe points)",

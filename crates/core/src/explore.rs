@@ -15,6 +15,17 @@
 //!   symbolic cost engine's `T_exec` at the target size, falling back
 //!   to the simulator per candidate when no exact form is derived.
 //!
+//! The closed form is priced before it is paid for. Once per sweep, a
+//! target the probe budget would let the derivation validate on every
+//! machine size (`2·|cube_dims|·|T| ≤ max_probe_points`, where each
+//! validation probe at the target is one partitioning plus one
+//! simulation) is **routed** to the simulating oracle, pruning
+//! included: the derivation would simulate the target anyway, so it
+//! could only add its probe window to the cost. The rule reads only the
+//! lattice size, the machine-size count and the budget;
+//! `explore.symbolic.routed` counts the candidates it sent to the
+//! simulator.
+//!
 //! The sweep is organised for throughput without giving up determinism
 //! (see `docs/PERFORMANCE.md`):
 //!
@@ -33,8 +44,9 @@
 //!   and is skipped (`explore.pruned` counts them). Pruning is disabled
 //!   when `top == 0` (every candidate is kept), under fault injection
 //!   (crash remap can beat the fault-free bound), and under the
-//!   closed-form oracle (a form claimed exact is not a simulated
-//!   makespan, so it must never tighten the gate).
+//!   closed-form oracle unless the sweep was routed (a form claimed
+//!   exact is not a simulated makespan, so it must never tighten the
+//!   gate).
 //!
 //! The ranked candidate list is **byte-identical** across thread counts
 //! and with pruning on or off; `tests-int/tests/explore.rs` asserts it
@@ -72,16 +84,25 @@ pub struct Candidate {
 ///
 /// `nest` passed to [`explore_with`] **must** be `family(size)`'s nest
 /// — the closed forms are derived over `family` and evaluated at
-/// `size`, while dependence extraction and Π enumeration read the nest.
+/// `size`, while dependence extraction, Π enumeration and every
+/// simulation read the nest. The sweep checks it and fails with
+/// [`PipelineError::FamilyMismatch`] otherwise, whichever oracle it
+/// would have used.
 /// A configuration whose derivation comes back [`Derivation::Unknown`]
 /// falls back to simulating at the target size (counted by
 /// `explore.symbolic.fallback`), so the ranking is always populated;
 /// [`Derivation::Infeasible`] configurations are skipped exactly as the
 /// simulator skips partition/mapping failures.
 ///
-/// Pruning does not apply, and `machine.static_check` is honoured only
-/// on the fallback path — an exact candidate never materialises its
-/// target-size partitioning.
+/// `opts.max_probe_points` (the CLI's `--symbolic-budget`) is what the
+/// derivation of one (Π, grouping) pair may spend on probes. When that
+/// budget would already pay for validating each of the pair's
+/// candidates at the target (`2·|cube_dims|·|T| ≤ max_probe_points`),
+/// the sweep is routed: it simulates, with pruning and the static check
+/// exactly as without `symbolic`, and records `explore.symbolic.routed`.
+/// Otherwise pruning does not apply, and `machine.static_check` is
+/// honoured only on the fallback path — an exact candidate never
+/// materialises its target-size partitioning.
 #[derive(Clone)]
 pub struct SymbolicExplore {
     /// The size family the explored nest belongs to.
@@ -194,8 +215,14 @@ impl PruneGate {
         }
     }
 
+    /// `true` once `cap` makespans are recorded: before that no bound
+    /// can prune, so callers skip computing one.
+    fn is_full(&self) -> bool {
+        self.cap > 0 && self.heap.len() == self.cap
+    }
+
     fn should_prune(&self, bound: u64) -> bool {
-        self.cap > 0 && self.heap.len() == self.cap && bound > *self.heap.peek().unwrap()
+        self.is_full() && bound > *self.heap.peek().unwrap()
     }
 
     fn record(&mut self, makespan: u64) {
@@ -209,6 +236,17 @@ impl PruneGate {
             self.heap.push(makespan);
         }
     }
+}
+
+/// Route before probing: `true` when the probe budget would let
+/// [`symbolic_cost::derive`] validate every one of a pair's `cubes`
+/// candidates at the target itself — a validation probe costs one
+/// partitioning plus one simulation, `2·|T|` points — so a closed form
+/// could only add its probe window to simulating the target. Counting
+/// stops at the cap, so a 10¹²-point target costs a few rows.
+fn routed(target: &LoopNest, cubes: usize, opts: &DeriveOptions) -> bool {
+    let cap = opts.max_probe_points / (2 * cubes.max(1) as u64);
+    target.space().count_at_most(cap).is_some()
 }
 
 /// Rank candidates by makespan — ties break toward smaller |Π|₁, then
@@ -321,9 +359,10 @@ impl Counts {
 /// order winning whatever order the workers hit them in.
 ///
 /// Records `explore.candidates` / `explore.simulated` counters, plus
-/// `explore.pruned` when simulating or `explore.symbolic.*` under the
-/// closed-form oracle, `pool.*` counters and per-worker busy spans, and
-/// an `explore.total` span around the sweep.
+/// `explore.pruned` when simulating (routed sweeps included), the full
+/// `explore.symbolic.*` set whenever `config.symbolic` is set (zeros
+/// but `routed` on a routed sweep), `pool.*` counters and per-worker
+/// busy spans, and an `explore.total` span around the sweep.
 pub fn explore_with(
     nest: &LoopNest,
     cube_dims: &[usize],
@@ -347,22 +386,31 @@ pub fn explore_with_deps(
     let _total = recorder.span("explore.total");
     let pis = legal_pis(nest, &deps, config.pi_bound);
     let pipeline = Pipeline::new(nest.clone());
+    let routed = match &config.symbolic {
+        None => false,
+        Some(sym) => {
+            if (sym.family)(sym.size) != *nest {
+                return Err(PipelineError::FamilyMismatch { size: sym.size });
+            }
+            routed(nest, cube_dims.len(), &sym.opts)
+        }
+    };
+    let symbolic = config.symbolic.as_ref().filter(|_| !routed);
 
     // One work item per (Π, grouping) pair: the partitioning prefix of
     // the pipeline runs once per pair and is completed per cube_dim.
     let pairs: Vec<(usize, usize)> = (0..pis.len())
         .flat_map(|p| (0..deps.len()).map(move |g| (p, g)))
         .collect();
-    recorder.add("explore.candidates", (pairs.len() * cube_dims.len()) as u64);
+    let candidates = (pairs.len() * cube_dims.len()) as u64;
+    recorder.add("explore.candidates", candidates);
 
     // Pruning is sound only when a k-th best exists to compare against
     // (top > 0), the machine is fault-free (crash remap can beat the
     // fault-free lower bound; see A8 in EXPERIMENTS.md), and every
     // makespan in the gate was simulated.
-    let pruning = config.prune
-        && config.top > 0
-        && config.machine.faults.is_none()
-        && config.symbolic.is_none();
+    let pruning =
+        config.prune && config.top > 0 && config.machine.faults.is_none() && symbolic.is_none();
     let gate = Mutex::new(PruneGate::new(if pruning { config.top } else { 0 }));
 
     let pool = Pool::with_recorder(config.threads, recorder.clone());
@@ -400,7 +448,7 @@ pub fn explore_with_deps(
             // the first cube the simulator has to cost.
             let mut stage = None;
             for &cube_dim in cube_dims {
-                if let Some(sym) = &config.symbolic {
+                if let Some(sym) = symbolic {
                     let derived = symbolic_cost::derive(
                         &*sym.family,
                         &deps,
@@ -463,7 +511,7 @@ pub fn explore_with_deps(
                     stage.check_mode(&mapping, mode, &rec)?;
                 }
                 let program = stage.program(&placement);
-                if pruning {
+                if pruning && gate.lock().unwrap().is_full() {
                     // The link-occupancy term is sound only when the
                     // simulation serializes links.
                     let topology = config.machine.link_contention.then(|| target.topology());
@@ -507,9 +555,14 @@ pub fn explore_with_deps(
         total.add(counts);
     }
     recorder.add("explore.simulated", total.simulated);
-    if config.symbolic.is_none() {
+    if symbolic.is_none() {
         recorder.add("explore.pruned", total.pruned);
-    } else {
+    }
+    if config.symbolic.is_some() {
+        recorder.add(
+            "explore.symbolic.routed",
+            if routed { candidates } else { 0 },
+        );
         recorder.add("explore.symbolic.exact", total.exact);
         recorder.add("explore.symbolic.fallback", total.fallback);
         recorder.add("explore.symbolic.infeasible", total.infeasible);
@@ -677,37 +730,103 @@ mod tests {
         assert!(p1 > 0, "top=1 on matvec should prune something");
     }
 
+    fn symbolic_matvec(size: i64, max_probe_points: u64) -> SymbolicExplore {
+        SymbolicExplore {
+            family: std::sync::Arc::new(|n| loom_workloads::matvec::workload(n).nest),
+            size,
+            opts: DeriveOptions {
+                max_probe_points,
+                ..DeriveOptions::default()
+            },
+        }
+    }
+
     #[test]
     fn symbolic_ranking_matches_simulating_explorer() {
-        use crate::symbolic_cost::DeriveOptions;
-        use std::sync::Arc;
-        let size = 14;
+        // A budget below 2·3·|T| prices the 400-point target out on
+        // three cubes, so every candidate reaches the derivation.
+        let size = 20;
         let w = loom_workloads::matvec::workload(size);
         let baseline = explore_reference(&w.nest, &[0, 1, 2], &cfg()).unwrap();
         let rec = Recorder::enabled();
-        let got = explore_with(
-            &w.nest,
-            &[0, 1, 2],
-            &ExploreConfig {
-                symbolic: Some(SymbolicExplore {
-                    family: Arc::new(|n| loom_workloads::matvec::workload(n).nest),
-                    size,
-                    opts: DeriveOptions::default(),
-                }),
-                ..cfg()
-            },
-            &rec,
-        )
-        .unwrap();
+        let config = ExploreConfig {
+            symbolic: Some(symbolic_matvec(size, 799)),
+            ..cfg()
+        };
+        let got = explore_with(&w.nest, &[0, 1, 2], &config, &rec).unwrap();
         assert_eq!(
             got, baseline,
             "symbolic ranking must be byte-identical to the simulating sweep"
         );
         let counters = rec.counters();
-        assert!(
-            counters["explore.symbolic.exact"] > 0,
-            "matvec must derive exactly, not ride the fallback: {counters:?}"
+        let get = |k: &str| counters[k];
+        assert_eq!(
+            [
+                get("explore.symbolic.routed"),
+                get("explore.symbolic.exact"),
+                get("explore.symbolic.fallback"),
+                get("explore.simulated"),
+            ],
+            [0, 2, 4, 4],
+            "matvec must derive exactly, not only ride the fallback: {counters:?}"
         );
+    }
+
+    #[test]
+    fn affordable_symbolic_target_is_routed_to_the_simulator() {
+        let size = 14;
+        let w = loom_workloads::matvec::workload(size);
+        let baseline = explore_reference(&w.nest, &[0, 1, 2], &cfg()).unwrap();
+        let rec = Recorder::enabled();
+        let config = ExploreConfig {
+            symbolic: Some(symbolic_matvec(
+                size,
+                DeriveOptions::default().max_probe_points,
+            )),
+            ..cfg()
+        };
+        let got = explore_with(&w.nest, &[0, 1, 2], &config, &rec).unwrap();
+        assert_eq!(got, baseline);
+        let counters = rec.counters();
+        assert_eq!(
+            counters["explore.symbolic.routed"], counters["explore.candidates"],
+            "{counters:?}"
+        );
+        assert!(counters["explore.candidates"] > 0);
+        for k in [
+            "probe_points",
+            "probe_sims",
+            "exact",
+            "fallback",
+            "infeasible",
+        ] {
+            assert_eq!(counters[&*format!("explore.symbolic.{k}")], 0, "{k}");
+        }
+        assert!(counters.contains_key("explore.pruned"));
+        // The routing boundary on three cubes: 2·3·196 = 1176 points.
+        let opts = |budget| symbolic_matvec(size, budget).opts;
+        assert!(routed(&w.nest, 3, &opts(1176)));
+        assert!(!routed(&w.nest, 3, &opts(1175)));
+        assert!(routed(&w.nest, 1, &opts(392)));
+        assert!(!routed(&w.nest, 1, &opts(391)));
+    }
+
+    #[test]
+    fn symbolic_family_must_be_the_explored_nest() {
+        // matvec 14's family instantiated at 15: a different space, on
+        // the routed path (default budget) and the derived one alike.
+        let w = loom_workloads::matvec::workload(14);
+        for budget in [DeriveOptions::default().max_probe_points, 1] {
+            let config = ExploreConfig {
+                symbolic: Some(symbolic_matvec(15, budget)),
+                ..cfg()
+            };
+            let got = explore_with(&w.nest, &[0, 1, 2], &config, &Recorder::disabled());
+            assert!(
+                matches!(got, Err(PipelineError::FamilyMismatch { size: 15 })),
+                "budget {budget}: {got:?}"
+            );
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@ use loom_mapping::{map_partitioning, Mapping};
 use loom_obs::{Json, Recorder};
 use loom_partition::comm::comm_stats;
 use loom_partition::{partition, CommStats, PartitionConfig, Partitioning, Tig};
+use std::sync::OnceLock;
 
 /// The machine the blocks are mapped onto.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -279,6 +280,13 @@ pub enum PipelineError {
     /// A simulation-derived artifact was requested from a pipeline
     /// configured with `machine: None`, so no simulation ever ran.
     NoSimulation,
+    /// A symbolic exploration's `family(size)` is not the nest being
+    /// explored, so its closed forms would rank a different space than
+    /// the simulator.
+    FamilyMismatch {
+        /// The target size the family was instantiated at.
+        size: i64,
+    },
 }
 
 impl std::fmt::Display for PipelineError {
@@ -299,6 +307,12 @@ impl std::fmt::Display for PipelineError {
                 write!(
                     f,
                     "no simulation: the pipeline ran with machine options disabled"
+                )
+            }
+            PipelineError::FamilyMismatch { size } => {
+                write!(
+                    f,
+                    "symbolic family: family({size}) is not the explored nest"
                 )
             }
         }
@@ -484,10 +498,7 @@ impl Pipeline {
             )
             .map_err(PipelineError::Partition)?
         };
-        let comm = comm_stats(&partitioning);
-        let tig = Tig::from_partitioning(&partitioning);
         recorder.add("pipeline.blocks", partitioning.num_blocks() as u64);
-        recorder.add("pipeline.interblock_arcs", comm.interblock_arcs as u64);
 
         Ok(PartitionedStage {
             nest: &self.nest,
@@ -495,8 +506,8 @@ impl Pipeline {
             pi,
             stmt_offsets,
             partitioning,
-            comm,
-            tig,
+            comm: OnceLock::new(),
+            tig: OnceLock::new(),
         })
     }
 
@@ -564,6 +575,10 @@ pub fn admitted_dependence_vectors(
 /// still have to run; exploration computes one stage per (Π, grouping)
 /// pair and completes it once per machine size, instead of re-running
 /// projection, grouping, and region growing for every `cube_dim`.
+///
+/// The communication statistics and the TIG are built on first use:
+/// simulating a mapping needs neither, so exploration never pays for
+/// them unless it runs the static check.
 #[derive(Clone, Debug)]
 pub struct PartitionedStage<'a> {
     nest: &'a LoopNest,
@@ -576,13 +591,22 @@ pub struct PartitionedStage<'a> {
     pub stmt_offsets: Vec<i64>,
     /// Algorithm 1's partitioning.
     pub partitioning: Partitioning,
-    /// Interblock communication statistics.
-    pub comm: CommStats,
-    /// The Task Interaction Graph of the blocks.
-    pub tig: Tig,
+    comm: OnceLock<CommStats>,
+    tig: OnceLock<Tig>,
 }
 
 impl PartitionedStage<'_> {
+    /// Interblock communication statistics.
+    pub fn comm(&self) -> &CommStats {
+        self.comm.get_or_init(|| comm_stats(&self.partitioning))
+    }
+
+    /// The Task Interaction Graph of the blocks.
+    pub fn tig(&self) -> &Tig {
+        self.tig
+            .get_or_init(|| Tig::from_partitioning(&self.partitioning))
+    }
+
     /// Step 4 — mapping: Algorithm 2 on hypercubes, the extension
     /// allocators on meshes/rings. The hypercube mapping is always
     /// produced (it is the paper's artifact and cheap).
@@ -632,7 +656,7 @@ impl PartitionedStage<'_> {
                 deps: &self.deps,
                 pi: &self.pi,
                 partitioning: &self.partitioning,
-                tig: &self.tig,
+                tig: self.tig(),
                 assignment: mapping.assignment(),
                 cube_dim: mapping.cube().dim(),
             },
@@ -693,6 +717,13 @@ impl PartitionedStage<'_> {
             tig,
             ..
         } = self;
+        let comm = comm
+            .into_inner()
+            .unwrap_or_else(|| comm_stats(&partitioning));
+        let tig = tig
+            .into_inner()
+            .unwrap_or_else(|| Tig::from_partitioning(&partitioning));
+        recorder.add("pipeline.interblock_arcs", comm.interblock_arcs as u64);
         Ok(PipelineOutput {
             deps,
             pi,

@@ -464,21 +464,16 @@ impl ProbeCache {
                             // Count with an early exit: a huge size only
                             // needs to prove "over cap", not its exact
                             // (possibly 10^12) point count — and an
-                            // incomplete count is not memoized.
-                            let nest = family(n);
-                            let mut p = 0u64;
-                            let mut complete = true;
-                            for _ in nest.space().points() {
-                                p += 1;
-                                if cost.saturating_add(p.saturating_mul(2)) > cap {
-                                    complete = false;
-                                    break;
+                            // incomplete count is not memoized. Over the
+                            // cap, charge the first count past the room.
+                            let room = cap.saturating_sub(cost) / 2;
+                            match family(n).space().count_at_most(room) {
+                                Some(p) => {
+                                    self.point_counts.insert(n, p);
+                                    p
                                 }
+                                None => room + 1,
                             }
-                            if complete {
-                                self.point_counts.insert(n, p);
-                            }
-                            p
                         }
                     };
                     cost = cost.saturating_add(pts.saturating_mul(2));
@@ -1074,20 +1069,12 @@ fn partition_series(
 
 /// `true` iff a validation probe at size `n` (one partitioning plus one
 /// simulation, ≈ 2× the point count) fits in the remaining budget. The
-/// lattice is counted with an early exit at the affordable cap, so an
-/// unaffordable size — say a 10^12-point target — costs O(budget)
-/// iterations, never a full enumeration.
+/// lattice is counted row by row with an early exit at the affordable
+/// cap, so an unaffordable size — say a 10^12-point target — costs a
+/// few rows, never a full enumeration.
 fn affordable(family: &dyn Fn(i64) -> LoopNest, n: i64, cache: &ProbeCache, budget: u64) -> bool {
     let cap = budget.saturating_sub(cache.points_spent()) / 2;
-    let nest = family(n);
-    let mut pts = 0u64;
-    for _ in nest.space().points() {
-        pts += 1;
-        if pts > cap {
-            return false;
-        }
-    }
-    true
+    family(n).space().count_at_most(cap).is_some()
 }
 
 /// Oracle-check every fitted component at size `n`. `Ok(false)` means

@@ -2,6 +2,7 @@
 
 use crate::aff::Aff;
 use crate::{Error, Point};
+use std::ops::ControlFlow;
 
 /// The index set `Jⁿ = {(i₁,…,iₙ) | l_j ≤ i_j ≤ u_j}` of an `n`-nested
 /// loop, where each bound is an affine expression that may reference
@@ -109,9 +110,35 @@ impl IterSpace {
             })
     }
 
-    /// Number of index points (exact enumeration for affine bounds).
+    /// Number of index points (exact for affine bounds).
     pub fn count(&self) -> usize {
-        self.points().count()
+        self.count_at_most(u64::MAX).unwrap_or(u64::MAX) as usize
+    }
+
+    /// The number of index points if it is at most `cap`, else `None`.
+    ///
+    /// Walks only the outer `n−1` loops and adds each innermost extent
+    /// `max(0, hi−lo+1)` in O(1), stopping as soon as the total passes
+    /// `cap`: proving a 10¹²-point space over a small cap costs one
+    /// inner row, not a full enumeration.
+    ///
+    /// ```
+    /// use loom_loopir::IterSpace;
+    /// let s = IterSpace::rect(&[1000, 1000]).unwrap();
+    /// assert_eq!(s.count_at_most(1_000_000), Some(1_000_000));
+    /// assert_eq!(s.count_at_most(999_999), None);
+    /// ```
+    pub fn count_at_most(&self, cap: u64) -> Option<u64> {
+        let mut total = 0u64;
+        self.for_each_row(|_, lo, hi| {
+            total = total.saturating_add(hi.abs_diff(lo).saturating_add(1));
+            if total > cap {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        (total <= cap).then_some(total)
     }
 
     /// Iterate over all index points in lexicographic order.
@@ -121,17 +148,67 @@ impl IterSpace {
 
     /// The bounding box `[min_j, max_j]` of each coordinate over the whole
     /// space (used by searches that need a finite coordinate range).
+    /// An empty space yields `(0, −1)` per coordinate.
     pub fn bounding_box(&self) -> Vec<(i64, i64)> {
-        let mut bb: Vec<Option<(i64, i64)>> = vec![None; self.dim()];
-        for p in self.points() {
-            for (j, &x) in p.iter().enumerate() {
-                bb[j] = Some(match bb[j] {
-                    None => (x, x),
-                    Some((lo, hi)) => (lo.min(x), hi.max(x)),
-                });
+        let n = self.dim();
+        let mut bb: Vec<Option<(i64, i64)>> = vec![None; n];
+        self.for_each_row(|prefix, lo, hi| {
+            for (j, slot) in bb.iter_mut().enumerate() {
+                let (a, b) = if j + 1 == n {
+                    (lo, hi)
+                } else {
+                    (prefix[j], prefix[j])
+                };
+                *slot = Some(slot.map_or((a, b), |(l, h)| (l.min(a), h.max(b))));
+            }
+            ControlFlow::Continue(())
+        });
+        bb.into_iter().map(|o| o.unwrap_or((0, -1))).collect()
+    }
+
+    /// Visit every non-empty innermost row in lexicographic order: the
+    /// outer indices (innermost coordinate unspecified) and the row's
+    /// inclusive bounds `lo ≤ hi`. Only the outer `n−1` loops are
+    /// walked; `visit` may stop the walk early.
+    fn for_each_row(&self, mut visit: impl FnMut(&[i64], i64, i64) -> ControlFlow<()>) {
+        let inner = self.dim() - 1;
+        let mut p = vec![0i64; self.dim()];
+        // Upper bound of each outer loop at the current prefix. Bounds
+        // only reference outer indices, so stale inner coordinates in
+        // `p` never affect an evaluation.
+        let mut his = vec![0i64; inner];
+        let mut j = 0;
+        loop {
+            // Enter loops j.. at their lower bounds; an empty loop stops
+            // the descent at `j`.
+            while j < inner {
+                let (lo, hi) = (self.lo[j].eval(&p), self.hi[j].eval(&p));
+                if lo > hi {
+                    break;
+                }
+                p[j] = lo;
+                his[j] = hi;
+                j += 1;
+            }
+            if j == inner {
+                let (lo, hi) = (self.lo[inner].eval(&p), self.hi[inner].eval(&p));
+                if lo <= hi && visit(&p, lo, hi).is_break() {
+                    return;
+                }
+            }
+            // Advance the deepest outer loop that is not exhausted.
+            loop {
+                if j == 0 {
+                    return;
+                }
+                j -= 1;
+                if p[j] < his[j] {
+                    p[j] += 1;
+                    j += 1;
+                    break;
+                }
             }
         }
-        bb.into_iter().map(|o| o.unwrap_or((0, -1))).collect()
     }
 }
 
@@ -298,6 +375,85 @@ mod tests {
         let hi = vec![Aff::constant(n, 3), Aff::constant(n, 5)];
         let s = IterSpace::new(lo, hi).unwrap();
         assert_eq!(s.bounding_box(), vec![(0, 3), (0, 5)]);
+    }
+
+    /// Rectangular, offset, triangular and empty-inner-loop spaces in
+    /// one to three dimensions, plus fully empty ones.
+    fn corpus() -> Vec<IterSpace> {
+        let n = 2;
+        let tri = |lo, hi| IterSpace::new(lo, hi).unwrap();
+        let mut out = vec![
+            IterSpace::rect(&[7]).unwrap(),
+            IterSpace::rect(&[2, 3]).unwrap(),
+            IterSpace::rect(&[4, 4, 4]).unwrap(),
+            IterSpace::rect_bounds(&[1, 1], &[3, 2]).unwrap(),
+            IterSpace::rect_bounds(&[-3, 5, -1], &[2, 7, 1]).unwrap(),
+            IterSpace::rect_bounds(&[2], &[1]).unwrap(),
+            IterSpace::rect_bounds(&[0, 3], &[4, 2]).unwrap(),
+            // for i = 0..=3, for j = 0..=i
+            tri(
+                vec![Aff::constant(n, 0), Aff::constant(n, 0)],
+                vec![Aff::constant(n, 3), Aff::var(n, 0)],
+            ),
+            // for i = 0..=2, for j = i..=1: the i = 2 row is empty.
+            tri(
+                vec![Aff::constant(n, 0), Aff::var(n, 0)],
+                vec![Aff::constant(n, 2), Aff::constant(n, 1)],
+            ),
+            // for i = 0..=3, for j = i..=5
+            tri(
+                vec![Aff::constant(n, 0), Aff::var(n, 0)],
+                vec![Aff::constant(n, 3), Aff::constant(n, 5)],
+            ),
+        ];
+        // for i = 0..=4, for j = 0..=2, for k = i..=j: empty inner rows
+        // whenever i > j, and a middle loop that is never empty.
+        let n = 3;
+        out.push(tri(
+            vec![Aff::constant(n, 0), Aff::constant(n, 0), Aff::var(n, 0)],
+            vec![Aff::constant(n, 4), Aff::constant(n, 2), Aff::var(n, 1)],
+        ));
+        // for i = 0..=4, for j = 2..=i, for k = j..=i: the middle loop
+        // is empty for i < 2.
+        out.push(tri(
+            vec![Aff::constant(n, 0), Aff::constant(n, 2), Aff::var(n, 1)],
+            vec![Aff::constant(n, 4), Aff::var(n, 0), Aff::var(n, 0)],
+        ));
+        out
+    }
+
+    #[test]
+    fn count_equals_enumeration_and_respects_the_cap() {
+        for s in corpus() {
+            let enumerated = s.points().count() as u64;
+            assert_eq!(s.count() as u64, enumerated, "{s:?}");
+            assert_eq!(s.count_at_most(u64::MAX), Some(enumerated), "{s:?}");
+            assert_eq!(s.count_at_most(enumerated), Some(enumerated), "{s:?}");
+            if enumerated > 0 {
+                assert_eq!(s.count_at_most(enumerated - 1), None, "{s:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn bounding_box_equals_enumeration() {
+        for s in corpus() {
+            let mut bb: Vec<Option<(i64, i64)>> = vec![None; s.dim()];
+            for p in s.points() {
+                for (j, &x) in p.iter().enumerate() {
+                    bb[j] = Some(bb[j].map_or((x, x), |(lo, hi)| (lo.min(x), hi.max(x))));
+                }
+            }
+            let expect: Vec<_> = bb.into_iter().map(|o| o.unwrap_or((0, -1))).collect();
+            assert_eq!(s.bounding_box(), expect, "{s:?}");
+        }
+    }
+
+    #[test]
+    fn count_at_most_stops_early_on_a_huge_space() {
+        let s = IterSpace::rect(&[1_000_000, 1_000_000]).unwrap();
+        assert_eq!(s.count_at_most(750_000), None);
+        assert_eq!(s.count(), 1_000_000_000_000);
     }
 
     #[test]

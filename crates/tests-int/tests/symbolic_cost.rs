@@ -172,15 +172,21 @@ fn parallel_closed_forms_match_the_simulator_exactly() {
 }
 
 /// `ExploreConfig::symbolic` returns the byte-identical ranking the
-/// simulating explorer computes — whether candidates derive exactly
-/// (matvec), mix exact and fallback (conv: serial derives, the
-/// parallel cubes hit regime transients), or all ride the fallback
-/// because the probe budget is too small to derive anything (matmul
-/// with a one-point budget) — on every thread count and prune setting.
-/// Pruning never engages under the closed-form oracle, and the serial
-/// sweep's per-oracle counts are pinned: `(simulated, exact, fallback,
-/// infeasible)` with the closed form, `(simulated, pruned)` per prune
-/// setting with the simulator.
+/// simulating explorer computes, on every thread count and prune
+/// setting, along both of its routes:
+///
+/// * **closed form** — each case's budget prices its target out on the
+///   three cubes (`2·3·|T| > budget`), so every candidate reaches
+///   `derive`. Candidates derive exactly (matvec), mix exact, fallback
+///   and infeasible cubes (conv: the budget still pays for fit windows
+///   on some pairs), or all fall back because a one-point budget
+///   derives nothing (matmul). Pruning never
+///   engages, and the serial sweep's `(simulated, exact, fallback,
+///   infeasible)` counts are pinned.
+/// * **routed** — at the default budget these targets are affordable,
+///   so the sweep simulates every candidate with pruning, spends no
+///   probe point, and counts `(simulated, pruned)` exactly as the
+///   simulating sweep does, which is pinned per prune setting.
 #[test]
 fn symbolic_explore_ranking_is_byte_identical_with_honest_fallback() {
     let classic = MachineParams::classic_1991();
@@ -188,32 +194,32 @@ fn symbolic_explore_ranking_is_byte_identical_with_honest_fallback() {
         name: &'static str,
         size: i64,
         params: MachineParams,
-        budget: Option<u64>,
+        budget: u64,
         closed_form: [u64; 4],
         simulate: [(u64, u64); 2],
     }
     let cases = [
         Case {
             name: "matvec",
-            size: 12,
+            size: 24,
             params: classic,
-            budget: None,
-            closed_form: [8, 16, 8, 0],
-            simulate: [(24, 0), (18, 6)],
+            budget: 1151,
+            closed_form: [16, 8, 16, 0],
+            simulate: [(24, 0), (17, 7)],
         },
         Case {
             name: "conv",
-            size: 10,
+            size: 500,
             params: low_latency(),
-            budget: None,
-            closed_form: [16, 14, 16, 6],
-            simulate: [(30, 0), (24, 6)],
+            budget: 11_999,
+            closed_form: [17, 13, 17, 6],
+            simulate: [(30, 0), (25, 5)],
         },
         Case {
             name: "matmul",
             size: 5,
             params: classic,
-            budget: Some(1),
+            budget: 1,
             closed_form: [63, 0, 66, 0],
             simulate: [(63, 0), (30, 33)],
         },
@@ -221,6 +227,12 @@ fn symbolic_explore_ranking_is_byte_identical_with_honest_fallback() {
     for case in cases {
         let fam = loom_workloads::family_of(case.name, None).expect("builtin family");
         let nest = fam(case.size).nest;
+        let points = nest.space().count() as u64;
+        assert!(
+            2 * 3 * points > case.budget,
+            "{}: the closed-form leg must price its target out",
+            case.name
+        );
         let cfg = ExploreConfig {
             pi_bound: 2,
             top: 10,
@@ -230,23 +242,23 @@ fn symbolic_explore_ranking_is_byte_identical_with_honest_fallback() {
             symbolic: None,
         };
         let baseline = explore_reference(&nest, &[0, 1, 2], &cfg).expect("reference explores");
-        let mut opts = DeriveOptions::default();
-        if let Some(b) = case.budget {
-            opts.max_probe_points = b;
-        }
-        let symbolic = SymbolicExplore {
+        let symbolic = |budget: u64| SymbolicExplore {
             family: Arc::new({
                 let fam = fam.clone();
                 move |n| fam(n).nest
             }),
             size: case.size,
-            opts,
+            opts: DeriveOptions {
+                max_probe_points: budget,
+                ..DeriveOptions::default()
+            },
         };
+        let default_budget = DeriveOptions::default().max_probe_points;
         for threads in [1, 4] {
             for prune in [false, true] {
-                for closed_form in [false, true] {
+                for budget in [None, Some(case.budget), Some(default_budget)] {
                     let ctx = format!(
-                        "{} threads={threads} prune={prune} closed_form={closed_form}",
+                        "{} threads={threads} prune={prune} budget={budget:?}",
                         case.name
                     );
                     let rec = Recorder::enabled();
@@ -256,7 +268,7 @@ fn symbolic_explore_ranking_is_byte_identical_with_honest_fallback() {
                         &ExploreConfig {
                             threads,
                             prune,
-                            symbolic: closed_form.then(|| symbolic.clone()),
+                            symbolic: budget.map(symbolic),
                             ..cfg.clone()
                         },
                         &rec,
@@ -265,8 +277,19 @@ fn symbolic_explore_ranking_is_byte_identical_with_honest_fallback() {
                     assert_eq!(got, baseline, "{ctx}: ranking must equal the reference");
                     let counters = rec.counters();
                     let get = |k: &str| counters.get(k).copied().unwrap_or(0);
+                    let closed_form = budget == Some(case.budget);
                     if closed_form {
                         assert_eq!(get("explore.pruned"), 0, "{ctx}: {counters:?}");
+                        assert_eq!(get("explore.symbolic.routed"), 0, "{ctx}: {counters:?}");
+                    }
+                    if budget == Some(default_budget) {
+                        let routed = get("explore.symbolic.routed");
+                        assert_eq!(routed, get("explore.candidates"), "{ctx}: {counters:?}");
+                        assert!(routed > 0, "{ctx}: {counters:?}");
+                        for k in ["probe_points", "probe_sims", "exact", "fallback"] {
+                            let key = format!("explore.symbolic.{k}");
+                            assert_eq!(counters.get(&key), Some(&0), "{ctx}: {counters:?}");
+                        }
                     }
                     if threads > 1 {
                         // Which candidates the shared gate prunes
@@ -288,6 +311,43 @@ fn symbolic_explore_ranking_is_byte_identical_with_honest_fallback() {
                 }
             }
         }
+    }
+}
+
+/// `derive` itself is untouched by routing and by row-wise lattice
+/// counting: its probe spend and fit window, recorded before either
+/// change, are pinned for the families the exactness tests cover. The
+/// matvec 1024 case prices its target out, so its over-budget decisions
+/// (window skips, unaffordable validation sizes) are pinned too.
+#[test]
+fn derive_stats_are_pinned() {
+    let classic = MachineParams::classic_1991();
+    // (family, cube, target, machine, [probe_sims, probe_points, base,
+    // sim_base, window])
+    let cases: &[(&str, usize, i64, MachineParams, [i64; 5])] = &[
+        ("matvec", 1, 33, classic, [12, 13890, 2, 33, 5]),
+        ("matvec", 2, 33, classic, [21, 10811, 2, 4, 20]),
+        ("conv", 1, 33, low_latency(), [135, 74520, 2, 27, 5]),
+        ("sor", 1, 33, classic, [145, 128760, 2, 33, 20]),
+        ("matvec", 1, 1024, classic, [7, 1620, 2, 2, 5]),
+    ];
+    for &(name, cube_dim, target, params, expect) in cases {
+        let (d, _) = derive_builtin(name, cube_dim, target, params, &DeriveOptions::default());
+        let Derivation::Exact(cost) = d else {
+            panic!("{name} cube_dim={cube_dim} target={target}: expected exact, got {d:?}");
+        };
+        let s = cost.stats;
+        assert_eq!(
+            [
+                s.probe_sims as i64,
+                s.probe_points as i64,
+                s.base,
+                s.sim_base,
+                s.window
+            ],
+            expect,
+            "{name} cube_dim={cube_dim} target={target}: {s:?}"
+        );
     }
 }
 

@@ -127,3 +127,49 @@ pub fn all_default() -> Vec<Workload> {
         heat2d::workload(3, 4),
     ]
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Row-wise counting and the row-wise bounding box agree with full
+    /// enumeration on every builtin family across sizes, including the
+    /// tiny sizes where triangular bounds leave inner loops empty.
+    #[test]
+    fn family_spaces_count_and_box_as_enumerated() {
+        for name in [
+            "l1",
+            "matmul",
+            "matvec",
+            "transitive",
+            "dft",
+            "triangular",
+            "conv",
+            "conv2d",
+            "sor",
+            "heat2d",
+        ] {
+            let family = family_of(name, None).expect("builtin family");
+            for n in [1, 2, 3, 5, 8, 13] {
+                let space = family(n).nest.space().clone();
+                let points: Vec<Point> = space.points().collect();
+                let count = points.len() as u64;
+                assert_eq!(space.count() as u64, count, "{name}({n})");
+                assert_eq!(space.count_at_most(count), Some(count), "{name}({n})");
+                if count > 0 {
+                    assert_eq!(space.count_at_most(count - 1), None, "{name}({n})");
+                }
+                let mut bb = vec![(i64::MAX, i64::MIN); space.dim()];
+                for p in &points {
+                    for (b, &x) in bb.iter_mut().zip(p) {
+                        *b = (b.0.min(x), b.1.max(x));
+                    }
+                }
+                if points.is_empty() {
+                    bb = vec![(0, -1); space.dim()];
+                }
+                assert_eq!(space.bounding_box(), bb, "{name}({n})");
+            }
+        }
+    }
+}
