@@ -1,5 +1,6 @@
 //! Bench: the numerical executors — sequential oracle throughput,
-//! trace-order replay, the SPMD interpreter, and codegen.
+//! trace-order replay, the SPMD interpreter, the threaded runner, and
+//! codegen.
 
 use loom_codegen::generate;
 use loom_exec::memory::address_hash_init;
@@ -44,6 +45,14 @@ fn main() {
             loom_codegen::run(&w.nest, &cg, &address_hash_init)
                 .unwrap()
                 .messages
+        });
+        // What the benchmark's `execute` workload times: two workers.
+        let assignment: Vec<usize> = (0..p.num_blocks()).map(|b| b % 2).collect();
+        let cg = generate(&w.nest, &p, &assignment, 2).unwrap();
+        bench.run(&format!("spmd_threaded/matvec_2proc/{m}"), || {
+            loom_codegen::run_threaded_gathered(&w.nest, &cg, &address_hash_init)
+                .unwrap()
+                .len()
         });
     }
 

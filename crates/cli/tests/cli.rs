@@ -81,6 +81,33 @@ fn codegen_run_verifies() {
 }
 
 #[test]
+fn codegen_run_verifies_sparse_subscripts() {
+    // The subscript box of A spans 1.5e9 columns for 256 iterations: the
+    // executor must index it by the elements touched, not by the box.
+    let dir = std::env::temp_dir().join("loom-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("sparse.loom");
+    std::fs::write(
+        &path,
+        "for i = 0 to 15\n  for j = 0 to 15\n    A[i + 1, 100000000*j] = A[i, 100000000*j] + 1;\n",
+    )
+    .unwrap();
+    let (out, err, ok) = loom(&[
+        "codegen",
+        "--file",
+        path.to_str().unwrap(),
+        "--cube",
+        "1",
+        "--run",
+    ]);
+    assert!(ok, "{out}{err}");
+    assert!(
+        out.contains("verified: bit-identical to sequential execution"),
+        "{out}"
+    );
+}
+
+#[test]
 fn table1_matches_paper() {
     let (out, _, ok) = loom(&["table1"]);
     assert!(ok);

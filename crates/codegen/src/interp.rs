@@ -1,21 +1,24 @@
 //! The one stepping core for generated SPMD programs, and the two
 //! deterministic schedulers over it.
 //!
-//! `Processor::step` is the only definition of what an op does: each
-//! processor owns a private [`Memory`] plus a version map, and a
-//! `Recv`/`Compute`/`Send` reads and writes them against a `Mailbox`
-//! — the one thing executors differ in. [`run`] (round-robin,
-//! run-to-block, through [`SpmdProgram::round_robin`]) and
-//! [`run_schedule`] (an explicit replayed op order) share an in-memory
-//! mailbox where an absent message reports the receiver blocked;
-//! [`crate::threads`] runs one OS thread per processor over channels
-//! that block. Every scheduler returns the same [`RunError`] for the
-//! same fault.
+//! `step` is the only definition of what an op does. A run builds one
+//! slot layout from the nest and the iteration table (array ids, each
+//! array's slot space, every access resolved; see the `store` module),
+//! and each processor owns a private store of values and writer
+//! versions indexed by slot. A `Recv`/`Compute`/`Send` reads and writes
+//! that store against a `Mailbox` — the one thing executors differ in.
+//! [`run`] (round-robin, run-to-block, through
+//! [`crate::SpmdProgram::round_robin`]) and [`run_schedule`] (an explicit
+//! replayed op order) share an in-memory mailbox where an absent
+//! message reports the receiver blocked; [`crate::threads`] runs one OS
+//! thread per processor over channels that block. Every scheduler
+//! returns the same [`RunError`] for the same fault, and gathers the
+//! stores into one [`Memory`] by the largest writer version.
 
-use crate::gen::{Codegen, PayloadSpec};
-use crate::ops::{Op, SpmdProgram, Tag};
-use loom_exec::execute_iteration;
-use loom_exec::memory::{Element, Memory};
+use crate::gen::Codegen;
+use crate::ops::{Op, Tag};
+use crate::store::{Layout, PayloadItem, Store};
+use loom_exec::memory::Memory;
 use loom_loopir::LoopNest;
 use std::collections::HashMap;
 
@@ -30,7 +33,8 @@ pub enum RunError {
         blocked: Vec<(u32, Tag)>,
     },
     /// A `Compute` op or a `Send` tag names a point id outside the
-    /// iteration table.
+    /// iteration table, or one whose table entry lies outside the
+    /// iteration space's bounding box.
     BadPoint {
         /// The offending id.
         id: u32,
@@ -82,8 +86,6 @@ impl std::error::Error for RunError {}
 /// What a run produced.
 #[derive(Clone, Debug)]
 pub struct RunResult {
-    /// Each processor's private memory after completion.
-    pub memories: Vec<Memory>,
     /// The global result: every element taken from the processor that
     /// performed the globally last write to it.
     pub gathered: Memory,
@@ -93,21 +95,10 @@ pub struct RunResult {
     pub words: u64,
 }
 
-/// A transferred element: address, value, and — for values the source
-/// itself wrote — the id of the writing iteration. The writer id makes
-/// installation order-independent: a processor keeps, per element, the
-/// version from the *sequentially latest* writer, so when several
-/// accumulation dependences deliver the same element (e.g. conv2d's
-/// `y` along both `(0,0,1,0)` and `(0,0,0,1)`), a staler copy arriving
-/// later can never clobber a newer one. Forwarded *reads* (reuse chains
-/// of in-nest-read-only arrays) carry no writer and are installed only
-/// into absent slots.
-pub type PayloadItem = (Element, f64, Option<u32>);
-
 /// What every step of one execution reads.
 pub(crate) struct Ctx<'a> {
-    pub(crate) nest: &'a LoopNest,
     pub(crate) cg: &'a Codegen,
+    pub(crate) layout: &'a Layout<'a>,
     pub(crate) init: &'a dyn Fn(&str, &[i64]) -> f64,
 }
 
@@ -117,6 +108,7 @@ impl<'a> Ctx<'a> {
         points
             .get(id as usize)
             .map(Vec::as_slice)
+            .filter(|pt| self.layout.covers(pt))
             .ok_or(RunError::BadPoint { id })
     }
 }
@@ -130,107 +122,47 @@ pub(crate) trait Mailbox {
     fn recv(&mut self, p: u32, tag: Tag) -> Result<Option<Vec<PayloadItem>>, RunError>;
 }
 
-/// One processor's private state: its memory and, per element it
-/// wrote or received, the id of the writing iteration (see
-/// [`PayloadItem`]).
-#[derive(Default)]
-pub(crate) struct Processor {
-    pub(crate) mem: Memory,
-    versions: HashMap<Element, u32>,
-}
-
-impl Processor {
-    /// Execute `op` as processor `p`. `Ok(false)` means `p` is blocked
-    /// on a `Recv` whose message `mail` does not have yet; the op did
-    /// not run.
-    pub(crate) fn step(
-        &mut self,
-        cx: &Ctx,
-        p: usize,
-        op: &Op,
-        mail: &mut impl Mailbox,
-    ) -> Result<bool, RunError> {
-        match *op {
-            Op::Recv { from: _, tag } => {
-                let Some(items) = mail.recv(p as u32, tag)? else {
-                    return Ok(false);
-                };
-                self.install(items);
-            }
-            Op::Compute { point } => {
-                let pt = cx.point(point)?;
-                execute_iteration(cx.nest, pt, &mut self.mem, cx.init);
-                for stmt in cx.nest.stmts() {
-                    let w = stmt.write();
-                    self.versions
-                        .insert((w.array().to_string(), w.element_at(pt)), point);
-                }
-            }
-            Op::Send { to, tag } => {
-                let pt = cx.point(tag.src_point)?;
-                let Some(specs) = cx.cg.payload_specs.get(tag.dep as usize) else {
-                    return Err(RunError::UnknownDependence { dep: tag.dep });
-                };
-                if to as usize >= cx.cg.program.num_procs() {
-                    return Err(RunError::UnknownProcessor { to });
-                }
-                mail.send(to, tag, self.payload(cx, specs, pt, tag.src_point));
+/// Execute `op` as processor `p` against its store. `Ok(false)` means
+/// `p` is blocked on a `Recv` whose message `mail` does not have yet;
+/// the op did not run.
+pub(crate) fn step(
+    store: &mut Store,
+    cx: &Ctx,
+    p: usize,
+    op: &Op,
+    mail: &mut impl Mailbox,
+) -> Result<bool, RunError> {
+    match *op {
+        Op::Recv { from: _, tag } => {
+            let Some(items) = mail.recv(p as u32, tag)? else {
+                return Ok(false);
+            };
+            for item in &items {
+                store.install(item);
             }
         }
-        Ok(true)
-    }
-
-    /// The payload of the message for one dependence produced at
-    /// iteration `point` (id `src_id`), read from this memory.
-    fn payload(
-        &self,
-        cx: &Ctx,
-        specs: &[PayloadSpec],
-        point: &[i64],
-        src_id: u32,
-    ) -> Vec<PayloadItem> {
-        let mut out = Vec::new();
-        for spec in specs {
-            match spec {
-                PayloadSpec::Write { stmt } => {
-                    let w = cx.nest.stmts()[*stmt].write();
-                    let e = w.element_at(point);
-                    let v = self.mem.read(w.array(), &e, cx.init);
-                    out.push(((w.array().to_string(), e), v, Some(src_id)));
-                }
-                PayloadSpec::Reads { stmt, array } => {
-                    for r in cx.nest.stmts()[*stmt].reads() {
-                        if r.array() == array {
-                            let e = r.element_at(point);
-                            let v = self.mem.read(array, &e, cx.init);
-                            out.push(((array.clone(), e), v, None));
-                        }
-                    }
-                }
+        Op::Compute { point } => {
+            let pt = cx.point(point)?;
+            for st in cx.layout.stmts() {
+                cx.layout.execute(st, store, pt, point, cx.init);
             }
         }
-        out
-    }
-
-    /// Install received items under the version rule (see
-    /// [`PayloadItem`]).
-    fn install(&mut self, items: Vec<PayloadItem>) {
-        for (key, v, writer) in items {
-            match writer {
-                Some(w) => {
-                    if self.versions.get(&key).is_none_or(|&cur| cur < w) {
-                        self.mem.write(&key.0, key.1.clone(), v);
-                        self.versions.insert(key, w);
-                    }
-                }
-                None => {
-                    if self.mem.get(&key.0, &key.1).is_none() {
-                        self.mem.write(&key.0, key.1, v);
-                    }
-                }
+        Op::Send { to, tag } => {
+            let pt = cx.point(tag.src_point)?;
+            let Some(parts) = cx.layout.payload(tag.dep) else {
+                return Err(RunError::UnknownDependence { dep: tag.dep });
+            };
+            if to as usize >= cx.cg.program.num_procs() {
+                return Err(RunError::UnknownProcessor { to });
             }
+            let items = parts
+                .iter()
+                .map(|part| cx.layout.word(part, store, pt, tag.src_point, cx.init))
+                .collect();
+            mail.send(to, tag, items);
         }
     }
+    Ok(true)
 }
 
 /// The deterministic schedulers' mailbox: a message waits under
@@ -257,66 +189,34 @@ impl Mailbox for Slots {
 /// Every processor of one deterministic run, plus their mailbox.
 struct Machine<'a> {
     cx: Ctx<'a>,
-    procs: Vec<Processor>,
+    stores: Vec<Store>,
     slots: Slots,
 }
 
 impl<'a> Machine<'a> {
     fn new(cx: Ctx<'a>) -> Machine<'a> {
-        let procs = (0..cx.cg.program.num_procs())
-            .map(|_| Processor::default())
+        let stores = (0..cx.cg.program.num_procs())
+            .map(|_| cx.layout.store())
             .collect();
         Machine {
             cx,
-            procs,
+            stores,
             slots: Slots::default(),
         }
     }
 
     fn step(&mut self, p: usize, op: &Op) -> Result<bool, RunError> {
-        self.procs[p].step(&self.cx, p, op, &mut self.slots)
+        step(&mut self.stores[p], &self.cx, p, op, &mut self.slots)
     }
 
-    /// The finished run: per-processor memories plus their gather.
+    /// The finished run: the stores' gather and the traffic.
     fn finish(self) -> RunResult {
-        let memories: Vec<Memory> = self.procs.into_iter().map(|p| p.mem).collect();
         RunResult {
-            gathered: gather(self.cx.nest, &self.cx.cg.program, &memories),
-            memories,
+            gathered: self.cx.layout.gather(&self.stores),
             messages: self.slots.messages,
             words: self.slots.words,
         }
     }
-}
-
-/// Gather the global result: every element taken from the processor
-/// that performed the globally last (sequential-order) write to it.
-pub(crate) fn gather(nest: &LoopNest, prog: &SpmdProgram, memories: &[Memory]) -> Memory {
-    let mut proc_of_point = vec![0u32; prog.points.len()];
-    for p in 0..prog.num_procs() {
-        for id in prog.computes_of(p) {
-            if let Some(owner) = proc_of_point.get_mut(id as usize) {
-                *owner = p as u32;
-            }
-        }
-    }
-    let mut last_writer: HashMap<Element, u32> = HashMap::new();
-    for (id, pt) in prog.points.iter().enumerate() {
-        for stmt in nest.stmts() {
-            let e = (
-                stmt.write().array().to_string(),
-                stmt.write().element_at(pt),
-            );
-            last_writer.insert(e, proc_of_point[id]);
-        }
-    }
-    let mut gathered = Memory::new();
-    for ((array, element), owner) in last_writer {
-        if let Some(v) = memories[owner as usize].get(&array, &element) {
-            gathered.write(&array, element, v);
-        }
-    }
-    gathered
 }
 
 /// Run a generated SPMD program to completion under the deterministic
@@ -328,7 +228,12 @@ pub fn run(
     init: &dyn Fn(&str, &[i64]) -> f64,
 ) -> Result<RunResult, RunError> {
     let prog = &cg.program;
-    let mut m = Machine::new(Ctx { nest, cg, init });
+    let layout = Layout::new(nest, cg);
+    let mut m = Machine::new(Ctx {
+        cg,
+        layout: &layout,
+        init,
+    });
     let pcs = prog.round_robin(|p, op| m.step(p, op))?;
     let blocked: Vec<(u32, Tag)> = pcs
         .iter()
@@ -360,7 +265,12 @@ pub fn run_schedule(
     init: &dyn Fn(&str, &[i64]) -> f64,
 ) -> Result<RunResult, RunError> {
     let prog = &cg.program;
-    let mut m = Machine::new(Ctx { nest, cg, init });
+    let layout = Layout::new(nest, cg);
+    let mut m = Machine::new(Ctx {
+        cg,
+        layout: &layout,
+        init,
+    });
     let mut pcs = vec![0usize; prog.num_procs()];
     for (at, &proc) in schedule.iter().enumerate() {
         let p = proc as usize;
@@ -387,6 +297,7 @@ mod tests {
     use loom_exec::memory::address_hash_init;
     use loom_exec::{equivalent, sequential};
     use loom_hyperplane::TimeFn;
+    use loom_loopir::Point;
     use loom_partition::{partition, PartitionConfig};
 
     fn check_workload(w: &loom_workloads::Workload, assignment: &[usize], procs: usize) {
@@ -469,9 +380,10 @@ mod tests {
     /// The driver's own round-robin order, recorded through the stepping
     /// core. On a failing program it ends with the failing step.
     fn round_robin_schedule(nest: &LoopNest, cg: &Codegen) -> Vec<u32> {
+        let layout = Layout::new(nest, cg);
         let mut m = Machine::new(Ctx {
-            nest,
             cg,
+            layout: &layout,
             init: &address_hash_init,
         });
         let mut schedule = Vec::new();
@@ -506,36 +418,120 @@ mod tests {
         assert_eq!(replayed.messages, free.messages);
     }
 
+    /// Nests beyond the builtins, with their dependence vectors and a
+    /// legal Π: `.loom` samples (`vardist_scale` writes `A[3*i]`, a
+    /// scaled box), a negative subscript coefficient, and a nest mixing
+    /// a box-indexed array with a hash-indexed one.
+    fn extra_nests() -> Vec<(Vec<Point>, Vec<i64>, LoopNest)> {
+        use loom_hyperplane::{find_optimal, SearchConfig};
+        use loom_loopir::deps::DepOptions;
+        use loom_loopir::{parse_nest, uniformize, Access, Aff, IterSpace, Stmt};
+        let samples = [
+            ("heat1d", include_str!("../../../samples/heat1d.loom")),
+            (
+                "wavefront_dp",
+                include_str!("../../../samples/wavefront_dp.loom"),
+            ),
+            ("strided", include_str!("../../../samples/strided.loom")),
+            (
+                "vardist_scale",
+                include_str!("../../../samples/vardist_scale.loom"),
+            ),
+        ];
+        let mut nests: Vec<LoopNest> = samples
+            .iter()
+            .map(|(name, src)| parse_nest(name, src).unwrap())
+            .collect();
+        let sq = || IterSpace::rect(&[8, 8]).unwrap();
+        // A[i+1, 7-j] = A[i, 7-j] + B[-j]
+        let back =
+            |a: &str, c| Access::new(a, vec![Aff::new(vec![1, 0], c), Aff::new(vec![0, -1], 7)]);
+        nests.push(
+            LoopNest::new(
+                "negative",
+                sq(),
+                vec![Stmt::assign(
+                    back("A", 1),
+                    vec![
+                        back("A", 0),
+                        Access::new("B", vec![Aff::new(vec![0, -1], 0)]),
+                    ],
+                )],
+            )
+            .unwrap(),
+        );
+        // A[i+1, j] = A[i, j]; S[i+1, 10^8 j] = S[i, 10^8 j] + A[i+1, j]
+        let sparse = |c| {
+            Access::new(
+                "S",
+                vec![Aff::new(vec![1, 0], c), Aff::new(vec![0, 100_000_000], 0)],
+            )
+        };
+        nests.push(
+            LoopNest::new(
+                "mixed",
+                sq(),
+                vec![
+                    Stmt::assign(
+                        Access::simple("A", 2, &[(0, 1), (1, 0)]),
+                        vec![Access::simple("A", 2, &[(0, 0), (1, 0)])],
+                    ),
+                    Stmt::assign(
+                        sparse(1),
+                        vec![sparse(0), Access::simple("A", 2, &[(0, 1), (1, 0)])],
+                    ),
+                ],
+            )
+            .unwrap(),
+        );
+        nests
+            .into_iter()
+            .map(|nest| {
+                let deps = uniformize(&nest, DepOptions::default()).unwrap().vectors;
+                let pi = find_optimal(&deps, nest.space(), SearchConfig::default()).unwrap();
+                let pi = pi.coeffs().to_vec();
+                (deps, pi, nest)
+            })
+            .collect()
+    }
+
     #[test]
     fn executors_agree_on_every_builtin() {
-        for w in loom_workloads::all_default() {
-            let name = w.nest.name();
+        let builtins = loom_workloads::all_default()
+            .into_iter()
+            .map(|w| (w.verified_deps(), w.pi, w.nest));
+        for (deps, pi, nest) in builtins.chain(extra_nests()) {
+            let name = nest.name();
             let p = partition(
-                w.nest.space().clone(),
-                w.verified_deps(),
-                TimeFn::new(w.pi.clone()),
+                nest.space().clone(),
+                deps,
+                TimeFn::new(pi),
                 &PartitionConfig::default(),
             )
             .unwrap();
-            let serial = sequential(&w.nest, &address_hash_init);
-            for procs in [2, 4] {
+            let serial = sequential(&nest, &address_hash_init);
+            for procs in [1, 2, 3, 4] {
                 let assignment: Vec<usize> = (0..p.num_blocks()).map(|b| b % procs).collect();
                 // conv2d accumulates y over a 2-D tap lattice: value
                 // routing is (correctly) refused rather than mis-computed.
-                let cg = match generate(&w.nest, &p, &assignment, procs) {
+                let cg = match generate(&nest, &p, &assignment, procs) {
                     Err(CodegenError::MultiDimensionalAccumulation { .. }) if name == "conv2d" => {
                         continue
                     }
                     Ok(cg) if name != "conv2d" => cg,
                     other => panic!("{name}: unexpected {:?}", other.map(|_| ())),
                 };
+                if name == "mixed" {
+                    let layout = Layout::new(&nest, &cg);
+                    assert_eq!(layout.hashed(), ["S"]);
+                }
                 let at = format!("{name} on {procs} procs");
-                let free = run(&w.nest, &cg, &address_hash_init)
+                let free = run(&nest, &cg, &address_hash_init)
                     .unwrap_or_else(|e| panic!("{at}: run: {e}"));
-                let schedule = round_robin_schedule(&w.nest, &cg);
-                let replayed = run_schedule(&w.nest, &cg, &schedule, &address_hash_init)
+                let schedule = round_robin_schedule(&nest, &cg);
+                let replayed = run_schedule(&nest, &cg, &schedule, &address_hash_init)
                     .unwrap_or_else(|e| panic!("{at}: run_schedule: {e}"));
-                let threaded = run_threaded_gathered(&w.nest, &cg, &address_hash_init)
+                let threaded = run_threaded_gathered(&nest, &cg, &address_hash_init)
                     .unwrap_or_else(|e| panic!("{at}: threads: {e}"));
                 for (executor, gathered) in [
                     ("run", &free.gathered),

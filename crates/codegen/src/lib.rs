@@ -11,8 +11,9 @@
 //!   of [`ops::Op`]s (`Recv`, `Compute`, `Send`) tagged with the
 //!   dependence arcs they serve,
 //! * renders it as readable pseudo-code ([`render`]),
-//! * and *runs* it with per-processor private memories. One stepping
-//!   core ([`interp`]) defines what each op does; three schedulers
+//! * and *runs* it with per-processor private stores, indexed by slots
+//!   of one layout built per run. One stepping core ([`interp`])
+//!   defines what each op does; three schedulers
 //!   drive it: [`run`] (deterministic round-robin run-to-block via
 //!   [`SpmdProgram::round_robin`], which detects deadlock),
 //!   [`run_schedule`] (replay of an explicit op order), and
@@ -31,6 +32,7 @@ pub mod gen;
 pub mod interp;
 pub mod ops;
 pub mod render;
+mod store;
 pub mod threads;
 
 pub use gen::{generate, CodegenError};

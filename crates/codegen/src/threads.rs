@@ -3,7 +3,8 @@
 //! paper's multicomputer.
 //!
 //! One thread per simulated processor, each stepping its own op list
-//! through the shared `Processor::step` core; sends go through
+//! through the shared `step` core on its own slot store; every worker
+//! reads the one slot layout built before they start. Sends go through
 //! `std::sync::mpsc` channels, and receives block on the channel and
 //! buffer out-of-order tags. Because the generated programs are
 //! deadlock-free (receives always wait on strictly earlier hyperplane
@@ -13,8 +14,9 @@
 //! — asserted by the tests.
 
 use crate::gen::Codegen;
-use crate::interp::{gather, Ctx, Mailbox, PayloadItem, Processor, RunError};
+use crate::interp::{step, Ctx, Mailbox, RunError};
 use crate::ops::Tag;
+use crate::store::{Layout, PayloadItem, Store};
 use loom_exec::memory::Memory;
 use loom_loopir::LoopNest;
 use std::collections::HashMap;
@@ -79,16 +81,19 @@ impl Mailbox for Channels {
 
 /// Run the SPMD program on one OS thread per processor and gather to a
 /// single global memory (same rule as the deterministic interpreter:
-/// each element from its last writer). A worker's own failure is
-/// reported ahead of the receives it starves elsewhere.
+/// each element from the store holding its largest writer version). A
+/// worker's own failure is reported ahead of the receives it starves
+/// elsewhere.
 pub fn run_threaded_gathered(
     nest: &LoopNest,
     cg: &Codegen,
     init: &(dyn Fn(&str, &[i64]) -> f64 + Sync),
 ) -> Result<Memory, RunError> {
     let n_procs = cg.program.num_procs();
+    let layout = Layout::new(nest, cg);
+    let layout = &layout;
     let (senders, receivers): (Vec<_>, Vec<_>) = (0..n_procs).map(|_| mpsc::channel()).unzip();
-    let results: Vec<Result<Memory, RunError>> = std::thread::scope(|scope| {
+    let results: Vec<Result<Store, RunError>> = std::thread::scope(|scope| {
         let handles: Vec<_> = receivers
             .into_iter()
             .enumerate()
@@ -104,14 +109,14 @@ pub fn run_threaded_gathered(
                     stash: HashMap::new(),
                 };
                 scope.spawn(move || {
-                    let cx = Ctx { nest, cg, init };
-                    let mut proc = Processor::default();
+                    let cx = Ctx { cg, layout, init };
+                    let mut store = layout.store();
                     for op in &cg.program.per_proc[p] {
                         // A channel receive waits rather than reporting
                         // the worker blocked.
-                        proc.step(&cx, p, op, &mut mail)?;
+                        step(&mut store, &cx, p, op, &mut mail)?;
                     }
-                    Ok(proc.mem)
+                    Ok(store)
                 })
             })
             .collect();
@@ -126,10 +131,10 @@ pub fn run_threaded_gathered(
             .collect()
     });
     let mut starved = None;
-    let mut memories = Vec::with_capacity(n_procs);
+    let mut stores = Vec::with_capacity(n_procs);
     for result in results {
         match result {
-            Ok(mem) => memories.push(mem),
+            Ok(store) => stores.push(store),
             Err(e @ RunError::Deadlock { .. }) => {
                 starved.get_or_insert(e);
             }
@@ -138,7 +143,7 @@ pub fn run_threaded_gathered(
     }
     match starved {
         Some(e) => Err(e),
-        None => Ok(gather(nest, &cg.program, &memories)),
+        None => Ok(layout.gather(&stores)),
     }
 }
 

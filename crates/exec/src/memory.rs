@@ -2,17 +2,18 @@
 
 use std::collections::BTreeMap;
 
-/// One array element's address: the array name and its subscript tuple.
-pub type Element = (String, Vec<i64>);
-
 /// A sparse, deterministic-iteration store of array element values.
 ///
 /// Elements never written retain their *initial* value, supplied at
 /// execution time by an init function (so boundary reads like `A[0, j]`
 /// in a nest writing `A[i+1, j+1]` are well-defined).
+///
+/// The map is nested as array → subscript → value, so lookups borrow
+/// the caller's `&str` and `&[i64]` and allocate nothing; iteration
+/// visits elements in `(array, subscript)` order.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Memory {
-    cells: BTreeMap<Element, f64>,
+    cells: BTreeMap<String, BTreeMap<Vec<i64>, f64>>,
 }
 
 impl Memory {
@@ -23,20 +24,47 @@ impl Memory {
 
     /// Read an element, falling back to `init` when unwritten.
     pub fn read(&self, array: &str, element: &[i64], init: &dyn Fn(&str, &[i64]) -> f64) -> f64 {
-        match self.cells.get(&(array.to_string(), element.to_vec())) {
-            Some(&v) => v,
-            None => init(array, element),
+        self.get(array, element)
+            .unwrap_or_else(|| init(array, element))
+    }
+
+    /// Write an element. Overwriting an element allocates nothing.
+    pub fn write(&mut self, array: &str, element: &[i64], value: f64) {
+        let Some(elements) = self.cells.get_mut(array) else {
+            let elements = BTreeMap::from([(element.to_vec(), value)]);
+            self.cells.insert(array.to_string(), elements);
+            return;
+        };
+        match elements.get_mut(element) {
+            Some(v) => *v = value,
+            None => {
+                elements.insert(element.to_vec(), value);
+            }
         }
     }
 
-    /// Write an element.
-    pub fn write(&mut self, array: &str, element: Vec<i64>, value: f64) {
-        self.cells.insert((array.to_string(), element), value);
+    /// Write every `(element, value)` of `elements` into `array`, as
+    /// [`Memory::write`] would one by one. Into an array not yet written,
+    /// the elements are built in one pass (in one sort, when unsorted).
+    pub fn write_array(
+        &mut self,
+        array: &str,
+        elements: impl IntoIterator<Item = (Vec<i64>, f64)>,
+    ) {
+        match self.cells.get_mut(array) {
+            Some(cells) => cells.extend(elements),
+            None => {
+                let cells: BTreeMap<Vec<i64>, f64> = elements.into_iter().collect();
+                if !cells.is_empty() {
+                    self.cells.insert(array.to_string(), cells);
+                }
+            }
+        }
     }
 
     /// Number of written elements.
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.cells.values().map(BTreeMap::len).sum()
     }
 
     /// `true` iff nothing has been written.
@@ -44,24 +72,27 @@ impl Memory {
         self.cells.is_empty()
     }
 
-    /// Iterate over written elements in deterministic order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Element, &f64)> {
-        self.cells.iter()
+    /// Iterate over written elements — `(array, subscript, value)` — in
+    /// deterministic `(array, subscript)` order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &[i64], f64)> {
+        self.cells.iter().flat_map(|(array, elements)| {
+            elements
+                .iter()
+                .map(move |(element, &v)| (array.as_str(), element.as_slice(), v))
+        })
     }
 
     /// The value of a written element, if present.
     pub fn get(&self, array: &str, element: &[i64]) -> Option<f64> {
-        self.cells
-            .get(&(array.to_string(), element.to_vec()))
-            .copied()
+        self.cells.get(array)?.get(element).copied()
     }
 
     /// A deterministic FNV-1a digest of the whole store (addresses and
-    /// exact value bits, in `BTreeMap` order). Two memories digest
-    /// equal iff they hold bit-identical contents, so oracle consumers
-    /// — e.g. the interleaving determinacy check comparing many
-    /// replayed schedules — can compare states in O(1) after one pass
-    /// and only fall back to [`crate::equivalent`] to render the
+    /// exact value bits, in `(array, subscript)` order). Two memories
+    /// digest equal iff they hold bit-identical contents, so oracle
+    /// consumers — e.g. the interleaving determinacy check comparing
+    /// many replayed schedules — can compare states in O(1) after one
+    /// pass and only fall back to [`crate::equivalent`] to render the
     /// divergence.
     pub fn digest(&self) -> u64 {
         const OFFSET: u64 = 0xcbf29ce484222325;
@@ -73,7 +104,7 @@ impl Memory {
                 h = h.wrapping_mul(PRIME);
             }
         };
-        for ((array, element), &v) in &self.cells {
+        for (array, element, v) in self.iter() {
             eat(array.as_bytes());
             eat(&[0xff]);
             for &x in element {
@@ -108,7 +139,7 @@ mod tests {
         let mut m = Memory::new();
         let zero = |_: &str, _: &[i64]| 0.0;
         assert_eq!(m.read("A", &[1, 2], &zero), 0.0);
-        m.write("A", vec![1, 2], 5.5);
+        m.write("A", &[1, 2], 5.5);
         assert_eq!(m.read("A", &[1, 2], &zero), 5.5);
         assert_eq!(m.get("A", &[1, 2]), Some(5.5));
         assert_eq!(m.get("A", &[0, 0]), None);
@@ -117,10 +148,28 @@ mod tests {
     }
 
     #[test]
+    fn write_array_equals_writes_one_by_one() {
+        let elements = [(vec![2], 1.0), (vec![0], 2.0), (vec![2], 3.0)];
+        let mut one_by_one = Memory::new();
+        one_by_one.write("B", &[5], 4.0);
+        for (e, v) in &elements {
+            one_by_one.write("A", e, *v);
+            one_by_one.write("B", e, *v);
+        }
+        let mut bulk = Memory::new();
+        bulk.write("B", &[5], 4.0);
+        bulk.write_array("A", elements.clone());
+        bulk.write_array("B", elements);
+        bulk.write_array("C", []);
+        assert_eq!(bulk, one_by_one);
+        assert_eq!(bulk.get("A", &[2]), Some(3.0));
+    }
+
+    #[test]
     fn arrays_are_distinct_namespaces() {
         let mut m = Memory::new();
-        m.write("A", vec![0], 1.0);
-        m.write("B", vec![0], 2.0);
+        m.write("A", &[0], 1.0);
+        m.write("B", &[0], 2.0);
         assert_eq!(m.get("A", &[0]), Some(1.0));
         assert_eq!(m.get("B", &[0]), Some(2.0));
     }
@@ -130,19 +179,19 @@ mod tests {
         let mut a = Memory::new();
         let mut b = Memory::new();
         assert_eq!(a.digest(), b.digest());
-        a.write("A", vec![1], 2.0);
+        a.write("A", &[1], 2.0);
         assert_ne!(a.digest(), b.digest());
-        b.write("A", vec![1], 2.0);
+        b.write("A", &[1], 2.0);
         assert_eq!(a.digest(), b.digest());
         // Same bits, different address → different digest.
         let mut c = Memory::new();
-        c.write("A", vec![2], 2.0);
+        c.write("A", &[2], 2.0);
         assert_ne!(a.digest(), c.digest());
         // -0.0 and 0.0 differ bitwise and must not collide.
         let mut z1 = Memory::new();
         let mut z2 = Memory::new();
-        z1.write("A", vec![0], 0.0);
-        z2.write("A", vec![0], -0.0);
+        z1.write("A", &[0], 0.0);
+        z2.write("A", &[0], -0.0);
         assert_ne!(z1.digest(), z2.digest());
     }
 

@@ -18,7 +18,7 @@ pub fn execute_iteration(
             .map(|r| mem.read(r.array(), &r.element_at(point), init))
             .collect();
         let value = stmt.semantics().eval(&reads);
-        mem.write(stmt.write().array(), stmt.write().element_at(point), value);
+        mem.write(stmt.write().array(), &stmt.write().element_at(point), value);
     }
 }
 
@@ -86,6 +86,30 @@ mod tests {
         let mem = sequential(&nest, &|_, _| 0.0);
         for i in 1..=5 {
             assert_eq!(mem.get("A", &[i]), Some(i as f64));
+        }
+    }
+
+    #[test]
+    fn digests_are_pinned() {
+        // Recorded when the store was one map keyed by (array, element):
+        // the nested store must iterate, and so digest, identically.
+        let cases = [
+            (
+                loom_workloads::matvec::workload(8),
+                0x8e375d36298651ad_u64,
+                8,
+            ),
+            (loom_workloads::l1::workload(4), 0x5d9158e63a4b5dea, 32),
+            (loom_workloads::sor::workload(5, 5), 0x7ef61d1bf8148bf6, 25),
+        ];
+        for (w, digest, len) in cases {
+            let mem = sequential(&w.nest, &address_hash_init);
+            assert_eq!(
+                (mem.digest(), mem.len()),
+                (digest, len),
+                "{}",
+                w.nest.name()
+            );
         }
     }
 

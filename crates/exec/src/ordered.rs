@@ -102,27 +102,21 @@ pub fn trace_order(trace: &[TaskRecord]) -> Vec<usize> {
 /// equality is intentional: a dependence-respecting reorder must be
 /// *bit-identical*, because each element's write sequence is fixed.
 pub fn equivalent(left: &Memory, right: &Memory) -> Result<(), Divergence> {
-    for ((array, element), &v) in left.iter() {
+    let mismatch = |array: &str, element: &[i64], left, right| Divergence::ValueMismatch {
+        array: array.to_string(),
+        element: element.to_vec(),
+        left,
+        right,
+    };
+    for (array, element, v) in left.iter() {
         match right.get(array, element) {
             Some(w) if w == v => {}
-            other => {
-                return Err(Divergence::ValueMismatch {
-                    array: array.clone(),
-                    element: element.clone(),
-                    left: Some(v),
-                    right: other,
-                })
-            }
+            other => return Err(mismatch(array, element, Some(v), other)),
         }
     }
-    for ((array, element), &w) in right.iter() {
+    for (array, element, w) in right.iter() {
         if left.get(array, element).is_none() {
-            return Err(Divergence::ValueMismatch {
-                array: array.clone(),
-                element: element.clone(),
-                left: None,
-                right: Some(w),
-            });
+            return Err(mismatch(array, element, None, Some(w)));
         }
     }
     Ok(())
@@ -205,8 +199,8 @@ mod tests {
     fn equivalent_detects_mismatch() {
         let mut a = Memory::new();
         let mut b = Memory::new();
-        a.write("A", vec![0], 1.0);
-        b.write("A", vec![0], 2.0);
+        a.write("A", &[0], 1.0);
+        b.write("A", &[0], 2.0);
         assert!(matches!(
             equivalent(&a, &b),
             Err(Divergence::ValueMismatch { .. })
