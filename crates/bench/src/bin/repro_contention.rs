@@ -31,7 +31,6 @@ fn main() {
         let mut base = SimConfig {
             params,
             topology: Topology::Hypercube(cube_dim),
-            words_per_arc: 1,
             batch_messages: false,
             link_contention: false,
             record_trace: false,

@@ -45,7 +45,6 @@ fn main() {
         let config = SimConfig {
             params,
             topology: Topology::Hypercube(cube_dim),
-            words_per_arc: 1,
             batch_messages: false,
             link_contention: false,
             record_trace: false,

@@ -56,7 +56,6 @@ fn main() {
                 &SimConfig {
                     params,
                     topology: topo,
-                    words_per_arc: 1,
                     batch_messages: false,
                     link_contention: true,
                     record_trace: false,

@@ -55,24 +55,6 @@ impl Itv {
     }
 }
 
-/// The exact image interval of an affine form over a box: evaluate at
-/// the corner selected per-coordinate by coefficient sign.
-fn aff_over_box(f: &Aff, bx: &[(i64, i64)]) -> Itv {
-    let mut lo = f.constant_term();
-    let mut hi = lo;
-    for (k, &(l, h)) in bx.iter().enumerate() {
-        let c = f.coeff(k);
-        if c >= 0 {
-            lo = lo.saturating_add(c.saturating_mul(l));
-            hi = hi.saturating_add(c.saturating_mul(h));
-        } else {
-            lo = lo.saturating_add(c.saturating_mul(h));
-            hi = hi.saturating_add(c.saturating_mul(l));
-        }
-    }
-    Itv { lo, hi }
-}
-
 /// Add the space's affine bound constraints `lowerⱼ(x) ≤ xⱼ ≤ upperⱼ(x)`
 /// to `sys`.
 fn constrain_space(sys: &mut System, space: &IterSpace) {
@@ -255,10 +237,12 @@ pub fn check_block_bounds(
     }
     for (array, f) in obligations {
         stats.checked += 1;
-        let candidate = aff_over_box(f, &bx);
-        let bound = if certified(space, f, candidate) {
+        // An overflowing box image is no certified hull, like an
+        // `Unknown` from the core.
+        let candidate = f.hull_over_box(&bx).map(|(lo, hi)| Itv { lo, hi });
+        let bound = if let Some(c) = candidate.filter(|&c| certified(space, f, c)) {
             stats.parametric += 1;
-            candidate
+            c
         } else {
             stats.enumerated += 1;
             match enumerated_hull(space, f) {
@@ -356,12 +340,7 @@ mod tests {
         let diags = check_block_bounds(&nest, &cg, &mut stats);
         assert!(!diags.is_empty());
         // And the pipeline wrapper skips the model checker gracefully.
-        let report = crate::check_program(
-            &nest,
-            &cg,
-            &crate::InterleaveOptions::default(),
-            &Recorder::disabled(),
-        );
+        let report = crate::check_program(&nest, &cg, &Recorder::disabled());
         assert!(report.has_errors());
         assert!(report.render_human().contains("skipped"));
     }

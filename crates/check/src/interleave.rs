@@ -49,6 +49,15 @@
 //! mutated or hand-built programs with duplicate keys it falls back to
 //! granular transitions (one communication op each) with full race
 //! detection.
+//!
+//! # Budgets
+//!
+//! Exploration stops after 4096 complete interleavings or a million
+//! macro-transitions, the naive cross-check after 2048 interleavings,
+//! and at most 8 explored schedules are replayed for determinacy. These
+//! fixed budgets comfortably cover the builtin workloads at
+//! interleaving-check sizes; a truncated exploration is reported as an
+//! `LC013` warning, never silently.
 
 use crate::diag::{Diagnostic, RuleId, Span};
 use loom_codegen::gen::Codegen;
@@ -66,39 +75,22 @@ type Key = (u32, Tag);
 /// A per-processor vector clock.
 type Clock = Vec<u64>;
 
-/// Exploration budgets. The defaults comfortably cover the builtin
-/// workloads at interleaving-check sizes; a truncated exploration is
-/// reported as an `LC013` warning, never silently.
-#[derive(Clone, Debug)]
-pub struct InterleaveOptions {
-    /// Stop after this many complete interleavings (equivalence-class
-    /// representatives or deadlocks).
-    pub max_interleavings: u64,
-    /// Stop after this many executed macro-transitions.
-    pub max_transitions: u64,
-    /// Budget for the naive cross-check enumeration (0 disables it).
-    pub naive_budget: u64,
-    /// How many explored schedules to replay for determinacy.
-    pub max_replays: usize,
-}
-
-impl Default for InterleaveOptions {
-    fn default() -> InterleaveOptions {
-        InterleaveOptions {
-            max_interleavings: 4096,
-            max_transitions: 1_000_000,
-            naive_budget: 2048,
-            max_replays: 8,
-        }
-    }
-}
+/// Stop after this many complete interleavings (equivalence-class
+/// representatives or deadlocks).
+const MAX_INTERLEAVINGS: u64 = 4096;
+/// Stop after this many executed macro-transitions.
+const MAX_TRANSITIONS: u64 = 1_000_000;
+/// Budget for the naive cross-check enumeration.
+const NAIVE_BUDGET: u64 = 2048;
+/// How many explored schedules to replay for determinacy.
+const MAX_REPLAYS: usize = 8;
 
 /// Counters the exploration emits (surfaced as `check.interleave.*`).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct InterleaveStats {
     /// Complete interleavings DPOR executed (classes + deadlocks).
     pub explored: u64,
-    /// Interleavings the naive enumeration counted (0 if disabled).
+    /// Interleavings the naive enumeration counted.
     pub naive: u64,
     /// Macro-transitions executed.
     pub transitions: u64,
@@ -138,7 +130,7 @@ pub struct Exploration {
     /// The shortest deadlock witness found, if any.
     pub deadlock: Option<DeadlockWitness>,
     /// Op-level schedules of the first few completed interleavings
-    /// (capped at [`InterleaveOptions::max_replays`]).
+    /// (capped at the replay budget, see the module docs).
     pub schedules: Vec<Vec<u32>>,
 }
 
@@ -359,14 +351,13 @@ fn record_terminal(
     state: &MState,
     trace: &[Executed],
     last: &Executed,
-    opts: &InterleaveOptions,
     stats: &mut InterleaveStats,
     out: &mut Exploration,
 ) {
     stats.explored += 1;
     if state.finished(prog) {
         out.completed += 1;
-        if out.schedules.len() < opts.max_replays {
+        if out.schedules.len() < MAX_REPLAYS {
             out.schedules.push(expand_schedule(trace, last));
         }
         return;
@@ -400,11 +391,7 @@ fn record_terminal(
 /// to the budgets: every Mazurkiewicz equivalence class gets at least
 /// one representative, so a clean exploration proves deadlock-freedom
 /// for every interleaving, not just the explored ones.
-pub fn explore_dpor(
-    prog: &SpmdProgram,
-    opts: &InterleaveOptions,
-    stats: &mut InterleaveStats,
-) -> Exploration {
+pub fn explore_dpor(prog: &SpmdProgram, stats: &mut InterleaveStats) -> Exploration {
     let n = prog.num_procs();
     let batched = prog.unique_tags();
     let mut out = Exploration::default();
@@ -423,7 +410,7 @@ pub fn explore_dpor(
             lo: 0,
             hi: 0,
         };
-        record_terminal(prog, &root.state, &[], &nothing, opts, stats, &mut out);
+        record_terminal(prog, &root.state, &[], &nothing, stats, &mut out);
         return out;
     }
     let mut frames: Vec<Frame> = vec![root];
@@ -445,7 +432,7 @@ pub fn explore_dpor(
             stats.sleep_skips += 1;
             continue;
         }
-        if stats.explored >= opts.max_interleavings || stats.transitions >= opts.max_transitions {
+        if stats.explored >= MAX_INTERLEAVINGS || stats.transitions >= MAX_TRANSITIONS {
             stats.truncated = true;
             break;
         }
@@ -529,7 +516,7 @@ pub fn explore_dpor(
 
         let child = make_frame(prog, state, clocks, child_sleep);
         if child.enabled.is_empty() {
-            record_terminal(prog, &child.state, &trace, &exec, opts, stats, &mut out);
+            record_terminal(prog, &child.state, &trace, &exec, stats, &mut out);
             continue;
         }
         if child.enabled.iter().all(|q| child.sleep.contains(q)) {
@@ -716,26 +703,23 @@ fn tag_desc(tag: Tag) -> String {
 pub fn check_interleavings(
     nest: &LoopNest,
     cg: &Codegen,
-    opts: &InterleaveOptions,
     stats: &mut InterleaveStats,
 ) -> Vec<Diagnostic> {
     let prog = &cg.program;
     let mut out = Vec::new();
-    let expl = explore_dpor(prog, opts, stats);
+    let expl = explore_dpor(prog, stats);
 
-    if opts.naive_budget > 0 {
-        let naive = enumerate_naive(prog, opts.naive_budget, 0);
-        stats.naive = naive.interleavings;
-        stats.naive_truncated = naive.truncated;
-        if !stats.truncated && !naive.truncated && naive.deadlock != expl.deadlock.is_some() {
-            // The reduction and the ground truth must agree; a
-            // disagreement is a checker bug, surfaced loudly.
-            out.push(Diagnostic::error(
-                RuleId::InterleavingDeadlock,
-                Span::Nest,
-                "internal: DPOR and naive enumeration disagree on deadlock reachability",
-            ));
-        }
+    let naive = enumerate_naive(prog, NAIVE_BUDGET, 0);
+    stats.naive = naive.interleavings;
+    stats.naive_truncated = naive.truncated;
+    if !stats.truncated && !naive.truncated && naive.deadlock != expl.deadlock.is_some() {
+        // The reduction and the ground truth must agree; a
+        // disagreement is a checker bug, surfaced loudly.
+        out.push(Diagnostic::error(
+            RuleId::InterleavingDeadlock,
+            Span::Nest,
+            "internal: DPOR and naive enumeration disagree on deadlock reachability",
+        ));
     }
 
     // LC013 — deadlock-freedom under every interleaving.
@@ -909,9 +893,8 @@ mod tests {
     fn batched_dpor_explores_one_class_naive_explodes() {
         let prog = two_pairs();
         assert!(prog.unique_tags());
-        let opts = InterleaveOptions::default();
         let mut stats = InterleaveStats::default();
-        let expl = explore_dpor(&prog, &opts, &mut stats);
+        let expl = explore_dpor(&prog, &mut stats);
         assert_eq!(stats.explored, 1, "Kahn network: one class");
         assert!(expl.deadlock.is_none());
         assert_eq!(expl.completed, 1);
@@ -930,9 +913,8 @@ mod tests {
         let mut prog = two_pairs();
         // Drop P0's send: P1 blocks forever.
         prog.per_proc[0].pop();
-        let opts = InterleaveOptions::default();
         let mut stats = InterleaveStats::default();
-        let expl = explore_dpor(&prog, &opts, &mut stats);
+        let expl = explore_dpor(&prog, &mut stats);
         let w = expl.deadlock.expect("deadlock found");
         assert!(stats.deadlocks >= 1);
         assert_eq!(w.blocked, vec![(1, 0, tag(0, 0))]);
@@ -959,9 +941,8 @@ mod tests {
             ],
         };
         assert!(!prog.unique_tags());
-        let opts = InterleaveOptions::default();
         let mut stats = InterleaveStats::default();
-        let expl = explore_dpor(&prog, &opts, &mut stats);
+        let expl = explore_dpor(&prog, &mut stats);
         assert!(stats.explored > 1, "race must branch: {stats:?}");
         // One order leaves the second send undelivered (consumer done,
         // message still in the mailbox) — not a deadlock.
@@ -986,9 +967,8 @@ mod tests {
                 vec![Op::Recv { from: 0, tag: t }, Op::Recv { from: 0, tag: t }],
             ],
         };
-        let opts = InterleaveOptions::default();
         let mut stats = InterleaveStats::default();
-        let expl = explore_dpor(&prog, &opts, &mut stats);
+        let expl = explore_dpor(&prog, &mut stats);
         let naive = enumerate_naive(&prog, 10_000, 0);
         assert!(
             naive.deadlock,

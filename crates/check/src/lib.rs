@@ -81,7 +81,7 @@ pub use frontend::{report_from_parse, rule_for};
 pub use gray::check_gray;
 pub use interleave::{
     check_interleavings, enumerate_naive, explore_dpor, mutate_program, DeadlockWitness,
-    Exploration, InterleaveOptions, InterleaveStats, Mutation, NaiveResult,
+    Exploration, InterleaveStats, Mutation, NaiveResult,
 };
 pub use legality::check_legality;
 pub use lemma1::check_lemma1;
@@ -207,12 +207,7 @@ pub fn check_pipeline_mode(
             recorder.add("check.symbolic.lattice", stats.lattice_proofs);
             recorder.add("check.symbolic.fm", stats.fm_decided);
             recorder.add("check.symbolic.fallback", stats.enumerated);
-            recorder.add("check.uniformize.pairs", ustats.pairs_folded);
-            recorder.add("check.uniformize.vectors", ustats.vectors_synthesized);
-            recorder.add("check.uniformize.proofs", ustats.proofs);
-            recorder.add("check.uniformize.refuted", ustats.refuted);
-            recorder.add("check.uniformize.unknown", ustats.unknown);
-            recorder.add("check.uniformize.tightness", ustats.tightness_warnings);
+            ustats.record(recorder);
         }
         CheckMode::Enumerative | CheckMode::Interleaving => {
             let (rule, what) = match mode {
@@ -229,8 +224,7 @@ pub fn check_pipeline_mode(
                     report.extend(check_races(input.nest, &cg.program))
                 }
                 Ok(cg) => {
-                    let sub =
-                        check_program(input.nest, &cg, &InterleaveOptions::default(), recorder);
+                    let sub = check_program(input.nest, &cg, recorder);
                     report.extend(sub.diagnostics().to_vec());
                 }
                 Err(e) => report.push(Diagnostic::info(
@@ -262,7 +256,6 @@ pub fn check_pipeline_mode(
 pub fn check_program(
     nest: &LoopNest,
     cg: &loom_codegen::gen::Codegen,
-    opts: &InterleaveOptions,
     recorder: &Recorder,
 ) -> Report {
     let mut report = Report::new();
@@ -278,7 +271,7 @@ pub fn check_program(
             "interleaving exploration skipped: the program fails its bounds checks (LC015)",
         ));
     } else {
-        report.extend(check_interleavings(nest, cg, opts, &mut istats));
+        report.extend(check_interleavings(nest, cg, &mut istats));
     }
     recorder.add("check.interleave.explored", istats.explored);
     recorder.add("check.interleave.naive", istats.naive);

@@ -41,6 +41,7 @@ use loom_hyperplane::TimeFn;
 use loom_loopir::deps::NonUniformPair;
 use loom_loopir::uniformize::{cover_matrices, uniformize, FoldError, PairFold, Uniformization};
 use loom_loopir::{DepOptions, IterSpace, LoopNest, Point};
+use loom_obs::Recorder;
 
 /// How the certification run discharged its obligations — surfaced as
 /// `check.uniformize.*` observability counters by the pipeline gate.
@@ -59,6 +60,19 @@ pub struct UniformizeStats {
     pub unknown: u64,
     /// `LC017` tightness warnings emitted.
     pub tightness_warnings: u64,
+}
+
+impl UniformizeStats {
+    /// Add these counts to `recorder` as the six `check.uniformize.*`
+    /// counters.
+    pub fn record(&self, recorder: &Recorder) {
+        recorder.add("check.uniformize.pairs", self.pairs_folded);
+        recorder.add("check.uniformize.vectors", self.vectors_synthesized);
+        recorder.add("check.uniformize.proofs", self.proofs);
+        recorder.add("check.uniformize.refuted", self.refuted);
+        recorder.add("check.uniformize.unknown", self.unknown);
+        recorder.add("check.uniformize.tightness", self.tightness_warnings);
+    }
 }
 
 fn fmt_vec(v: &[i64]) -> String {

@@ -615,12 +615,7 @@ fn golden_lc013_interleaving_deadlock() {
     cg.program =
         loom_check::mutate_program(&cg.program, loom_check::Mutation::DropSend, 1).unwrap();
     let mut stats = loom_check::InterleaveStats::default();
-    let report = Report::from_diagnostics(loom_check::check_interleavings(
-        &nest,
-        &cg,
-        &loom_check::InterleaveOptions::default(),
-        &mut stats,
-    ));
+    let report = Report::from_diagnostics(loom_check::check_interleavings(&nest, &cg, &mut stats));
     snapshot(
         "LC013",
         &report,
@@ -738,12 +733,7 @@ fn golden_lc014_interleaving_determinacy() {
     cg.program =
         loom_check::mutate_program(&cg.program, loom_check::Mutation::SwapSendEarlier, 1).unwrap();
     let mut stats = loom_check::InterleaveStats::default();
-    let report = Report::from_diagnostics(loom_check::check_interleavings(
-        &nest,
-        &cg,
-        &loom_check::InterleaveOptions::default(),
-        &mut stats,
-    ));
+    let report = Report::from_diagnostics(loom_check::check_interleavings(&nest, &cg, &mut stats));
     snapshot(
         "LC014",
         &report,

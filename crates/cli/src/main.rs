@@ -84,16 +84,16 @@ fn usage() -> ! {
 #[rustfmt::skip]
 #[allow(clippy::type_complexity)]
 const BUILTINS: [(&str, &[&str], &str, bool, i64, &str); 10] = [
-    ("l1",         &[],          "l1",         false, 4, "§II running example"),
-    ("matmul",     &[],          "matmul",     false, 4, "§III Example 2"),
-    ("matvec",     &[],          "matvec",     false, 8, "§IV / Table I"),
-    ("conv1d",     &["conv"],    "conv",       true,  8, "§I motivation"),
-    ("sor",        &["stencil"], "sor",        false, 6, "extension"),
+    ("l1",       &[],          "l1",         false, 4, "§II running example"),
+    ("matmul",   &[],          "matmul",     false, 4, "§III Example 2"),
+    ("matvec",   &[],          "matvec",     false, 8, "§IV / Table I"),
+    ("conv1d",   &["conv"],    "conv",       true,  8, "§I motivation"),
+    ("sor",      &["stencil"], "sor",        false, 6, "extension"),
     ("transitive", &["tc"],      "transitive", false, 4, "§I motivation"),
-    ("dft",        &[],          "dft",        false, 8, "§I motivation"),
-    ("conv2d",     &[],          "conv2d",     true,  4, "extension (4-deep)"),
+    ("dft",      &[],          "dft",        false, 8, "§I motivation"),
+    ("conv2d",   &[],          "conv2d",     true,  4, "extension (4-deep)"),
     ("triangular", &["tri"],     "triangular", false, 6, "extension (affine bounds)"),
-    ("heat2d",     &["heat"],    "heat2d",     false, 3, "extension (negative deps)"),
+    ("heat2d",   &["heat"],    "heat2d",     false, 3, "extension (negative deps)"),
 ];
 
 /// `--workload` with `--size`/`--size2`: the builtin's size family
@@ -190,12 +190,7 @@ fn load(a: &Args, rec: &Recorder) -> Result<Option<Input>, CliError> {
     let label = path.map_or_else(|| nest.name().to_string(), String::clone);
     let admitted = {
         let _s = rec.span("pipeline.deps");
-        loom_core::pipeline::admitted_dependence_vectors(
-            &nest,
-            loom_loopir::DepOptions::default(),
-            !a.switch("no-uniformize"),
-            rec,
-        )
+        loom_core::pipeline::admitted_dependence_vectors(&nest, !a.switch("no-uniformize"), rec)
     };
     let (deps, folded) = match admitted {
         Ok(admitted) => admitted,
@@ -329,7 +324,6 @@ fn config(a: &Args, pi: &[i64]) -> Result<PipelineConfig, CliError> {
             seed: None,
         },
         machine: None,
-        ..Default::default()
     })
 }
 
@@ -753,12 +747,7 @@ fn cmd_check(a: &Args) -> Result<(), CliError> {
                         "--corrupt {mode}: the program has no eligible site"
                     ))
                 })?;
-            loom_check::check_program(
-                nest,
-                &cg,
-                &loom_check::InterleaveOptions::default(),
-                &obs.rec,
-            )
+            loom_check::check_program(nest, &cg, &obs.rec)
         } else {
             let mode = if interleave {
                 loom_check::CheckMode::Interleaving

@@ -1,7 +1,7 @@
 //! Generating the per-processor SPMD programs.
 
 use crate::ops::{Op, SpmdProgram, Tag};
-use loom_loopir::deps::{extract_dependences, DepKind, DepOptions};
+use loom_loopir::deps::{extract_or_fold, DepKind, DepOptions};
 use loom_loopir::{LoopNest, Point};
 use loom_partition::Partitioning;
 use loom_rational::intlinalg::{try_integer_nullspace, IMat};
@@ -136,13 +136,12 @@ pub fn generate(
     // whose vector matches contributes its transfer rule. Nests the
     // uniform extractor rejects were admitted through uniformization,
     // whose folded records carry the same vectors the partitioner saw.
-    let records = extract_dependences(nest, DepOptions::default())
-        .or_else(|_| loom_loopir::uniformize(nest, DepOptions::default()).map(|u| u.deps))
-        .expect("nest was analyzable when partitioned");
+    let records =
+        extract_or_fold(nest, DepOptions::default()).expect("nest was analyzable when partitioned");
     let mut payload_specs: Vec<Vec<PayloadSpec>> = vec![Vec::new(); dep_vectors.len()];
     for rec in &records {
         let Some(k) = dep_vectors.iter().position(|v| *v == rec.vector) else {
-            continue; // vector filtered out upstream (e.g. anti/output off)
+            continue; // vector not in the partitioner's set
         };
         let spec = match rec.kind {
             DepKind::Flow | DepKind::Output => PayloadSpec::Write { stmt: rec.src_stmt },

@@ -26,7 +26,7 @@
 
 use loom_exec::Memory;
 use loom_loopir::sem::Expr;
-use loom_loopir::{Access, Aff, LoopNest, Point};
+use loom_loopir::{Access, LoopNest, Point};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -449,20 +449,6 @@ fn subscript_into(access: &Access, pt: &[i64], buf: &mut Vec<i64>) {
     buf.extend(access.subscripts().iter().map(|s| s.eval(pt)));
 }
 
-/// The interval hull of `aff` over `bbox`, or `None` on overflow. When
-/// it is `Some`, evaluating `aff` at any point of the box cannot
-/// overflow: every partial sum lies within the checked partial hull.
-fn hull(aff: &Aff, bbox: &[(i64, i64)]) -> Option<(i64, i64)> {
-    let c = aff.constant_term();
-    let (mut lo, mut hi) = (c, c);
-    for (&a, &(l, h)) in aff.coeffs().iter().zip(bbox) {
-        let (x, y) = (a.checked_mul(l)?, a.checked_mul(h)?);
-        lo = lo.checked_add(x.min(y))?;
-        hi = hi.checked_add(x.max(y))?;
-    }
-    Some((lo, hi))
-}
-
 /// The box of an array's accesses over `bbox` — per dimension its low
 /// corner and extent — and its volume, or `None` on overflow.
 fn subscript_box(
@@ -474,7 +460,7 @@ fn subscript_box(
     let mut hi = vec![i64::MIN; rank];
     for acc in accs {
         for (k, aff) in acc.subscripts().iter().enumerate() {
-            let (l, h) = hull(aff, bbox)?;
+            let (l, h) = aff.hull_over_box(bbox)?;
             lo[k] = lo[k].min(l);
             hi[k] = hi[k].max(h);
         }

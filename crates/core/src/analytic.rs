@@ -135,10 +135,9 @@ pub fn matvec_crossover_m(n: u64, params: &MachineParams, cap: u64) -> Option<u6
 pub fn makespan_lower_bound(
     program: &Program,
     params: &MachineParams,
-    words_per_arc: u64,
     batch_messages: bool,
 ) -> u64 {
-    makespan_lower_bound_with(program, params, words_per_arc, batch_messages, None)
+    makespan_lower_bound_with(program, params, batch_messages, None)
 }
 
 /// [`makespan_lower_bound`] tightened with a third relaxation when the
@@ -161,7 +160,6 @@ pub fn makespan_lower_bound(
 pub fn makespan_lower_bound_with(
     program: &Program,
     params: &MachineParams,
-    words_per_arc: u64,
     batch_messages: bool,
     contended: Option<&loom_machine::Topology>,
 ) -> u64 {
@@ -185,7 +183,7 @@ pub fn makespan_lower_bound_with(
             for &(u, v) in &program.arcs {
                 let (pu, pv) = (program.proc_of[u as usize], program.proc_of[v as usize]);
                 if pu != pv {
-                    *msg_words.entry((u, pv)).or_insert(0) += words_per_arc;
+                    *msg_words.entry((u, pv)).or_insert(0) += 1;
                 }
             }
             for (&(u, pv), &words) in &msg_words {
@@ -195,7 +193,7 @@ pub fn makespan_lower_bound_with(
             for &(u, v) in &program.arcs {
                 let (pu, pv) = (program.proc_of[u as usize], program.proc_of[v as usize]);
                 if pu != pv {
-                    occupy(pu as usize, pv as usize, words_per_arc);
+                    occupy(pu as usize, pv as usize, 1);
                 }
             }
         }
@@ -213,7 +211,7 @@ pub fn makespan_lower_bound_with(
         for &(u, v) in &program.arcs {
             let (pu, pv) = (program.proc_of[u as usize], program.proc_of[v as usize]);
             if pu != pv {
-                *msg_words.entry((u, pv)).or_insert(0) += words_per_arc;
+                *msg_words.entry((u, pv)).or_insert(0) += 1;
             }
         }
         for (&(u, pv), &words) in &msg_words {
@@ -224,7 +222,7 @@ pub fn makespan_lower_bound_with(
         for &(u, v) in &program.arcs {
             let (pu, pv) = (program.proc_of[u as usize], program.proc_of[v as usize]);
             if pu != pv {
-                per_proc[pu as usize] += params.send_occupancy(words_per_arc);
+                per_proc[pu as usize] += params.send_occupancy(1);
                 per_proc[pv as usize] += params.t_recv;
             }
         }
@@ -243,7 +241,7 @@ pub fn makespan_lower_bound_with(
         let delay = if program.proc_of[u as usize] == program.proc_of[v as usize] {
             0
         } else {
-            params.send_occupancy(words_per_arc) + params.t_recv
+            params.send_occupancy(1) + params.t_recv
         };
         incoming[v as usize].push((u, delay));
     }
@@ -363,10 +361,10 @@ mod tests {
         // t_start + t_comm = 55, compute 1 — the bound is tight here.
         let prog = Program::from_parts(vec![0, 1], vec![(0, 1)], vec![0, 1], 1, 2);
         let p = MachineParams::classic_1991();
-        assert_eq!(makespan_lower_bound(&prog, &p, 1, false), 57);
+        assert_eq!(makespan_lower_bound(&prog, &p, false), 57);
         // Same processor: the message is free, only serial compute remains.
         let local = Program::from_parts(vec![0, 1], vec![(0, 1)], vec![0, 0], 1, 1);
-        assert_eq!(makespan_lower_bound(&local, &p, 1, false), 2);
+        assert_eq!(makespan_lower_bound(&local, &p, false), 2);
     }
 
     #[test]
@@ -375,9 +373,9 @@ mod tests {
         // single task, but the work bound sees the serial execution.
         let prog = Program::from_parts(vec![0, 0], vec![], vec![0, 0], 3, 1);
         let p = MachineParams::classic_1991();
-        assert_eq!(makespan_lower_bound(&prog, &p, 1, false), 6);
+        assert_eq!(makespan_lower_bound(&prog, &p, false), 6);
         let empty = Program::from_parts(vec![], vec![], vec![], 1, 1);
-        assert_eq!(makespan_lower_bound(&empty, &p, 1, false), 0);
+        assert_eq!(makespan_lower_bound(&empty, &p, false), 0);
     }
 
     #[test]
@@ -386,8 +384,8 @@ mod tests {
         // t_start twice, batched the arcs share one message.
         let prog = Program::from_parts(vec![0, 1, 1], vec![(0, 1), (0, 2)], vec![0, 1, 1], 1, 2);
         let p = MachineParams::classic_1991();
-        let unbatched = makespan_lower_bound(&prog, &p, 1, false);
-        let batched = makespan_lower_bound(&prog, &p, 1, true);
+        let unbatched = makespan_lower_bound(&prog, &p, false);
+        let batched = makespan_lower_bound(&prog, &p, true);
         // Sender occupancy: 1 + 2·(50+5) = 111 vs 1 + 50+2·5 = 61.
         assert_eq!(unbatched, 111);
         assert_eq!(batched, 61);
@@ -419,13 +417,8 @@ mod tests {
                         sim_cfg.link_contention = contention;
                         let report = simulate(&program, &sim_cfg).unwrap();
                         let topology = contention.then(|| target.topology());
-                        let bound = makespan_lower_bound_with(
-                            &program,
-                            &params,
-                            1,
-                            batch,
-                            topology.as_ref(),
-                        );
+                        let bound =
+                            makespan_lower_bound_with(&program, &params, batch, topology.as_ref());
                         assert!(
                             bound <= report.makespan,
                             "unsound bound {bound} > makespan {} at cube_dim={cube_dim} \
@@ -453,8 +446,8 @@ mod tests {
         );
         let p = MachineParams::classic_1991();
         let topo = Topology::Hypercube(2);
-        let plain = makespan_lower_bound(&prog, &p, 1, false);
-        let tight = makespan_lower_bound_with(&prog, &p, 1, false, Some(&topo));
+        let plain = makespan_lower_bound(&prog, &p, false);
+        let tight = makespan_lower_bound_with(&prog, &p, false, Some(&topo));
         // Critical path: 1 + (50+5) + 1.
         assert_eq!(plain, 57);
         // Two 55-tick occupancies queue on (2, 0).
@@ -465,6 +458,6 @@ mod tests {
         let r = simulate(&prog, &cfg).unwrap();
         assert!(tight <= r.makespan, "{tight} > {}", r.makespan);
         // `None` reproduces the untightened bound exactly.
-        assert_eq!(makespan_lower_bound_with(&prog, &p, 1, false, None), plain);
+        assert_eq!(makespan_lower_bound_with(&prog, &p, false, None), plain);
     }
 }

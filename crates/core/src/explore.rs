@@ -56,7 +56,7 @@ use crate::analytic::makespan_lower_bound_with;
 use crate::pipeline::{run_machine, MachineOptions, Pipeline, PipelineConfig, PipelineError};
 use crate::symbolic_cost::{self, Derivation, DeriveOptions, NestFamily, ProbeCache};
 use loom_hyperplane::TimeFn;
-use loom_loopir::{DepOptions, LoopNest, Point};
+use loom_loopir::{LoopNest, Point};
 use loom_machine::SimScratch;
 use loom_obs::{Pool, Recorder};
 use std::collections::BinaryHeap;
@@ -280,13 +280,7 @@ pub fn explore_reference(
     cube_dims: &[usize],
     config: &ExploreConfig,
 ) -> Result<Vec<Candidate>, PipelineError> {
-    let deps = crate::pipeline::admitted_dependence_vectors(
-        nest,
-        DepOptions::default(),
-        true,
-        &Recorder::disabled(),
-    )?
-    .0;
+    let deps = crate::pipeline::admitted_dependence_vectors(nest, true, &Recorder::disabled())?.0;
     let pis = legal_pis(nest, &deps, config.pi_bound);
     let mut results: Vec<Candidate> = Vec::new();
     for pi in &pis {
@@ -369,8 +363,7 @@ pub fn explore_with(
     config: &ExploreConfig,
     recorder: &Recorder,
 ) -> Result<Vec<Candidate>, PipelineError> {
-    let (deps, _) =
-        crate::pipeline::admitted_dependence_vectors(nest, DepOptions::default(), true, recorder)?;
+    let (deps, _) = crate::pipeline::admitted_dependence_vectors(nest, true, recorder)?;
     explore_with_deps(nest, deps, cube_dims, config, recorder)
 }
 
@@ -518,7 +511,6 @@ pub fn explore_with_deps(
                     let bound = makespan_lower_bound_with(
                         &program,
                         &config.machine.params,
-                        config.machine.words_per_arc,
                         config.machine.batch_messages,
                         topology.as_ref(),
                     );

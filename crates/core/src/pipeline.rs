@@ -59,8 +59,6 @@ impl Target {
 pub struct MachineOptions {
     /// Timing parameters.
     pub params: MachineParams,
-    /// Words per dependence arc.
-    pub words_per_arc: u64,
     /// Merge per-task same-destination messages.
     pub batch_messages: bool,
     /// Model per-link contention in the interconnect.
@@ -113,7 +111,6 @@ impl MachineOptions {
         SimConfig {
             params: self.params,
             topology: target.topology(),
-            words_per_arc: self.words_per_arc,
             batch_messages: self.batch_messages,
             link_contention: self.link_contention,
             record_trace: self.record_trace || self.validate_trace,
@@ -126,7 +123,6 @@ impl Default for MachineOptions {
     fn default() -> MachineOptions {
         MachineOptions {
             params: MachineParams::classic_1991(),
-            words_per_arc: 1,
             batch_messages: false,
             link_contention: false,
             record_trace: false,
@@ -139,24 +135,18 @@ impl Default for MachineOptions {
     }
 }
 
-/// Pipeline configuration.
+/// Pipeline configuration. Dependences are extracted with every class
+/// included, and a nest the uniform front end rejects is admitted
+/// through certified uniformization (`LC016`): its variable-distance
+/// dependences are folded into a synthesized constant-vector basis,
+/// the cover is proven by the Presburger core, and the folded set
+/// drives the rest of the pipeline. An uncertifiable nest is rejected
+/// with the full report as [`PipelineError::StaticCheck`].
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
-    /// Dependence-extraction options.
-    pub dep_options: DepOptions,
-    /// Admit nests the uniform front end rejects through certified
-    /// uniformization (`LC016`): variable-distance dependences are
-    /// folded into a synthesized constant-vector basis, the cover is
-    /// proven by the Presburger core, and the folded set drives the
-    /// rest of the pipeline. An uncertifiable nest is rejected with
-    /// the full report as [`PipelineError::StaticCheck`]. Disable to
-    /// get the seed behavior (every non-uniform nest is a
-    /// [`PipelineError::Deps`] rejection).
-    pub uniformize: bool,
-    /// Fixed time function; `None` searches for the optimal one.
+    /// Fixed time function; `None` searches for the optimal one within
+    /// the default [`SearchConfig`] bounds.
     pub time_fn: Option<Vec<i64>>,
-    /// Search bounds when `time_fn` is `None`.
-    pub search: SearchConfig,
     /// Algorithm 1 options.
     pub partition: PartitionConfig,
     /// Hypercube dimension `n` (the machine has `2ⁿ` processors).
@@ -171,10 +161,7 @@ pub struct PipelineConfig {
 impl Default for PipelineConfig {
     fn default() -> PipelineConfig {
         PipelineConfig {
-            dep_options: DepOptions::default(),
-            uniformize: true,
             time_fn: None,
-            search: SearchConfig::default(),
             partition: PartitionConfig::default(),
             cube_dim: 2,
             target: None,
@@ -379,16 +366,10 @@ impl Pipeline {
         recorder: &Recorder,
     ) -> Result<PartitionedStage<'_>, PipelineError> {
         // 1. Dependence analysis (with certified uniformization of
-        // non-uniform nests when enabled).
+        // non-uniform nests).
         let deps = {
             let _s = recorder.span("pipeline.deps");
-            admitted_dependence_vectors(
-                &self.nest,
-                config.dep_options,
-                config.uniformize,
-                recorder,
-            )?
-            .0
+            admitted_dependence_vectors(&self.nest, true, recorder)?.0
         };
         self.stage_partition_with_deps(config, recorder, deps)
     }
@@ -415,13 +396,7 @@ impl Pipeline {
         recorder: &Recorder,
     ) -> Result<crate::symbolic_cost::Derivation, PipelineError> {
         let _s = recorder.span("pipeline.symbolic_cost");
-        let deps = admitted_dependence_vectors(
-            &self.nest,
-            config.dep_options,
-            config.uniformize,
-            recorder,
-        )?
-        .0;
+        let deps = admitted_dependence_vectors(&self.nest, true, recorder)?.0;
         let pi = self.time_fn(config, &deps, recorder)?;
         let machine = config.machine.clone().unwrap_or_default();
         let derived = crate::symbolic_cost::derive(
@@ -464,25 +439,19 @@ impl Pipeline {
             let _s = recorder.span("pipeline.stmt_offsets");
             let intra_opts = DepOptions {
                 include_intra: true,
-                ..config.dep_options
+                ..DepOptions::default()
             };
-            let records = match loom_loopir::deps::extract_dependences(&self.nest, intra_opts) {
-                Ok(records) => records,
-                // An admitted uniformized nest trips the uniform
-                // extractor again here; its folded dependence records
-                // (already certified during stage 1) drive the offsets.
-                Err(loom_loopir::Error::NonUniform { .. }) if config.uniformize => {
-                    loom_loopir::uniformize(&self.nest, intra_opts)
-                        .map(|u| u.deps)
-                        .map_err(|e| match e {
-                            loom_loopir::FoldError::Extract(err) => PipelineError::Deps(err),
-                            loom_loopir::FoldError::NoCover { array, .. } => {
-                                PipelineError::Deps(loom_loopir::Error::NonUniform { array })
-                            }
-                        })?
-                }
-                Err(e) => return Err(PipelineError::Deps(e)),
-            };
+            // An admitted uniformized nest trips the uniform extractor
+            // again here; its folded dependence records (already
+            // certified during stage 1) drive the offsets.
+            let records = loom_loopir::extract_or_fold(&self.nest, intra_opts).map_err(|e| {
+                PipelineError::Deps(match e {
+                    loom_loopir::FoldError::Extract(err) => err,
+                    loom_loopir::FoldError::NoCover { array, .. } => {
+                        loom_loopir::Error::NonUniform { array }
+                    }
+                })
+            })?;
             loom_hyperplane::compute_offsets(self.nest.stmts().len(), &records, &pi)
                 .map_err(|_| PipelineError::TimeFn(loom_hyperplane::Error::NotFound { bound: 0 }))?
         };
@@ -525,16 +494,21 @@ impl Pipeline {
                 pi.check_legal(deps).map_err(PipelineError::TimeFn)?;
                 Ok(pi)
             }
-            None => {
-                loom_hyperplane::find_optimal_with(deps, self.nest.space(), config.search, recorder)
-                    .map_err(PipelineError::TimeFn)
-            }
+            None => loom_hyperplane::find_optimal_with(
+                deps,
+                self.nest.space(),
+                SearchConfig::default(),
+                recorder,
+            )
+            .map_err(PipelineError::TimeFn),
         }
     }
 }
 
 /// Extract the dependence vector set `D`, admitting nests the uniform
-/// front end rejects through certified uniformization when enabled:
+/// front end rejects through certified uniformization when `uniformize`
+/// is set (otherwise every non-uniform nest is a
+/// [`PipelineError::Deps`] rejection):
 /// the fold is synthesized (`loom_loopir::uniformize`) and its cover
 /// proven sound by the Presburger core (`LC016`) before the folded
 /// vectors are handed to the rest of the pipeline. An uncertifiable
@@ -545,21 +519,16 @@ impl Pipeline {
 /// counts land on `recorder` as `check.uniformize.*` counters.
 pub fn admitted_dependence_vectors(
     nest: &LoopNest,
-    opts: DepOptions,
     uniformize: bool,
     recorder: &Recorder,
 ) -> Result<(Vec<Point>, Vec<loom_check::Diagnostic>), PipelineError> {
+    let opts = DepOptions::default();
     match loom_loopir::deps::dependence_vectors(nest, opts) {
         Ok(deps) => Ok((deps, Vec::new())),
         Err(loom_loopir::Error::NonUniform { .. }) if uniformize => {
             let mut stats = loom_check::UniformizeStats::default();
             let admitted = loom_check::admit_uniformized(nest, opts, &mut stats);
-            recorder.add("check.uniformize.pairs", stats.pairs_folded);
-            recorder.add("check.uniformize.vectors", stats.vectors_synthesized);
-            recorder.add("check.uniformize.proofs", stats.proofs);
-            recorder.add("check.uniformize.refuted", stats.refuted);
-            recorder.add("check.uniformize.unknown", stats.unknown);
-            recorder.add("check.uniformize.tightness", stats.tightness_warnings);
+            stats.record(recorder);
             match admitted {
                 Ok((u, diags)) => Ok((u.vectors, diags)),
                 Err(report) => Err(PipelineError::StaticCheck(report)),
@@ -1295,12 +1264,7 @@ mod tests {
             )],
         )
         .unwrap();
-        let err = Pipeline::new(nest)
-            .run(&PipelineConfig {
-                uniformize: false,
-                ..PipelineConfig::default()
-            })
-            .unwrap_err();
+        let err = admitted_dependence_vectors(&nest, false, &Recorder::disabled()).unwrap_err();
         assert!(matches!(err, PipelineError::Deps(_)));
     }
 

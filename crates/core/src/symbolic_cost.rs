@@ -222,30 +222,31 @@ fn fit_series(values: &[i128], base: i64, period: i64, degree: usize) -> Option<
     })
 }
 
-/// Try ascending periods over the available window; first exact fit wins.
-fn fit_component(values: &[i128], base: i64, periods: &[i64], degree: usize) -> Option<QuasiPoly> {
-    periods
-        .iter()
-        .filter(|&&p| values.len() >= (p as usize) * (degree + 3))
-        .find_map(|&p| fit_series(values, base, p, degree))
+/// Try ascending [`PERIODS`] over the available window; first exact fit
+/// wins.
+fn fit_component(values: &[i128], base: i64, degree: usize) -> Option<QuasiPoly> {
+    PERIODS
+        .into_iter()
+        .filter(|&p| values.len() >= (p as usize) * (degree + 3))
+        .find_map(|p| fit_series(values, base, p, degree))
 }
 
 // ---------------------------------------------------------------------------
 // Derivation options and results
 // ---------------------------------------------------------------------------
 
-/// Knobs of the probe-and-fit protocol.
+/// Candidate coefficient periods of every fitted form, tried in
+/// ascending order.
+const PERIODS: [i64; 9] = [1, 2, 3, 4, 5, 6, 8, 10, 24];
+/// Smallest size probed.
+const MIN_BASE: i64 = 2;
+/// Largest size the base search may reach.
+const MAX_BASE: i64 = 48;
+
+/// Knobs of the probe-and-fit protocol. Every fitted form's degree is
+/// capped by the nest depth (the Ehrhart bound).
 #[derive(Clone, Debug)]
 pub struct DeriveOptions {
-    /// Degree cap for every fitted form; `None` uses the nest depth
-    /// (the Ehrhart bound).
-    pub degree: Option<usize>,
-    /// Candidate coefficient periods, tried in ascending order.
-    pub periods: Vec<i64>,
-    /// Smallest size probed.
-    pub min_base: i64,
-    /// Largest size the base search may reach.
-    pub max_base: i64,
     /// Total iteration-space points the probes may cost (partitioning
     /// and simulation both scale with points); exhausted ⇒ `Unknown`.
     pub max_probe_points: u64,
@@ -257,10 +258,6 @@ pub struct DeriveOptions {
 impl Default for DeriveOptions {
     fn default() -> DeriveOptions {
         DeriveOptions {
-            degree: None,
-            periods: vec![1, 2, 3, 4, 5, 6, 8, 10, 24],
-            min_base: 2,
-            max_base: 48,
             max_probe_points: 1_500_000,
             profile: false,
         }
@@ -599,7 +596,6 @@ impl ProbeCache {
         let sim_cfg = SimConfig {
             params: machine.params,
             topology: Topology::Hypercube(cube_dim),
-            words_per_arc: machine.words_per_arc,
             batch_messages: machine.batch_messages,
             link_contention: machine.link_contention,
             record_trace: profile,
@@ -697,18 +693,10 @@ pub fn derive(
     if machine.faults.is_some() {
         return unknown("fault plans name concrete processors and ticks; no size family");
     }
-    if target < opts.min_base {
+    if target < MIN_BASE {
         return unknown(format!("target size {target} below probe base"));
     }
-    let mut periods: Vec<i64> = opts.periods.iter().copied().filter(|&p| p >= 1).collect();
-    periods.sort_unstable();
-    periods.dedup();
-    if periods.is_empty() {
-        return unknown("no candidate periods configured");
-    }
-    let degree = opts
-        .degree
-        .unwrap_or_else(|| family(opts.min_base.max(1)).dim());
+    let degree = family(MIN_BASE).dim();
     let budget = opts.max_probe_points;
     let num_procs = 1usize << cube_dim;
 
@@ -716,7 +704,7 @@ pub fn derive(
     // partitions. A grouping the partitioner rejects is rejected by a
     // rank argument independent of the bounds — infeasible at any size.
     let mut base = None;
-    for n in opts.min_base..=opts.max_base {
+    for n in MIN_BASE..=MAX_BASE {
         match cache.probe(family, deps, pi, pcfg, n, budget) {
             Err(e) => return unknown(e),
             Ok(Probe::DepsMismatch) => continue,
@@ -733,8 +721,7 @@ pub fn derive(
     }
     let Some(base) = base else {
         return unknown(format!(
-            "no size in [{}, {}] reproduces the target dependence set",
-            opts.min_base, opts.max_base
+            "no size in [{MIN_BASE}, {MAX_BASE}] reproduces the target dependence set"
         ));
     };
 
@@ -753,13 +740,13 @@ pub fn derive(
     // and the form is re-fitted and ladder-validated alongside the
     // simulated components below.
     let mut prelim_blocks = None;
-    for &p in &periods {
+    for p in PERIODS {
         let window = p * (degree as i64 + 3);
         let series = match partition_series(cache, family, deps, pi, pcfg, base, window, budget) {
             Ok(s) => s,
             Err(e) => return unknown(e),
         };
-        if let Some(b) = fit_component(&series.0, base, &periods, degree) {
+        if let Some(b) = fit_component(&series.0, base, degree) {
             prelim_blocks = Some(b);
             break;
         }
@@ -790,7 +777,7 @@ pub fn derive(
     'attempts: for attempt in 0..MAX_ATTEMPTS {
         let mut fitted: Option<FitSet> = None;
         let mut skipped_for_budget = false;
-        'rounds: for &p in &periods {
+        'rounds: for p in PERIODS {
             let window = p * (degree as i64 + 3);
             // Place the window at or after `start` — but never start it
             // beyond the target: a fit based past the target proves
@@ -872,11 +859,11 @@ pub fn derive(
                 }
             }
             let fits = (
-                fit_component(&blocks_v, s, &periods, degree),
-                fit_component(&steps_v, s, &periods, degree),
-                fit_component(&mk_v, s, &periods, degree),
-                fit_component(&msg_v, s, &periods, degree),
-                fit_component(&load_v, s, &periods, degree),
+                fit_component(&blocks_v, s, degree),
+                fit_component(&steps_v, s, degree),
+                fit_component(&mk_v, s, degree),
+                fit_component(&msg_v, s, degree),
+                fit_component(&load_v, s, degree),
             );
             let (Some(blocks), Some(steps), Some(t_exec), Some(messages), Some(load)) = fits else {
                 continue 'rounds;
@@ -888,9 +875,9 @@ pub fn derive(
                     prof_v.iter().map(|t| t.2).collect(),
                 ];
                 let fitted = (
-                    fit_component(&series[0], s, &periods, degree),
-                    fit_component(&series[1], s, &periods, degree),
-                    fit_component(&series[2], s, &periods, degree),
+                    fit_component(&series[0], s, degree),
+                    fit_component(&series[1], s, degree),
+                    fit_component(&series[2], s, degree),
                 );
                 let (Some(compute), Some(startup), Some(transit)) = fitted else {
                     continue 'rounds;
@@ -927,7 +914,7 @@ pub fn derive(
             if !skipped_for_budget {
                 last_reason = format!(
                     "no exact quasi-polynomial fit (period ≤ {}) over windows from size {start}",
-                    periods.last().unwrap()
+                    PERIODS[PERIODS.len() - 1]
                 );
             }
             start += min_window << attempt.saturating_sub(2);
@@ -1266,7 +1253,6 @@ mod tests {
             40,
             &MachineOptions::default(),
             &DeriveOptions {
-                max_base: 80,
                 max_probe_points: 1 << 20,
                 ..Default::default()
             },

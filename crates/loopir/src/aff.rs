@@ -89,6 +89,22 @@ impl Aff {
                 .sum::<i64>()
     }
 
+    /// The exact image interval `(min, max)` of this expression over the
+    /// box `bbox` (one inclusive `(lo, hi)` range per index), evaluated at
+    /// the corner each coefficient's sign selects; `None` on overflow.
+    /// When it is `Some`, evaluating the expression at any point of the
+    /// box cannot overflow: every partial sum lies within the checked
+    /// partial hull.
+    pub fn hull_over_box(&self, bbox: &[(i64, i64)]) -> Option<(i64, i64)> {
+        let (mut lo, mut hi) = (self.constant, self.constant);
+        for (&a, &(l, h)) in self.coeffs.iter().zip(bbox) {
+            let (x, y) = (a.checked_mul(l)?, a.checked_mul(h)?);
+            lo = lo.checked_add(x.min(y))?;
+            hi = hi.checked_add(x.max(y))?;
+        }
+        Some((lo, hi))
+    }
+
     /// `true` iff the linear (non-constant) parts of two expressions match.
     pub fn same_linear_part(&self, other: &Aff) -> bool {
         self.coeffs == other.coeffs
@@ -229,6 +245,24 @@ mod tests {
         assert_eq!(e.max_var(), Some(2));
         assert!(Aff::constant(3, 9).is_constant());
         assert_eq!(Aff::constant(3, 9).max_var(), None);
+    }
+
+    #[test]
+    fn hull_over_box_is_the_enumerated_image_or_none_on_overflow() {
+        let space = crate::IterSpace::rect(&[4, 3]).unwrap();
+        let bx = space.bounding_box();
+        for f in [
+            Aff::new(vec![2, -3], 1),
+            Aff::new(vec![-1, 0], 0),
+            Aff::constant(2, 7),
+        ] {
+            let vals: Vec<i64> = space.points().map(|p| f.eval(&p)).collect();
+            let min = *vals.iter().min().unwrap();
+            let max = *vals.iter().max().unwrap();
+            assert_eq!(f.hull_over_box(&bx), Some((min, max)), "{f:?}");
+        }
+        assert_eq!(Aff::new(vec![i64::MAX, 0], 0).hull_over_box(&bx), None);
+        assert_eq!(Aff::new(vec![1, 0], i64::MAX).hull_over_box(&bx), None);
     }
 
     #[test]

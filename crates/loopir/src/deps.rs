@@ -80,14 +80,13 @@ impl fmt::Display for Dependence {
     }
 }
 
-/// Extraction options.
+/// Extraction options. Flow, anti and output dependences are always
+/// extracted.
 #[derive(Clone, Copy, Debug)]
 pub struct DepOptions {
     /// Include read-after-read reuse dependences (needed to reproduce the
     /// paper's dependence sets for matmul / matvec). Default `true`.
     pub include_input_reuse: bool,
-    /// Include anti and output dependences. Default `true`.
-    pub include_anti_output: bool,
     /// Include intra-iteration (zero-distance) dependences between
     /// *different* statements, ordered by textual position. These never
     /// enter the vector set `D` (a zero vector admits no legal Π) but
@@ -99,7 +98,6 @@ impl Default for DepOptions {
     fn default() -> DepOptions {
         DepOptions {
             include_input_reuse: true,
-            include_anti_output: true,
             include_intra: false,
         }
     }
@@ -278,15 +276,13 @@ fn extract_with(
                     } else {
                         (sy, sx, kind_of(wy, wx))
                     };
-                    if opts.include_anti_output || kind == DepKind::Flow {
-                        out.push(Dependence {
-                            vector: vec![0; n],
-                            kind,
-                            array: array.clone(),
-                            src_stmt: src,
-                            dst_stmt: dst,
-                        });
-                    }
+                    out.push(Dependence {
+                        vector: vec![0; n],
+                        kind,
+                        array: array.clone(),
+                        src_stmt: src,
+                        dst_stmt: dst,
+                    });
                 }
 
                 // Particular vector → flow/anti/output between distinct roles.
@@ -300,15 +296,13 @@ fn extract_with(
                             sx,
                         ),
                     };
-                    if opts.include_anti_output || kind == DepKind::Flow {
-                        out.push(Dependence {
-                            vector,
-                            kind,
-                            array: array.clone(),
-                            src_stmt: src,
-                            dst_stmt: dst,
-                        });
-                    }
+                    out.push(Dependence {
+                        vector,
+                        kind,
+                        array: array.clone(),
+                        src_stmt: src,
+                        dst_stmt: dst,
+                    });
                 }
 
                 // Nullspace generators → reuse/output chains along which the
@@ -324,9 +318,6 @@ fn extract_with(
                     } else {
                         DepKind::Input
                     };
-                    if !opts.include_anti_output && kind == DepKind::Output {
-                        continue;
-                    }
                     out.push(Dependence {
                         vector,
                         kind,
@@ -368,6 +359,19 @@ pub fn dependence_vectors(nest: &LoopNest, opts: DepOptions) -> Result<Vec<Point
         .filter(|v| v.iter().any(|&x| x != 0))
         .collect();
     Ok(set.into_iter().collect())
+}
+
+/// A nest's dependence records: the uniform extractor's, or, when it
+/// rejects the nest as [`Error::NonUniform`], those of the fold
+/// ([`crate::uniformize()`]). Every other extraction error propagates.
+pub fn extract_or_fold(
+    nest: &LoopNest,
+    opts: DepOptions,
+) -> Result<Vec<Dependence>, crate::FoldError> {
+    match extract_dependences(nest, opts) {
+        Err(Error::NonUniform { .. }) => crate::uniformize(nest, opts).map(|u| u.deps),
+        other => other.map_err(crate::FoldError::Extract),
+    }
 }
 
 #[cfg(test)]
@@ -482,12 +486,6 @@ mod tests {
         assert_eq!(deps.len(), 1);
         assert_eq!(deps[0].kind, DepKind::Anti);
         assert_eq!(deps[0].vector, vec![1]);
-        // Excluded when anti/output deps are off.
-        let opts = DepOptions {
-            include_anti_output: false,
-            ..Default::default()
-        };
-        assert!(extract_dependences(&nest, opts).unwrap().is_empty());
     }
 
     #[test]

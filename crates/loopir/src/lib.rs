@@ -37,8 +37,8 @@ pub mod uniformize;
 pub use access::Access;
 pub use aff::Aff;
 pub use deps::{
-    accesses_by_array, extract_dependences, extract_dependences_relaxed, AccessSite, DepKind,
-    DepOptions, Dependence, NonUniformPair,
+    accesses_by_array, extract_dependences, extract_dependences_relaxed, extract_or_fold,
+    AccessSite, DepKind, DepOptions, Dependence, NonUniformPair,
 };
 pub use front::{FrontDiag, FrontLimits, LpCode, ParseOutcome};
 pub use nest::{LoopNest, Stmt};

@@ -34,8 +34,8 @@
 
 use crate::access::Access;
 use crate::deps::{
-    extract_dependences_relaxed, kind_of, lex_sign, primitive_lex_positive, DepKind, DepOptions,
-    Dependence, NonUniformPair,
+    extract_dependences_relaxed, kind_of, lex_sign, primitive_lex_positive, DepOptions, Dependence,
+    NonUniformPair,
 };
 use crate::nest::LoopNest;
 use crate::{Error, Point};
@@ -188,15 +188,7 @@ pub fn uniformize(nest: &LoopNest, opts: DepOptions) -> Result<Uniformization, F
     let mut pairs = Vec::new();
     for pair in raw_pairs {
         let fold = fold_pair(nest, pair)?;
-        if opts.include_anti_output {
-            deps.extend(fold.dependences());
-        } else {
-            deps.extend(
-                fold.dependences()
-                    .into_iter()
-                    .filter(|d| d.kind == DepKind::Flow),
-            );
-        }
+        deps.extend(fold.dependences());
         pairs.push(fold);
     }
     deps.sort_by(|a, b| {
@@ -645,6 +637,7 @@ fn verify_cover_on_samples(basis: &[Point], distances: &BTreeSet<Point>) -> Resu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deps::DepKind;
     use crate::space::IterSpace;
     use crate::{Aff, Stmt};
 

@@ -10,7 +10,7 @@ pub struct Program {
     /// Hyperplane step of each task, used as the dispatch priority.
     pub step_of: Vec<i64>,
     /// Dependence arcs `(src, dst)` by task id; each remote arc carries
-    /// `SimConfig::words_per_arc` words.
+    /// one word.
     pub arcs: Vec<(u32, u32)>,
     /// Processor of each task.
     pub proc_of: Vec<u32>,

@@ -25,8 +25,6 @@ pub struct SimConfig {
     pub params: MachineParams,
     /// Interconnect (must have at least `program.num_procs` nodes).
     pub topology: Topology,
-    /// Words carried by one dependence arc (1 in the paper's model).
-    pub words_per_arc: u64,
     /// Combine all arcs from one task to one destination processor into a
     /// single message (an optimization the paper's per-word model does
     /// not perform; exposed for the ablation benches).
@@ -50,7 +48,6 @@ impl SimConfig {
         SimConfig {
             params,
             topology: Topology::Hypercube(dim),
-            words_per_arc: 1,
             batch_messages: false,
             link_contention: false,
             record_trace: false,
@@ -853,7 +850,7 @@ impl<'a> Engine<'a> {
                 self.procs[p].sends.push_back(PendingSend {
                     dst_proc: dst,
                     src_task: task,
-                    words: tasks.len() as u64 * self.config.words_per_arc,
+                    words: tasks.len() as u64,
                     tasks,
                     attempt: 0,
                 });
@@ -864,7 +861,7 @@ impl<'a> Engine<'a> {
                     dst_proc: dst,
                     src_task: task,
                     tasks: vec![w],
-                    words: self.config.words_per_arc,
+                    words: 1,
                     attempt: 0,
                 });
             }
@@ -989,8 +986,8 @@ impl<'a> Engine<'a> {
             }
         }
         // Charge the paper's cost model for shipping the crashed
-        // processor's state to the survivor.
-        let words = (stranded.len() as u64 * self.config.words_per_arc).max(1);
+        // processor's state to the survivor: one word per stranded task.
+        let words = (stranded.len() as u64).max(1);
         let dist = self.config.topology.distance(p, survivor);
         let cost = self.config.params.message_cost(words, dist);
         let start = self.procs[survivor].busy_until.max(now);
@@ -1181,7 +1178,6 @@ mod tests {
         SimConfig {
             params: params(),
             topology: Topology::Hypercube(n_procs_dim),
-            words_per_arc: 1,
             batch_messages: false,
             link_contention: false,
             record_trace: true,

@@ -15,8 +15,6 @@ pub enum Topology {
     },
     /// Bidirectional ring of `n` nodes.
     Ring(usize),
-    /// Fully connected: every pair one hop apart.
-    Complete(usize),
 }
 
 impl Topology {
@@ -25,7 +23,7 @@ impl Topology {
         match *self {
             Topology::Hypercube(d) => 1 << d,
             Topology::Mesh { rows, cols } => rows * cols,
-            Topology::Ring(n) | Topology::Complete(n) => n,
+            Topology::Ring(n) => n,
         }
     }
 
@@ -51,14 +49,13 @@ impl Topology {
                 let d = a.abs_diff(b);
                 d.min(len - d)
             }
-            Topology::Complete(_) => usize::from(a != b),
         }
     }
 
     /// The deterministic shortest route from `a` to `b`, including both
     /// endpoints: e-cube for hypercubes, X-then-Y for meshes, the
-    /// shorter arc (ties toward increasing node numbers) for rings, and
-    /// the direct link for complete graphs.
+    /// and the shorter arc (ties toward increasing node numbers) for
+    /// rings.
     pub fn route(&self, a: usize, b: usize) -> Vec<usize> {
         let n = self.len();
         assert!(a < n && b < n, "node out of range");
@@ -93,11 +90,6 @@ impl Topology {
                 while cur != b {
                     cur = (cur + step) % len;
                     path.push(cur);
-                }
-            }
-            Topology::Complete(_) => {
-                if a != b {
-                    path.push(b);
                 }
             }
         }
@@ -192,7 +184,6 @@ impl Topology {
                     vec![(p + len - 1) % len, (p + 1) % len]
                 }
             }
-            Topology::Complete(len) => (0..len).filter(|&q| q != p).collect(),
         }
     }
 }
@@ -226,10 +217,23 @@ mod tests {
     }
 
     #[test]
-    fn complete_is_one_hop() {
-        let t = Topology::Complete(5);
-        assert_eq!(t.distance(0, 4), 1);
-        assert_eq!(t.distance(3, 3), 0);
+    fn ecube_route_is_shortest_and_dimension_ordered() {
+        // The link-contention model charges exactly these links.
+        let t = Topology::Hypercube(4);
+        let path = t.route(0b0000, 0b1011);
+        assert_eq!(path, vec![0b0000, 0b0001, 0b0011, 0b1011]);
+        assert_eq!(path.len() - 1, t.distance(0b0000, 0b1011));
+        assert_eq!(
+            t.route_links(0b0000, 0b1011),
+            vec![(0b0000, 0b0001), (0b0001, 0b0011), (0b0011, 0b1011)]
+        );
+    }
+
+    #[test]
+    fn route_to_self_is_trivial() {
+        let t = Topology::Hypercube(3);
+        assert_eq!(t.route(5, 5), vec![5]);
+        assert!(t.route_links(5, 5).is_empty());
     }
 
     #[test]
@@ -244,7 +248,6 @@ mod tests {
             Topology::Hypercube(3),
             Topology::Mesh { rows: 3, cols: 4 },
             Topology::Ring(7),
-            Topology::Complete(5),
         ];
         for t in topos {
             for a in 0..t.len() {
@@ -286,7 +289,6 @@ mod tests {
             Topology::Hypercube(3),
             Topology::Mesh { rows: 3, cols: 4 },
             Topology::Ring(7),
-            Topology::Complete(5),
         ];
         for t in topos {
             for a in 0..t.len() {
@@ -328,6 +330,5 @@ mod tests {
         assert_eq!(Topology::Mesh { rows: 3, cols: 3 }.neighbors(0).len(), 2);
         assert_eq!(Topology::Ring(2).neighbors(0), vec![1]);
         assert_eq!(Topology::Ring(1).neighbors(0), Vec::<usize>::new());
-        assert_eq!(Topology::Complete(4).neighbors(2), vec![0, 1, 3]);
     }
 }

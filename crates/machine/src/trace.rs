@@ -200,7 +200,6 @@ mod tests {
                 t_recv: 0,
             },
             topology: Topology::Hypercube(2),
-            words_per_arc: 1,
             batch_messages: false,
             link_contention: false,
             record_trace: true,

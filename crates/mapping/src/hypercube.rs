@@ -41,28 +41,6 @@ impl Hypercube {
         assert!(a < self.len() && b < self.len());
         (a ^ b).count_ones() as usize
     }
-
-    /// The e-cube (dimension-ordered) route from `a` to `b`, as the
-    /// sequence of nodes visited including both endpoints.
-    pub fn route(&self, a: usize, b: usize) -> Vec<usize> {
-        assert!(a < self.len() && b < self.len());
-        let mut path = vec![a];
-        let mut cur = a;
-        for k in 0..self.dim {
-            let bit = 1 << k;
-            if (cur ^ b) & bit != 0 {
-                cur ^= bit;
-                path.push(cur);
-            }
-        }
-        path
-    }
-
-    /// The directed links of the e-cube route (pairs of adjacent nodes).
-    pub fn route_links(&self, a: usize, b: usize) -> Vec<(usize, usize)> {
-        let path = self.route(a, b);
-        path.windows(2).map(|w| (w[0], w[1])).collect()
-    }
 }
 
 #[cfg(test)]
@@ -85,24 +63,6 @@ mod tests {
         assert_eq!(h.distance(0b0000, 0b1111), 4);
         assert_eq!(h.distance(0b1010, 0b1010), 0);
         assert_eq!(h.distance(0b0001, 0b0010), 2);
-    }
-
-    #[test]
-    fn ecube_route_is_shortest_and_dimension_ordered() {
-        let h = Hypercube::new(4);
-        let path = h.route(0b0000, 0b1011);
-        assert_eq!(path, vec![0b0000, 0b0001, 0b0011, 0b1011]);
-        assert_eq!(path.len() - 1, h.distance(0b0000, 0b1011));
-        for w in path.windows(2) {
-            assert_eq!(h.distance(w[0], w[1]), 1);
-        }
-    }
-
-    #[test]
-    fn route_to_self_is_trivial() {
-        let h = Hypercube::new(3);
-        assert_eq!(h.route(5, 5), vec![5]);
-        assert!(h.route_links(5, 5).is_empty());
     }
 
     #[test]

@@ -66,8 +66,7 @@ pub fn evaluate(tig: &Tig, assignment: &[usize], cube: Hypercube) -> MappingQual
 }
 
 /// Evaluate a mapping of `tig` onto *any* machine topology (mesh, ring,
-/// complete, hypercube) under that topology's deterministic shortest
-/// routing. Panics on a malformed assignment.
+/// hypercube) under that topology's deterministic shortest routing. Panics on a malformed assignment.
 pub fn evaluate_on(
     tig: &Tig,
     assignment: &[usize],

@@ -106,7 +106,6 @@ fn sim_config(cube_dim: usize) -> SimConfig {
     SimConfig {
         params: MachineParams::classic_1991(),
         topology: Topology::Hypercube(cube_dim),
-        words_per_arc: 1,
         batch_messages: false,
         link_contention: false,
         record_trace: true,

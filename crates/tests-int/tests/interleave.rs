@@ -12,7 +12,7 @@
 
 use loom_check::{
     check_interleavings, check_races, enumerate_naive, explore_dpor, mutate_program,
-    InterleaveOptions, InterleaveStats, Mutation, RuleId, Severity,
+    InterleaveStats, Mutation, RuleId, Severity,
 };
 use loom_codegen::{generate, run_schedule};
 use loom_exec::memory::address_hash_init;
@@ -52,7 +52,7 @@ fn clean_pipelines_are_schedule_independent_and_dpor_is_strict() {
     for w in workloads() {
         let (nest, cg) = program_for(&w);
         let mut stats = InterleaveStats::default();
-        let diags = check_interleavings(&nest, &cg, &InterleaveOptions::default(), &mut stats);
+        let diags = check_interleavings(&nest, &cg, &mut stats);
         assert!(
             diags.iter().all(|d| d.severity != Severity::Error),
             "{}: clean pipeline must verify: {diags:?}",
@@ -92,7 +92,7 @@ fn dpor_schedules_replay_to_the_sequential_oracle() {
     for w in workloads() {
         let (nest, cg) = program_for(&w);
         let mut stats = InterleaveStats::default();
-        let expl = explore_dpor(&cg.program, &InterleaveOptions::default(), &mut stats);
+        let expl = explore_dpor(&cg.program, &mut stats);
         assert!(expl.deadlock.is_none(), "{}", w.nest.name());
         assert!(!expl.schedules.is_empty(), "{}", w.nest.name());
         let oracle = sequential(&nest, &address_hash_init);
@@ -127,8 +127,7 @@ fn seeded_mutations_cross_validate_the_three_engines() {
                 let mut bad = cg.clone();
                 bad.program = mutated;
                 let mut stats = InterleaveStats::default();
-                let diags =
-                    check_interleavings(&nest, &bad, &InterleaveOptions::default(), &mut stats);
+                let diags = check_interleavings(&nest, &bad, &mut stats);
                 // The checker must never disagree with its own ground
                 // truth (that diagnostic is reserved for checker bugs).
                 assert!(

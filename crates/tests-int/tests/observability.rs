@@ -22,7 +22,6 @@ fn two_proc_report() -> (Program, loom_machine::SimReport) {
             t_recv: 0,
         },
         topology: Topology::Hypercube(1),
-        words_per_arc: 1,
         batch_messages: false,
         link_contention: false,
         record_trace: true,

@@ -36,7 +36,6 @@ fn profile_workload(
         let sim_cfg = SimConfig {
             params,
             topology: target.topology(),
-            words_per_arc: 1,
             batch_messages: false,
             link_contention,
             record_trace: true,

@@ -116,7 +116,6 @@ fn simulation_conserves_work_on_any_mapping() {
             &SimConfig {
                 params: MachineParams::low_latency(),
                 topology: Topology::Hypercube(1),
-                words_per_arc: 1,
                 batch_messages: false,
                 link_contention: false,
                 record_trace: false,
