@@ -61,17 +61,18 @@ fn main() {
     let grouped = comm_stats(&p);
     // No-grouping reference: count arcs crossing projection lines.
     let qp = p.projected();
+    let mut line_of = vec![0; p.structure().len()];
+    for line in 0..qp.len() {
+        for &id in qp.line_members(line) {
+            line_of[id] = line;
+        }
+    }
     let mut crossing = 0usize;
     let mut total = 0usize;
     for pid in 0..p.structure().len() {
         for (succ, _) in p.structure().successors(pid) {
             total += 1;
-            let line_of = |id: usize| {
-                (0..qp.len())
-                    .find(|&l| qp.line_members(l).contains(&id))
-                    .unwrap()
-            };
-            if line_of(pid) != line_of(succ) {
+            if line_of[pid] != line_of[succ] {
                 crossing += 1;
             }
         }

@@ -35,12 +35,10 @@ fn omega_adjacent_pairs(p: &Partitioning) -> BTreeSet<(usize, usize)> {
     for pid in 0..qp.len() {
         let from = g.group_of[pid];
         for &k in &omega {
-            let d = &qp.deps()[k];
-            if d.is_zero() {
+            if qp.deps()[k].is_zero() {
                 continue;
             }
-            let q = &qp.points()[pid] + d;
-            if let Some(qid) = qp.id_of(&q) {
+            if let Some(qid) = qp.neighbor(pid, k) {
                 let to = g.group_of[qid];
                 if to != from {
                     pairs.insert((from.min(to), from.max(to)));

@@ -676,10 +676,9 @@ fn derive_traffic(p: &Partitioning) -> BlockTraffic {
     let mut min_lag: BTreeMap<(usize, usize), i64> = BTreeMap::new();
     let mut summaries = 0u64;
     for k in qp.nonzero_dep_indices() {
-        let dq = &qp.deps()[k];
         let w = pi.dot(&cs.deps()[k]);
         for pid in 0..qp.len() {
-            let Some(qid) = qp.id_of(&(&qp.points()[pid] + dq)) else {
+            let Some(qid) = qp.neighbor(pid, k) else {
                 // No point of this line has its successor in the space.
                 continue;
             };

@@ -158,13 +158,14 @@ pub fn generate(
 
     let proc_of_point = |id: usize| -> u32 { assignment[partitioning.block_of(id)] as u32 };
 
-    // Iterations per processor in (step, point) order.
+    // Iterations per processor in (step, point) order; point ids are
+    // lexicographic, so the id breaks ties.
     let mut per_proc_points: Vec<Vec<usize>> = vec![Vec::new(); num_procs];
     for id in 0..cs.len() {
         per_proc_points[proc_of_point(id) as usize].push(id);
     }
     for list in &mut per_proc_points {
-        list.sort_by_key(|&id| (pi.time_of(&cs.points()[id]), cs.points()[id].clone()));
+        list.sort_by_key(|&id| (pi.time_of(&cs.points()[id]), id));
     }
 
     let mut per_proc: Vec<Vec<Op>> = vec![Vec::new(); num_procs];
@@ -174,23 +175,16 @@ pub fn generate(
             let here = proc as u32;
             // Receives for remote predecessors, deterministic order.
             let mut recvs: Vec<Op> = Vec::new();
-            for (k, d) in dep_vectors.iter().enumerate() {
-                let pred: Point = cs.points()[id]
-                    .iter()
-                    .zip(d)
-                    .map(|(&a, &b)| a - b)
-                    .collect();
-                if let Some(pid) = cs.id_of(&pred) {
-                    let from = proc_of_point(pid);
-                    if from != here {
-                        recvs.push(Op::Recv {
-                            from,
-                            tag: Tag {
-                                src_point: pid as u32,
-                                dep: k as u16,
-                            },
-                        });
-                    }
+            for (pid, k) in cs.predecessors(id) {
+                let from = proc_of_point(pid);
+                if from != here {
+                    recvs.push(Op::Recv {
+                        from,
+                        tag: Tag {
+                            src_point: pid as u32,
+                            dep: k as u16,
+                        },
+                    });
                 }
             }
             recvs.sort_by_key(|op| match op {

@@ -224,48 +224,50 @@ pub struct PointIter<'a> {
 
 impl<'a> PointIter<'a> {
     fn new(space: &'a IterSpace) -> PointIter<'a> {
+        let mut p = vec![0; space.dim()];
+        let found = Self::enter(space, &mut p, 0);
         PointIter {
             space,
-            current: Self::first_from(space, &[]),
+            current: found.then_some(p),
         }
     }
 
-    /// Extend a valid prefix to the lexicographically first full point,
-    /// or `None` if some inner loop is empty and no sibling exists.
-    fn first_from(space: &IterSpace, prefix: &[i64]) -> Option<Point> {
-        let n = space.dim();
-        let mut p = prefix.to_vec();
-        while p.len() < n {
-            let j = p.len();
-            // Bounds only reference outer indices, so pad with zeros.
-            let mut probe = p.clone();
-            probe.resize(n, 0);
-            let lo = space.lo[j].eval(&probe);
-            let hi = space.hi[j].eval(&probe);
-            if lo > hi {
-                // Empty inner loop: advance the deepest settable prefix.
-                return Self::advance_prefix(space, p);
-            }
-            p.push(lo);
-        }
-        Some(p)
-    }
-
-    /// Advance the last coordinate of `prefix`, carrying outward on
-    /// exhaustion; then extend back to a full point.
-    fn advance_prefix(space: &IterSpace, mut prefix: Point) -> Option<Point> {
-        let n = space.dim();
+    /// Enter loops `k..` at their lower bounds, the prefix `p[..k]`
+    /// fixed. When a loop is empty, step the deepest outer loop with room
+    /// and enter again below it. `false` when no point remains. Bounds
+    /// only reference outer indices, so the stale inner coordinates of
+    /// `p` never affect an evaluation.
+    fn enter(space: &IterSpace, p: &mut [i64], mut k: usize) -> bool {
         loop {
-            let j = prefix.len().checked_sub(1)?;
-            let mut probe = prefix.clone();
-            probe.resize(n, 0);
-            let hi = space.hi[j].eval(&probe);
-            if prefix[j] < hi {
-                prefix[j] += 1;
-                return Self::first_from(space, &prefix);
+            while k < p.len() {
+                let (lo, hi) = (space.lo[k].eval(p), space.hi[k].eval(p));
+                if lo > hi {
+                    break;
+                }
+                p[k] = lo;
+                k += 1;
             }
-            prefix.pop();
+            if k == p.len() {
+                return true;
+            }
+            if !Self::step(space, p, &mut k) {
+                return false;
+            }
         }
+    }
+
+    /// Advance the deepest loop above level `k` that has room, and set
+    /// `k` to the level below it; `false` when every loop is exhausted.
+    fn step(space: &IterSpace, p: &mut [i64], k: &mut usize) -> bool {
+        while let Some(j) = k.checked_sub(1) {
+            if p[j] < space.hi[j].eval(p) {
+                p[j] += 1;
+                *k = j + 1;
+                return true;
+            }
+            *k = j;
+        }
+        false
     }
 }
 
@@ -273,8 +275,12 @@ impl Iterator for PointIter<'_> {
     type Item = Point;
 
     fn next(&mut self) -> Option<Point> {
-        let out = self.current.take()?;
-        self.current = Self::advance_prefix(self.space, out.clone());
+        let p = self.current.as_mut()?;
+        let out = p.clone();
+        let mut k = p.len();
+        if !(Self::step(self.space, p, &mut k) && Self::enter(self.space, p, k)) {
+            self.current = None;
+        }
         Some(out)
     }
 }

@@ -53,11 +53,9 @@ impl Program {
         let cs = p.structure();
         let pi = p.time_fn();
         let step_of: Vec<i64> = cs.points().iter().map(|pt| pi.time_of(pt)).collect();
-        let mut arcs = Vec::new();
+        let mut arcs = Vec::with_capacity(cs.num_arcs());
         for id in 0..cs.len() {
-            for (succ, _) in cs.successors(id) {
-                arcs.push((id as u32, succ as u32));
-            }
+            arcs.extend(cs.successors(id).map(|(succ, _)| (id as u32, succ as u32)));
         }
         let proc_of: Vec<u32> = (0..cs.len())
             .map(|id| proc_of_block[p.block_of(id)] as u32)

@@ -2,7 +2,7 @@
 //! boundaries, and which groups depend on which.
 
 use crate::blocks::Partitioning;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Dependence-arc counts for a partitioning.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -29,19 +29,17 @@ impl CommStats {
 /// (the paper's "33 dependencies, 12 interprocessor" for loop L1).
 pub fn comm_stats(p: &Partitioning) -> CommStats {
     let cs = p.structure();
-    let mut total = 0;
-    let mut inter = 0;
-    for id in 0..cs.len() {
-        for (succ, _dep) in cs.successors(id) {
-            total += 1;
-            if p.block_of(id) != p.block_of(succ) {
-                inter += 1;
-            }
-        }
-    }
+    let interblock_arcs = (0..cs.len())
+        .map(|id| {
+            let a = p.block_of(id);
+            cs.successors(id)
+                .filter(|&(succ, _)| p.block_of(succ) != a)
+                .count()
+        })
+        .sum();
     CommStats {
-        total_arcs: total,
-        interblock_arcs: inter,
+        total_arcs: cs.num_arcs(),
+        interblock_arcs,
     }
 }
 
@@ -53,15 +51,12 @@ pub fn comm_stats(p: &Partitioning) -> CommStats {
 pub fn group_dependence_graph(p: &Partitioning) -> Vec<BTreeSet<usize>> {
     let qp = p.projected();
     let g = p.grouping();
+    let nonzero = qp.nonzero_dep_indices();
     let mut out: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); g.len()];
     for pid in 0..qp.len() {
         let from = g.group_of[pid];
-        for d in qp.deps() {
-            if d.is_zero() {
-                continue;
-            }
-            let q = &qp.points()[pid] + d;
-            if let Some(qid) = qp.id_of(&q) {
+        for &k in &nonzero {
+            if let Some(qid) = qp.neighbor(pid, k) {
                 let to = g.group_of[qid];
                 if to != from {
                     out[from].insert(to);
@@ -75,18 +70,28 @@ pub fn group_dependence_graph(p: &Partitioning) -> Vec<BTreeSet<usize>> {
 /// Per-ordered-pair interblock arc counts at the iteration level:
 /// `(src_block, dst_block) → number of arcs`, excluding intra-block
 /// pairs. These are the message volumes the machine model charges.
-pub fn block_traffic(p: &Partitioning) -> std::collections::BTreeMap<(usize, usize), u64> {
+pub fn block_traffic(p: &Partitioning) -> BTreeMap<(usize, usize), u64> {
     let cs = p.structure();
-    let mut traffic = std::collections::BTreeMap::new();
+    let mut pairs: Vec<(usize, usize)> = Vec::new();
     for id in 0..cs.len() {
+        let a = p.block_of(id);
         for (succ, _dep) in cs.successors(id) {
-            let (a, b) = (p.block_of(id), p.block_of(succ));
+            let b = p.block_of(succ);
             if a != b {
-                *traffic.entry((a, b)).or_insert(0u64) += 1;
+                pairs.push((a, b));
             }
         }
     }
-    traffic
+    // Counting runs of sorted pairs is cheaper than a map update per arc.
+    pairs.sort_unstable();
+    let mut traffic: Vec<((usize, usize), u64)> = Vec::new();
+    for pair in pairs {
+        match traffic.last_mut() {
+            Some((last, n)) if *last == pair => *n += 1,
+            _ => traffic.push((pair, 1)),
+        }
+    }
+    traffic.into_iter().collect()
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 use crate::grouping::GroupingVectors;
 use crate::project::ProjectedStructure;
 use loom_rational::{QVec, Ratio};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// One group of projected points.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -59,6 +59,10 @@ pub struct GrowConfig {
 /// ungrouped. When an island is exhausted but ungrouped points remain
 /// (disconnected or irregular regions), growth reseeds at the smallest
 /// ungrouped point.
+///
+/// Bases are walked in integer line coordinates. A base visited again
+/// finds every point it covers already grouped and creates nothing, so
+/// the walk keeps no set of visited bases.
 pub fn grow(qp: &ProjectedStructure, gv: &GroupingVectors, config: &GrowConfig) -> Grouping {
     const UNASSIGNED: usize = usize::MAX;
     let n_points = qp.len();
@@ -77,41 +81,54 @@ pub fn grow(qp: &ProjectedStructure, gv: &GroupingVectors, config: &GrowConfig) 
         return Grouping { groups, group_of };
     };
 
-    let dl = qp.deps()[gidx].clone();
+    let dl = qp.dep_key(gidx);
     let r = gv.r;
-    let stride = dl.scale(Ratio::int(r)); // r·d_l^p — same-line group stride
-    let aux: Vec<QVec> = gv.auxiliary.iter().map(|&i| qp.deps()[i].clone()).collect();
+    // Neighbor strides: ±r·d_l^p along the grouping vector, then ±d_j^p
+    // along each auxiliary grouping vector.
+    let mut strides: Vec<Vec<i64>> = Vec::new();
+    let along: Vec<i64> = dl.iter().map(|&x| x * r).collect();
+    strides.push(along.clone());
+    strides.push(along.iter().map(|&x| -x).collect());
+    for &i in &gv.auxiliary {
+        strides.push(qp.dep_key(i).to_vec());
+        strides.push(qp.dep_key(i).iter().map(|&x| -x).collect());
+    }
 
-    let mut visited_bases: BTreeSet<QVec> = BTreeSet::new();
-    let mut remaining: BTreeSet<usize> = (0..n_points).collect();
-
-    let mut first_seed = config
-        .seed
-        .clone()
-        .or_else(|| qp.points().iter().min().cloned());
-
-    while let Some(&start_pid) = remaining.iter().next() {
-        // Step 3: seed a group. The very first seed may be user-chosen;
-        // reseeds use the smallest ungrouped point.
+    // Step 3: the very first seed may be user-chosen (a seed off the
+    // projected lattice covers nothing); reseeds use the smallest
+    // ungrouped point.
+    let mut first_seed = match &config.seed {
+        Some(seed) => qp.key_of(seed),
+        None => (0..n_points)
+            .min_by(|&a, &b| qp.points()[a].cmp(&qp.points()[b]))
+            .map(|pid| qp.line_key(pid).to_vec()),
+    };
+    let mut smallest_ungrouped = 0;
+    loop {
+        while smallest_ungrouped < n_points && group_of[smallest_ungrouped] != UNASSIGNED {
+            smallest_ungrouped += 1;
+        }
+        if smallest_ungrouped == n_points {
+            break;
+        }
         let seed_base = first_seed
             .take()
-            .unwrap_or_else(|| qp.points()[start_pid].clone());
+            .unwrap_or_else(|| qp.line_key(smallest_ungrouped).to_vec());
 
-        let mut queue: VecDeque<QVec> = VecDeque::new();
+        let mut queue: VecDeque<Vec<i64>> = VecDeque::new();
         queue.push_back(seed_base);
 
         // Step 4: breadth-first neighbor expansion.
         while let Some(base) = queue.pop_front() {
-            if !visited_bases.insert(base.clone()) {
-                continue;
-            }
             let mut members = Vec::new();
+            let mut first_k = 0;
             for k in 0..r {
-                let pos = &base + &dl.scale(Ratio::int(k));
-                if let Some(pid) = qp.id_of(&pos) {
-                    if group_of[pid] == UNASSIGNED {
-                        members.push(pid);
+                let pos = qp.line_at(|c| base[c].checked_add(dl[c].checked_mul(k)?));
+                if let Some(pid) = pos.filter(|&pid| group_of[pid] == UNASSIGNED) {
+                    if members.is_empty() {
+                        first_k = k;
                     }
+                    members.push(pid);
                 }
             }
             if members.is_empty() {
@@ -120,19 +137,25 @@ pub fn grow(qp: &ProjectedStructure, gv: &GroupingVectors, config: &GrowConfig) 
             let gid = groups.len();
             for &pid in &members {
                 group_of[pid] = gid;
-                remaining.remove(&pid);
             }
+            let first = &qp.points()[members[0]];
+            let base_q = match first_k {
+                0 => first.clone(),
+                k => first - &qp.deps()[gidx].scale(Ratio::int(k)),
+            };
             groups.push(Group {
-                base: base.clone(),
+                base: base_q,
                 members,
             });
-            // Forward/backward neighbors along the grouping vector …
-            queue.push_back(&base + &stride);
-            queue.push_back(&base - &stride);
-            // … and along each auxiliary grouping vector.
-            for a in &aux {
-                queue.push_back(&base + a);
-                queue.push_back(&base - a);
+            // Forward/backward neighbors along the grouping vector and
+            // each auxiliary grouping vector.
+            for stride in &strides {
+                let next: Option<Vec<i64>> = base
+                    .iter()
+                    .zip(stride)
+                    .map(|(&b, &s)| b.checked_add(s))
+                    .collect();
+                queue.extend(next);
             }
         }
         // Step 5: loop reseeds while ungrouped points remain.

@@ -45,6 +45,7 @@ pub mod blocks;
 pub mod comm;
 pub mod grouping;
 pub mod grow;
+mod index;
 pub mod laws;
 pub mod project;
 pub mod tig;

@@ -1,38 +1,90 @@
 //! The projection phase: `Q = (V, D)` → `Q^p = (V^p, D^p)`.
+//!
+//! Both levels look ids up by integer keys, in a dense rank over the
+//! keys' bounding box or, for sparse boxes, a hash map: an iteration
+//! point by its coordinates, a projection line by its *line
+//! coordinates* (see [`ProjectedStructure::project`]). The dependence
+//! graph of `Q` is built once, in [`ComputationalStructure::new`], as
+//! compressed sparse rows that every later phase reads.
 
+use crate::index::Index;
 use crate::Error;
 use loom_hyperplane::TimeFn;
 use loom_loopir::{IterSpace, Point};
-use loom_rational::QVec;
-use std::collections::{BTreeMap, HashMap};
+use loom_rational::int::gcd_all;
+use loom_rational::{QVec, Ratio};
 
 /// The computational structure `Q = (V, D)` of a nested loop
-/// (Definition 2): the enumerated index set plus the dependence vectors.
+/// (Definition 2): the enumerated index set, the dependence vectors, and
+/// the dependence arcs between index points.
 #[derive(Clone, Debug)]
 pub struct ComputationalStructure {
     space: IterSpace,
     points: Vec<Point>,
-    index: HashMap<Point, usize>,
+    index: Index,
     deps: Vec<Point>,
+    succ: Arcs,
+    pred: Arcs,
+}
+
+/// Dependence arcs in compressed sparse rows: the arcs of point `id` are
+/// `arcs[offsets[id]..offsets[id + 1]]`, each `(other end, dependence
+/// index)`, in dependence-index order.
+#[derive(Clone, Debug)]
+struct Arcs {
+    offsets: Vec<usize>,
+    arcs: Vec<(u32, u32)>,
+}
+
+impl Arcs {
+    fn with_capacity(points: usize, deps: usize) -> Arcs {
+        let mut offsets = Vec::with_capacity(points + 1);
+        offsets.push(0);
+        Arcs {
+            offsets,
+            arcs: Vec::with_capacity(points * deps),
+        }
+    }
+
+    fn of(&self, id: usize) -> impl ExactSizeIterator<Item = (usize, usize)> + '_ {
+        self.arcs[self.offsets[id]..self.offsets[id + 1]]
+            .iter()
+            .map(|&(q, k)| (q as usize, k as usize))
+    }
 }
 
 impl ComputationalStructure {
-    /// Enumerate a space and attach its dependence set.
+    /// Enumerate a space, attach its dependence set, and build the
+    /// dependence arcs: `p → p + d` for every `p` and `p + d` in `V`.
     pub fn new(space: IterSpace, deps: Vec<Point>) -> Result<ComputationalStructure, Error> {
         let points: Vec<Point> = space.points().collect();
         if points.is_empty() {
             return Err(Error::EmptySpace);
         }
-        let index = points
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.clone(), i))
-            .collect();
+        let dim = space.dim();
+        let (index, _) = Index::build(points.iter().map(Vec::as_slice), dim, points.len());
+        let mut succ = Arcs::with_capacity(points.len(), deps.len());
+        let mut pred = Arcs::with_capacity(points.len(), deps.len());
+        for p in &points {
+            for (k, d) in deps.iter().enumerate() {
+                let k = k as u32;
+                if let Some(q) = index.get(|j| p[j].checked_add(*d.get(j)?)) {
+                    succ.arcs.push((q as u32, k));
+                }
+                if let Some(q) = index.get(|j| p[j].checked_sub(*d.get(j)?)) {
+                    pred.arcs.push((q as u32, k));
+                }
+            }
+            succ.offsets.push(succ.arcs.len());
+            pred.offsets.push(pred.arcs.len());
+        }
         Ok(ComputationalStructure {
             space,
             points,
             index,
             deps,
+            succ,
+            pred,
         })
     }
 
@@ -64,27 +116,27 @@ impl ComputationalStructure {
 
     /// Id of an index point, if it belongs to `V`.
     pub fn id_of(&self, p: &[i64]) -> Option<usize> {
-        self.index.get(p).copied()
+        if p.len() != self.space.dim() {
+            return None;
+        }
+        self.index.get(|j| Some(p[j]))
     }
 
-    /// The point ids reachable from point `id` along each dependence
-    /// (its out-neighbors in the dependence graph), with the dependence
-    /// index that produced each arc.
-    pub fn successors(&self, id: usize) -> Vec<(usize, usize)> {
-        let p = &self.points[id];
-        self.deps
-            .iter()
-            .enumerate()
-            .filter_map(|(k, d)| {
-                let q: Point = p.iter().zip(d).map(|(&a, &b)| a + b).collect();
-                self.id_of(&q).map(|qid| (qid, k))
-            })
-            .collect()
+    /// The arcs out of point `id`: each point `id + d` in `V`, with the
+    /// index of its dependence `d`, in dependence-index order.
+    pub fn successors(&self, id: usize) -> impl ExactSizeIterator<Item = (usize, usize)> + '_ {
+        self.succ.of(id)
+    }
+
+    /// The arcs into point `id`: each point `id − d` in `V`, with the
+    /// index of its dependence `d`, in dependence-index order.
+    pub fn predecessors(&self, id: usize) -> impl ExactSizeIterator<Item = (usize, usize)> + '_ {
+        self.pred.of(id)
     }
 
     /// Total number of dependence arcs in `Q` (33 for the paper's L1).
     pub fn num_arcs(&self) -> usize {
-        (0..self.len()).map(|i| self.successors(i).len()).sum()
+        self.succ.arcs.len()
     }
 }
 
@@ -93,11 +145,109 @@ impl ComputationalStructure {
 #[derive(Clone, Debug)]
 pub struct ProjectedStructure {
     pi: TimeFn,
+    lines: LineCoords,
+    /// Line coordinates of each projected point, `lines.width` apiece.
+    line_keys: Vec<i64>,
+    line_index: Index,
+    /// Line coordinates of each dependence, `lines.width` apiece.
+    dep_keys: Vec<i64>,
     proj_points: Vec<QVec>,
-    proj_index: BTreeMap<QVec, usize>,
     /// Original point ids on each projection line, sorted by execution step.
     members: Vec<Vec<usize>>,
     proj_deps: Vec<QVec>,
+}
+
+/// The integer coordinates of a projection line: for a Π-axis `a` with
+/// `Π_a ≠ 0` and `g = gcd(Π)`, the vector `x` has coordinates
+/// `(Π_a·x_j − Π_j·x_a) / g` for every axis `j ≠ a`. They are linear in
+/// `x`, vanish on Π, and on the hyperplane `Π·x = 0` they determine `x`:
+/// two points share them iff they differ by a rational multiple of Π,
+/// i.e. lie on one projection line.
+#[derive(Clone, Debug)]
+struct LineCoords {
+    pi: Vec<i64>,
+    axis: usize,
+    gcd: i64,
+    width: usize,
+}
+
+impl LineCoords {
+    fn new(pi: &[i64]) -> LineCoords {
+        let axis = (0..pi.len())
+            .filter(|&j| pi[j] != 0)
+            .min_by_key(|&j| pi[j].unsigned_abs())
+            .expect("zero time function");
+        LineCoords {
+            pi: pi.to_vec(),
+            axis,
+            gcd: gcd_all(pi).abs(),
+            width: pi.len() - 1,
+        }
+    }
+
+    /// The axis of line coordinate `c`.
+    fn axis_of(&self, c: usize) -> usize {
+        c + usize::from(c >= self.axis)
+    }
+
+    /// Line coordinate `c` of an integer vector (`None` on overflow).
+    fn coord(&self, x: &[i64], c: usize) -> Option<i64> {
+        let (a, j) = (self.axis, self.axis_of(c));
+        let v = self.pi[a]
+            .checked_mul(x[j])?
+            .checked_sub(self.pi[j].checked_mul(x[a])?)?;
+        Some(v / self.gcd)
+    }
+
+    /// The line coordinates of each vector of `xs`, `width` apiece.
+    fn of_all(&self, xs: &[Point]) -> Vec<i64> {
+        let mut keys = Vec::with_capacity(xs.len() * self.width);
+        for x in xs {
+            keys.extend(
+                (0..self.width).map(|c| self.coord(x, c).expect("line coordinate overflow")),
+            );
+        }
+        keys
+    }
+
+    /// The projection `x − (x·Π / Π·Π)·Π` of an integer vector, as the
+    /// scaled projection `x·(Π·Π) − (x·Π)·Π` over `Π·Π`.
+    fn project(&self, x: &[i64]) -> QVec {
+        let scaled = || -> Option<Vec<Ratio>> {
+            let pi_sq = self
+                .pi
+                .iter()
+                .try_fold(0i64, |acc, &c| acc.checked_add(c.checked_mul(c)?))?;
+            let t = x
+                .iter()
+                .zip(&self.pi)
+                .try_fold(0i64, |acc, (&a, &c)| acc.checked_add(a.checked_mul(c)?))?;
+            x.iter()
+                .zip(&self.pi)
+                .map(|(&a, &c)| {
+                    let s = a.checked_mul(pi_sq)?.checked_sub(t.checked_mul(c)?)?;
+                    Some(Ratio::new(s, pi_sq))
+                })
+                .collect()
+        };
+        QVec::new(scaled().expect("scaled projection overflow"))
+    }
+
+    /// The line coordinates of a rational vector on the hyperplane
+    /// `Π·q = 0`, when they are integers.
+    fn of_rational(&self, q: &QVec) -> Option<Vec<i64>> {
+        if q.dim() != self.pi.len() || !q.dot(&QVec::from_ints(&self.pi)).is_zero() {
+            return None;
+        }
+        let a = self.axis;
+        (0..self.width)
+            .map(|c| {
+                let j = self.axis_of(c);
+                let v = Ratio::int(self.pi[a]) * q[j] - Ratio::int(self.pi[j]) * q[a];
+                (v / Ratio::int(self.gcd)).to_integer()
+            })
+            .collect()
+    }
 }
 
 impl ProjectedStructure {
@@ -105,59 +255,56 @@ impl ProjectedStructure {
     /// `cs.deps()`; legality is the caller's responsibility and checked by
     /// [`crate::partition`]).
     ///
-    /// Implementation note: grouping points into projection lines uses
-    /// the *scaled integer* projection `p·(Π·Π) − (p·Π)·Π ∈ ℤⁿ`, which
-    /// identifies the same lines as the exact rational projection
-    /// (`(Π·Π)` is a positive constant factor) without allocating a
-    /// rational vector per iteration point; the rational coordinates are
-    /// materialized once per distinct line.
+    /// Implementation note: projection lines are found by their integer
+    /// *line coordinates* `(Π_a·x_j − Π_j·x_a) / gcd(Π)` (`j ≠ a`, for an
+    /// axis `a` with the smallest nonzero `|Π_a|`). They are a linear image
+    /// of the scaled projection `x·(Π·Π) − (x·Π)·Π` that is one-to-one on
+    /// the hyperplane, with one coordinate fewer, so the lines of a box
+    /// usually fill their coordinates' box and index densely. A step along
+    /// a projected dependence is an integer addition of the dependence's
+    /// own line coordinates; the rational coordinates of `V^p` and `D^p`
+    /// are materialized once per line and dependence, for
+    /// [`points`](Self::points) and [`deps`](Self::deps).
     pub fn project(cs: &ComputationalStructure, pi: &TimeFn) -> ProjectedStructure {
-        let pi_q = pi.as_qvec();
-        let pi_coeffs = pi.coeffs();
-        let pi_sq: i64 = pi_coeffs.iter().map(|&a| a * a).sum();
-        assert!(pi_sq > 0, "zero time function");
+        let lines = LineCoords::new(pi.coeffs());
+        let w = lines.width;
+        let keys = lines.of_all(cs.points());
+        let rows = (0..cs.len()).map(|id| &keys[id * w..(id + 1) * w]);
+        let (line_index, line_of) = Index::build(rows, w, cs.len());
 
-        let mut scaled_index: HashMap<Vec<i64>, usize> = HashMap::new();
+        // Projected-point ids number the lines in order of first
+        // appearance, so each line's first member is its lex-least point.
         let mut members: Vec<Vec<usize>> = Vec::new();
-        // Assign projected-point ids in order of first appearance, then
-        // re-sort members by time below.
-        let mut proj_points: Vec<QVec> = Vec::new();
-        let mut scaled = vec![0i64; cs.space().dim()];
-        for (id, p) in cs.points().iter().enumerate() {
-            let t = pi.time_of(p);
-            for (k, out) in scaled.iter_mut().enumerate() {
-                *out = p[k]
-                    .checked_mul(pi_sq)
-                    .and_then(|x| x.checked_sub(t * pi_coeffs[k]))
-                    .expect("scaled projection overflow");
+        let mut line_keys = Vec::new();
+        let mut proj_points = Vec::new();
+        for (id, &pid) in line_of.iter().enumerate() {
+            let pid = pid as usize;
+            if pid == members.len() {
+                members.push(Vec::new());
+                line_keys.extend_from_slice(&keys[id * w..(id + 1) * w]);
+                proj_points.push(lines.project(&cs.points()[id]));
             }
-            match scaled_index.get(&scaled) {
-                Some(&pid) => members[pid].push(id),
-                None => {
-                    let pid = proj_points.len();
-                    scaled_index.insert(scaled.clone(), pid);
-                    proj_points.push(QVec::from_ints(p).project(&pi_q));
-                    members.push(vec![id]);
-                }
-            }
+            members[pid].push(id);
         }
-        let proj_index: BTreeMap<QVec, usize> = proj_points
+        // Along a line, lexicographic order is step order when Π's first
+        // nonzero coefficient is positive, and its reverse otherwise.
+        if pi
+            .coeffs()
             .iter()
-            .enumerate()
-            .map(|(pid, q)| (q.clone(), pid))
-            .collect();
-        for m in &mut members {
-            m.sort_by_key(|&id| pi.time_of(&cs.points()[id]));
+            .find(|&&c| c != 0)
+            .is_some_and(|&c| c < 0)
+        {
+            members.iter_mut().for_each(|m| m.reverse());
         }
-        let proj_deps = cs
-            .deps()
-            .iter()
-            .map(|d| QVec::from_ints(d).project(&pi_q))
-            .collect();
+        let dep_keys = lines.of_all(cs.deps());
+        let proj_deps = cs.deps().iter().map(|d| lines.project(d)).collect();
         ProjectedStructure {
             pi: pi.clone(),
+            lines,
+            line_keys,
+            line_index,
+            dep_keys,
             proj_points,
-            proj_index,
             members,
             proj_deps,
         }
@@ -186,7 +333,16 @@ impl ProjectedStructure {
 
     /// Id of a projected point, if present.
     pub fn id_of(&self, q: &QVec) -> Option<usize> {
-        self.proj_index.get(q).copied()
+        let key = self.lines.of_rational(q)?;
+        self.line_at(|c| Some(key[c]))
+    }
+
+    /// The projected point reached from projected point `pid` along
+    /// projected dependence `k` (`pid` itself when `d_k ∥ Π`), if
+    /// present: `id_of(points()[pid] + deps()[k])` in integer arithmetic.
+    pub fn neighbor(&self, pid: usize, k: usize) -> Option<usize> {
+        let (from, step) = (self.line_key(pid), self.dep_key(k));
+        self.line_at(|c| from[c].checked_add(step[c]))
     }
 
     /// Original point ids lying on the projection line of projected point
@@ -211,6 +367,29 @@ impl ProjectedStructure {
             .filter(|(_, d)| !d.is_zero())
             .map(|(i, _)| i)
             .collect()
+    }
+
+    /// The line coordinates of projected point `pid`.
+    pub(crate) fn line_key(&self, pid: usize) -> &[i64] {
+        let w = self.lines.width;
+        &self.line_keys[pid * w..(pid + 1) * w]
+    }
+
+    /// The line coordinates of dependence `k` (those of its projection).
+    pub(crate) fn dep_key(&self, k: usize) -> &[i64] {
+        let w = self.lines.width;
+        &self.dep_keys[k * w..(k + 1) * w]
+    }
+
+    /// The line coordinates of a rational point, when it lies on the
+    /// hyperplane at integer line coordinates.
+    pub(crate) fn key_of(&self, q: &QVec) -> Option<Vec<i64>> {
+        self.lines.of_rational(q)
+    }
+
+    /// The projected point with line coordinate `c` equal to `coord(c)`.
+    pub(crate) fn line_at(&self, coord: impl Fn(usize) -> Option<i64>) -> Option<usize> {
+        self.line_index.get(coord)
     }
 }
 
@@ -306,7 +485,7 @@ mod tests {
     fn successors_respect_space_bounds() {
         let (cs, _) = l1();
         let corner = cs.id_of(&[3, 3]).unwrap();
-        assert!(cs.successors(corner).is_empty());
+        assert!(cs.successors(corner).next().is_none());
         let origin = cs.id_of(&[0, 0]).unwrap();
         assert_eq!(cs.successors(origin).len(), 3);
     }

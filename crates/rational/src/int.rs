@@ -11,13 +11,17 @@
 /// assert_eq!(gcd(0, 7), 7);
 /// ```
 pub fn gcd(a: i64, b: i64) -> i64 {
-    let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
+    gcd_u64(a.unsigned_abs(), b.unsigned_abs()) as i64
+}
+
+/// Greatest common divisor of two unsigned words.
+pub(crate) fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {
         let t = a % b;
         a = b;
         b = t;
     }
-    a as i64
+    a
 }
 
 /// Least common multiple of two integers, always non-negative.

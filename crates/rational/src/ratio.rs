@@ -138,13 +138,18 @@ impl Ratio {
 }
 
 fn gcd128(a: i128, b: i128) -> i128 {
-    let (mut a, mut b) = (a.abs(), b.abs());
+    let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
+    // Word-sized operands, the common case, take the one-instruction
+    // 64-bit remainder instead of the 128-bit division routine.
+    if let (Ok(x), Ok(y)) = (u64::try_from(a), u64::try_from(b)) {
+        return crate::int::gcd_u64(x, y) as i128;
+    }
     while b != 0 {
         let t = a % b;
         a = b;
         b = t;
     }
-    a
+    a as i128
 }
 
 impl fmt::Debug for Ratio {

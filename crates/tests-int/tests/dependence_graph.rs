@@ -1,0 +1,215 @@
+//! The dependence graph of `Q = (V, D)` is built once, in
+//! `ComputationalStructure::new`, and read by every later layer. These
+//! tests hold it against a naive oracle that enumerates `p ± d ∈ V` for
+//! every point and dependence: the arc lists must match it in order, and
+//! so must the layers that read them (comm stats, the simulator's
+//! program) and the projected level's integer neighbor lookup.
+
+use loom_hyperplane::TimeFn;
+use loom_loopir::aff::Aff;
+use loom_loopir::deps::{dependence_vectors, DepOptions};
+use loom_loopir::{parse_nest, IterSpace, Point};
+use loom_machine::Program;
+use loom_partition::comm::comm_stats;
+use loom_partition::{partition, ComputationalStructure, PartitionConfig, Partitioning};
+use std::collections::HashMap;
+
+/// Per point, the arcs `(other end, dependence index)` to `p + d` (or
+/// `p − d` when `sign` is −1) that land in `V`, in dependence order.
+fn naive_arcs(points: &[Point], deps: &[Point], sign: i64) -> Vec<Vec<(usize, usize)>> {
+    let index: HashMap<&Point, usize> = points.iter().enumerate().map(|(i, p)| (p, i)).collect();
+    points
+        .iter()
+        .map(|p| {
+            deps.iter()
+                .enumerate()
+                .filter_map(|(k, d)| {
+                    let q: Point = p.iter().zip(d).map(|(&a, &b)| a + sign * b).collect();
+                    index.get(&q).map(|&qid| (qid, k))
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Check one partitioned nest against the oracle.
+fn check(name: &str, p: &Partitioning) {
+    let cs = p.structure();
+    let succ = naive_arcs(cs.points(), cs.deps(), 1);
+    let pred = naive_arcs(cs.points(), cs.deps(), -1);
+    for id in 0..cs.len() {
+        assert_eq!(cs.id_of(&cs.points()[id]), Some(id), "{name}: id_of");
+        let got: Vec<_> = cs.successors(id).collect();
+        assert_eq!(got, succ[id], "{name}: successors of {:?}", cs.points()[id]);
+        let got: Vec<_> = cs.predecessors(id).collect();
+        assert_eq!(
+            got,
+            pred[id],
+            "{name}: predecessors of {:?}",
+            cs.points()[id]
+        );
+    }
+    let total: usize = succ.iter().map(Vec::len).sum();
+    assert_eq!(cs.num_arcs(), total, "{name}: num_arcs");
+
+    // Points just outside V are not in it.
+    for (j, &(lo, hi)) in cs.space().bounding_box().iter().enumerate() {
+        let mut outside = cs.points()[0].clone();
+        outside[j] = lo - 1;
+        assert_eq!(cs.id_of(&outside), None, "{name}: below the box");
+        outside[j] = hi + 1;
+        assert_eq!(cs.id_of(&outside), None, "{name}: above the box");
+    }
+    assert_eq!(cs.id_of(&[]), None, "{name}: wrong arity");
+
+    let interblock = succ
+        .iter()
+        .enumerate()
+        .flat_map(|(id, arcs)| arcs.iter().map(move |&(q, _)| (id, q)))
+        .filter(|&(a, b)| p.block_of(a) != p.block_of(b))
+        .count();
+    let stats = comm_stats(p);
+    assert_eq!(
+        (stats.total_arcs, stats.interblock_arcs),
+        (total, interblock),
+        "{name}: comm_stats"
+    );
+
+    let assignment: Vec<usize> = (0..p.num_blocks()).map(|b| b % 2).collect();
+    let program = Program::from_partitioning(p, &assignment, 2, 1);
+    let arcs: Vec<(u32, u32)> = succ
+        .iter()
+        .enumerate()
+        .flat_map(|(id, arcs)| arcs.iter().map(move |&(q, _)| (id as u32, q as u32)))
+        .collect();
+    assert_eq!(program.arcs, arcs, "{name}: program arcs");
+
+    // The projected level: stepping a line along a projected dependence
+    // in integer line coordinates reaches the line the rational sum names.
+    let qp = p.projected();
+    for pid in 0..qp.len() {
+        assert_eq!(qp.id_of(&qp.points()[pid]), Some(pid), "{name}: line id_of");
+        let steps: Vec<i64> = qp
+            .line_members(pid)
+            .iter()
+            .map(|&id| p.time_fn().time_of(&cs.points()[id]))
+            .collect();
+        assert!(
+            steps.windows(2).all(|w| w[0] < w[1]),
+            "{name}: line {pid} out of step order"
+        );
+        for (k, d) in qp.deps().iter().enumerate() {
+            let want = qp.id_of(&(&qp.points()[pid] + d));
+            assert_eq!(qp.neighbor(pid, k), want, "{name}: neighbor({pid}, {k})");
+        }
+    }
+}
+
+fn partitioned(space: IterSpace, deps: Vec<Point>, pi: Vec<i64>) -> Partitioning {
+    partition(space, deps, TimeFn::new(pi), &PartitionConfig::default()).expect("partitions")
+}
+
+#[test]
+fn every_builtin_matches_the_oracle() {
+    for w in loom_workloads::all_default() {
+        let p = partitioned(w.nest.space().clone(), w.verified_deps(), w.pi.clone());
+        check(w.nest.name(), &p);
+    }
+}
+
+#[test]
+fn triangular_spaces_match_the_oracle() {
+    for n in [1, 2, 5, 9] {
+        let w = loom_workloads::triangular::workload(n);
+        let p = partitioned(w.nest.space().clone(), w.verified_deps(), w.pi.clone());
+        check(&format!("triangular {n}"), &p);
+    }
+}
+
+#[test]
+fn strided_sample_matches_the_oracle() {
+    let path = format!("{}/../../samples/strided.loom", env!("CARGO_MANIFEST_DIR"));
+    let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let nest = parse_nest("strided", &src).expect("parses");
+    let deps = dependence_vectors(&nest, DepOptions::default()).expect("uniform");
+    let pi = loom_hyperplane::find_optimal(
+        &deps,
+        nest.space(),
+        loom_hyperplane::SearchConfig::default(),
+    )
+    .expect("a legal Π");
+    let p = partition(nest.space().clone(), deps, pi, &PartitionConfig::default()).unwrap();
+    check("strided.loom", &p);
+}
+
+/// A diagonal of points `(i, 100·i)` fills 1 slot in 100 of its
+/// bounding box, past the dense index's 4× rule, so the hash fallback
+/// indexes it.
+#[test]
+fn sparse_nest_matches_the_oracle() {
+    let n = 2;
+    let lo = vec![Aff::constant(n, 0), Aff::new(vec![100, 0], 0)];
+    let hi = vec![Aff::constant(n, 9), Aff::new(vec![100, 0], 0)];
+    let space = IterSpace::new(lo, hi).unwrap();
+    let volume: i64 = space
+        .bounding_box()
+        .iter()
+        .map(|&(l, h)| h - l + 1)
+        .product();
+    assert!(volume > 4 * space.count() as i64, "the box must be sparse");
+    let p = partitioned(
+        space,
+        vec![vec![1, 100], vec![2, 200], vec![0, 1]],
+        vec![1, 1],
+    );
+    check("sparse diagonal", &p);
+    assert_eq!(p.structure().num_arcs(), 9 + 8);
+
+    // A sparse box in three dimensions, with a skewed Π.
+    let n = 3;
+    let lo = vec![
+        Aff::constant(n, 0),
+        Aff::constant(n, 0),
+        Aff::new(vec![50, 70, 0], 0),
+    ];
+    let hi = vec![
+        Aff::constant(n, 3),
+        Aff::constant(n, 3),
+        Aff::new(vec![50, 70, 0], 1),
+    ];
+    let space = IterSpace::new(lo, hi).unwrap();
+    let deps = vec![vec![1, 0, 50], vec![0, 1, 70], vec![0, 0, 1]];
+    check("sparse 3-D", &partitioned(space, deps, vec![2, 1, 1]));
+}
+
+/// Line coordinates divide by `gcd(Π)`, and a Π whose first nonzero
+/// coefficient is negative orders each line against the lexicographic
+/// order.
+#[test]
+fn non_primitive_and_negative_time_functions_match_the_oracle() {
+    let l1 = loom_workloads::l1::workload(5);
+    let p = partitioned(l1.nest.space().clone(), l1.verified_deps(), vec![2, 2]);
+    check("l1, Π = (2, 2)", &p);
+    let matmul = loom_workloads::matmul::workload(4);
+    let p = partitioned(
+        matmul.nest.space().clone(),
+        matmul.verified_deps(),
+        vec![3, 6, 3],
+    );
+    check("matmul, Π = (3, 6, 3)", &p);
+    let space = IterSpace::rect(&[5, 6]).unwrap();
+    let p = partitioned(space, vec![vec![-1, 1], vec![0, 1]], vec![-1, 2]);
+    check("Π = (-1, 2)", &p);
+}
+
+/// A structure built without a partitioning reads the same arcs.
+#[test]
+fn structure_alone_matches_the_oracle() {
+    let space = IterSpace::rect_bounds(&[-2, 3], &[4, 7]).unwrap();
+    let deps = vec![vec![1, -1], vec![0, 2], vec![3, 0]];
+    let cs = ComputationalStructure::new(space, deps).unwrap();
+    let succ = naive_arcs(cs.points(), cs.deps(), 1);
+    for (id, want) in succ.iter().enumerate() {
+        assert_eq!(&cs.successors(id).collect::<Vec<_>>(), want);
+    }
+}
