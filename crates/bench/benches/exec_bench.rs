@@ -46,15 +46,16 @@ fn main() {
                 .unwrap()
                 .messages
         });
-        // What the benchmark's `execute` workload times: two workers.
-        let assignment: Vec<usize> = (0..p.num_blocks()).map(|b| b % 2).collect();
-        let cg = generate(&w.nest, &p, &assignment, 2).unwrap();
-        bench.run(&format!("spmd_threaded/matvec_2proc/{m}"), || {
-            loom_codegen::run_threaded_gathered(&w.nest, &cg, &address_hash_init)
-                .unwrap()
-                .len()
-        });
+        threaded_2proc(&mut bench, &format!("matvec_2proc/{m}"), &w, |b, _| b % 2);
     }
+    // Each half of the blocks on one processor: the `execute` workload's
+    // programs for these nests, 126 messages each. dft is receive-heavy
+    // (64 gathered elements), sor gather-heavy (4,096).
+    let halves = |b, n| 2 * b / n;
+    let dft = loom_workloads::dft::workload(64);
+    threaded_2proc(&mut bench, "dft_2proc/64", &dft, halves);
+    let sor = loom_workloads::sor::workload(64, 64);
+    threaded_2proc(&mut bench, "sor_2proc/64", &sor, halves);
 
     let w = loom_workloads::sor::workload(24, 24);
     let p = partition(
@@ -72,4 +73,29 @@ fn main() {
             .num_messages()
     });
     print!("{}", bench.report());
+}
+
+/// What the benchmark's `execute` workload times: the threaded runner
+/// on two processors, block `b` of `n` on processor `deal(b, n)`.
+fn threaded_2proc(
+    bench: &mut Bench,
+    name: &str,
+    w: &loom_workloads::Workload,
+    deal: impl Fn(usize, usize) -> usize,
+) {
+    let p = partition(
+        w.nest.space().clone(),
+        w.verified_deps(),
+        TimeFn::new(w.pi.clone()),
+        &PartitionConfig::default(),
+    )
+    .unwrap();
+    let n = p.num_blocks();
+    let assignment: Vec<usize> = (0..n).map(|b| deal(b, n)).collect();
+    let cg = generate(&w.nest, &p, &assignment, 2).unwrap();
+    bench.run(&format!("spmd_threaded/{name}"), || {
+        loom_codegen::run_threaded_gathered(&w.nest, &cg, &address_hash_init)
+            .unwrap()
+            .len()
+    });
 }

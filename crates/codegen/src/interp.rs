@@ -10,8 +10,9 @@
 //! [`run`] (round-robin, run-to-block, through
 //! [`crate::SpmdProgram::round_robin`]) and [`run_schedule`] (an explicit
 //! replayed op order) share an in-memory mailbox where an absent
-//! message reports the receiver blocked; [`crate::threads`] runs one OS
-//! thread per processor over channels that block. Every scheduler
+//! message reports the receiver blocked; [`crate::threads`] runs each
+//! processor on a thread of its own (processor 0 on the caller's) over
+//! channels whose receives poll, then block. Every scheduler
 //! returns the same [`RunError`] for the same fault, and gathers the
 //! stores into one [`Memory`] by the largest writer version.
 
@@ -60,7 +61,8 @@ pub enum RunError {
         /// The first unfinished processor.
         proc: u32,
     },
-    /// A worker thread of the threaded runner panicked.
+    /// A processor's thread in the threaded runner panicked: a scoped
+    /// worker's, or the caller's while it ran processor 0.
     WorkerPanicked {
         /// The processor whose thread died.
         proc: u32,

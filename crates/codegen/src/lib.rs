@@ -17,8 +17,8 @@
 //!   drive it: [`run`] (deterministic round-robin run-to-block via
 //!   [`SpmdProgram::round_robin`], which detects deadlock),
 //!   [`run_schedule`] (replay of an explicit op order), and
-//!   [`run_threaded_gathered`] (one OS thread per processor over
-//!   channels). All three report one [`RunError`], and their gathered
+//!   [`run_threaded_gathered`] (a thread per processor over channels:
+//!   processor 0 on the caller's, the rest on scoped workers). All three report one [`RunError`], and their gathered
 //!   results are compared bit-for-bit against the sequential oracle in
 //!   the tests.
 //!

@@ -341,20 +341,63 @@ impl<'a> Layout<'a> {
 
     /// Merge the processors' stores into the global result: every
     /// written element from the store holding its largest writer
-    /// version, i.e. its sequentially last write.
+    /// version, i.e. its sequentially last write. A box-indexed array's
+    /// subscripts are stepped along with its slots ([`advance`]).
     pub(crate) fn gather(&self, stores: &[Store]) -> Memory {
         let mut mem = Memory::new();
         for (a, array) in self.arrays.iter().enumerate().filter(|(_, a)| a.written) {
-            let written = (0..array.slots).filter_map(|slot| {
-                let (version, value) = stores
-                    .iter()
-                    .map(|s| (s.versions[a][slot], s.values[a][slot]))
-                    .max_by_key(|&(version, _)| version)?;
-                (version > FORWARDED).then(|| (array.element(slot), value))
-            });
-            mem.write_array(array.name, written);
+            // The value of the last write to `slot`, if any store has one;
+            // of equal versions (a point a corrupted program computes on
+            // two processors), the last store's.
+            let last_write = |slot: usize| {
+                let mut best = (ABSENT, 0.0);
+                for s in stores {
+                    let version = s.versions[a][slot];
+                    if version >= best.0 {
+                        best = (version, s.values[a][slot]);
+                    }
+                }
+                (best.0 > FORWARDED).then_some(best.1)
+            };
+            let mut cells = Vec::with_capacity(array.slots);
+            match &array.index {
+                Index::Box { lo, extents } => {
+                    let mut at = lo.clone();
+                    for slot in 0..array.slots {
+                        if let Some(value) = last_write(slot) {
+                            cells.push((at.clone(), value));
+                        }
+                        advance(&mut at, lo, extents);
+                    }
+                }
+                Index::Hash { elements, .. } => {
+                    cells.extend(
+                        elements
+                            .iter()
+                            .enumerate()
+                            .filter_map(|(slot, e)| Some((e.clone(), last_write(slot)?))),
+                    );
+                }
+            }
+            mem.write_array(array.name, cells);
         }
         mem
+    }
+}
+
+/// Step `at` from one slot of the box `lo + [0, extents)` to the next
+/// in slot (row-major) order, past the last back to the first: the last
+/// subscript runs fastest and carries into the one before, so no slot
+/// is decoded by division.
+fn advance(at: &mut [i64], lo: &[i64], extents: &[i64]) {
+    for ((x, &l), &e) in at.iter_mut().zip(lo).zip(extents).rev() {
+        // `x − l` lies in `[0, e)`, and `x` steps only below the box's
+        // top: neither overflows, even at the edge of `i64`.
+        if *x - l < e - 1 {
+            *x += 1;
+            return;
+        }
+        *x = l;
     }
 }
 
@@ -418,22 +461,6 @@ impl<'a> Array<'a> {
             slots: elements.len(),
             index: Index::Hash { slot_of, elements },
             written,
-        }
-    }
-
-    /// The subscript of `slot`.
-    fn element(&self, slot: usize) -> Vec<i64> {
-        match &self.index {
-            Index::Box { lo, extents } => {
-                let mut element = lo.clone();
-                let mut rest = slot as i64;
-                for (x, &e) in element.iter_mut().zip(extents).rev() {
-                    *x += rest % e;
-                    rest /= e;
-                }
-                element
-            }
-            Index::Hash { elements, .. } => elements[slot].clone(),
         }
     }
 }
@@ -526,5 +553,43 @@ impl Hasher for SubscriptHasher {
 
     fn write_usize(&mut self, x: usize) {
         self.add(x as u64);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The subscript of `slot` in the box `lo + [0, extents)`, decoded by
+    /// division: the reference [`advance`] must step through.
+    fn element(lo: &[i64], extents: &[i64], slot: usize) -> Vec<i64> {
+        let mut element = lo.to_vec();
+        let mut rest = slot as i64;
+        for (x, &e) in element.iter_mut().zip(extents).rev() {
+            *x += rest % e;
+            rest /= e;
+        }
+        element
+    }
+
+    #[test]
+    fn advance_walks_the_slots_the_division_decode_names() {
+        let boxes: [(&[i64], &[i64]); 5] = [
+            (&[-3], &[7]),
+            (&[-2, 5], &[3, 4]),
+            (&[0, -1], &[1, 5]),
+            (&[-4, -1, -7], &[2, 3, 5]),
+            (&[i64::MAX - 2, -1, i64::MIN], &[3, 1, 2]),
+        ];
+        for (lo, extents) in boxes {
+            let slots = extents.iter().product::<i64>() as usize;
+            let mut at = lo.to_vec();
+            for slot in 0..slots {
+                let expected = element(lo, extents, slot);
+                assert_eq!(at, expected, "{lo:?} + {extents:?}, slot {slot}");
+                advance(&mut at, lo, extents);
+            }
+            assert_eq!(at, lo, "a full turn returns to slot 0");
+        }
     }
 }

@@ -2,16 +2,18 @@
 //! with message channels — the closest a host machine gets to the
 //! paper's multicomputer.
 //!
-//! One thread per simulated processor, each stepping its own op list
-//! through the shared `step` core on its own slot store; every worker
-//! reads the one slot layout built before they start. Sends go through
-//! `std::sync::mpsc` channels, and receives block on the channel and
-//! buffer out-of-order tags. Because the generated programs are
-//! deadlock-free (receives always wait on strictly earlier hyperplane
-//! steps), the threads always terminate, and because each processor's
-//! value computation is fully determined by its program, the gathered
-//! result is *bit-identical* across runs and to the sequential oracle
-//! — asserted by the tests.
+//! Each simulated processor runs on a thread of its own: processor 0 on
+//! the calling thread, every other processor on a scoped worker. Each
+//! steps its own op list through the shared `step` core on its own slot
+//! store; every thread reads the one slot layout built before they
+//! start. Sends go through `std::sync::mpsc` channels, and a receive
+//! polls its channel briefly before it blocks on it, buffering
+//! out-of-order tags. Because the generated programs are deadlock-free
+//! (receives always wait on strictly earlier hyperplane steps), the
+//! threads always terminate, and because each processor's value
+//! computation is fully determined by its program, the gathered result
+//! is *bit-identical* across runs and to the sequential oracle —
+//! asserted by the tests.
 
 use crate::gen::Codegen;
 use crate::interp::{step, Ctx, Mailbox, RunError};
@@ -20,7 +22,8 @@ use crate::store::{Layout, PayloadItem, Store};
 use loom_exec::memory::Memory;
 use loom_loopir::LoopNest;
 use std::collections::HashMap;
-use std::sync::mpsc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{self, RecvTimeoutError, TryRecvError};
 use std::time::Duration;
 
 /// How long a worker waits on one receive before declaring the program
@@ -29,19 +32,51 @@ use std::time::Duration;
 /// *cyclically*, which channel closure alone cannot detect.
 const RECV_TIMEOUT: Duration = Duration::from_secs(2);
 
+/// Polls of an empty channel that busy-wait before a receive starts
+/// yielding its time slice.
+const SPIN_POLLS: u32 = 32;
+/// Polls of an empty channel, the spinning ones included, before a
+/// receive parks the thread. Each poll past [`SPIN_POLLS`] yields, so a
+/// sender sharing the receiver's CPU gets to run. Chosen by measurement
+/// (`docs/PERFORMANCE.md`, "The threaded runner's own costs"): spinning
+/// alone, or 32 polls in all, leaves most receives parked; anywhere from
+/// 64 to 256 polls in all parks almost none, and 1024 is slower when
+/// both threads share one CPU.
+const POLLS: u32 = 128;
+
 type Msg = (Tag, Vec<PayloadItem>);
 
-/// One worker's mailbox: its own channel's receiving end, a sender to
-/// every other processor, and the messages that arrived ahead of their
-/// receive.
+/// One processor's mailbox: its own channel's receiving end, a sender
+/// to every other processor, and the messages that arrived ahead of
+/// their receive.
 struct Channels {
     rx: mpsc::Receiver<Msg>,
-    /// `None` in the worker's own slot: holding a sender to its own
+    /// `None` in the processor's own slot: holding a sender to its own
     /// channel would keep it open forever, so a blocked receive could
     /// never observe closure when a matching send is missing. A
     /// message to self goes straight to `stash`.
     senders: Vec<Option<mpsc::Sender<Msg>>>,
     stash: HashMap<Tag, Vec<PayloadItem>>,
+}
+
+impl Channels {
+    /// The next message on this processor's channel. Waking a parked
+    /// thread costs a kernel round trip, far longer than a sender one
+    /// op away takes to deliver, so the receive polls first: it spins
+    /// [`SPIN_POLLS`] times, yields up to [`POLLS`] in all, and only
+    /// then blocks for at most [`RECV_TIMEOUT`]. A closed channel ends
+    /// the polling at once.
+    fn next(&self) -> Result<Msg, RecvTimeoutError> {
+        for poll in 0..POLLS {
+            match self.rx.try_recv() {
+                Ok(msg) => return Ok(msg),
+                Err(TryRecvError::Disconnected) => return Err(RecvTimeoutError::Disconnected),
+                Err(TryRecvError::Empty) if poll < SPIN_POLLS => std::hint::spin_loop(),
+                Err(TryRecvError::Empty) => std::thread::yield_now(),
+            }
+        }
+        self.rx.recv_timeout(RECV_TIMEOUT)
+    }
 }
 
 impl Mailbox for Channels {
@@ -63,7 +98,7 @@ impl Mailbox for Channels {
             if let Some(items) = self.stash.remove(&tag) {
                 return Ok(Some(items));
             }
-            match self.rx.recv_timeout(RECV_TIMEOUT) {
+            match self.next() {
                 Ok((t, items)) if t == tag => return Ok(Some(items)),
                 Ok((t, items)) => {
                     self.stash.insert(t, items);
@@ -79,11 +114,13 @@ impl Mailbox for Channels {
     }
 }
 
-/// Run the SPMD program on one OS thread per processor and gather to a
-/// single global memory (same rule as the deterministic interpreter:
-/// each element from the store holding its largest writer version). A
-/// worker's own failure is reported ahead of the receives it starves
-/// elsewhere.
+/// Run the SPMD program with one thread per processor — processor 0 on
+/// the calling thread — and gather to a single global memory (same rule
+/// as the deterministic interpreter: each element from the store
+/// holding its largest writer version). A panic on any processor's
+/// thread, the caller's included, is returned as
+/// [`RunError::WorkerPanicked`]. A processor's own failure is reported
+/// ahead of the receives it starves elsewhere.
 pub fn run_threaded_gathered(
     nest: &LoopNest,
     cg: &Codegen,
@@ -92,42 +129,53 @@ pub fn run_threaded_gathered(
     let n_procs = cg.program.num_procs();
     let layout = Layout::new(nest, cg);
     let layout = &layout;
+    let run = |p: usize, mut mail: Channels| {
+        let cx = Ctx { cg, layout, init };
+        let mut store = layout.store();
+        for op in &cg.program.per_proc[p] {
+            // A channel receive waits rather than reporting the
+            // processor blocked.
+            step(&mut store, &cx, p, op, &mut mail)?;
+        }
+        Ok(store)
+    };
+    let run = &run;
     let (senders, receivers): (Vec<_>, Vec<_>) = (0..n_procs).map(|_| mpsc::channel()).unzip();
+    let mailboxes: Vec<Channels> = receivers
+        .into_iter()
+        .enumerate()
+        .map(|(p, rx)| Channels {
+            rx,
+            senders: senders
+                .iter()
+                .enumerate()
+                .map(|(q, tx)| (q != p).then(|| tx.clone()))
+                .collect(),
+            stash: HashMap::new(),
+        })
+        .collect();
+    // Only the processors hold senders now, so a receive whose sender
+    // has finished without sending sees its channel close.
+    drop(senders);
+    let mut mailboxes = mailboxes.into_iter();
+    let caller = mailboxes.next();
     let results: Vec<Result<Store, RunError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = receivers
-            .into_iter()
+        let workers: Vec<_> = mailboxes
             .enumerate()
-            .map(|(p, rx)| {
-                let senders = senders
-                    .iter()
-                    .enumerate()
-                    .map(|(q, tx)| (q != p).then(|| tx.clone()))
-                    .collect();
-                let mut mail = Channels {
-                    rx,
-                    senders,
-                    stash: HashMap::new(),
-                };
-                scope.spawn(move || {
-                    let cx = Ctx { cg, layout, init };
-                    let mut store = layout.store();
-                    for op in &cg.program.per_proc[p] {
-                        // A channel receive waits rather than reporting
-                        // the worker blocked.
-                        step(&mut store, &cx, p, op, &mut mail)?;
-                    }
-                    Ok(store)
-                })
-            })
+            .map(|(k, mail)| scope.spawn(move || run(k + 1, mail)))
             .collect();
-        drop(senders);
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(p, h)| {
+        // Processor 0's store and mailbox die with the closure; what it
+        // shares with the workers is only read, so a panic leaves
+        // nothing half-updated behind it.
+        let own = caller.map(|mail| {
+            catch_unwind(AssertUnwindSafe(|| run(0, mail)))
+                .unwrap_or(Err(RunError::WorkerPanicked { proc: 0 }))
+        });
+        own.into_iter()
+            .chain(workers.into_iter().zip(1..).map(|(h, p)| {
                 h.join()
-                    .unwrap_or(Err(RunError::WorkerPanicked { proc: p as u32 }))
-            })
+                    .unwrap_or(Err(RunError::WorkerPanicked { proc: p }))
+            }))
             .collect()
     });
     let mut starved = None;
@@ -243,6 +291,59 @@ mod tests {
         }
         let err = run_threaded_gathered(&w.nest, &cg, &|_, _| 0.0).unwrap_err();
         assert!(matches!(err, RunError::Deadlock { .. }));
+    }
+
+    /// `l1` at size 4, mapped onto two processors; processor 0 computes
+    /// before its first receive.
+    fn l1_on_two() -> (loom_workloads::Workload, Codegen) {
+        let w = loom_workloads::l1::workload(4);
+        let p = partition(
+            w.nest.space().clone(),
+            w.verified_deps(),
+            TimeFn::new(w.pi.clone()),
+            &PartitionConfig::default(),
+        )
+        .unwrap();
+        let cg = generate(&w.nest, &p, &[1, 0, 0, 1], 2).unwrap();
+        (w, cg)
+    }
+
+    #[test]
+    fn missing_message_detected_by_closure_on_either_thread() {
+        // Processor 0 runs on the caller, processor 1 on a worker. Cut
+        // the quiet one's op list at its last `Send`: the other's receive
+        // of that message must see its channel close as the quiet one
+        // finishes, whichever thread that is, not wait out the timeout.
+        for quiet in [1, 0] {
+            let (w, mut cg) = l1_on_two();
+            let ops = &mut cg.program.per_proc[quiet];
+            let last = ops
+                .iter()
+                .rposition(|o| matches!(o, Op::Send { .. }))
+                .unwrap();
+            ops.truncate(last);
+            let start = std::time::Instant::now();
+            let err = run_threaded_gathered(&w.nest, &cg, &|_, _| 0.0).unwrap_err();
+            let elapsed = start.elapsed();
+            let RunError::Deadlock { blocked } = err else {
+                panic!("P{quiet} quiet: expected a deadlock, got {err}");
+            };
+            assert_eq!(blocked.len(), 1);
+            assert_eq!(blocked[0].0 as usize, 1 - quiet, "the other one starves");
+            assert!(
+                elapsed < RECV_TIMEOUT / 4,
+                "P{quiet} quiet: detected after {elapsed:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn panic_on_any_thread_is_a_typed_error() {
+        // `init` panics on both processors. Processor 0, on the
+        // caller's thread, reads an input before it waits on anything.
+        let (w, cg) = l1_on_two();
+        let err = run_threaded_gathered(&w.nest, &cg, &|_, _| panic!("init failed"));
+        assert_eq!(err.unwrap_err(), RunError::WorkerPanicked { proc: 0 });
     }
 
     #[test]
