@@ -1,12 +1,35 @@
 //! Bench: Algorithm 1 (projection + grouping + blocks) across workload
 //! sizes — the partitioner is compile-time machinery, so its own cost
-//! matters to a parallelizing compiler — and the layers that read its
-//! dependence arcs: the simulator's program and the TIG.
+//! matters to a parallelizing compiler — the layers that read its
+//! dependence arcs (the simulator's program and the TIG), and two fixed
+//! costs of an explore sweep: partitioning every (Π, grouping) pair
+//! from scratch or over one shared `Q` and one projection per Π, and
+//! the work pool's per-call dispatch.
 
 use loom_hyperplane::TimeFn;
+use loom_loopir::Point;
 use loom_machine::Program;
 use loom_obs::bench::Bench;
-use loom_partition::{partition, PartitionConfig, Tig};
+use loom_obs::Pool;
+use loom_partition::{
+    partition, partition_projected, ComputationalStructure, PartitionConfig, ProjectedStructure,
+    Tig,
+};
+use std::sync::Arc;
+
+/// Every Π with coefficients in `[−bound, bound]` legal for `deps`.
+fn legal_pis(dim: usize, deps: &[Point], bound: i64) -> Vec<TimeFn> {
+    let side = (2 * bound + 1) as usize;
+    (0..side.pow(dim as u32))
+        .map(|code| {
+            let coeffs = (0..dim)
+                .map(|j| (code / side.pow(j as u32) % side) as i64 - bound)
+                .collect();
+            TimeFn::new(coeffs)
+        })
+        .filter(|pi| pi.is_legal_for(deps))
+        .collect()
+}
 
 fn main() {
     let mut bench = Bench::from_env();
@@ -67,5 +90,42 @@ fn main() {
             Tig::from_partitioning(&p).total_traffic()
         });
     }
+
+    // An explore sweep's partitioning: matmul 6 at Π bound 2, every
+    // (Π, grouping) pair, counting the pairs that partition.
+    let w = loom_workloads::matmul::workload(6);
+    let (space, deps) = (w.nest.space(), w.verified_deps());
+    let pis = legal_pis(space.dim(), &deps, 2);
+    let config = |grouping| PartitionConfig {
+        grouping_choice: Some(grouping),
+        seed: None,
+    };
+    bench.run("sweep/matmul/6/per_pair", || {
+        let mut ok = 0;
+        for pi in &pis {
+            for g in 0..deps.len() {
+                ok +=
+                    partition(space.clone(), deps.clone(), pi.clone(), &config(g)).is_ok() as usize;
+            }
+        }
+        ok
+    });
+    bench.run("sweep/matmul/6/shared", || {
+        let cs = Arc::new(ComputationalStructure::new(space.clone(), deps.clone()).unwrap());
+        let mut ok = 0;
+        for pi in &pis {
+            let qp = Arc::new(ProjectedStructure::project(&cs, pi));
+            for g in 0..deps.len() {
+                ok += partition_projected(cs.clone(), qp.clone(), &config(g)).is_ok() as usize;
+            }
+        }
+        ok
+    });
+
+    // The smallest parallel call: three trivial items on two threads.
+    let pool = Pool::new(2);
+    let items = [1u64, 2, 3];
+    bench.run("pool/dispatch", || pool.map_indexed(&items, |_, &x| x + 1));
+
     print!("{}", bench.report());
 }

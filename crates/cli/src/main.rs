@@ -68,7 +68,8 @@ fn usage() -> ! {
          \x20               (Chrome/Perfetto trace JSON) on simulate/profile\n\
          simulate flags: --t-calc/--t-start/--t-comm, --batch, --contention,\n\
          \x20               --mesh RxC | --ring N (instead of --cube),\n\
-         \x20               --validate (replay the trace through verify_trace)\n\
+         \x20               --validate (replay the trace through verify_trace);\n\
+         \x20               explore costs candidates under all of them but --mesh/--ring\n\
          fault flags:    --fault-plan FILE (JSON fault plan, see docs/RESILIENCE.md),\n\
          \x20               --fault-seed N (override the plan's noise seed),\n\
          \x20               --recovery abort|retry|remap (default retry),\n\
@@ -846,10 +847,12 @@ fn cmd_explore(a: &Args) -> Result<(), CliError> {
         pi_bound: a.int_flag_at_least("pi-bound", 1, 1)?,
         top: a.int_flag_at_least("top", 10, 1)? as usize,
         // Candidates are costed on the fault-free model under the given
-        // timing parameters; the simulator switches stay at defaults.
+        // timing parameters and simulator switches, as `simulate` runs
+        // them; no candidate records a trace or metrics for output.
         machine: MachineOptions {
-            params: machine_options(a)?.params,
-            ..Default::default()
+            record_trace: false,
+            collect_metrics: false,
+            ..machine_options(a)?
         },
         threads: a.int_flag_at_least("threads", 0, 0)? as usize,
         prune: !a.switch("no-prune"),

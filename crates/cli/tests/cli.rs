@@ -347,6 +347,78 @@ fn explore_ranks() {
     assert!(out.contains("makespan"));
 }
 
+/// The rows of a ranking table, one cell per column.
+fn ranking_rows(out: &str) -> Vec<Vec<String>> {
+    out.lines()
+        .skip_while(|l| !l.starts_with("----"))
+        .skip(1)
+        .take_while(|l| !l.trim().is_empty())
+        .map(|l| {
+            l.split("  ")
+                .map(str::trim)
+                .filter(|c| !c.is_empty())
+                .map(String::from)
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn explore_costs_under_the_simulator_switches() {
+    // matmul 4 ranks differently under contention and under batching;
+    // each must be the reference explorer's ranking under the same
+    // machine options, and `--validate` must not change it.
+    use loom_core::explore::{explore_reference, ExploreConfig};
+    use loom_core::pipeline::MachineOptions;
+    let nest = loom_workloads::matmul::workload(4).nest;
+    let base = ["explore", "--workload", "matmul", "--size", "4"];
+    let (plain, _, ok) = loom(&base);
+    assert!(ok, "{plain}");
+    for (flags, machine) in [
+        (
+            &["--contention"][..],
+            MachineOptions {
+                link_contention: true,
+                ..Default::default()
+            },
+        ),
+        (
+            &["--batch", "--validate"][..],
+            MachineOptions {
+                batch_messages: true,
+                validate_trace: true,
+                ..Default::default()
+            },
+        ),
+    ] {
+        let (out, err, ok) = loom(&[&base[..], flags].concat());
+        assert!(ok, "{flags:?}: {err}");
+        assert_ne!(out, plain, "{flags:?} must change the ranking here");
+        let config = ExploreConfig {
+            machine,
+            ..Default::default()
+        };
+        let want: Vec<Vec<String>> = explore_reference(&nest, &[1, 2, 3], &config)
+            .unwrap()
+            .iter()
+            .enumerate()
+            .map(|(i, c)| {
+                vec![
+                    format!("{}", i + 1),
+                    format!("{:?}", c.pi),
+                    format!("D[{}]", c.grouping),
+                    format!("{}", 1usize << c.cube_dim),
+                    format!("{}", c.blocks),
+                    format!("{}", c.makespan),
+                    format!("{}", c.messages),
+                ]
+            })
+            .collect();
+        assert!(!want.is_empty());
+        assert_eq!(ranking_rows(&out), want, "{flags:?}");
+    }
+}
+
 /// The `makespan` a `simulate` run or a `profile --json` run reports.
 fn makespan_of(out: &str) -> u64 {
     let line = out

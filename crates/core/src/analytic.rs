@@ -236,21 +236,32 @@ pub fn makespan_lower_bound_with(
     if !steps_advance {
         return work;
     }
-    let mut incoming: Vec<Vec<(u32, u64)>> = vec![Vec::new(); n];
+    // The arcs into task `v`, with their delivery delays, are
+    // `incoming[first[v]..first[v + 1]]`.
+    let mut first = vec![0usize; n + 1];
+    for &(_, v) in &program.arcs {
+        first[v as usize + 1] += 1;
+    }
+    for v in 0..n {
+        first[v + 1] += first[v];
+    }
+    let mut next = first[..n].to_vec();
+    let mut incoming = vec![(0u32, 0u64); program.arcs.len()];
     for &(u, v) in &program.arcs {
         let delay = if program.proc_of[u as usize] == program.proc_of[v as usize] {
             0
         } else {
             params.send_occupancy(1) + params.t_recv
         };
-        incoming[v as usize].push((u, delay));
+        incoming[next[v as usize]] = (u, delay);
+        next[v as usize] += 1;
     }
     let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_by_key(|&t| (program.step_of[t as usize], t));
+    order.sort_unstable_by_key(|&t| (program.step_of[t as usize], t));
     let mut finish = vec![0u64; n];
     let mut path = 0u64;
     for &t in &order {
-        let ready = incoming[t as usize]
+        let ready = incoming[first[t as usize]..first[t as usize + 1]]
             .iter()
             .map(|&(u, delay)| finish[u as usize] + delay)
             .max()
@@ -430,6 +441,76 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn unbatched_bound_matches_a_relaxation_oracle() {
+        // The bound walks the critical path once, in (step, id) order
+        // over compressed incoming arcs. On every builtin it must equal
+        // the larger of the busiest processor's occupancy and the
+        // longest path found by relaxing every arc until nothing moves.
+        use crate::pipeline::{Pipeline, PipelineConfig};
+        let rec = loom_obs::Recorder::disabled();
+        let params = MachineParams::classic_1991();
+        let hop = params.send_occupancy(1) + params.t_recv;
+        let mut checked = 0;
+        for w in loom_workloads::all_default() {
+            let pipeline = Pipeline::new(w.nest.clone());
+            let cfg = PipelineConfig {
+                time_fn: Some(w.pi.clone()),
+                machine: None,
+                ..Default::default()
+            };
+            let stage = pipeline.stage_partition(&cfg, &rec).unwrap();
+            for cube_dim in 0..=2 {
+                let cfg = PipelineConfig {
+                    cube_dim,
+                    ..cfg.clone()
+                };
+                let Ok((_, placement, _)) = stage.map_with(&cfg, &rec) else {
+                    continue;
+                };
+                let program = stage.program(&placement);
+                let task = program.flops * params.t_calc;
+                let mut busy = vec![0u64; program.num_procs];
+                for &q in &program.proc_of {
+                    busy[q as usize] += task;
+                }
+                let mut finish = vec![task; program.len()];
+                for &(u, v) in &program.arcs {
+                    let (pu, pv) = (program.proc_of[u as usize], program.proc_of[v as usize]);
+                    if pu != pv {
+                        busy[pu as usize] += params.send_occupancy(1);
+                        busy[pv as usize] += params.t_recv;
+                    }
+                }
+                let mut moved = true;
+                while moved {
+                    moved = false;
+                    for &(u, v) in &program.arcs {
+                        let (u, v) = (u as usize, v as usize);
+                        let delay = if program.proc_of[u] == program.proc_of[v] {
+                            0
+                        } else {
+                            hop
+                        };
+                        if finish[u] + delay + task > finish[v] {
+                            finish[v] = finish[u] + delay + task;
+                            moved = true;
+                        }
+                    }
+                }
+                let want = busy.into_iter().chain(finish).max().unwrap_or(0);
+                assert_eq!(
+                    makespan_lower_bound(&program, &params, false),
+                    want,
+                    "{} on {cube_dim}-cube",
+                    w.nest.name()
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked >= 20, "only {checked} programs");
     }
 
     #[test]

@@ -2,17 +2,18 @@
 //! hypercube mapping → simulated execution.
 
 use loom_hyperplane::{SearchConfig, TimeFn};
-use loom_loopir::{DepOptions, LoopNest, Point};
+use loom_loopir::{DepOptions, Dependence, LoopNest, Point};
 use loom_machine::trace::{verify_trace, TraceViolation};
 use loom_machine::{
     simulate_scratch, simulate_with_faults_scratch, FaultConfig, MachineParams, Program, SimConfig,
     SimReport, SimScratch, Topology,
 };
-use loom_mapping::other_targets::{map_partitioning_mesh, map_partitioning_ring};
-use loom_mapping::{map_partitioning, Mapping};
+use loom_mapping::other_targets::{map_positions_mesh, map_positions_ring, partition_positions};
+use loom_mapping::{map_positions, Mapping};
 use loom_obs::{Json, Recorder};
 use loom_partition::comm::comm_stats;
 use loom_partition::{partition, CommStats, PartitionConfig, Partitioning, Tig};
+use loom_rational::Ratio;
 use std::sync::OnceLock;
 
 /// The machine the blocks are mapped onto.
@@ -416,8 +417,10 @@ impl Pipeline {
     }
 
     /// [`stage_partition`](Pipeline::stage_partition) with the
-    /// dependence set already extracted — exploration hoists extraction
-    /// out of its candidate loop and hands the shared set in here.
+    /// dependence set already extracted (and, for a folded nest,
+    /// certified) by the caller. Everything else is built from scratch;
+    /// exploration builds the same stage from parts it shares across
+    /// its sweep instead (`explore::explore_with_deps`).
     pub fn stage_partition_with_deps(
         &self,
         config: &PipelineConfig,
@@ -437,23 +440,7 @@ impl Pipeline {
         // intra-iteration ones.
         let stmt_offsets = {
             let _s = recorder.span("pipeline.stmt_offsets");
-            let intra_opts = DepOptions {
-                include_intra: true,
-                ..DepOptions::default()
-            };
-            // An admitted uniformized nest trips the uniform extractor
-            // again here; its folded dependence records (already
-            // certified during stage 1) drive the offsets.
-            let records = loom_loopir::extract_or_fold(&self.nest, intra_opts).map_err(|e| {
-                PipelineError::Deps(match e {
-                    loom_loopir::FoldError::Extract(err) => err,
-                    loom_loopir::FoldError::NoCover { array, .. } => {
-                        loom_loopir::Error::NonUniform { array }
-                    }
-                })
-            })?;
-            loom_hyperplane::compute_offsets(self.nest.stmts().len(), &records, &pi)
-                .map_err(|_| PipelineError::TimeFn(loom_hyperplane::Error::NotFound { bound: 0 }))?
+            self.stmt_offsets(&self.stmt_records()?, &pi)?
         };
 
         // 3. Partitioning (Algorithm 1).
@@ -468,8 +455,50 @@ impl Pipeline {
             .map_err(PipelineError::Partition)?
         };
         recorder.add("pipeline.blocks", partitioning.num_blocks() as u64);
+        Ok(self.staged(deps, pi, stmt_offsets, partitioning))
+    }
 
-        Ok(PartitionedStage {
+    /// The per-statement dependence records, intra-iteration ones
+    /// included, that the statement offsets are derived from. They
+    /// depend on the nest alone, so a sweep computes them once.
+    pub(crate) fn stmt_records(&self) -> Result<Vec<Dependence>, PipelineError> {
+        let intra_opts = DepOptions {
+            include_intra: true,
+            ..DepOptions::default()
+        };
+        // An admitted uniformized nest trips the uniform extractor
+        // again here; its folded dependence records (already certified
+        // during stage 1) drive the offsets.
+        loom_loopir::extract_or_fold(&self.nest, intra_opts).map_err(|e| {
+            PipelineError::Deps(match e {
+                loom_loopir::FoldError::Extract(err) => err,
+                loom_loopir::FoldError::NoCover { array, .. } => {
+                    loom_loopir::Error::NonUniform { array }
+                }
+            })
+        })
+    }
+
+    /// Fine-grain statement schedule offsets δ_s under Π.
+    pub(crate) fn stmt_offsets(
+        &self,
+        records: &[Dependence],
+        pi: &TimeFn,
+    ) -> Result<Vec<i64>, PipelineError> {
+        loom_hyperplane::compute_offsets(self.nest.stmts().len(), records, pi)
+            .map_err(|_| PipelineError::TimeFn(loom_hyperplane::Error::NotFound { bound: 0 }))
+    }
+
+    /// A stage over artifacts the caller built, possibly from shared
+    /// structures (see `explore`).
+    pub(crate) fn staged(
+        &self,
+        deps: Vec<Point>,
+        pi: TimeFn,
+        stmt_offsets: Vec<i64>,
+        partitioning: Partitioning,
+    ) -> PartitionedStage<'_> {
+        PartitionedStage {
             nest: &self.nest,
             deps,
             pi,
@@ -477,7 +506,8 @@ impl Pipeline {
             partitioning,
             comm: OnceLock::new(),
             tig: OnceLock::new(),
-        })
+            positions: OnceLock::new(),
+        }
     }
 
     /// The time transformation Π: the fixed one checked legal for
@@ -547,7 +577,9 @@ pub fn admitted_dependence_vectors(
 ///
 /// The communication statistics and the TIG are built on first use:
 /// simulating a mapping needs neither, so exploration never pays for
-/// them unless it runs the static check.
+/// them unless it runs the static check. So are the blocks' coordinates
+/// along the bisection directions, which every machine size's mapping
+/// reads.
 #[derive(Clone, Debug)]
 pub struct PartitionedStage<'a> {
     nest: &'a LoopNest,
@@ -562,6 +594,7 @@ pub struct PartitionedStage<'a> {
     pub partitioning: Partitioning,
     comm: OnceLock<CommStats>,
     tig: OnceLock<Tig>,
+    positions: OnceLock<Vec<Vec<Ratio>>>,
 }
 
 impl PartitionedStage<'_> {
@@ -590,17 +623,19 @@ impl PartitionedStage<'_> {
             _ => config.cube_dim,
         };
         let _s = recorder.span("pipeline.mapping");
-        let mapping = map_partitioning(&self.partitioning, cube_dim_for_alg2)
-            .map_err(PipelineError::Mapping)?;
+        let positions = self
+            .positions
+            .get_or_init(|| partition_positions(&self.partitioning));
+        let mapping =
+            map_positions(positions, cube_dim_for_alg2).map_err(PipelineError::Mapping)?;
         let placement = match target {
             Target::Hypercube(_) => Placement::Hypercube(mapping.clone()),
             Target::Mesh { rows, cols } => Placement::Other(
-                map_partitioning_mesh(&self.partitioning, rows, cols)
-                    .map_err(PipelineError::Mapping)?,
+                map_positions_mesh(positions, rows, cols).map_err(PipelineError::Mapping)?,
             ),
-            Target::Ring(n) => Placement::Other(
-                map_partitioning_ring(&self.partitioning, n).map_err(PipelineError::Mapping)?,
-            ),
+            Target::Ring(n) => {
+                Placement::Other(map_positions_ring(positions, n).map_err(PipelineError::Mapping)?)
+            }
         };
         Ok((mapping, placement, target))
     }

@@ -3,6 +3,7 @@
 
 use crate::bisect::{form_clusters, ClusterFormation};
 use crate::hypercube::Hypercube;
+use crate::other_targets::partition_positions;
 use crate::Error;
 use loom_partition::Partitioning;
 use loom_rational::Ratio;
@@ -73,23 +74,7 @@ pub fn map_positions(positions: &[Vec<Ratio>], cube_dim: usize) -> Result<Mappin
 /// dotted with ḡ. In the degenerate case with no grouping vectors the
 /// block index itself is the single direction.
 pub fn map_partitioning(p: &Partitioning, cube_dim: usize) -> Result<Mapping, Error> {
-    let omega = p.vectors().omega();
-    let positions: Vec<Vec<Ratio>> = if omega.is_empty() {
-        (0..p.num_blocks())
-            .map(|b| vec![Ratio::int(b as i64)])
-            .collect()
-    } else {
-        let dirs: Vec<_> = omega
-            .iter()
-            .map(|&i| p.projected().deps()[i].clone())
-            .collect();
-        p.grouping()
-            .groups
-            .iter()
-            .map(|g| dirs.iter().map(|d| g.base.dot(d)).collect())
-            .collect()
-    };
-    map_positions(&positions, cube_dim)
+    map_positions(&partition_positions(p), cube_dim)
 }
 
 #[cfg(test)]

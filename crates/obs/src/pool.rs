@@ -11,11 +11,13 @@
 //!
 //! Workers pull items from a shared atomic cursor (a work *queue*, not
 //! a pre-split range, so an expensive item late in the list cannot
-//! strand one worker with all the slow work). When the pool carries an
-//! enabled [`Recorder`], each call records:
+//! strand one worker with all the slow work). The calling thread is
+//! worker 0: a call with `w` workers spawns `w − 1` scoped threads, so
+//! the smallest parallel call pays one spawn and one join, not two.
+//! When the pool carries an enabled [`Recorder`], each call records:
 //!
 //! * `pool.tasks` — items processed,
-//! * `pool.workers` — workers actually spawned,
+//! * `pool.workers` — workers that ran, the calling thread included,
 //! * `pool.queue_depth` — items enqueued per call (the depth each
 //!   dispatch started from),
 //! * one `pool.worker.<k>` span per worker covering its busy interval.
@@ -119,35 +121,37 @@ impl Pool {
         }
         self.recorder.add("pool.workers", workers as u64);
         let cursor = AtomicUsize::new(0);
-        let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|k| {
-                    let cursor = &cursor;
-                    let f = &f;
-                    let init = &init;
-                    let recorder = self.recorder.clone();
-                    scope.spawn(move || {
-                        let span_name = format!("pool.worker.{k}");
-                        let _busy = recorder.span(&span_name);
-                        let mut scratch = init();
-                        let mut local: Vec<(usize, T)> = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            local.push((i, f(&mut scratch, i, &items[i])));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, value) in h.join().expect("pool worker panicked") {
-                    debug_assert!(slots[i].is_none(), "item {i} produced twice");
-                    slots[i] = Some(value);
+        // One worker: its busy span, its scratch, and the items it pulls
+        // off the shared cursor, with their indices.
+        let work = |k: usize| {
+            let _busy = self.recorder.span(&format!("pool.worker.{k}"));
+            let mut scratch = init();
+            let mut local: Vec<(usize, T)> = Vec::new();
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
                 }
+                local.push((i, f(&mut scratch, i, &items[i])));
+            }
+            local
+        };
+        let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+        let mut fill = |local: Vec<(usize, T)>| {
+            for (i, value) in local {
+                debug_assert!(slots[i].is_none(), "item {i} produced twice");
+                slots[i] = Some(value);
+            }
+        };
+        // Worker 0 is the calling thread, so a call spawns `workers − 1`
+        // helpers. Should worker 0 panic, the scope joins the helpers
+        // before the panic propagates.
+        std::thread::scope(|scope| {
+            let work = &work;
+            let helpers: Vec<_> = (1..workers).map(|k| scope.spawn(move || work(k))).collect();
+            fill(work(0));
+            for h in helpers {
+                fill(h.join().expect("pool worker panicked"));
             }
         });
         slots
@@ -229,6 +233,53 @@ mod tests {
             .filter(|s| s.name.starts_with("pool.worker."))
             .count();
         assert_eq!(busy, 3, "one busy span per worker: {spans:?}");
+    }
+
+    #[test]
+    fn panic_in_worker_zero_propagates_after_the_helpers_are_joined() {
+        use std::sync::atomic::AtomicBool;
+        // Worker 0 runs on the calling thread and panics in `init`; the
+        // helper is held on its first item until that panic is
+        // unwinding, then sets a flag when its scratch is dropped at
+        // its end. The panic must reach the caller, and only after that.
+        struct OnDrop<'a>(&'a AtomicBool);
+        impl Drop for OnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        let caller = std::thread::current().id();
+        let (unwinding, helper_done) = (AtomicBool::new(false), AtomicBool::new(false));
+        let items: Vec<u64> = (0..3).collect();
+        let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Pool::new(2).map_indexed_with(
+                &items,
+                || {
+                    if std::thread::current().id() == caller {
+                        let _signal = OnDrop(&unwinding);
+                        panic!("worker 0");
+                    }
+                    OnDrop(&helper_done)
+                },
+                |_, _, &x| {
+                    // Bounded, so a pool whose caller is no worker fails
+                    // below instead of hanging here.
+                    let start = std::time::Instant::now();
+                    while !unwinding.load(Ordering::SeqCst)
+                        && start.elapsed() < std::time::Duration::from_secs(10)
+                    {
+                        std::thread::yield_now();
+                    }
+                    x
+                },
+            )
+        }));
+        let payload = got.expect_err("worker 0's panic must propagate");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"worker 0"));
+        assert!(
+            helper_done.load(Ordering::SeqCst),
+            "the panic propagated before the helper was joined"
+        );
     }
 
     #[test]

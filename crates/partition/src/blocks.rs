@@ -1,5 +1,6 @@
 //! Step 6 of Algorithm 1: materializing partitioned blocks, plus the
-//! top-level [`partition`] entry point.
+//! top-level [`partition`] entry point and [`partition_projected`], its
+//! form over a structure and projection built once and shared.
 
 use crate::grouping::{select_vectors, GroupingVectors};
 use crate::grow::{grow, Grouping, GrowConfig};
@@ -8,6 +9,7 @@ use crate::Error;
 use loom_hyperplane::TimeFn;
 use loom_loopir::{IterSpace, Point};
 use loom_rational::QVec;
+use std::sync::Arc;
 
 /// Options for [`partition`] — the "arbitrary" choices Algorithm 1
 /// leaves open, pinned for reproducibility and exposed for ablation.
@@ -21,10 +23,14 @@ pub struct PartitionConfig {
 }
 
 /// The complete output of Algorithm 1: the partitioning `G_Π(Q)`.
+///
+/// `Q` depends only on the loop and `Q^p` only on `Q` and Π, so a
+/// partitioning holds shared handles to them: every grouping choice of
+/// one Π can read the same two structures.
 #[derive(Clone, Debug)]
 pub struct Partitioning {
-    cs: ComputationalStructure,
-    qp: ProjectedStructure,
+    cs: Arc<ComputationalStructure>,
+    qp: Arc<ProjectedStructure>,
     vectors: GroupingVectors,
     grouping: Grouping,
     /// Iteration-point ids per block, ordered by execution step.
@@ -88,8 +94,8 @@ impl Partitioning {
 
 /// Run Algorithm 1 end to end.
 ///
-/// Validates Π against the dependence set, projects, selects vectors,
-/// grows groups, and materializes blocks.
+/// Validates Π against the dependence set, builds `Q` and projects it,
+/// then runs [`partition_projected`].
 ///
 /// ```
 /// use loom_hyperplane::TimeFn;
@@ -110,6 +116,48 @@ pub fn partition(
     pi.check_legal(&deps)?;
     let cs = ComputationalStructure::new(space, deps)?;
     let qp = ProjectedStructure::project(&cs, &pi);
+    partition_projected(Arc::new(cs), Arc::new(qp), config)
+}
+
+/// Algorithm 1 after the projection phase: select the vectors, grow the
+/// groups and materialize the blocks over a computational structure and
+/// its projection along Π (`qp`'s time function), which the result
+/// shares rather than copies. A sweep builds `cs` once per nest and `qp`
+/// once per Π, and partitions every grouping choice over them; the
+/// result equals [`partition`]'s for the same inputs.
+///
+/// Π is checked legal for `cs.deps()`.
+///
+/// # Panics
+///
+/// If `qp` is not a projection of a structure with `cs`'s points.
+///
+/// ```
+/// use loom_hyperplane::TimeFn;
+/// use loom_loopir::IterSpace;
+/// use loom_partition::{partition_projected, ComputationalStructure, PartitionConfig,
+///                      ProjectedStructure};
+/// use std::sync::Arc;
+/// let cs = ComputationalStructure::new(IterSpace::rect(&[4, 4]).unwrap(),
+///                                      vec![vec![0, 1], vec![1, 1], vec![1, 0]]).unwrap();
+/// let qp = Arc::new(ProjectedStructure::project(&cs, &TimeFn::new(vec![1, 1])));
+/// let cs = Arc::new(cs);
+/// let p = partition_projected(cs.clone(), qp.clone(), &PartitionConfig::default()).unwrap();
+/// assert_eq!(p.num_blocks(), 4);
+/// assert!(std::ptr::eq(p.structure(), &*cs)); // shared, not copied
+/// ```
+pub fn partition_projected(
+    cs: Arc<ComputationalStructure>,
+    qp: Arc<ProjectedStructure>,
+    config: &PartitionConfig,
+) -> Result<Partitioning, Error> {
+    assert_eq!(
+        qp.source_len(),
+        cs.len(),
+        "the projection was built from another structure"
+    );
+    let pi = qp.time_fn();
+    pi.check_legal(cs.deps())?;
     let vectors = select_vectors(&qp, config.grouping_choice)?;
     let grouping = grow(
         &qp,
@@ -128,8 +176,10 @@ pub fn partition(
             block_of[point_id] = gid;
         }
     }
+    // Each point's step, computed once rather than per comparison.
+    let steps: Vec<i64> = cs.points().iter().map(|x| pi.time_of(x)).collect();
     for b in &mut blocks {
-        b.sort_by_key(|&id| pi.time_of(&cs.points()[id]));
+        b.sort_by_key(|&id| steps[id]);
     }
 
     Ok(Partitioning {

@@ -99,9 +99,7 @@ pub fn grow(qp: &ProjectedStructure, gv: &GroupingVectors, config: &GrowConfig) 
     // ungrouped point.
     let mut first_seed = match &config.seed {
         Some(seed) => qp.key_of(seed),
-        None => (0..n_points)
-            .min_by(|&a, &b| qp.points()[a].cmp(&qp.points()[b]))
-            .map(|pid| qp.line_key(pid).to_vec()),
+        None => Some(qp.line_key(qp.least()).to_vec()),
     };
     let mut smallest_ungrouped = 0;
     loop {

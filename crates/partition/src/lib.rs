@@ -50,7 +50,7 @@ pub mod laws;
 pub mod project;
 pub mod tig;
 
-pub use blocks::{partition, PartitionConfig, Partitioning};
+pub use blocks::{partition, partition_projected, PartitionConfig, Partitioning};
 pub use comm::CommStats;
 pub use grouping::GroupingVectors;
 pub use grow::Grouping;

@@ -154,6 +154,11 @@ pub struct ProjectedStructure {
     proj_points: Vec<QVec>,
     /// Original point ids on each projection line, sorted by execution step.
     members: Vec<Vec<usize>>,
+    /// `|V|` of the structure projected.
+    source_len: usize,
+    /// The lexicographically least projected point (the default seed of
+    /// region growing).
+    least: usize,
     proj_deps: Vec<QVec>,
 }
 
@@ -298,6 +303,9 @@ impl ProjectedStructure {
         }
         let dep_keys = lines.of_all(cs.deps());
         let proj_deps = cs.deps().iter().map(|d| lines.project(d)).collect();
+        let least = (0..proj_points.len())
+            .min_by(|&a, &b| proj_points[a].cmp(&proj_points[b]))
+            .expect("a structure has points");
         ProjectedStructure {
             pi: pi.clone(),
             lines,
@@ -306,6 +314,8 @@ impl ProjectedStructure {
             dep_keys,
             proj_points,
             members,
+            source_len: cs.len(),
+            least,
             proj_deps,
         }
     }
@@ -367,6 +377,16 @@ impl ProjectedStructure {
             .filter(|(_, d)| !d.is_zero())
             .map(|(i, _)| i)
             .collect()
+    }
+
+    /// Number of points of the structure this projects.
+    pub(crate) fn source_len(&self) -> usize {
+        self.source_len
+    }
+
+    /// The lexicographically least projected point.
+    pub(crate) fn least(&self) -> usize {
+        self.least
     }
 
     /// The line coordinates of projected point `pid`.

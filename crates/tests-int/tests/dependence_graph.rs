@@ -3,7 +3,9 @@
 //! tests hold it against a naive oracle that enumerates `p ± d ∈ V` for
 //! every point and dependence: the arc lists must match it in order, and
 //! so must the layers that read them (comm stats, the simulator's
-//! program) and the projected level's integer neighbor lookup.
+//! program) and the projected level's integer neighbor lookup. A sweep
+//! shares one `Q` across all its pairs and one projection per Π; the
+//! partitionings built over them must equal fresh ones.
 
 use loom_hyperplane::TimeFn;
 use loom_loopir::aff::Aff;
@@ -11,8 +13,12 @@ use loom_loopir::deps::{dependence_vectors, DepOptions};
 use loom_loopir::{parse_nest, IterSpace, Point};
 use loom_machine::Program;
 use loom_partition::comm::comm_stats;
-use loom_partition::{partition, ComputationalStructure, PartitionConfig, Partitioning};
+use loom_partition::{
+    partition, partition_projected, ComputationalStructure, PartitionConfig, Partitioning,
+    ProjectedStructure,
+};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Per point, the arcs `(other end, dependence index)` to `p + d` (or
 /// `p − d` when `sign` is −1) that land in `V`, in dependence order.
@@ -212,4 +218,92 @@ fn structure_alone_matches_the_oracle() {
     for (id, want) in succ.iter().enumerate() {
         assert_eq!(&cs.successors(id).collect::<Vec<_>>(), want);
     }
+}
+
+/// Every Π with coefficients in `[−1, 1]` that is legal for `deps`.
+fn legal_pis_within_one(dim: usize, deps: &[Point]) -> Vec<Vec<i64>> {
+    let mut out = Vec::new();
+    for code in 0..3usize.pow(dim as u32) {
+        let pi: Vec<i64> = (0..dim)
+            .map(|j| (code / 3usize.pow(j as u32) % 3) as i64 - 1)
+            .collect();
+        if TimeFn::new(pi.clone()).is_legal_for(deps) {
+            out.push(pi);
+        }
+    }
+    out
+}
+
+/// The partitioning's observable result: blocks, each point's block,
+/// the grouping and the selected vectors.
+fn summary(p: &Partitioning) -> impl PartialEq + std::fmt::Debug {
+    let block_of: Vec<usize> = (0..p.structure().len()).map(|id| p.block_of(id)).collect();
+    (
+        p.blocks().to_vec(),
+        block_of,
+        p.grouping().groups.clone(),
+        p.grouping().group_of.clone(),
+        p.vectors().clone(),
+        p.time_fn().coeffs().to_vec(),
+    )
+}
+
+/// A sweep over every builtin, every legal Π within bound 1 and every
+/// grouping index builds `Q` once per builtin and each projection once
+/// per Π. Each partitioning over the shared structures equals a fresh
+/// `partition` of the same inputs, errors included.
+#[test]
+fn shared_structures_partition_like_fresh_ones() {
+    let (mut pairs, mut oks) = (0, 0);
+    for w in loom_workloads::all_default() {
+        let name = w.nest.name();
+        let deps = w.verified_deps();
+        let space = w.nest.space();
+        let cs = Arc::new(ComputationalStructure::new(space.clone(), deps.clone()).unwrap());
+        let pis = legal_pis_within_one(space.dim(), &deps);
+        assert!(!pis.is_empty(), "{name}: no legal Π");
+        let projections: Vec<Arc<ProjectedStructure>> = pis
+            .iter()
+            .map(|pi| Arc::new(ProjectedStructure::project(&cs, &TimeFn::new(pi.clone()))))
+            .collect();
+        for (pi, qp) in pis.iter().zip(&projections) {
+            for grouping in 0..deps.len() {
+                let config = PartitionConfig {
+                    grouping_choice: Some(grouping),
+                    seed: None,
+                };
+                let fresh = partition(
+                    space.clone(),
+                    deps.clone(),
+                    TimeFn::new(pi.clone()),
+                    &config,
+                );
+                let shared = partition_projected(cs.clone(), qp.clone(), &config);
+                let what = format!("{name}, Π = {pi:?}, grouping {grouping}");
+                match (fresh, shared) {
+                    (Ok(fresh), Ok(shared)) => {
+                        assert_eq!(summary(&shared), summary(&fresh), "{what}");
+                        oks += 1;
+                        assert!(std::ptr::eq(shared.structure(), &*cs), "{what}: Q copied");
+                        assert!(
+                            std::ptr::eq(shared.projected(), &**qp),
+                            "{what}: Q^p copied"
+                        );
+                    }
+                    (Err(fresh), Err(shared)) => assert_eq!(shared, fresh, "{what}"),
+                    (fresh, shared) => panic!(
+                        "{what}: fresh {:?}, shared {:?}",
+                        fresh.map(|p| p.num_blocks()),
+                        shared.map(|p| p.num_blocks())
+                    ),
+                }
+                pairs += 1;
+            }
+        }
+    }
+    // 34 pairs today: 27 partition, 7 name a non-maximal grouping.
+    assert!(
+        oks >= 20 && pairs - oks >= 5,
+        "{oks} of {pairs} pairs partitioned: both outcomes must be exercised"
+    );
 }
