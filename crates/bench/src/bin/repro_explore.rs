@@ -9,7 +9,10 @@
 //! branch-and-bound pruning and the partitioning stage shared across
 //! machine sizes — asserts the ranked candidate lists are
 //! **byte-identical**, and records wall time, candidate counts, and
-//! pruning effectiveness. The sweep is written to `BENCH_explore.json`
+//! pruning effectiveness. Each leg of a row runs [`SAMPLES`] times and
+//! the row records its median wall time: one run is at the mercy of the
+//! host's scheduler, which on a two-CPU machine moves the small rows
+//! several-fold between runs. The sweep is written to `BENCH_explore.json`
 //! (the repo's bench trajectory artifact); `--smoke` shrinks it to a
 //! CI-sized subset and `--out <path>` redirects the artifact.
 
@@ -27,6 +30,16 @@ use std::time::Instant;
 
 const THREADS: usize = 4;
 const CUBE_DIMS: [usize; 3] = [1, 2, 3];
+/// Runs per leg of every row; the row records the median wall time.
+const SAMPLES: usize = 5;
+
+/// Run a timed leg [`SAMPLES`] times: every run's result, and the
+/// median of their wall times in µs.
+fn sampled<T>(mut leg: impl FnMut() -> (T, u64)) -> (Vec<T>, u64) {
+    let (results, mut micros): (Vec<T>, Vec<u64>) = (0..SAMPLES).map(|_| leg()).unzip();
+    micros.sort_unstable();
+    (results, micros[SAMPLES / 2])
+}
 
 fn config(pi_bound: i64, threads: usize, prune: bool) -> ExploreConfig {
     ExploreConfig {
@@ -44,7 +57,6 @@ fn config(pi_bound: i64, threads: usize, prune: bool) -> ExploreConfig {
 
 struct Leg {
     ranked: Vec<Candidate>,
-    micros: u64,
     candidates: u64,
     simulated: u64,
     pruned: u64,
@@ -57,20 +69,20 @@ fn run_baseline(nest: &loom_loopir::LoopNest, pi_bound: i64) -> (Vec<Candidate>,
     (ranked, start.elapsed().as_micros() as u64)
 }
 
-fn run_leg(nest: &loom_loopir::LoopNest, pi_bound: i64, threads: usize, prune: bool) -> Leg {
+fn run_leg(nest: &loom_loopir::LoopNest, pi_bound: i64, threads: usize, prune: bool) -> (Leg, u64) {
     let rec = Recorder::enabled();
     let start = Instant::now();
     let ranked = explore_with(nest, &CUBE_DIMS, &config(pi_bound, threads, prune), &rec)
         .expect("explore succeeds");
     let micros = start.elapsed().as_micros() as u64;
     let counters = rec.counters();
-    Leg {
+    let leg = Leg {
         ranked,
-        micros,
         candidates: counters["explore.candidates"],
         simulated: counters["explore.simulated"],
         pruned: counters["explore.pruned"],
-    }
+    };
+    (leg, micros)
 }
 
 /// The builtin workload families at bench-grade sizes: big enough that
@@ -114,7 +126,6 @@ fn low_latency() -> MachineParams {
 
 struct SymLeg {
     ranked: Vec<Candidate>,
-    micros: u64,
     routed: u64,
     exact: u64,
     fallback: u64,
@@ -133,7 +144,7 @@ fn run_symbolic(
     cube_dims: &[usize],
     params: MachineParams,
     budget: u64,
-) -> SymLeg {
+) -> (SymLeg, u64) {
     let fam = loom_workloads::family_of(name, None).expect("builtin family");
     let nest = fam(size).nest;
     let rec = Recorder::enabled();
@@ -156,14 +167,14 @@ fn run_symbolic(
     let ranked = explore_with(&nest, cube_dims, &cfg, &rec).expect("symbolic explore succeeds");
     let micros = start.elapsed().as_micros() as u64;
     let counters = rec.counters();
-    SymLeg {
+    let leg = SymLeg {
         ranked,
-        micros,
         routed: counters["explore.symbolic.routed"],
         exact: counters["explore.symbolic.exact"],
         fallback: counters["explore.symbolic.fallback"],
         probe_points: counters["explore.symbolic.probe_points"],
-    }
+    };
+    (leg, micros)
 }
 
 fn run_reference_with(
@@ -217,15 +228,19 @@ fn main() {
     let mut best_speedup_at_2 = 0.0f64;
     for w in bench_workloads(smoke) {
         for &pi_bound in pi_bounds {
-            let (reference, baseline_us) = run_baseline(&w.nest, pi_bound);
-            let fast = run_leg(&w.nest, pi_bound, THREADS, true);
-            assert_eq!(
-                fast.ranked,
-                reference,
-                "RANKING DIVERGED for {} at pi_bound={pi_bound}",
-                w.nest.name()
-            );
-            let speedup = baseline_us as f64 / fast.micros.max(1) as f64;
+            let (references, baseline_us) = sampled(|| run_baseline(&w.nest, pi_bound));
+            let (legs, explore_us) = sampled(|| run_leg(&w.nest, pi_bound, THREADS, true));
+            let reference = &references[0];
+            for ranked in references.iter().chain(legs.iter().map(|l| &l.ranked)) {
+                assert_eq!(
+                    ranked,
+                    reference,
+                    "RANKING DIVERGED for {} at pi_bound={pi_bound}",
+                    w.nest.name()
+                );
+            }
+            let fast = &legs[0];
+            let speedup = baseline_us as f64 / explore_us.max(1) as f64;
             if pi_bound == 2 {
                 best_speedup_at_2 = best_speedup_at_2.max(speedup);
             }
@@ -236,7 +251,7 @@ fn main() {
                 format!("{}", fast.simulated),
                 format!("{}", fast.pruned),
                 format!("{:.1}", baseline_us as f64 / 1000.0),
-                format!("{:.1}", fast.micros as f64 / 1000.0),
+                format!("{:.1}", explore_us as f64 / 1000.0),
                 format!("{speedup:.2}x"),
             ]);
             entries.push(Json::obj(vec![
@@ -246,7 +261,7 @@ fn main() {
                 ("simulated", Json::from(fast.simulated)),
                 ("pruned", Json::from(fast.pruned)),
                 ("baseline_us", Json::from(baseline_us)),
-                ("explore_us", Json::from(fast.micros)),
+                ("explore_us", Json::from(explore_us)),
                 ("speedup", Json::from((speedup * 100.0).round() / 100.0)),
                 ("ranking_identical", Json::from(true)),
             ]));
@@ -378,13 +393,18 @@ fn main() {
         ]
     };
     for &(name, size, pi_bound, dims, params, mname, budget) in ident.iter().chain(&speedup_rows) {
-        let (reference, baseline_us) = run_reference_with(name, size, pi_bound, dims, params);
-        let sym = run_symbolic(name, size, pi_bound, dims, params, budget);
-        assert_eq!(
-            sym.ranked, reference,
-            "SYMBOLIC RANKING DIVERGED for {name} at size {size}"
-        );
-        let speedup = baseline_us as f64 / sym.micros.max(1) as f64;
+        let (references, baseline_us) =
+            sampled(|| run_reference_with(name, size, pi_bound, dims, params));
+        let (syms, symbolic_us) =
+            sampled(|| run_symbolic(name, size, pi_bound, dims, params, budget));
+        for ranked in references.iter().chain(syms.iter().map(|l| &l.ranked)) {
+            assert_eq!(
+                ranked, &references[0],
+                "SYMBOLIC RANKING DIVERGED for {name} at size {size}"
+            );
+        }
+        let sym = &syms[0];
+        let speedup = baseline_us as f64 / symbolic_us.max(1) as f64;
         st.row([
             name.to_string(),
             format!("{size}"),
@@ -394,7 +414,7 @@ fn main() {
             format!("{}", sym.exact),
             format!("{}", sym.fallback),
             format!("{:.1}", baseline_us as f64 / 1000.0),
-            format!("{:.1}", sym.micros as f64 / 1000.0),
+            format!("{:.1}", symbolic_us as f64 / 1000.0),
             format!("{speedup:.1}x"),
         ]);
         sym_entries.push(Json::obj(vec![
@@ -408,7 +428,7 @@ fn main() {
             ("fallback", Json::from(sym.fallback)),
             ("probe_points", Json::from(sym.probe_points)),
             ("baseline_us", Json::from(baseline_us)),
-            ("symbolic_us", Json::from(sym.micros)),
+            ("symbolic_us", Json::from(symbolic_us)),
             ("speedup", Json::from((speedup * 100.0).round() / 100.0)),
             ("ranking_identical", Json::from(true)),
         ]));
@@ -421,17 +441,21 @@ fn main() {
         // (one fallback there would BE the unreachable simulation). The
         // rehearsal target must be too large to route, or it would
         // rehearse the simulator instead of the derivation.
-        let rehearsal = run_symbolic("matvec", 1024, 1, &[1, 2], low_latency(), default_budget);
+        let (rehearsal, _) =
+            run_symbolic("matvec", 1024, 1, &[1, 2], low_latency(), default_budget);
         assert_eq!(rehearsal.routed, 0, "the rehearsal must derive");
         if rehearsal.fallback == 0 {
-            let sym = run_symbolic(
-                "matvec",
-                1_000_000,
-                1,
-                &[1, 2],
-                low_latency(),
-                default_budget,
-            );
+            let (syms, symbolic_us) = sampled(|| {
+                run_symbolic(
+                    "matvec",
+                    1_000_000,
+                    1,
+                    &[1, 2],
+                    low_latency(),
+                    default_budget,
+                )
+            });
+            let sym = &syms[0];
             assert_eq!(sym.routed + sym.fallback, 0, "10^6 sweep must not simulate");
             let best = &sym.ranked[0];
             st.row([
@@ -443,7 +467,7 @@ fn main() {
                 format!("{}", sym.exact),
                 format!("{}", sym.fallback),
                 "unreachable".to_string(),
-                format!("{:.1}", sym.micros as f64 / 1000.0),
+                format!("{:.1}", symbolic_us as f64 / 1000.0),
                 "-".to_string(),
             ]);
             sym_entries.push(Json::obj(vec![
@@ -457,7 +481,7 @@ fn main() {
                 ("exact", Json::from(sym.exact)),
                 ("fallback", Json::from(sym.fallback)),
                 ("probe_points", Json::from(sym.probe_points)),
-                ("symbolic_us", Json::from(sym.micros)),
+                ("symbolic_us", Json::from(symbolic_us)),
                 ("best_makespan", Json::from(best.makespan)),
                 ("simulator_reachable", Json::from(false)),
             ]));

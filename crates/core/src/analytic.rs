@@ -167,107 +167,75 @@ pub fn makespan_lower_bound_with(
     if n == 0 {
         return 0;
     }
-    // Link-occupancy term: the busiest directed link's serial traffic.
-    let link_floor = contended.map_or(0, |topology| {
-        let mut per_link: std::collections::HashMap<(usize, usize), u64> =
-            std::collections::HashMap::new();
-        let mut occupy = |pu: usize, pv: usize, words: u64| {
-            let occ = params.send_occupancy(words);
-            for link in topology.route_links(pu, pv) {
-                *per_link.entry(link).or_insert(0) += occ;
-            }
-        };
+    let np = program.num_procs;
+    // Processor occupancy: every task's compute, then one message per
+    // remote arc, or per (source task, destination processor) pair
+    // under batching, as sender occupancy plus the receiver's `t_recv`.
+    // Under contention, each processor pair's send occupancy is also
+    // summed for the link term (`pair_occ` is empty otherwise).
+    let mut per_proc = vec![0u64; np];
+    let mut pair_occ = vec![0u64; if contended.is_some() { np * np } else { 0 }];
+    let mut dsts: Vec<u32> = Vec::new();
+    for u in 0..n {
+        let pu = program.proc_of[u];
+        per_proc[pu as usize] += program.flops * params.t_calc;
+        dsts.clear();
+        dsts.extend(
+            program
+                .successors(u)
+                .map(|v| program.proc_of[v as usize])
+                .filter(|&pv| pv != pu),
+        );
         if batch_messages {
-            let mut msg_words: std::collections::HashMap<(u32, u32), u64> =
-                std::collections::HashMap::new();
-            for &(u, v) in &program.arcs {
-                let (pu, pv) = (program.proc_of[u as usize], program.proc_of[v as usize]);
-                if pu != pv {
-                    *msg_words.entry((u, pv)).or_insert(0) += 1;
-                }
-            }
-            for (&(u, pv), &words) in &msg_words {
-                occupy(program.proc_of[u as usize] as usize, pv as usize, words);
-            }
-        } else {
-            for &(u, v) in &program.arcs {
-                let (pu, pv) = (program.proc_of[u as usize], program.proc_of[v as usize]);
-                if pu != pv {
-                    occupy(pu as usize, pv as usize, 1);
-                }
+            dsts.sort_unstable();
+        }
+        for group in dsts.chunk_by(|a, b| batch_messages && a == b) {
+            let (pv, occ) = (group[0] as usize, params.send_occupancy(group.len() as u64));
+            per_proc[pu as usize] += occ;
+            per_proc[pv] += params.t_recv;
+            if let Some(o) = pair_occ.get_mut(pu as usize * np + pv) {
+                *o += occ;
             }
         }
-        per_link.into_values().max().unwrap_or(0)
+    }
+    // Link-occupancy term: the busiest directed link's serial traffic,
+    // each processor pair's occupancy summed over its static route.
+    let link_floor = contended.map_or(0, |topology| {
+        let mut per_link = vec![0u64; topology.num_link_ids()];
+        for (pair, &occ) in pair_occ.iter().enumerate().filter(|(_, &o)| o > 0) {
+            for (a, b) in topology.route_links(pair / np, pair % np) {
+                per_link[topology.link_id(a, b)] += occ;
+            }
+        }
+        per_link.into_iter().max().unwrap_or(0)
     });
-    let mut per_proc = vec![0u64; program.num_procs];
-    for &q in &program.proc_of {
-        per_proc[q as usize] += program.flops * params.t_calc;
-    }
-    // Communication occupancy: one message per remote arc, or per
-    // (source task, destination processor) pair under batching.
-    if batch_messages {
-        let mut msg_words: std::collections::HashMap<(u32, u32), u64> =
-            std::collections::HashMap::new();
-        for &(u, v) in &program.arcs {
-            let (pu, pv) = (program.proc_of[u as usize], program.proc_of[v as usize]);
-            if pu != pv {
-                *msg_words.entry((u, pv)).or_insert(0) += 1;
-            }
-        }
-        for (&(u, pv), &words) in &msg_words {
-            per_proc[program.proc_of[u as usize] as usize] += params.send_occupancy(words);
-            per_proc[pv as usize] += params.t_recv;
-        }
-    } else {
-        for &(u, v) in &program.arcs {
-            let (pu, pv) = (program.proc_of[u as usize], program.proc_of[v as usize]);
-            if pu != pv {
-                per_proc[pu as usize] += params.send_occupancy(1);
-                per_proc[pv as usize] += params.t_recv;
-            }
-        }
-    }
     let work = per_proc.into_iter().max().unwrap_or(0).max(link_floor);
 
-    let steps_advance = program
-        .arcs
-        .iter()
-        .all(|&(u, v)| program.step_of[u as usize] < program.step_of[v as usize]);
-    if !steps_advance {
-        return work;
-    }
-    // The arcs into task `v`, with their delivery delays, are
-    // `incoming[first[v]..first[v + 1]]`.
-    let mut first = vec![0usize; n + 1];
-    for &(_, v) in &program.arcs {
-        first[v as usize + 1] += 1;
-    }
-    for v in 0..n {
-        first[v + 1] += first[v];
-    }
-    let mut next = first[..n].to_vec();
-    let mut incoming = vec![(0u32, 0u64); program.arcs.len()];
-    for &(u, v) in &program.arcs {
-        let delay = if program.proc_of[u as usize] == program.proc_of[v as usize] {
-            0
-        } else {
-            params.send_occupancy(1) + params.t_recv
-        };
-        incoming[next[v as usize]] = (u, delay);
-        next[v as usize] += 1;
-    }
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_unstable_by_key(|&t| (program.step_of[t as usize], t));
+    // The critical path, walked in the (step, id) order the program's
+    // step table shares across every candidate of one Π. Each arc into
+    // `t` must come from an earlier step, or the order is not
+    // topological and only the occupancy terms stand.
+    let steps = program.steps();
+    let hop = params.send_occupancy(1) + params.t_recv;
     let mut finish = vec![0u64; n];
     let mut path = 0u64;
-    for &t in &order {
-        let ready = incoming[first[t as usize]..first[t as usize + 1]]
-            .iter()
-            .map(|&(u, delay)| finish[u as usize] + delay)
-            .max()
-            .unwrap_or(0);
-        finish[t as usize] = ready + program.flops * params.t_calc;
-        path = path.max(finish[t as usize]);
+    for &t in program.step_order() {
+        let t = t as usize;
+        let mut ready = 0;
+        for u in program.predecessors(t) {
+            let u = u as usize;
+            if steps[u] >= steps[t] {
+                return work;
+            }
+            let delay = if program.proc_of[u] == program.proc_of[t] {
+                0
+            } else {
+                hop
+            };
+            ready = ready.max(finish[u] + delay);
+        }
+        finish[t] = ready + program.flops * params.t_calc;
+        path = path.max(finish[t]);
     }
     work.max(path)
 }
@@ -376,6 +344,10 @@ mod tests {
         // Same processor: the message is free, only serial compute remains.
         let local = Program::from_parts(vec![0, 1], vec![(0, 1)], vec![0, 0], 1, 1);
         assert_eq!(makespan_lower_bound(&local, &p, false), 2);
+        // An arc within one step leaves no topological (step, id) order:
+        // only the sender's occupancy, 1 + 55, stands.
+        let flat = Program::from_parts(vec![0, 0], vec![(0, 1)], vec![0, 1], 1, 2);
+        assert_eq!(makespan_lower_bound(&flat, &p, false), 56);
     }
 
     #[test]
@@ -446,7 +418,7 @@ mod tests {
     #[test]
     fn unbatched_bound_matches_a_relaxation_oracle() {
         // The bound walks the critical path once, in (step, id) order
-        // over compressed incoming arcs. On every builtin it must equal
+        // over the program's predecessor rows. On every builtin it must equal
         // the larger of the busiest processor's occupancy and the
         // longest path found by relaxing every arc until nothing moves.
         use crate::pipeline::{Pipeline, PipelineConfig};
@@ -477,7 +449,7 @@ mod tests {
                     busy[q as usize] += task;
                 }
                 let mut finish = vec![task; program.len()];
-                for &(u, v) in &program.arcs {
+                for (u, v) in program.arcs() {
                     let (pu, pv) = (program.proc_of[u as usize], program.proc_of[v as usize]);
                     if pu != pv {
                         busy[pu as usize] += params.send_occupancy(1);
@@ -487,7 +459,7 @@ mod tests {
                 let mut moved = true;
                 while moved {
                     moved = false;
-                    for &(u, v) in &program.arcs {
+                    for (u, v) in program.arcs() {
                         let (u, v) = (u as usize, v as usize);
                         let delay = if program.proc_of[u] == program.proc_of[v] {
                             0

@@ -16,7 +16,7 @@ use crate::topology::Topology;
 use crate::trace::TaskRecord;
 use loom_obs::SplitMix64;
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Simulation configuration.
 #[derive(Clone, Copy, Debug)]
@@ -195,6 +195,21 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
+/// A message's payload: the destination tasks
+/// `payload[start..start + len]` of the run's arena
+/// ([`SimScratch`]), written once when the producing task retires.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
 #[derive(Debug, PartialEq, Eq)]
 enum Kind {
     TaskDone {
@@ -205,11 +220,11 @@ enum Kind {
         proc: u32,
     },
     Arrive {
-        tasks: Vec<u32>,
+        tasks: Span,
     },
     RecvDone {
         proc: u32,
-        tasks: Vec<u32>,
+        tasks: Span,
     },
     /// A retransmission timer fired; re-enqueue the stored send.
     Retry {
@@ -240,10 +255,11 @@ impl PartialOrd for Ev {
     }
 }
 
+#[derive(Clone, Copy)]
 struct PendingSend {
     dst_proc: u32,
     src_task: u32,
-    tasks: Vec<u32>,
+    tasks: Span,
     words: u64,
     /// Transmission attempt number (0 = first try).
     attempt: u32,
@@ -256,13 +272,14 @@ struct Proc {
     sends: VecDeque<PendingSend>,
     /// Messages that arrived but still need `t_recv` of software
     /// processing before their data is usable.
-    recvs: VecDeque<Vec<u32>>,
+    recvs: VecDeque<Span>,
 }
 
 /// Reusable engine state for back-to-back simulations.
 ///
-/// The engine's working buffers (adjacency lists, ready heaps, event
-/// heap, per-processor queues, link/retry tables) are taken from a
+/// The engine's working buffers (in-degrees, ready heaps, event heap,
+/// per-processor queues, the message payload arena, link/retry tables)
+/// are taken from a
 /// `SimScratch` at the start of a run and handed back — cleared but
 /// with their allocations intact — when it ends, so a sweep that runs
 /// thousands of simulations (the explore path) pays the allocator once
@@ -271,7 +288,6 @@ struct Proc {
 /// before use; only spare capacity is carried over.
 #[derive(Default)]
 pub struct SimScratch {
-    out: Vec<Vec<u32>>,
     indeg: Vec<u32>,
     proc_of: Vec<u32>,
     done: Vec<bool>,
@@ -279,8 +295,10 @@ pub struct SimScratch {
     running: Vec<Option<(u32, u64)>>,
     procs: Vec<Proc>,
     heap: BinaryHeap<Reverse<Ev>>,
-    link_free: HashMap<(usize, usize), u64>,
-    retry_states: HashMap<u64, RetryState>,
+    payload: Vec<u32>,
+    remote: Vec<(u32, u32)>,
+    link_free: Vec<u64>,
+    retry_states: Vec<Option<RetryState>>,
 }
 
 /// Fault-layer state carried alongside the engine when a plan is
@@ -314,7 +332,6 @@ struct RetryState {
 struct Engine<'a> {
     program: &'a Program,
     config: &'a SimConfig,
-    out: Vec<Vec<u32>>,
     indeg: Vec<u32>,
     /// Mutable task→processor map; diverges from `program.proc_of`
     /// only when `Remap` recovery moves tasks off a crashed processor.
@@ -325,6 +342,12 @@ struct Engine<'a> {
     running: Vec<Option<(u32, u64)>>,
     procs: Vec<Proc>,
     heap: BinaryHeap<Reverse<Ev>>,
+    /// Every message's destination tasks, appended as messages are
+    /// formed; a message holds a [`Span`] of it.
+    payload: Vec<u32>,
+    /// `(destination processor, task)` of a retiring task's remote arcs,
+    /// grouped into batched messages.
+    remote: Vec<(u32, u32)>,
     seq: u64,
     compute: Vec<u64>,
     comm: Vec<u64>,
@@ -334,9 +357,11 @@ struct Engine<'a> {
     makespan: u64,
     trace: Option<Vec<TaskRecord>>,
     metrics: Option<SimMetrics>,
-    link_free: HashMap<(usize, usize), u64>,
-    retry_states: HashMap<u64, RetryState>,
-    next_retry_id: u64,
+    /// When each directed link is next free, by
+    /// [`Topology::link_id`]; sized only under link contention.
+    link_free: Vec<u64>,
+    /// Armed retransmissions, by retry id (ids count up from 0).
+    retry_states: Vec<Option<RetryState>>,
     faults: Option<FaultCtx<'a>>,
 }
 
@@ -357,19 +382,9 @@ impl<'a> Engine<'a> {
         }
         // Working buffers come from the scratch, logically reset so a
         // reused scratch behaves exactly like a fresh one.
-        let mut out = std::mem::take(&mut scratch.out);
-        for v in &mut out {
-            v.clear();
-        }
-        out.resize_with(n_tasks, Vec::new);
         let mut indeg = std::mem::take(&mut scratch.indeg);
         indeg.clear();
-        indeg.resize(n_tasks, 0);
-        // Adjacency and in-degrees.
-        for &(a, b) in &program.arcs {
-            out[a as usize].push(b);
-            indeg[b as usize] += 1;
-        }
+        indeg.extend((0..n_tasks).map(|t| program.predecessors(t).len() as u32));
         let mut proc_of = std::mem::take(&mut scratch.proc_of);
         proc_of.clear();
         proc_of.extend_from_slice(&program.proc_of);
@@ -392,14 +407,20 @@ impl<'a> Engine<'a> {
         procs.resize_with(n_procs, Proc::default);
         let mut heap = std::mem::take(&mut scratch.heap);
         heap.clear();
+        let mut payload = std::mem::take(&mut scratch.payload);
+        payload.clear();
+        let mut remote = std::mem::take(&mut scratch.remote);
+        remote.clear();
         let mut link_free = std::mem::take(&mut scratch.link_free);
         link_free.clear();
+        if config.link_contention {
+            link_free.resize(config.topology.num_link_ids(), 0);
+        }
         let mut retry_states = std::mem::take(&mut scratch.retry_states);
         retry_states.clear();
         Ok(Engine {
             program,
             config,
-            out,
             indeg,
             proc_of,
             done,
@@ -407,6 +428,8 @@ impl<'a> Engine<'a> {
             running,
             procs,
             heap,
+            payload,
+            remote,
             seq: 0,
             compute: vec![0; n_procs],
             comm: vec![0; n_procs],
@@ -418,7 +441,6 @@ impl<'a> Engine<'a> {
             metrics: config.collect_metrics.then(|| SimMetrics::new(n_procs)),
             link_free,
             retry_states,
-            next_retry_id: 0,
             faults,
         })
     }
@@ -426,7 +448,6 @@ impl<'a> Engine<'a> {
     /// Hand the working buffers back to `scratch` so the next run can
     /// reuse their allocations.
     fn reclaim(&mut self, scratch: &mut SimScratch) {
-        scratch.out = std::mem::take(&mut self.out);
         scratch.indeg = std::mem::take(&mut self.indeg);
         scratch.proc_of = std::mem::take(&mut self.proc_of);
         scratch.done = std::mem::take(&mut self.done);
@@ -434,6 +455,8 @@ impl<'a> Engine<'a> {
         scratch.running = std::mem::take(&mut self.running);
         scratch.procs = std::mem::take(&mut self.procs);
         scratch.heap = std::mem::take(&mut self.heap);
+        scratch.payload = std::mem::take(&mut self.payload);
+        scratch.remote = std::mem::take(&mut self.remote);
         scratch.link_free = std::mem::take(&mut self.link_free);
         scratch.retry_states = std::mem::take(&mut self.retry_states);
     }
@@ -459,7 +482,7 @@ impl<'a> Engine<'a> {
             let q = self.proc_of[w as usize] as usize;
             self.procs[q]
                 .ready
-                .push(Reverse((self.program.step_of[w as usize], w)));
+                .push(Reverse((self.program.steps()[w as usize], w)));
             Some(q)
         } else {
             None
@@ -498,7 +521,7 @@ impl<'a> Engine<'a> {
                         proc: p as u32,
                         start: now,
                         end: now + occ,
-                        tasks: tasks.clone(),
+                        tasks: self.payload[tasks.range()].to_vec(),
                     });
                 }
                 self.push_ev(
@@ -566,7 +589,7 @@ impl<'a> Engine<'a> {
         retry_base: u64,
     ) -> Result<(), SimError> {
         let dst = send.dst_proc;
-        let task = send.tasks.first().copied();
+        let task = Some(self.payload[send.tasks.start as usize]);
         let f = self.faults.as_mut().expect("fault_lost without fault ctx");
         f.deg.faults_hit += 1;
         if f.policy == RecoveryPolicy::Abort {
@@ -593,18 +616,14 @@ impl<'a> Engine<'a> {
             proc: p as u32,
             delay_ticks: retry_base + backoff - now,
         });
-        let id = self.next_retry_id;
-        self.next_retry_id += 1;
-        self.retry_states.insert(
-            id,
-            RetryState {
-                proc: p as u32,
-                send: PendingSend {
-                    attempt: send.attempt + 1,
-                    ..send
-                },
+        let id = self.retry_states.len() as u64;
+        self.retry_states.push(Some(RetryState {
+            proc: p as u32,
+            send: PendingSend {
+                attempt: send.attempt + 1,
+                ..send
             },
-        );
+        }));
         self.push_ev(retry_base + backoff, Kind::Retry { id });
         Ok(())
     }
@@ -615,7 +634,7 @@ impl<'a> Engine<'a> {
     fn issue_send(&mut self, p: usize, now: u64, mut send: PendingSend) -> Result<bool, SimError> {
         // Destination is wherever the tasks live *now* — a remap may
         // have moved them since the send was queued.
-        let dst = self.proc_of[send.tasks[0] as usize] as usize;
+        let dst = self.proc_of[self.payload[send.tasks.start as usize] as usize] as usize;
         send.dst_proc = dst as u32;
         if dst == p {
             // The remap brought producer and consumers together: the
@@ -623,12 +642,10 @@ impl<'a> Engine<'a> {
             if let Some(f) = self.faults.as_mut() {
                 f.deg.localized_sends += 1;
             }
-            let ready: Vec<usize> = send
-                .tasks
-                .iter()
-                .filter_map(|&w| self.complete_arc(w))
-                .collect();
-            debug_assert!(ready.iter().all(|&q| q == p));
+            for i in send.tasks.range() {
+                let ready = self.complete_arc(self.payload[i]);
+                debug_assert!(ready.is_none_or(|q| q == p));
+            }
             return Ok(false);
         }
         if send.attempt > 0 {
@@ -734,13 +751,14 @@ impl<'a> Engine<'a> {
             let mut cur = now;
             let mut first_end = now + occ;
             for (i, link) in links.iter().enumerate() {
-                let start = cur.max(self.link_free.get(link).copied().unwrap_or(0));
+                let id = self.config.topology.link_id(link.0, link.1);
+                let start = cur.max(self.link_free[id]);
                 if let Some(m) = self.metrics.as_mut() {
                     let lm = m.links.entry(*link).or_default();
                     lm.wait_ticks += start - cur;
                 }
                 let end = start + occ;
-                self.link_free.insert(*link, end);
+                self.link_free[id] = end;
                 if i == 0 {
                     first_end = end;
                 }
@@ -768,7 +786,7 @@ impl<'a> Engine<'a> {
                 src_proc: p as u32,
                 dst_proc: send.dst_proc,
                 src_task: send.src_task,
-                dst_tasks: send.tasks.clone(),
+                dst_tasks: self.payload[send.tasks.range()].to_vec(),
                 words: send.words,
                 send_start: now,
                 send_end: sender_done,
@@ -785,10 +803,7 @@ impl<'a> Engine<'a> {
         self.words_sent += send.words;
         self.push_ev(sender_done, Kind::SendDone { proc: p as u32 });
         match lost {
-            None => {
-                let tasks = std::mem::take(&mut send.tasks);
-                self.push_ev(arrival, Kind::Arrive { tasks });
-            }
+            None => self.push_ev(arrival, Kind::Arrive { tasks: send.tasks }),
             Some(why) => {
                 // The attempt burned wire time but delivers nothing;
                 // the sender learns from the missing ack after its
@@ -826,10 +841,30 @@ impl<'a> Engine<'a> {
                 end: now,
             });
         }
-        // Local arcs complete immediately; remote arcs queue sends.
-        let mut remote: Vec<(u32, u32)> = Vec::new(); // (dst_proc, dst_task)
-        for i in 0..self.out[task as usize].len() {
-            let w = self.out[task as usize][i];
+        // Local arcs complete immediately; remote arcs queue sends, each
+        // carrying its tasks as a span of the payload arena.
+        let program = self.program;
+        if !self.config.batch_messages {
+            for w in program.successors(task as usize) {
+                let q = self.proc_of[w as usize];
+                if q as usize == p {
+                    self.complete_arc(w);
+                } else {
+                    let tasks = self.push_payload(std::iter::once(w));
+                    self.procs[p].sends.push_back(PendingSend {
+                        dst_proc: q,
+                        src_task: task,
+                        tasks,
+                        words: 1,
+                        attempt: 0,
+                    });
+                }
+            }
+            return self.dispatch(p, now);
+        }
+        let mut remote = std::mem::take(&mut self.remote);
+        remote.clear();
+        for w in program.successors(task as usize) {
             let q = self.proc_of[w as usize];
             if q as usize == p {
                 self.complete_arc(w);
@@ -837,43 +872,38 @@ impl<'a> Engine<'a> {
                 remote.push((q, w));
             }
         }
-        if self.config.batch_messages {
-            remote.sort_unstable();
-            let mut i = 0;
-            while i < remote.len() {
-                let dst = remote[i].0;
-                let mut tasks = Vec::new();
-                while i < remote.len() && remote[i].0 == dst {
-                    tasks.push(remote[i].1);
-                    i += 1;
-                }
-                self.procs[p].sends.push_back(PendingSend {
-                    dst_proc: dst,
-                    src_task: task,
-                    words: tasks.len() as u64,
-                    tasks,
-                    attempt: 0,
-                });
-            }
-        } else {
-            for (dst, w) in remote {
-                self.procs[p].sends.push_back(PendingSend {
-                    dst_proc: dst,
-                    src_task: task,
-                    tasks: vec![w],
-                    words: 1,
-                    attempt: 0,
-                });
-            }
+        remote.sort_unstable();
+        for group in remote.chunk_by(|a, b| a.0 == b.0) {
+            let tasks = self.push_payload(group.iter().map(|&(_, w)| w));
+            self.procs[p].sends.push_back(PendingSend {
+                dst_proc: group[0].0,
+                src_task: task,
+                words: tasks.len as u64,
+                tasks,
+                attempt: 0,
+            });
         }
+        self.remote = remote;
         self.dispatch(p, now)
     }
 
-    fn on_arrive(&mut self, tasks: Vec<u32>, now: u64) -> Result<(), SimError> {
+    /// Append a message's destination tasks to the payload arena.
+    fn push_payload(&mut self, tasks: impl Iterator<Item = u32>) -> Span {
+        let start = self.payload.len() as u32;
+        self.payload.extend(tasks);
+        let end = u32::try_from(self.payload.len())
+            .expect("a run sends fewer than 2^32 destination words");
+        Span {
+            start,
+            len: end - start,
+        }
+    }
+
+    fn on_arrive(&mut self, tasks: Span, now: u64) -> Result<(), SimError> {
         // All tasks of one message live on one processor (a remap moves
         // a crashed processor's tasks together, preserving this).
-        let q = self.proc_of[tasks[0] as usize] as usize;
-        debug_assert!(tasks
+        let q = self.proc_of[self.payload[tasks.start as usize] as usize] as usize;
+        debug_assert!(self.payload[tasks.range()]
             .iter()
             .all(|&w| self.proc_of[w as usize] as usize == q));
         if let Some(m) = self.metrics.as_mut() {
@@ -883,8 +913,8 @@ impl<'a> Engine<'a> {
             self.procs[q].recvs.push_back(tasks);
             self.dispatch(q, now)
         } else {
-            for w in tasks {
-                if let Some(q) = self.complete_arc(w) {
+            for i in tasks.range() {
+                if let Some(q) = self.complete_arc(self.payload[i]) {
                     self.dispatch(q, now)?;
                 }
             }
@@ -892,28 +922,28 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn on_recv_done(&mut self, p: usize, tasks: Vec<u32>, now: u64) -> Result<(), SimError> {
+    fn on_recv_done(&mut self, p: usize, tasks: Span, now: u64) -> Result<(), SimError> {
         if !self.alive[p] {
             // The receiver died mid-processing; the message data moved
             // with the crash state transfer — redeliver to the tasks'
             // current owner, who pays `t_recv` again.
-            let q = self.proc_of[tasks[0] as usize] as usize;
+            let q = self.proc_of[self.payload[tasks.start as usize] as usize] as usize;
             self.procs[q].recvs.push_back(tasks);
             return self.dispatch(q, now);
         }
-        for w in tasks {
-            self.complete_arc(w);
+        for i in tasks.range() {
+            self.complete_arc(self.payload[i]);
         }
         self.dispatch(p, now)
     }
 
     fn on_retry(&mut self, id: u64, now: u64) -> Result<(), SimError> {
-        if let Some(st) = self.retry_states.remove(&id) {
+        if let Some(st) = self.retry_states[id as usize].take() {
             let mut p = st.proc as usize;
             if !self.alive[p] {
                 // Owner crashed and ownership was not reassigned (the
                 // send's data now lives with the tasks' owner).
-                p = self.proc_of[st.send.tasks[0] as usize] as usize;
+                p = self.proc_of[self.payload[st.send.tasks.start as usize] as usize] as usize;
             }
             self.procs[p].sends.push_back(st.send);
             self.dispatch(p, now)?;
@@ -977,10 +1007,10 @@ impl<'a> Engine<'a> {
         if let Some((task, _)) = self.running[p].take() {
             self.procs[survivor]
                 .ready
-                .push(Reverse((self.program.step_of[task as usize], task)));
+                .push(Reverse((self.program.steps()[task as usize], task)));
         }
         // Pending retransmissions now originate from the survivor.
-        for st in self.retry_states.values_mut() {
+        for st in self.retry_states.iter_mut().flatten() {
             if st.proc as usize == p {
                 st.proc = survivor as u32;
             }
@@ -1051,7 +1081,7 @@ impl<'a> Engine<'a> {
                 let p = self.proc_of[t] as usize;
                 self.procs[p]
                     .ready
-                    .push(Reverse((self.program.step_of[t], t as u32)));
+                    .push(Reverse((self.program.steps()[t], t as u32)));
             }
         }
         // Arm scheduled crashes before anything else so a crash at tick

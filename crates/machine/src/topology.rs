@@ -96,6 +96,49 @@ impl Topology {
         path
     }
 
+    /// The most links leaving one node: a hypercube's dimension, 4 for a
+    /// mesh, 2 for a ring.
+    fn max_degree(&self) -> usize {
+        match *self {
+            Topology::Hypercube(d) => d,
+            Topology::Mesh { .. } => 4,
+            Topology::Ring(_) => 2,
+        }
+    }
+
+    /// The number of dense link ids: every directed link `(a, b)` between
+    /// neighbors has a [`link_id`](Self::link_id) below it.
+    pub fn num_link_ids(&self) -> usize {
+        self.len() * self.max_degree()
+    }
+
+    /// A dense id of the directed link from `a` to its neighbor `b`:
+    /// `a` times the most links leaving one node, plus the port
+    /// `b` sits on (the flipped bit of a hypercube; west, east, north or
+    /// south on a mesh; backward or forward on a ring). Distinct links
+    /// get distinct ids below [`num_link_ids`](Self::num_link_ids).
+    ///
+    /// Panics (in debug builds) unless `b` is a neighbor of `a`.
+    pub fn link_id(&self, a: usize, b: usize) -> usize {
+        debug_assert!(self.neighbors(a).contains(&b), "({a}, {b}) is not a link");
+        let port = match *self {
+            Topology::Hypercube(_) => (a ^ b).trailing_zeros() as usize,
+            Topology::Mesh { cols, .. } => {
+                if b + 1 == a {
+                    0
+                } else if b == a + 1 {
+                    1
+                } else if b + cols == a {
+                    2
+                } else {
+                    3
+                }
+            }
+            Topology::Ring(len) => usize::from(b == (a + 1) % len),
+        };
+        a * self.max_degree() + port
+    }
+
     /// The directed links of [`Topology::route`].
     pub fn route_links(&self, a: usize, b: usize) -> Vec<(usize, usize)> {
         let path = self.route(a, b);
@@ -191,6 +234,28 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn link_ids_are_dense_and_distinct() {
+        for t in [
+            Topology::Hypercube(0),
+            Topology::Hypercube(3),
+            Topology::Mesh { rows: 3, cols: 4 },
+            Topology::Mesh { rows: 1, cols: 2 },
+            Topology::Ring(1),
+            Topology::Ring(2),
+            Topology::Ring(5),
+        ] {
+            let mut seen = vec![false; t.num_link_ids()];
+            for a in 0..t.len() {
+                for b in t.neighbors(a) {
+                    let id = t.link_id(a, b);
+                    assert!(!seen[id], "{t:?}: ({a}, {b}) shares id {id}");
+                    seen[id] = true;
+                }
+            }
+        }
+    }
 
     #[test]
     fn hypercube_distances() {

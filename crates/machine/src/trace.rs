@@ -80,7 +80,7 @@ pub fn verify_trace(program: &Program, trace: &[TaskRecord]) -> Vec<TraceViolati
             }
         }
     }
-    for &(a, b) in &program.arcs {
+    for (a, b) in program.arcs() {
         if let (Some(ra), Some(rb)) = (record_of[a as usize], record_of[b as usize]) {
             if rb.start < ra.end {
                 violations.push(TraceViolation::DependenceOrder { src: a, dst: b });

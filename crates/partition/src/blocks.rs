@@ -176,8 +176,7 @@ pub fn partition_projected(
             block_of[point_id] = gid;
         }
     }
-    // Each point's step, computed once rather than per comparison.
-    let steps: Vec<i64> = cs.points().iter().map(|x| pi.time_of(x)).collect();
+    let steps = qp.steps().as_slice();
     for b in &mut blocks {
         b.sort_by_key(|&id| steps[id]);
     }

@@ -13,6 +13,7 @@ use loom_hyperplane::TimeFn;
 use loom_loopir::{IterSpace, Point};
 use loom_rational::int::gcd_all;
 use loom_rational::{QVec, Ratio};
+use std::sync::{Arc, OnceLock};
 
 /// The computational structure `Q = (V, D)` of a nested loop
 /// (Definition 2): the enumerated index set, the dependence vectors, and
@@ -23,33 +24,101 @@ pub struct ComputationalStructure {
     points: Vec<Point>,
     index: Index,
     deps: Vec<Point>,
-    succ: Arcs,
-    pred: Arcs,
+    succ: Arc<ArcRows>,
+    pred: Arc<ArcRows>,
 }
 
-/// Dependence arcs in compressed sparse rows: the arcs of point `id` are
-/// `arcs[offsets[id]..offsets[id + 1]]`, each `(other end, dependence
-/// index)`, in dependence-index order.
+/// Arcs in compressed sparse rows: row `id` is
+/// `arcs[offsets[id]..offsets[id + 1]]`, each arc `(other end, label)`.
+/// In `Q` the label is the dependence index and every row is in
+/// dependence-index order. `Q` holds its rows behind an [`Arc`], so a
+/// program built over `Q` reads them without copying.
 #[derive(Clone, Debug)]
-struct Arcs {
+pub struct ArcRows {
     offsets: Vec<usize>,
     arcs: Vec<(u32, u32)>,
 }
 
-impl Arcs {
-    fn with_capacity(points: usize, deps: usize) -> Arcs {
-        let mut offsets = Vec::with_capacity(points + 1);
+impl ArcRows {
+    fn with_capacity(rows: usize, arcs: usize) -> ArcRows {
+        let mut offsets = Vec::with_capacity(rows + 1);
         offsets.push(0);
-        Arcs {
+        ArcRows {
             offsets,
-            arcs: Vec::with_capacity(points * deps),
+            arcs: Vec::with_capacity(arcs),
         }
     }
 
+    /// The rows of `rows` points from a list of `(row, other end)` pairs,
+    /// each row keeping its pairs' list order and labelled by list
+    /// position.
+    ///
+    /// Panics if a row is out of range.
+    pub fn from_pairs(rows: usize, pairs: impl Iterator<Item = (u32, u32)> + Clone) -> ArcRows {
+        let mut offsets = vec![0usize; rows + 1];
+        for (r, _) in pairs.clone() {
+            offsets[r as usize + 1] += 1;
+        }
+        for r in 0..rows {
+            offsets[r + 1] += offsets[r];
+        }
+        let mut next = offsets[..rows].to_vec();
+        let mut arcs = vec![(0, 0); offsets[rows]];
+        for (i, (r, end)) in pairs.enumerate() {
+            arcs[next[r as usize]] = (end, i as u32);
+            next[r as usize] += 1;
+        }
+        ArcRows { offsets, arcs }
+    }
+
+    /// Row `id`: its arcs as `(other end, label)`.
+    #[inline]
+    pub fn row(&self, id: usize) -> &[(u32, u32)] {
+        &self.arcs[self.offsets[id]..self.offsets[id + 1]]
+    }
+
+    /// Number of arcs over all rows.
+    pub fn num_arcs(&self) -> usize {
+        self.arcs.len()
+    }
+
     fn of(&self, id: usize) -> impl ExactSizeIterator<Item = (usize, usize)> + '_ {
-        self.arcs[self.offsets[id]..self.offsets[id + 1]]
-            .iter()
-            .map(|&(q, k)| (q as usize, k as usize))
+        self.row(id).iter().map(|&(q, k)| (q as usize, k as usize))
+    }
+}
+
+/// The execution step `Π·x` of every point of `Q`, by point id, and the
+/// point ids in `(step, id)` order, built on first use. A projection
+/// computes the steps once per Π and holds them behind an [`Arc`], so
+/// every grouping and every program of that Π shares one table.
+#[derive(Debug)]
+pub struct Steps {
+    step: Vec<i64>,
+    order: OnceLock<Vec<u32>>,
+}
+
+impl Steps {
+    /// A table of the given steps, indexed by point id.
+    pub fn new(step: Vec<i64>) -> Steps {
+        Steps {
+            step,
+            order: OnceLock::new(),
+        }
+    }
+
+    /// The step of every point, indexed by point id.
+    #[inline]
+    pub fn as_slice(&self) -> &[i64] {
+        &self.step
+    }
+
+    /// Every point id, sorted by `(step, id)`.
+    pub fn order(&self) -> &[u32] {
+        self.order.get_or_init(|| {
+            let mut order: Vec<u32> = (0..self.step.len() as u32).collect();
+            order.sort_unstable_by_key(|&t| (self.step[t as usize], t));
+            order
+        })
     }
 }
 
@@ -63,8 +132,9 @@ impl ComputationalStructure {
         }
         let dim = space.dim();
         let (index, _) = Index::build(points.iter().map(Vec::as_slice), dim, points.len());
-        let mut succ = Arcs::with_capacity(points.len(), deps.len());
-        let mut pred = Arcs::with_capacity(points.len(), deps.len());
+        let arcs = points.len() * deps.len();
+        let mut succ = ArcRows::with_capacity(points.len(), arcs);
+        let mut pred = ArcRows::with_capacity(points.len(), arcs);
         for p in &points {
             for (k, d) in deps.iter().enumerate() {
                 let k = k as u32;
@@ -83,8 +153,8 @@ impl ComputationalStructure {
             points,
             index,
             deps,
-            succ,
-            pred,
+            succ: Arc::new(succ),
+            pred: Arc::new(pred),
         })
     }
 
@@ -136,7 +206,19 @@ impl ComputationalStructure {
 
     /// Total number of dependence arcs in `Q` (33 for the paper's L1).
     pub fn num_arcs(&self) -> usize {
-        self.succ.arcs.len()
+        self.succ.num_arcs()
+    }
+
+    /// The arcs out of every point, as shared rows of
+    /// [`successors`](Self::successors).
+    pub fn successor_rows(&self) -> &Arc<ArcRows> {
+        &self.succ
+    }
+
+    /// The arcs into every point, as shared rows of
+    /// [`predecessors`](Self::predecessors).
+    pub fn predecessor_rows(&self) -> &Arc<ArcRows> {
+        &self.pred
     }
 }
 
@@ -160,6 +242,8 @@ pub struct ProjectedStructure {
     /// region growing).
     least: usize,
     proj_deps: Vec<QVec>,
+    /// The step of every point of the structure projected.
+    steps: Arc<Steps>,
 }
 
 /// The integer coordinates of a projection line: for a Π-axis `a` with
@@ -306,6 +390,7 @@ impl ProjectedStructure {
         let least = (0..proj_points.len())
             .min_by(|&a, &b| proj_points[a].cmp(&proj_points[b]))
             .expect("a structure has points");
+        let steps = Steps::new(cs.points().iter().map(|x| pi.time_of(x)).collect());
         ProjectedStructure {
             pi: pi.clone(),
             lines,
@@ -317,12 +402,19 @@ impl ProjectedStructure {
             source_len: cs.len(),
             least,
             proj_deps,
+            steps: Arc::new(steps),
         }
     }
 
     /// The time function used as projection vector.
     pub fn time_fn(&self) -> &TimeFn {
         &self.pi
+    }
+
+    /// The step `Π·x` of every point of the structure projected, by
+    /// point id, computed once per projection.
+    pub fn steps(&self) -> &Arc<Steps> {
+        &self.steps
     }
 
     /// The distinct projected points `V^p`; position = projected-point id.

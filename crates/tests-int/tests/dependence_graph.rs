@@ -88,7 +88,11 @@ fn check(name: &str, p: &Partitioning) {
         .enumerate()
         .flat_map(|(id, arcs)| arcs.iter().map(move |&(q, _)| (id as u32, q as u32)))
         .collect();
-    assert_eq!(program.arcs, arcs, "{name}: program arcs");
+    assert_eq!(
+        program.arcs().collect::<Vec<_>>(),
+        arcs,
+        "{name}: program arcs"
+    );
 
     // The projected level: stepping a line along a projected dependence
     // in integer line coordinates reaches the line the rational sum names.
