@@ -1,14 +1,17 @@
 //! Bench: the numerical executors — sequential oracle throughput,
 //! trace-order replay, the SPMD interpreter, the threaded runner, and
-//! codegen.
+//! codegen — and the store they write into.
 
 use loom_codegen::generate;
 use loom_exec::memory::address_hash_init;
-use loom_exec::{execute_in_order, schedule_order, sequential};
+use loom_exec::{execute_in_order, schedule_order, sequential, Memory};
 use loom_hyperplane::{Schedule, TimeFn};
-use loom_loopir::Point;
+use loom_loopir::sem::Expr;
+use loom_loopir::{Access, IterSpace, LoopNest, Point, Stmt};
 use loom_obs::bench::Bench;
 use loom_partition::{partition, PartitionConfig};
+use std::hint::black_box;
+use std::time::Instant;
 
 fn main() {
     let mut bench = Bench::from_env();
@@ -18,6 +21,54 @@ fn main() {
             sequential(&w.nest, &address_hash_init).len()
         });
     }
+
+    // `B[j, i] = A[i, j]`: every new element of `B` sorts before the one
+    // written before it. A store whose insert moved elements would be
+    // quadratic here; per element, 256² must cost at most twice 64². CI
+    // takes a single sample, so the check times its own batches, each
+    // writing 256² elements (sixteen 64² runs or one 256² run), and keeps
+    // the fastest of five.
+    const ELEMENTS: i64 = 256 * 256;
+    let per_element: Vec<f64> = [64i64, 256]
+        .iter()
+        .map(|&n| {
+            let nest = transpose(n);
+            let run = || sequential(&nest, &address_hash_init).len();
+            bench.run(&format!("oracle_interpreter/transpose/{n}x{n}"), run);
+            let fastest = (0..5)
+                .map(|_| {
+                    let t = Instant::now();
+                    for _ in 0..ELEMENTS / (n * n) {
+                        black_box(run());
+                    }
+                    t.elapsed().as_nanos()
+                })
+                .min()
+                .expect("five batches");
+            fastest as f64 / ELEMENTS as f64
+        })
+        .collect();
+    assert!(
+        per_element[1] <= 2.0 * per_element[0],
+        "a transposed write costs {:.1} ns per element at 256², {:.1} at 64²",
+        per_element[1],
+        per_element[0]
+    );
+
+    // What the gather hands `Memory`: sor 64 × 64's 4,096 written
+    // elements as flat columns in slot order, taken over with their
+    // index built.
+    let sor = sequential(
+        &loom_workloads::sor::workload(64, 64).nest,
+        &address_hash_init,
+    );
+    let subscripts: Vec<i64> = sor.iter().flat_map(|(_, e, _)| e.to_vec()).collect();
+    let values: Vec<f64> = sor.iter().map(|(_, _, v)| v).collect();
+    bench.run("gather/sor_64x64", || {
+        let mut mem = Memory::new();
+        mem.write_flat("A", 2, subscripts.clone(), values.clone());
+        mem.len()
+    });
 
     let w = loom_workloads::sor::workload(24, 24);
     let deps = w.verified_deps();
@@ -73,6 +124,20 @@ fn main() {
             .num_messages()
     });
     print!("{}", bench.report());
+}
+
+/// `B[j, i] = A[i, j]` over `n × n`.
+fn transpose(n: i64) -> LoopNest {
+    LoopNest::new(
+        "transpose",
+        IterSpace::rect(&[n, n]).unwrap(),
+        vec![Stmt::assign(
+            Access::simple("B", 2, &[(1, 0), (0, 0)]),
+            vec![Access::simple("A", 2, &[(0, 0), (1, 0)])],
+        )
+        .with_expr(Expr::Read(0))],
+    )
+    .unwrap()
 }
 
 /// What the benchmark's `execute` workload times: the threaded runner

@@ -129,7 +129,6 @@ pub fn generate(
         }
     }
     let cs = partitioning.structure();
-    let pi = partitioning.time_fn();
     let dep_vectors: Vec<Point> = cs.deps().to_vec();
 
     // Payload specs per dependence index: every extracted dependence
@@ -158,14 +157,12 @@ pub fn generate(
 
     let proc_of_point = |id: usize| -> u32 { assignment[partitioning.block_of(id)] as u32 };
 
-    // Iterations per processor in (step, point) order; point ids are
-    // lexicographic, so the id breaks ties.
+    // Iterations per processor in (step, point) order: the projection's
+    // shared order, bucketed by processor (point ids are lexicographic,
+    // so the id breaks ties).
     let mut per_proc_points: Vec<Vec<usize>> = vec![Vec::new(); num_procs];
-    for id in 0..cs.len() {
-        per_proc_points[proc_of_point(id) as usize].push(id);
-    }
-    for list in &mut per_proc_points {
-        list.sort_by_key(|&id| (pi.time_of(&cs.points()[id]), id));
+    for &id in partitioning.projected().steps().order() {
+        per_proc_points[proc_of_point(id as usize) as usize].push(id as usize);
     }
 
     let mut per_proc: Vec<Vec<Op>> = vec![Vec::new(); num_procs];

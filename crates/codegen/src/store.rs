@@ -77,9 +77,10 @@ enum Index {
     },
 }
 
-/// One array: its name and slot space.
+/// One array: its name, rank and slot space.
 struct Array<'a> {
     name: &'a str,
+    rank: usize,
     index: Index,
     slots: usize,
     /// Some statement writes it: only written arrays are gathered.
@@ -265,7 +266,7 @@ impl<'a> Layout<'a> {
                 .fold(*base, |s, (&c, &x)| s.wrapping_add(c.wrapping_mul(x)))
                 as usize,
             None => {
-                subscript_into(r.access, pt, buf);
+                r.access.element_into(pt, buf);
                 let Index::Hash { slot_of, .. } = &self.arrays[r.array].index else {
                     unreachable!("only hashed arrays resolve without an offset")
                 };
@@ -289,7 +290,7 @@ impl<'a> Layout<'a> {
         if store.versions[r.array][slot] != ABSENT {
             return (slot, store.values[r.array][slot]);
         }
-        subscript_into(r.access, pt, &mut store.buf);
+        r.access.element_into(pt, &mut store.buf);
         (slot, init(self.arrays[r.array].name, &store.buf))
     }
 
@@ -342,7 +343,9 @@ impl<'a> Layout<'a> {
     /// Merge the processors' stores into the global result: every
     /// written element from the store holding its largest writer
     /// version, i.e. its sequentially last write. A box-indexed array's
-    /// subscripts are stepped along with its slots ([`advance`]).
+    /// subscripts are stepped along with its slots ([`advance`]) and
+    /// appended, in slot (row-major) order, straight into the columns
+    /// `Memory` takes over, so the gather allocates nothing per element.
     pub(crate) fn gather(&self, stores: &[Store]) -> Memory {
         let mut mem = Memory::new();
         for (a, array) in self.arrays.iter().enumerate().filter(|(_, a)| a.written) {
@@ -359,27 +362,29 @@ impl<'a> Layout<'a> {
                 }
                 (best.0 > FORWARDED).then_some(best.1)
             };
-            let mut cells = Vec::with_capacity(array.slots);
+            let mut subscripts = Vec::with_capacity(array.slots * array.rank);
+            let mut values = Vec::with_capacity(array.slots);
+            let mut keep = |element: &[i64], slot: usize| {
+                if let Some(value) = last_write(slot) {
+                    subscripts.extend_from_slice(element);
+                    values.push(value);
+                }
+            };
             match &array.index {
                 Index::Box { lo, extents } => {
                     let mut at = lo.clone();
                     for slot in 0..array.slots {
-                        if let Some(value) = last_write(slot) {
-                            cells.push((at.clone(), value));
-                        }
+                        keep(&at, slot);
                         advance(&mut at, lo, extents);
                     }
                 }
                 Index::Hash { elements, .. } => {
-                    cells.extend(
-                        elements
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(slot, e)| Some((e.clone(), last_write(slot)?))),
-                    );
+                    for (slot, e) in elements.iter().enumerate() {
+                        keep(e, slot);
+                    }
                 }
             }
-            mem.write_array(array.name, cells);
+            mem.write_flat(array.name, array.rank, subscripts, values);
         }
         mem
     }
@@ -440,6 +445,7 @@ impl<'a> Array<'a> {
             if volume <= DENSE_FACTOR.saturating_mul(touch) {
                 return Array {
                     name,
+                    rank,
                     index: Index::Box { lo, extents },
                     slots: volume as usize,
                     written,
@@ -458,6 +464,7 @@ impl<'a> Array<'a> {
         }
         Array {
             name,
+            rank,
             slots: elements.len(),
             index: Index::Hash { slot_of, elements },
             written,
@@ -468,12 +475,6 @@ impl<'a> Array<'a> {
 /// `true` iff `pt` lies in `bbox`.
 fn in_box(bbox: &[(i64, i64)], pt: &[i64]) -> bool {
     pt.len() == bbox.len() && pt.iter().zip(bbox).all(|(&x, &(l, h))| l <= x && x <= h)
-}
-
-/// Evaluate `access`'s subscripts at `pt` into `buf`.
-fn subscript_into(access: &Access, pt: &[i64], buf: &mut Vec<i64>) {
-    buf.clear();
-    buf.extend(access.subscripts().iter().map(|s| s.eval(pt)));
 }
 
 /// The box of an array's accesses over `bbox` — per dimension its low

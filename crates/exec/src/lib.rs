@@ -6,8 +6,9 @@
 //! execution computes **exactly** the values the original sequential
 //! loop computes. This crate provides:
 //!
-//! * [`memory::Memory`] — a sparse array store keyed by
-//!   `(array, element)`,
+//! * [`memory::Memory`] — a sparse array store: per array, flat
+//!   subscript and value columns and a hash index over the subscripts,
+//!   iterated in `(array, element)` order,
 //! * [`oracle`] — the sequential interpreter (lexicographic iteration
 //!   order, the semantics of the source loop),
 //! * [`ordered`] — execution in an arbitrary total order (a hyperplane
@@ -43,5 +44,5 @@ pub mod oracle;
 pub mod ordered;
 
 pub use memory::Memory;
-pub use oracle::{execute_iteration, sequential};
+pub use oracle::sequential;
 pub use ordered::{equivalent, execute_in_order, schedule_order, trace_order, Divergence};

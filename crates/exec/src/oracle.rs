@@ -2,32 +2,58 @@
 //! order — by definition, the correct result.
 
 use crate::memory::Memory;
+use loom_loopir::sem::Expr;
 use loom_loopir::LoopNest;
 
-/// Execute one iteration's statement body against `mem`; every executor uses it.
-pub fn execute_iteration(
-    nest: &LoopNest,
-    point: &[i64],
-    mem: &mut Memory,
-    init: &dyn Fn(&str, &[i64]) -> f64,
-) {
-    for stmt in nest.stmts() {
-        let reads: Vec<f64> = stmt
-            .reads()
-            .iter()
-            .map(|r| mem.read(r.array(), &r.element_at(point), init))
-            .collect();
-        let value = stmt.semantics().eval(&reads);
-        mem.write(stmt.write().array(), &stmt.write().element_at(point), value);
+/// A nest's statement bodies, ready to execute one iteration after
+/// another: each statement's semantics, built once, and buffers for the
+/// operand values and one subscript, so an iteration allocates nothing
+/// but the store's growth.
+pub(crate) struct Body<'a> {
+    nest: &'a LoopNest,
+    exprs: Vec<Expr>,
+    reads: Vec<f64>,
+    element: Vec<i64>,
+}
+
+impl<'a> Body<'a> {
+    /// The bodies of `nest`'s statements.
+    pub(crate) fn new(nest: &'a LoopNest) -> Body<'a> {
+        Body {
+            nest,
+            exprs: nest.stmts().iter().map(|s| s.semantics()).collect(),
+            reads: Vec::new(),
+            element: Vec::new(),
+        }
+    }
+
+    /// Execute one iteration's statement body against `mem`; every
+    /// executor of this crate uses it.
+    pub(crate) fn execute(
+        &mut self,
+        point: &[i64],
+        mem: &mut Memory,
+        init: &dyn Fn(&str, &[i64]) -> f64,
+    ) {
+        for (stmt, expr) in self.nest.stmts().iter().zip(&self.exprs) {
+            self.reads.clear();
+            for r in stmt.reads() {
+                r.element_into(point, &mut self.element);
+                self.reads.push(mem.read(r.array(), &self.element, init));
+            }
+            let value = expr.eval(&self.reads);
+            stmt.write().element_into(point, &mut self.element);
+            mem.write(stmt.write().array(), &self.element, value);
+        }
     }
 }
 
 /// Run the nest sequentially, returning the final store.
 pub fn sequential(nest: &LoopNest, init: &dyn Fn(&str, &[i64]) -> f64) -> Memory {
     let mut mem = Memory::new();
-    for p in nest.space().points() {
-        execute_iteration(nest, &p, &mut mem, init);
-    }
+    let mut body = Body::new(nest);
+    nest.space()
+        .for_each_point(|p| body.execute(p, &mut mem, init));
     mem
 }
 

@@ -2,7 +2,7 @@
 //! plus exact comparison of executions.
 
 use crate::memory::Memory;
-use crate::oracle::execute_iteration;
+use crate::oracle::Body;
 use loom_hyperplane::Schedule;
 use loom_loopir::{LoopNest, Point};
 use loom_machine::trace::TaskRecord;
@@ -48,17 +48,24 @@ pub fn execute_in_order(
     if order.len() != points.len() {
         return Err(Divergence::NotAPermutation);
     }
-    let index: HashMap<&Point, usize> = points.iter().enumerate().map(|(i, p)| (p, i)).collect();
+    let index: HashMap<&[i64], usize> = points
+        .iter()
+        .enumerate()
+        .map(|(i, p)| (p.as_slice(), i))
+        .collect();
     let mut done = vec![false; points.len()];
     let mut mem = Memory::new();
+    let mut body = Body::new(nest);
+    let mut pred: Point = Vec::new();
     for &id in order {
         if id >= points.len() || done[id] {
             return Err(Divergence::NotAPermutation);
         }
         let p = &points[id];
         for d in deps {
-            let pred: Point = p.iter().zip(d).map(|(&a, &b)| a - b).collect();
-            if let Some(&pid) = index.get(&pred) {
+            pred.clear();
+            pred.extend(p.iter().zip(d).map(|(&a, &b)| a - b));
+            if let Some(&pid) = index.get(pred.as_slice()) {
                 if !done[pid] {
                     return Err(Divergence::OrderViolation {
                         point: p.clone(),
@@ -67,7 +74,7 @@ pub fn execute_in_order(
                 }
             }
         }
-        execute_iteration(nest, p, &mut mem, init);
+        body.execute(p, &mut mem, init);
         done[id] = true;
     }
     Ok(mem)

@@ -62,6 +62,13 @@ impl Access {
         self.subscripts.iter().map(|s| s.eval(point)).collect()
     }
 
+    /// [`Access::element_at`], written over `element`: no allocation
+    /// once `element` has room.
+    pub fn element_into(&self, point: &[i64], element: &mut Vec<i64>) {
+        element.clear();
+        element.extend(self.subscripts.iter().map(|s| s.eval(point)));
+    }
+
     /// `true` iff the two accesses have identical linear subscript parts
     /// (the uniform-dependence precondition).
     pub fn same_linear_part(&self, other: &Access) -> bool {

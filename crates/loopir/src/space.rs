@@ -146,6 +146,22 @@ impl IterSpace {
         PointIter::new(self)
     }
 
+    /// Visit every point in lexicographic order — the order of
+    /// [`IterSpace::points`] — through one reused buffer, so the walk
+    /// allocates nothing per point.
+    pub fn for_each_point(&self, mut visit: impl FnMut(&[i64])) {
+        let inner = self.dim() - 1;
+        let mut p = vec![0i64; self.dim()];
+        self.for_each_row(|prefix, lo, hi| {
+            p[..inner].copy_from_slice(&prefix[..inner]);
+            for x in lo..=hi {
+                p[inner] = x;
+                visit(&p);
+            }
+            ControlFlow::Continue(())
+        });
+    }
+
     /// The bounding box `[min_j, max_j]` of each coordinate over the whole
     /// space (used by searches that need a finite coordinate range).
     /// An empty space yields `(0, −1)` per coordinate.
@@ -438,6 +454,15 @@ mod tests {
             if enumerated > 0 {
                 assert_eq!(s.count_at_most(enumerated - 1), None, "{s:?}");
             }
+        }
+    }
+
+    #[test]
+    fn for_each_point_visits_the_points_in_order() {
+        for s in corpus() {
+            let mut visited = Vec::new();
+            s.for_each_point(|p| visited.push(p.to_vec()));
+            assert_eq!(visited, s.points().collect::<Vec<_>>(), "{s:?}");
         }
     }
 

@@ -297,6 +297,7 @@ pub struct SimScratch {
     heap: BinaryHeap<Reverse<Ev>>,
     payload: Vec<u32>,
     remote: Vec<(u32, u32)>,
+    route: Vec<usize>,
     link_free: Vec<u64>,
     retry_states: Vec<Option<RetryState>>,
 }
@@ -348,6 +349,9 @@ struct Engine<'a> {
     /// `(destination processor, task)` of a retiring task's remote arcs,
     /// grouped into batched messages.
     remote: Vec<(u32, u32)>,
+    /// The links of the message being issued, by
+    /// [`Topology::link_id`]; filled only when someone needs them.
+    route: Vec<usize>,
     seq: u64,
     compute: Vec<u64>,
     comm: Vec<u64>,
@@ -411,6 +415,7 @@ impl<'a> Engine<'a> {
         payload.clear();
         let mut remote = std::mem::take(&mut scratch.remote);
         remote.clear();
+        let route = std::mem::take(&mut scratch.route);
         let mut link_free = std::mem::take(&mut scratch.link_free);
         link_free.clear();
         if config.link_contention {
@@ -430,6 +435,7 @@ impl<'a> Engine<'a> {
             heap,
             payload,
             remote,
+            route,
             seq: 0,
             compute: vec![0; n_procs],
             comm: vec![0; n_procs],
@@ -457,6 +463,7 @@ impl<'a> Engine<'a> {
         scratch.heap = std::mem::take(&mut self.heap);
         scratch.payload = std::mem::take(&mut self.payload);
         scratch.remote = std::mem::take(&mut self.remote);
+        scratch.route = std::mem::take(&mut self.route);
         scratch.link_free = std::mem::take(&mut self.link_free);
         scratch.retry_states = std::mem::take(&mut self.retry_states);
     }
@@ -657,19 +664,27 @@ impl<'a> Engine<'a> {
 
         // Fault layer, part 1: route around links that are down at the
         // instant the message leaves the sender.
-        let mut reroute: Option<Vec<(usize, usize)>> = None;
+        let topology = self.config.topology;
         let link_plan = self
             .faults
             .as_ref()
             .and_then(|f| f.has_links.then_some(f.plan));
+        // Only routed when someone needs the links.
+        let routed = link_plan.is_some() || self.config.link_contention || self.metrics.is_some();
+        if routed {
+            topology.route_link_ids_into(p, dst, &mut self.route);
+        }
         if let Some(plan) = link_plan {
             let is_down = |a: usize, b: usize| plan.link_down_during(a, b, now, now);
-            let default_links = self.config.topology.route_links(p, dst);
-            if default_links.iter().any(|&(a, b)| is_down(a, b)) {
-                match self.config.topology.route_links_avoiding(p, dst, is_down) {
+            let down = |&id: &usize| {
+                let (a, b) = topology.link_ends(id);
+                is_down(a, b)
+            };
+            if self.route.iter().any(down) {
+                match topology.route_links_avoiding(p, dst, is_down) {
                     Some(links) => {
                         let extra =
-                            occ * (links.len() as u64).saturating_sub(default_links.len() as u64);
+                            occ * (links.len() as u64).saturating_sub(self.route.len() as u64);
                         let f = self.faults.as_mut().unwrap();
                         f.deg.faults_hit += 1;
                         f.deg.reroutes += 1;
@@ -681,15 +696,15 @@ impl<'a> Engine<'a> {
                                 delay_ticks: extra,
                             });
                         }
-                        reroute = Some(links);
+                        self.route.clear();
+                        self.route
+                            .extend(links.iter().map(|&(a, b)| topology.link_id(a, b)));
                     }
                     None => {
                         // No live route at all right now. If the cut is
                         // permanent no retry can ever succeed.
                         let dead_forever = |a: usize, b: usize| plan.link_dead_forever(a, b, now);
-                        if self
-                            .config
-                            .topology
+                        if topology
                             .route_links_avoiding(p, dst, dead_forever)
                             .is_none()
                         {
@@ -733,28 +748,21 @@ impl<'a> Engine<'a> {
             }
         }
 
-        let hops_default = self.config.topology.distance(p, dst) as u64;
-        debug_assert!(hops_default > 0, "send to self");
-        // Only routed when someone needs the links.
-        let route: Option<Vec<(usize, usize)>> = match reroute {
-            Some(links) => Some(links),
-            None => (self.config.link_contention || self.metrics.is_some())
-                .then(|| self.config.topology.route_links(p, dst)),
+        let hops = if routed {
+            self.route.len() as u64
+        } else {
+            topology.distance(p, dst) as u64
         };
-        let hops = route.as_ref().map_or(hops_default, |r| r.len() as u64);
+        debug_assert!(hops > 0, "send to self");
         let (sender_done, arrival) = if self.config.link_contention {
             // Store-and-forward with one message per directed link at a
             // time: queue at each busy link.
-            let links = route
-                .as_deref()
-                .ok_or(SimError::Unroutable { src: p, dst })?;
             let mut cur = now;
             let mut first_end = now + occ;
-            for (i, link) in links.iter().enumerate() {
-                let id = self.config.topology.link_id(link.0, link.1);
+            for (i, &id) in self.route.iter().enumerate() {
                 let start = cur.max(self.link_free[id]);
                 if let Some(m) = self.metrics.as_mut() {
-                    let lm = m.links.entry(*link).or_default();
+                    let lm = m.links.entry(topology.link_ends(id)).or_default();
                     lm.wait_ticks += start - cur;
                 }
                 let end = start + occ;
@@ -770,11 +778,8 @@ impl<'a> Engine<'a> {
         };
         let arrival = arrival + extra_delay;
         if let Some(m) = self.metrics.as_mut() {
-            let links = route
-                .as_deref()
-                .ok_or(SimError::Unroutable { src: p, dst })?;
-            for link in links {
-                let lm = m.links.entry(*link).or_default();
+            for &id in &self.route {
+                let lm = m.links.entry(topology.link_ends(id)).or_default();
                 lm.messages += 1;
                 lm.words += send.words;
                 lm.busy_ticks += occ;

@@ -57,17 +57,23 @@ impl Topology {
     /// and the shorter arc (ties toward increasing node numbers) for
     /// rings.
     pub fn route(&self, a: usize, b: usize) -> Vec<usize> {
+        let mut path = vec![a];
+        self.for_each_hop(a, b, |_, to| path.push(to));
+        path
+    }
+
+    /// Visit the hops of [`Topology::route`] in order, as `(from, to)`.
+    fn for_each_hop(&self, a: usize, b: usize, mut hop: impl FnMut(usize, usize)) {
         let n = self.len();
         assert!(a < n && b < n, "node out of range");
-        let mut path = vec![a];
         match *self {
             Topology::Hypercube(d) => {
                 let mut cur = a;
                 for k in 0..d {
                     let bit = 1 << k;
                     if (cur ^ b) & bit != 0 {
+                        hop(cur, cur ^ bit);
                         cur ^= bit;
-                        path.push(cur);
                     }
                 }
             }
@@ -75,12 +81,14 @@ impl Topology {
                 let (mut r, mut c) = (a / cols, a % cols);
                 let (br, bc) = (b / cols, b % cols);
                 while c != bc {
-                    c = if c < bc { c + 1 } else { c - 1 };
-                    path.push(r * cols + c);
+                    let next = if c < bc { c + 1 } else { c - 1 };
+                    hop(r * cols + c, r * cols + next);
+                    c = next;
                 }
                 while r != br {
-                    r = if r < br { r + 1 } else { r - 1 };
-                    path.push(r * cols + c);
+                    let next = if r < br { r + 1 } else { r - 1 };
+                    hop(r * cols + c, next * cols + c);
+                    r = next;
                 }
             }
             Topology::Ring(len) => {
@@ -88,12 +96,11 @@ impl Topology {
                 let step = if fwd <= len - fwd { 1 } else { len - 1 };
                 let mut cur = a;
                 while cur != b {
+                    hop(cur, (cur + step) % len);
                     cur = (cur + step) % len;
-                    path.push(cur);
                 }
             }
         }
-        path
     }
 
     /// The most links leaving one node: a hypercube's dimension, 4 for a
@@ -139,10 +146,37 @@ impl Topology {
         a * self.max_degree() + port
     }
 
+    /// The directed `(from, to)` node pair of dense link id `id`: the
+    /// inverse of [`link_id`](Self::link_id).
+    pub fn link_ends(&self, id: usize) -> (usize, usize) {
+        let (a, port) = (id / self.max_degree(), id % self.max_degree());
+        let b = match *self {
+            Topology::Hypercube(_) => a ^ (1 << port),
+            Topology::Mesh { cols, .. } => match port {
+                0 => a - 1,
+                1 => a + 1,
+                2 => a - cols,
+                _ => a + cols,
+            },
+            Topology::Ring(len) if port == 1 => (a + 1) % len,
+            Topology::Ring(len) => (a + len - 1) % len,
+        };
+        (a, b)
+    }
+
     /// The directed links of [`Topology::route`].
     pub fn route_links(&self, a: usize, b: usize) -> Vec<(usize, usize)> {
-        let path = self.route(a, b);
-        path.windows(2).map(|w| (w[0], w[1])).collect()
+        let mut links = Vec::new();
+        self.for_each_hop(a, b, |from, to| links.push((from, to)));
+        links
+    }
+
+    /// The [`link_id`](Self::link_id)s of [`Topology::route_links`],
+    /// written over `ids`: a route that allocates nothing once `ids`
+    /// has room.
+    pub fn route_link_ids_into(&self, a: usize, b: usize, ids: &mut Vec<usize>) {
+        ids.clear();
+        self.for_each_hop(a, b, |from, to| ids.push(self.link_id(from, to)));
     }
 
     /// The shortest route from `a` to `b` that avoids every directed
@@ -252,6 +286,31 @@ mod tests {
                     let id = t.link_id(a, b);
                     assert!(!seen[id], "{t:?}: ({a}, {b}) shares id {id}");
                     seen[id] = true;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn link_ids_route_and_invert() {
+        let mut ids = vec![7];
+        for t in [
+            Topology::Hypercube(0),
+            Topology::Hypercube(3),
+            Topology::Mesh { rows: 3, cols: 4 },
+            Topology::Mesh { rows: 1, cols: 2 },
+            Topology::Ring(1),
+            Topology::Ring(2),
+            Topology::Ring(5),
+        ] {
+            for a in 0..t.len() {
+                for b in t.neighbors(a) {
+                    assert_eq!(t.link_ends(t.link_id(a, b)), (a, b), "{t:?}");
+                }
+                for b in 0..t.len() {
+                    t.route_link_ids_into(a, b, &mut ids);
+                    let links: Vec<_> = ids.iter().map(|&id| t.link_ends(id)).collect();
+                    assert_eq!(links, t.route_links(a, b), "{t:?}: {a} -> {b}");
                 }
             }
         }
