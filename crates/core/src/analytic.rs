@@ -129,19 +129,10 @@ pub fn matvec_crossover_m(n: u64, params: &MachineParams, cap: u64) -> Option<u6
 /// topological because a legal Π advances every dependence by at least
 /// one step; if a program violates that (hand-built arcs within a
 /// step), the path term is skipped and the occupancy bound alone is
-/// returned. Under fault injection the bound is *not* sound — crash
-/// remap can co-locate tasks and beat the fault-free schedule — so
-/// exploration disables pruning whenever faults are configured.
-pub fn makespan_lower_bound(
-    program: &Program,
-    params: &MachineParams,
-    batch_messages: bool,
-) -> u64 {
-    makespan_lower_bound_with(program, params, batch_messages, None)
-}
-
-/// [`makespan_lower_bound`] tightened with a third relaxation when the
-/// simulated machine serializes links (`link_contention`):
+/// returned.
+///
+/// With `contended: Some(topology)`, a third relaxation tightens the
+/// bound:
 ///
 /// * **link-occupancy bound** — under contention every message holds
 ///   each directed link of its static route for its full
@@ -153,11 +144,14 @@ pub fn makespan_lower_bound(
 ///   message under batching — the same symbolic per-link message counts
 ///   the cost engine fits closed forms over).
 ///
-/// Pass `contended: Some(topology)` **only** when the simulation models
-/// link contention: without it, links carry any number of messages
-/// concurrently and the term is not a lower bound. `None` reproduces
-/// [`makespan_lower_bound`] exactly.
-pub fn makespan_lower_bound_with(
+/// Pass `Some(topology)` **only** when the simulation models link
+/// contention (`link_contention`): without it, links carry any number
+/// of messages concurrently and the term is not a lower bound.
+///
+/// Under fault injection the bound is *not* sound — crash remap can
+/// co-locate tasks and beat the fault-free schedule — so exploration
+/// disables pruning whenever faults are configured.
+pub fn makespan_lower_bound(
     program: &Program,
     params: &MachineParams,
     batch_messages: bool,
@@ -340,14 +334,14 @@ mod tests {
         // t_start + t_comm = 55, compute 1 — the bound is tight here.
         let prog = Program::from_parts(vec![0, 1], vec![(0, 1)], vec![0, 1], 1, 2);
         let p = MachineParams::classic_1991();
-        assert_eq!(makespan_lower_bound(&prog, &p, false), 57);
+        assert_eq!(makespan_lower_bound(&prog, &p, false, None), 57);
         // Same processor: the message is free, only serial compute remains.
         let local = Program::from_parts(vec![0, 1], vec![(0, 1)], vec![0, 0], 1, 1);
-        assert_eq!(makespan_lower_bound(&local, &p, false), 2);
+        assert_eq!(makespan_lower_bound(&local, &p, false, None), 2);
         // An arc within one step leaves no topological (step, id) order:
         // only the sender's occupancy, 1 + 55, stands.
         let flat = Program::from_parts(vec![0, 0], vec![(0, 1)], vec![0, 1], 1, 2);
-        assert_eq!(makespan_lower_bound(&flat, &p, false), 56);
+        assert_eq!(makespan_lower_bound(&flat, &p, false, None), 56);
     }
 
     #[test]
@@ -356,9 +350,9 @@ mod tests {
         // single task, but the work bound sees the serial execution.
         let prog = Program::from_parts(vec![0, 0], vec![], vec![0, 0], 3, 1);
         let p = MachineParams::classic_1991();
-        assert_eq!(makespan_lower_bound(&prog, &p, false), 6);
+        assert_eq!(makespan_lower_bound(&prog, &p, false, None), 6);
         let empty = Program::from_parts(vec![], vec![], vec![], 1, 1);
-        assert_eq!(makespan_lower_bound(&empty, &p, false), 0);
+        assert_eq!(makespan_lower_bound(&empty, &p, false, None), 0);
     }
 
     #[test]
@@ -367,8 +361,8 @@ mod tests {
         // t_start twice, batched the arcs share one message.
         let prog = Program::from_parts(vec![0, 1, 1], vec![(0, 1), (0, 2)], vec![0, 1, 1], 1, 2);
         let p = MachineParams::classic_1991();
-        let unbatched = makespan_lower_bound(&prog, &p, false);
-        let batched = makespan_lower_bound(&prog, &p, true);
+        let unbatched = makespan_lower_bound(&prog, &p, false, None);
+        let batched = makespan_lower_bound(&prog, &p, true, None);
         // Sender occupancy: 1 + 2·(50+5) = 111 vs 1 + 50+2·5 = 61.
         assert_eq!(unbatched, 111);
         assert_eq!(batched, 61);
@@ -401,7 +395,7 @@ mod tests {
                         let report = simulate(&program, &sim_cfg).unwrap();
                         let topology = contention.then(|| target.topology());
                         let bound =
-                            makespan_lower_bound_with(&program, &params, batch, topology.as_ref());
+                            makespan_lower_bound(&program, &params, batch, topology.as_ref());
                         assert!(
                             bound <= report.makespan,
                             "unsound bound {bound} > makespan {} at cube_dim={cube_dim} \
@@ -474,7 +468,7 @@ mod tests {
                 }
                 let want = busy.into_iter().chain(finish).max().unwrap_or(0);
                 assert_eq!(
-                    makespan_lower_bound(&program, &params, false),
+                    makespan_lower_bound(&program, &params, false, None),
                     want,
                     "{} on {cube_dim}-cube",
                     w.nest.name()
@@ -499,8 +493,8 @@ mod tests {
         );
         let p = MachineParams::classic_1991();
         let topo = Topology::Hypercube(2);
-        let plain = makespan_lower_bound(&prog, &p, false);
-        let tight = makespan_lower_bound_with(&prog, &p, false, Some(&topo));
+        let plain = makespan_lower_bound(&prog, &p, false, None);
+        let tight = makespan_lower_bound(&prog, &p, false, Some(&topo));
         // Critical path: 1 + (50+5) + 1.
         assert_eq!(plain, 57);
         // Two 55-tick occupancies queue on (2, 0).
@@ -510,7 +504,5 @@ mod tests {
         cfg.link_contention = true;
         let r = simulate(&prog, &cfg).unwrap();
         assert!(tight <= r.makespan, "{tight} > {}", r.makespan);
-        // `None` reproduces the untightened bound exactly.
-        assert_eq!(makespan_lower_bound_with(&prog, &p, false, None), plain);
     }
 }

@@ -29,15 +29,16 @@
 //! The sweep is organised for throughput without giving up determinism
 //! (see `docs/PERFORMANCE.md`):
 //!
-//! * **stage caching** — the partitioning prefix of the pipeline (what
-//!   [`Pipeline::stage_partition_with_deps`] builds) is built at most
-//!   once per (Π, grouping) pair and shared across every machine size,
-//!   and its own parts are shared more widely: dependence extraction,
-//!   the statement dependence records and the computational structure
-//!   `Q` once per sweep, `Q`'s projection once per Π, each by the first
-//!   pair that needs it. Per pair only the statement offsets, vector
-//!   selection, growing and the blocks remain. The closed-form oracle's
-//!   [`ProbeCache`] is shared across machine sizes the same way;
+//! * **stage caching** — the partitioning prefix of the pipeline
+//!   ([`Pipeline::stage_partition_with_deps`]) is built at most once per
+//!   (Π, grouping) pair and shared across every machine size. Dependence
+//!   extraction runs once per sweep, and every stage is built on one
+//!   [`Pipeline`], which shares the stage's own parts more widely: the
+//!   statement dependence records and the computational structure `Q`
+//!   once per sweep, `Q`'s projection once per Π, each built by the
+//!   first pair that needs it. Per pair only the statement offsets,
+//!   vector selection, growing and the blocks remain. The closed-form
+//!   oracle's [`ProbeCache`] is shared across machine sizes the same way;
 //! * **parallelism** — (Π, grouping) pairs fan out over a
 //!   [`loom_obs::Pool`], whose `map_indexed` returns results in input
 //!   order whatever order the workers ran; each worker reuses one
@@ -56,20 +57,16 @@
 //! and with pruning on or off; `tests-int/tests/explore.rs` asserts it
 //! for every builtin workload.
 
-use crate::analytic::makespan_lower_bound_with;
-use crate::pipeline::{
-    run_machine, MachineOptions, PartitionedStage, Pipeline, PipelineConfig, PipelineError,
-};
+use crate::analytic::makespan_lower_bound;
+use crate::pipeline::{run_machine, MachineOptions, Pipeline, PipelineConfig, PipelineError};
 use crate::symbolic_cost::{self, Derivation, DeriveOptions, NestFamily, ProbeCache};
 use loom_hyperplane::TimeFn;
-use loom_loopir::{Dependence, LoopNest, Point};
+use loom_loopir::{LoopNest, Point};
 use loom_machine::SimScratch;
 use loom_obs::{Pool, Recorder};
-use loom_partition::{
-    partition_projected, ComputationalStructure, PartitionConfig, ProjectedStructure,
-};
+use loom_partition::PartitionConfig;
 use std::collections::BinaryHeap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// One explored configuration and its simulated outcome.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -328,65 +325,6 @@ pub fn explore_reference(
     Ok(rank(results, config.top))
 }
 
-/// What a sweep's (Π, grouping) pairs share. Each part depends on less
-/// than a pair: the statement dependence records and `Q = (V, D)` on
-/// the nest alone, a projection `Q^p` on Π alone. Each is built by the
-/// first pair that needs it, so a closed-form sweep whose every pair
-/// derives exactly never builds the target-size `Q`.
-struct Shared<'a> {
-    pipeline: &'a Pipeline,
-    deps: &'a [Point],
-    records: OnceLock<Result<Vec<Dependence>, PipelineError>>,
-    structure: OnceLock<Result<Arc<ComputationalStructure>, loom_partition::Error>>,
-    /// One slot per legal Π, by index.
-    projections: Vec<OnceLock<Arc<ProjectedStructure>>>,
-}
-
-impl<'a> Shared<'a> {
-    fn new(pipeline: &'a Pipeline, deps: &'a [Point], pis: usize) -> Shared<'a> {
-        Shared {
-            pipeline,
-            deps,
-            records: OnceLock::new(),
-            structure: OnceLock::new(),
-            projections: (0..pis).map(|_| OnceLock::new()).collect(),
-        }
-    }
-
-    /// The partitioning prefix for the `pi_idx`-th legal Π, `pi`: what
-    /// [`Pipeline::stage_partition_with_deps`] returns for it, with the
-    /// same errors in the same order, from the shared parts.
-    fn stage(
-        &self,
-        pi_idx: usize,
-        pi: &[i64],
-        config: &PartitionConfig,
-    ) -> Result<PartitionedStage<'a>, PipelineError> {
-        let pi = TimeFn::new(pi.to_vec());
-        let records = self
-            .records
-            .get_or_init(|| self.pipeline.stmt_records())
-            .as_ref()
-            .map_err(Clone::clone)?;
-        let stmt_offsets = self.pipeline.stmt_offsets(records, &pi)?;
-        let cs = self
-            .structure
-            .get_or_init(|| {
-                let space = self.pipeline.nest().space().clone();
-                ComputationalStructure::new(space, self.deps.to_vec()).map(Arc::new)
-            })
-            .clone()
-            .map_err(PipelineError::Partition)?;
-        let qp = self.projections[pi_idx]
-            .get_or_init(|| Arc::new(ProjectedStructure::project(&cs, &pi)))
-            .clone();
-        let partitioning = partition_projected(cs, qp, config).map_err(PipelineError::Partition)?;
-        Ok(self
-            .pipeline
-            .staged(self.deps.to_vec(), pi, stmt_offsets, partitioning))
-    }
-}
-
 /// Per-pair accounting of the sweep.
 #[derive(Clone, Copy, Default)]
 struct Counts {
@@ -447,7 +385,6 @@ pub fn explore_with_deps(
     let _total = recorder.span("explore.total");
     let pis = legal_pis(nest, &deps, config.pi_bound);
     let pipeline = Pipeline::new(nest.clone());
-    let shared = Shared::new(&pipeline, &deps, pis.len());
     let routed = match &config.symbolic {
         None => false,
         Some(sym) => {
@@ -551,7 +488,7 @@ pub fn explore_with_deps(
                     counts.fallback += 1;
                 }
                 if stage.is_none() {
-                    match shared.stage(pi_idx, pi, &base.partition) {
+                    match pipeline.stage_partition_with_deps(&base, &rec, deps.clone()) {
                         Ok(s) => stage = Some(s),
                         // Grouping choice not maximal: skip the pair.
                         Err(PipelineError::Partition(_)) => break,
@@ -577,7 +514,7 @@ pub fn explore_with_deps(
                     // The link-occupancy term is sound only when the
                     // simulation serializes links.
                     let topology = config.machine.link_contention.then(|| target.topology());
-                    let bound = makespan_lower_bound_with(
+                    let bound = makespan_lower_bound(
                         &program,
                         &config.machine.params,
                         config.machine.batch_messages,

@@ -12,9 +12,13 @@ use loom_mapping::other_targets::{map_positions_mesh, map_positions_ring, partit
 use loom_mapping::{map_positions, Mapping};
 use loom_obs::{Json, Recorder};
 use loom_partition::comm::comm_stats;
-use loom_partition::{partition, CommStats, PartitionConfig, Partitioning, Tig};
+use loom_partition::{
+    partition_projected, CommStats, ComputationalStructure, PartitionConfig, Partitioning,
+    ProjectedStructure, Tig,
+};
 use loom_rational::Ratio;
-use std::sync::OnceLock;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The machine the blocks are mapped onto.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -310,15 +314,46 @@ impl std::fmt::Display for PipelineError {
 impl std::error::Error for PipelineError {}
 
 /// The pipeline driver.
+///
+/// The parts of a stage that depend on less than the whole stage are
+/// built once per `Pipeline`, by the first stage that needs them, and
+/// shared by every stage it builds afterwards, on any thread: the
+/// statement dependence records (the nest alone), `Q = (V, D)` (one
+/// per dependence set `D`) and `Q^p` (one per `D` and Π). Clones share
+/// them too.
 #[derive(Clone, Debug)]
 pub struct Pipeline {
     nest: LoopNest,
+    parts: Arc<Parts>,
 }
+
+/// The shared stage parts of a [`Pipeline`].
+#[derive(Debug, Default)]
+struct Parts {
+    records: OnceLock<Result<Vec<Dependence>, PipelineError>>,
+    /// `Q` and its projections, per dependence set `D`.
+    over: Mutex<BTreeMap<Vec<Point>, Arc<OverDeps>>>,
+}
+
+/// `Q` over one dependence set, and its projection per Π. A cell per Π
+/// lets two threads project along different Πs at once, and makes two
+/// that need the same Π build it once.
+#[derive(Debug, Default)]
+struct OverDeps {
+    structure: OnceLock<Result<Arc<ComputationalStructure>, loom_partition::Error>>,
+    projections: Mutex<BTreeMap<Vec<i64>, ProjectionCell>>,
+}
+
+/// One Π's projection, built by the first stage that needs it.
+type ProjectionCell = Arc<OnceLock<Arc<ProjectedStructure>>>;
 
 impl Pipeline {
     /// Wrap a loop nest.
     pub fn new(nest: LoopNest) -> Pipeline {
-        Pipeline { nest }
+        Pipeline {
+            nest,
+            parts: Arc::default(),
+        }
     }
 
     /// The nest being compiled.
@@ -418,9 +453,9 @@ impl Pipeline {
 
     /// [`stage_partition`](Pipeline::stage_partition) with the
     /// dependence set already extracted (and, for a folded nest,
-    /// certified) by the caller. Everything else is built from scratch;
-    /// exploration builds the same stage from parts it shares across
-    /// its sweep instead (`explore::explore_with_deps`).
+    /// certified) by the caller. Exploration builds one stage per
+    /// (Π, grouping) pair this way, over the parts this `Pipeline`
+    /// shares (see [`Pipeline`]).
     pub fn stage_partition_with_deps(
         &self,
         config: &PipelineConfig,
@@ -440,65 +475,64 @@ impl Pipeline {
         // intra-iteration ones.
         let stmt_offsets = {
             let _s = recorder.span("pipeline.stmt_offsets");
-            self.stmt_offsets(&self.stmt_records()?, &pi)?
+            let records = self.parts.records.get_or_init(|| {
+                let intra_opts = DepOptions {
+                    include_intra: true,
+                    ..DepOptions::default()
+                };
+                // An admitted uniformized nest trips the uniform
+                // extractor again here; its folded dependence records
+                // (already certified during stage 1) drive the offsets.
+                loom_loopir::extract_or_fold(&self.nest, intra_opts).map_err(|e| {
+                    PipelineError::Deps(match e {
+                        loom_loopir::FoldError::Extract(err) => err,
+                        loom_loopir::FoldError::NoCover { array, .. } => {
+                            loom_loopir::Error::NonUniform { array }
+                        }
+                    })
+                })
+            });
+            loom_hyperplane::compute_offsets(
+                self.nest.stmts().len(),
+                records.as_ref().map_err(Clone::clone)?,
+                &pi,
+            )
+            .map_err(|_| PipelineError::TimeFn(loom_hyperplane::Error::NotFound { bound: 0 }))?
         };
 
-        // 3. Partitioning (Algorithm 1).
+        // 3. Partitioning (Algorithm 1), over the shared `Q` and `Q^p`.
         let partitioning = {
             let _s = recorder.span("pipeline.partition");
-            partition(
-                self.nest.space().clone(),
-                deps.clone(),
-                pi.clone(),
-                &config.partition,
-            )
-            .map_err(PipelineError::Partition)?
+            let over = self
+                .parts
+                .over
+                .lock()
+                .unwrap()
+                .entry(deps.clone())
+                .or_default()
+                .clone();
+            let cs = over
+                .structure
+                .get_or_init(|| {
+                    ComputationalStructure::new(self.nest.space().clone(), deps.clone())
+                        .map(Arc::new)
+                })
+                .clone()
+                .map_err(PipelineError::Partition)?;
+            let projection = over
+                .projections
+                .lock()
+                .unwrap()
+                .entry(pi.coeffs().to_vec())
+                .or_default()
+                .clone();
+            let qp = projection
+                .get_or_init(|| Arc::new(ProjectedStructure::project(&cs, &pi)))
+                .clone();
+            partition_projected(cs, qp, &config.partition).map_err(PipelineError::Partition)?
         };
         recorder.add("pipeline.blocks", partitioning.num_blocks() as u64);
-        Ok(self.staged(deps, pi, stmt_offsets, partitioning))
-    }
-
-    /// The per-statement dependence records, intra-iteration ones
-    /// included, that the statement offsets are derived from. They
-    /// depend on the nest alone, so a sweep computes them once.
-    pub(crate) fn stmt_records(&self) -> Result<Vec<Dependence>, PipelineError> {
-        let intra_opts = DepOptions {
-            include_intra: true,
-            ..DepOptions::default()
-        };
-        // An admitted uniformized nest trips the uniform extractor
-        // again here; its folded dependence records (already certified
-        // during stage 1) drive the offsets.
-        loom_loopir::extract_or_fold(&self.nest, intra_opts).map_err(|e| {
-            PipelineError::Deps(match e {
-                loom_loopir::FoldError::Extract(err) => err,
-                loom_loopir::FoldError::NoCover { array, .. } => {
-                    loom_loopir::Error::NonUniform { array }
-                }
-            })
-        })
-    }
-
-    /// Fine-grain statement schedule offsets δ_s under Π.
-    pub(crate) fn stmt_offsets(
-        &self,
-        records: &[Dependence],
-        pi: &TimeFn,
-    ) -> Result<Vec<i64>, PipelineError> {
-        loom_hyperplane::compute_offsets(self.nest.stmts().len(), records, pi)
-            .map_err(|_| PipelineError::TimeFn(loom_hyperplane::Error::NotFound { bound: 0 }))
-    }
-
-    /// A stage over artifacts the caller built, possibly from shared
-    /// structures (see `explore`).
-    pub(crate) fn staged(
-        &self,
-        deps: Vec<Point>,
-        pi: TimeFn,
-        stmt_offsets: Vec<i64>,
-        partitioning: Partitioning,
-    ) -> PartitionedStage<'_> {
-        PartitionedStage {
+        Ok(PartitionedStage {
             nest: &self.nest,
             deps,
             pi,
@@ -507,7 +541,7 @@ impl Pipeline {
             comm: OnceLock::new(),
             tig: OnceLock::new(),
             positions: OnceLock::new(),
-        }
+        })
     }
 
     /// The time transformation Π: the fixed one checked legal for
@@ -830,6 +864,130 @@ mod tests {
         let sim = out.sim.unwrap();
         assert!(sim.makespan > 0);
         assert_eq!(sim.compute.len(), 2);
+    }
+
+    /// A config that fixes Π and the grouping choice.
+    fn grouped(pi: &[i64], grouping: usize) -> PipelineConfig {
+        PipelineConfig {
+            time_fn: Some(pi.to_vec()),
+            partition: PartitionConfig {
+                grouping_choice: Some(grouping),
+                seed: None,
+            },
+            machine: None,
+            ..Default::default()
+        }
+    }
+
+    /// `stage` partitions like a fresh `partition` of its own inputs,
+    /// and shares `Q` and `Q^p` with `other` by pointer.
+    fn shares_with(stage: &PartitionedStage<'_>, other: &PartitionedStage<'_>) {
+        let p = &stage.partitioning;
+        let fresh = loom_partition::partition(
+            stage.nest.space().clone(),
+            stage.deps.clone(),
+            stage.pi.clone(),
+            &PartitionConfig {
+                grouping_choice: p.vectors().grouping,
+                seed: None,
+            },
+        )
+        .unwrap();
+        assert_eq!((p.blocks(), p.vectors()), (fresh.blocks(), fresh.vectors()));
+        assert_eq!(p.structure().deps(), &stage.deps[..]);
+        let q = &other.partitioning;
+        assert!(std::ptr::eq(p.structure(), q.structure()), "Q copied");
+        assert!(std::ptr::eq(p.projected(), q.projected()), "Q^p copied");
+    }
+
+    #[test]
+    fn stage_parts_are_shared_across_groupings() {
+        // l1 under Π = (1, 1): two of its three groupings are maximal.
+        let w = loom_workloads::l1::workload(6);
+        let deps = w.verified_deps();
+        let pipeline = Pipeline::new(w.nest.clone());
+        let rec = Recorder::disabled();
+        let stages: Vec<_> = (0..deps.len())
+            .filter_map(|g| {
+                pipeline
+                    .stage_partition_with_deps(&grouped(&[1, 1], g), &rec, deps.clone())
+                    .ok()
+            })
+            .collect();
+        assert!(stages.len() >= 2, "{} grouping(s) partition", stages.len());
+        for stage in &stages {
+            shares_with(stage, &stages[0]);
+        }
+        // Another Π reads the same `Q` through its own projection.
+        let other = pipeline
+            .stage_partition_with_deps(&grouped(&[2, 1], 0), &rec, deps.clone())
+            .unwrap();
+        let (p, q) = (&other.partitioning, &stages[0].partitioning);
+        assert!(std::ptr::eq(p.structure(), q.structure()));
+        assert!(!std::ptr::eq(p.projected(), q.projected()));
+    }
+
+    #[test]
+    fn stage_parts_are_shared_across_threads() {
+        let w = loom_workloads::l1::workload(6);
+        let deps = w.verified_deps();
+        let rec = Recorder::disabled();
+        let groupings: Vec<usize> = (0..deps.len())
+            .filter(|&g| {
+                Pipeline::new(w.nest.clone())
+                    .stage_partition_with_deps(&grouped(&[1, 1], g), &rec, deps.clone())
+                    .is_ok()
+            })
+            .collect();
+        assert!(groupings.len() >= 2);
+        // Two threads build different groupings at the same moment on
+        // one fresh `Pipeline`, so both race for `Q` and `Q^p`.
+        for _ in 0..16 {
+            let pipeline = Pipeline::new(w.nest.clone());
+            let start = std::sync::Barrier::new(2);
+            let stages: Vec<_> = std::thread::scope(|scope| {
+                let workers: Vec<_> = groupings[..2]
+                    .iter()
+                    .map(|&g| {
+                        let (pipeline, start, rec, deps) = (&pipeline, &start, &rec, &deps);
+                        scope.spawn(move || {
+                            start.wait();
+                            pipeline
+                                .stage_partition_with_deps(&grouped(&[1, 1], g), rec, deps.clone())
+                                .unwrap()
+                        })
+                    })
+                    .collect();
+                workers.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            shares_with(&stages[0], &stages[1]);
+            shares_with(&stages[1], &stages[0]);
+        }
+    }
+
+    #[test]
+    fn stage_parts_follow_a_new_dependence_set() {
+        let w = loom_workloads::l1::workload(6);
+        let deps = w.verified_deps();
+        let pipeline = Pipeline::new(w.nest.clone());
+        let rec = Recorder::disabled();
+        let stage = |deps: &[Point], grouping| {
+            pipeline
+                .stage_partition_with_deps(&grouped(&[1, 1], grouping), &rec, deps.to_vec())
+                .unwrap()
+        };
+        let first = stage(&deps, 0);
+        // A smaller `D` on the same `Pipeline` gets a `Q` of its own,
+        // shared by its later stages, and the first `D` keeps its own.
+        let other: Vec<Point> = vec![vec![1, 0], vec![0, 1]];
+        let (a, b) = (stage(&other, 0), stage(&other, 1));
+        shares_with(&a, &b);
+        shares_with(&b, &a);
+        assert!(!std::ptr::eq(
+            a.partitioning.structure(),
+            first.partitioning.structure()
+        ));
+        shares_with(&stage(&deps, 0), &first);
     }
 
     #[test]

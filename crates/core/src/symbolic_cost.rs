@@ -52,9 +52,9 @@
 //! makespan exactly on every builtin workload, and reproduces Table I
 //! verbatim from the fitted forms.
 
-use crate::pipeline::MachineOptions;
+use crate::pipeline::{MachineOptions, Target};
 use loom_loopir::{DepOptions, LoopNest, Point};
-use loom_machine::{simulate_scratch, Program, SimConfig, SimScratch, Topology};
+use loom_machine::{simulate_scratch, Program, SimConfig, SimScratch};
 use loom_partition::{partition, PartitionConfig, Partitioning};
 use std::collections::BTreeMap;
 
@@ -594,12 +594,9 @@ impl ProbeCache {
             per_proc.into_iter().max().unwrap_or(0) as i128
         };
         let sim_cfg = SimConfig {
-            params: machine.params,
-            topology: Topology::Hypercube(cube_dim),
-            batch_messages: machine.batch_messages,
-            link_contention: machine.link_contention,
             record_trace: profile,
             collect_metrics: profile,
+            ..machine.sim_config(Target::Hypercube(cube_dim))
         };
         let report = simulate_scratch(&program, &sim_cfg, scratch)
             .map_err(|e| format!("probe simulation failed at size {n}: {e:?}"))?;

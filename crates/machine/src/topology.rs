@@ -52,17 +52,8 @@ impl Topology {
         }
     }
 
-    /// The deterministic shortest route from `a` to `b`, including both
-    /// endpoints: e-cube for hypercubes, X-then-Y for meshes, the
-    /// and the shorter arc (ties toward increasing node numbers) for
-    /// rings.
-    pub fn route(&self, a: usize, b: usize) -> Vec<usize> {
-        let mut path = vec![a];
-        self.for_each_hop(a, b, |_, to| path.push(to));
-        path
-    }
-
-    /// Visit the hops of [`Topology::route`] in order, as `(from, to)`.
+    /// Visit the hops of [`Topology::route_links`] in order, as
+    /// `(from, to)`.
     fn for_each_hop(&self, a: usize, b: usize, mut hop: impl FnMut(usize, usize)) {
         let n = self.len();
         assert!(a < n && b < n, "node out of range");
@@ -164,7 +155,10 @@ impl Topology {
         (a, b)
     }
 
-    /// The directed links of [`Topology::route`].
+    /// The directed links of the deterministic shortest route from `a`
+    /// to `b`, in order: e-cube (lowest differing dimension first) on
+    /// hypercubes, X then Y on meshes, and the shorter arc (ties toward
+    /// increasing node numbers) on rings. Empty when `a == b`.
     pub fn route_links(&self, a: usize, b: usize) -> Vec<(usize, usize)> {
         let mut links = Vec::new();
         self.for_each_hop(a, b, |from, to| links.push((from, to)));
@@ -344,19 +338,17 @@ mod tests {
     fn ecube_route_is_shortest_and_dimension_ordered() {
         // The link-contention model charges exactly these links.
         let t = Topology::Hypercube(4);
-        let path = t.route(0b0000, 0b1011);
-        assert_eq!(path, vec![0b0000, 0b0001, 0b0011, 0b1011]);
-        assert_eq!(path.len() - 1, t.distance(0b0000, 0b1011));
+        let links = t.route_links(0b0000, 0b1011);
         assert_eq!(
-            t.route_links(0b0000, 0b1011),
+            links,
             vec![(0b0000, 0b0001), (0b0001, 0b0011), (0b0011, 0b1011)]
         );
+        assert_eq!(links.len(), t.distance(0b0000, 0b1011));
     }
 
     #[test]
     fn route_to_self_is_trivial() {
         let t = Topology::Hypercube(3);
-        assert_eq!(t.route(5, 5), vec![5]);
         assert!(t.route_links(5, 5).is_empty());
     }
 
@@ -376,18 +368,20 @@ mod tests {
         for t in topos {
             for a in 0..t.len() {
                 for b in 0..t.len() {
-                    let path = t.route(a, b);
-                    assert_eq!(path.len() - 1, t.distance(a, b), "{t:?} {a}->{b}");
-                    assert_eq!(path[0], a);
-                    assert_eq!(*path.last().unwrap(), b);
-                    for w in path.windows(2) {
+                    let links = t.route_links(a, b);
+                    assert_eq!(links.len(), t.distance(a, b), "{t:?} {a}->{b}");
+                    // The links chain from `a` to `b`, each between
+                    // neighbors.
+                    let mut at = a;
+                    for &(from, to) in &links {
+                        assert_eq!(from, at, "{t:?} {a}->{b}: {links:?}");
                         assert!(
-                            t.neighbors(w[0]).contains(&w[1]),
-                            "{t:?}: {} not adjacent to {}",
-                            w[0],
-                            w[1]
+                            t.neighbors(from).contains(&to),
+                            "{t:?}: {from} not adjacent to {to}"
                         );
+                        at = to;
                     }
+                    assert_eq!(at, b, "{t:?} {a}->{b}: {links:?}");
                 }
             }
         }
@@ -396,15 +390,18 @@ mod tests {
     #[test]
     fn ring_route_picks_short_arc() {
         let t = Topology::Ring(8);
-        assert_eq!(t.route(0, 6), vec![0, 7, 6]);
-        assert_eq!(t.route(6, 0), vec![6, 7, 0]);
+        assert_eq!(t.route_links(0, 6), vec![(0, 7), (7, 6)]);
+        assert_eq!(t.route_links(6, 0), vec![(6, 7), (7, 0)]);
+        // A tie (half-way round) goes toward increasing node numbers.
+        assert_eq!(t.route_links(0, 4), vec![(0, 1), (1, 2), (2, 3), (3, 4)]);
+        assert_eq!(t.route_links(4, 0), vec![(4, 5), (5, 6), (6, 7), (7, 0)]);
     }
 
     #[test]
     fn mesh_route_is_x_then_y() {
         let t = Topology::Mesh { rows: 3, cols: 3 };
         // 0=(0,0) → 8=(2,2): X first then Y.
-        assert_eq!(t.route(0, 8), vec![0, 1, 2, 5, 8]);
+        assert_eq!(t.route_links(0, 8), vec![(0, 1), (1, 2), (2, 5), (5, 8)]);
     }
 
     #[test]
