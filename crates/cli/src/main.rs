@@ -273,7 +273,7 @@ impl Input {
         &self,
         cfg: &PipelineConfig,
         rec: &Recorder,
-    ) -> Result<(PartitionedStage<'_>, Mapping, Placement, Target), CliError> {
+    ) -> Result<(PartitionedStage, Mapping, Placement, Target), CliError> {
         let stage = self
             .pipeline
             .stage_partition_with_deps(cfg, rec, self.deps.clone())?;

@@ -38,7 +38,9 @@
 //!   once per sweep, `Q`'s projection once per Π, each built by the
 //!   first pair that needs it. Per pair only the statement offsets,
 //!   vector selection, growing and the blocks remain. The closed-form
-//!   oracle's [`ProbeCache`] is shared across machine sizes the same way;
+//!   oracle's [`ProbeCache`] is shared across machine sizes the same way,
+//!   and its probes are stages of the same `Pipeline`'s probe pipelines,
+//!   so every pair shares each probe size's `Q` and per-Π projection;
 //! * **parallelism** — (Π, grouping) pairs fan out over a
 //!   [`loom_obs::Pool`], whose `map_indexed` returns results in input
 //!   order whatever order the workers ran; each worker reuses one
@@ -447,15 +449,17 @@ pub fn explore_with_deps(
             // the first cube the simulator has to cost.
             let mut stage = None;
             for &cube_dim in cube_dims {
+                let cfg = PipelineConfig {
+                    cube_dim,
+                    ..base.clone()
+                };
                 if let Some(sym) = symbolic {
                     let derived = symbolic_cost::derive(
+                        &pipeline,
                         &*sym.family,
                         &deps,
-                        pi,
-                        &base.partition,
-                        cube_dim,
+                        &cfg,
                         sym.size,
-                        &config.machine,
                         &sym.opts,
                         &mut cache,
                     );
@@ -496,10 +500,6 @@ pub fn explore_with_deps(
                     }
                 }
                 let stage = stage.as_ref().expect("stage built above");
-                let cfg = PipelineConfig {
-                    cube_dim,
-                    ..base.clone()
-                };
                 let (mapping, placement, target) = match stage.map_with(&cfg, &rec) {
                     Ok(x) => x,
                     // Cube too large for the block count: skip.

@@ -58,8 +58,9 @@ impl Target {
     }
 }
 
-/// Machine-simulation options for the pipeline (the topology is always
-/// the hypercube selected by `cube_dim`).
+/// Machine-simulation options for the pipeline. The topology is not
+/// among them: it is the configured [`Target`]'s
+/// ([`PipelineConfig::target`], the hypercube of `cube_dim` when unset).
 #[derive(Clone, Debug)]
 pub struct MachineOptions {
     /// Timing parameters.
@@ -319,11 +320,13 @@ impl std::error::Error for PipelineError {}
 /// built once per `Pipeline`, by the first stage that needs them, and
 /// shared by every stage it builds afterwards, on any thread: the
 /// statement dependence records (the nest alone), `Q = (V, D)` (one
-/// per dependence set `D`) and `Q^p` (one per `D` and Π). Clones share
-/// them too.
+/// per dependence set `D`) and `Q^p` (one per `D` and Π). The
+/// symbolic-cost probes' pipelines are parts too, one per probe size and
+/// family, so every derivation on this `Pipeline` shares each probe
+/// size's `Q` and projections. Clones share them too.
 #[derive(Clone, Debug)]
 pub struct Pipeline {
-    nest: LoopNest,
+    nest: Arc<LoopNest>,
     parts: Arc<Parts>,
 }
 
@@ -333,6 +336,9 @@ struct Parts {
     records: OnceLock<Result<Vec<Dependence>, PipelineError>>,
     /// `Q` and its projections, per dependence set `D`.
     over: Mutex<BTreeMap<Vec<Point>, Arc<OverDeps>>>,
+    /// The probe pipelines, per probe size: one per distinct nest a
+    /// family has at that size.
+    probes: Mutex<BTreeMap<i64, Vec<Pipeline>>>,
 }
 
 /// `Q` over one dependence set, and its projection per Π. A cell per Π
@@ -351,7 +357,7 @@ impl Pipeline {
     /// Wrap a loop nest.
     pub fn new(nest: LoopNest) -> Pipeline {
         Pipeline {
-            nest,
+            nest: Arc::new(nest),
             parts: Arc::default(),
         }
     }
@@ -400,7 +406,7 @@ impl Pipeline {
         &self,
         config: &PipelineConfig,
         recorder: &Recorder,
-    ) -> Result<PartitionedStage<'_>, PipelineError> {
+    ) -> Result<PartitionedStage, PipelineError> {
         // 1. Dependence analysis (with certified uniformization of
         // non-uniform nests).
         let deps = {
@@ -411,14 +417,20 @@ impl Pipeline {
     }
 
     /// The symbolic-cost stage: derive a closed-form `T_exec` for this
-    /// nest's configuration over the size family it belongs to
-    /// (`family(target_size)` must equal the wrapped nest), instead of
-    /// simulating at the target size. Resumable: the [`ProbeCache`]
-    /// carries every probe partitioning and probe simulation across
-    /// calls, so re-deriving for another cube dimension or a larger
-    /// target (same Π and grouping) reuses all of them. A
-    /// [`Derivation::Unknown`] result means the caller should fall back
-    /// to [`run`](Pipeline::run) — always correct, just not O(1).
+    /// nest's configuration over the size family it belongs to, instead
+    /// of simulating at the target size. `family(target_size)` must equal
+    /// the wrapped nest, or the stage fails with
+    /// [`PipelineError::FamilyMismatch`]. Resumable: the [`ProbeCache`]
+    /// carries every probe stage and probe simulation across calls, so
+    /// re-deriving for another cube dimension or a larger target (same Π
+    /// and grouping) reuses all of them. The probes are stages of this
+    /// `Pipeline`'s probe pipelines, so calls for other Π or groupings
+    /// share each probe size's `Q` and projections; each cache is still
+    /// charged for every probe it uses. A [`Derivation::Unknown`] result
+    /// means the caller should fall back to [`run`](Pipeline::run) —
+    /// always correct, just not O(1). Records what the call spent on
+    /// probes as `pipeline.symbolic_probe_sims` and
+    /// `pipeline.symbolic_probe_points`.
     ///
     /// [`ProbeCache`]: crate::symbolic_cost::ProbeCache
     /// [`Derivation::Unknown`]: crate::symbolic_cost::Derivation::Unknown
@@ -432,22 +444,23 @@ impl Pipeline {
         recorder: &Recorder,
     ) -> Result<crate::symbolic_cost::Derivation, PipelineError> {
         let _s = recorder.span("pipeline.symbolic_cost");
+        if family(target_size) != *self.nest {
+            return Err(PipelineError::FamilyMismatch { size: target_size });
+        }
         let deps = admitted_dependence_vectors(&self.nest, true, recorder)?.0;
         let pi = self.time_fn(config, &deps, recorder)?;
-        let machine = config.machine.clone().unwrap_or_default();
-        let derived = crate::symbolic_cost::derive(
-            family,
-            &deps,
-            pi.coeffs(),
-            &config.partition,
-            config.cube_dim,
-            target_size,
-            &machine,
-            opts,
-            cache,
+        let config = PipelineConfig {
+            time_fn: Some(pi.coeffs().to_vec()),
+            ..config.clone()
+        };
+        let (sims, points) = (cache.sims(), cache.points_spent());
+        let derived =
+            crate::symbolic_cost::derive(self, family, &deps, &config, target_size, opts, cache);
+        recorder.add("pipeline.symbolic_probe_sims", cache.sims() - sims);
+        recorder.add(
+            "pipeline.symbolic_probe_points",
+            cache.points_spent() - points,
         );
-        recorder.add("pipeline.symbolic_probe_sims", cache.sims());
-        recorder.add("pipeline.symbolic_probe_points", cache.points_spent());
         Ok(derived)
     }
 
@@ -461,7 +474,7 @@ impl Pipeline {
         config: &PipelineConfig,
         recorder: &Recorder,
         deps: Vec<Point>,
-    ) -> Result<PartitionedStage<'_>, PipelineError> {
+    ) -> Result<PartitionedStage, PipelineError> {
         recorder.add("pipeline.deps", deps.len() as u64);
 
         // 2. Time transformation (hyperplane method).
@@ -533,7 +546,7 @@ impl Pipeline {
         };
         recorder.add("pipeline.blocks", partitioning.num_blocks() as u64);
         Ok(PartitionedStage {
-            nest: &self.nest,
+            nest: self.nest.clone(),
             deps,
             pi,
             stmt_offsets,
@@ -542,6 +555,24 @@ impl Pipeline {
             tig: OnceLock::new(),
             positions: OnceLock::new(),
         })
+    }
+
+    /// The pipeline of `nest`, the family's nest at probe size `n`: the
+    /// one this `Pipeline` already shares for that nest, or a new one
+    /// it keeps for later probes.
+    pub(crate) fn probe_pipeline(&self, n: i64, nest: LoopNest) -> Pipeline {
+        let mut probes = self
+            .parts
+            .probes
+            .lock()
+            .expect("probe pipelines lock poisoned");
+        let at_size = probes.entry(n).or_default();
+        if let Some(pipeline) = at_size.iter().find(|p| *p.nest == nest) {
+            return pipeline.clone();
+        }
+        let pipeline = Pipeline::new(nest);
+        at_size.push(pipeline.clone());
+        pipeline
     }
 
     /// The time transformation Π: the fixed one checked legal for
@@ -615,8 +646,8 @@ pub fn admitted_dependence_vectors(
 /// along the bisection directions, which every machine size's mapping
 /// reads.
 #[derive(Clone, Debug)]
-pub struct PartitionedStage<'a> {
-    nest: &'a LoopNest,
+pub struct PartitionedStage {
+    nest: Arc<LoopNest>,
     /// The extracted dependence set `D`.
     pub deps: Vec<Point>,
     /// The time transformation Π.
@@ -631,7 +662,7 @@ pub struct PartitionedStage<'a> {
     positions: OnceLock<Vec<Vec<Ratio>>>,
 }
 
-impl PartitionedStage<'_> {
+impl PartitionedStage {
     /// Interblock communication statistics.
     pub fn comm(&self) -> &CommStats {
         self.comm.get_or_init(|| comm_stats(&self.partitioning))
@@ -690,7 +721,7 @@ impl PartitionedStage<'_> {
         let _s = recorder.span("pipeline.check");
         let report = loom_check::check_pipeline_mode(
             &loom_check::PipelineCheck {
-                nest: self.nest,
+                nest: &self.nest,
                 deps: &self.deps,
                 pi: &self.pi,
                 partitioning: &self.partitioning,
@@ -845,6 +876,7 @@ pub fn run_machine(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::symbolic_cost::{derive, Derivation, DeriveOptions, ProbeCache};
 
     #[test]
     fn l1_end_to_end() {
@@ -881,7 +913,7 @@ mod tests {
 
     /// `stage` partitions like a fresh `partition` of its own inputs,
     /// and shares `Q` and `Q^p` with `other` by pointer.
-    fn shares_with(stage: &PartitionedStage<'_>, other: &PartitionedStage<'_>) {
+    fn shares_with(stage: &PartitionedStage, other: &PartitionedStage) {
         let p = &stage.partitioning;
         let fresh = loom_partition::partition(
             stage.nest.space().clone(),
@@ -990,9 +1022,126 @@ mod tests {
         shares_with(&stage(&deps, 0), &first);
     }
 
+    /// Derive `family` at size 16 under Π = (1, 1), `grouping` and the
+    /// 1-cube on `pipeline`, with a fresh cache.
+    fn derive_on(
+        pipeline: &Pipeline,
+        family: &dyn Fn(i64) -> LoopNest,
+        grouping: usize,
+    ) -> (Derivation, ProbeCache) {
+        let rec = Recorder::disabled();
+        let deps = admitted_dependence_vectors(&family(16), true, &rec)
+            .unwrap()
+            .0;
+        let config = PipelineConfig {
+            cube_dim: 1,
+            ..grouped(&[1, 1], grouping)
+        };
+        let mut cache = ProbeCache::new();
+        let opts = DeriveOptions::default();
+        let derived = derive(pipeline, family, &deps, &config, 16, &opts, &mut cache);
+        (derived, cache)
+    }
+
+    /// Checks [`shares_with`] on every size both caches probed, and
+    /// returns how many there were.
+    fn probes_share(a: &ProbeCache, b: &ProbeCache) -> usize {
+        let b: BTreeMap<i64, &PartitionedStage> = b.stages().collect();
+        a.stages()
+            .filter_map(|(n, stage)| b.get(&n).map(|other| shares_with(stage, other)))
+            .count()
+    }
+
+    fn l1(n: i64) -> LoopNest {
+        loom_workloads::l1::workload(n).nest
+    }
+
+    #[test]
+    fn stage_parts_are_shared_across_probe_pairs() {
+        // Two maximal groupings of l1 under Π = (1, 1) derive on one
+        // target pipeline: every probe size's `Q` and `Q^p` is built once.
+        let pipeline = Pipeline::new(l1(16));
+        let (_, a) = derive_on(&pipeline, &l1, 0);
+        let (_, b) = derive_on(&pipeline, &l1, 1);
+        assert!(probes_share(&a, &b) >= 5);
+        // A cache of its own prices its own probes all the same.
+        let (_, fresh) = derive_on(&Pipeline::new(l1(16)), &l1, 1);
+        assert_eq!(b.points_spent(), fresh.points_spent());
+        assert_eq!(b.sims(), fresh.sims());
+    }
+
+    #[test]
+    fn stage_parts_of_probes_are_shared_across_threads() {
+        // Two threads derive different groupings at the same moment on
+        // one fresh target pipeline, so both race for each probe size's
+        // pipeline, `Q` and `Q^p`.
+        for _ in 0..4 {
+            let pipeline = Pipeline::new(l1(16));
+            let start = std::sync::Barrier::new(2);
+            let caches = std::thread::scope(|scope| {
+                [0, 1]
+                    .map(|g| {
+                        let (pipeline, start) = (&pipeline, &start);
+                        scope.spawn(move || {
+                            start.wait();
+                            derive_on(pipeline, &l1, g).1
+                        })
+                    })
+                    .map(|h| h.join().unwrap())
+            });
+            assert!(probes_share(&caches[0], &caches[1]) >= 5);
+        }
+    }
+
+    #[test]
+    fn stage_parts_follow_a_new_family() {
+        // A second family on the same target pipeline probes its own
+        // nests, and derives what it derives on a pipeline of its own.
+        let matvec = |n: i64| loom_workloads::matvec::workload(n).nest;
+        let pipeline = Pipeline::new(l1(16));
+        let (_, first) = derive_on(&pipeline, &l1, 0);
+        let (derived, second) = derive_on(&pipeline, &matvec, 0);
+        assert_eq!(derived, derive_on(&Pipeline::new(matvec(16)), &matvec, 0).0);
+        assert!(matches!(derived, Derivation::Exact(_)), "{derived:?}");
+        for (n, stage) in second.stages() {
+            assert_eq!(*stage.nest, matvec(n), "size {n}");
+        }
+        // Its later derivations share its probe parts; the first
+        // family's stay its own.
+        assert!(probes_share(&second, &derive_on(&pipeline, &matvec, 1).1) >= 5);
+        assert!(probes_share(&first, &derive_on(&pipeline, &l1, 1).1) >= 5);
+    }
+
+    #[test]
+    fn symbolic_cost_stage_checks_the_family() {
+        let pipeline = Pipeline::new(loom_workloads::matvec::workload(32).nest);
+        let matvec = |n: i64| loom_workloads::matvec::workload(n).nest;
+        let cfg = PipelineConfig {
+            time_fn: Some(vec![1, 1]),
+            cube_dim: 1,
+            ..Default::default()
+        };
+        let stage = |family: &dyn Fn(i64) -> LoopNest, size| {
+            pipeline.stage_symbolic_cost(
+                family,
+                size,
+                &cfg,
+                &DeriveOptions::default(),
+                &mut ProbeCache::new(),
+                &Recorder::disabled(),
+            )
+        };
+        for (family, size) in [(&l1 as &dyn Fn(i64) -> LoopNest, 32), (&matvec, 31)] {
+            assert_eq!(
+                stage(family, size).unwrap_err(),
+                PipelineError::FamilyMismatch { size }
+            );
+        }
+        assert!(matches!(stage(&matvec, 32), Ok(Derivation::Exact(_))));
+    }
+
     #[test]
     fn symbolic_cost_stage_is_resumable_across_cube_dims() {
-        use crate::symbolic_cost::{Derivation, DeriveOptions, ProbeCache};
         let fam = |n: i64| loom_workloads::matvec::workload(n).nest;
         let pipeline = Pipeline::new(fam(32));
         let mut cache = ProbeCache::new();
@@ -1001,7 +1150,7 @@ mod tests {
             cube_dim: 1,
             ..Default::default()
         };
-        let rec = Recorder::disabled();
+        let rec = Recorder::enabled();
         let opts = DeriveOptions::default();
         let d1 = pipeline
             .stage_symbolic_cost(&fam, 32, &cfg, &opts, &mut cache, &rec)
@@ -1020,6 +1169,17 @@ mod tests {
             panic!("matvec cube=2 must derive exactly");
         };
         assert!(cache.points_spent() > points_before);
+        // The counters count each probe once, however often the cache
+        // is resumed.
+        let counters = rec.counters();
+        assert_eq!(
+            counters.get("pipeline.symbolic_probe_sims"),
+            Some(&cache.sims())
+        );
+        assert_eq!(
+            counters.get("pipeline.symbolic_probe_points"),
+            Some(&cache.points_spent())
+        );
         // Both forms agree with the full pipeline at the target size.
         for (cube_dim, cost) in [(1usize, &c1), (2, &c2)] {
             let out = Pipeline::new(fam(32))

@@ -19,7 +19,7 @@
 //! whose coefficients cycle with a small period (Table I's own `W(M)`
 //! has period `N` through `l = ⌊(N−2)/N·M⌋ + 1`).
 //!
-//! [`derive`](fn@derive) therefore:
+//! The derivation behind [`Pipeline::stage_symbolic_cost`] therefore:
 //!
 //! 1. **guards** the configuration: uniform dependences that are stable
 //!    across sizes, a fault-free machine, Lemma 1 discharged by the
@@ -28,8 +28,12 @@
 //!    on every probe;
 //! 2. **probes** the configuration at a window of small sizes through
 //!    the real pipeline and the real discrete-event engine (the
-//!    *validation oracle*, [`loom_machine::simulate_scratch`], the
-//!    same entry the explorer simulates through);
+//!    *validation oracle*): each probe is a stage that
+//!    [`Pipeline::stage_partition_with_deps`] builds for `family(n)`,
+//!    mapped, made a program and simulated by [`run_machine`], the path
+//!    the explorer simulates through. The target's `Pipeline` keeps one
+//!    probe pipeline per size, so every derivation on it shares each
+//!    probe size's `Q` and projections;
 //! 3. **fits** each quantity as a quasi-polynomial by finite
 //!    differences, per residue class, trying periods in ascending
 //!    order; a fit is accepted only if it also reproduces at least two
@@ -52,10 +56,10 @@
 //! makespan exactly on every builtin workload, and reproduces Table I
 //! verbatim from the fitted forms.
 
-use crate::pipeline::{MachineOptions, Target};
+use crate::pipeline::{run_machine, MachineOptions, PartitionedStage, Pipeline, PipelineConfig};
 use loom_loopir::{DepOptions, LoopNest, Point};
-use loom_machine::{simulate_scratch, Program, SimConfig, SimScratch};
-use loom_partition::{partition, PartitionConfig, Partitioning};
+use loom_machine::SimScratch;
+use loom_obs::Recorder;
 use std::collections::BTreeMap;
 
 /// A size-parameterized nest family: `family(n)` is the nest at size
@@ -348,8 +352,8 @@ impl SymbolicCost {
     }
 }
 
-/// Outcome of [`derive`](fn@derive).
-#[derive(Clone, Debug)]
+/// Outcome of [`Pipeline::stage_symbolic_cost`].
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Derivation {
     /// Every component admitted an exactly-validated closed form.
     Exact(Box<SymbolicCost>),
@@ -382,11 +386,10 @@ struct SimProbe {
     profile: Option<(i128, i128, i128)>,
 }
 
-/// One probed size: the partitioned artifacts plus lazily-filled
-/// per-cube simulation summaries.
+/// One probed size: its pipeline stage plus lazily-filled per-cube
+/// simulation summaries.
 struct PartProbe {
-    partitioning: Partitioning,
-    flops_per_iter: u64,
+    stage: PartitionedStage,
     points: u64,
     blocks: i128,
     steps: i128,
@@ -397,17 +400,39 @@ enum Probe {
     /// `family(n)` has a different dependence set (boundary effect at a
     /// tiny size) — the size is unusable.
     DepsMismatch,
-    /// Partitioning rejected the configuration at this size.
-    PartitionFailed(String),
+    /// The stage rejected the configuration at this size.
+    Rejected(String),
     Ok(Box<PartProbe>),
 }
 
-/// The resumable state of the symbolic-cost stage: every partitioning
+/// One derivation's probe context: the configuration every probe of it
+/// shares, and the simulator's working buffers.
+struct Probes<'a> {
+    /// The target's pipeline, which shares each probe size's parts among
+    /// all the derivations made on it.
+    pipeline: &'a Pipeline,
+    family: &'a dyn Fn(i64) -> LoopNest,
+    /// The target nest's dependence set; every probe must reproduce it.
+    deps: &'a [Point],
+    /// Π, the grouping and the cube; probes map onto the hypercube.
+    config: PipelineConfig,
+    /// The caller's machine, recording a trace and metrics only when
+    /// profiling, and validating no trace.
+    machine: MachineOptions,
+    profile: bool,
+    budget: u64,
+    scratch: SimScratch,
+}
+
+/// The resumable state of the symbolic-cost stage: every probe stage
 /// and every probe simulation, memoized by size (and cube dimension).
 /// One cache serves one `(family, Π, grouping, machine options)`
-/// combination across any number of [`derive`](fn@derive) calls — exploration
-/// reuses it across every machine size, and a later call with a larger
-/// target resumes from the probes already paid for.
+/// combination across any number of
+/// [`Pipeline::stage_symbolic_cost`] calls — exploration reuses it
+/// across every machine size, and a later call with a larger target
+/// resumes from the probes already paid for. Its budget and counters
+/// price this combination's own probes, whichever derivations share
+/// their parts.
 pub struct ProbeCache {
     probes: BTreeMap<i64, Probe>,
     point_counts: BTreeMap<i64, u64>,
@@ -443,14 +468,7 @@ impl ProbeCache {
     /// already paid for. No probes run; point counts are memoized, and
     /// the walk stops early once the estimate clears `cap` — the
     /// caller only needs "over budget", not the exact figure.
-    fn window_cost(
-        &mut self,
-        family: &dyn Fn(i64) -> LoopNest,
-        start: i64,
-        len: i64,
-        cube_dim: usize,
-        cap: u64,
-    ) -> u64 {
+    fn window_cost(&mut self, ctx: &Probes, start: i64, len: i64, cap: u64) -> u64 {
         let mut cost = 0u64;
         for n in start..start + len {
             match self.probes.get(&n) {
@@ -464,7 +482,7 @@ impl ProbeCache {
                             // incomplete count is not memoized. Over the
                             // cap, charge the first count past the room.
                             let room = cap.saturating_sub(cost) / 2;
-                            match family(n).space().count_at_most(room) {
+                            match (ctx.family)(n).space().count_at_most(room) {
                                 Some(p) => {
                                     self.point_counts.insert(n, p);
                                     p
@@ -475,7 +493,7 @@ impl ProbeCache {
                     };
                     cost = cost.saturating_add(pts.saturating_mul(2));
                 }
-                Some(Probe::Ok(pp)) if !pp.sims.contains_key(&cube_dim) => {
+                Some(Probe::Ok(pp)) if !pp.sims.contains_key(&ctx.config.cube_dim) => {
                     cost = cost.saturating_add(pp.points);
                 }
                 Some(_) => {}
@@ -487,41 +505,36 @@ impl ProbeCache {
         cost
     }
 
-    /// Partition-probe `family(n)` (memoized).
-    #[allow(clippy::too_many_arguments)]
-    fn probe(
-        &mut self,
-        family: &dyn Fn(i64) -> LoopNest,
-        deps: &[Point],
-        pi: &[i64],
-        pcfg: &PartitionConfig,
-        n: i64,
-        budget: u64,
-    ) -> Result<&mut Probe, String> {
+    /// Probe `family(n)` up to its partitioned stage (memoized). The
+    /// stage comes from the target pipeline's probe pipeline for
+    /// `family(n)`, so it shares that size's `Q` and projection along Π
+    /// with every other derivation on the target; this cache is charged
+    /// its points all the same.
+    fn probe(&mut self, ctx: &Probes, n: i64) -> Result<&mut Probe, String> {
         if let std::collections::btree_map::Entry::Vacant(slot) = self.probes.entry(n) {
-            let nest = family(n);
+            let nest = (ctx.family)(n);
             let got = loom_loopir::deps::dependence_vectors(&nest, DepOptions::default());
             let entry = match got {
-                Ok(d) if d == deps => {
+                Ok(d) if d == ctx.deps => {
                     let points = nest.space().count() as u64;
-                    if self.points_spent.saturating_add(points) > budget {
+                    if self.points_spent.saturating_add(points) > ctx.budget {
                         return Err(format!(
-                            "probe budget exhausted at size {n} ({} of {budget} points spent)",
-                            self.points_spent
+                            "probe budget exhausted at size {n} ({} of {} points spent)",
+                            self.points_spent, ctx.budget
                         ));
                     }
                     self.points_spent += points;
-                    let pi_fn = loom_hyperplane::TimeFn::new(pi.to_vec());
-                    match partition(nest.space().clone(), deps.to_vec(), pi_fn.clone(), pcfg) {
-                        Ok(partitioning) => Probe::Ok(Box::new(PartProbe {
-                            blocks: partitioning.num_blocks() as i128,
-                            steps: pi_fn.steps(nest.space()) as i128,
-                            flops_per_iter: nest.flops_per_iteration(),
+                    let pipeline = ctx.pipeline.probe_pipeline(n, nest);
+                    match pipeline.stage_partition_with_deps(&ctx.config, &Recorder::disabled(), d)
+                    {
+                        Ok(stage) => Probe::Ok(Box::new(PartProbe {
+                            blocks: stage.partitioning.num_blocks() as i128,
+                            steps: stage.pi.steps(pipeline.nest().space()) as i128,
                             points,
-                            partitioning,
+                            stage,
                             sims: BTreeMap::new(),
                         })),
-                        Err(e) => Probe::PartitionFailed(e.to_string()),
+                        Err(e) => Probe::Rejected(e.to_string()),
                     }
                 }
                 _ => Probe::DepsMismatch,
@@ -531,77 +544,60 @@ impl ProbeCache {
         Ok(self.probes.get_mut(&n).expect("just inserted"))
     }
 
-    /// Simulation-probe `family(n)` on the `cube_dim`-cube (memoized).
-    /// The probe goes through the same stages and the same engine the
-    /// explorer uses, plus the LC011 cross-check.
-    #[allow(clippy::too_many_arguments)]
-    fn sim_probe(
-        &mut self,
-        family: &dyn Fn(i64) -> LoopNest,
-        deps: &[Point],
-        pi: &[i64],
-        pcfg: &PartitionConfig,
-        n: i64,
-        cube_dim: usize,
-        machine: &MachineOptions,
-        profile: bool,
-        budget: u64,
-        scratch: &mut SimScratch,
-    ) -> Result<SimProbe, String> {
+    /// The probe at size `n`, which must be usable.
+    fn part(&mut self, ctx: &Probes, n: i64) -> Result<&mut PartProbe, String> {
+        match self.probe(ctx, n)? {
+            Probe::Ok(pp) => Ok(pp.as_mut()),
+            Probe::DepsMismatch => Err(format!("dependence set changes at probe size {n}")),
+            Probe::Rejected(e) => Err(format!("the stage fails at probe size {n}: {e}")),
+        }
+    }
+
+    /// Simulation-probe `family(n)` on the configured cube (memoized):
+    /// the probe's stage is mapped, made a program and simulated exactly
+    /// as the explorer does it, plus the LC011 cross-check.
+    fn sim_probe(&mut self, ctx: &mut Probes, n: i64) -> Result<SimProbe, String> {
         let need_lemma1 = !self.lemma1_checked;
         let spent = self.points_spent;
-        let probe = self.probe(family, deps, pi, pcfg, n, budget)?;
-        let pp = match probe {
-            Probe::Ok(pp) => pp,
-            Probe::DepsMismatch => return Err(format!("dependence set changes at probe size {n}")),
-            Probe::PartitionFailed(e) => {
-                return Err(format!("partitioning fails at probe size {n}: {e}"))
-            }
-        };
-        if let Some(s) = pp.sims.get(&cube_dim) {
-            if !profile || s.profile.is_some() {
+        let pp = self.part(ctx, n)?;
+        if let Some(s) = pp.sims.get(&ctx.config.cube_dim) {
+            if !ctx.profile || s.profile.is_some() {
                 return Ok(*s);
             }
         }
-        if spent.saturating_add(pp.points) > budget {
+        if spent.saturating_add(pp.points) > ctx.budget {
             return Err(format!(
-                "probe budget exhausted at size {n} ({spent} of {budget} points spent)"
+                "probe budget exhausted at size {n} ({spent} of {} points spent)",
+                ctx.budget
             ));
         }
         if need_lemma1 {
             // LC009: Lemma 1 discharged symbolically (lattice argument +
             // Presburger core) — the structural license to extrapolate.
             let mut stats = loom_check::SymbolicStats::default();
-            let diags = loom_check::check_lemma1_symbolic(&pp.partitioning, &mut stats);
+            let diags = loom_check::check_lemma1_symbolic(&pp.stage.partitioning, &mut stats);
             if !diags.is_empty() {
                 return Err("symbolic Lemma 1 rejected the partitioning".to_string());
             }
         }
-        let mapping = loom_mapping::map_partitioning(&pp.partitioning, cube_dim)
-            .map_err(|e| format!("mapping fails at probe size {n}: {e:?}"))?;
-        let num_procs = 1usize << cube_dim;
-        let program = Program::from_partitioning(
-            &pp.partitioning,
-            mapping.assignment(),
-            num_procs,
-            pp.flops_per_iter,
-        );
+        let rec = Recorder::disabled();
+        let (mapping, placement, target) = pp
+            .stage
+            .map_with(&ctx.config, &rec)
+            .map_err(|e| format!("probe size {n}: {e}"))?;
+        let program = pp.stage.program(&placement);
         let max_proc_flops = {
-            let mut per_proc = vec![0u64; num_procs];
+            let mut per_proc = vec![0u64; placement.num_procs()];
             for &q in &program.proc_of {
                 per_proc[q as usize] += program.flops;
             }
             per_proc.into_iter().max().unwrap_or(0) as i128
         };
-        let sim_cfg = SimConfig {
-            record_trace: profile,
-            collect_metrics: profile,
-            ..machine.sim_config(Target::Hypercube(cube_dim))
-        };
-        let report = simulate_scratch(&program, &sim_cfg, scratch)
-            .map_err(|e| format!("probe simulation failed at size {n}: {e:?}"))?;
+        let report = run_machine(&program, target, &ctx.machine, &rec, Some(&mut ctx.scratch))
+            .map_err(|e| format!("probe size {n}: {e}"))?;
         let (makespan, messages) = (report.makespan, report.messages);
-        let prof = if profile {
+        let prof = if ctx.profile {
+            let sim_cfg = ctx.machine.sim_config(target);
             let cp = loom_machine::critical_path(&program, &sim_cfg, &report)
                 .map_err(|e| format!("probe profiling failed at size {n}: {e:?}"))?;
             let a = cp.components;
@@ -612,8 +608,8 @@ impl ProbeCache {
         // LC011 cross-check: the AP-overlap traffic summary must agree
         // with the engine's message count (unbatched runs only — the
         // engine merges messages under batching).
-        if !machine.batch_messages {
-            let traffic = loom_check::block_traffic(&pp.partitioning);
+        if !ctx.machine.batch_messages {
+            let traffic = loom_check::block_traffic(&pp.stage.partitioning);
             if traffic.fallbacks > 0 {
                 return Err(format!(
                     "AP structure broken at probe size {n} ({} fallback lines)",
@@ -634,12 +630,64 @@ impl ProbeCache {
             max_proc_flops,
             profile: prof,
         };
-        pp.sims.insert(cube_dim, sim);
+        pp.sims.insert(ctx.config.cube_dim, sim);
         let pp_points = pp.points;
         self.points_spent += pp_points;
         self.sims += 1;
         self.lemma1_checked = true;
         Ok(sim)
+    }
+
+    /// The (block count, schedule steps) series over
+    /// `[start, start + len)` from partition-level probes.
+    fn partition_series(
+        &mut self,
+        ctx: &Probes,
+        start: i64,
+        len: i64,
+    ) -> Result<(Vec<i128>, Vec<i128>), String> {
+        (start..start + len)
+            .map(|n| self.part(ctx, n).map(|pp| (pp.blocks, pp.steps)))
+            .collect()
+    }
+
+    /// `true` iff a validation probe at size `n` (one partitioning plus
+    /// one simulation, ≈ 2× the point count) fits in the remaining
+    /// budget. The lattice is counted row by row with an early exit at
+    /// the affordable cap, so an unaffordable size — say a 10^12-point
+    /// target — costs a few rows, never a full enumeration.
+    fn affordable(&self, ctx: &Probes, n: i64) -> bool {
+        let cap = ctx.budget.saturating_sub(self.points_spent) / 2;
+        (ctx.family)(n).space().count_at_most(cap).is_some()
+    }
+
+    /// Oracle-check every fitted component at size `n`. `Ok(false)`
+    /// means the engine disagrees (regime change — rebase); `Err` means
+    /// the probe itself failed (guard or budget — give up).
+    fn validate_at(&mut self, ctx: &mut Probes, n: i64, fit: &FitSet) -> Result<bool, String> {
+        let pp = self.part(ctx, n)?;
+        if fit.blocks.eval(n) != Some(pp.blocks) || fit.steps.eval(n) != Some(pp.steps) {
+            return Ok(false);
+        }
+        let sp = self.sim_probe(ctx, n)?;
+        if fit.t_exec.eval(n) != Some(sp.makespan)
+            || fit.messages.eval(n) != Some(sp.messages)
+            || fit.load.eval(n) != Some(sp.max_proc_flops)
+        {
+            return Ok(false);
+        }
+        if let Some(p) = &fit.profile {
+            let Some((c, su, tr)) = sp.profile else {
+                return Err(format!("validation probe at size {n} has no profile"));
+            };
+            if p.compute.eval(n) != Some(c)
+                || p.startup.eval(n) != Some(su)
+                || p.transit.eval(n) != Some(tr)
+            {
+                return Ok(false);
+            }
+        }
+        Ok(true)
     }
 }
 
@@ -659,9 +707,12 @@ fn unknown(reason: impl Into<String>) -> Derivation {
     }
 }
 
-/// Derive the closed-form cost of the configuration
-/// `(Π = pi, grouping per pcfg, 2^cube_dim processors)` over the size
-/// family, exactly enough to stand in for the simulator at `target`.
+/// Derive the closed-form cost of `config`'s configuration — its fixed
+/// Π (`time_fn` must be set), grouping and `2^cube_dim` processors, on
+/// its machine options (the defaults when unset) — over the size family,
+/// exactly enough to stand in for the simulator at `target`. Each probe
+/// is a stage of `pipeline`'s probe pipeline for `family(n)`, mapped onto
+/// the hypercube and simulated through [`run_machine`].
 ///
 /// `deps` is the dependence set of the *target* nest; probes guard that
 /// every probed size reproduces it. Fits are validated three ways:
@@ -675,18 +726,16 @@ fn unknown(reason: impl Into<String>) -> Derivation {
 /// so accepted forms describe the regime the target actually lives in.
 /// Any guard failure, unfittable window, or budget exhaustion yields
 /// [`Derivation::Unknown`] so the caller simulates instead.
-#[allow(clippy::too_many_arguments)]
-pub fn derive(
+pub(crate) fn derive(
+    pipeline: &Pipeline,
     family: &dyn Fn(i64) -> LoopNest,
     deps: &[Point],
-    pi: &[i64],
-    pcfg: &PartitionConfig,
-    cube_dim: usize,
+    config: &PipelineConfig,
     target: i64,
-    machine: &MachineOptions,
     opts: &DeriveOptions,
     cache: &mut ProbeCache,
 ) -> Derivation {
+    let machine = config.machine.clone().unwrap_or_default();
     if machine.faults.is_some() {
         return unknown("fault plans name concrete processors and ticks; no size family");
     }
@@ -695,19 +744,38 @@ pub fn derive(
     }
     let degree = family(MIN_BASE).dim();
     let budget = opts.max_probe_points;
-    let num_procs = 1usize << cube_dim;
+    let num_procs = 1usize << config.cube_dim;
+    let mut ctx = Probes {
+        pipeline,
+        family,
+        deps,
+        config: PipelineConfig {
+            target: None,
+            machine: None,
+            ..config.clone()
+        },
+        machine: MachineOptions {
+            record_trace: opts.profile,
+            collect_metrics: opts.profile,
+            validate_trace: false,
+            ..machine
+        },
+        profile: opts.profile,
+        budget,
+        scratch: SimScratch::default(),
+    };
 
     // 1. Base: the smallest size that reproduces the dependence set and
     // partitions. A grouping the partitioner rejects is rejected by a
     // rank argument independent of the bounds — infeasible at any size.
     let mut base = None;
     for n in MIN_BASE..=MAX_BASE {
-        match cache.probe(family, deps, pi, pcfg, n, budget) {
+        match cache.probe(&ctx, n) {
             Err(e) => return unknown(e),
             Ok(Probe::DepsMismatch) => continue,
-            Ok(Probe::PartitionFailed(e)) => {
+            Ok(Probe::Rejected(e)) => {
                 return Derivation::Infeasible {
-                    reason: format!("partitioning rejects the configuration: {e}"),
+                    reason: format!("the stage rejects the configuration: {e}"),
                 }
             }
             Ok(Probe::Ok(_)) => {
@@ -728,7 +796,6 @@ pub fn derive(
              reproduces the dependence set"
         ));
     }
-    let mut scratch = SimScratch::default();
     let min_window = degree as i64 + 3;
 
     // 2. Preliminary block-count form from partition-only probes at the
@@ -739,7 +806,7 @@ pub fn derive(
     let mut prelim_blocks = None;
     for p in PERIODS {
         let window = p * (degree as i64 + 3);
-        let series = match partition_series(cache, family, deps, pi, pcfg, base, window, budget) {
+        let series = match cache.partition_series(&ctx, base, window) {
             Ok(s) => s,
             Err(e) => return unknown(e),
         };
@@ -787,7 +854,7 @@ pub fn derive(
             // later attempts (at slid starts) usually land. The skip is
             // free — only nest bounds materialize, no probes run.
             let remaining = budget.saturating_sub(cache.points_spent());
-            let est = cache.window_cost(family, s, window, cube_dim, remaining / 2);
+            let est = cache.window_cost(&ctx, s, window, remaining / 2);
             if est > remaining / 2 {
                 last_reason = format!(
                     "probe budget {budget} cannot afford a period-{p} fit window \
@@ -805,45 +872,27 @@ pub fn derive(
                 // `s` is re-read by `continue 'place`, not by this range.
                 #[allow(clippy::mut_range_bound)]
                 for n in s..s + window {
-                    match cache.probe(family, deps, pi, pcfg, n, budget) {
+                    match cache.part(&ctx, n) {
                         Err(e) => return unknown(e),
-                        Ok(Probe::Ok(pp)) if pp.blocks >= num_procs as i128 => {}
-                        Ok(Probe::Ok(_)) => {
+                        Ok(pp) if pp.blocks >= num_procs as i128 => {}
+                        Ok(_) => {
                             s = n + 1;
                             continue 'place;
-                        }
-                        Ok(Probe::DepsMismatch) => {
-                            return unknown(format!("dependence set changes at probe size {n}"))
-                        }
-                        Ok(Probe::PartitionFailed(e)) => {
-                            return unknown(format!("partitioning fails at probe size {n}: {e}"))
                         }
                     }
                 }
                 break;
             }
-            let (blocks_v, steps_v) =
-                match partition_series(cache, family, deps, pi, pcfg, s, window, budget) {
-                    Ok(v) => v,
-                    Err(e) => return unknown(e),
-                };
+            let (blocks_v, steps_v) = match cache.partition_series(&ctx, s, window) {
+                Ok(v) => v,
+                Err(e) => return unknown(e),
+            };
             let mut mk_v = Vec::new();
             let mut msg_v = Vec::new();
             let mut load_v = Vec::new();
             let mut prof_v: Vec<(i128, i128, i128)> = Vec::new();
             for n in s..s + window {
-                match cache.sim_probe(
-                    family,
-                    deps,
-                    pi,
-                    pcfg,
-                    n,
-                    cube_dim,
-                    machine,
-                    opts.profile,
-                    budget,
-                    &mut scratch,
-                ) {
+                match cache.sim_probe(&mut ctx, n) {
                     Err(e) => return unknown(e),
                     Ok(sp) => {
                         mk_v.push(sp.makespan);
@@ -940,13 +989,13 @@ pub fn derive(
         let mut checks: Vec<i64> = Vec::new();
         let mut v = 2 * edge;
         while checks.len() < 2 && v < target {
-            if !affordable(family, v, cache, budget) {
+            if !cache.affordable(&ctx, v) {
                 break;
             }
             checks.push(v);
             v *= 2;
         }
-        let target_affordable = affordable(family, target, cache, budget);
+        let target_affordable = cache.affordable(&ctx, target);
         if target_affordable {
             checks.push(target);
         } else if checks.is_empty() {
@@ -955,20 +1004,7 @@ pub fn derive(
             );
         }
         for &v in &checks {
-            match validate_at(
-                cache,
-                family,
-                deps,
-                pi,
-                pcfg,
-                v,
-                cube_dim,
-                machine,
-                &fit,
-                opts.profile,
-                budget,
-                &mut scratch,
-            ) {
+            match cache.validate_at(&mut ctx, v, &fit) {
                 Err(e) => return unknown(e),
                 Ok(true) => {}
                 Ok(false) => {
@@ -1021,97 +1057,15 @@ fn exact(fit: FitSet, base: i64, cache: &ProbeCache) -> Derivation {
     }))
 }
 
-/// Collect the (block count, schedule steps) series over
-/// `[start, start + len)` from partition-level probes.
-#[allow(clippy::too_many_arguments)]
-fn partition_series(
-    cache: &mut ProbeCache,
-    family: &dyn Fn(i64) -> LoopNest,
-    deps: &[Point],
-    pi: &[i64],
-    pcfg: &PartitionConfig,
-    start: i64,
-    len: i64,
-    budget: u64,
-) -> Result<(Vec<i128>, Vec<i128>), String> {
-    let mut blocks = Vec::new();
-    let mut steps = Vec::new();
-    for n in start..start + len {
-        match cache.probe(family, deps, pi, pcfg, n, budget)? {
-            Probe::Ok(pp) => {
-                blocks.push(pp.blocks);
-                steps.push(pp.steps);
-            }
-            Probe::DepsMismatch => return Err(format!("dependence set changes at probe size {n}")),
-            Probe::PartitionFailed(e) => {
-                return Err(format!("partitioning fails at probe size {n}: {e}"))
-            }
-        }
+#[cfg(test)]
+impl ProbeCache {
+    /// Every probed size's stage, by size.
+    pub(crate) fn stages(&self) -> impl Iterator<Item = (i64, &PartitionedStage)> {
+        self.probes.iter().filter_map(|(&n, probe)| match probe {
+            Probe::Ok(pp) => Some((n, &pp.stage)),
+            _ => None,
+        })
     }
-    Ok((blocks, steps))
-}
-
-/// `true` iff a validation probe at size `n` (one partitioning plus one
-/// simulation, ≈ 2× the point count) fits in the remaining budget. The
-/// lattice is counted row by row with an early exit at the affordable
-/// cap, so an unaffordable size — say a 10^12-point target — costs a
-/// few rows, never a full enumeration.
-fn affordable(family: &dyn Fn(i64) -> LoopNest, n: i64, cache: &ProbeCache, budget: u64) -> bool {
-    let cap = budget.saturating_sub(cache.points_spent()) / 2;
-    family(n).space().count_at_most(cap).is_some()
-}
-
-/// Oracle-check every fitted component at size `n`. `Ok(false)` means
-/// the engine disagrees (regime change — rebase); `Err` means the probe
-/// itself failed (guard or budget — give up).
-#[allow(clippy::too_many_arguments)]
-fn validate_at(
-    cache: &mut ProbeCache,
-    family: &dyn Fn(i64) -> LoopNest,
-    deps: &[Point],
-    pi: &[i64],
-    pcfg: &PartitionConfig,
-    n: i64,
-    cube_dim: usize,
-    machine: &MachineOptions,
-    fit: &FitSet,
-    profile: bool,
-    budget: u64,
-    scratch: &mut SimScratch,
-) -> Result<bool, String> {
-    let (blocks, steps) = match cache.probe(family, deps, pi, pcfg, n, budget)? {
-        Probe::Ok(pp) => (pp.blocks, pp.steps),
-        Probe::DepsMismatch => {
-            return Err(format!("dependence set changes at validation size {n}"))
-        }
-        Probe::PartitionFailed(e) => {
-            return Err(format!("partitioning fails at validation size {n}: {e}"))
-        }
-    };
-    if fit.blocks.eval(n) != Some(blocks) || fit.steps.eval(n) != Some(steps) {
-        return Ok(false);
-    }
-    let sp = cache.sim_probe(
-        family, deps, pi, pcfg, n, cube_dim, machine, profile, budget, scratch,
-    )?;
-    if fit.t_exec.eval(n) != Some(sp.makespan)
-        || fit.messages.eval(n) != Some(sp.messages)
-        || fit.load.eval(n) != Some(sp.max_proc_flops)
-    {
-        return Ok(false);
-    }
-    if let Some(p) = &fit.profile {
-        let Some((c, su, tr)) = sp.profile else {
-            return Err(format!("validation probe at size {n} has no profile"));
-        };
-        if p.compute.eval(n) != Some(c)
-            || p.startup.eval(n) != Some(su)
-            || p.transit.eval(n) != Some(tr)
-        {
-            return Ok(false);
-        }
-    }
-    Ok(true)
 }
 
 #[cfg(test)]
@@ -1164,30 +1118,37 @@ mod tests {
         assert_eq!(QuasiPoly::constant(1, 5).eval(7), Some(5));
     }
 
-    #[test]
-    fn matvec_canonical_derivation_matches_simulation() {
+    /// Derive matvec under Π = (1, 1) on a fresh target pipeline.
+    fn derive_matvec(cube_dim: usize, target: i64, opts: &DeriveOptions) -> Derivation {
         let fam = |n: i64| loom_workloads::matvec::workload(n).nest;
         let deps = loom_workloads::matvec::workload(8).verified_deps();
-        let machine = MachineOptions::default();
-        let mut cache = ProbeCache::new();
-        let d = derive(
+        let config = PipelineConfig {
+            time_fn: Some(vec![1, 1]),
+            cube_dim,
+            ..Default::default()
+        };
+        let pipeline = Pipeline::new(fam(target));
+        derive(
+            &pipeline,
             &fam,
             &deps,
-            &[1, 1],
-            &PartitionConfig::default(),
-            2,
-            40,
-            &machine,
-            &DeriveOptions::default(),
-            &mut cache,
-        );
+            &config,
+            target,
+            opts,
+            &mut ProbeCache::new(),
+        )
+    }
+
+    #[test]
+    fn matvec_canonical_derivation_matches_simulation() {
+        let d = derive_matvec(2, 40, &DeriveOptions::default());
         let Derivation::Exact(cost) = d else {
             panic!("matvec Π=(1,1) cube=2 must derive exactly: {d:?}");
         };
         // Oracle validation at a size beyond the probe window.
         let w = loom_workloads::matvec::workload(40);
-        let out = crate::Pipeline::new(w.nest)
-            .run(&crate::PipelineConfig {
+        let out = Pipeline::new(w.nest)
+            .run(&PipelineConfig {
                 time_fn: Some(vec![1, 1]),
                 cube_dim: 2,
                 ..Default::default()
@@ -1211,22 +1172,13 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_reports_unknown() {
-        let fam = |n: i64| loom_workloads::matvec::workload(n).nest;
-        let deps = loom_workloads::matvec::workload(8).verified_deps();
-        let mut cache = ProbeCache::new();
-        let d = derive(
-            &fam,
-            &deps,
-            &[1, 1],
-            &PartitionConfig::default(),
+        let d = derive_matvec(
             2,
             1 << 20,
-            &MachineOptions::default(),
             &DeriveOptions {
                 max_probe_points: 10,
                 ..Default::default()
             },
-            &mut cache,
         );
         assert!(
             matches!(d, Derivation::Unknown { ref reason } if reason.contains("budget")),
@@ -1238,22 +1190,13 @@ mod tests {
     fn oversized_cube_is_infeasible_from_the_block_form() {
         // matvec(n) has n blocks; a 2^6-cube needs 64 — infeasible at
         // target 40 and the explorer must skip, not fall back.
-        let fam = |n: i64| loom_workloads::matvec::workload(n).nest;
-        let deps = loom_workloads::matvec::workload(8).verified_deps();
-        let mut cache = ProbeCache::new();
-        let d = derive(
-            &fam,
-            &deps,
-            &[1, 1],
-            &PartitionConfig::default(),
+        let d = derive_matvec(
             6,
             40,
-            &MachineOptions::default(),
             &DeriveOptions {
                 max_probe_points: 1 << 20,
                 ..Default::default()
             },
-            &mut cache,
         );
         assert!(matches!(d, Derivation::Infeasible { .. }), "{d:?}");
     }

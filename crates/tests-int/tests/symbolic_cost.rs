@@ -7,7 +7,7 @@
 
 use loom_core::analytic::matvec_exec_terms;
 use loom_core::explore::{explore_reference, explore_with, ExploreConfig, SymbolicExplore};
-use loom_core::symbolic_cost::{derive, Derivation, DeriveOptions, ProbeCache, SymbolicCost};
+use loom_core::symbolic_cost::{Derivation, DeriveOptions, ProbeCache, SymbolicCost};
 use loom_core::{MachineOptions, Pipeline, PipelineConfig};
 use loom_machine::MachineParams;
 use loom_obs::Recorder;
@@ -46,8 +46,9 @@ fn machine(params: MachineParams) -> MachineOptions {
     }
 }
 
-/// Derive the closed forms for a builtin family at `target`, sharing
-/// nothing: fresh cache, default options unless overridden.
+/// Derive the closed forms for a builtin family at `target` under its
+/// canonical Π, sharing nothing: fresh pipeline and cache, default
+/// options unless overridden.
 fn derive_builtin(
     name: &str,
     cube_dim: usize,
@@ -56,25 +57,26 @@ fn derive_builtin(
     opts: &DeriveOptions,
 ) -> (Derivation, Family) {
     let fam = loom_workloads::family_of(name, None).expect("builtin family");
-    let w = fam(8);
-    let deps = w.verified_deps();
-    let pi = w.pi.clone();
     let nest_fam = {
         let fam = fam.clone();
         move |n: i64| fam(n).nest
     };
-    let mut cache = ProbeCache::new();
-    let d = derive(
-        &nest_fam,
-        &deps,
-        &pi,
-        &loom_partition::PartitionConfig::default(),
+    let cfg = PipelineConfig {
+        time_fn: Some(fam(8).pi),
         cube_dim,
-        target,
-        &machine(params),
-        opts,
-        &mut cache,
-    );
+        machine: Some(machine(params)),
+        ..Default::default()
+    };
+    let d = Pipeline::new(nest_fam(target))
+        .stage_symbolic_cost(
+            &nest_fam,
+            target,
+            &cfg,
+            opts,
+            &mut ProbeCache::new(),
+            &Recorder::disabled(),
+        )
+        .expect("the stage derives");
     (d, fam)
 }
 
@@ -419,4 +421,72 @@ fn table_i_is_reproduced_from_the_closed_forms() {
     // One mid-size oracle check of the full T_exec form (the target
     // size itself is past the probe budget by design).
     assert_exact_at(&cost, &fam, 200, 2, low_latency(), "matvec cube_dim=2");
+}
+
+/// Every legal Π with coefficients in `[-1, 1]`.
+fn legal_pis_within_one(dim: usize, deps: &[Vec<i64>]) -> Vec<Vec<i64>> {
+    let mut pis = vec![vec![]];
+    for _ in 0..dim {
+        pis = pis
+            .into_iter()
+            .flat_map(|pi: Vec<i64>| (-1..=1).map(move |c| pi.iter().copied().chain([c]).collect()))
+            .collect();
+    }
+    pis.retain(|pi| loom_hyperplane::TimeFn::new(pi.clone()).is_legal_for(deps));
+    pis
+}
+
+/// Pairs that derive on one target `Pipeline` share each probe size's
+/// `Q` and projections, and still derive exactly what a pipeline and
+/// cache of their own derive: the same forms and the same `DeriveStats`,
+/// for every family, legal Π within bound 1, grouping and cube.
+#[test]
+fn shared_probe_parts_derive_what_unshared_ones_derive() {
+    let target = 33i64;
+    // Every family still derives some pair exactly within this budget,
+    // and the pairs that derive nothing stop early.
+    let opts = DeriveOptions {
+        max_probe_points: 200_000,
+        ..DeriveOptions::default()
+    };
+    let rec = Recorder::disabled();
+    for name in ALL_FAMILIES {
+        let fam = loom_workloads::family_of(name, None).expect("builtin family");
+        let family = move |n: i64| fam(n).nest;
+        let nest = family(target);
+        let deps = loom_core::pipeline::admitted_dependence_vectors(&nest, true, &rec)
+            .expect("builtin nests admit")
+            .0;
+        let shared = Pipeline::new(nest.clone());
+        let mut exact = 0;
+        for pi in legal_pis_within_one(nest.dim(), &deps) {
+            for grouping in 0..deps.len() {
+                // One cache per pair, resumed across its cubes.
+                let (mut cache, mut own_cache) = (ProbeCache::new(), ProbeCache::new());
+                let own = Pipeline::new(nest.clone());
+                for cube_dim in [0, 1] {
+                    let cfg = PipelineConfig {
+                        time_fn: Some(pi.clone()),
+                        partition: loom_partition::PartitionConfig {
+                            grouping_choice: Some(grouping),
+                            seed: None,
+                        },
+                        cube_dim,
+                        machine: Some(machine(low_latency())),
+                        ..Default::default()
+                    };
+                    let got = shared
+                        .stage_symbolic_cost(&family, target, &cfg, &opts, &mut cache, &rec)
+                        .expect("the stage derives");
+                    let want = own
+                        .stage_symbolic_cost(&family, target, &cfg, &opts, &mut own_cache, &rec)
+                        .expect("the stage derives");
+                    let ctx = format!("{name} Π={pi:?} grouping={grouping} cube={cube_dim}");
+                    assert_eq!(got, want, "{ctx}");
+                    exact += matches!(got, Derivation::Exact(_)) as usize;
+                }
+            }
+        }
+        assert!(exact > 0, "{name}: no pair derives exactly");
+    }
 }
