@@ -35,7 +35,7 @@ fn main() {
         let graph = group_dependence_graph(&p);
         let max_out = graph.iter().map(|s| s.len()).max().unwrap_or(0);
         assert!(
-            loom_partition::laws::check_all(&p).is_empty(),
+            loom_check::check_laws(&p).is_empty(),
             "law violation with choice {choice}"
         );
         t.row([

@@ -6,21 +6,19 @@
 //! policy, and reports makespan inflation against the fault-free run.
 //! Everything is seeded, so the table is bit-reproducible.
 
-use loom_bench::{maybe_write_metrics, partition_workload};
+use loom_bench::maybe_write_metrics;
+use loom_core::pipeline::{run_machine, MachineOptions, Target};
 use loom_core::report::Table;
-use loom_machine::{
-    simulate, simulate_with_faults, FaultConfig, FaultPlan, MachineParams, Program, RecoveryPolicy,
-    SimConfig, Topology,
-};
-use loom_mapping::map_partitioning;
-use loom_obs::Json;
+use loom_core::{Pipeline, PipelineConfig};
+use loom_machine::{FaultConfig, FaultPlan, RecoveryPolicy};
+use loom_obs::{Json, Recorder};
 
 const SEED: u64 = 1991;
 const DROP_RATES: [u32; 3] = [10, 50, 200];
 
 fn main() {
     println!("A8 — deterministic fault sweep (seed {SEED})\n");
-    let params = MachineParams::classic_1991();
+    let rec = Recorder::disabled();
     let mut t = Table::new([
         "workload",
         "procs",
@@ -33,24 +31,31 @@ fn main() {
     ]);
     let mut metrics_doc: Vec<(String, Json)> = Vec::new();
     for w in loom_workloads::all_default() {
-        let p = partition_workload(&w);
-        // Largest cube the block count supports, capped at 8 procs.
-        let (cube_dim, mapping) = (0..=3)
-            .rev()
-            .find_map(|d| map_partitioning(&p, d).ok().map(|m| (d, m)))
-            .expect("every workload fits some cube");
-        let n = 1usize << cube_dim;
-        let prog =
-            Program::from_partitioning(&p, mapping.assignment(), n, w.nest.flops_per_iteration());
-        let config = SimConfig {
-            params,
-            topology: Topology::Hypercube(cube_dim),
-            batch_messages: false,
-            link_contention: false,
-            record_trace: false,
-            collect_metrics: false,
+        let config = PipelineConfig {
+            time_fn: Some(w.pi.clone()),
+            ..PipelineConfig::default()
         };
-        let free = simulate(&prog, &config).expect("fault-free sim").makespan;
+        let stage = Pipeline::new(w.nest.clone())
+            .stage_partition(&config, &rec)
+            .expect("workloads partition");
+        // Largest cube the block count supports, capped at 8 procs.
+        let (target, placement) = (0..=3)
+            .rev()
+            .map(Target::Hypercube)
+            .find_map(|target| {
+                let config = PipelineConfig {
+                    target: Some(target),
+                    ..config.clone()
+                };
+                let (_, placement, _) = stage.map_with(&config, &rec).ok()?;
+                Some((target, placement))
+            })
+            .expect("every workload fits some cube");
+        let n = target.len();
+        let prog = stage.program(&placement);
+        let free = run_machine(&prog, target, &MachineOptions::default(), &rec, None)
+            .expect("fault-free sim")
+            .makespan;
         let mut scenarios: Vec<(String, FaultConfig)> = DROP_RATES
             .iter()
             .map(|&rate| {
@@ -81,7 +86,11 @@ fn main() {
             ),
         ));
         for (label, fc) in scenarios {
-            let report = simulate_with_faults(&prog, &config, &fc)
+            let opts = MachineOptions {
+                faults: Some(fc),
+                ..MachineOptions::default()
+            };
+            let report = run_machine(&prog, target, &opts, &rec, None)
                 .unwrap_or_else(|e| panic!("{} under {label}: {e}", w.nest.name()));
             let deg = report.degradation.expect("faulted run reports degradation");
             assert_eq!(deg.baseline_makespan, free, "baseline mismatch");

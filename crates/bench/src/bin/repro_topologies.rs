@@ -2,18 +2,22 @@
 //! hypercube, mesh, and ring machines of equal size (the "various
 //! machines" the paper's conclusion defers to future techniques).
 
-use loom_bench::{maybe_write_metrics, partition_workload};
+use loom_bench::maybe_write_metrics;
 use loom_core::obs_export::sim_json;
+use loom_core::pipeline::{run_machine, MachineOptions, Target};
 use loom_core::report::Table;
-use loom_machine::{simulate, MachineParams, Program, SimConfig, Topology};
-use loom_mapping::other_targets::{map_partitioning_mesh, map_partitioning_ring};
-use loom_mapping::{map_partitioning, metrics};
-use loom_obs::Json;
-use loom_partition::Tig;
+use loom_core::{Pipeline, PipelineConfig};
+use loom_mapping::metrics;
+use loom_obs::{Json, Recorder};
 
 fn main() {
     println!("A4 — one partitioning, three machines of 8 processors\n");
-    let params = MachineParams::classic_1991();
+    let rec = Recorder::disabled();
+    let opts = MachineOptions {
+        link_contention: true,
+        collect_metrics: true,
+        ..MachineOptions::default()
+    };
     let workloads = [
         loom_workloads::matvec::workload(32),
         loom_workloads::sor::workload(16, 16),
@@ -28,41 +32,27 @@ fn main() {
     ]);
     let mut metrics_doc: Vec<(String, Json)> = Vec::new();
     for w in &workloads {
-        let p = partition_workload(w);
-        let tig = Tig::from_partitioning(&p);
-        let flops = w.nest.flops_per_iteration();
-
-        let cube = map_partitioning(&p, 3).expect("fits");
-        let mesh = map_partitioning_mesh(&p, 2, 4).expect("fits");
-        let ring = map_partitioning_ring(&p, 8).expect("fits");
-        let cases: Vec<(&str, Topology, Vec<usize>)> = vec![
-            (
-                "hypercube(3)",
-                Topology::Hypercube(3),
-                cube.assignment().to_vec(),
-            ),
-            (
-                "mesh 2x4",
-                Topology::Mesh { rows: 2, cols: 4 },
-                mesh.assignment().to_vec(),
-            ),
-            ("ring(8)", Topology::Ring(8), ring.assignment().to_vec()),
+        let config = PipelineConfig {
+            time_fn: Some(w.pi.clone()),
+            ..PipelineConfig::default()
+        };
+        let stage = Pipeline::new(w.nest.clone())
+            .stage_partition(&config, &rec)
+            .expect("workloads partition");
+        let cases = [
+            ("hypercube(3)", Target::Hypercube(3)),
+            ("mesh 2x4", Target::Mesh { rows: 2, cols: 4 }),
+            ("ring(8)", Target::Ring(8)),
         ];
-        for (name, topo, assignment) in cases {
-            let q = metrics::evaluate_on(&tig, &assignment, &topo);
-            let prog = Program::from_partitioning(&p, &assignment, 8, flops);
-            let sim = simulate(
-                &prog,
-                &SimConfig {
-                    params,
-                    topology: topo,
-                    batch_messages: false,
-                    link_contention: true,
-                    record_trace: false,
-                    collect_metrics: true,
-                },
-            )
-            .expect("sim completes");
+        for (name, target) in cases {
+            let config = PipelineConfig {
+                target: Some(target),
+                ..config.clone()
+            };
+            let (_, placement, _) = stage.map_with(&config, &rec).expect("fits");
+            let q = metrics::evaluate_on(stage.tig(), placement.assignment(), &target.topology());
+            let sim = run_machine(&stage.program(&placement), target, &opts, &rec, None)
+                .expect("sim completes");
             metrics_doc.push((format!("{}_{name}", w.nest.name()), sim_json(&sim)));
             t.row([
                 w.nest.name().to_string(),

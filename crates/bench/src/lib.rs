@@ -192,11 +192,8 @@ mod tests {
         for w in loom_workloads::all_default() {
             let p = partition_workload(&w);
             assert!(p.num_blocks() > 0, "{} produced no blocks", w.nest.name());
-            assert!(
-                loom_partition::laws::check_all(&p).is_empty(),
-                "{} violates a law",
-                w.nest.name()
-            );
+            let violations = loom_check::check_laws(&p);
+            assert!(violations.is_empty(), "{}: {violations:?}", w.nest.name());
         }
     }
 }

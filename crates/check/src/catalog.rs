@@ -37,9 +37,11 @@ const CATALOG: [RuleDoc; 26] = [
     RuleDoc {
         rule: RuleId::NeighborBound,
         engine: "enumerative",
-        paper: "Theorem 2 (Section III)",
+        paper: "Theorem 2 and Lemmas 2-3 (Section III)",
         summary: "every group sends data to at most 2m - beta other groups, with beta \
-                  recomputed from the projected dependence matrix",
+                  recomputed from the projected dependence matrix; along each grouping or \
+                  auxiliary direction to at most one group (Lemma 2), along every other \
+                  direction to at most two (Lemma 3)",
     },
     RuleDoc {
         rule: RuleId::GrayAdjacency,

@@ -19,7 +19,7 @@
 //! |---------|--------------------|-----------------------------------------|
 //! | `LC001` | schedule-legality  | `Π·dᵢ ≥ 1` for every dependence         |
 //! | `LC002` | block-shared-step  | Lemma 1, by exact rational arithmetic   |
-//! | `LC003` | neighbor-bound     | Theorem 2's `2m − β` out-degree bound   |
+//! | `LC003` | neighbor-bound     | Theorem 2's `2m − β` bound, Lemmas 2–3  |
 //! | `LC004` | gray-adjacency     | unit-hop mapping of Ω-neighbor blocks   |
 //! | `LC005` | data-race          | happens-before race scan of SPMD code   |
 //! | `LC006` | grouping-rank      | Ω is a rank-β independent set           |
@@ -51,9 +51,11 @@
 //! stay available as the cross-validation oracle.
 //!
 //! The checks run standalone (each `check_*` function takes exactly
-//! the artifacts it inspects), through [`check_pipeline_mode`] on a
-//! bundle of everything the pipeline produced, via `loom check` on the
-//! CLI, or as a gated `loom-core` pipeline stage
+//! the artifacts it inspects; [`check_laws`] runs every law of the
+//! paper's §III on a bare partitioning), through
+//! [`check_pipeline_mode`] on a bundle of everything the pipeline
+//! produced, via `loom check` on the CLI, or as a gated `loom-core`
+//! pipeline stage
 //! (`MachineOptions::static_check` / `symbolic_check`).
 
 #![deny(missing_docs)]
@@ -65,6 +67,7 @@ mod faultplan;
 pub mod frontend;
 mod gray;
 pub mod interleave;
+mod laws;
 mod legality;
 mod lemma1;
 pub mod presburger;
@@ -83,6 +86,7 @@ pub use interleave::{
     check_interleavings, enumerate_naive, explore_dpor, mutate_program, DeadlockWitness,
     Exploration, InterleaveStats, Mutation, NaiveResult,
 };
+pub use laws::check_laws;
 pub use legality::check_legality;
 pub use lemma1::check_lemma1;
 pub use presburger::{System, Verdict};
@@ -92,7 +96,9 @@ pub use symbolic::{
     check_blocking_cycles, check_legality_symbolic, check_lemma1_symbolic,
     check_lemma1_symbolic_groups, check_protocol, BlockTraffic, SymbolicStats,
 };
-pub use theorem2::{check_grouping_vectors, check_neighbor_bound, check_theorem2};
+pub use theorem2::{
+    check_direction_bounds, check_grouping_vectors, check_neighbor_bound, check_theorem2,
+};
 pub use uniformize::{
     admit_uniformized, certify_cover, check_folded_legality, check_tightness, UniformizeStats,
 };
@@ -168,17 +174,13 @@ pub fn check_pipeline_mode(
     match mode {
         CheckMode::Enumerative | CheckMode::Interleaving => {
             report.extend(check_legality(input.pi, input.deps));
-            report.extend(check_lemma1(
-                input.pi,
-                input.partitioning.structure().points(),
-                input.partitioning.blocks(),
-            ));
+            report.extend(check_laws(input.partitioning));
         }
         CheckMode::Symbolic => {
             report.extend(check_legality_symbolic(input.pi, input.deps));
+            report.extend(check_theorem2(input.partitioning));
         }
     }
-    report.extend(check_theorem2(input.partitioning));
     report.extend(check_grouping_vectors(
         input.partitioning.projected(),
         input.partitioning.vectors(),

@@ -1,18 +1,23 @@
-//! Rules `LC003` and `LC006` — Theorem 2's neighbor bound and the
-//! grouping-vector selection invariants behind it.
+//! Rules `LC003` and `LC006` — Theorem 2's neighbor bound, the
+//! per-direction Lemmas 2–3 it rests on, and the grouping-vector
+//! selection invariants behind them.
 //!
 //! Theorem 2: with `m` dependence vectors and `β` the rank of the
 //! projected dependence matrix `mat(D^p)`, every group communicates
 //! with at most `2m − β` other groups. `LC003` recomputes `β` from
 //! scratch (it does not trust the value the partitioner recorded) and
 //! checks the bound against the statically derived group dependence
-//! graph. `LC006` validates the recorded [`GroupingVectors`] themselves:
-//! `β` matches the rank, the chosen set `{d_l^p} ∪ Ψ` has exactly `β`
-//! members, and those members are linearly independent — the invariant
-//! that used to be a debug-only assert inside `loom-partition`.
+//! graph. From the same walk it checks Lemma 2 (along the grouping
+//! vector and each auxiliary vector, a group sends data to at most one
+//! group) and Lemma 3 (along every other nonzero projected dependence,
+//! to at most two). `LC006` validates the recorded [`GroupingVectors`]
+//! themselves: `β` matches the rank, the chosen set `{d_l^p} ∪ Ψ` has
+//! exactly `β` members, and those members are linearly independent —
+//! the invariant that used to be a debug-only assert inside
+//! `loom-partition`.
 
 use crate::diag::{Diagnostic, RuleId, Span};
-use loom_partition::comm::group_dependence_graph;
+use loom_partition::comm::group_targets;
 use loom_partition::{GroupingVectors, Partitioning, ProjectedStructure};
 use loom_rational::{linalg, QMat, QVec};
 use std::collections::BTreeSet;
@@ -32,31 +37,87 @@ fn projected_rank(qp: &ProjectedStructure) -> usize {
     }
 }
 
-/// Check Theorem 2's `2m − β` bound on a partitioning.
+/// Rule `LC003` on a partitioning: Theorem 2's `2m − β` bound, then
+/// Lemmas 2 and 3, all read from one per-direction walk of the group
+/// dependences.
 pub fn check_theorem2(p: &Partitioning) -> Vec<Diagnostic> {
     let m = p.structure().deps().len();
     let beta = projected_rank(p.projected());
-    check_neighbor_bound(&group_dependence_graph(p), m, beta)
+    let targets = group_targets(p);
+    // A group's out-degree is its distinct targets over all directions.
+    let mut union = Vec::new();
+    let degrees = targets.chunk_by(|a, b| a.0 == b.0).map(|run| {
+        union.clear();
+        union.extend(run.iter().map(|&(_, _, to)| to));
+        union.sort_unstable();
+        union.dedup();
+        (run[0].0, union.len())
+    });
+    let mut out = neighbor_bound(degrees, m, beta);
+    out.extend(check_direction_bounds(&targets, &p.vectors().omega()));
+    out
 }
 
 /// The bound check itself, on an explicit out-neighbor graph — exposed
 /// so tests can feed synthetic graphs that violate the theorem.
 pub fn check_neighbor_bound(graph: &[BTreeSet<usize>], m: usize, beta: usize) -> Vec<Diagnostic> {
+    neighbor_bound(graph.iter().map(BTreeSet::len).enumerate(), m, beta)
+}
+
+/// Theorem 2 on `(group, out-degree)` pairs.
+fn neighbor_bound(
+    degrees: impl Iterator<Item = (usize, usize)>,
+    m: usize,
+    beta: usize,
+) -> Vec<Diagnostic> {
     let bound = (2 * m).saturating_sub(beta);
-    graph
-        .iter()
-        .enumerate()
-        .filter(|(_, targets)| targets.len() > bound)
-        .map(|(g, targets)| {
+    degrees
+        .filter(|&(_, degree)| degree > bound)
+        .map(|(g, degree)| {
             Diagnostic::error(
                 RuleId::NeighborBound,
                 Span::Group { group: g },
                 format!(
-                    "group sends data to {} other groups, exceeding \
-                     2m\u{2212}\u{3b2} = 2\u{b7}{m}\u{2212}{beta} = {bound} (Theorem 2)",
-                    targets.len()
+                    "group sends data to {degree} other groups, exceeding \
+                     2m\u{2212}\u{3b2} = 2\u{b7}{m}\u{2212}{beta} = {bound} (Theorem 2)"
                 ),
             )
+        })
+        .collect()
+}
+
+/// Lemmas 2 and 3 on an explicit per-direction target table — sorted,
+/// deduplicated `(group, dep, target)` triples as
+/// [`group_targets`] returns them — exposed so tests can feed synthetic
+/// tables that violate the lemmas. Along each direction in `omega` (the
+/// grouping and auxiliary dependences) a group may send data to one
+/// group (Lemma 2), along any other direction to two (Lemma 3).
+pub fn check_direction_bounds(
+    targets: &[(usize, usize, usize)],
+    omega: &[usize],
+) -> Vec<Diagnostic> {
+    targets
+        .chunk_by(|a, b| (a.0, a.1) == (b.0, b.1))
+        .filter_map(|run| {
+            let (group, dep, _) = run[0];
+            let (bound, along, lemma) = if omega.contains(&dep) {
+                (1, "\u{3a9}", 2)
+            } else {
+                (2, "non-\u{3a9}", 3)
+            };
+            (run.len() > bound).then(|| {
+                let to: Vec<String> = run.iter().map(|&(_, _, t)| format!("G{t}")).collect();
+                Diagnostic::error(
+                    RuleId::NeighborBound,
+                    Span::Group { group },
+                    format!(
+                        "group sends data to {} groups ({}) along {along} dependence {dep}, \
+                         exceeding {bound} (Lemma {lemma})",
+                        run.len(),
+                        to.join(", ")
+                    ),
+                )
+            })
         })
         .collect()
 }

@@ -5,8 +5,9 @@
 //! and must be deliberate.
 
 use loom_check::{
-    check_access_dependences, check_gray, check_grouping_vectors, check_legality, check_lemma1,
-    check_lemma1_symbolic_groups, check_neighbor_bound, check_protocol, check_races, Report,
+    check_access_dependences, check_direction_bounds, check_gray, check_grouping_vectors,
+    check_legality, check_lemma1, check_lemma1_symbolic_groups, check_neighbor_bound,
+    check_protocol, check_races, Report,
 };
 use loom_codegen::{generate, Op};
 use loom_hyperplane::TimeFn;
@@ -174,6 +175,83 @@ check: 1 error(s), 0 warning(s), 0 note(s)
         "group": 0
       },
       "message": "group sends data to 2 other groups, exceeding 2m−β = 2·1−1 = 1 (Theorem 2)"
+    }
+  ],
+  "counts": {
+    "LC003": 1
+  },
+  "errors": 1,
+  "warnings": 0
+}
+"#,
+    );
+}
+
+#[test]
+fn golden_lc003_lemma2_direction_bound() {
+    // Ω = {d0}: along the grouping direction group 0 reaches two groups,
+    // one over Lemma 2's bound; group 1 reaches one, within it.
+    let table = [(0, 0, 1), (0, 0, 2), (0, 1, 2), (1, 0, 2)];
+    let report = Report::from_diagnostics(check_direction_bounds(&table, &[0]));
+    snapshot(
+        "LC003-lemma2",
+        &report,
+        r#"error[LC003] group G0: group sends data to 2 groups (G1, G2) along Ω dependence 0, exceeding 1 (Lemma 2)
+check: 1 error(s), 0 warning(s), 0 note(s)
+"#,
+        r#"{
+  "diagnostics": [
+    {
+      "rule": "LC003",
+      "name": "neighbor-bound",
+      "severity": "error",
+      "span": {
+        "kind": "group",
+        "group": 0
+      },
+      "message": "group sends data to 2 groups (G1, G2) along Ω dependence 0, exceeding 1 (Lemma 2)"
+    }
+  ],
+  "counts": {
+    "LC003": 1
+  },
+  "errors": 1,
+  "warnings": 0
+}
+"#,
+    );
+}
+
+#[test]
+fn golden_lc003_lemma3_direction_bound() {
+    // Ω = {d0}: off Ω, along d1, group 1 reaches three groups, one over
+    // Lemma 3's bound; group 0 reaches two, at it.
+    let table = [
+        (0, 1, 2),
+        (0, 1, 3),
+        (1, 0, 2),
+        (1, 1, 0),
+        (1, 1, 2),
+        (1, 1, 3),
+    ];
+    let report = Report::from_diagnostics(check_direction_bounds(&table, &[0]));
+    snapshot(
+        "LC003-lemma3",
+        &report,
+        r#"error[LC003] group G1: group sends data to 3 groups (G0, G2, G3) along non-Ω dependence 1, exceeding 2 (Lemma 3)
+check: 1 error(s), 0 warning(s), 0 note(s)
+"#,
+        r#"{
+  "diagnostics": [
+    {
+      "rule": "LC003",
+      "name": "neighbor-bound",
+      "severity": "error",
+      "span": {
+        "kind": "group",
+        "group": 1
+      },
+      "message": "group sends data to 3 groups (G0, G2, G3) along non-Ω dependence 1, exceeding 2 (Lemma 3)"
     }
   ],
   "counts": {

@@ -500,15 +500,15 @@ fn cmd_partition(a: &Args) -> Result<(), CliError> {
             println!("  B{b}: {}", pts.join(" "));
         }
     }
-    let violations = loom_partition::laws::check_all(p);
-    println!(
-        "laws: {}",
-        if violations.is_empty() {
-            "all hold".into()
-        } else {
-            format!("{violations:?}")
+    let violations = loom_check::check_laws(p);
+    if violations.is_empty() {
+        println!("laws: all hold");
+    } else {
+        println!("laws:");
+        for d in violations {
+            println!("  {d}");
         }
-    );
+    }
     Ok(())
 }
 

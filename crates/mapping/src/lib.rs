@@ -42,7 +42,7 @@ pub use allocate::{map_partitioning, map_positions, Mapping};
 pub use bisect::{form_clusters, form_clusters_with_schedule, ClusterFormation};
 pub use hypercube::Hypercube;
 pub use metrics::MappingQuality;
-pub use other_targets::{map_partitioning_mesh, map_partitioning_ring, TargetMapping};
+pub use other_targets::TargetMapping;
 
 /// Errors raised by the mapping phase.
 #[derive(Debug, Clone, PartialEq, Eq)]

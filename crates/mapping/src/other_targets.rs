@@ -167,20 +167,6 @@ pub fn partition_positions(p: &Partitioning) -> Vec<Vec<Ratio>> {
     }
 }
 
-/// Map a partitioning onto a mesh.
-pub fn map_partitioning_mesh(
-    p: &Partitioning,
-    rows: usize,
-    cols: usize,
-) -> Result<TargetMapping, Error> {
-    map_positions_mesh(&partition_positions(p), rows, cols)
-}
-
-/// Map a partitioning onto a ring.
-pub fn map_partitioning_ring(p: &Partitioning, len: usize) -> Result<TargetMapping, Error> {
-    map_positions_ring(&partition_positions(p), len)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,9 +249,10 @@ mod tests {
             &PartitionConfig::default(),
         )
         .unwrap();
-        let ring = map_partitioning_ring(&p, 4).unwrap();
+        let positions = partition_positions(&p);
+        let ring = map_positions_ring(&positions, 4).unwrap();
         assert_eq!(ring.assignment().len(), 16);
-        let mesh = map_partitioning_mesh(&p, 2, 4).unwrap();
+        let mesh = map_positions_mesh(&positions, 2, 4).unwrap();
         assert_eq!(mesh.num_procs(), 8);
         assert!(mesh.assignment().iter().all(|&x| x < 8));
     }

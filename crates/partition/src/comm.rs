@@ -43,26 +43,46 @@ pub fn comm_stats(p: &Partitioning) -> CommStats {
     }
 }
 
+/// The group-dependence graph per direction: every triple
+/// `(group, dep, target)` with a projected point `u ∈ G_group` such that
+/// `u + d^p_dep ∈ G_target`, `target ≠ group`, sorted and deduplicated.
+/// This is the one walk over (projected line, nonzero dependence) pairs:
+/// [`group_dependence_graph`] is its union over `dep`, and the per-`dep`
+/// runs are the target counts Lemmas 2 and 3 bound.
+pub fn group_targets(p: &Partitioning) -> Vec<(usize, usize, usize)> {
+    let qp = p.projected();
+    let g = p.grouping();
+    let nonzero = qp.nonzero_dep_indices();
+    let mut targets = Vec::new();
+    for (from, group) in g.groups.iter().enumerate() {
+        // Walking group by group leaves the list sorted by group, so only
+        // each group's own (small) run needs sorting.
+        let start = targets.len();
+        for &pid in &group.members {
+            for &k in &nonzero {
+                if let Some(qid) = qp.neighbor(pid, k) {
+                    let to = g.group_of[qid];
+                    if to != from {
+                        targets.push((from, k, to));
+                    }
+                }
+            }
+        }
+        targets[start..].sort_unstable();
+    }
+    targets.dedup();
+    targets
+}
+
 /// The group-dependence graph at the *projected* level: `out[i]` is the
 /// set of groups that depend on (receive data from) group `i`, i.e.
 /// there is a projected point `u ∈ G_i` and dependence `d^p` with
 /// `u + d^p ∈ G_j`, `j ≠ i`. This is the graph of the paper's Fig. 7 and
 /// the quantity bounded by Theorem 2.
 pub fn group_dependence_graph(p: &Partitioning) -> Vec<BTreeSet<usize>> {
-    let qp = p.projected();
-    let g = p.grouping();
-    let nonzero = qp.nonzero_dep_indices();
-    let mut out: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); g.len()];
-    for pid in 0..qp.len() {
-        let from = g.group_of[pid];
-        for &k in &nonzero {
-            if let Some(qid) = qp.neighbor(pid, k) {
-                let to = g.group_of[qid];
-                if to != from {
-                    out[from].insert(to);
-                }
-            }
-        }
+    let mut out = vec![BTreeSet::new(); p.grouping().len()];
+    for (from, _, to) in group_targets(p) {
+        out[from].insert(to);
     }
     out
 }

@@ -17,14 +17,16 @@
 //!    schedule ([`blocks`]).
 //!
 //! [`comm`] counts total vs. interblock dependences (the paper's "33
-//! dependences, 12 interprocessor" for loop L1), [`tig`] builds the Task
-//! Interaction Graph consumed by the mapping phase, and [`laws`] checks
-//! Lemmas 1–3 and Theorems 1–2 as executable validators.
+//! dependences, 12 interprocessor" for loop L1) and walks the group
+//! dependences per direction, and [`tig`] builds the Task Interaction
+//! Graph consumed by the mapping phase. The paper's Lemmas 1–3 and
+//! Theorems 1–2 are checked on a partitioning by `loom-check`
+//! (`check_laws`: rules `LC002` and `LC003`).
 //!
 //! ```
 //! use loom_hyperplane::TimeFn;
 //! use loom_loopir::IterSpace;
-//! use loom_partition::{partition, PartitionConfig, comm::comm_stats, laws};
+//! use loom_partition::{partition, PartitionConfig, comm::comm_stats};
 //!
 //! // The paper's loop L1: 4×4 space, D = {(0,1), (1,0), (1,1)}, Π = (1,1).
 //! let p = partition(
@@ -36,7 +38,6 @@
 //! assert_eq!(p.num_blocks(), 4);
 //! let stats = comm_stats(&p);
 //! assert_eq!((stats.total_arcs, stats.interblock_arcs), (33, 12));
-//! assert!(laws::check_all(&p).is_empty());
 //! ```
 
 #![deny(missing_docs)]
@@ -46,7 +47,6 @@ pub mod comm;
 pub mod grouping;
 pub mod grow;
 mod index;
-pub mod laws;
 pub mod project;
 pub mod tig;
 

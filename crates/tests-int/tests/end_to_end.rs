@@ -5,7 +5,6 @@ use loom_core::pipeline::MachineOptions;
 use loom_core::{Pipeline, PipelineConfig};
 use loom_machine::trace::verify_trace;
 use loom_machine::{MachineParams, Program};
-use loom_partition::laws;
 
 fn run(nest: &loom_loopir::LoopNest, pi: &[i64], cube_dim: usize) -> loom_core::PipelineOutput {
     Pipeline::new(nest.clone())
@@ -24,18 +23,16 @@ fn run(nest: &loom_loopir::LoopNest, pi: &[i64], cube_dim: usize) -> loom_core::
 
 #[test]
 fn all_workloads_full_pipeline_on_2cube() {
-    for w in loom_workloads::all_default() {
+    let heat2d = loom_workloads::heat2d::workload(4, 5);
+    for w in loom_workloads::all_default().into_iter().chain([heat2d]) {
         let out = run(
             &w.nest,
             &w.pi,
             1.min(w.nest.space().count().ilog2() as usize),
         );
         // Laws hold for every partitioning the pipeline produces.
-        assert!(
-            laws::check_all(&out.partitioning).is_empty(),
-            "law violation on {}",
-            w.nest.name()
-        );
+        let violations = loom_check::check_laws(&out.partitioning);
+        assert!(violations.is_empty(), "{}: {violations:?}", w.nest.name());
         // Every iteration lands in exactly one block.
         let covered: usize = out.partitioning.blocks().iter().map(Vec::len).sum();
         assert_eq!(covered, w.nest.space().count(), "{}", w.nest.name());

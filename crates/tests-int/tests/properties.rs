@@ -9,7 +9,7 @@ use loom_machine::{simulate, MachineParams, Program, SimConfig, Topology};
 use loom_mapping::{baseline, map_partitioning};
 use loom_obs::SplitMix64;
 use loom_partition::comm::comm_stats;
-use loom_partition::{laws, partition, PartitionConfig};
+use loom_partition::{partition, PartitionConfig};
 use std::collections::BTreeSet;
 
 /// Random 2-D dependence sets with strictly positive wavefront sums, so
@@ -58,7 +58,7 @@ fn partitioning_always_lawful() {
         let covered: usize = p.blocks().iter().map(Vec::len).sum();
         assert_eq!(covered, (rows * cols) as usize, "{deps:?}");
         // All laws hold.
-        let violations = laws::check_all(&p);
+        let violations = loom_check::check_laws(&p);
         assert!(
             violations.is_empty(),
             "{deps:?}: violations: {violations:?}"

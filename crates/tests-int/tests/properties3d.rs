@@ -10,7 +10,7 @@ use loom_hyperplane::TimeFn;
 use loom_loopir::sem::Expr;
 use loom_loopir::{Access, IterSpace, LoopNest, Stmt};
 use loom_obs::SplitMix64;
-use loom_partition::{laws, partition, PartitionConfig};
+use loom_partition::{partition, PartitionConfig};
 use std::collections::BTreeSet;
 
 /// Random 3-D dependence sets legal under Π = (1,1,1).
@@ -83,7 +83,7 @@ fn laws_hold_in_3d() {
         .unwrap();
         let covered: usize = p.blocks().iter().map(Vec::len).sum();
         assert_eq!(covered, (a * b * c) as usize, "{deps:?}");
-        let violations = laws::check_all(&p);
+        let violations = loom_check::check_laws(&p);
         assert!(
             violations.is_empty(),
             "{deps:?}: violations: {violations:?}"

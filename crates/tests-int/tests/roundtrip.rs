@@ -69,9 +69,7 @@ fn sample_files_parse_and_pipeline() {
             &loom_partition::PartitionConfig::default(),
         )
         .unwrap();
-        assert!(
-            loom_partition::laws::check_all(&p).is_empty(),
-            "{sample} violates laws"
-        );
+        let violations = loom_check::check_laws(&p);
+        assert!(violations.is_empty(), "{sample}: {violations:?}");
     }
 }

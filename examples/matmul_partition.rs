@@ -11,7 +11,6 @@
 use loom_core::report::Table;
 use loom_hyperplane::TimeFn;
 use loom_partition::comm::{comm_stats, group_dependence_graph};
-use loom_partition::laws;
 use loom_partition::{partition, PartitionConfig};
 use loom_rational::QVec;
 
@@ -74,9 +73,9 @@ fn main() {
         "iteration-level arcs: {} total, {} interblock",
         stats.total_arcs, stats.interblock_arcs
     );
-    let violations = laws::check_all(&p);
+    let violations = loom_check::check_laws(&p);
     println!(
-        "law validators (Lemmas 1-3, Theorems 1-2): {}",
+        "LC002/LC003 (Lemmas 1-3, Theorems 1-2): {}",
         if violations.is_empty() {
             "all hold".to_string()
         } else {
