@@ -2,7 +2,8 @@
 //! mapping-quality evaluation.
 
 use loom_hyperplane::TimeFn;
-use loom_mapping::{baseline, map_partitioning, metrics, Hypercube};
+use loom_machine::Topology;
+use loom_mapping::{baseline, map_partitioning, metrics};
 use loom_obs::bench::Bench;
 use loom_partition::{partition, PartitionConfig, Tig};
 
@@ -22,13 +23,13 @@ fn main() {
         });
     }
     let tig = Tig::mesh(16, 16);
-    let cube = Hypercube::new(4);
+    let cube = Topology::Hypercube(4);
     for (name, a) in [
         ("naive", baseline::naive(256, 16)),
         ("random", baseline::random(256, 16, 7)),
     ] {
         bench.run(&format!("mapping_quality/{name}"), || {
-            metrics::evaluate(&tig, &a, cube)
+            metrics::evaluate(&tig, &a, &cube)
         });
     }
     print!("{}", bench.report());

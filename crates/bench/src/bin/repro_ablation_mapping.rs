@@ -3,8 +3,8 @@
 
 use loom_bench::partition_workload;
 use loom_core::report::Table;
-use loom_machine::{simulate, MachineParams, Program, SimConfig};
-use loom_mapping::{baseline, map_partitioning, metrics, Hypercube};
+use loom_machine::{simulate, MachineParams, Program, SimConfig, Topology};
+use loom_mapping::{baseline, map_partitioning, metrics};
 use loom_partition::Tig;
 
 fn main() {
@@ -33,7 +33,7 @@ fn main() {
             if n > p.num_blocks() {
                 continue;
             }
-            let cube = Hypercube::new(cube_dim);
+            let cube = Topology::Hypercube(cube_dim);
             let gray = map_partitioning(&p, cube_dim).expect("fits");
             let candidates: Vec<(&str, Vec<usize>)> = vec![
                 ("gray", gray.assignment().to_vec()),
@@ -42,7 +42,7 @@ fn main() {
                 ("random", baseline::random(p.num_blocks(), n, 1991)),
             ];
             for (name, assignment) in candidates {
-                let q = metrics::evaluate(&tig, &assignment, cube);
+                let q = metrics::evaluate(&tig, &assignment, &cube);
                 let prog = Program::from_partitioning(&p, &assignment, n, flops);
                 let sim = simulate(&prog, &SimConfig::paper_hypercube(cube_dim, params))
                     .expect("sim completes");

@@ -121,7 +121,8 @@ fn main() {
             )
             .expect("builtin workloads partition");
             let tig = Tig::from_partitioning(&p);
-            let mapping = map_partitioning(&p, 1).expect("builtin workloads map");
+            let cube_dim = 1;
+            let mapping = map_partitioning(&p, cube_dim).expect("builtin workloads map");
             let pi = TimeFn::new(w.pi.clone());
             let input = PipelineCheck {
                 nest: &w.nest,
@@ -130,7 +131,7 @@ fn main() {
                 partitioning: &p,
                 tig: &tig,
                 assignment: mapping.assignment(),
-                cube_dim: mapping.cube().dim(),
+                cube_dim,
             };
             let points = p.structure().points().len();
             let lines = p.projected().len();

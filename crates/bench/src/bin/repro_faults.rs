@@ -7,7 +7,7 @@
 //! Everything is seeded, so the table is bit-reproducible.
 
 use loom_bench::maybe_write_metrics;
-use loom_core::pipeline::{run_machine, MachineOptions, Target};
+use loom_core::pipeline::{run_machine, MachineOptions};
 use loom_core::report::Table;
 use loom_core::{Pipeline, PipelineConfig};
 use loom_machine::{FaultConfig, FaultPlan, RecoveryPolicy};
@@ -39,16 +39,14 @@ fn main() {
             .stage_partition(&config, &rec)
             .expect("workloads partition");
         // Largest cube the block count supports, capped at 8 procs.
-        let (target, placement) = (0..=3)
+        let (_, placement, target) = (0..=3)
             .rev()
-            .map(Target::Hypercube)
-            .find_map(|target| {
+            .find_map(|cube_dim| {
                 let config = PipelineConfig {
-                    target: Some(target),
+                    cube_dim,
                     ..config.clone()
                 };
-                let (_, placement, _) = stage.map_with(&config, &rec).ok()?;
-                Some((target, placement))
+                stage.map_with(&config, &rec).ok()
             })
             .expect("every workload fits some cube");
         let n = target.len();

@@ -2,7 +2,8 @@
 //! hypercube with concatenated Gray codes.
 
 use loom_core::report::Table;
-use loom_mapping::{map_positions, metrics, Hypercube};
+use loom_machine::Topology;
+use loom_mapping::{map_positions, metrics};
 use loom_partition::Tig;
 use loom_rational::Ratio;
 
@@ -36,7 +37,7 @@ fn main() {
 
     // Quality: every mesh edge lands on the same node or adjacent nodes.
     let tig = Tig::mesh(4, 4);
-    let q = metrics::evaluate(&tig, mapping.assignment(), Hypercube::new(3));
+    let q = metrics::evaluate(&tig, mapping.assignment(), &Topology::Hypercube(3));
     println!(
         "mapping quality: remote traffic {}, mean dilation {:.2}, congestion {}",
         q.remote_traffic,

@@ -4,9 +4,10 @@
 
 use loom_bench::maybe_write_metrics;
 use loom_core::obs_export::sim_json;
-use loom_core::pipeline::{run_machine, MachineOptions, Target};
+use loom_core::pipeline::{run_machine, MachineOptions};
 use loom_core::report::Table;
 use loom_core::{Pipeline, PipelineConfig};
+use loom_machine::Topology;
 use loom_mapping::metrics;
 use loom_obs::{Json, Recorder};
 
@@ -40,9 +41,9 @@ fn main() {
             .stage_partition(&config, &rec)
             .expect("workloads partition");
         let cases = [
-            ("hypercube(3)", Target::Hypercube(3)),
-            ("mesh 2x4", Target::Mesh { rows: 2, cols: 4 }),
-            ("ring(8)", Target::Ring(8)),
+            ("hypercube(3)", Topology::Hypercube(3)),
+            ("mesh 2x4", Topology::Mesh { rows: 2, cols: 4 }),
+            ("ring(8)", Topology::Ring(8)),
         ];
         for (name, target) in cases {
             let config = PipelineConfig {
@@ -50,7 +51,7 @@ fn main() {
                 ..config.clone()
             };
             let (_, placement, _) = stage.map_with(&config, &rec).expect("fits");
-            let q = metrics::evaluate_on(stage.tig(), placement.assignment(), &target.topology());
+            let q = metrics::evaluate(stage.tig(), placement.assignment(), &target);
             let sim = run_machine(&stage.program(&placement), target, &opts, &rec, None)
                 .expect("sim completes");
             metrics_doc.push((format!("{}_{name}", w.nest.name()), sim_json(&sim)));

@@ -20,7 +20,7 @@
 //! dilation warning rather than an error.
 
 use crate::diag::{Diagnostic, RuleId, Span};
-use loom_mapping::Hypercube;
+use loom_machine::Topology;
 use loom_partition::{Partitioning, Tig};
 use std::collections::BTreeSet;
 
@@ -62,7 +62,7 @@ pub fn check_gray(
     cube_dim: usize,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let cube = Hypercube::new(cube_dim);
+    let cube = Topology::Hypercube(cube_dim);
     if assignment.len() != p.num_blocks() {
         out.push(Diagnostic::error(
             RuleId::GrayAdjacency,

@@ -29,8 +29,8 @@ use error::CliError;
 use loom_core::analytic::table1_rows;
 use loom_core::pipeline::{run_machine, MachineOptions};
 use loom_core::report::Table;
-use loom_core::{PartitionedStage, Pipeline, PipelineConfig, PipelineError, Placement, Target};
-use loom_machine::{MachineParams, SimReport};
+use loom_core::{PartitionedStage, Pipeline, PipelineConfig, PipelineError};
+use loom_machine::{MachineParams, SimReport, Topology};
 use loom_mapping::Mapping;
 use loom_obs::{FlightRecorder, Json, Recorder};
 use loom_workloads::Family;
@@ -66,10 +66,11 @@ fn usage() -> ! {
          \x20               --flame-out FILE (collapsed-stack flamegraph export) on\n\
          \x20               simulate/check/explore/profile; --trace-out FILE\n\
          \x20               (Chrome/Perfetto trace JSON) on simulate/profile\n\
+         machine flags:  --mesh RxC | --ring N (instead of --cube; extents powers\n\
+         \x20               of two) on map, simulate, codegen, viz and profile\n\
          simulate flags: --t-calc/--t-start/--t-comm, --batch, --contention,\n\
-         \x20               --mesh RxC | --ring N (instead of --cube),\n\
          \x20               --validate (replay the trace through verify_trace);\n\
-         \x20               explore costs candidates under all of them but --mesh/--ring\n\
+         \x20               explore costs candidates under all of them\n\
          fault flags:    --fault-plan FILE (JSON fault plan, see docs/RESILIENCE.md),\n\
          \x20               --fault-seed N (override the plan's noise seed),\n\
          \x20               --recovery abort|retry|remap (default retry),\n\
@@ -268,17 +269,18 @@ fn resolve(a: &Args, rec: &Recorder) -> Result<Input, CliError> {
 
 impl Input {
     /// Stages 1–4 through the pipeline: Algorithm 1 on the resolved `D`
-    /// and Π, then the mapping onto the configured target.
+    /// and Π, then Algorithm 2's mapping and the placement on the
+    /// configured target.
     fn stage(
         &self,
         cfg: &PipelineConfig,
         rec: &Recorder,
-    ) -> Result<(PartitionedStage, Mapping, Placement, Target), CliError> {
+    ) -> Result<(PartitionedStage, Mapping, Mapping), CliError> {
         let stage = self
             .pipeline
             .stage_partition_with_deps(cfg, rec, self.deps.clone())?;
-        let (mapping, placement, target) = stage.map_with(cfg, rec)?;
-        Ok((stage, mapping, placement, target))
+        let (mapping, placement, _) = stage.map_with(cfg, rec)?;
+        Ok((stage, mapping, placement))
     }
 }
 
@@ -291,23 +293,36 @@ fn machine_params(a: &Args) -> Result<MachineParams, CliError> {
     })
 }
 
-fn pick_target(a: &Args) -> Result<Option<Target>, CliError> {
+fn pick_target(a: &Args) -> Result<Option<Topology>, CliError> {
     if let Some(mesh) = a.flags.get("mesh") {
         let parts: Vec<&str> = mesh.split(['x', 'X']).collect();
         if let [r, c] = parts[..] {
             if let (Ok(rows), Ok(cols)) = (r.parse(), c.parse()) {
-                return Ok(Some(Target::Mesh { rows, cols }));
+                return Ok(Some(Topology::Mesh { rows, cols }));
             }
         }
         return Err(CliError::usage("error: --mesh expects RxC (e.g. 2x4)"));
     }
     if let Some(ring) = a.flags.get("ring") {
         return match ring.parse() {
-            Ok(n) => Ok(Some(Target::Ring(n))),
+            Ok(n) => Ok(Some(Topology::Ring(n))),
             Err(_) => Err(CliError::usage("error: --ring expects an integer")),
         };
     }
     Ok(None)
+}
+
+/// `check` verifies Algorithm 2's Gray-code mapping and `explore`
+/// sweeps cube dimensions: on a mesh or ring target either would run a
+/// machine the user did not ask for, so they refuse it.
+fn hypercube_only(a: &Args, command: &str) -> Result<(), CliError> {
+    if a.flags.contains_key("mesh") || a.flags.contains_key("ring") {
+        return Err(CliError::usage(format!(
+            "error: --mesh and --ring apply to map, simulate, codegen, viz and profile, \
+             not {command}"
+        )));
+    }
+    Ok(())
 }
 
 /// The one flag → [`PipelineConfig`] builder: Π (resolved by [`load`]),
@@ -360,10 +375,7 @@ fn fault_config(
         Json::parse(&src).map_err(|e| CliError::usage(format!("{path}: invalid JSON: {e}")))?;
     let plan = loom_machine::FaultPlan::from_json(&doc)
         .map_err(|e| CliError::usage(format!("{path}: invalid fault plan: {e}")))?;
-    let topology = cfg
-        .target
-        .unwrap_or(Target::Hypercube(cfg.cube_dim))
-        .topology();
+    let topology = cfg.target.unwrap_or(Topology::Hypercube(cfg.cube_dim));
     // Route the LC008 diagnostics through a Report so `--allow LC008`
     // downgrades them exactly like every other rule: suppression and
     // exit-code policy are uniform across all rules.
@@ -514,17 +526,21 @@ fn cmd_partition(a: &Args) -> Result<(), CliError> {
 
 fn cmd_map(a: &Args) -> Result<(), CliError> {
     let input = resolve(a, &Recorder::disabled())?;
-    let (stage, mapping, ..) = input.stage(&config(a, &input.pi)?, &Recorder::disabled())?;
+    let (stage, _, placement) = input.stage(&config(a, &input.pi)?, &Recorder::disabled())?;
     let mut t = Table::new(["block", "size", "processor"]);
-    for (b, &proc) in mapping.assignment().iter().enumerate() {
+    for (b, &proc) in placement.assignment().iter().enumerate() {
         t.row([
             format!("B{b}"),
             format!("{}", stage.partitioning.block(b).len()),
-            format!("P{proc:0w$b}", w = mapping.cube().dim().max(1)),
+            // A hypercube node's name is its binary address.
+            match placement.cube() {
+                Topology::Hypercube(d) => format!("P{proc:0w$b}", w = d.max(1)),
+                _ => format!("P{proc}"),
+            },
         ]);
     }
     println!("{t}");
-    let q = loom_mapping::metrics::evaluate(stage.tig(), mapping.assignment(), mapping.cube());
+    let q = loom_mapping::metrics::evaluate(stage.tig(), placement.assignment(), &placement.cube());
     println!("quality: {q}");
     Ok(())
 }
@@ -608,13 +624,13 @@ fn cmd_simulate(a: &Args) -> Result<(), CliError> {
 
 fn cmd_codegen(a: &Args) -> Result<(), CliError> {
     let input = resolve(a, &Recorder::disabled())?;
-    let (stage, mapping, ..) = input.stage(&config(a, &input.pi)?, &Recorder::disabled())?;
+    let (stage, _, placement) = input.stage(&config(a, &input.pi)?, &Recorder::disabled())?;
     let nest = input.pipeline.nest();
     let cg = loom_codegen::generate(
         nest,
         &stage.partitioning,
-        mapping.assignment(),
-        mapping.cube().len(),
+        placement.assignment(),
+        placement.num_procs(),
     )
     .map_err(|e| CliError::failed(format!("codegen refused: {e}")))?;
     println!("{}", loom_codegen::render::render(nest, &cg));
@@ -704,17 +720,14 @@ fn cmd_check(a: &Args) -> Result<(), CliError> {
         ));
     }
     let obs = Obs::new(a, "check", false)?;
+    hypercube_only(a, "check")?;
     // An uncertifiable nest's report is the check's verdict. The check
     // engines count their own uniformization proofs, so the load does
     // not record them.
     let Some(input) = load(a, &Recorder::disabled())? else {
         return Ok(());
     };
-    // The verifier checks Algorithm 2's hypercube mapping.
-    let cfg = PipelineConfig {
-        target: None,
-        ..config(a, &input.pi)?
-    };
+    let cfg = config(a, &input.pi)?;
     let pi = loom_hyperplane::TimeFn::new(input.pi.clone());
 
     // An illegal Π must come back as an LC001/LC009 diagnostic on
@@ -739,7 +752,7 @@ fn cmd_check(a: &Args) -> Result<(), CliError> {
                 nest,
                 &stage.partitioning,
                 mapping.assignment(),
-                mapping.cube().len(),
+                mapping.num_procs(),
             )
             .map_err(|e| CliError::failed(format!("codegen failed: {e}")))?;
             cg.program =
@@ -781,12 +794,12 @@ fn cmd_check(a: &Args) -> Result<(), CliError> {
 
 fn cmd_viz(a: &Args) -> Result<(), CliError> {
     let input = resolve(a, &Recorder::disabled())?;
-    let (stage, mapping, ..) = input.stage(&config(a, &input.pi)?, &Recorder::disabled())?;
+    let (stage, _, placement) = input.stage(&config(a, &input.pi)?, &Recorder::disabled())?;
     if a.switch("dot") {
         println!("{}", loom_viz::group_graph_dot(&stage.partitioning));
         println!(
             "{}",
-            loom_viz::tig_dot(stage.tig(), Some(mapping.assignment()))
+            loom_viz::tig_dot(stage.tig(), Some(placement.assignment()))
         );
         return Ok(());
     }
@@ -835,6 +848,7 @@ fn symbolic_explore(
 
 fn cmd_explore(a: &Args) -> Result<(), CliError> {
     let obs = Obs::new(a, "explore", false)?;
+    hypercube_only(a, "explore")?;
     let input = resolve(a, &obs.rec)?;
     let dims: Vec<usize> = match a.int_list_flag("cubes")? {
         Some(v) if v.iter().any(|&x| x < 0) => {
@@ -937,7 +951,8 @@ fn cmd_explore(a: &Args) -> Result<(), CliError> {
 fn cmd_profile(a: &Args) -> Result<(), CliError> {
     let obs = Obs::new(a, "profile", true)?;
     let input = resolve(a, &obs.rec)?;
-    let (stage, _, placement, target) = input.stage(&config(a, &input.pi)?, &obs.rec)?;
+    let (stage, _, placement) = input.stage(&config(a, &input.pi)?, &obs.rec)?;
+    let target = placement.cube();
     let program = stage.program(&placement);
     // The profiler walks the trace and the telemetry, so record both.
     let machine = MachineOptions {

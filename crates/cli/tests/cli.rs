@@ -590,3 +590,91 @@ fn out_of_range_numeric_flags_are_usage_errors() {
         assert!(out.stdout.is_empty(), "{args:?} ran anyway");
     }
 }
+
+/// The processors a `map` table names, in row order.
+fn mapped_procs(out: &str) -> Vec<String> {
+    out.lines()
+        .filter(|l| l.starts_with('B'))
+        .filter_map(|l| l.split_whitespace().nth(2).map(String::from))
+        .collect()
+}
+
+#[test]
+fn map_codegen_and_viz_read_the_simulated_placement() {
+    let ring = ["--workload", "matvec", "--size", "8", "--ring", "4"];
+    let (out, err, ok) = loom(&[&["map"][..], &ring].concat());
+    assert!(ok, "{err}");
+    let mut procs = mapped_procs(&out);
+    procs.sort();
+    procs.dedup();
+    assert_eq!(procs, ["P0", "P1", "P2", "P3"], "{out}");
+    assert!(out.contains("quality: remote="), "{out}");
+    // A hypercube still names its nodes by binary address.
+    let (out, _, ok) = loom(&["map", "--workload", "matvec", "--size", "8", "--cube", "2"]);
+    assert!(ok);
+    assert!(mapped_procs(&out).iter().all(|p| p.len() == 3), "{out}");
+
+    let (out, err, ok) = loom(&[&["viz", "--dot"][..], &ring].concat());
+    assert!(ok, "{err}");
+    assert!(out.contains("subgraph cluster_p3"), "{out}");
+    let (out, err, ok) = loom(&[&["codegen", "--run"][..], &ring].concat());
+    assert!(ok, "{err}");
+    assert!(out.contains("P3"), "{out}");
+    assert!(out.contains("verified: bit-identical"), "{out}");
+}
+
+#[test]
+fn mesh_and_ring_ignore_the_cube_dimension() {
+    let ring = ["simulate", "--workload", "l1", "--size", "4", "--ring", "2"];
+    let (want, err, ok) = loom(&ring);
+    assert!(ok, "{err}");
+    let (got, err, ok) = loom(&[&ring[..], &["--cube", "3"]].concat());
+    assert!(ok, "{err}");
+    assert_eq!(got, want);
+}
+
+#[test]
+fn check_and_explore_refuse_mesh_and_ring() {
+    for cmd in ["check", "explore"] {
+        for target in [["--mesh", "2x2"], ["--ring", "2"]] {
+            let out = Command::new(env!("CARGO_BIN_EXE_loom"))
+                .args([cmd, "--workload", "l1", "--size", "4"])
+                .args(target)
+                .output()
+                .expect("binary runs");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{cmd} {target:?}: {err}");
+            assert!(
+                err.contains(&format!(
+                    "--mesh and --ring apply to map, simulate, codegen, viz and profile, not {cmd}"
+                )),
+                "{err}"
+            );
+            assert!(out.stdout.is_empty(), "{cmd} {target:?} ran anyway");
+        }
+    }
+}
+
+#[test]
+fn shapes_that_do_not_fit_fail_cleanly() {
+    for (flags, msg) in [
+        (&["--cube", "64"][..], "cannot split 4 blocks into 2^64"),
+        (
+            &["--ring", "6"],
+            "cannot map onto Ring(6): mesh and ring extents must be powers of two",
+        ),
+        (
+            &["--mesh", "3x2"],
+            "cannot map onto Mesh { rows: 3, cols: 2 }: mesh and ring extents must be powers of two",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_loom"))
+            .args(["simulate", "--workload", "l1", "--size", "4"])
+            .args(flags)
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: {err}");
+        assert!(err.contains(msg), "{flags:?}: {err}");
+    }
+}

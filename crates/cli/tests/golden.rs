@@ -434,6 +434,15 @@ fn grid() -> Vec<Vec<String>> {
         .map(|v| v.into_iter().map(String::from).collect())
         .collect();
     all.extend(owned);
+    // Mesh and ring targets through the subcommands that read the
+    // placement.
+    all.extend(
+        [
+            "map --workload matvec --size 8 --ring 4",
+            "codegen --workload l1 --size 4 --mesh 2x2 --run",
+        ]
+        .map(|line| line.split(' ').map(String::from).collect()),
+    );
     all
 }
 

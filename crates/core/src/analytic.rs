@@ -389,11 +389,11 @@ mod tests {
                 for batch in [false, true] {
                     for contention in [false, true] {
                         let mut sim_cfg = SimConfig::paper_hypercube(cube_dim, params);
-                        sim_cfg.topology = target.topology();
+                        sim_cfg.topology = target;
                         sim_cfg.batch_messages = batch;
                         sim_cfg.link_contention = contention;
                         let report = simulate(&program, &sim_cfg).unwrap();
-                        let topology = contention.then(|| target.topology());
+                        let topology = contention.then_some(target);
                         let bound =
                             makespan_lower_bound(&program, &params, batch, topology.as_ref());
                         assert!(

@@ -513,7 +513,7 @@ pub fn explore_with_deps(
                 if pruning && gate.lock().unwrap().is_full() {
                     // The link-occupancy term is sound only when the
                     // simulation serializes links.
-                    let topology = config.machine.link_contention.then(|| target.topology());
+                    let topology = config.machine.link_contention.then_some(target);
                     let bound = makespan_lower_bound(
                         &program,
                         &config.machine.params,

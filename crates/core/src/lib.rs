@@ -37,5 +37,4 @@ pub mod symbolic_cost;
 
 pub use pipeline::{
     MachineOptions, PartitionedStage, Pipeline, PipelineConfig, PipelineError, PipelineOutput,
-    Placement, Target,
 };

@@ -20,46 +20,8 @@ use loom_rational::Ratio;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// The machine the blocks are mapped onto.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Target {
-    /// Binary n-cube (the paper's Algorithm 2).
-    Hypercube(usize),
-    /// 2-D mesh (extension; rows × cols must be powers of two).
-    Mesh {
-        /// Rows.
-        rows: usize,
-        /// Columns.
-        cols: usize,
-    },
-    /// Ring (extension; length must be a power of two).
-    Ring(usize),
-}
-
-impl Target {
-    /// The matching simulator topology.
-    pub fn topology(&self) -> Topology {
-        match *self {
-            Target::Hypercube(d) => Topology::Hypercube(d),
-            Target::Mesh { rows, cols } => Topology::Mesh { rows, cols },
-            Target::Ring(n) => Topology::Ring(n),
-        }
-    }
-
-    /// Number of processors.
-    pub fn len(&self) -> usize {
-        self.topology().len()
-    }
-
-    /// `true` iff the machine has no processors (impossible by
-    /// construction; included for API completeness).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// Machine-simulation options for the pipeline. The topology is not
-/// among them: it is the configured [`Target`]'s
+/// among them: it is the configured target's
 /// ([`PipelineConfig::target`], the hypercube of `cube_dim` when unset).
 #[derive(Clone, Debug)]
 pub struct MachineOptions {
@@ -113,10 +75,10 @@ impl MachineOptions {
 
     /// The simulator configuration these options select on `target`
     /// (validation needs the trace, so it implies recording it).
-    pub fn sim_config(&self, target: Target) -> SimConfig {
+    pub fn sim_config(&self, target: Topology) -> SimConfig {
         SimConfig {
             params: self.params,
-            topology: target.topology(),
+            topology: target,
             batch_messages: self.batch_messages,
             link_contention: self.link_contention,
             record_trace: self.record_trace || self.validate_trace,
@@ -158,8 +120,9 @@ pub struct PipelineConfig {
     /// Hypercube dimension `n` (the machine has `2ⁿ` processors).
     /// Ignored when `target` is set.
     pub cube_dim: usize,
-    /// Explicit machine target; `None` uses `Hypercube(cube_dim)`.
-    pub target: Option<Target>,
+    /// Explicit machine target (a mesh's and a ring's extents must be
+    /// powers of two); `None` uses `Hypercube(cube_dim)`.
+    pub target: Option<Topology>,
     /// Simulate on the machine model; `None` stops after mapping.
     pub machine: Option<MachineOptions>,
 }
@@ -172,41 +135,6 @@ impl Default for PipelineConfig {
             cube_dim: 2,
             target: None,
             machine: Some(MachineOptions::default()),
-        }
-    }
-}
-
-/// The block placement, for whichever machine shape was targeted.
-#[derive(Clone, Debug)]
-pub enum Placement {
-    /// Algorithm 2's hypercube mapping.
-    Hypercube(Mapping),
-    /// A mesh/ring mapping (extension targets).
-    Other(loom_mapping::TargetMapping),
-}
-
-impl Placement {
-    /// The block → processor table.
-    pub fn assignment(&self) -> &[usize] {
-        match self {
-            Placement::Hypercube(m) => m.assignment(),
-            Placement::Other(m) => m.assignment(),
-        }
-    }
-
-    /// Number of processors.
-    pub fn num_procs(&self) -> usize {
-        match self {
-            Placement::Hypercube(m) => m.cube().len(),
-            Placement::Other(m) => m.num_procs(),
-        }
-    }
-
-    /// The hypercube mapping, when the target was a hypercube.
-    pub fn as_hypercube(&self) -> Option<&Mapping> {
-        match self {
-            Placement::Hypercube(m) => Some(m),
-            Placement::Other(_) => None,
         }
     }
 }
@@ -224,13 +152,14 @@ pub struct PipelineOutput {
     pub comm: CommStats,
     /// The Task Interaction Graph of the blocks.
     pub tig: Tig,
-    /// Algorithm 2's block → processor mapping.
+    /// Algorithm 2's block → processor mapping, on the hypercube with
+    /// the target's processor count.
     pub mapping: Mapping,
     /// The placement on the configured target (same as `mapping` for
     /// hypercube targets).
-    pub placement: Placement,
+    pub placement: Mapping,
     /// The machine target used.
-    pub target: Target,
+    pub target: Topology,
     /// Fine-grain statement schedule offsets δ_s (see
     /// [`loom_hyperplane::offsets`]): statement `s` of iteration `x`
     /// runs at `Π·x + δ_s`. All zeros for single-statement bodies and
@@ -674,33 +603,34 @@ impl PartitionedStage {
             .get_or_init(|| Tig::from_partitioning(&self.partitioning))
     }
 
-    /// Step 4 — mapping: Algorithm 2 on hypercubes, the extension
-    /// allocators on meshes/rings. The hypercube mapping is always
-    /// produced (it is the paper's artifact and cheap).
+    /// Step 4 — mapping: the placement on the configured target
+    /// (Algorithm 2 on hypercubes, the extension allocators on meshes
+    /// and rings), and Algorithm 2's mapping on the hypercube with the
+    /// target's processor count, which the static check verifies. The
+    /// two are one mapping on a hypercube target.
     pub fn map_with(
         &self,
         config: &PipelineConfig,
         recorder: &Recorder,
-    ) -> Result<(Mapping, Placement, Target), PipelineError> {
-        let target = config.target.unwrap_or(Target::Hypercube(config.cube_dim));
-        let cube_dim_for_alg2 = match target {
-            Target::Hypercube(d) => d,
-            _ => config.cube_dim,
-        };
+    ) -> Result<(Mapping, Mapping, Topology), PipelineError> {
+        let target = config
+            .target
+            .unwrap_or(Topology::Hypercube(config.cube_dim));
         let _s = recorder.span("pipeline.mapping");
         let positions = self
             .positions
             .get_or_init(|| partition_positions(&self.partitioning));
-        let mapping =
-            map_positions(positions, cube_dim_for_alg2).map_err(PipelineError::Mapping)?;
         let placement = match target {
-            Target::Hypercube(_) => Placement::Hypercube(mapping.clone()),
-            Target::Mesh { rows, cols } => Placement::Other(
-                map_positions_mesh(positions, rows, cols).map_err(PipelineError::Mapping)?,
-            ),
-            Target::Ring(n) => {
-                Placement::Other(map_positions_ring(positions, n).map_err(PipelineError::Mapping)?)
-            }
+            Topology::Hypercube(d) => map_positions(positions, d),
+            Topology::Mesh { rows, cols } => map_positions_mesh(positions, rows, cols),
+            Topology::Ring(n) => map_positions_ring(positions, n),
+        }
+        .map_err(PipelineError::Mapping)?;
+        let mapping = match target {
+            Topology::Hypercube(_) => placement.clone(),
+            // A mesh or ring has a power-of-two processor count.
+            _ => map_positions(positions, target.len().trailing_zeros() as usize)
+                .map_err(PipelineError::Mapping)?,
         };
         Ok((mapping, placement, target))
     }
@@ -727,7 +657,8 @@ impl PartitionedStage {
                 partitioning: &self.partitioning,
                 tig: self.tig(),
                 assignment: mapping.assignment(),
-                cube_dim: mapping.cube().dim(),
+                // Algorithm 2's mapping: 2^cube_dim processors.
+                cube_dim: mapping.num_procs().trailing_zeros() as usize,
             },
             mode,
             recorder,
@@ -739,7 +670,7 @@ impl PartitionedStage {
     }
 
     /// The executable form of this stage's blocks under a placement.
-    pub fn program(&self, placement: &Placement) -> Program {
+    pub fn program(&self, placement: &Mapping) -> Program {
         Program::from_partitioning(
             &self.partitioning,
             placement.assignment(),
@@ -815,7 +746,7 @@ impl PartitionedStage {
 /// [`PartitionedStage::complete_with`] and exploration's pruned path.
 pub fn run_machine(
     program: &Program,
-    target: Target,
+    target: Topology,
     opts: &MachineOptions,
     recorder: &Recorder,
     scratch: Option<&mut SimScratch>,
@@ -1299,9 +1230,9 @@ mod tests {
     fn mesh_and_ring_targets_simulate() {
         let w = loom_workloads::matvec::workload(16);
         for target in [
-            Target::Mesh { rows: 2, cols: 4 },
-            Target::Ring(8),
-            Target::Hypercube(3),
+            Topology::Mesh { rows: 2, cols: 4 },
+            Topology::Ring(8),
+            Topology::Hypercube(3),
         ] {
             let out = Pipeline::new(w.nest.clone())
                 .run(&PipelineConfig {
@@ -1316,10 +1247,33 @@ mod tests {
             assert_eq!(sim.compute.len(), 8);
             let total: u64 = sim.compute.iter().sum();
             assert_eq!(total, 16 * 16 * 2);
+            assert_eq!(out.placement.cube(), target);
+            assert_eq!(out.mapping.cube(), Topology::Hypercube(3));
+        }
+    }
+
+    #[test]
+    fn mesh_and_ring_targets_ignore_cube_dim() {
+        // l1 at size 4 has 4 blocks: too few for a 3-cube, enough for a
+        // 2-ring or a 2×2 mesh, whichever `cube_dim` says.
+        let w = loom_workloads::l1::workload(4);
+        for target in [Topology::Ring(2), Topology::Mesh { rows: 2, cols: 2 }] {
+            let run = |cube_dim| {
+                Pipeline::new(w.nest.clone())
+                    .run(&PipelineConfig {
+                        cube_dim,
+                        target: Some(target),
+                        ..Default::default()
+                    })
+                    .unwrap()
+            };
+            let (default, large) = (run(2), run(3));
+            assert_eq!(large.placement.assignment(), default.placement.assignment());
             assert_eq!(
-                out.placement.as_hypercube().is_some(),
-                matches!(target, Target::Hypercube(_))
+                large.mapping.cube(),
+                Topology::Hypercube(target.len().ilog2() as usize)
             );
+            assert_eq!(large.sim.unwrap().makespan, default.sim.unwrap().makespan);
         }
     }
 

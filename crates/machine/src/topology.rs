@@ -319,6 +319,30 @@ mod tests {
     }
 
     #[test]
+    fn hypercube_distances_4cube() {
+        let t = Topology::Hypercube(4);
+        assert_eq!(t.distance(0b0000, 0b1111), 4);
+        assert_eq!(t.distance(0b1010, 0b1010), 0);
+        assert_eq!(t.distance(0b0001, 0b0010), 2);
+    }
+
+    #[test]
+    fn hypercube_neighbors() {
+        let t = Topology::Hypercube(3);
+        assert_eq!(t.len(), 8);
+        let mut n = t.neighbors(0b101);
+        n.sort();
+        assert_eq!(n, vec![0b001, 0b100, 0b111]);
+    }
+
+    #[test]
+    fn zero_cube() {
+        let t = Topology::Hypercube(0);
+        assert_eq!(t.len(), 1);
+        assert!(t.neighbors(0).is_empty());
+    }
+
+    #[test]
     fn mesh_distances() {
         let t = Topology::Mesh { rows: 3, cols: 4 };
         assert_eq!(t.len(), 12);

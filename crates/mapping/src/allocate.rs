@@ -1,25 +1,53 @@
 //! Phase II of Algorithm 2: allocating clusters to hypercube processors,
-//! plus the end-to-end mapping entry points.
+//! plus the end-to-end mapping entry points and the [`Mapping`] every
+//! allocator returns.
 
 use crate::bisect::{form_clusters, ClusterFormation};
-use crate::hypercube::Hypercube;
 use crate::other_targets::partition_positions;
 use crate::Error;
+use loom_machine::Topology;
 use loom_partition::Partitioning;
 use loom_rational::Ratio;
 
-/// A placement of blocks onto hypercube processors.
+/// A placement of blocks onto the processors of a machine: Algorithm
+/// 2's on a hypercube, or an extension allocator's on a mesh or ring.
 #[derive(Clone, Debug)]
 pub struct Mapping {
-    cube: Hypercube,
+    cube: Topology,
     proc_of_block: Vec<usize>,
     formation: ClusterFormation,
 }
 
 impl Mapping {
+    /// Place every block of cluster `ci` on processor
+    /// `proc(&formation, ci)`.
+    pub(crate) fn place(
+        cube: Topology,
+        formation: ClusterFormation,
+        proc: impl Fn(&ClusterFormation, usize) -> usize,
+    ) -> Mapping {
+        let mut proc_of_block = vec![0usize; formation.clusters.iter().map(Vec::len).sum()];
+        for (ci, cluster) in formation.clusters.iter().enumerate() {
+            let p = proc(&formation, ci);
+            for &b in cluster {
+                proc_of_block[b] = p;
+            }
+        }
+        Mapping {
+            cube,
+            proc_of_block,
+            formation,
+        }
+    }
+
     /// The target machine.
-    pub fn cube(&self) -> Hypercube {
+    pub fn cube(&self) -> Topology {
         self.cube
+    }
+
+    /// Number of processors in the target machine.
+    pub fn num_procs(&self) -> usize {
+        self.cube.len()
     }
 
     /// Processor of block `b`.
@@ -39,7 +67,7 @@ impl Mapping {
 
     /// Blocks assigned to each processor, indexed by processor number.
     pub fn blocks_per_proc(&self) -> Vec<Vec<usize>> {
-        let mut out = vec![Vec::new(); self.cube.len()];
+        let mut out = vec![Vec::new(); self.num_procs()];
         for (b, &p) in self.proc_of_block.iter().enumerate() {
             out[p].push(b);
         }
@@ -53,18 +81,11 @@ impl Mapping {
 /// the same as that of the cluster").
 pub fn map_positions(positions: &[Vec<Ratio>], cube_dim: usize) -> Result<Mapping, Error> {
     let formation = form_clusters(positions, cube_dim)?;
-    let mut proc_of_block = vec![0usize; positions.len()];
-    for (ci, cluster) in formation.clusters.iter().enumerate() {
-        let proc = formation.addresses[ci] as usize;
-        for &b in cluster {
-            proc_of_block[b] = proc;
-        }
-    }
-    Ok(Mapping {
-        cube: Hypercube::new(cube_dim),
-        proc_of_block,
+    Ok(Mapping::place(
+        Topology::Hypercube(cube_dim),
         formation,
-    })
+        |f, ci| f.addresses[ci] as usize,
+    ))
 }
 
 /// Map a partitioning onto an `n`-cube using the grouping and auxiliary

@@ -33,6 +33,12 @@ pub struct ClusterFormation {
 /// Per the paper's assumption the number of blocks must be at least the
 /// number of processors; otherwise `Error::CubeTooLarge` is returned.
 pub fn form_clusters(positions: &[Vec<Ratio>], cube_dim: usize) -> Result<ClusterFormation, Error> {
+    // No block table fills a cube past the word size; refuse it before
+    // building a schedule that long.
+    if cube_dim >= usize::BITS as usize {
+        let blocks = positions.len();
+        return Err(Error::CubeTooLarge { blocks, cube_dim });
+    }
     let ndirs = positions.first().map_or(0, Vec::len);
     let schedule: Vec<usize> = (0..cube_dim).map(|j| j % ndirs.max(1)).collect();
     form_clusters_with_schedule(positions, &schedule)
@@ -58,7 +64,11 @@ pub fn form_clusters_with_schedule(
     {
         return Err(Error::BadPositions);
     }
-    if blocks < (1usize << cube_dim) {
+    // `2^cube_dim` clusters, `None` past the word size.
+    let clusters = u32::try_from(cube_dim)
+        .ok()
+        .and_then(|k| 1usize.checked_shl(k));
+    if clusters.is_none_or(|n| blocks < n) {
         return Err(Error::CubeTooLarge { blocks, cube_dim });
     }
 
@@ -233,6 +243,26 @@ mod tests {
             Error::CubeTooLarge {
                 blocks: 3,
                 cube_dim: 2
+            }
+        );
+    }
+
+    #[test]
+    fn cube_past_the_word_size_rejected() {
+        let pos: Vec<Vec<Ratio>> = (0..8).map(|i| vec![Ratio::int(i)]).collect();
+        assert_eq!(
+            form_clusters(&pos, 64).unwrap_err(),
+            Error::CubeTooLarge {
+                blocks: 8,
+                cube_dim: 64
+            }
+        );
+        let schedule = vec![0; 64];
+        assert_eq!(
+            form_clusters_with_schedule(&pos, &schedule).unwrap_err(),
+            Error::CubeTooLarge {
+                blocks: 8,
+                cube_dim: 64
             }
         );
     }

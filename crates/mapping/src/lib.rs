@@ -1,21 +1,23 @@
 //! Mapping partitioned blocks onto hypercube multiprocessors
-//! (Algorithm 2 of the paper), plus baseline mappings and quality
-//! metrics.
+//! (Algorithm 2 of the paper) and onto meshes and rings, plus baseline
+//! mappings and quality metrics. Every mapping is one [`Mapping`]: a
+//! block → processor table on a [`loom_machine::Topology`].
 //!
 //! * [`gray`] — reflected binary Gray codes,
-//! * [`hypercube`] — the binary n-cube topology,
 //! * [`bisect`] — Phase I cluster formation: recursive bisection of the
 //!   blocks along the grouping / auxiliary grouping directions,
 //! * [`allocate`] — Phase II cluster allocation: concatenated
 //!   per-direction Gray codes give each cluster the address of its
 //!   processor,
+//! * [`other_targets`] — the mesh and ring allocators,
 //! * [`baseline`] — naive (block-contiguous) and seeded-random mappings
 //!   for comparison,
 //! * [`metrics`] — remote traffic, dilation, and link-congestion metrics
-//!   for any mapping of a TIG onto a hypercube.
+//!   for any mapping of a TIG onto any topology.
 //!
 //! ```
-//! use loom_mapping::{map_positions, metrics, Hypercube};
+//! use loom_machine::Topology;
+//! use loom_mapping::{map_positions, metrics};
 //! use loom_partition::Tig;
 //! use loom_rational::Ratio;
 //!
@@ -24,25 +26,24 @@
 //!     .map(|v| vec![Ratio::int(v % 4), Ratio::int(v / 4)])
 //!     .collect();
 //! let m = map_positions(&positions, 3).unwrap();
-//! let q = metrics::evaluate(&Tig::mesh(4, 4), m.assignment(), Hypercube::new(3));
+//! let q = metrics::evaluate(&Tig::mesh(4, 4), m.assignment(), &Topology::Hypercube(3));
 //! assert!((q.mean_dilation() - 1.0).abs() < 1e-9); // nearest-neighbor
 //! ```
 
 #![deny(missing_docs)]
 
+use loom_machine::Topology;
+
 pub mod allocate;
 pub mod baseline;
 pub mod bisect;
 pub mod gray;
-pub mod hypercube;
 pub mod metrics;
 pub mod other_targets;
 
 pub use allocate::{map_partitioning, map_positions, Mapping};
 pub use bisect::{form_clusters, form_clusters_with_schedule, ClusterFormation};
-pub use hypercube::Hypercube;
 pub use metrics::MappingQuality;
-pub use other_targets::TargetMapping;
 
 /// Errors raised by the mapping phase.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,6 +57,9 @@ pub enum Error {
     },
     /// Position table is ragged or empty.
     BadPositions,
+    /// A mesh or ring whose extents are not all powers of two: the
+    /// allocators bisect, so every extent must be `2^k` with `k ≥ 0`.
+    NotPowerOfTwo(Topology),
 }
 
 impl std::fmt::Display for Error {
@@ -66,6 +70,10 @@ impl std::fmt::Display for Error {
                 "cannot split {blocks} blocks into 2^{cube_dim} non-empty clusters"
             ),
             Error::BadPositions => write!(f, "ragged or empty block-position table"),
+            Error::NotPowerOfTwo(topology) => write!(
+                f,
+                "cannot map onto {topology:?}: mesh and ring extents must be powers of two"
+            ),
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Quality metrics for a block→processor mapping of a TIG.
 
-use crate::hypercube::Hypercube;
+use loom_machine::Topology;
 use loom_partition::Tig;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -54,24 +54,12 @@ impl fmt::Display for MappingQuality {
     }
 }
 
-/// Evaluate a mapping of `tig` onto a hypercube given the
-/// block→processor assignment. Panics if the assignment length differs
-/// from the TIG size or names a processor outside the cube.
-pub fn evaluate(tig: &Tig, assignment: &[usize], cube: Hypercube) -> MappingQuality {
-    evaluate_on(
-        tig,
-        assignment,
-        &loom_machine::Topology::Hypercube(cube.dim()),
-    )
-}
-
-/// Evaluate a mapping of `tig` onto *any* machine topology (mesh, ring,
-/// hypercube) under that topology's deterministic shortest routing. Panics on a malformed assignment.
-pub fn evaluate_on(
-    tig: &Tig,
-    assignment: &[usize],
-    topo: &loom_machine::Topology,
-) -> MappingQuality {
+/// Evaluate a mapping of `tig` onto any machine topology (hypercube,
+/// mesh, ring) given the block→processor assignment, under that
+/// topology's deterministic shortest routing. Panics if the assignment
+/// length differs from the TIG size or names a processor outside the
+/// machine.
+pub fn evaluate(tig: &Tig, assignment: &[usize], topo: &Topology) -> MappingQuality {
     assert_eq!(assignment.len(), tig.len(), "assignment/TIG size mismatch");
     assert!(
         assignment.iter().all(|&p| p < topo.len()),
@@ -133,7 +121,7 @@ mod tests {
         let tig = Tig::mesh(2, 2);
         // All four blocks on processor 0 of a 0-cube… use 1-cube with all
         // on node 0 to exercise the cube checks.
-        let q = evaluate(&tig, &[0, 0, 0, 0], Hypercube::new(1));
+        let q = evaluate(&tig, &[0, 0, 0, 0], &Topology::Hypercube(1));
         assert_eq!(q.remote_traffic, 0);
         assert_eq!(q.weighted_dilation, 0);
         assert_eq!(q.max_link_congestion, 0);
@@ -146,10 +134,10 @@ mod tests {
         // The headline claim of Algorithm 2: Gray-coded recursive
         // bisection keeps neighboring blocks near each other.
         let tig = Tig::mesh(8, 8);
-        let cube = Hypercube::new(4);
+        let cube = Topology::Hypercube(4);
         let gray = map_positions(&mesh_positions(8, 8), 4).unwrap();
-        let q_gray = evaluate(&tig, gray.assignment(), cube);
-        let q_rand = evaluate(&tig, &baseline::random(64, 16, 7), cube);
+        let q_gray = evaluate(&tig, gray.assignment(), &cube);
+        let q_rand = evaluate(&tig, &baseline::random(64, 16, 7), &cube);
         assert!(
             q_gray.weighted_dilation < q_rand.weighted_dilation,
             "gray {} !< random {}",
@@ -164,9 +152,9 @@ mod tests {
     #[test]
     fn imbalance_detects_skew() {
         let tig = Tig::mesh(2, 2);
-        let q = evaluate(&tig, &[0, 0, 0, 1], Hypercube::new(1));
+        let q = evaluate(&tig, &[0, 0, 0, 1], &Topology::Hypercube(1));
         assert!(q.imbalance() > 1.0);
-        let balanced = evaluate(&tig, &[0, 0, 1, 1], Hypercube::new(1));
+        let balanced = evaluate(&tig, &[0, 0, 1, 1], &Topology::Hypercube(1));
         assert!((balanced.imbalance() - 1.0).abs() < 1e-9);
     }
 
@@ -176,24 +164,24 @@ mod tests {
         let tig = Tig::mesh(8, 8);
         let pos = mesh_positions(8, 8);
         let m = map_positions_mesh(&pos, 4, 4).unwrap();
-        let topo = loom_machine::Topology::Mesh { rows: 4, cols: 4 };
-        let q = evaluate_on(&tig, m.assignment(), &topo);
+        let topo = Topology::Mesh { rows: 4, cols: 4 };
+        let q = evaluate(&tig, m.assignment(), &topo);
         // Chunked grid placement: all remote edges one hop.
         assert!((q.mean_dilation() - 1.0).abs() < 1e-9);
         let rand = crate::baseline::random(64, 16, 3);
-        let qr = evaluate_on(&tig, &rand, &topo);
+        let qr = evaluate(&tig, &rand, &topo);
         assert!(q.weighted_dilation < qr.weighted_dilation);
     }
 
     #[test]
     #[should_panic(expected = "size mismatch")]
     fn size_mismatch_panics() {
-        evaluate(&Tig::mesh(2, 2), &[0, 0], Hypercube::new(1));
+        evaluate(&Tig::mesh(2, 2), &[0, 0], &Topology::Hypercube(1));
     }
 
     #[test]
     #[should_panic(expected = "outside the cube")]
     fn bad_processor_panics() {
-        evaluate(&Tig::mesh(2, 2), &[0, 0, 0, 9], Hypercube::new(1));
+        evaluate(&Tig::mesh(2, 2), &[0, 0, 0, 9], &Topology::Hypercube(1));
     }
 }

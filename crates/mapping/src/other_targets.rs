@@ -13,56 +13,26 @@
 //! * **ring** — order clusters along the first direction and place the
 //!   `k`-th cluster on node `k`; chain neighbors are ring neighbors.
 
-use crate::bisect::{form_clusters_with_schedule, ClusterFormation};
+use crate::allocate::Mapping;
+use crate::bisect::form_clusters_with_schedule;
 use crate::Error;
+use loom_machine::Topology;
 use loom_partition::Partitioning;
 use loom_rational::Ratio;
 
-/// A placement of blocks onto a `rows × cols` mesh (nodes numbered
-/// row-major) or a ring.
-#[derive(Clone, Debug)]
-pub struct TargetMapping {
-    num_procs: usize,
-    proc_of_block: Vec<usize>,
-    formation: ClusterFormation,
-}
-
-impl TargetMapping {
-    /// Number of processors in the target machine.
-    pub fn num_procs(&self) -> usize {
-        self.num_procs
-    }
-
-    /// Processor of block `b`.
-    pub fn proc_of(&self, b: usize) -> usize {
-        self.proc_of_block[b]
-    }
-
-    /// The full block → processor table.
-    pub fn assignment(&self) -> &[usize] {
-        &self.proc_of_block
-    }
-
-    /// The underlying cluster formation.
-    pub fn formation(&self) -> &ClusterFormation {
-        &self.formation
-    }
-}
-
-fn log2_exact(n: usize) -> Option<u32> {
-    (n.is_power_of_two()).then(|| n.trailing_zeros())
-}
-
 /// Map blocks (with bisection-direction coordinates) onto a
-/// `rows × cols` mesh. Both extents must be powers of two.
+/// `rows × cols` mesh, nodes numbered row-major. Both extents must be
+/// powers of two.
 pub fn map_positions_mesh(
     positions: &[Vec<Ratio>],
     rows: usize,
     cols: usize,
-) -> Result<TargetMapping, Error> {
-    let (Some(row_bits), Some(col_bits)) = (log2_exact(rows), log2_exact(cols)) else {
-        return Err(Error::BadPositions);
-    };
+) -> Result<Mapping, Error> {
+    let mesh = Topology::Mesh { rows, cols };
+    if !rows.is_power_of_two() || !cols.is_power_of_two() {
+        return Err(Error::NotPowerOfTwo(mesh));
+    }
+    let (row_bits, col_bits) = (rows.trailing_zeros(), cols.trailing_zeros());
     let ndirs = positions.first().map_or(0, Vec::len);
     if ndirs == 0 {
         return Err(Error::BadPositions);
@@ -85,65 +55,40 @@ pub fn map_positions_mesh(
         }
     }
     let formation = form_clusters_with_schedule(positions, &schedule)?;
-
-    let mut proc_of_block = vec![0usize; positions.len()];
-    if ndirs >= 2 {
-        // Chunk (x, y) → node (row = y, col = x): mesh-adjacent chunks
-        // land on mesh-adjacent nodes by construction.
-        for (ci, cluster) in formation.clusters.iter().enumerate() {
-            let x = formation.coords[ci][0] as usize;
-            let y = formation.coords[ci][1] as usize;
-            let proc = y * cols + x;
-            for &b in cluster {
-                proc_of_block[b] = proc;
-            }
-        }
-    } else {
-        // One direction: clusters form a chain ordered by their single
-        // coordinate; snake it through the mesh so consecutive chain
-        // clusters are mesh neighbors.
-        let mut order: Vec<usize> = (0..formation.clusters.len()).collect();
-        order.sort_by_key(|&ci| formation.coords[ci][0]);
-        for (k, &ci) in order.iter().enumerate() {
+    Ok(Mapping::place(mesh, formation, |f, ci| {
+        let coords = &f.coords[ci];
+        if ndirs >= 2 {
+            // Chunk (x, y) → node (row = y, col = x): mesh-adjacent
+            // chunks land on mesh-adjacent nodes by construction.
+            coords[1] as usize * cols + coords[0] as usize
+        } else {
+            // One direction: the `k`-th cluster along the chain snakes
+            // through the mesh, so consecutive chain clusters are mesh
+            // neighbors.
+            let k = coords[0] as usize;
             let r = k / cols;
             let c = if r.is_multiple_of(2) {
                 k % cols
             } else {
                 cols - 1 - (k % cols)
             };
-            let proc = r * cols + c;
-            for &b in &formation.clusters[ci] {
-                proc_of_block[b] = proc;
-            }
+            r * cols + c
         }
-    }
-    Ok(TargetMapping {
-        num_procs: rows * cols,
-        proc_of_block,
-        formation,
-    })
+    }))
 }
 
 /// Map blocks onto a ring of `len` nodes (`len` a power of two): the
 /// `k`-th cluster along direction 0 goes to node `k`.
-pub fn map_positions_ring(positions: &[Vec<Ratio>], len: usize) -> Result<TargetMapping, Error> {
-    let Some(bits) = log2_exact(len) else {
-        return Err(Error::BadPositions);
-    };
-    let schedule = vec![0usize; bits as usize];
-    let formation = form_clusters_with_schedule(positions, &schedule)?;
-    let mut proc_of_block = vec![0usize; positions.len()];
-    for (ci, cluster) in formation.clusters.iter().enumerate() {
-        let proc = formation.coords[ci][0] as usize;
-        for &b in cluster {
-            proc_of_block[b] = proc;
-        }
+pub fn map_positions_ring(positions: &[Vec<Ratio>], len: usize) -> Result<Mapping, Error> {
+    let ring = Topology::Ring(len);
+    if !len.is_power_of_two() {
+        return Err(Error::NotPowerOfTwo(ring));
     }
-    Ok(TargetMapping {
-        num_procs: len,
-        proc_of_block,
-        formation,
-    })
+    let schedule = vec![0usize; len.trailing_zeros() as usize];
+    let formation = form_clusters_with_schedule(positions, &schedule)?;
+    Ok(Mapping::place(ring, formation, |f, ci| {
+        f.coords[ci][0] as usize
+    }))
 }
 
 /// Block coordinates of a partitioning along its grouping / auxiliary
@@ -193,7 +138,7 @@ mod tests {
         let pos = grid_positions(8, 8);
         let m = map_positions_mesh(&pos, 4, 4).unwrap();
         assert_eq!(m.num_procs(), 16);
-        let mesh = loom_machine::Topology::Mesh { rows: 4, cols: 4 };
+        let mesh = Topology::Mesh { rows: 4, cols: 4 };
         for r in 0..8usize {
             for c in 0..8usize {
                 let b = r * 8 + c;
@@ -213,7 +158,7 @@ mod tests {
     fn chain_onto_mesh_snakes() {
         let pos = chain_positions(32);
         let m = map_positions_mesh(&pos, 4, 4).unwrap();
-        let mesh = loom_machine::Topology::Mesh { rows: 4, cols: 4 };
+        let mesh = Topology::Mesh { rows: 4, cols: 4 };
         // Consecutive chain blocks: same or adjacent node.
         for b in 0..31 {
             let d = mesh.distance(m.proc_of(b), m.proc_of(b + 1));
@@ -226,7 +171,7 @@ mod tests {
         let pos = chain_positions(16);
         let m = map_positions_ring(&pos, 8).unwrap();
         assert_eq!(m.num_procs(), 8);
-        let ring = loom_machine::Topology::Ring(8);
+        let ring = Topology::Ring(8);
         for b in 0..15 {
             let d = ring.distance(m.proc_of(b), m.proc_of(b + 1));
             assert!(d <= 1, "chain {}..{} at distance {d}", b, b + 1);
@@ -260,13 +205,16 @@ mod tests {
     #[test]
     fn non_power_of_two_rejected() {
         let pos = chain_positions(16);
-        assert_eq!(
-            map_positions_mesh(&pos, 3, 4).unwrap_err(),
-            Error::BadPositions
-        );
-        assert_eq!(
-            map_positions_ring(&pos, 6).unwrap_err(),
-            Error::BadPositions
-        );
+        for (result, shape) in [
+            (map_positions_mesh(&pos, 3, 2), "Mesh { rows: 3, cols: 2 }"),
+            (map_positions_mesh(&pos, 0, 4), "Mesh { rows: 0, cols: 4 }"),
+            (map_positions_ring(&pos, 6), "Ring(6)"),
+            (map_positions_ring(&pos, 0), "Ring(0)"),
+        ] {
+            assert_eq!(
+                result.unwrap_err().to_string(),
+                format!("cannot map onto {shape}: mesh and ring extents must be powers of two")
+            );
+        }
     }
 }

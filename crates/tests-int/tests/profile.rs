@@ -35,7 +35,7 @@ fn profile_workload(
         let program = stage.program(&placement);
         let sim_cfg = SimConfig {
             params,
-            topology: target.topology(),
+            topology: target,
             batch_messages: false,
             link_contention,
             record_trace: true,

@@ -15,9 +15,10 @@ fn main() {
     let w = loom_workloads::l1::workload(4);
     println!("{}", w.nest);
 
+    let cube_dim = 1; // map onto a 2-processor hypercube
     let out = Pipeline::new(w.nest.clone())
         .run(&PipelineConfig {
-            cube_dim: 1, // map onto a 2-processor hypercube
+            cube_dim,
             ..Default::default()
         })
         .expect("L1 is uniform and the pipeline handles it");
@@ -52,15 +53,9 @@ fn main() {
     );
     println!();
 
-    println!(
-        "Algorithm 2: block -> processor map on a {}-cube:",
-        out.mapping.cube().dim()
-    );
+    println!("Algorithm 2: block -> processor map on a {cube_dim}-cube:");
     for (b, &proc) in out.mapping.assignment().iter().enumerate() {
-        println!(
-            "  B{b} -> P{proc:0width$b}",
-            width = out.mapping.cube().dim().max(1)
-        );
+        println!("  B{b} -> P{proc:0width$b}", width = cube_dim.max(1));
     }
     println!();
 

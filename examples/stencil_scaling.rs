@@ -11,7 +11,7 @@
 use loom_core::report::Table;
 use loom_hyperplane::TimeFn;
 use loom_machine::{simulate, MachineParams, Program, SimConfig};
-use loom_mapping::{baseline, map_partitioning, metrics, Hypercube};
+use loom_mapping::{baseline, map_partitioning, metrics};
 use loom_partition::{partition, PartitionConfig, Tig};
 
 fn main() {
@@ -48,15 +48,15 @@ fn main() {
         if (1 << cube_dim) > p.num_blocks() {
             break;
         }
-        let cube = Hypercube::new(cube_dim);
         let gray = map_partitioning(&p, cube_dim).expect("mapping fits");
+        let cube = gray.cube();
         let candidates: Vec<(&str, Vec<usize>)> = vec![
             ("gray (Alg. 2)", gray.assignment().to_vec()),
             ("naive", baseline::naive(p.num_blocks(), cube.len())),
             ("random", baseline::random(p.num_blocks(), cube.len(), 1991)),
         ];
         for (name, assignment) in candidates {
-            let q = metrics::evaluate(&tig, &assignment, cube);
+            let q = metrics::evaluate(&tig, &assignment, &cube);
             let program = Program::from_partitioning(&p, &assignment, cube.len(), flops);
             let sim = simulate(&program, &SimConfig::paper_hypercube(cube_dim, params))
                 .expect("simulation completes");
