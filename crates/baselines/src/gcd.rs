@@ -26,7 +26,7 @@ pub fn partition(cs: &ComputationalStructure) -> BaselineResult {
     let mut classes: BTreeMap<Vec<i64>, usize> = BTreeMap::new();
     let mut blocks: Vec<Vec<usize>> = Vec::new();
     let mut block_of = vec![0usize; cs.len()];
-    for (id, p) in cs.points().iter().enumerate() {
+    for (id, p) in cs.point_table().iter().enumerate() {
         let label: Vec<i64> = p
             .iter()
             .zip(&gcds)

@@ -23,7 +23,7 @@ pub fn partition(cs: &ComputationalStructure, dim: usize, width: i64) -> Baselin
     let mut classes: BTreeMap<i64, usize> = BTreeMap::new();
     let mut blocks: Vec<Vec<usize>> = Vec::new();
     let mut block_of = vec![0usize; cs.len()];
-    for (id, p) in cs.points().iter().enumerate() {
+    for (id, p) in cs.point_table().iter().enumerate() {
         let strip = p[dim].div_euclid(width);
         let bid = *classes.entry(strip).or_insert_with(|| {
             blocks.push(Vec::new());
@@ -54,7 +54,7 @@ pub fn schedule_stretch(
     for block in &result.blocks {
         let mut per_step: BTreeMap<i64, usize> = BTreeMap::new();
         for &id in block {
-            *per_step.entry(pi.time_of(&cs.points()[id])).or_insert(0) += 1;
+            *per_step.entry(pi.time_of(cs.point(id))).or_insert(0) += 1;
         }
         worst = worst.max(per_step.values().copied().max().unwrap_or(0));
     }

@@ -1,6 +1,7 @@
 //! Bench: Algorithm 1 (projection + grouping + blocks) across workload
 //! sizes — the partitioner is compile-time machinery, so its own cost
-//! matters to a parallelizing compiler — the layers that read its
+//! matters to a parallelizing compiler — the builds of `Q` and `Q^p`
+//! it starts from, the layers that read its
 //! dependence arcs (the simulator's program and the TIG), and two fixed
 //! costs of an explore sweep: partitioning every (Π, grouping) pair
 //! from scratch or over one shared `Q` and one projection per Π, and
@@ -61,6 +62,20 @@ fn main() {
             .num_blocks()
         });
     }
+    // Algorithm 1's two structures alone at 65,536 points: `Q` (the flat
+    // `V` and both arc rows) and its projection `Q^p`.
+    let w = loom_workloads::matvec::workload(256);
+    let deps = w.verified_deps();
+    bench.run("structure/matvec/256", || {
+        ComputationalStructure::new(w.nest.space().clone(), deps.clone())
+            .unwrap()
+            .num_arcs()
+    });
+    let cs = ComputationalStructure::new(w.nest.space().clone(), deps).unwrap();
+    let pi = TimeFn::new(w.pi.clone());
+    bench.run("projection/matvec/256", || {
+        ProjectedStructure::project(&cs, &pi).len()
+    });
     for m in [16i64, 32, 64] {
         let w = loom_workloads::matvec::workload(m);
         let p = partition(

@@ -133,7 +133,7 @@ fn main() {
                 assignment: mapping.assignment(),
                 cube_dim,
             };
-            let points = p.structure().points().len();
+            let points = p.structure().len();
             let lines = p.projected().len();
             let (enum_us, enum_clean) = time_mode(&input, CheckMode::Enumerative, reps);
             let (sym_us, sym_clean) = time_mode(&input, CheckMode::Symbolic, reps);

@@ -22,7 +22,7 @@ fn main() {
         let members: Vec<String> = qp
             .line_members(pid)
             .iter()
-            .map(|&id| format!("{:?}", p.structure().points()[id]))
+            .map(|&id| format!("{:?}", p.structure().point(id)))
             .collect();
         t.row([
             qp.points()[pid].to_string(),

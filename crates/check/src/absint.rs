@@ -97,20 +97,9 @@ fn certified(space: &IterSpace, f: &Aff, bound: Itv) -> bool {
     below.solve() == Verdict::Unsat
 }
 
-/// The exact hull by walking the space (concrete fallback).
+/// The exact hull by walking the space's rows (concrete fallback).
 fn enumerated_hull(space: &IterSpace, f: &Aff) -> Option<Itv> {
-    let mut out: Option<Itv> = None;
-    for p in space.points() {
-        let v = f.eval(&p);
-        out = Some(match out {
-            None => Itv { lo: v, hi: v },
-            Some(itv) => Itv {
-                lo: itv.lo.min(v),
-                hi: itv.hi.max(v),
-            },
-        });
-    }
-    out
+    space.range_of(f).map(|(lo, hi)| Itv { lo, hi })
 }
 
 fn ints(p: &[i64]) -> String {
@@ -252,7 +241,7 @@ pub fn check_block_bounds(
         };
         for p in 0..n_procs {
             for id in prog.computes_of(p) {
-                let point = &prog.points[id as usize];
+                let point = prog.points.point(id as usize);
                 let v = f.eval(point);
                 if !bound.contains(v) {
                     out.push(Diagnostic::error(
@@ -283,7 +272,8 @@ mod tests {
 
     use loom_hyperplane::TimeFn;
     use loom_mapping::map_partitioning;
-    use loom_partition::{partition, PartitionConfig};
+    use loom_partition::{partition, PartitionConfig, PointTable};
+    use std::sync::Arc;
 
     fn sample() -> (LoopNest, Codegen) {
         let w = loom_workloads::l1::workload(4);
@@ -335,7 +325,12 @@ mod tests {
     #[test]
     fn out_of_space_table_entry_is_an_error() {
         let (nest, mut cg) = sample();
-        cg.program.points[0] = vec![999, 999];
+        let table = &cg.program.points;
+        let coords = [999, 999]
+            .into_iter()
+            .chain(table.iter().skip(1).flatten().copied())
+            .collect();
+        cg.program.points = Arc::new(PointTable::new(table.dim(), coords));
         let mut stats = AbsintStats::default();
         let diags = check_block_bounds(&nest, &cg, &mut stats);
         assert!(!diags.is_empty());

@@ -48,15 +48,22 @@ fn proc_check(out: &mut Vec<Diagnostic>, index: usize, proc: usize, n: usize) ->
 
 /// Validate `plan` against the `topology` it will be injected into.
 ///
-/// Errors: message-noise rates above 1000‰, events naming processors
-/// outside the machine, `LinkDown` events naming non-physical links,
-/// empty or inverted transient windows, zero slowdown factors, and
-/// plans that do not re-serialize to themselves. Warnings: noise with
-/// retries disabled (a single drop then aborts the run), and no-op
-/// slowdown factors of 1.
+/// Errors: a machine with more processors than `usize` counts (no plan
+/// is checked against it), message-noise rates above 1000‰, events
+/// naming processors outside the machine, `LinkDown` events naming
+/// non-physical links, empty or inverted transient windows, zero
+/// slowdown factors, and plans that do not re-serialize to themselves.
+/// Warnings: noise with retries disabled (a single drop then aborts
+/// the run), and no-op slowdown factors of 1.
 pub fn check_fault_plan(plan: &FaultPlan, topology: &Topology) -> Vec<Diagnostic> {
+    let Some(n) = topology.checked_len() else {
+        return vec![Diagnostic::error(
+            RuleId::FaultPlan,
+            Span::Nest,
+            format!("{topology:?} has more processors than a machine word counts"),
+        )];
+    };
     let mut out = Vec::new();
-    let n = topology.len();
     rate_check(&mut out, "drop", plan.drop_per_mille);
     rate_check(&mut out, "corrupt", plan.corrupt_per_mille);
     rate_check(&mut out, "delay", plan.delay_per_mille);
@@ -139,6 +146,22 @@ mod tests {
     #[test]
     fn empty_plan_is_clean() {
         assert!(check_fault_plan(&FaultPlan::none(), &cube()).is_empty());
+    }
+
+    #[test]
+    fn machines_past_the_word_are_refused() {
+        for topology in [
+            Topology::Hypercube(64),
+            Topology::Mesh {
+                rows: 1 << 32,
+                cols: 1 << 32,
+            },
+        ] {
+            let ds = check_fault_plan(&FaultPlan::none(), &topology);
+            assert_eq!(ds.len(), 1, "{topology:?}");
+            assert_eq!(ds[0].severity, Severity::Error);
+            assert!(ds[0].message.contains("more processors"), "{:?}", ds[0]);
+        }
     }
 
     #[test]

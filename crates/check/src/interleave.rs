@@ -843,6 +843,8 @@ pub fn check_interleavings(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use loom_partition::PointTable;
+    use std::sync::Arc;
 
     fn tag(src: u32, dep: u16) -> Tag {
         Tag {
@@ -855,7 +857,7 @@ mod tests {
     /// unique tags.
     fn two_pairs() -> SpmdProgram {
         SpmdProgram {
-            points: vec![vec![0], vec![1], vec![2], vec![3]],
+            points: Arc::new(PointTable::new(1, vec![0, 1, 2, 3])),
             per_proc: vec![
                 vec![
                     Op::Compute { point: 0 },
@@ -930,7 +932,7 @@ mod tests {
         // must notice the race and explore > 1 class.
         let t = tag(0, 0);
         let prog = SpmdProgram {
-            points: vec![vec![0], vec![1]],
+            points: Arc::new(PointTable::new(1, vec![0, 1])),
             per_proc: vec![
                 vec![
                     Op::Compute { point: 0 },
@@ -961,7 +963,7 @@ mod tests {
         // starves (the slot was overwritten).
         let t = tag(0, 0);
         let prog = SpmdProgram {
-            points: vec![vec![0], vec![1]],
+            points: Arc::new(PointTable::new(1, vec![0, 1])),
             per_proc: vec![
                 vec![Op::Send { to: 1, tag: t }, Op::Send { to: 1, tag: t }],
                 vec![Op::Recv { from: 0, tag: t }, Op::Recv { from: 0, tag: t }],

@@ -9,7 +9,7 @@ use loom_partition::Partitioning;
 /// (`LC002`, against the partitioning's own Π), then Theorem 2 with
 /// Lemmas 2 and 3 (`LC003`). An empty result means every law holds.
 pub fn check_laws(p: &Partitioning) -> Vec<Diagnostic> {
-    let mut out = check_lemma1(p.time_fn(), p.structure().points(), p.blocks());
+    let mut out = check_lemma1(p.time_fn(), p.structure().point_table(), p.blocks());
     out.extend(check_theorem2(p));
     out
 }

@@ -10,7 +10,7 @@
 
 use crate::diag::{Diagnostic, RuleId, Span};
 use loom_hyperplane::TimeFn;
-use loom_loopir::Point;
+use loom_partition::PointTable;
 use loom_rational::{QVec, Ratio};
 use std::collections::BTreeMap;
 
@@ -20,13 +20,13 @@ use std::collections::BTreeMap;
 /// block, in the shape [`loom_partition::Partitioning::blocks`]
 /// produces — taking the raw slices lets tests hand in deliberately
 /// merged blocks without rebuilding a `Partitioning`.
-pub fn check_lemma1(pi: &TimeFn, points: &[Point], blocks: &[Vec<usize>]) -> Vec<Diagnostic> {
+pub fn check_lemma1(pi: &TimeFn, points: &PointTable, blocks: &[Vec<usize>]) -> Vec<Diagnostic> {
     let piq = pi.as_qvec();
     let mut out = Vec::new();
     for (b, block) in blocks.iter().enumerate() {
         let mut first_at: BTreeMap<Ratio, usize> = BTreeMap::new();
         for &id in block {
-            let point = &points[id];
+            let point = points.point(id);
             if point.len() != pi.dim() {
                 // LC001 reports dimension mismatches; a time is
                 // undefined here, so skip rather than double-report.
@@ -37,8 +37,8 @@ pub fn check_lemma1(pi: &TimeFn, points: &[Point], blocks: &[Vec<usize>]) -> Vec
                 Some(&first) => out.push(Diagnostic::error(
                     RuleId::BlockSharedStep,
                     Span::PointPair {
-                        a: points[first].clone(),
-                        b: point.clone(),
+                        a: points.point(first).to_vec(),
+                        b: point.to_vec(),
                     },
                     format!(
                         "both iterations of block B{b} execute at step {t}; \
@@ -58,14 +58,14 @@ pub fn check_lemma1(pi: &TimeFn, points: &[Point], blocks: &[Vec<usize>]) -> Vec
 mod tests {
     use super::*;
 
-    fn grid4() -> Vec<Point> {
-        let mut pts = Vec::new();
+    fn grid4() -> PointTable {
+        let mut coords = Vec::new();
         for i in 0..4 {
             for j in 0..4 {
-                pts.push(vec![i, j]);
+                coords.extend([i, j]);
             }
         }
-        pts
+        PointTable::new(2, coords)
     }
 
     #[test]

@@ -127,7 +127,7 @@ pub fn check_races(nest: &LoopNest, program: &SpmdProgram) -> Vec<Diagnostic> {
     type AccessList = Vec<(usize, bool)>;
     let mut accesses: BTreeMap<(&str, Vec<i64>), AccessList> = BTreeMap::new();
     for (ei, ev) in computes.iter().enumerate() {
-        let point = &points[ev.point as usize];
+        let point = points.point(ev.point as usize);
         for stmt in nest.stmts() {
             let w = stmt.write();
             accesses
@@ -168,10 +168,10 @@ pub fn check_races(nest: &LoopNest, program: &SpmdProgram) -> Vec<Diagnostic> {
                         "{} at iteration {} on P{} and {} at iteration {} on P{} \
                          are concurrent: no synchronization orders them",
                         if wa { "write" } else { "read" },
-                        fmt_point(&points[ea.point as usize]),
+                        fmt_point(points.point(ea.point as usize)),
                         ea.proc,
                         if wb { "write" } else { "read" },
-                        fmt_point(&points[eb.point as usize]),
+                        fmt_point(points.point(eb.point as usize)),
                         eb.proc,
                     ),
                 ));

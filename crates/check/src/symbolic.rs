@@ -255,15 +255,15 @@ fn enumerate_line_pair(p: &Partitioning, gid: usize, a: usize, b: usize) -> Vec<
     let steps_a: BTreeMap<Ratio, usize> = qp
         .line_members(a)
         .iter()
-        .map(|&id| (QVec::from_ints(&cs.points()[id]).dot(&piq), id))
+        .map(|&id| (QVec::from_ints(cs.point(id)).dot(&piq), id))
         .collect();
     for &id in qp.line_members(b) {
-        let t = QVec::from_ints(&cs.points()[id]).dot(&piq);
+        let t = QVec::from_ints(cs.point(id)).dot(&piq);
         if let Some(&first) = steps_a.get(&t) {
             out.push(shared_step(
                 gid,
-                cs.points()[first].clone(),
-                cs.points()[id].clone(),
+                cs.point(first).to_vec(),
+                cs.point(id).to_vec(),
                 t,
             ));
         }
@@ -653,8 +653,8 @@ fn derive_traffic(p: &Partitioning) -> BlockTraffic {
     let lines: Vec<LineSteps> = (0..qp.len())
         .map(|pid| {
             let members = qp.line_members(pid);
-            let first = pi.time_of(&cs.points()[members[0]]);
-            let last = pi.time_of(&cs.points()[members[members.len() - 1]]);
+            let first = pi.time_of(cs.point(members[0]));
+            let last = pi.time_of(cs.point(members[members.len() - 1]));
             let len = members.len() as i64;
             if last - first == stride * (len - 1) {
                 LineSteps::Ap { first, len }
@@ -662,10 +662,8 @@ fn derive_traffic(p: &Partitioning) -> BlockTraffic {
                 // Convexity of affine-bound spaces makes this
                 // unreachable; fall back to the exact list anyway.
                 fallbacks += 1;
-                let mut steps: Vec<i64> = members
-                    .iter()
-                    .map(|&id| pi.time_of(&cs.points()[id]))
-                    .collect();
+                let mut steps: Vec<i64> =
+                    members.iter().map(|&id| pi.time_of(cs.point(id))).collect();
                 steps.sort_unstable();
                 LineSteps::Explicit(steps)
             }
@@ -874,7 +872,7 @@ mod tests {
             .iter()
             .flat_map(|&pid| p.projected().line_members(pid).iter().copied())
             .collect();
-        let oracle = crate::check_lemma1(p.time_fn(), p.structure().points(), &[merged_block]);
+        let oracle = crate::check_lemma1(p.time_fn(), p.structure().point_table(), &[merged_block]);
         assert!(!oracle.is_empty());
     }
 

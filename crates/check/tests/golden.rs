@@ -113,7 +113,7 @@ fn golden_lc002_block_shared_step() {
     blocks[0].extend(moved);
     let report = Report::from_diagnostics(check_lemma1(
         &TimeFn::new(w.pi.clone()),
-        p.structure().points(),
+        p.structure().point_table(),
         &blocks,
     ));
     snapshot(

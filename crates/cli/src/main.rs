@@ -478,12 +478,14 @@ fn cmd_workloads() {
 }
 
 fn cmd_partition(a: &Args) -> Result<(), CliError> {
-    // Partitioning is machine-independent; default to the 1-processor
-    // cube so a small block count never fails the mapping stage.
-    let mut a = a.clone();
-    a.flags.entry("cube".into()).or_insert_with(|| "0".into());
-    let input = resolve(&a, &Recorder::disabled())?;
-    let (stage, ..) = input.stage(&config(&a, &input.pi)?, &Recorder::disabled())?;
+    // Partitioning is machine-independent: the stage stops before
+    // Algorithm 2, so no machine flag can fail it.
+    let input = resolve(a, &Recorder::disabled())?;
+    let stage = input.pipeline.stage_partition_with_deps(
+        &config(a, &input.pi)?,
+        &Recorder::disabled(),
+        input.deps.clone(),
+    )?;
     let nest = input.pipeline.nest();
     println!("{nest}");
     println!("D = {:?}", stage.deps);
@@ -507,7 +509,7 @@ fn cmd_partition(a: &Args) -> Result<(), CliError> {
         for (b, block) in p.blocks().iter().enumerate() {
             let pts: Vec<String> = block
                 .iter()
-                .map(|&id| format!("{:?}", p.structure().points()[id]))
+                .map(|&id| format!("{:?}", p.structure().point(id)))
                 .collect();
             println!("  B{b}: {}", pts.join(" "));
         }

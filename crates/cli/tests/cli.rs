@@ -657,8 +657,19 @@ fn check_and_explore_refuse_mesh_and_ring() {
 
 #[test]
 fn shapes_that_do_not_fit_fail_cleanly() {
+    let faults = format!("{}/../../samples/faults.json", env!("CARGO_MANIFEST_DIR"));
+    let huge_mesh = "4294967296x4294967296";
     for (flags, msg) in [
         (&["--cube", "64"][..], "cannot split 4 blocks into 2^64"),
+        (
+            &["--cube", "64", "--fault-plan", &faults],
+            "Hypercube(64) has more processors than a machine word counts",
+        ),
+        (&["--mesh", huge_mesh], "cannot split 4 blocks into 2^64"),
+        (
+            &["--mesh", huge_mesh, "--fault-plan", &faults],
+            "Mesh { rows: 4294967296, cols: 4294967296 } has more processors",
+        ),
         (
             &["--ring", "6"],
             "cannot map onto Ring(6): mesh and ring extents must be powers of two",
@@ -676,5 +687,26 @@ fn shapes_that_do_not_fit_fail_cleanly() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{flags:?}: {err}");
         assert!(err.contains(msg), "{flags:?}: {err}");
+        assert!(!err.contains("panicked"), "{flags:?}: {err}");
+    }
+}
+
+/// Partitioning does not depend on the machine: `partition` prints its
+/// blocks for a machine the blocks could not fill.
+#[test]
+fn partition_ignores_the_machine() {
+    for target in [["--ring", "8"], ["--cube", "5"]] {
+        let args = [
+            &["partition", "--workload", "l1", "--size", "4", "--blocks"][..],
+            &target,
+        ]
+        .concat();
+        let (out, err, ok) = loom(&args);
+        assert!(ok, "{target:?}: {err}");
+        let blocks = out.lines().filter(|l| l.starts_with("  B")).count();
+        assert_eq!(blocks, 4, "{target:?}: {out}");
+        assert!(out.contains("4 blocks"), "{out}");
+        let (plain, _, _) = loom(&args[..args.len() - 2]);
+        assert_eq!(out, plain, "{target:?}");
     }
 }

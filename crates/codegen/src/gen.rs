@@ -214,7 +214,7 @@ pub fn generate(
 
     Ok(Codegen {
         program: SpmdProgram {
-            points: cs.points().to_vec(),
+            points: cs.point_table().clone(),
             per_proc,
         },
         payload_specs,

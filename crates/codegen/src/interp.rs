@@ -106,10 +106,10 @@ pub(crate) struct Ctx<'a> {
 
 impl<'a> Ctx<'a> {
     fn point(&self, id: u32) -> Result<&'a [i64], RunError> {
-        let points = &self.cg.program.points;
-        points
+        self.cg
+            .program
+            .points
             .get(id as usize)
-            .map(Vec::as_slice)
             .filter(|pt| self.layout.covers(pt))
             .ok_or(RunError::BadPoint { id })
     }

@@ -1,6 +1,7 @@
 //! The SPMD operation set and program container.
 
-use loom_loopir::Point;
+use loom_partition::PointTable;
+use std::sync::Arc;
 
 /// A message tag: the producing iteration and the dependence index it
 /// satisfies. Tags make receives order-independent across channels, so
@@ -69,8 +70,9 @@ impl Op {
 /// iteration table.
 #[derive(Clone, Debug)]
 pub struct SpmdProgram {
-    /// The enumerated iteration points (ids index into this).
-    pub points: Vec<Point>,
+    /// The enumerated iteration points (ids index into this), shared
+    /// with the computational structure the program was generated from.
+    pub points: Arc<PointTable>,
     /// Per-processor operation lists, in program order.
     pub per_proc: Vec<Vec<Op>>,
 }
@@ -192,7 +194,7 @@ mod tests {
             dep: 1,
         };
         let prog = SpmdProgram {
-            points: vec![vec![0], vec![1]],
+            points: Arc::new(PointTable::new(1, vec![0, 1])),
             per_proc: vec![
                 vec![Op::Compute { point: 0 }, Op::Send { to: 1, tag: t }],
                 vec![Op::Recv { from: 0, tag: t }, Op::Compute { point: 1 }],
@@ -218,7 +220,7 @@ mod tests {
         assert_eq!(comp.mailbox_key(0), None);
         assert_eq!(send.kind(), "send");
         let mut prog = SpmdProgram {
-            points: vec![vec![0], vec![1]],
+            points: Arc::new(PointTable::new(1, vec![0, 1])),
             per_proc: vec![
                 vec![comp.clone(), send.clone()],
                 vec![recv, Op::Compute { point: 1 }],
@@ -237,7 +239,7 @@ mod tests {
             dep: 0,
         };
         let prog = SpmdProgram {
-            points: vec![vec![0]],
+            points: Arc::new(PointTable::new(1, vec![0])),
             per_proc: vec![vec![Op::Send { to: 1, tag: t }], vec![]],
         };
         assert_eq!(prog.unmatched_messages(), vec![t]);

@@ -10,14 +10,14 @@ pub fn render_proc(nest: &LoopNest, cg: &Codegen, proc: usize) -> String {
     for op in &cg.program.per_proc[proc] {
         match op {
             Op::Recv { from, tag } => {
-                let src = &cg.program.points[tag.src_point as usize];
+                let src = cg.program.points.point(tag.src_point as usize);
                 out.push_str(&format!(
                     "  recv    <- P{from}   (dep {} of {:?})\n",
                     tag.dep, src
                 ));
             }
             Op::Compute { point } => {
-                let p = &cg.program.points[*point as usize];
+                let p = cg.program.points.point(*point as usize);
                 out.push_str(&format!("  compute {:?}", p));
                 for stmt in nest.stmts() {
                     out.push_str(&format!(
@@ -29,7 +29,7 @@ pub fn render_proc(nest: &LoopNest, cg: &Codegen, proc: usize) -> String {
                 out.push('\n');
             }
             Op::Send { to, tag } => {
-                let src = &cg.program.points[tag.src_point as usize];
+                let src = cg.program.points.point(tag.src_point as usize);
                 out.push_str(&format!(
                     "  send    -> P{to}   (dep {} of {:?})\n",
                     tag.dep, src

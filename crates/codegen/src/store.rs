@@ -26,7 +26,8 @@
 
 use loom_exec::Memory;
 use loom_loopir::sem::Expr;
-use loom_loopir::{Access, LoopNest, Point};
+use loom_loopir::{Access, LoopNest};
+use loom_partition::PointTable;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -438,7 +439,7 @@ impl<'a> Array<'a> {
         accs: &[&Access],
         written: bool,
         bbox: &[(i64, i64)],
-        points: &[Point],
+        points: &PointTable,
     ) -> Array<'a> {
         if let Some((lo, extents, volume)) = subscript_box(rank, accs, bbox) {
             let touch = (points.len() as u64).saturating_mul(accs.len() as u64);

@@ -1,7 +1,7 @@
 //! The linear time transformation Π.
 
 use crate::Error;
-use loom_loopir::{IterSpace, Point};
+use loom_loopir::{Aff, IterSpace, Point};
 use loom_rational::QVec;
 use std::fmt;
 
@@ -84,7 +84,7 @@ impl TimeFn {
     /// (constant-bound) spaces use a closed form — the extremes of a
     /// linear `Π·x` over a box decompose per dimension — so sizes whose
     /// lattice could never be walked still sort in O(dim). Coupled
-    /// bounds fall back to exact enumeration.
+    /// bounds walk the space's rows ([`IterSpace::range_of`]).
     pub fn step_range(&self, space: &IterSpace) -> Option<(i64, i64)> {
         if space.dim() == self.dim()
             && space.dim() > 0
@@ -104,15 +104,7 @@ impl TimeFn {
             }
             return Some((lo_sum, hi_sum));
         }
-        let mut range: Option<(i64, i64)> = None;
-        for p in space.points() {
-            let t = self.time_of(&p);
-            range = Some(match range {
-                None => (t, t),
-                Some((lo, hi)) => (lo.min(t), hi.max(t)),
-            });
-        }
-        range
+        space.range_of(&Aff::new(self.coeffs.clone(), 0))
     }
 
     /// Number of distinct execution steps (`max − min + 1`) over a space;

@@ -162,6 +162,40 @@ impl IterSpace {
         });
     }
 
+    /// The smallest and largest value of an affine function over the
+    /// space, or `None` for an empty space: exactly the extremes over
+    /// every point, found at the two ends of each innermost row, where a
+    /// linear function along the row takes them. Only the outer `n−1`
+    /// loops are walked, and nothing is allocated per point.
+    ///
+    /// Panics if `f` is not over the space's `n` indices.
+    ///
+    /// ```
+    /// use loom_loopir::{aff::Aff, IterSpace};
+    /// // The triangle 0 ≤ j ≤ i ≤ 3.
+    /// let n = 2;
+    /// let s = IterSpace::new(
+    ///     vec![Aff::constant(n, 0), Aff::constant(n, 0)],
+    ///     vec![Aff::constant(n, 3), Aff::var(n, 0)],
+    /// )
+    /// .unwrap();
+    /// assert_eq!(s.range_of(&Aff::new(vec![1, -2], 0)), Some((-3, 3)));
+    /// ```
+    pub fn range_of(&self, f: &Aff) -> Option<(i64, i64)> {
+        assert_eq!(f.dim(), self.dim(), "range_of: arity mismatch");
+        let inner = self.dim() - 1;
+        let c = f.coeff(inner);
+        let mut range: Option<(i64, i64)> = None;
+        self.for_each_row(|prefix, lo, hi| {
+            let base = f.constant_term() + (0..inner).map(|j| f.coeff(j) * prefix[j]).sum::<i64>();
+            let (a, b) = (base + c * lo, base + c * hi);
+            let (a, b) = (a.min(b), a.max(b));
+            range = Some(range.map_or((a, b), |(l, h)| (l.min(a), h.max(b))));
+            ControlFlow::Continue(())
+        });
+        range
+    }
+
     /// The bounding box `[min_j, max_j]` of each coordinate over the whole
     /// space (used by searches that need a finite coordinate range).
     /// An empty space yields `(0, −1)` per coordinate.

@@ -176,7 +176,7 @@ mod tests {
         assert!(Arc::ptr_eq(&prog.pred, cs.predecessor_rows()));
         assert!(Arc::ptr_eq(&prog.steps, p.projected().steps()));
         for id in 0..cs.len() {
-            assert_eq!(prog.steps()[id], p.time_fn().time_of(&cs.points()[id]));
+            assert_eq!(prog.steps()[id], p.time_fn().time_of(cs.point(id)));
             let preds: Vec<u32> = cs.predecessors(id).map(|(u, _)| u as u32).collect();
             assert_eq!(prog.predecessors(id).collect::<Vec<_>>(), preds);
         }

@@ -19,11 +19,21 @@ pub enum Topology {
 
 impl Topology {
     /// Number of processors.
+    ///
+    /// Panics if it overflows `usize` (see [`checked_len`](Self::checked_len)).
     pub fn len(&self) -> usize {
+        self.checked_len()
+            .unwrap_or_else(|| panic!("{self:?} has more processors than usize counts"))
+    }
+
+    /// Number of processors, or `None` when it overflows `usize` (a cube
+    /// of 64 or more dimensions, a mesh whose extents multiply past the
+    /// word).
+    pub fn checked_len(&self) -> Option<usize> {
         match *self {
-            Topology::Hypercube(d) => 1 << d,
-            Topology::Mesh { rows, cols } => rows * cols,
-            Topology::Ring(n) => n,
+            Topology::Hypercube(d) => u32::try_from(d).ok().and_then(|d| 1usize.checked_shl(d)),
+            Topology::Mesh { rows, cols } => rows.checked_mul(cols),
+            Topology::Ring(n) => Some(n),
         }
     }
 
@@ -308,6 +318,23 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn lengths_past_the_word_are_none() {
+        assert_eq!(Topology::Hypercube(63).checked_len(), Some(1 << 63));
+        assert_eq!(Topology::Hypercube(64).checked_len(), None);
+        assert_eq!(Topology::Hypercube(usize::MAX).checked_len(), None);
+        let mesh = |rows, cols| Topology::Mesh { rows, cols };
+        assert_eq!(mesh(1 << 31, 1 << 32).checked_len(), Some(1 << 63));
+        assert_eq!(mesh(1 << 32, 1 << 32).checked_len(), None);
+        assert_eq!(Topology::Ring(usize::MAX).checked_len(), Some(usize::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "Hypercube(64) has more processors than usize counts")]
+    fn len_past_the_word_panics() {
+        Topology::Hypercube(64).len();
     }
 
     #[test]

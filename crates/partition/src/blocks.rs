@@ -244,7 +244,7 @@ mod tests {
             let times: Vec<i64> = p
                 .block(b)
                 .iter()
-                .map(|&id| p.time_fn().time_of(&p.structure().points()[id]))
+                .map(|&id| p.time_fn().time_of(p.structure().point(id)))
                 .collect();
             for w in times.windows(2) {
                 assert!(w[0] < w[1], "block not strictly time-ordered (Lemma 1)");

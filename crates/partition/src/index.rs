@@ -14,7 +14,7 @@ use std::collections::HashMap;
 const DENSE_FACTOR: u64 = 4;
 
 /// The empty slot of a dense rank.
-const NONE: u32 = u32::MAX;
+pub(crate) const NONE: u32 = u32::MAX;
 
 #[derive(Clone, Debug)]
 pub(crate) enum Index {

@@ -54,7 +54,7 @@ pub use blocks::{partition, partition_projected, PartitionConfig, Partitioning};
 pub use comm::CommStats;
 pub use grouping::GroupingVectors;
 pub use grow::Grouping;
-pub use project::{ArcRows, ComputationalStructure, ProjectedStructure, Steps};
+pub use project::{ArcRows, ComputationalStructure, PointTable, ProjectedStructure, Steps};
 pub use tig::Tig;
 
 /// Errors raised by the partitioning pipeline.

@@ -3,11 +3,12 @@
 //! Both levels look ids up by integer keys, in a dense rank over the
 //! keys' bounding box or, for sparse boxes, a hash map: an iteration
 //! point by its coordinates, a projection line by its *line
-//! coordinates* (see [`ProjectedStructure::project`]). The dependence
-//! graph of `Q` is built once, in [`ComputationalStructure::new`], as
-//! compressed sparse rows that every later phase reads.
+//! coordinates* (see [`ProjectedStructure::project`]). `V` is one flat
+//! [`PointTable`]. The dependence graph of `Q` is built once, in
+//! [`ComputationalStructure::new`], as compressed sparse rows that every
+//! later phase reads.
 
-use crate::index::Index;
+use crate::index::{Index, NONE};
 use crate::Error;
 use loom_hyperplane::TimeFn;
 use loom_loopir::{IterSpace, Point};
@@ -15,13 +16,81 @@ use loom_rational::int::gcd_all;
 use loom_rational::{QVec, Ratio};
 use std::sync::{Arc, OnceLock};
 
+/// Iteration points stored flat, `dim` coordinates apiece: point `id`
+/// is `coords[id·dim..(id + 1)·dim]`. `Q` holds its table behind an
+/// [`Arc`], so a program built over `Q` reads the points without
+/// copying them.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PointTable {
+    dim: usize,
+    coords: Vec<i64>,
+}
+
+impl PointTable {
+    /// A table of `coords.len() / dim` points.
+    ///
+    /// Panics if `dim` is 0 or does not divide `coords.len()`.
+    pub fn new(dim: usize, coords: Vec<i64>) -> PointTable {
+        assert!(
+            dim > 0 && coords.len().is_multiple_of(dim),
+            "{} coordinates are no whole number of {dim}-dimensional points",
+            coords.len()
+        );
+        PointTable { dim, coords }
+    }
+
+    /// Every point of a space, in lexicographic order.
+    fn of_space(space: &IterSpace) -> PointTable {
+        let dim = space.dim();
+        let mut coords = Vec::new();
+        if let Some(n) = space.count_at_most(u32::MAX as u64) {
+            coords.reserve_exact(n as usize * dim);
+        }
+        space.for_each_point(|p| coords.extend_from_slice(p));
+        PointTable { dim, coords }
+    }
+
+    /// Coordinates per point.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Number of points.
+    pub fn len(&self) -> usize {
+        self.coords.len() / self.dim
+    }
+
+    /// `true` iff the table holds no point.
+    pub fn is_empty(&self) -> bool {
+        self.coords.is_empty()
+    }
+
+    /// Point `id`.
+    ///
+    /// Panics if `id` is out of range.
+    #[inline]
+    pub fn point(&self, id: usize) -> &[i64] {
+        &self.coords[id * self.dim..(id + 1) * self.dim]
+    }
+
+    /// Point `id`, or `None` when it is out of range.
+    pub fn get(&self, id: usize) -> Option<&[i64]> {
+        (id < self.len()).then(|| self.point(id))
+    }
+
+    /// Every point, in id order.
+    pub fn iter(&self) -> std::slice::ChunksExact<'_, i64> {
+        self.coords.chunks_exact(self.dim)
+    }
+}
+
 /// The computational structure `Q = (V, D)` of a nested loop
 /// (Definition 2): the enumerated index set, the dependence vectors, and
 /// the dependence arcs between index points.
 #[derive(Clone, Debug)]
 pub struct ComputationalStructure {
     space: IterSpace,
-    points: Vec<Point>,
+    points: Arc<PointTable>,
     index: Index,
     deps: Vec<Point>,
     succ: Arc<ArcRows>,
@@ -126,31 +195,18 @@ impl ComputationalStructure {
     /// Enumerate a space, attach its dependence set, and build the
     /// dependence arcs: `p → p + d` for every `p` and `p + d` in `V`.
     pub fn new(space: IterSpace, deps: Vec<Point>) -> Result<ComputationalStructure, Error> {
-        let points: Vec<Point> = space.points().collect();
+        let points = PointTable::of_space(&space);
         if points.is_empty() {
             return Err(Error::EmptySpace);
         }
-        let dim = space.dim();
-        let (index, _) = Index::build(points.iter().map(Vec::as_slice), dim, points.len());
-        let arcs = points.len() * deps.len();
-        let mut succ = ArcRows::with_capacity(points.len(), arcs);
-        let mut pred = ArcRows::with_capacity(points.len(), arcs);
-        for p in &points {
-            for (k, d) in deps.iter().enumerate() {
-                let k = k as u32;
-                if let Some(q) = index.get(|j| p[j].checked_add(*d.get(j)?)) {
-                    succ.arcs.push((q as u32, k));
-                }
-                if let Some(q) = index.get(|j| p[j].checked_sub(*d.get(j)?)) {
-                    pred.arcs.push((q as u32, k));
-                }
-            }
-            succ.offsets.push(succ.arcs.len());
-            pred.offsets.push(pred.arcs.len());
-        }
+        let (index, _) = Index::build(points.iter(), points.dim(), points.len());
+        let (succ, pred) = match &index {
+            Index::Dense { lo, extents, ids } => dense_arcs(&points, &deps, lo, extents, ids),
+            Index::Hash { .. } => hashed_arcs(&points, &deps, &index),
+        };
         Ok(ComputationalStructure {
             space,
-            points,
+            points: Arc::new(points),
             index,
             deps,
             succ: Arc::new(succ),
@@ -163,9 +219,17 @@ impl ComputationalStructure {
         &self.space
     }
 
-    /// All index points, in lexicographic order; a point's position in
-    /// this slice is its id.
-    pub fn points(&self) -> &[Point] {
+    /// Index point `id`; ids number the points in lexicographic order.
+    ///
+    /// Panics if `id` is out of range.
+    #[inline]
+    pub fn point(&self, id: usize) -> &[i64] {
+        self.points.point(id)
+    }
+
+    /// Every index point, as the shared flat table of
+    /// [`point`](Self::point).
+    pub fn point_table(&self) -> &Arc<PointTable> {
         &self.points
     }
 
@@ -186,7 +250,7 @@ impl ComputationalStructure {
 
     /// Id of an index point, if it belongs to `V`.
     pub fn id_of(&self, p: &[i64]) -> Option<usize> {
-        if p.len() != self.space.dim() {
+        if p.len() != self.points.dim() {
             return None;
         }
         self.index.get(|j| Some(p[j]))
@@ -222,6 +286,96 @@ impl ComputationalStructure {
     }
 }
 
+/// The arcs of `Q` over a dense index, by rank arithmetic: with `x =
+/// p − lo` in the box, `p ± d` is in the box iff every `x_j ± d_j` is in
+/// `[0, extent_j)`, and its rank is then `rank(p) ± Σ d_j·stride_j`. A
+/// dependence with `|d_j| ≥ extent_j` on some axis never lands in the
+/// box, so no sum overflows.
+fn dense_arcs(
+    points: &PointTable,
+    deps: &[Point],
+    lo: &[i64],
+    extents: &[i64],
+    ids: &[u32],
+) -> (ArcRows, ArcRows) {
+    let dim = points.dim();
+    let mut strides = vec![1i64; dim];
+    for j in (0..dim.saturating_sub(1)).rev() {
+        strides[j] = strides[j + 1] * extents[j + 1];
+    }
+    // Each dependence that fits in the box, with its rank offset.
+    let shifts: Vec<(u32, &[i64], i64)> = deps
+        .iter()
+        .enumerate()
+        .filter(|(_, d)| {
+            d.len() >= dim
+                && d.iter()
+                    .zip(extents)
+                    .all(|(&c, &e)| c.unsigned_abs() < e as u64)
+        })
+        .map(|(k, d)| {
+            let offset = d.iter().zip(&strides).map(|(&c, &s)| c * s).sum();
+            (k as u32, d.as_slice(), offset)
+        })
+        .collect();
+    let in_box = |x: &[i64], d: &[i64], sign: i64| {
+        x.iter()
+            .zip(d)
+            .zip(extents)
+            .all(|((&a, &c), &e)| (0..e).contains(&(a + sign * c)))
+    };
+    let arcs = points.len() * shifts.len();
+    let mut succ = ArcRows::with_capacity(points.len(), arcs);
+    let mut pred = ArcRows::with_capacity(points.len(), arcs);
+    let mut x = vec![0i64; dim];
+    for p in points.iter() {
+        let mut rank = 0i64;
+        for j in 0..dim {
+            x[j] = p[j] - lo[j];
+            rank += x[j] * strides[j];
+        }
+        for &(k, d, offset) in &shifts {
+            if in_box(&x, d, 1) {
+                let q = ids[(rank + offset) as usize];
+                if q != NONE {
+                    succ.arcs.push((q, k));
+                }
+            }
+            if in_box(&x, d, -1) {
+                let q = ids[(rank - offset) as usize];
+                if q != NONE {
+                    pred.arcs.push((q, k));
+                }
+            }
+        }
+        succ.offsets.push(succ.arcs.len());
+        pred.offsets.push(pred.arcs.len());
+    }
+    (succ, pred)
+}
+
+/// The arcs of `Q` over any index, one lookup of `p ± d` per point and
+/// dependence.
+fn hashed_arcs(points: &PointTable, deps: &[Point], index: &Index) -> (ArcRows, ArcRows) {
+    let arcs = points.len() * deps.len();
+    let mut succ = ArcRows::with_capacity(points.len(), arcs);
+    let mut pred = ArcRows::with_capacity(points.len(), arcs);
+    for p in points.iter() {
+        for (k, d) in deps.iter().enumerate() {
+            let k = k as u32;
+            if let Some(q) = index.get(|j| p[j].checked_add(*d.get(j)?)) {
+                succ.arcs.push((q as u32, k));
+            }
+            if let Some(q) = index.get(|j| p[j].checked_sub(*d.get(j)?)) {
+                pred.arcs.push((q as u32, k));
+            }
+        }
+        succ.offsets.push(succ.arcs.len());
+        pred.offsets.push(pred.arcs.len());
+    }
+    (succ, pred)
+}
+
 /// The projected structure `Q^p = (V^p, D^p)` (Definition 5): the images
 /// of `V` and `D` on the zero-hyperplane `Π·x = 0`.
 #[derive(Clone, Debug)]
@@ -234,10 +388,11 @@ pub struct ProjectedStructure {
     /// Line coordinates of each dependence, `lines.width` apiece.
     dep_keys: Vec<i64>,
     proj_points: Vec<QVec>,
-    /// Original point ids on each projection line, sorted by execution step.
-    members: Vec<Vec<usize>>,
-    /// `|V|` of the structure projected.
-    source_len: usize,
+    /// Every point id of the structure projected, once, grouped by
+    /// projection line and sorted by execution step within it: line
+    /// `pid` is `members[starts[pid]..starts[pid + 1]]`.
+    members: Vec<usize>,
+    starts: Vec<usize>,
     /// The lexicographically least projected point (the default seed of
     /// region growing).
     least: usize,
@@ -285,18 +440,13 @@ impl LineCoords {
         let v = self.pi[a]
             .checked_mul(x[j])?
             .checked_sub(self.pi[j].checked_mul(x[a])?)?;
-        Some(v / self.gcd)
+        // Most Π are primitive: skip the division then.
+        Some(if self.gcd == 1 { v } else { v / self.gcd })
     }
 
-    /// The line coordinates of each vector of `xs`, `width` apiece.
-    fn of_all(&self, xs: &[Point]) -> Vec<i64> {
-        let mut keys = Vec::with_capacity(xs.len() * self.width);
-        for x in xs {
-            keys.extend(
-                (0..self.width).map(|c| self.coord(x, c).expect("line coordinate overflow")),
-            );
-        }
-        keys
+    /// Append the line coordinates of `x` to `keys`.
+    fn push_key(&self, x: &[i64], keys: &mut Vec<i64>) {
+        keys.extend((0..self.width).map(|c| self.coord(x, c).expect("line coordinate overflow")));
     }
 
     /// The projection `x − (x·Π / Π·Π)·Π` of an integer vector, as the
@@ -357,23 +507,37 @@ impl ProjectedStructure {
     pub fn project(cs: &ComputationalStructure, pi: &TimeFn) -> ProjectedStructure {
         let lines = LineCoords::new(pi.coeffs());
         let w = lines.width;
-        let keys = lines.of_all(cs.points());
+        // One pass over `V`: each point's line coordinates and step.
+        let mut keys = Vec::with_capacity(cs.len() * w);
+        let mut step = Vec::with_capacity(cs.len());
+        for x in cs.point_table().iter() {
+            lines.push_key(x, &mut keys);
+            step.push(pi.time_of(x));
+        }
         let rows = (0..cs.len()).map(|id| &keys[id * w..(id + 1) * w]);
         let (line_index, line_of) = Index::build(rows, w, cs.len());
 
         // Projected-point ids number the lines in order of first
         // appearance, so each line's first member is its lex-least point.
-        let mut members: Vec<Vec<usize>> = Vec::new();
         let mut line_keys = Vec::new();
         let mut proj_points = Vec::new();
+        let mut starts = vec![0usize];
         for (id, &pid) in line_of.iter().enumerate() {
-            let pid = pid as usize;
-            if pid == members.len() {
-                members.push(Vec::new());
+            if pid as usize == proj_points.len() {
                 line_keys.extend_from_slice(&keys[id * w..(id + 1) * w]);
-                proj_points.push(lines.project(&cs.points()[id]));
+                proj_points.push(lines.project(cs.point(id)));
+                starts.push(0);
             }
-            members[pid].push(id);
+            starts[pid as usize + 1] += 1;
+        }
+        for pid in 0..proj_points.len() {
+            starts[pid + 1] += starts[pid];
+        }
+        let mut next = starts[..proj_points.len()].to_vec();
+        let mut members = vec![0usize; cs.len()];
+        for (id, &pid) in line_of.iter().enumerate() {
+            members[next[pid as usize]] = id;
+            next[pid as usize] += 1;
         }
         // Along a line, lexicographic order is step order when Π's first
         // nonzero coefficient is positive, and its reverse otherwise.
@@ -383,14 +547,18 @@ impl ProjectedStructure {
             .find(|&&c| c != 0)
             .is_some_and(|&c| c < 0)
         {
-            members.iter_mut().for_each(|m| m.reverse());
+            for pid in 0..proj_points.len() {
+                members[starts[pid]..starts[pid + 1]].reverse();
+            }
         }
-        let dep_keys = lines.of_all(cs.deps());
+        let mut dep_keys = Vec::with_capacity(cs.deps().len() * w);
+        for d in cs.deps() {
+            lines.push_key(d, &mut dep_keys);
+        }
         let proj_deps = cs.deps().iter().map(|d| lines.project(d)).collect();
         let least = (0..proj_points.len())
             .min_by(|&a, &b| proj_points[a].cmp(&proj_points[b]))
             .expect("a structure has points");
-        let steps = Steps::new(cs.points().iter().map(|x| pi.time_of(x)).collect());
         ProjectedStructure {
             pi: pi.clone(),
             lines,
@@ -399,10 +567,10 @@ impl ProjectedStructure {
             dep_keys,
             proj_points,
             members,
-            source_len: cs.len(),
+            starts,
             least,
             proj_deps,
-            steps: Arc::new(steps),
+            steps: Arc::new(Steps::new(step)),
         }
     }
 
@@ -450,7 +618,7 @@ impl ProjectedStructure {
     /// Original point ids lying on the projection line of projected point
     /// `pid`, sorted by execution step.
     pub fn line_members(&self, pid: usize) -> &[usize] {
-        &self.members[pid]
+        &self.members[self.starts[pid]..self.starts[pid + 1]]
     }
 
     /// The projected dependence vectors `D^p`, aligned index-for-index
@@ -473,7 +641,7 @@ impl ProjectedStructure {
 
     /// Number of points of the structure this projects.
     pub(crate) fn source_len(&self) -> usize {
-        self.source_len
+        self.members.len()
     }
 
     /// The lexicographically least projected point.
@@ -585,7 +753,7 @@ mod tests {
             let times: Vec<i64> = qp
                 .line_members(pid)
                 .iter()
-                .map(|&id| pi.time_of(&cs.points()[id]))
+                .map(|&id| pi.time_of(cs.point(id)))
                 .collect();
             for w in times.windows(2) {
                 assert!(w[0] < w[1], "line members not strictly time-ordered");

@@ -21,52 +21,65 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Per point, the arcs `(other end, dependence index)` to `p + d` (or
-/// `p − d` when `sign` is −1) that land in `V`, in dependence order.
-fn naive_arcs(points: &[Point], deps: &[Point], sign: i64) -> Vec<Vec<(usize, usize)>> {
-    let index: HashMap<&Point, usize> = points.iter().enumerate().map(|(i, p)| (p, i)).collect();
+/// `p − d` when `sign` is −1) that land in `V`, in dependence order. A
+/// sum past the word is no point of `V`.
+fn naive_arcs(cs: &ComputationalStructure, sign: i64) -> Vec<Vec<(usize, usize)>> {
+    let points: Vec<&[i64]> = (0..cs.len()).map(|id| cs.point(id)).collect();
+    let index: HashMap<&[i64], usize> = points.iter().enumerate().map(|(i, &p)| (p, i)).collect();
     points
         .iter()
         .map(|p| {
-            deps.iter()
+            cs.deps()
+                .iter()
                 .enumerate()
                 .filter_map(|(k, d)| {
-                    let q: Point = p.iter().zip(d).map(|(&a, &b)| a + sign * b).collect();
-                    index.get(&q).map(|&qid| (qid, k))
+                    let q: Point = p
+                        .iter()
+                        .zip(d)
+                        .map(|(&a, &b)| a.checked_add(sign.checked_mul(b)?))
+                        .collect::<Option<_>>()?;
+                    index.get(q.as_slice()).map(|&qid| (qid, k))
                 })
                 .collect()
         })
         .collect()
 }
 
-/// Check one partitioned nest against the oracle.
-fn check(name: &str, p: &Partitioning) {
-    let cs = p.structure();
-    let succ = naive_arcs(cs.points(), cs.deps(), 1);
-    let pred = naive_arcs(cs.points(), cs.deps(), -1);
+/// Check `Q`'s points, ids and arcs against the oracle; returns the
+/// oracle's successor lists.
+fn check_structure(name: &str, cs: &ComputationalStructure) -> Vec<Vec<(usize, usize)>> {
+    let enumerated: Vec<Point> = cs.space().points().collect();
+    assert_eq!(cs.len(), enumerated.len(), "{name}: |V|");
+    let succ = naive_arcs(cs, 1);
+    let pred = naive_arcs(cs, -1);
     for id in 0..cs.len() {
-        assert_eq!(cs.id_of(&cs.points()[id]), Some(id), "{name}: id_of");
+        assert_eq!(cs.point(id), enumerated[id], "{name}: point {id}");
+        assert_eq!(cs.id_of(cs.point(id)), Some(id), "{name}: id_of");
         let got: Vec<_> = cs.successors(id).collect();
-        assert_eq!(got, succ[id], "{name}: successors of {:?}", cs.points()[id]);
+        assert_eq!(got, succ[id], "{name}: successors of {:?}", cs.point(id));
         let got: Vec<_> = cs.predecessors(id).collect();
-        assert_eq!(
-            got,
-            pred[id],
-            "{name}: predecessors of {:?}",
-            cs.points()[id]
-        );
+        assert_eq!(got, pred[id], "{name}: predecessors of {:?}", cs.point(id));
     }
     let total: usize = succ.iter().map(Vec::len).sum();
     assert_eq!(cs.num_arcs(), total, "{name}: num_arcs");
 
     // Points just outside V are not in it.
     for (j, &(lo, hi)) in cs.space().bounding_box().iter().enumerate() {
-        let mut outside = cs.points()[0].clone();
+        let mut outside = cs.point(0).to_vec();
         outside[j] = lo - 1;
         assert_eq!(cs.id_of(&outside), None, "{name}: below the box");
         outside[j] = hi + 1;
         assert_eq!(cs.id_of(&outside), None, "{name}: above the box");
     }
     assert_eq!(cs.id_of(&[]), None, "{name}: wrong arity");
+    succ
+}
+
+/// Check one partitioned nest against the oracle.
+fn check(name: &str, p: &Partitioning) {
+    let cs = p.structure();
+    let succ = check_structure(name, cs);
+    let total: usize = succ.iter().map(Vec::len).sum();
 
     let interblock = succ
         .iter()
@@ -102,7 +115,7 @@ fn check(name: &str, p: &Partitioning) {
         let steps: Vec<i64> = qp
             .line_members(pid)
             .iter()
-            .map(|&id| p.time_fn().time_of(&cs.points()[id]))
+            .map(|&id| p.time_fn().time_of(cs.point(id)))
             .collect();
         assert!(
             steps.windows(2).all(|w| w[0] < w[1]),
@@ -161,12 +174,7 @@ fn sparse_nest_matches_the_oracle() {
     let lo = vec![Aff::constant(n, 0), Aff::new(vec![100, 0], 0)];
     let hi = vec![Aff::constant(n, 9), Aff::new(vec![100, 0], 0)];
     let space = IterSpace::new(lo, hi).unwrap();
-    let volume: i64 = space
-        .bounding_box()
-        .iter()
-        .map(|&(l, h)| h - l + 1)
-        .product();
-    assert!(volume > 4 * space.count() as i64, "the box must be sparse");
+    assert!(sparsity(&space) > 4.0, "the box must be sparse");
     let p = partitioned(
         space,
         vec![vec![1, 100], vec![2, 200], vec![0, 1]],
@@ -218,9 +226,124 @@ fn structure_alone_matches_the_oracle() {
     let space = IterSpace::rect_bounds(&[-2, 3], &[4, 7]).unwrap();
     let deps = vec![vec![1, -1], vec![0, 2], vec![3, 0]];
     let cs = ComputationalStructure::new(space, deps).unwrap();
-    let succ = naive_arcs(cs.points(), cs.deps(), 1);
+    let succ = naive_arcs(&cs, 1);
     for (id, want) in succ.iter().enumerate() {
         assert_eq!(&cs.successors(id).collect::<Vec<_>>(), want);
+    }
+}
+
+/// The box volume over the point count: above 4 the point index of `Q`
+/// falls back to hashing, at most 4 it ranks densely.
+fn sparsity(space: &IterSpace) -> f64 {
+    let volume: i64 = space
+        .bounding_box()
+        .iter()
+        .map(|&(l, h)| h - l + 1)
+        .product();
+    volume as f64 / space.count() as f64
+}
+
+/// `Q`'s dense rank builds arcs by rank arithmetic. Its edge cases
+/// equal the oracle: negative coordinates and dependence components, a
+/// dependence as long as an extent (which never lands) or one shorter
+/// (which lands only from a face), points on every face of the box, a
+/// box the space fills partly, and one and three dimensions.
+#[test]
+fn dense_box_edge_cases_match_the_oracle() {
+    let n = 2;
+    let triangle = IterSpace::new(
+        vec![Aff::constant(n, -3), Aff::constant(n, -2)],
+        vec![Aff::constant(n, 4), Aff::new(vec![1, 0], 0)],
+    )
+    .unwrap();
+    let cases: Vec<(&str, IterSpace, Vec<Point>)> = vec![
+        (
+            "negative box, mixed signs",
+            IterSpace::rect_bounds(&[-4, -3], &[-1, 2]).unwrap(),
+            vec![vec![1, -1], vec![-2, 1], vec![0, 5], vec![3, -5]],
+        ),
+        (
+            "dependences as long as an extent",
+            IterSpace::rect_bounds(&[-2, 3], &[2, 8]).unwrap(),
+            vec![vec![5, 0], vec![0, 6], vec![0, -6], vec![-5, 1], vec![4, 5]],
+        ),
+        (
+            "dependences past the word's reach",
+            IterSpace::rect(&[3, 3]).unwrap(),
+            vec![
+                vec![i64::MAX, 0],
+                vec![i64::MIN, 1],
+                vec![1, i64::MIN],
+                vec![1, 1],
+            ],
+        ),
+        (
+            "triangle in its box",
+            triangle,
+            vec![vec![1, 1], vec![0, 1], vec![2, -1], vec![-1, 3]],
+        ),
+        (
+            "one dimension",
+            IterSpace::rect_bounds(&[-5], &[5]).unwrap(),
+            vec![vec![1], vec![-3], vec![10], vec![11]],
+        ),
+        (
+            "three dimensions",
+            IterSpace::rect_bounds(&[-1, 0, 2], &[1, 3, 4]).unwrap(),
+            vec![vec![1, 0, -1], vec![0, 3, 0], vec![-2, 1, 2], vec![0, 0, 3]],
+        ),
+    ];
+    for (name, space, deps) in cases {
+        assert!(sparsity(&space) <= 4.0, "{name}: the box must be dense");
+        let cs = ComputationalStructure::new(space, deps).unwrap();
+        let succ = check_structure(name, &cs);
+        assert!(succ.iter().any(|arcs| !arcs.is_empty()), "{name}: no arcs");
+        // Every face of the box holds a point whose arcs the oracle
+        // checked: the extremes of each coordinate are attained.
+        for (j, &(lo, hi)) in cs.space().bounding_box().iter().enumerate() {
+            for face in [lo, hi] {
+                assert!(
+                    (0..cs.len()).any(|id| cs.point(id)[j] == face),
+                    "{name}: no point on face x{j} = {face}"
+                );
+            }
+        }
+    }
+}
+
+/// A skewed space and a sparse diagonal leave most of their boxes
+/// empty, so `Q` indexes their points by hash; the arcs equal the
+/// oracle's.
+#[test]
+fn hashed_point_index_matches_the_oracle() {
+    let n = 2;
+    let skewed = IterSpace::new(
+        vec![Aff::constant(n, 0), Aff::new(vec![3, 0], -1)],
+        vec![Aff::constant(n, 9), Aff::new(vec![3, 0], 1)],
+    )
+    .unwrap();
+    let diagonal = IterSpace::new(
+        vec![Aff::constant(n, -4), Aff::new(vec![-7, 0], 0)],
+        vec![Aff::constant(n, 4), Aff::new(vec![-7, 0], 0)],
+    )
+    .unwrap();
+    let cases: Vec<(&str, IterSpace, Vec<Point>)> = vec![
+        (
+            "skewed band",
+            skewed,
+            vec![vec![1, 3], vec![0, 1], vec![1, 2], vec![-1, -4], vec![2, 7]],
+        ),
+        (
+            "descending diagonal",
+            diagonal,
+            vec![vec![1, -7], vec![2, -14], vec![0, 1], vec![i64::MAX, 0]],
+        ),
+    ];
+    for (name, space, deps) in cases {
+        assert!(sparsity(&space) > 4.0, "{name}: the box must be sparse");
+        let cs = ComputationalStructure::new(space, deps).unwrap();
+        let succ = check_structure(name, &cs);
+        assert!(succ.iter().any(|arcs| !arcs.is_empty()), "{name}: no arcs");
     }
 }
 

@@ -4,7 +4,7 @@
 //! seeded [`SplitMix64`] so every run checks the same cases.
 
 use loom_hyperplane::{find_optimal, SearchConfig, TimeFn};
-use loom_loopir::IterSpace;
+use loom_loopir::{parse_nest, Aff, IterSpace};
 use loom_machine::{simulate, MachineParams, Program, SimConfig, Topology};
 use loom_mapping::{baseline, map_partitioning};
 use loom_obs::SplitMix64;
@@ -156,4 +156,72 @@ fn gray_mapping_never_unbalances_by_more_than_one_cluster() {
             per.iter().map(Vec::len).collect::<Vec<_>>()
         );
     }
+}
+
+/// `Π·x`'s extremes over every point of `space`, by enumeration.
+fn enumerated_step_range(pi: &TimeFn, space: &IterSpace) -> Option<(i64, i64)> {
+    space
+        .points()
+        .map(|p| pi.time_of(&p))
+        .fold(None, |range, t| {
+            Some(range.map_or((t, t), |(lo, hi): (i64, i64)| (lo.min(t), hi.max(t))))
+        })
+}
+
+/// A random bound of loop `level`: a constant in `[-3, 3]` plus
+/// coefficients in `[-2, 2]` on the outer indices.
+fn random_bound(rng: &mut SplitMix64, dim: usize, level: usize) -> Aff {
+    let coeffs = (0..dim)
+        .map(|j| if j < level { rng.range_i64(-2, 3) } else { 0 })
+        .collect();
+    Aff::new(coeffs, rng.range_i64(-3, 4))
+}
+
+/// `TimeFn::step_range` reads each row's two ends; it must equal full
+/// enumeration on the coupled-bound builtins, every sample and random
+/// coupled spaces (empty rows and empty spaces included), for random Π.
+#[test]
+fn step_range_equals_enumeration() {
+    let mut spaces: Vec<(String, IterSpace)> = Vec::new();
+    for n in [1, 2, 5, 9] {
+        for w in [
+            loom_workloads::triangular::workload(n),
+            loom_workloads::transitive::workload(n),
+        ] {
+            spaces.push((format!("{} {n}", w.nest.name()), w.nest.space().clone()));
+        }
+    }
+    let dir = format!("{}/../../samples", env!("CARGO_MANIFEST_DIR"));
+    let mut samples: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("{dir}: {e}"))
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "loom"))
+        .collect();
+    samples.sort();
+    assert!(samples.len() >= 8, "samples not found in {dir}");
+    for path in samples {
+        let src = std::fs::read_to_string(&path).unwrap();
+        let nest = parse_nest("sample", &src).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+        spaces.push((path.display().to_string(), nest.space().clone()));
+    }
+    let mut rng = SplitMix64::new(7);
+    for case in 0..200 {
+        let dim = 2 + case % 2;
+        let lo: Vec<Aff> = (0..dim).map(|j| random_bound(&mut rng, dim, j)).collect();
+        let hi = (0..dim)
+            .map(|j| random_bound(&mut rng, dim, j) + rng.range_i64(0, 6))
+            .collect();
+        let space = IterSpace::new(lo, hi).unwrap();
+        spaces.push((format!("random {case}: {space:?}"), space));
+    }
+    let mut nonempty = 0;
+    for (name, space) in &spaces {
+        for _ in 0..8 {
+            let pi = TimeFn::new((0..space.dim()).map(|_| rng.range_i64(-3, 4)).collect());
+            let want = enumerated_step_range(&pi, space);
+            assert_eq!(pi.step_range(space), want, "{name}, {pi}");
+            nonempty += usize::from(want.is_some());
+        }
+    }
+    assert!(nonempty > spaces.len(), "too few non-empty spaces");
 }

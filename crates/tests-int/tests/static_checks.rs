@@ -174,12 +174,12 @@ fn mutation_merged_blocks_yield_lc002() {
     let pi = TimeFn::new(w.pi.clone());
     // The untouched partition satisfies Lemma 1 …
     let blocks = p.blocks().to_vec();
-    assert!(check_lemma1(&pi, p.structure().points(), &blocks).is_empty());
+    assert!(check_lemma1(&pi, p.structure().point_table(), &blocks).is_empty());
     // … and merging two blocks that share a hyperplane step breaks it.
     let mut merged = blocks.clone();
     let moved = merged.pop().unwrap();
     merged[0].extend(moved);
-    let report = Report::from_diagnostics(check_lemma1(&pi, p.structure().points(), &merged));
+    let report = Report::from_diagnostics(check_lemma1(&pi, p.structure().point_table(), &merged));
     assert!(report.has_errors());
     assert_only_rule(&report, "LC002");
 }

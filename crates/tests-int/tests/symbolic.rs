@@ -98,7 +98,7 @@ fn symbolic_lemma1_agrees_with_enumerative_across_sizes() {
         // Untouched partitioning: both engines must call it clean.
         let mut stats = SymbolicStats::default();
         let sym = check_lemma1_symbolic(&p, &mut stats);
-        let enu = check_lemma1(&pi, p.structure().points(), p.blocks());
+        let enu = check_lemma1(&pi, p.structure().point_table(), p.blocks());
         assert!(enu.is_empty(), "{}: enumerative oracle", w.nest.name());
         assert!(
             sym.is_empty(),
@@ -137,7 +137,7 @@ fn symbolic_lemma1_agrees_with_enumerative_across_sizes() {
                 .collect();
             let mut stats = SymbolicStats::default();
             let sym = check_lemma1_symbolic_groups(&p, &merged_groups, &mut stats);
-            let enu = check_lemma1(&pi, p.structure().points(), &merged_blocks);
+            let enu = check_lemma1(&pi, p.structure().point_table(), &merged_blocks);
             assert_eq!(
                 sym.is_empty(),
                 enu.is_empty(),

@@ -41,7 +41,7 @@ fn main() {
     for (b, block) in p.blocks().iter().enumerate() {
         let pts: Vec<String> = block
             .iter()
-            .map(|&id| format!("{:?}", p.structure().points()[id]))
+            .map(|&id| format!("{:?}", p.structure().point(id)))
             .collect();
         println!("  block B{b}: {}", pts.join(" "));
     }
