@@ -12,6 +12,8 @@ use loom_loopir::Point;
 use loom_machine::Program;
 use loom_obs::bench::Bench;
 use loom_obs::Pool;
+use loom_partition::grouping::select_vectors;
+use loom_partition::grow::grow;
 use loom_partition::{
     partition, partition_projected, ComputationalStructure, PartitionConfig, ProjectedStructure,
     Tig,
@@ -75,6 +77,20 @@ fn main() {
     let pi = TimeFn::new(w.pi.clone());
     bench.run("projection/matvec/256", || {
         ProjectedStructure::project(&cs, &pi).len()
+    });
+    // Steps 3–5 alone: region growing on the projection of conv2d's
+    // 4,096 points, once per maximal grouping.
+    let w = loom_workloads::conv2d::workload(16, 4);
+    let cs = ComputationalStructure::new(w.nest.space().clone(), w.verified_deps()).unwrap();
+    let qp = ProjectedStructure::project(&cs, &TimeFn::new(w.pi.clone()));
+    let vectors: Vec<_> = (0..cs.deps().len())
+        .filter_map(|g| select_vectors(&qp, Some(g)).ok())
+        .collect();
+    bench.run("grow/conv2d/16", || {
+        vectors
+            .iter()
+            .map(|gv| grow(&qp, gv, None).len())
+            .sum::<usize>()
     });
     for m in [16i64, 32, 64] {
         let w = loom_workloads::matvec::workload(m);

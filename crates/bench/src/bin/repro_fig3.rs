@@ -25,7 +25,7 @@ fn main() {
             .map(|&id| format!("{:?}", p.structure().point(id)))
             .collect();
         t.row([
-            qp.points()[pid].to_string(),
+            qp.point_at(qp.line_key(pid)).to_string(),
             members.join(" "),
             format!("G{}", p.grouping().group_of[pid]),
         ]);

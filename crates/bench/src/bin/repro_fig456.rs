@@ -38,11 +38,11 @@ fn main() {
         let members: Vec<String> = group
             .members
             .iter()
-            .map(|&pid| qp.points()[pid].to_string())
+            .map(|&pid| qp.point_at(qp.line_key(pid)).to_string())
             .collect();
         t.row([
             format!("G{g}"),
-            group.base.to_string(),
+            qp.point_at(&group.base).to_string(),
             members.join(" "),
             format!("{}", p.block(g).len()),
         ]);

@@ -5,7 +5,6 @@ use loom_core::report::Table;
 use loom_machine::Topology;
 use loom_mapping::{map_positions, metrics};
 use loom_partition::Tig;
-use loom_rational::Ratio;
 
 fn main() {
     println!("Fig. 8 — 4×4 mesh TIG onto a 3-cube\n");
@@ -14,7 +13,7 @@ fn main() {
     let mut positions = Vec::new();
     for r in 0..4i64 {
         for c in 0..4i64 {
-            positions.push(vec![Ratio::int(c), Ratio::int(r)]);
+            positions.push(vec![c, r]);
         }
     }
     let mapping = map_positions(&positions, 3).expect("16 blocks onto 8 processors");

@@ -62,7 +62,6 @@ use loom_loopir::{
 use loom_partition::{Partitioning, Tig};
 use loom_rational::int::gcd_all;
 use loom_rational::intlinalg::{try_solve_integer, IMat};
-use loom_rational::{QVec, Ratio};
 use std::collections::BTreeMap;
 
 /// How the symbolic run discharged its proof obligations — surfaced as
@@ -123,41 +122,58 @@ pub fn check_lemma1_symbolic(p: &Partitioning, stats: &mut SymbolicStats) -> Vec
 }
 
 /// Symbolic Lemma 1 over explicit groups of projection-line ids
-/// (indices into `p.projected().points()`) — lets tests hand in
+/// (projected-point ids of `p.projected()`) — lets tests hand in
 /// deliberately merged groups, mirroring [`crate::check_lemma1`].
 ///
 /// Points on a *single* line never collide (`x − y = λΠ` implies
 /// `Π·(x − y) = λ|Π|² ≠ 0`), so only cross-line pairs are examined.
+/// Each line is read as its integer scaled projection `S = |Π|²·x^p`
+/// ([`ProjectedStructure::scaled`](loom_partition::ProjectedStructure::scaled)).
 pub fn check_lemma1_symbolic_groups(
     p: &Partitioning,
     groups: &[Vec<usize>],
     stats: &mut SymbolicStats,
 ) -> Vec<Diagnostic> {
     let qp = p.projected();
-    let cs = p.structure();
-    let space = cs.space();
+    let space = p.structure().space();
     let pi = p.time_fn();
-    let piq = pi.as_qvec();
+    // The projection checked that `|Π|²` fits in `i64`.
+    let pi_sq: i64 = pi.coeffs().iter().map(|&c| c * c).sum();
     let mut out = Vec::new();
 
     for (gid, members) in groups.iter().enumerate() {
+        // The projection scaled every line to find the least.
+        let scaled: Vec<Vec<i64>> = members
+            .iter()
+            .map(|&a| qp.scaled(qp.line_key(a)).expect("a projected line scales"))
+            .collect();
         for (i, &a) in members.iter().enumerate() {
-            for &b in &members[i + 1..] {
-                let delta_q = &qp.points()[a] - &qp.points()[b];
-                if !delta_q.is_integral() {
-                    // Colliding points of lines a and b would differ by
-                    // exactly this vector; it is not integral, so no
-                    // integer points collide for ANY bounds.
+            for (j, &b) in members.iter().enumerate().skip(i + 1) {
+                // Colliding points of lines a and b would differ by
+                // exactly `δ = (S_a − S_b) / |Π|²`.
+                let diff = scaled[i]
+                    .iter()
+                    .zip(&scaled[j])
+                    .map(|(&x, &y)| i128::from(x) - i128::from(y));
+                if diff.clone().any(|c| c % i128::from(pi_sq) != 0) {
+                    // δ is not integral, so no integer points collide
+                    // for ANY bounds.
                     stats.lattice_proofs += 1;
                     continue;
                 }
-                let delta = delta_q.to_ints().expect("integral checked");
-                match collision_system(space, pi, &qp.points()[a], &delta).map(|s| s.solve()) {
+                let delta: Option<Point> = diff
+                    .map(|c| i64::try_from(c / i128::from(pi_sq)).ok())
+                    .collect();
+                let system = delta
+                    .as_ref()
+                    .and_then(|delta| collision_system(space, pi, &scaled[i], delta));
+                match system.map(|s| s.solve()) {
                     Some(Verdict::Unsat) => stats.fm_decided += 1,
                     Some(Verdict::Sat(x)) => {
                         stats.fm_decided += 1;
+                        let delta = delta.expect("the system was built from δ");
                         let y: Point = x.iter().zip(&delta).map(|(&xi, &di)| xi - di).collect();
-                        let t = QVec::from_ints(&x).dot(&piq);
+                        let t = pi.time_of(&x);
                         out.push(shared_step(gid, x, y, t));
                     }
                     Some(Verdict::Unknown) | None => {
@@ -171,7 +187,7 @@ pub fn check_lemma1_symbolic_groups(
     out
 }
 
-fn shared_step(gid: usize, a: Point, b: Point, t: Ratio) -> Diagnostic {
+fn shared_step(gid: usize, a: Point, b: Point, t: i64) -> Diagnostic {
     Diagnostic::error(
         RuleId::ParametricLegality,
         Span::PointPair { a, b },
@@ -182,20 +198,16 @@ fn shared_step(gid: usize, a: Point, b: Point, t: Ratio) -> Diagnostic {
     )
 }
 
-/// The integer system "some `x` on line `u` collides with `x − δ`":
-/// affine space bounds for both points plus the scaled line-membership
-/// equalities `|Π|²·x_j − π_j·(Π·x) = |Π|²·u_j`. Returns `None` when
-/// the constraint coefficients overflow `i64` (callers enumerate).
-fn collision_system(space: &IterSpace, pi: &TimeFn, u: &QVec, delta: &[i64]) -> Option<System> {
+/// The integer system "some `x` on the line with scaled projection `s`
+/// collides with `x − δ`": affine space bounds for both points plus the
+/// scaled line-membership equalities `|Π|²·x_j − π_j·(Π·x) = s_j`.
+/// Returns `None` when the constraint coefficients overflow `i64`
+/// (callers enumerate).
+fn collision_system(space: &IterSpace, pi: &TimeFn, s: &[i64], delta: &[i64]) -> Option<System> {
     let n = space.dim();
     let picf = pi.coeffs();
-    let pi_sq: i64 = {
-        let mut acc: i128 = 0;
-        for &c in picf {
-            acc = acc.checked_add((c as i128).checked_mul(c as i128)?)?;
-        }
-        i64::try_from(acc).ok()?
-    };
+    // The projection checked that `|Π|²` fits in `i64`.
+    let pi_sq: i64 = picf.iter().map(|&c| c * c).sum();
     let mut sys = System::new(n);
 
     // dot(coeffs, delta) in checked arithmetic.
@@ -231,40 +243,38 @@ fn collision_system(space: &IterSpace, pi: &TimeFn, u: &QVec, delta: &[i64]) -> 
         sys.ge0(&hi_c, hi_konst);
     }
 
-    // Line membership: |Π|²·x_j − π_j·(Π·x) = |Π|²·u_j for every j.
+    // Line membership: |Π|²·x_j − π_j·(Π·x) = s_j for every j.
     for j in 0..n {
-        let key = (u[j] * Ratio::int(pi_sq)).to_integer()?;
         let mut coeffs = vec![0i64; n];
         for k in 0..n {
             let cross = picf[j].checked_mul(picf[k])?;
             let base = if k == j { pi_sq } else { 0 };
             coeffs[k] = base.checked_sub(cross)?;
         }
-        sys.eq0(&coeffs, key.checked_neg()?);
+        sys.eq0(&coeffs, s[j].checked_neg()?);
     }
     Some(sys)
 }
 
-/// Enumerative fallback for one line pair: exact rational step
-/// comparison over just the two lines' members.
+/// Enumerative fallback for one line pair: exact step comparison over
+/// just the two lines' members.
 fn enumerate_line_pair(p: &Partitioning, gid: usize, a: usize, b: usize) -> Vec<Diagnostic> {
     let qp = p.projected();
     let cs = p.structure();
-    let piq = p.time_fn().as_qvec();
+    let step = qp.steps().as_slice();
     let mut out = Vec::new();
-    let steps_a: BTreeMap<Ratio, usize> = qp
+    let steps_a: BTreeMap<i64, usize> = qp
         .line_members(a)
         .iter()
-        .map(|&id| (QVec::from_ints(cs.point(id)).dot(&piq), id))
+        .map(|&id| (step[id], id))
         .collect();
     for &id in qp.line_members(b) {
-        let t = QVec::from_ints(cs.point(id)).dot(&piq);
-        if let Some(&first) = steps_a.get(&t) {
+        if let Some(&first) = steps_a.get(&step[id]) {
             out.push(shared_step(
                 gid,
                 cs.point(first).to_vec(),
                 cs.point(id).to_vec(),
-                t,
+                step[id],
             ));
         }
     }

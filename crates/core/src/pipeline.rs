@@ -2,7 +2,7 @@
 //! hypercube mapping → simulated execution.
 
 use loom_hyperplane::{SearchConfig, TimeFn};
-use loom_loopir::{DepOptions, Dependence, LoopNest, Point};
+use loom_loopir::{DepOptions, LoopNest, Point};
 use loom_machine::trace::{verify_trace, TraceViolation};
 use loom_machine::{
     simulate_scratch, simulate_with_faults_scratch, FaultConfig, MachineParams, Program, SimConfig,
@@ -16,7 +16,6 @@ use loom_partition::{
     partition_projected, CommStats, ComputationalStructure, PartitionConfig, Partitioning,
     ProjectedStructure, Tig,
 };
-use loom_rational::Ratio;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -247,9 +246,8 @@ impl std::error::Error for PipelineError {}
 ///
 /// The parts of a stage that depend on less than the whole stage are
 /// built once per `Pipeline`, by the first stage that needs them, and
-/// shared by every stage it builds afterwards, on any thread: the
-/// statement dependence records (the nest alone), `Q = (V, D)` (one
-/// per dependence set `D`) and `Q^p` (one per `D` and Π). The
+/// shared by every stage it builds afterwards, on any thread: `Q = (V,
+/// D)` (one per dependence set `D`) and `Q^p` (one per `D` and Π). The
 /// symbolic-cost probes' pipelines are parts too, one per probe size and
 /// family, so every derivation on this `Pipeline` shares each probe
 /// size's `Q` and projections. Clones share them too.
@@ -262,7 +260,6 @@ pub struct Pipeline {
 /// The shared stage parts of a [`Pipeline`].
 #[derive(Debug, Default)]
 struct Parts {
-    records: OnceLock<Result<Vec<Dependence>, PipelineError>>,
     /// `Q` and its projections, per dependence set `D`.
     over: Mutex<BTreeMap<Vec<Point>, Arc<OverDeps>>>,
     /// The probe pipelines, per probe size: one per distinct nest a
@@ -326,10 +323,9 @@ impl Pipeline {
         Ok(out)
     }
 
-    /// Run stages 1–3 (dependences → Π → statement offsets →
-    /// partitioning + TIG): the prefix of the pipeline that depends
-    /// only on the nest, the time function, and the grouping choice —
-    /// never on the machine. The returned [`PartitionedStage`] can be
+    /// Run stages 1–3 (dependences → Π → partitioning + TIG): the
+    /// prefix of the pipeline that depends only on the nest, the time
+    /// function, and the grouping choice — never on the machine. The returned [`PartitionedStage`] can be
     /// completed once per machine size without re-running any of it.
     pub fn stage_partition(
         &self,
@@ -412,36 +408,6 @@ impl Pipeline {
             self.time_fn(config, &deps, recorder)?
         };
 
-        // 2b. Statement-level offsets (fine-grain schedule): derived
-        // from the full per-statement dependence records including
-        // intra-iteration ones.
-        let stmt_offsets = {
-            let _s = recorder.span("pipeline.stmt_offsets");
-            let records = self.parts.records.get_or_init(|| {
-                let intra_opts = DepOptions {
-                    include_intra: true,
-                    ..DepOptions::default()
-                };
-                // An admitted uniformized nest trips the uniform
-                // extractor again here; its folded dependence records
-                // (already certified during stage 1) drive the offsets.
-                loom_loopir::extract_or_fold(&self.nest, intra_opts).map_err(|e| {
-                    PipelineError::Deps(match e {
-                        loom_loopir::FoldError::Extract(err) => err,
-                        loom_loopir::FoldError::NoCover { array, .. } => {
-                            loom_loopir::Error::NonUniform { array }
-                        }
-                    })
-                })
-            });
-            loom_hyperplane::compute_offsets(
-                self.nest.stmts().len(),
-                records.as_ref().map_err(Clone::clone)?,
-                &pi,
-            )
-            .map_err(|_| PipelineError::TimeFn(loom_hyperplane::Error::NotFound { bound: 0 }))?
-        };
-
         // 3. Partitioning (Algorithm 1), over the shared `Q` and `Q^p`.
         let partitioning = {
             let _s = recorder.span("pipeline.partition");
@@ -478,7 +444,6 @@ impl Pipeline {
             nest: self.nest.clone(),
             deps,
             pi,
-            stmt_offsets,
             partitioning,
             comm: OnceLock::new(),
             tig: OnceLock::new(),
@@ -581,14 +546,11 @@ pub struct PartitionedStage {
     pub deps: Vec<Point>,
     /// The time transformation Π.
     pub pi: TimeFn,
-    /// Fine-grain statement schedule offsets δ_s (see
-    /// [`loom_hyperplane::offsets`]).
-    pub stmt_offsets: Vec<i64>,
     /// Algorithm 1's partitioning.
     pub partitioning: Partitioning,
     comm: OnceLock<CommStats>,
     tig: OnceLock<Tig>,
-    positions: OnceLock<Vec<Vec<Ratio>>>,
+    positions: OnceLock<Result<Vec<Vec<i64>>, loom_mapping::Error>>,
 }
 
 impl PartitionedStage {
@@ -619,7 +581,9 @@ impl PartitionedStage {
         let _s = recorder.span("pipeline.mapping");
         let positions = self
             .positions
-            .get_or_init(|| partition_positions(&self.partitioning));
+            .get_or_init(|| partition_positions(&self.partitioning))
+            .as_ref()
+            .map_err(|e| PipelineError::Mapping(e.clone()))?;
         let placement = match target {
             Topology::Hypercube(d) => map_positions(positions, d),
             Topology::Mesh { rows, cols } => map_positions_mesh(positions, rows, cols),
@@ -679,8 +643,8 @@ impl PartitionedStage {
         )
     }
 
-    /// Finish the pipeline (mapping → static check → simulation),
-    /// consuming the stage into a full [`PipelineOutput`]. `recorder`
+    /// Finish the pipeline (mapping → static check → simulation →
+    /// statement offsets), consuming the stage into a full [`PipelineOutput`]. `recorder`
     /// instruments the run; an optional reusable [`SimScratch`] lets
     /// back-to-back completions skip the simulator's buffer allocations
     /// while staying bit-identical to fresh-state runs.
@@ -708,10 +672,10 @@ impl PartitionedStage {
             }
         };
 
+        let stmt_offsets = stmt_offsets(&self.nest, &self.pi, recorder)?;
         let PartitionedStage {
             deps,
             pi,
-            stmt_offsets,
             partitioning,
             comm,
             tig,
@@ -737,6 +701,33 @@ impl PartitionedStage {
             sim,
         })
     }
+}
+
+/// Fine-grain statement schedule offsets δ_s under Π, derived from the
+/// full per-statement dependence records, intra-iteration ones included.
+fn stmt_offsets(
+    nest: &LoopNest,
+    pi: &TimeFn,
+    recorder: &Recorder,
+) -> Result<Vec<i64>, PipelineError> {
+    let _s = recorder.span("pipeline.stmt_offsets");
+    let intra_opts = DepOptions {
+        include_intra: true,
+        ..DepOptions::default()
+    };
+    // An admitted uniformized nest trips the uniform extractor again
+    // here; its folded dependence records (already certified during
+    // stage 1) drive the offsets.
+    let records = loom_loopir::extract_or_fold(nest, intra_opts).map_err(|e| {
+        PipelineError::Deps(match e {
+            loom_loopir::FoldError::Extract(err) => err,
+            loom_loopir::FoldError::NoCover { array, .. } => {
+                loom_loopir::Error::NonUniform { array }
+            }
+        })
+    })?;
+    loom_hyperplane::compute_offsets(nest.stmts().len(), &records, pi)
+        .map_err(|_| PipelineError::TimeFn(loom_hyperplane::Error::NotFound { bound: 0 }))
 }
 
 /// Step 5 — simulate `program` on `target` under `opts`, with fault

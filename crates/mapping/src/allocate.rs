@@ -7,7 +7,6 @@ use crate::other_targets::partition_positions;
 use crate::Error;
 use loom_machine::Topology;
 use loom_partition::Partitioning;
-use loom_rational::Ratio;
 
 /// A placement of blocks onto the processors of a machine: Algorithm
 /// 2's on a hypercube, or an extension allocator's on a mesh or ring.
@@ -79,7 +78,7 @@ impl Mapping {
 /// `n`-cube: Phase I bisection, then Phase II Gray-code allocation
 /// ("every cluster is allocated to the processor whose binary number is
 /// the same as that of the cluster").
-pub fn map_positions(positions: &[Vec<Ratio>], cube_dim: usize) -> Result<Mapping, Error> {
+pub fn map_positions(positions: &[Vec<i64>], cube_dim: usize) -> Result<Mapping, Error> {
     let formation = form_clusters(positions, cube_dim)?;
     Ok(Mapping::place(
         Topology::Hypercube(cube_dim),
@@ -92,10 +91,9 @@ pub fn map_positions(positions: &[Vec<Ratio>], cube_dim: usize) -> Result<Mappin
 /// grouping vectors as bisection directions (the set Ω of Algorithm 2).
 ///
 /// Each block's coordinate along direction ḡ is its group base vertex
-/// dotted with ḡ. In the degenerate case with no grouping vectors the
-/// block index itself is the single direction.
+/// dotted with ḡ, scaled to an integer ([`partition_positions`]).
 pub fn map_partitioning(p: &Partitioning, cube_dim: usize) -> Result<Mapping, Error> {
-    map_positions(&partition_positions(p), cube_dim)
+    map_positions(&partition_positions(p)?, cube_dim)
 }
 
 #[cfg(test)]
@@ -133,10 +131,9 @@ mod tests {
         let p = matvec(16);
         let m = map_partitioning(&p, 2).unwrap();
         // Order blocks along the chain by their base coordinate.
-        let omega = p.vectors().omega();
-        let dir = p.projected().deps()[omega[0]].clone();
+        let positions = partition_positions(&p).unwrap();
         let mut order: Vec<usize> = (0..p.num_blocks()).collect();
-        order.sort_by_key(|&b| p.grouping().groups[b].base.dot(&dir));
+        order.sort_by_key(|&b| positions[b][0]);
         for w in order.windows(2) {
             let (pa, pb) = (m.proc_of(w[0]), m.proc_of(w[1]));
             assert!(

@@ -1,7 +1,6 @@
 //! Phase I of Algorithm 2: cluster formation by recursive bisection.
 
 use crate::Error;
-use loom_rational::Ratio;
 
 /// The result of recursively bisecting the blocks `n` times: `2ⁿ`
 /// clusters, each with its per-direction split path.
@@ -32,7 +31,7 @@ pub struct ClusterFormation {
 ///
 /// Per the paper's assumption the number of blocks must be at least the
 /// number of processors; otherwise `Error::CubeTooLarge` is returned.
-pub fn form_clusters(positions: &[Vec<Ratio>], cube_dim: usize) -> Result<ClusterFormation, Error> {
+pub fn form_clusters(positions: &[Vec<i64>], cube_dim: usize) -> Result<ClusterFormation, Error> {
     // No block table fills a cube past the word size; refuse it before
     // building a schedule that long.
     if cube_dim >= usize::BITS as usize {
@@ -49,7 +48,7 @@ pub fn form_clusters(positions: &[Vec<Ratio>], cube_dim: usize) -> Result<Cluste
 /// Used by the mesh/ring allocators, which need specific split counts
 /// per direction rather than the paper's round robin.
 pub fn form_clusters_with_schedule(
-    positions: &[Vec<Ratio>],
+    positions: &[Vec<i64>],
     schedule: &[usize],
 ) -> Result<ClusterFormation, Error> {
     let cube_dim = schedule.len();
@@ -87,8 +86,7 @@ pub fn form_clusters_with_schedule(
         splits_per_dir[i] += 1;
         let mut next = Vec::with_capacity(clusters.len() * 2);
         for mut c in clusters {
-            c.ids
-                .sort_by(|&a, &b| positions[a][i].cmp(&positions[b][i]).then(a.cmp(&b)));
+            c.ids.sort_unstable_by_key(|&b| (positions[b][i], b));
             let low_len = c.ids.len() / 2;
             let high = c.ids.split_off(low_len);
             let mut low_path = c.path.clone();
@@ -144,11 +142,11 @@ mod tests {
 
     /// Positions of a `rows × cols` mesh of unit blocks, row-major:
     /// direction 0 = x (column), direction 1 = y (row).
-    fn mesh_positions(rows: usize, cols: usize) -> Vec<Vec<Ratio>> {
+    fn mesh_positions(rows: usize, cols: usize) -> Vec<Vec<i64>> {
         let mut pos = Vec::new();
         for r in 0..rows {
             for c in 0..cols {
-                pos.push(vec![Ratio::int(c as i64), Ratio::int(r as i64)]);
+                pos.push(vec![c as i64, r as i64]);
             }
         }
         pos
@@ -202,7 +200,7 @@ mod tests {
 
     #[test]
     fn equal_size_with_exact_power() {
-        let pos: Vec<Vec<Ratio>> = (0..16).map(|i| vec![Ratio::int(i)]).collect();
+        let pos: Vec<Vec<i64>> = (0..16).map(|i| vec![i]).collect();
         let cf = form_clusters(&pos, 2).unwrap();
         assert_eq!(cf.clusters.len(), 4);
         assert!(cf.clusters.iter().all(|c| c.len() == 4));
@@ -228,7 +226,7 @@ mod tests {
 
     #[test]
     fn uneven_sizes_stay_balanced() {
-        let pos: Vec<Vec<Ratio>> = (0..10).map(|i| vec![Ratio::int(i)]).collect();
+        let pos: Vec<Vec<i64>> = (0..10).map(|i| vec![i]).collect();
         let cf = form_clusters(&pos, 2).unwrap();
         let mut sizes: Vec<usize> = cf.clusters.iter().map(Vec::len).collect();
         sizes.sort();
@@ -237,7 +235,7 @@ mod tests {
 
     #[test]
     fn too_small_rejected() {
-        let pos: Vec<Vec<Ratio>> = (0..3).map(|i| vec![Ratio::int(i)]).collect();
+        let pos: Vec<Vec<i64>> = (0..3).map(|i| vec![i]).collect();
         assert_eq!(
             form_clusters(&pos, 2).unwrap_err(),
             Error::CubeTooLarge {
@@ -249,7 +247,7 @@ mod tests {
 
     #[test]
     fn cube_past_the_word_size_rejected() {
-        let pos: Vec<Vec<Ratio>> = (0..8).map(|i| vec![Ratio::int(i)]).collect();
+        let pos: Vec<Vec<i64>> = (0..8).map(|i| vec![i]).collect();
         assert_eq!(
             form_clusters(&pos, 64).unwrap_err(),
             Error::CubeTooLarge {
@@ -270,13 +268,13 @@ mod tests {
     #[test]
     fn bad_positions_rejected() {
         assert_eq!(form_clusters(&[], 1).unwrap_err(), Error::BadPositions);
-        let ragged = vec![vec![Ratio::int(0)], vec![]];
+        let ragged = vec![vec![0], vec![]];
         assert_eq!(form_clusters(&ragged, 0).unwrap_err(), Error::BadPositions);
     }
 
     #[test]
     fn zero_dim_cube_single_cluster() {
-        let pos: Vec<Vec<Ratio>> = (0..5).map(|i| vec![Ratio::int(i)]).collect();
+        let pos: Vec<Vec<i64>> = (0..5).map(|i| vec![i]).collect();
         let cf = form_clusters(&pos, 0).unwrap();
         assert_eq!(cf.clusters.len(), 1);
         assert_eq!(cf.clusters[0].len(), 5);

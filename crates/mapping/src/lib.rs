@@ -19,12 +19,10 @@
 //! use loom_machine::Topology;
 //! use loom_mapping::{map_positions, metrics};
 //! use loom_partition::Tig;
-//! use loom_rational::Ratio;
 //!
-//! // The paper's Fig. 8: a 4×4 mesh of blocks onto a 3-cube.
-//! let positions: Vec<Vec<Ratio>> = (0..16)
-//!     .map(|v| vec![Ratio::int(v % 4), Ratio::int(v / 4)])
-//!     .collect();
+//! // The paper's Fig. 8: a 4×4 mesh of blocks onto a 3-cube; block `v`
+//! // sits at integer position (v mod 4, v div 4).
+//! let positions: Vec<Vec<i64>> = (0..16).map(|v| vec![v % 4, v / 4]).collect();
 //! let m = map_positions(&positions, 3).unwrap();
 //! let q = metrics::evaluate(&Tig::mesh(4, 4), m.assignment(), &Topology::Hypercube(3));
 //! assert!((q.mean_dilation() - 1.0).abs() < 1e-9); // nearest-neighbor
@@ -57,6 +55,9 @@ pub enum Error {
     },
     /// Position table is ragged or empty.
     BadPositions,
+    /// The position of block `.0` along a bisection direction overflows
+    /// `i64`.
+    PositionOverflow(usize),
     /// A mesh or ring whose extents are not all powers of two: the
     /// allocators bisect, so every extent must be `2^k` with `k ≥ 0`.
     NotPowerOfTwo(Topology),
@@ -70,6 +71,7 @@ impl std::fmt::Display for Error {
                 "cannot split {blocks} blocks into 2^{cube_dim} non-empty clusters"
             ),
             Error::BadPositions => write!(f, "ragged or empty block-position table"),
+            Error::PositionOverflow(b) => write!(f, "block {b}'s position overflows 64 bits"),
             Error::NotPowerOfTwo(topology) => write!(
                 f,
                 "cannot map onto {topology:?}: mesh and ring extents must be powers of two"

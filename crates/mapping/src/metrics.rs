@@ -104,13 +104,12 @@ mod tests {
     use super::*;
     use crate::allocate::map_positions;
     use crate::baseline;
-    use loom_rational::Ratio;
 
-    fn mesh_positions(rows: usize, cols: usize) -> Vec<Vec<Ratio>> {
+    fn mesh_positions(rows: usize, cols: usize) -> Vec<Vec<i64>> {
         let mut pos = Vec::new();
         for r in 0..rows {
             for c in 0..cols {
-                pos.push(vec![Ratio::int(c as i64), Ratio::int(r as i64)]);
+                pos.push(vec![c as i64, r as i64]);
             }
         }
         pos

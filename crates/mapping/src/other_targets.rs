@@ -18,13 +18,12 @@ use crate::bisect::form_clusters_with_schedule;
 use crate::Error;
 use loom_machine::Topology;
 use loom_partition::Partitioning;
-use loom_rational::Ratio;
 
 /// Map blocks (with bisection-direction coordinates) onto a
 /// `rows × cols` mesh, nodes numbered row-major. Both extents must be
 /// powers of two.
 pub fn map_positions_mesh(
-    positions: &[Vec<Ratio>],
+    positions: &[Vec<i64>],
     rows: usize,
     cols: usize,
 ) -> Result<Mapping, Error> {
@@ -79,7 +78,7 @@ pub fn map_positions_mesh(
 
 /// Map blocks onto a ring of `len` nodes (`len` a power of two): the
 /// `k`-th cluster along direction 0 goes to node `k`.
-pub fn map_positions_ring(positions: &[Vec<Ratio>], len: usize) -> Result<Mapping, Error> {
+pub fn map_positions_ring(positions: &[Vec<i64>], len: usize) -> Result<Mapping, Error> {
     let ring = Topology::Ring(len);
     if !len.is_power_of_two() {
         return Err(Error::NotPowerOfTwo(ring));
@@ -92,42 +91,48 @@ pub fn map_positions_ring(positions: &[Vec<Ratio>], len: usize) -> Result<Mappin
 }
 
 /// Block coordinates of a partitioning along its grouping / auxiliary
-/// directions (the same positions Algorithm 2's hypercube path uses).
-pub fn partition_positions(p: &Partitioning) -> Vec<Vec<Ratio>> {
-    let omega = p.vectors().omega();
-    if omega.is_empty() {
-        (0..p.num_blocks())
-            .map(|b| vec![Ratio::int(b as i64)])
-            .collect()
-    } else {
-        let dirs: Vec<_> = omega
-            .iter()
-            .map(|&i| p.projected().deps()[i].clone())
-            .collect();
-        p.grouping()
-            .groups
-            .iter()
-            .map(|g| dirs.iter().map(|d| g.base.dot(d)).collect())
-            .collect()
-    }
+/// directions, or the block index when there are none: each group
+/// base's scaled projection `S = (Π·Π)·v₀^p`
+/// ([`ProjectedStructure::scaled`](loom_partition::ProjectedStructure::scaled))
+/// dotted with each direction's dependence `d`, which is `Π·Π > 0` times
+/// `v₀^p·d^p`. Fails with [`Error::PositionOverflow`] past `i64`.
+pub fn partition_positions(p: &Partitioning) -> Result<Vec<Vec<i64>>, Error> {
+    let (qp, deps, omega) = (p.projected(), p.structure().deps(), p.vectors().omega());
+    let position = |s: &[i64], d: &[i64]| {
+        let dot = s.iter().zip(d).try_fold(0i128, |acc, (&a, &b)| {
+            acc.checked_add(i128::from(a) * i128::from(b))
+        });
+        i64::try_from(dot?).ok()
+    };
+    let groups = &p.grouping().groups;
+    (0..groups.len())
+        .map(|b| {
+            if omega.is_empty() {
+                return Ok(vec![b as i64]);
+            }
+            let s = qp.scaled(&groups[b].base);
+            let row = omega.iter().map(|&i| position(s.as_deref()?, &deps[i]));
+            row.collect::<Option<_>>().ok_or(Error::PositionOverflow(b))
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn grid_positions(rows: usize, cols: usize) -> Vec<Vec<Ratio>> {
+    fn grid_positions(rows: usize, cols: usize) -> Vec<Vec<i64>> {
         let mut pos = Vec::new();
         for r in 0..rows {
             for c in 0..cols {
-                pos.push(vec![Ratio::int(c as i64), Ratio::int(r as i64)]);
+                pos.push(vec![c as i64, r as i64]);
             }
         }
         pos
     }
 
-    fn chain_positions(n: usize) -> Vec<Vec<Ratio>> {
-        (0..n).map(|i| vec![Ratio::int(i as i64)]).collect()
+    fn chain_positions(n: usize) -> Vec<Vec<i64>> {
+        (0..n).map(|i| vec![i as i64]).collect()
     }
 
     #[test]
@@ -194,7 +199,7 @@ mod tests {
             &PartitionConfig::default(),
         )
         .unwrap();
-        let positions = partition_positions(&p);
+        let positions = partition_positions(&p).unwrap();
         let ring = map_positions_ring(&positions, 4).unwrap();
         assert_eq!(ring.assignment().len(), 16);
         let mesh = map_positions_mesh(&positions, 2, 4).unwrap();

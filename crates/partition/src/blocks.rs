@@ -3,7 +3,7 @@
 //! form over a structure and projection built once and shared.
 
 use crate::grouping::{select_vectors, GroupingVectors};
-use crate::grow::{grow, Grouping, GrowConfig};
+use crate::grow::{grow, Grouping};
 use crate::project::{ComputationalStructure, ProjectedStructure};
 use crate::Error;
 use loom_hyperplane::TimeFn;
@@ -159,13 +159,7 @@ pub fn partition_projected(
     let pi = qp.time_fn();
     pi.check_legal(cs.deps())?;
     let vectors = select_vectors(&qp, config.grouping_choice)?;
-    let grouping = grow(
-        &qp,
-        &vectors,
-        &GrowConfig {
-            seed: config.seed.clone(),
-        },
-    );
+    let grouping = grow(&qp, &vectors, config.seed.as_ref());
 
     // Step 6: B_i = ∪ over v_k^p ∈ G_i of the projection line's points.
     let mut blocks: Vec<Vec<usize>> = vec![Vec::new(); grouping.len()];

@@ -3,15 +3,16 @@
 
 use crate::grouping::GroupingVectors;
 use crate::project::ProjectedStructure;
-use loom_rational::{QVec, Ratio};
+use loom_rational::QVec;
 use std::collections::VecDeque;
 
 /// One group of projected points.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Group {
-    /// The base vertex `v₀^p` (may lie outside `V^p` for boundary groups
-    /// whose low end is clipped by the index-set boundary).
-    pub base: QVec,
+    /// The line coordinates of the base vertex `v₀^p`, which may lie
+    /// outside `V^p` when the index-set boundary clips the group's low
+    /// end ([`ProjectedStructure::point_at`] gives the point).
+    pub base: Vec<i64>,
     /// Projected-point ids in the group, ordered along the grouping
     /// vector from the base.
     pub members: Vec<usize>,
@@ -39,16 +40,6 @@ impl Grouping {
     }
 }
 
-/// Configuration of the growth (the "arbitrary" choices Step 3 leaves
-/// open, pinned down for reproducibility).
-#[derive(Clone, Debug, Default)]
-pub struct GrowConfig {
-    /// Base vertex of the first group. Defaults to the lexicographically
-    /// smallest projected point. The paper's matmul walkthrough uses
-    /// `(−1, −1, 2)`.
-    pub seed: Option<QVec>,
-}
-
 /// Region-grow the groups (Algorithm 1, Steps 3–5).
 ///
 /// Starting from a seed group of `r` points along the grouping vector,
@@ -63,7 +54,11 @@ pub struct GrowConfig {
 /// Bases are walked in integer line coordinates. A base visited again
 /// finds every point it covers already grouped and creates nothing, so
 /// the walk keeps no set of visited bases.
-pub fn grow(qp: &ProjectedStructure, gv: &GroupingVectors, config: &GrowConfig) -> Grouping {
+///
+/// `seed` is the base vertex of the first group (Step 3's arbitrary
+/// choice; the paper's matmul walkthrough uses `(−1, −1, 2)`). It
+/// defaults to the lexicographically smallest projected point.
+pub fn grow(qp: &ProjectedStructure, gv: &GroupingVectors, seed: Option<&QVec>) -> Grouping {
     const UNASSIGNED: usize = usize::MAX;
     let n_points = qp.len();
     let mut group_of = vec![UNASSIGNED; n_points];
@@ -74,7 +69,7 @@ pub fn grow(qp: &ProjectedStructure, gv: &GroupingVectors, config: &GrowConfig) 
         for (pid, slot) in group_of.iter_mut().enumerate() {
             *slot = groups.len();
             groups.push(Group {
-                base: qp.points()[pid].clone(),
+                base: qp.line_key(pid).to_vec(),
                 members: vec![pid],
             });
         }
@@ -97,7 +92,7 @@ pub fn grow(qp: &ProjectedStructure, gv: &GroupingVectors, config: &GrowConfig) 
     // Step 3: the very first seed may be user-chosen (a seed off the
     // projected lattice covers nothing); reseeds use the smallest
     // ungrouped point.
-    let mut first_seed = match &config.seed {
+    let mut first_seed = match seed {
         Some(seed) => qp.key_of(seed),
         None => Some(qp.line_key(qp.least()).to_vec()),
     };
@@ -119,13 +114,9 @@ pub fn grow(qp: &ProjectedStructure, gv: &GroupingVectors, config: &GrowConfig) 
         // Step 4: breadth-first neighbor expansion.
         while let Some(base) = queue.pop_front() {
             let mut members = Vec::new();
-            let mut first_k = 0;
             for k in 0..r {
                 let pos = qp.line_at(|c| base[c].checked_add(dl[c].checked_mul(k)?));
                 if let Some(pid) = pos.filter(|&pid| group_of[pid] == UNASSIGNED) {
-                    if members.is_empty() {
-                        first_k = k;
-                    }
                     members.push(pid);
                 }
             }
@@ -136,15 +127,6 @@ pub fn grow(qp: &ProjectedStructure, gv: &GroupingVectors, config: &GrowConfig) 
             for &pid in &members {
                 group_of[pid] = gid;
             }
-            let first = &qp.points()[members[0]];
-            let base_q = match first_k {
-                0 => first.clone(),
-                k => first - &qp.deps()[gidx].scale(Ratio::int(k)),
-            };
-            groups.push(Group {
-                base: base_q,
-                members,
-            });
             // Forward/backward neighbors along the grouping vector and
             // each auxiliary grouping vector.
             for stride in &strides {
@@ -155,6 +137,7 @@ pub fn grow(qp: &ProjectedStructure, gv: &GroupingVectors, config: &GrowConfig) 
                     .collect();
                 queue.extend(next);
             }
+            groups.push(Group { base, members });
         }
         // Step 5: loop reseeds while ungrouped points remain.
     }
@@ -180,7 +163,7 @@ mod tests {
         let cs = ComputationalStructure::new(IterSpace::rect(sizes).unwrap(), deps).unwrap();
         let qp = ProjectedStructure::project(&cs, &TimeFn::new(pi));
         let gv = select_vectors(&qp, prefer).unwrap();
-        let g = grow(&qp, &gv, &GrowConfig { seed });
+        let g = grow(&qp, &gv, seed.as_ref());
         (qp, gv, g)
     }
 
@@ -220,7 +203,7 @@ mod tests {
     fn matmul_grouping_with_paper_seed_gives_17_groups() {
         // Example 2 / Fig. 6: grouping vector d_A^p, auxiliary d_C^p,
         // seed (−1,−1,2) → 17 groups.
-        let seed = QVec::new(vec![Ratio::int(-1), Ratio::int(-1), Ratio::int(2)]);
+        let seed = QVec::from_ints(&[-1, -1, 2]);
         let (qp, gv, g) = build(
             &[4, 4, 4],
             vec![vec![0, 1, 0], vec![1, 0, 0], vec![0, 0, 1]],
@@ -259,7 +242,8 @@ mod tests {
         let dl = &qp.deps()[gv.grouping.unwrap()];
         for grp in &g.groups {
             for w in grp.members.windows(2) {
-                let diff = &qp.points()[w[1]] - &qp.points()[w[0]];
+                let at = |pid: usize| qp.point_at(qp.line_key(pid));
+                let diff = &at(w[1]) - &at(w[0]);
                 // Consecutive members differ by a positive multiple of d_l^p
                 // (gaps happen at clipped boundaries).
                 assert!(

@@ -34,14 +34,14 @@ pub(crate) enum Index {
 impl Index {
     /// Index `rows`, keys of `width` coordinates drawn from `points`
     /// iteration points. Equal keys share the id of their first row; ids
-    /// number the distinct keys in order of first appearance. Returns the
-    /// index and the id of every row.
+    /// number the distinct keys in order of first appearance. Hands the
+    /// id of every row, in row order, to `row_id`.
     pub(crate) fn build<'a>(
         rows: impl Iterator<Item = &'a [i64]> + Clone,
         width: usize,
         points: usize,
-    ) -> (Index, Vec<u32>) {
-        let mut row_ids = Vec::with_capacity(points);
+        mut row_id: impl FnMut(u32),
+    ) -> Index {
         let mut next = 0u32;
         let mut fresh = || {
             let id = next;
@@ -59,16 +59,16 @@ impl Index {
                     if ids[r] == NONE {
                         ids[r] = fresh();
                     }
-                    row_ids.push(ids[r]);
+                    row_id(ids[r]);
                 }
-                return (Index::Dense { lo, extents, ids }, row_ids);
+                return Index::Dense { lo, extents, ids };
             }
         }
         let mut map: HashMap<Vec<i64>, u32> = HashMap::new();
         for row in rows {
-            row_ids.push(*map.entry(row.to_vec()).or_insert_with(&mut fresh));
+            row_id(*map.entry(row.to_vec()).or_insert_with(&mut fresh));
         }
-        (Index::Hash { width, map }, row_ids)
+        Index::Hash { width, map }
     }
 
     /// The id of the key whose coordinate `j` is `coord(j)`; `None` when
@@ -127,10 +127,20 @@ fn bounding_box<'a>(
 mod tests {
     use super::*;
 
+    fn build<'a>(
+        rows: impl Iterator<Item = &'a [i64]> + Clone,
+        width: usize,
+        points: usize,
+    ) -> (Index, Vec<u32>) {
+        let mut ids = Vec::new();
+        let index = Index::build(rows, width, points, |id| ids.push(id));
+        (index, ids)
+    }
+
     #[test]
     fn dense_when_the_box_is_full() {
         let keys = [0, 0, 0, 1, 1, 0, 1, 1];
-        let (index, ids) = Index::build(keys.chunks(2), 2, 4);
+        let (index, ids) = build(keys.chunks(2), 2, 4);
         assert!(matches!(index, Index::Dense { .. }));
         assert_eq!(ids, vec![0, 1, 2, 3]);
         let at = |a: i64, b: i64| index.get(|j| Some([a, b][j]));
@@ -143,7 +153,7 @@ mod tests {
     #[test]
     fn hash_when_the_box_is_sparse() {
         let keys = [0, 0, 100, 100];
-        let (index, ids) = Index::build(keys.chunks(2), 2, 2);
+        let (index, ids) = build(keys.chunks(2), 2, 2);
         assert!(matches!(index, Index::Hash { .. }));
         assert_eq!(ids, vec![0, 1]);
         assert_eq!(index.get(|j| Some([100, 100][j])), Some(1));
@@ -153,14 +163,14 @@ mod tests {
     #[test]
     fn repeated_keys_share_their_first_id() {
         let keys = [3, 1, 3, 2, 1];
-        let (index, ids) = Index::build(keys.chunks(1), 1, 5);
+        let (index, ids) = build(keys.chunks(1), 1, 5);
         assert_eq!(ids, vec![0, 1, 0, 2, 1]);
         assert_eq!(index.get(|_| Some(2)), Some(2));
     }
 
     #[test]
     fn zero_width_keys_are_one_key() {
-        let (index, ids) = Index::build(std::iter::repeat_n(&[][..], 3), 0, 3);
+        let (index, ids) = build(std::iter::repeat_n(&[][..], 3), 0, 3);
         assert_eq!(ids, vec![0, 0, 0]);
         assert_eq!(index.get(|_| unreachable!()), Some(0));
     }

@@ -54,6 +54,9 @@ pub use blocks::{partition, partition_projected, PartitionConfig, Partitioning};
 pub use comm::CommStats;
 pub use grouping::GroupingVectors;
 pub use grow::Grouping;
+/// The exact rational vector of `D^p`, of [`ProjectedStructure::point_at`]
+/// and of a user-chosen [`PartitionConfig::seed`].
+pub use loom_rational::QVec;
 pub use project::{ArcRows, ComputationalStructure, PointTable, ProjectedStructure, Steps};
 pub use tig::Tig;
 

@@ -199,7 +199,7 @@ impl ComputationalStructure {
         if points.is_empty() {
             return Err(Error::EmptySpace);
         }
-        let (index, _) = Index::build(points.iter(), points.dim(), points.len());
+        let index = Index::build(points.iter(), points.dim(), points.len(), |_| {});
         let (succ, pred) = match &index {
             Index::Dense { lo, extents, ids } => dense_arcs(&points, &deps, lo, extents, ids),
             Index::Hash { .. } => hashed_arcs(&points, &deps, &index),
@@ -377,7 +377,9 @@ fn hashed_arcs(points: &PointTable, deps: &[Point], index: &Index) -> (ArcRows, 
 }
 
 /// The projected structure `Q^p = (V^p, D^p)` (Definition 5): the images
-/// of `V` and `D` on the zero-hyperplane `Π·x = 0`.
+/// of `V` and `D` on the zero-hyperplane `Π·x = 0`. A projected point is
+/// stored only as its integer line coordinates (see [`Self::project`]);
+/// [`point_at`](Self::point_at) turns them back into the rational point.
 #[derive(Clone, Debug)]
 pub struct ProjectedStructure {
     pi: TimeFn,
@@ -387,7 +389,6 @@ pub struct ProjectedStructure {
     line_index: Index,
     /// Line coordinates of each dependence, `lines.width` apiece.
     dep_keys: Vec<i64>,
-    proj_points: Vec<QVec>,
     /// Every point id of the structure projected, once, grouped by
     /// projection line and sorted by execution step within it: line
     /// `pid` is `members[starts[pid]..starts[pid + 1]]`.
@@ -402,16 +403,18 @@ pub struct ProjectedStructure {
 }
 
 /// The integer coordinates of a projection line: for a Π-axis `a` with
-/// `Π_a ≠ 0` and `g = gcd(Π)`, the vector `x` has coordinates
-/// `(Π_a·x_j − Π_j·x_a) / g` for every axis `j ≠ a`. They are linear in
-/// `x`, vanish on Π, and on the hyperplane `Π·x = 0` they determine `x`:
-/// two points share them iff they differ by a rational multiple of Π,
-/// i.e. lie on one projection line.
+/// the smallest nonzero `|Π_a|` and `g = gcd(Π)`, the vector `x` has
+/// coordinates `c_j = (Π_a·x_j − Π_j·x_a) / g` for every axis `j ≠ a`.
+/// They are linear in `x`, vanish on Π, and on the hyperplane `Π·x = 0`
+/// they determine `x`: two points share them iff they lie on one
+/// projection line. Their inverse is the scaled projection `S = (Π·Π)·x^p`:
+/// `S_a = −g·Σ_{j≠a} Π_j·c_j` and `S_j = ((Π·Π)·g·c_j + Π_j·S_a) / Π_a`.
 #[derive(Clone, Debug)]
 struct LineCoords {
     pi: Vec<i64>,
     axis: usize,
     gcd: i64,
+    pi_sq: i64,
     width: usize,
 }
 
@@ -425,6 +428,10 @@ impl LineCoords {
             pi: pi.to_vec(),
             axis,
             gcd: gcd_all(pi).abs(),
+            pi_sq: pi
+                .iter()
+                .try_fold(0i64, |acc, &c| acc.checked_add(c.checked_mul(c)?))
+                .expect("Π·Π overflow"),
             width: pi.len() - 1,
         }
     }
@@ -448,45 +455,6 @@ impl LineCoords {
     fn push_key(&self, x: &[i64], keys: &mut Vec<i64>) {
         keys.extend((0..self.width).map(|c| self.coord(x, c).expect("line coordinate overflow")));
     }
-
-    /// The projection `x − (x·Π / Π·Π)·Π` of an integer vector, as the
-    /// scaled projection `x·(Π·Π) − (x·Π)·Π` over `Π·Π`.
-    fn project(&self, x: &[i64]) -> QVec {
-        let scaled = || -> Option<Vec<Ratio>> {
-            let pi_sq = self
-                .pi
-                .iter()
-                .try_fold(0i64, |acc, &c| acc.checked_add(c.checked_mul(c)?))?;
-            let t = x
-                .iter()
-                .zip(&self.pi)
-                .try_fold(0i64, |acc, (&a, &c)| acc.checked_add(a.checked_mul(c)?))?;
-            x.iter()
-                .zip(&self.pi)
-                .map(|(&a, &c)| {
-                    let s = a.checked_mul(pi_sq)?.checked_sub(t.checked_mul(c)?)?;
-                    Some(Ratio::new(s, pi_sq))
-                })
-                .collect()
-        };
-        QVec::new(scaled().expect("scaled projection overflow"))
-    }
-
-    /// The line coordinates of a rational vector on the hyperplane
-    /// `Π·q = 0`, when they are integers.
-    fn of_rational(&self, q: &QVec) -> Option<Vec<i64>> {
-        if q.dim() != self.pi.len() || !q.dot(&QVec::from_ints(&self.pi)).is_zero() {
-            return None;
-        }
-        let a = self.axis;
-        (0..self.width)
-            .map(|c| {
-                let j = self.axis_of(c);
-                let v = Ratio::int(self.pi[a]) * q[j] - Ratio::int(self.pi[j]) * q[a];
-                (v / Ratio::int(self.gcd)).to_integer()
-            })
-            .collect()
-    }
 }
 
 impl ProjectedStructure {
@@ -501,9 +469,7 @@ impl ProjectedStructure {
     /// the hyperplane, with one coordinate fewer, so the lines of a box
     /// usually fill their coordinates' box and index densely. A step along
     /// a projected dependence is an integer addition of the dependence's
-    /// own line coordinates; the rational coordinates of `V^p` and `D^p`
-    /// are materialized once per line and dependence, for
-    /// [`points`](Self::points) and [`deps`](Self::deps).
+    /// own line coordinates.
     pub fn project(cs: &ComputationalStructure, pi: &TimeFn) -> ProjectedStructure {
         let lines = LineCoords::new(pi.coeffs());
         let w = lines.width;
@@ -515,25 +481,25 @@ impl ProjectedStructure {
             step.push(pi.time_of(x));
         }
         let rows = (0..cs.len()).map(|id| &keys[id * w..(id + 1) * w]);
-        let (line_index, line_of) = Index::build(rows, w, cs.len());
+        let mut line_of = Vec::with_capacity(cs.len());
+        let line_index = Index::build(rows, w, cs.len(), |pid| line_of.push(pid));
 
         // Projected-point ids number the lines in order of first
         // appearance, so each line's first member is its lex-least point.
         let mut line_keys = Vec::new();
-        let mut proj_points = Vec::new();
         let mut starts = vec![0usize];
         for (id, &pid) in line_of.iter().enumerate() {
-            if pid as usize == proj_points.len() {
+            if pid as usize + 1 == starts.len() {
                 line_keys.extend_from_slice(&keys[id * w..(id + 1) * w]);
-                proj_points.push(lines.project(cs.point(id)));
                 starts.push(0);
             }
             starts[pid as usize + 1] += 1;
         }
-        for pid in 0..proj_points.len() {
+        let n_lines = starts.len() - 1;
+        for pid in 0..n_lines {
             starts[pid + 1] += starts[pid];
         }
-        let mut next = starts[..proj_points.len()].to_vec();
+        let mut next = starts[..n_lines].to_vec();
         let mut members = vec![0usize; cs.len()];
         for (id, &pid) in line_of.iter().enumerate() {
             members[next[pid as usize]] = id;
@@ -547,7 +513,7 @@ impl ProjectedStructure {
             .find(|&&c| c != 0)
             .is_some_and(|&c| c < 0)
         {
-            for pid in 0..proj_points.len() {
+            for pid in 0..n_lines {
                 members[starts[pid]..starts[pid + 1]].reverse();
             }
         }
@@ -555,23 +521,29 @@ impl ProjectedStructure {
         for d in cs.deps() {
             lines.push_key(d, &mut dep_keys);
         }
-        let proj_deps = cs.deps().iter().map(|d| lines.project(d)).collect();
-        let least = (0..proj_points.len())
-            .min_by(|&a, &b| proj_points[a].cmp(&proj_points[b]))
-            .expect("a structure has points");
-        ProjectedStructure {
+        let mut qp = ProjectedStructure {
             pi: pi.clone(),
             lines,
             line_keys,
             line_index,
             dep_keys,
-            proj_points,
             members,
             starts,
-            least,
-            proj_deps,
+            least: 0,
+            proj_deps: Vec::new(),
             steps: Arc::new(Steps::new(step)),
-        }
+        };
+        qp.proj_deps = (0..cs.deps().len())
+            .map(|k| qp.point_at(qp.dep_key(k)))
+            .collect();
+        // Scaling by `Π·Π > 0` keeps the lexicographic order.
+        qp.least = (0..n_lines)
+            .min_by_key(|&pid| {
+                qp.scaled(qp.line_key(pid))
+                    .expect("scaled projection overflow")
+            })
+            .expect("a structure has points");
+        qp
     }
 
     /// The time function used as projection vector.
@@ -585,31 +557,85 @@ impl ProjectedStructure {
         &self.steps
     }
 
-    /// The distinct projected points `V^p`; position = projected-point id.
-    pub fn points(&self) -> &[QVec] {
-        &self.proj_points
-    }
-
     /// Number of projected points `|V^p|` (37 for the paper's 4×4×4
     /// matmul with Π = (1,1,1)).
     pub fn len(&self) -> usize {
-        self.proj_points.len()
+        self.starts.len() - 1
     }
 
     /// `true` iff there are no projected points.
     pub fn is_empty(&self) -> bool {
-        self.proj_points.is_empty()
+        self.len() == 0
     }
 
-    /// Id of a projected point, if present.
-    pub fn id_of(&self, q: &QVec) -> Option<usize> {
-        let key = self.lines.of_rational(q)?;
-        self.line_at(|c| Some(key[c]))
+    /// The line coordinates of projected point `pid`.
+    pub fn line_key(&self, pid: usize) -> &[i64] {
+        let w = self.lines.width;
+        &self.line_keys[pid * w..(pid + 1) * w]
+    }
+
+    /// The rational point `S / (Π·Π)` with line coordinates `key` (one
+    /// per axis but Π's), e.g. `point_at(line_key(pid))` for projected
+    /// point `pid`.
+    ///
+    /// Panics unless [`scaled`](Self::scaled) is defined at `key`.
+    pub fn point_at(&self, key: &[i64]) -> QVec {
+        let s = self.scaled(key).expect("a projected point fits in i64");
+        QVec::new(
+            s.into_iter()
+                .map(|v| Ratio::new(v, self.lines.pi_sq))
+                .collect(),
+        )
+    }
+
+    /// The line coordinates of a rational point, when it lies on the
+    /// hyperplane at integer line coordinates: the inverse of
+    /// [`point_at`](Self::point_at).
+    pub fn key_of(&self, q: &QVec) -> Option<Vec<i64>> {
+        let l = &self.lines;
+        if q.dim() != l.pi.len() || !q.dot(&QVec::from_ints(&l.pi)).is_zero() {
+            return None;
+        }
+        let a = l.axis;
+        (0..l.width)
+            .map(|c| {
+                let j = l.axis_of(c);
+                let v = Ratio::int(l.pi[a]) * q[j] - Ratio::int(l.pi[j]) * q[a];
+                (v / Ratio::int(l.gcd)).to_integer()
+            })
+            .collect()
+    }
+
+    /// The scaled projection `S = (Π·Π)·point_at(key)` in integers, when
+    /// `key` has one coordinate per axis but Π's and `S` is an integer
+    /// vector that fits in `i64`, as it is for every projected point of a
+    /// projection that succeeded.
+    pub fn scaled(&self, key: &[i64]) -> Option<Vec<i64>> {
+        let l = &self.lines;
+        if key.len() != l.width {
+            return None;
+        }
+        let (pa, g) = (i128::from(l.pi[l.axis]), i128::from(l.gcd));
+        let mut s_a = 0i128;
+        for (c, &k) in key.iter().enumerate() {
+            let pj = i128::from(l.pi[l.axis_of(c)]);
+            s_a = s_a.checked_sub(pj.checked_mul(k.into())?.checked_mul(g)?)?;
+        }
+        let mut s = vec![i64::try_from(s_a).ok()?; l.pi.len()];
+        for (c, &k) in key.iter().enumerate() {
+            let j = l.axis_of(c);
+            let t = (i128::from(l.pi_sq) * g)
+                .checked_mul(k.into())?
+                .checked_add(i128::from(l.pi[j]).checked_mul(s_a)?)?;
+            s[j] = i64::try_from((t % pa == 0).then(|| t / pa)?).ok()?;
+        }
+        Some(s)
     }
 
     /// The projected point reached from projected point `pid` along
     /// projected dependence `k` (`pid` itself when `d_k ∥ Π`), if
-    /// present: `id_of(points()[pid] + deps()[k])` in integer arithmetic.
+    /// present: the one at `point_at(line_key(pid)) + deps()[k]`, found
+    /// in integer arithmetic.
     pub fn neighbor(&self, pid: usize, k: usize) -> Option<usize> {
         let (from, step) = (self.line_key(pid), self.dep_key(k));
         self.line_at(|c| from[c].checked_add(step[c]))
@@ -649,22 +675,10 @@ impl ProjectedStructure {
         self.least
     }
 
-    /// The line coordinates of projected point `pid`.
-    pub(crate) fn line_key(&self, pid: usize) -> &[i64] {
-        let w = self.lines.width;
-        &self.line_keys[pid * w..(pid + 1) * w]
-    }
-
     /// The line coordinates of dependence `k` (those of its projection).
     pub(crate) fn dep_key(&self, k: usize) -> &[i64] {
         let w = self.lines.width;
         &self.dep_keys[k * w..(k + 1) * w]
-    }
-
-    /// The line coordinates of a rational point, when it lies on the
-    /// hyperplane at integer line coordinates.
-    pub(crate) fn key_of(&self, q: &QVec) -> Option<Vec<i64>> {
-        self.lines.of_rational(q)
     }
 
     /// The projected point with line coordinate `c` equal to `coord(c)`.
@@ -712,7 +726,8 @@ mod tests {
             q(2, -2),
             q(3, -3),
         ] {
-            assert!(qp.id_of(&expected).is_some(), "missing {expected}");
+            let found = (0..qp.len()).any(|pid| qp.point_at(qp.line_key(pid)) == expected);
+            assert!(found, "missing {expected}");
         }
         // Line membership counts: 1,2,3,4,3,2,1 in some order; total 16.
         let mut sizes: Vec<usize> = (0..7).map(|i| qp.line_members(i).len()).collect();

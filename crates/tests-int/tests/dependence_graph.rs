@@ -15,7 +15,7 @@ use loom_machine::Program;
 use loom_partition::comm::comm_stats;
 use loom_partition::{
     partition, partition_projected, ComputationalStructure, PartitionConfig, Partitioning,
-    ProjectedStructure,
+    ProjectedStructure, QVec,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -110,8 +110,12 @@ fn check(name: &str, p: &Partitioning) {
     // The projected level: stepping a line along a projected dependence
     // in integer line coordinates reaches the line the rational sum names.
     let qp = p.projected();
+    let line_of: HashMap<&[i64], usize> =
+        (0..qp.len()).map(|pid| (qp.line_key(pid), pid)).collect();
+    let id_of = |q: &QVec| line_of.get(&qp.key_of(q)?[..]).copied();
     for pid in 0..qp.len() {
-        assert_eq!(qp.id_of(&qp.points()[pid]), Some(pid), "{name}: line id_of");
+        let point = qp.point_at(qp.line_key(pid));
+        assert_eq!(id_of(&point), Some(pid), "{name}: line id_of");
         let steps: Vec<i64> = qp
             .line_members(pid)
             .iter()
@@ -122,7 +126,7 @@ fn check(name: &str, p: &Partitioning) {
             "{name}: line {pid} out of step order"
         );
         for (k, d) in qp.deps().iter().enumerate() {
-            let want = qp.id_of(&(&qp.points()[pid] + d));
+            let want = id_of(&(&point + d));
             assert_eq!(qp.neighbor(pid, k), want, "{name}: neighbor({pid}, {k})");
         }
     }

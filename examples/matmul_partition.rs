@@ -11,8 +11,7 @@
 use loom_core::report::Table;
 use loom_hyperplane::TimeFn;
 use loom_partition::comm::{comm_stats, group_dependence_graph};
-use loom_partition::{partition, PartitionConfig};
-use loom_rational::QVec;
+use loom_partition::{partition, PartitionConfig, QVec};
 
 fn main() {
     let w = loom_workloads::matmul::workload(4);
@@ -55,7 +54,7 @@ fn main() {
         t.row([
             format!("G{g}"),
             format!("{}", group.members.len()),
-            format!("{}", group.base),
+            format!("{}", p.projected().point_at(&group.base)),
             sends.join(" "),
         ]);
     }
