@@ -20,7 +20,7 @@ fn main() {
     );
     println!("projected dependence vectors:");
     for (i, d) in qp.deps().iter().enumerate() {
-        let r = d.least_integer_multiplier();
+        let r = qp.multiplier(i);
         println!("  {:?} -> {d}   (r_i = {r})", p.structure().deps()[i]);
     }
     let gv = p.vectors();

@@ -35,9 +35,6 @@ fn omega_adjacent_pairs(p: &Partitioning) -> BTreeSet<(usize, usize)> {
     for pid in 0..qp.len() {
         let from = g.group_of[pid];
         for &k in &omega {
-            if qp.deps()[k].is_zero() {
-                continue;
-            }
             if let Some(qid) = qp.neighbor(pid, k) {
                 let to = g.group_of[qid];
                 if to != from {

@@ -4,14 +4,13 @@
 //! A block executes on one processor; if two of its iterations fall on
 //! the same hyperplane, the block serializes work the schedule counted
 //! as parallel and the makespan analysis of Theorem 1 collapses. Times
-//! are compared with exact rational arithmetic (`Π` as a `QVec` dotted
-//! with each point), not by sampling or floating point, so a violation
-//! can neither be missed nor fabricated by rounding.
+//! are compared as exact integers (`Π` dotted with each point, widened
+//! to `i128`), not by sampling or floating point, so a violation can
+//! neither be missed nor fabricated by rounding.
 
 use crate::diag::{Diagnostic, RuleId, Span};
 use loom_hyperplane::TimeFn;
 use loom_partition::PointTable;
-use loom_rational::{QVec, Ratio};
 use std::collections::BTreeMap;
 
 /// Check that every block's iterations occupy pairwise-distinct steps.
@@ -21,10 +20,9 @@ use std::collections::BTreeMap;
 /// produces — taking the raw slices lets tests hand in deliberately
 /// merged blocks without rebuilding a `Partitioning`.
 pub fn check_lemma1(pi: &TimeFn, points: &PointTable, blocks: &[Vec<usize>]) -> Vec<Diagnostic> {
-    let piq = pi.as_qvec();
     let mut out = Vec::new();
     for (b, block) in blocks.iter().enumerate() {
-        let mut first_at: BTreeMap<Ratio, usize> = BTreeMap::new();
+        let mut first_at: BTreeMap<i128, usize> = BTreeMap::new();
         for &id in block {
             let point = points.point(id);
             if point.len() != pi.dim() {
@@ -32,7 +30,12 @@ pub fn check_lemma1(pi: &TimeFn, points: &PointTable, blocks: &[Vec<usize>]) -> 
                 // undefined here, so skip rather than double-report.
                 continue;
             }
-            let t = QVec::from_ints(point).dot(&piq);
+            let t: i128 = pi
+                .coeffs()
+                .iter()
+                .zip(point)
+                .map(|(&a, &x)| i128::from(a) * i128::from(x))
+                .sum();
             match first_at.get(&t) {
                 Some(&first) => out.push(Diagnostic::error(
                     RuleId::BlockSharedStep,

@@ -18,7 +18,7 @@
 //! | id      | name               | checks                                  |
 //! |---------|--------------------|-----------------------------------------|
 //! | `LC001` | schedule-legality  | `Π·dᵢ ≥ 1` for every dependence         |
-//! | `LC002` | block-shared-step  | Lemma 1, by exact rational arithmetic   |
+//! | `LC002` | block-shared-step  | Lemma 1, by exact integer arithmetic    |
 //! | `LC003` | neighbor-bound     | Theorem 2's `2m − β` bound, Lemmas 2–3  |
 //! | `LC004` | gray-adjacency     | unit-hop mapping of Ω-neighbor blocks   |
 //! | `LC005` | data-race          | happens-before race scan of SPMD code   |

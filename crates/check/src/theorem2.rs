@@ -19,22 +19,14 @@
 use crate::diag::{Diagnostic, RuleId, Span};
 use loom_partition::comm::group_targets;
 use loom_partition::{GroupingVectors, Partitioning, ProjectedStructure};
-use loom_rational::{linalg, QMat, QVec};
+use loom_rational::intlinalg::{rank, IMat};
 use std::collections::BTreeSet;
 
-/// Rank of the nonzero projected dependence columns (zero columns never
-/// change rank).
-fn projected_rank(qp: &ProjectedStructure) -> usize {
-    let cols: Vec<QVec> = qp
-        .nonzero_dep_indices()
-        .into_iter()
-        .map(|i| qp.deps()[i].clone())
-        .collect();
-    if cols.is_empty() {
-        0
-    } else {
-        linalg::rank(&QMat::from_columns(&cols))
-    }
+/// Rank of the projected dependences `deps` (by index), read from their
+/// line coordinates, which map the hyperplane one-to-one.
+fn projected_rank(qp: &ProjectedStructure, deps: impl Iterator<Item = usize>) -> usize {
+    let rows: Vec<&[i64]> = deps.map(|i| qp.dep_key(i)).collect();
+    rank(&IMat::from_rows(&rows))
 }
 
 /// Rule `LC003` on a partitioning: Theorem 2's `2m − β` bound, then
@@ -42,7 +34,7 @@ fn projected_rank(qp: &ProjectedStructure) -> usize {
 /// dependences.
 pub fn check_theorem2(p: &Partitioning) -> Vec<Diagnostic> {
     let m = p.structure().deps().len();
-    let beta = projected_rank(p.projected());
+    let beta = projected_rank(p.projected(), 0..m);
     let targets = group_targets(p);
     // A group's out-degree is its distinct targets over all directions.
     let mut union = Vec::new();
@@ -137,7 +129,7 @@ pub fn check_grouping_vectors(qp: &ProjectedStructure, gv: &GroupingVectors) -> 
             return out;
         }
     }
-    let rank = projected_rank(qp);
+    let rank = projected_rank(qp, 0..ndeps);
     if gv.beta != rank {
         out.push(Diagnostic::error(
             RuleId::GroupingRank,
@@ -168,24 +160,21 @@ pub fn check_grouping_vectors(qp: &ProjectedStructure, gv: &GroupingVectors) -> 
                 ));
             }
         }
-        Some(g) => {
-            if gv.auxiliary.len() + 1 != gv.beta {
+        Some(_) => {
+            let omega = gv.omega();
+            if omega.len() != gv.beta {
                 out.push(Diagnostic::error(
                     RuleId::GroupingRank,
                     Span::Nest,
                     format!(
                         "\u{3a9} holds {} vector(s) where \u{3b2} = {} requires a \
                          rank-\u{3b2} independent set",
-                        gv.auxiliary.len() + 1,
+                        omega.len(),
                         gv.beta
                     ),
                 ));
             }
-            let chosen: Vec<QVec> = std::iter::once(g)
-                .chain(gv.auxiliary.iter().copied())
-                .map(|i| qp.deps()[i].clone())
-                .collect();
-            if !linalg::independent(&chosen) {
+            if projected_rank(qp, omega.iter().copied()) != omega.len() {
                 out.push(Diagnostic::error(
                     RuleId::GroupingRank,
                     Span::Nest,
@@ -241,6 +230,24 @@ mod tests {
         gv.beta += 1;
         let ds = check_grouping_vectors(p.projected(), &gv);
         assert!(ds.iter().any(|d| d.rule == RuleId::GroupingRank));
+    }
+
+    #[test]
+    fn fabricated_dependent_omega_flagged() {
+        // L1 with Π = (1,1): d_0 and d_2 project to ±(−1/2, 1/2), so an Ω
+        // of {0, 2} is antiparallel. β = 2 keeps the size check quiet;
+        // the rank check reports the mismatch on its own.
+        let p = l1();
+        let gv = GroupingVectors {
+            grouping: Some(0),
+            auxiliary: vec![2],
+            r: 2,
+            beta: 2,
+        };
+        let ds = check_grouping_vectors(p.projected(), &gv);
+        assert!(ds
+            .iter()
+            .any(|d| d.message == "the chosen grouping/auxiliary set is linearly dependent"));
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use crate::Error;
 use loom_loopir::{Aff, IterSpace, Point};
-use loom_rational::QVec;
 use std::fmt;
 
 /// A linear time transformation `Π = (a₁, …, aₙ)`: iteration `x` executes
@@ -112,12 +111,6 @@ impl TimeFn {
     /// connected index set equals the number of populated hyperplanes.
     pub fn steps(&self, space: &IterSpace) -> i64 {
         self.step_range(space).map_or(0, |(lo, hi)| hi - lo + 1)
-    }
-
-    /// Π viewed as a rational vector (the projection direction of the
-    /// partitioning phase).
-    pub fn as_qvec(&self) -> QVec {
-        QVec::from_ints(&self.coeffs)
     }
 }
 

@@ -3,8 +3,7 @@
 
 use crate::project::ProjectedStructure;
 use crate::Error;
-use loom_rational::linalg;
-use loom_rational::QVec;
+use loom_rational::intlinalg::{rank, IMat};
 
 /// The vectors steering the grouping phase.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -62,18 +61,11 @@ pub fn select_vectors(
     }
 
     // Step 1: r_i = least positive integer with r_i·d_i^p ∈ ℤⁿ; r = max.
-    let multipliers: Vec<(usize, i64)> = nonzero
-        .iter()
-        .map(|&i| (i, qp.deps()[i].least_integer_multiplier()))
-        .collect();
+    let multipliers: Vec<(usize, i64)> = nonzero.iter().map(|&i| (i, qp.multiplier(i))).collect();
     let r = multipliers.iter().map(|&(_, m)| m).max().unwrap();
     let grouping = match prefer {
         Some(p) => {
-            let r_p = multipliers
-                .iter()
-                .find(|&&(i, _)| i == p)
-                .map(|&(_, m)| m)
-                .unwrap_or(1); // zero projection ⇒ multiplier 1
+            let r_p = qp.multiplier(p); // 1 for a zero projection
             if r_p != r {
                 return Err(Error::InvalidGroupingChoice {
                     requested: p,
@@ -86,13 +78,13 @@ pub fn select_vectors(
         None => multipliers.iter().find(|&&(_, m)| m == r).unwrap().0,
     };
 
-    // β = rank of the projected dependence matrix (nonzero columns
-    // suffice — zero columns never change rank).
-    let cols: Vec<QVec> = nonzero.iter().map(|&i| qp.deps()[i].clone()).collect();
-    let beta = linalg::rank(&loom_rational::QMat::from_columns(&cols));
+    // β = rank of the projected dependence matrix, read from the
+    // dependences' line coordinates (one-to-one on the hyperplane, so of
+    // the same rank); zero rows never change rank.
+    let beta = keys_rank(qp, &nonzero);
 
     // Step 2: grow an independent set {d_l^p} ∪ Ψ of size β.
-    let mut chosen: Vec<QVec> = vec![qp.deps()[grouping].clone()];
+    let mut chosen = vec![grouping];
     let mut auxiliary = Vec::new();
     for &i in &nonzero {
         if auxiliary.len() + 1 == beta {
@@ -101,11 +93,11 @@ pub fn select_vectors(
         if i == grouping {
             continue;
         }
-        let mut trial = chosen.clone();
-        trial.push(qp.deps()[i].clone());
-        if linalg::independent(&trial) {
-            chosen = trial;
+        chosen.push(i);
+        if keys_rank(qp, &chosen) == chosen.len() {
             auxiliary.push(i);
+        } else {
+            chosen.pop();
         }
     }
     // A rank-β matrix always contains β independent columns, so the
@@ -126,6 +118,13 @@ pub fn select_vectors(
         r,
         beta,
     })
+}
+
+/// The rank of the projected dependences `deps` (by index), from their
+/// line coordinates.
+fn keys_rank(qp: &ProjectedStructure, deps: &[usize]) -> usize {
+    let rows: Vec<&[i64]> = deps.iter().map(|&i| qp.dep_key(i)).collect();
+    rank(&IMat::from_rows(&rows))
 }
 
 #[cfg(test)]

@@ -239,15 +239,16 @@ mod tests {
             Some(0),
             None,
         );
-        let dl = &qp.deps()[gv.grouping.unwrap()];
+        let dl = qp.dep_key(gv.grouping.unwrap());
+        let c = dl.iter().position(|&x| x != 0).unwrap();
         for grp in &g.groups {
             for w in grp.members.windows(2) {
-                let at = |pid: usize| qp.point_at(qp.line_key(pid));
-                let diff = &at(w[1]) - &at(w[0]);
+                let (a, b) = (qp.line_key(w[0]), qp.line_key(w[1]));
                 // Consecutive members differ by a positive multiple of d_l^p
-                // (gaps happen at clipped boundaries).
+                // (gaps happen at clipped boundaries), in line coordinates.
+                let k = (b[c] - a[c]) / dl[c];
                 assert!(
-                    diff.positively_parallel(dl) || diff == *dl,
+                    k >= 1 && (0..dl.len()).all(|j| b[j] - a[j] == k * dl[j]),
                     "members not along grouping vector"
                 );
             }

@@ -12,7 +12,7 @@ use crate::index::{Index, NONE};
 use crate::Error;
 use loom_hyperplane::TimeFn;
 use loom_loopir::{IterSpace, Point};
-use loom_rational::int::gcd_all;
+use loom_rational::int::{gcd, gcd_all};
 use loom_rational::{QVec, Ratio};
 use std::sync::{Arc, OnceLock};
 
@@ -657,12 +657,28 @@ impl ProjectedStructure {
     /// parallel to Π project to the zero vector and stay inside a single
     /// projection line).
     pub fn nonzero_dep_indices(&self) -> Vec<usize> {
-        self.proj_deps
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| !d.is_zero())
-            .map(|(i, _)| i)
+        (0..self.proj_deps.len())
+            .filter(|&k| self.dep_key(k).iter().any(|&c| c != 0))
             .collect()
+    }
+
+    /// The line coordinates of dependence `k` (those of its projection).
+    /// They are a linear map that is one-to-one on the hyperplane, so a
+    /// set of them has the rank of the projected dependences it stands
+    /// for.
+    pub fn dep_key(&self, k: usize) -> &[i64] {
+        let w = self.lines.width;
+        &self.dep_keys[k * w..(k + 1) * w]
+    }
+
+    /// The `r_k` of Algorithm 1 Step 1: the least positive integer with
+    /// `r_k·d_k^p ∈ ℤⁿ` (1 for a zero projection). With `S` the scaled
+    /// projection of `d_k`, it is `(Π·Π) / gcd(Π·Π, S)`.
+    pub fn multiplier(&self, k: usize) -> i64 {
+        let s = self
+            .scaled(self.dep_key(k))
+            .expect("a projected dependence fits in i64");
+        self.lines.pi_sq / gcd(self.lines.pi_sq, gcd_all(&s))
     }
 
     /// Number of points of the structure this projects.
@@ -673,12 +689,6 @@ impl ProjectedStructure {
     /// The lexicographically least projected point.
     pub(crate) fn least(&self) -> usize {
         self.least
-    }
-
-    /// The line coordinates of dependence `k` (those of its projection).
-    pub(crate) fn dep_key(&self, k: usize) -> &[i64] {
-        let w = self.lines.width;
-        &self.dep_keys[k * w..(k + 1) * w]
     }
 
     /// The projected point with line coordinate `c` equal to `coord(c)`.
@@ -745,6 +755,50 @@ mod tests {
         assert!(qp.deps()[1].is_zero());
         assert_eq!(qp.deps()[2], h(1, -1));
         assert_eq!(qp.nonzero_dep_indices(), vec![0, 2]);
+    }
+
+    #[test]
+    fn multiplier_cases() {
+        // L1: d1, d3 project to ±(−1/2, 1/2), r = 2; d2 ∥ Π projects to
+        // zero, r = 1.
+        let (cs, pi) = l1();
+        let qp = ProjectedStructure::project(&cs, &pi);
+        assert_eq!([0, 1, 2].map(|k| qp.multiplier(k)), [2, 1, 2]);
+        // Π = (1, 2): (2, 0) projects to (8/5, −4/5), r = 5; (2, −1) ⟂ Π
+        // projects to itself, r = 1.
+        let cs = ComputationalStructure::new(
+            IterSpace::rect(&[2, 2]).unwrap(),
+            vec![vec![2, 0], vec![2, -1]],
+        )
+        .unwrap();
+        let qp = ProjectedStructure::project(&cs, &TimeFn::new(vec![1, 2]));
+        assert_eq!([0, 1].map(|k| qp.multiplier(k)), [5, 1]);
+    }
+
+    #[test]
+    fn multiplier_scales_to_integral() {
+        // Every d ∈ [−1, 1]³ \ 0 along every Π ∈ [−2, 2]³ \ 0: r is the
+        // lcm of the rational projection's denominators.
+        let cube: Vec<Vec<i64>> = (0..27)
+            .map(|i| vec![i / 9 - 1, i / 3 % 3 - 1, i % 3 - 1])
+            .filter(|v| v.iter().any(|&c| c != 0))
+            .collect();
+        let cs = ComputationalStructure::new(IterSpace::rect(&[1, 1, 1]).unwrap(), cube.clone())
+            .unwrap();
+        for i in 0..125 {
+            let pi = vec![i / 25 - 2, i / 5 % 5 - 2, i % 5 - 2];
+            if pi.iter().all(|&c| c == 0) {
+                continue;
+            }
+            let qp = ProjectedStructure::project(&cs, &TimeFn::new(pi.clone()));
+            for (k, d) in qp.deps().iter().enumerate() {
+                let lcm = d
+                    .coords()
+                    .iter()
+                    .fold(1, |l, c| l / gcd(l, c.den()) * c.den());
+                assert_eq!(qp.multiplier(k), lcm, "{:?} along {pi:?}", cube[k]);
+            }
+        }
     }
 
     #[test]

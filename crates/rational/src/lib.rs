@@ -1,20 +1,22 @@
-//! Exact rational arithmetic and small dense linear algebra over ℚ.
+//! Exact integer linear algebra, and the rational numbers that display
+//! projected points.
 //!
 //! The Sheu–Tai partitioning method projects integer iteration points onto
 //! the zero-hyperplane of a time transformation Π. Projected coordinates are
 //! rational (e.g. the projected points of the paper's Example 1 include
-//! (−3/2, 3/2)), and the grouping phase needs *exact* answers to questions
-//! such as "what is the least positive integer r with r·d^p ∈ ℤⁿ?" and
-//! "are these projected dependence vectors linearly independent?".
-//! Floating point cannot answer those questions reliably, so this crate
-//! provides a compact, overflow-checked implementation of
+//! (−3/2, 3/2)), but the partitioner computes on integer line coordinates
+//! of the projection lines, so exact answers such as "are these projected
+//! dependence vectors linearly independent?" come from integer
+//! arithmetic. This crate provides a compact, overflow-checked
+//! implementation of
 //!
+//! * [`intlinalg`] — unimodular column reduction, rank, integer system
+//!   solving and integer nullspace lattices,
+//! * [`int`] — gcd helpers,
 //! * [`Ratio`] — a normalized fraction of two `i64`s with `i128`-widened
 //!   intermediate arithmetic,
-//! * [`QVec`] — a rational vector with the projection / lattice helpers the
-//!   partitioner needs,
-//! * [`QMat`] — a dense rational matrix with Gaussian elimination, rank,
-//!   solving, and nullspace extraction.
+//! * [`QVec`] — a rational vector with the projection of Definition 3,
+//!   the rational view of projected points for display and tests.
 //!
 //! Everything here is deterministic. The default entry points panic on
 //! arithmetic overflow (beyond ±2⁶³-scale numerators) — for pipeline
@@ -27,14 +29,11 @@
 
 pub mod int;
 pub mod intlinalg;
-pub mod linalg;
-pub mod matrix;
 pub mod ratio;
 pub mod vector;
 
-pub use matrix::QMat;
 pub use ratio::Ratio;
-pub use vector::{IVec, QVec};
+pub use vector::QVec;
 
 /// A numeric failure from a `try_*`/`checked_*` entry point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -102,35 +102,6 @@ impl Ratio {
         self.is_integer().then_some(self.num)
     }
 
-    /// Multiplicative inverse. Panics on zero.
-    pub fn recip(self) -> Ratio {
-        assert!(self.num != 0, "reciprocal of zero");
-        Ratio::new(self.den, self.num)
-    }
-
-    /// Absolute value.
-    pub fn abs(self) -> Ratio {
-        Ratio {
-            num: self.num.abs(),
-            den: self.den,
-        }
-    }
-
-    /// Sign: `-1`, `0`, or `1`.
-    pub const fn signum(self) -> i64 {
-        self.num.signum()
-    }
-
-    /// Floor to the nearest integer at or below.
-    pub fn floor(self) -> i64 {
-        self.num.div_euclid(self.den)
-    }
-
-    /// Ceiling to the nearest integer at or above.
-    pub fn ceil(self) -> i64 {
-        -((-self.num).div_euclid(self.den))
-    }
-
     /// Lossy conversion for reporting only — never use for decisions.
     pub fn to_f64(self) -> f64 {
         self.num as f64 / self.den as f64
@@ -296,7 +267,6 @@ mod tests {
         assert_eq!(a * b, Ratio::new(1, 6));
         assert_eq!(a / b, Ratio::new(3, 2));
         assert_eq!(-a, Ratio::new(-1, 2));
-        assert_eq!(a.recip(), Ratio::int(2));
     }
 
     #[test]
@@ -307,16 +277,6 @@ mod tests {
         let mut v = vec![Ratio::new(3, 2), Ratio::new(-1, 2), Ratio::ZERO];
         v.sort();
         assert_eq!(v, vec![Ratio::new(-1, 2), Ratio::ZERO, Ratio::new(3, 2)]);
-    }
-
-    #[test]
-    fn floor_ceil() {
-        assert_eq!(Ratio::new(7, 2).floor(), 3);
-        assert_eq!(Ratio::new(7, 2).ceil(), 4);
-        assert_eq!(Ratio::new(-7, 2).floor(), -4);
-        assert_eq!(Ratio::new(-7, 2).ceil(), -3);
-        assert_eq!(Ratio::int(5).floor(), 5);
-        assert_eq!(Ratio::int(5).ceil(), 5);
     }
 
     #[test]
@@ -400,15 +360,6 @@ mod tests {
                 if a.is_zero() { a.den() } else { 1 },
                 "{a}"
             );
-        });
-    }
-
-    #[test]
-    fn floor_ceil_bracket() {
-        for_random_ratios(7, |a, _, _| {
-            assert!(Ratio::int(a.floor()) <= a, "{a}");
-            assert!(a <= Ratio::int(a.ceil()), "{a}");
-            assert!(a.ceil() - a.floor() <= 1, "{a}");
         });
     }
 

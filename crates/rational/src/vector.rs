@@ -1,18 +1,15 @@
-//! Rational and integer vectors with the projection helpers the
-//! partitioner is built on.
+//! Rational vectors: the projection of Definition 3 and the rational
+//! view of projected points.
 
-use crate::int::lcm;
 use crate::ratio::Ratio;
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 
-/// An integer vector — iteration-space points and dependence vectors.
-pub type IVec = Vec<i64>;
-
 /// A dense vector of exact rationals.
 ///
-/// Projected points and projected dependence vectors live in ℚⁿ, so all the
-/// geometric work of the partitioning phase happens on `QVec`s.
+/// Projected points and projected dependence vectors live in ℚⁿ; the
+/// partitioner computes on their integer line coordinates and shows them
+/// as `QVec`s.
 ///
 /// ```
 /// use loom_rational::{QVec, Ratio};
@@ -56,16 +53,6 @@ impl QVec {
         self.0.iter().all(|c| c.is_zero())
     }
 
-    /// `true` iff every coordinate is an integer.
-    pub fn is_integral(&self) -> bool {
-        self.0.iter().all(|c| c.is_integer())
-    }
-
-    /// The integer coordinates, if all coordinates are integers.
-    pub fn to_ints(&self) -> Option<IVec> {
-        self.0.iter().map(|c| c.to_integer()).collect()
-    }
-
     /// Exact dot product.
     pub fn dot(&self, other: &QVec) -> Ratio {
         assert_eq!(self.dim(), other.dim(), "dot of mismatched dimensions");
@@ -89,45 +76,6 @@ impl QVec {
         assert!(!pp.is_zero(), "projection along the zero vector");
         let k = self.dot(p) / pp;
         self.clone() - p.scale(k)
-    }
-
-    /// The least positive integer `r` with `r * self ∈ ℤⁿ`
-    /// (the `r_i` of Algorithm 1 Step 1). This is the LCM of the
-    /// coordinate denominators. Returns 1 for an integral vector
-    /// (including zero).
-    pub fn least_integer_multiplier(&self) -> i64 {
-        self.0.iter().fold(1, |l, c| lcm(l, c.den()))
-    }
-
-    /// `true` iff `other = k * self` for some rational `k > 0`.
-    pub fn positively_parallel(&self, other: &QVec) -> bool {
-        if self.is_zero() || other.is_zero() {
-            return false;
-        }
-        let mut k: Option<Ratio> = None;
-        for (&a, &b) in self.0.iter().zip(&other.0) {
-            match (a.is_zero(), b.is_zero()) {
-                (true, true) => continue,
-                (true, false) | (false, true) => return false,
-                (false, false) => {
-                    let q = b / a;
-                    if q.signum() <= 0 {
-                        return false;
-                    }
-                    match k {
-                        None => k = Some(q),
-                        Some(prev) if prev != q => return false,
-                        _ => {}
-                    }
-                }
-            }
-        }
-        k.is_some()
-    }
-
-    /// Lossy floating-point view for display or plotting only.
-    pub fn to_f64s(&self) -> Vec<f64> {
-        self.0.iter().map(|c| c.to_f64()).collect()
     }
 }
 
@@ -231,30 +179,6 @@ mod tests {
             da,
             QVec::new(vec![Ratio::new(-1, 3), Ratio::new(2, 3), Ratio::new(-1, 3)])
         );
-        assert_eq!(da.least_integer_multiplier(), 3);
-    }
-
-    #[test]
-    fn least_integer_multiplier_cases() {
-        assert_eq!(QVec::from_ints(&[1, -2, 0]).least_integer_multiplier(), 1);
-        assert_eq!(QVec::zero(3).least_integer_multiplier(), 1);
-        let v = QVec::new(vec![Ratio::new(1, 2), Ratio::new(1, 3)]);
-        assert_eq!(v.least_integer_multiplier(), 6);
-        assert!(v.scale(Ratio::int(6)).is_integral());
-        assert!(!v.scale(Ratio::int(3)).is_integral());
-    }
-
-    #[test]
-    fn positively_parallel_cases() {
-        let a = QVec::from_ints(&[1, -2]);
-        assert!(a.positively_parallel(&QVec::new(vec![Ratio::new(1, 2), Ratio::int(-1)])));
-        assert!(!a.positively_parallel(&QVec::from_ints(&[-1, 2]))); // opposite
-        assert!(!a.positively_parallel(&QVec::from_ints(&[1, 2]))); // not parallel
-        assert!(!a.positively_parallel(&QVec::zero(2)));
-        assert!(!QVec::zero(2).positively_parallel(&a));
-        let withzero = QVec::from_ints(&[0, 3]);
-        assert!(withzero.positively_parallel(&QVec::from_ints(&[0, 1])));
-        assert!(!withzero.positively_parallel(&QVec::from_ints(&[1, 1])));
     }
 
     #[test]
@@ -268,9 +192,7 @@ mod tests {
         assert_eq!(a[1], Ratio::int(2));
         let mut c = a.clone();
         c[0] = Ratio::new(1, 2);
-        assert!(!c.is_integral());
-        assert_eq!(a.to_ints(), Some(vec![1, 2]));
-        assert_eq!(c.to_ints(), None);
+        assert_eq!(c, QVec::new(vec![Ratio::new(1, 2), Ratio::int(2)]));
     }
 
     #[test]
@@ -324,20 +246,6 @@ mod tests {
             let lhs = (&a + &b).project(&p);
             let rhs = &a.project(&p) + &b.project(&p);
             assert_eq!(lhs, rhs, "{a} {b} onto {p}");
-        });
-    }
-
-    #[test]
-    fn lim_scales_to_integral() {
-        for_random_vecs(4, |j, _, p| {
-            let v = j.project(&p);
-            let r = v.least_integer_multiplier();
-            assert!(r >= 1);
-            assert!(v.scale(Ratio::int(r)).is_integral(), "{j} onto {p}");
-            // Minimality: no smaller positive multiplier works.
-            for s in 1..r {
-                assert!(!v.scale(Ratio::int(s)).is_integral(), "{j} onto {p}, s={s}");
-            }
         });
     }
 }

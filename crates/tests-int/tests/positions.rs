@@ -63,7 +63,7 @@ fn partitionings(space: &IterSpace, deps: &[Point], pi: &[i64]) -> Vec<Partition
 /// the positions told apart.
 fn check(what: &str, p: &Partitioning) -> usize {
     let (cs, qp) = (p.structure(), p.projected());
-    let piq = p.time_fn().as_qvec();
+    let piq = QVec::from_ints(p.time_fn().coeffs());
     let first_projected = |pid: usize| project(cs.point(qp.line_members(pid)[0]), &piq);
     for pid in 0..qp.len() {
         let key = qp.line_key(pid);
