@@ -12,8 +12,8 @@ fn main() {
 
     println!("Fig. 3 — projected structure of L1 with Π = (1,1)\n");
     println!("projected dependence vectors:");
-    for (i, d) in qp.deps().iter().enumerate() {
-        println!("  {:?} -> {d}", p.structure().deps()[i]);
+    for (i, d) in p.structure().deps().iter().enumerate() {
+        println!("  {d:?} -> {}", qp.display_point(qp.dep_key(i)));
     }
     println!();
 
@@ -25,7 +25,7 @@ fn main() {
             .map(|&id| format!("{:?}", p.structure().point(id)))
             .collect();
         t.row([
-            qp.point_at(qp.line_key(pid)).to_string(),
+            qp.display_point(qp.line_key(pid)),
             members.join(" "),
             format!("G{}", p.grouping().group_of[pid]),
         ]);

@@ -19,9 +19,12 @@ fn main() {
         qp.len()
     );
     println!("projected dependence vectors:");
-    for (i, d) in qp.deps().iter().enumerate() {
+    for (i, d) in p.structure().deps().iter().enumerate() {
         let r = qp.multiplier(i);
-        println!("  {:?} -> {d}   (r_i = {r})", p.structure().deps()[i]);
+        println!(
+            "  {d:?} -> {}   (r_i = {r})",
+            qp.display_point(qp.dep_key(i))
+        );
     }
     let gv = p.vectors();
     println!(
@@ -38,11 +41,11 @@ fn main() {
         let members: Vec<String> = group
             .members
             .iter()
-            .map(|&pid| qp.point_at(qp.line_key(pid)).to_string())
+            .map(|&pid| qp.display_point(qp.line_key(pid)))
             .collect();
         t.row([
             format!("G{g}"),
-            qp.point_at(&group.base).to_string(),
+            qp.display_point(&group.base),
             members.join(" "),
             format!("{}", p.block(g).len()),
         ]);

@@ -11,7 +11,6 @@
 use loom_hyperplane::TimeFn;
 use loom_obs::Json;
 use loom_partition::{partition, PartitionConfig, Partitioning};
-use loom_rational::QVec;
 use loom_workloads::Workload;
 use std::path::Path;
 
@@ -38,7 +37,7 @@ pub fn paper_matmul_partitioning() -> Partitioning {
         TimeFn::new(w.pi.clone()),
         &PartitionConfig {
             grouping_choice: Some(1),
-            seed: Some(QVec::from_ints(&[-1, -1, 2])),
+            seed: Some(vec![-1, -1, 2]),
         },
     )
     .expect("matmul partitions")

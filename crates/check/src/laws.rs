@@ -20,7 +20,6 @@ mod tests {
     use loom_hyperplane::TimeFn;
     use loom_loopir::IterSpace;
     use loom_partition::{partition, PartitionConfig};
-    use loom_rational::QVec;
 
     #[test]
     fn l1_satisfies_all_laws() {
@@ -42,7 +41,7 @@ mod tests {
             TimeFn::wavefront(3),
             &PartitionConfig {
                 grouping_choice: Some(0),
-                seed: Some(QVec::from_ints(&[-1, -1, 2])),
+                seed: Some(vec![-1, -1, 2]),
             },
         )
         .unwrap();

@@ -118,7 +118,7 @@ pub fn check_direction_bounds(
 /// projected structure it was derived from.
 pub fn check_grouping_vectors(qp: &ProjectedStructure, gv: &GroupingVectors) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let ndeps = qp.deps().len();
+    let ndeps = qp.num_deps();
     for i in gv.omega() {
         if i >= ndeps {
             out.push(Diagnostic::error(

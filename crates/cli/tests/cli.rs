@@ -710,3 +710,20 @@ fn partition_ignores_the_machine() {
         assert_eq!(out, plain, "{target:?}");
     }
 }
+
+#[test]
+fn zero_projection_is_no_grouping_vector() {
+    // heat2d's D[2] and triangular's D[0] are parallel to their Π, at
+    // β = 2 and β = 1.
+    for args in [
+        "partition --workload heat2d --size 4 --pi 1,0,0 --grouping 2",
+        "partition --workload triangular --size 5 --pi 0,1 --grouping 0",
+    ] {
+        let (_, err, ok) = loom(&args.split(' ').collect::<Vec<_>>());
+        assert!(!ok, "{args}");
+        assert!(
+            err.contains("is parallel to Π: its projection is zero"),
+            "{args}: {err}"
+        );
+    }
+}

@@ -40,6 +40,7 @@ use crate::deps::{
 use crate::nest::LoopNest;
 use crate::{Error, Point};
 use loom_rational::int::gcd_all;
+use loom_rational::intlinalg::{try_col_echelon, IMat};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -338,7 +339,7 @@ fn synthesize_basis(distances: &BTreeSet<Point>) -> Result<Vec<Point>, String> {
         let (p, g) = dirs.iter().next().expect("one direction");
         return Ok(vec![scaled(p, *g)]);
     }
-    let rank = rank_of(distances);
+    let rank = checked_rank(distances)?;
     if rank == 2 {
         let (lo, hi) = extreme_rays(&dirs)?;
         if dirs.len() == 2 {
@@ -358,8 +359,7 @@ fn synthesize_basis(distances: &BTreeSet<Point>) -> Result<Vec<Point>, String> {
     for p in dirs.keys() {
         let mut candidate = basis.clone();
         candidate.push(p.clone());
-        let set: BTreeSet<Point> = candidate.iter().cloned().collect();
-        if rank_of(&set) == candidate.len() {
+        if checked_rank(&candidate)? == candidate.len() {
             basis = candidate;
             if basis.len() == rank {
                 break;
@@ -412,40 +412,13 @@ fn extreme_rays(dirs: &BTreeMap<Point, i64>) -> Result<(Point, Point), String> {
     ))
 }
 
-/// Rank of a set of integer vectors, by fraction-free Gaussian
-/// elimination over `i128`.
-fn rank_of(vectors: &BTreeSet<Point>) -> usize {
-    let mut rows: Vec<Vec<i128>> = vectors
-        .iter()
-        .map(|v| v.iter().map(|&x| x as i128).collect())
-        .collect();
-    if rows.is_empty() {
-        return 0;
-    }
-    let cols = rows[0].len();
-    let mut rank = 0;
-    for c in 0..cols {
-        let Some(pivot) = (rank..rows.len()).find(|&i| rows[i][c] != 0) else {
-            continue;
-        };
-        rows.swap(rank, pivot);
-        // Fraction-free elimination below the pivot.
-        let pivot_row = rows[rank].clone();
-        for row in rows.iter_mut().skip(rank + 1) {
-            if row[c] == 0 {
-                continue;
-            }
-            let (p, q) = (pivot_row[c], row[c]);
-            for (x, &pv) in row.iter_mut().zip(&pivot_row) {
-                *x = x.saturating_mul(p) - pv.saturating_mul(q);
-            }
-        }
-        rank += 1;
-        if rank == rows.len() {
-            break;
-        }
-    }
-    rank
+/// Rank of a set of integer vectors: the pivot count of their integer
+/// column echelon form. An overflow is an error, never a wrong rank.
+fn checked_rank<'a>(vectors: impl IntoIterator<Item = &'a Point>) -> Result<usize, String> {
+    let rows: Vec<&[i64]> = vectors.into_iter().map(Vec::as_slice).collect();
+    try_col_echelon(&IMat::from_rows(&rows))
+        .map(|e| e.pivots.len())
+        .map_err(|e| e.to_string())
 }
 
 /// The exact integer-cover data of a basis `V` (columns `v₁ … v_m` of
@@ -789,12 +762,55 @@ mod tests {
     }
 
     #[test]
-    fn rank_is_exact() {
-        let set: BTreeSet<Point> = [vec![1, 0, 0], vec![0, 1, 0], vec![1, 1, 0]]
-            .into_iter()
-            .collect();
-        assert_eq!(rank_of(&set), 2);
-        let set: BTreeSet<Point> = [vec![2, 4], vec![1, 2]].into_iter().collect();
-        assert_eq!(rank_of(&set), 1);
+    fn rank_is_exact_or_an_overflow() {
+        let rank = |vs: &[Point]| checked_rank(vs);
+        assert_eq!(rank(&[vec![1, 0, 0], vec![0, 1, 0], vec![1, 1, 0]]), Ok(2));
+        assert_eq!(rank(&[vec![2, 4], vec![1, 2]]), Ok(1));
+        // Three independent vectors with entries below 2^39 and two
+        // small-integer combinations of them: rank 3, but the column
+        // echelon form overflows `i64`.
+        let set: BTreeSet<Point> = [
+            vec![
+                -349385189011,
+                61207796038,
+                -333571028405,
+                -11895758890,
+                -169950824868,
+            ],
+            vec![
+                417667710564,
+                -275639987394,
+                -523330293707,
+                440254752681,
+                -94827866577,
+            ],
+            vec![
+                -140281200559,
+                65491529566,
+                345311620836,
+                521704867121,
+                -521913095410,
+            ],
+            vec![
+                835875687468,
+                -267072520338,
+                834435004775,
+                1507456004703,
+                -798752407661,
+            ],
+            vec![
+                490206655910,
+                157508128846,
+                1869354999758,
+                117137391110,
+                82767245771,
+            ],
+        ]
+        .into_iter()
+        .collect();
+        let overflow = "integer overflow during column operation".to_string();
+        assert_eq!(checked_rank(&set), Err(overflow.clone()));
+        // Basis synthesis rejects the set rather than admit a wrong rank.
+        assert_eq!(synthesize_basis(&set), Err(overflow));
     }
 }

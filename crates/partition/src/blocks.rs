@@ -8,7 +8,6 @@ use crate::project::{ComputationalStructure, ProjectedStructure};
 use crate::Error;
 use loom_hyperplane::TimeFn;
 use loom_loopir::{IterSpace, Point};
-use loom_rational::QVec;
 use std::sync::Arc;
 
 /// Options for [`partition`] — the "arbitrary" choices Algorithm 1
@@ -18,8 +17,10 @@ pub struct PartitionConfig {
     /// Force a particular dependence (by index into the dependence set)
     /// to be the grouping vector. Must achieve the maximal multiplier.
     pub grouping_choice: Option<usize>,
-    /// Base vertex of the first group (Step 3's arbitrary line/point).
-    pub seed: Option<QVec>,
+    /// Base vertex of the first group (Step 3's arbitrary line/point): an
+    /// integer point on the hyperplane `Π·x = 0`. A point off it seeds
+    /// as `None` does, at the lexicographically least projected point.
+    pub seed: Option<Point>,
 }
 
 /// The complete output of Algorithm 1: the partitioning `G_Π(Q)`.
@@ -159,7 +160,7 @@ pub fn partition_projected(
     let pi = qp.time_fn();
     pi.check_legal(cs.deps())?;
     let vectors = select_vectors(&qp, config.grouping_choice)?;
-    let grouping = grow(&qp, &vectors, config.seed.as_ref());
+    let grouping = grow(&qp, &vectors, config.seed.as_deref());
 
     // Step 6: B_i = ∪ over v_k^p ∈ G_i of the projection line's points.
     let mut blocks: Vec<Vec<usize>> = vec![Vec::new(); grouping.len()];
@@ -254,7 +255,7 @@ mod tests {
             TimeFn::wavefront(3),
             &PartitionConfig {
                 grouping_choice: Some(0),
-                seed: Some(QVec::from_ints(&[-1, -1, 2])),
+                seed: Some(vec![-1, -1, 2]),
             },
         )
         .unwrap();

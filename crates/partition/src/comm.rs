@@ -120,7 +120,6 @@ mod tests {
     use crate::blocks::{partition, PartitionConfig};
     use loom_hyperplane::TimeFn;
     use loom_loopir::IterSpace;
-    use loom_rational::QVec;
 
     fn l1() -> Partitioning {
         partition(
@@ -151,7 +150,7 @@ mod tests {
             TimeFn::wavefront(3),
             &PartitionConfig {
                 grouping_choice: Some(0),
-                seed: Some(QVec::from_ints(&[-1, -1, 2])),
+                seed: Some(vec![-1, -1, 2]),
             },
         )
         .unwrap();

@@ -37,17 +37,18 @@ impl GroupingVectors {
 /// `prefer` optionally forces a specific dependence (by index) to be the
 /// grouping vector — the paper allows an arbitrary choice among the
 /// maximizers, and the ablation benches exercise all of them. A `prefer`
-/// whose multiplier is not maximal is an error.
+/// whose multiplier is not maximal is an error, and so is one parallel
+/// to Π, whose zero projection spans nothing.
 pub fn select_vectors(
     qp: &ProjectedStructure,
     prefer: Option<usize>,
 ) -> Result<GroupingVectors, Error> {
     let nonzero = qp.nonzero_dep_indices();
     if let Some(p) = prefer {
-        if p >= qp.deps().len() {
+        if p >= qp.num_deps() {
             return Err(Error::BadDependenceIndex {
                 index: p,
-                len: qp.deps().len(),
+                len: qp.num_deps(),
             });
         }
     }
@@ -72,6 +73,10 @@ pub fn select_vectors(
                     r_requested: r_p,
                     r_max: r,
                 });
+            }
+            // With r = 1 a zero projection passes the multiplier check.
+            if !nonzero.contains(&p) {
+                return Err(Error::ZeroGroupingChoice { requested: p });
             }
             p
         }
@@ -100,11 +105,11 @@ pub fn select_vectors(
             chosen.pop();
         }
     }
-    // A rank-β matrix always contains β independent columns, so the
-    // greedy scan above must find them; if it ever does not (a rank
-    // computation bug), fail loudly in every build profile instead of
-    // silently producing a short Ω set — `loom-check` surfaces this as
-    // an LC006 diagnostic.
+    // A rank-β matrix always contains β independent columns, and the
+    // scan starts from a nonzero one, so it must find them; if it ever
+    // does not (a rank computation bug), fail loudly in every build
+    // profile instead of silently producing a short Ω set — `loom-check`
+    // surfaces this as an LC006 diagnostic.
     if auxiliary.len() + 1 != beta {
         return Err(Error::GroupingRankDeficit {
             found: auxiliary.len() + 1,
@@ -208,6 +213,18 @@ mod tests {
                 r_max: 2
             }
         );
+    }
+
+    #[test]
+    fn zero_projection_rejected() {
+        // Π = (0, 1): d1 = (0, 1) ∥ Π projects to zero, d2 = (1, 1) to
+        // (1, 0); both multipliers are 1.
+        let qp = project(&[4, 4], vec![vec![0, 1], vec![1, 1]], vec![0, 1]);
+        assert_eq!(
+            select_vectors(&qp, Some(0)),
+            Err(Error::ZeroGroupingChoice { requested: 0 })
+        );
+        assert_eq!(select_vectors(&qp, Some(1)).unwrap().grouping, Some(1));
     }
 
     #[test]

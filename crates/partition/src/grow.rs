@@ -3,7 +3,6 @@
 
 use crate::grouping::GroupingVectors;
 use crate::project::ProjectedStructure;
-use loom_rational::QVec;
 use std::collections::VecDeque;
 
 /// One group of projected points.
@@ -11,7 +10,7 @@ use std::collections::VecDeque;
 pub struct Group {
     /// The line coordinates of the base vertex `v₀^p`, which may lie
     /// outside `V^p` when the index-set boundary clips the group's low
-    /// end ([`ProjectedStructure::point_at`] gives the point).
+    /// end ([`ProjectedStructure::display_point`] prints the point).
     pub base: Vec<i64>,
     /// Projected-point ids in the group, ordered along the grouping
     /// vector from the base.
@@ -56,9 +55,11 @@ impl Grouping {
 /// the walk keeps no set of visited bases.
 ///
 /// `seed` is the base vertex of the first group (Step 3's arbitrary
-/// choice; the paper's matmul walkthrough uses `(−1, −1, 2)`). It
-/// defaults to the lexicographically smallest projected point.
-pub fn grow(qp: &ProjectedStructure, gv: &GroupingVectors, seed: Option<&QVec>) -> Grouping {
+/// choice; the paper's matmul walkthrough uses `(−1, −1, 2)`), an
+/// integer point on the hyperplane `Π·x = 0`. Without one, or with a
+/// point off the hyperplane, growth starts at the lexicographically
+/// smallest projected point.
+pub fn grow(qp: &ProjectedStructure, gv: &GroupingVectors, seed: Option<&[i64]>) -> Grouping {
     const UNASSIGNED: usize = usize::MAX;
     let n_points = qp.len();
     let mut group_of = vec![UNASSIGNED; n_points];
@@ -89,13 +90,13 @@ pub fn grow(qp: &ProjectedStructure, gv: &GroupingVectors, seed: Option<&QVec>) 
         strides.push(qp.dep_key(i).iter().map(|&x| -x).collect());
     }
 
-    // Step 3: the very first seed may be user-chosen (a seed off the
-    // projected lattice covers nothing); reseeds use the smallest
-    // ungrouped point.
-    let mut first_seed = match seed {
-        Some(seed) => qp.key_of(seed),
-        None => Some(qp.line_key(qp.least()).to_vec()),
-    };
+    // Step 3: the very first seed may be user-chosen (a seed on the
+    // hyperplane but outside `V^p` covers nothing); reseeds use the
+    // smallest ungrouped point.
+    let mut first_seed = Some(
+        seed.and_then(|x| qp.key_of(x))
+            .unwrap_or_else(|| qp.line_key(qp.least()).to_vec()),
+    );
     let mut smallest_ungrouped = 0;
     loop {
         while smallest_ungrouped < n_points && group_of[smallest_ungrouped] != UNASSIGNED {
@@ -158,12 +159,12 @@ mod tests {
         deps: Vec<Vec<i64>>,
         pi: Vec<i64>,
         prefer: Option<usize>,
-        seed: Option<QVec>,
+        seed: Option<&[i64]>,
     ) -> (ProjectedStructure, GroupingVectors, Grouping) {
         let cs = ComputationalStructure::new(IterSpace::rect(sizes).unwrap(), deps).unwrap();
         let qp = ProjectedStructure::project(&cs, &TimeFn::new(pi));
         let gv = select_vectors(&qp, prefer).unwrap();
-        let g = grow(&qp, &gv, seed.as_ref());
+        let g = grow(&qp, &gv, seed);
         (qp, gv, g)
     }
 
@@ -203,13 +204,12 @@ mod tests {
     fn matmul_grouping_with_paper_seed_gives_17_groups() {
         // Example 2 / Fig. 6: grouping vector d_A^p, auxiliary d_C^p,
         // seed (−1,−1,2) → 17 groups.
-        let seed = QVec::from_ints(&[-1, -1, 2]);
         let (qp, gv, g) = build(
             &[4, 4, 4],
             vec![vec![0, 1, 0], vec![1, 0, 0], vec![0, 0, 1]],
             vec![1, 1, 1],
             Some(0), // d_A
-            Some(seed),
+            Some(&[-1, -1, 2]),
         );
         assert_eq!(gv.r, 3);
         assert_disjoint_cover(&qp, &g);
@@ -253,6 +253,24 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn seed_off_the_hyperplane_grows_as_no_seed() {
+        // Π·(1, 0, 0) = 1: no base vertex, so growth starts at the least
+        // projected point, as without a seed. The paper's seed differs.
+        let grown = |seed: Option<&[i64]>| {
+            let (_, _, g) = build(
+                &[4, 4, 4],
+                vec![vec![0, 1, 0], vec![1, 0, 0], vec![0, 0, 1]],
+                vec![1, 1, 1],
+                Some(0),
+                seed,
+            );
+            (g.groups, g.group_of)
+        };
+        assert_eq!(grown(Some(&[1, 0, 0])), grown(None));
+        assert_ne!(grown(Some(&[-1, -1, 2])), grown(None));
     }
 
     #[test]

@@ -54,9 +54,6 @@ pub use blocks::{partition, partition_projected, PartitionConfig, Partitioning};
 pub use comm::CommStats;
 pub use grouping::GroupingVectors;
 pub use grow::Grouping;
-/// The exact rational vector of `D^p`, of [`ProjectedStructure::point_at`]
-/// and of a user-chosen [`PartitionConfig::seed`].
-pub use loom_rational::QVec;
 pub use project::{ArcRows, ComputationalStructure, PointTable, ProjectedStructure, Steps};
 pub use tig::Tig;
 
@@ -77,6 +74,12 @@ pub enum Error {
         r_requested: i64,
         /// The maximal multiplier.
         r_max: i64,
+    },
+    /// A requested grouping-vector override is parallel to Π: its
+    /// projection is zero and spans no group.
+    ZeroGroupingChoice {
+        /// The requested dependence index.
+        requested: usize,
     },
     /// A dependence index is out of range.
     BadDependenceIndex {
@@ -109,6 +112,11 @@ impl std::fmt::Display for Error {
                 f,
                 "dependence {requested} has multiplier {r_requested}, but the grouping \
                  vector must achieve the maximum {r_max}"
+            ),
+            Error::ZeroGroupingChoice { requested } => write!(
+                f,
+                "dependence {requested} is parallel to \u{3a0}: its projection is zero, \
+                 so it cannot be the grouping vector"
             ),
             Error::BadDependenceIndex { index, len } => {
                 write!(f, "dependence index {index} out of range (have {len})")

@@ -13,7 +13,6 @@ use crate::Error;
 use loom_hyperplane::TimeFn;
 use loom_loopir::{IterSpace, Point};
 use loom_rational::int::{gcd, gcd_all};
-use loom_rational::{QVec, Ratio};
 use std::sync::{Arc, OnceLock};
 
 /// Iteration points stored flat, `dim` coordinates apiece: point `id`
@@ -379,7 +378,8 @@ fn hashed_arcs(points: &PointTable, deps: &[Point], index: &Index) -> (ArcRows, 
 /// The projected structure `Q^p = (V^p, D^p)` (Definition 5): the images
 /// of `V` and `D` on the zero-hyperplane `Π·x = 0`. A projected point is
 /// stored only as its integer line coordinates (see [`Self::project`]);
-/// [`point_at`](Self::point_at) turns them back into the rational point.
+/// [`display_point`](Self::display_point) prints the rational point they
+/// stand for.
 #[derive(Clone, Debug)]
 pub struct ProjectedStructure {
     pi: TimeFn,
@@ -389,6 +389,8 @@ pub struct ProjectedStructure {
     line_index: Index,
     /// Line coordinates of each dependence, `lines.width` apiece.
     dep_keys: Vec<i64>,
+    /// `|D|`, which `dep_keys` cannot give when `lines.width` is 0.
+    n_deps: usize,
     /// Every point id of the structure projected, once, grouped by
     /// projection line and sorted by execution step within it: line
     /// `pid` is `members[starts[pid]..starts[pid + 1]]`.
@@ -397,7 +399,6 @@ pub struct ProjectedStructure {
     /// The lexicographically least projected point (the default seed of
     /// region growing).
     least: usize,
-    proj_deps: Vec<QVec>,
     /// The step of every point of the structure projected.
     steps: Arc<Steps>,
 }
@@ -527,15 +528,12 @@ impl ProjectedStructure {
             line_keys,
             line_index,
             dep_keys,
+            n_deps: cs.deps().len(),
             members,
             starts,
             least: 0,
-            proj_deps: Vec::new(),
             steps: Arc::new(Steps::new(step)),
         };
-        qp.proj_deps = (0..cs.deps().len())
-            .map(|k| qp.point_at(qp.dep_key(k)))
-            .collect();
         // Scaling by `Π·Π > 0` keeps the lexicographic order.
         qp.least = (0..n_lines)
             .min_by_key(|&pid| {
@@ -575,38 +573,45 @@ impl ProjectedStructure {
     }
 
     /// The rational point `S / (Π·Π)` with line coordinates `key` (one
-    /// per axis but Π's), e.g. `point_at(line_key(pid))` for projected
-    /// point `pid`.
+    /// per axis but Π's), printed as `(c₀, c₁, …)` with each coordinate a
+    /// reduced fraction `p/q`, or an integer when `q` is 1: e.g.
+    /// `display_point(line_key(pid))` for projected point `pid`, or
+    /// `display_point(dep_key(k))` for projected dependence `k`.
     ///
     /// Panics unless [`scaled`](Self::scaled) is defined at `key`.
-    pub fn point_at(&self, key: &[i64]) -> QVec {
+    pub fn display_point(&self, key: &[i64]) -> String {
         let s = self.scaled(key).expect("a projected point fits in i64");
-        QVec::new(
-            s.into_iter()
-                .map(|v| Ratio::new(v, self.lines.pi_sq))
-                .collect(),
-        )
+        let pp = self.lines.pi_sq;
+        let coords: Vec<String> = s
+            .into_iter()
+            .map(|v| {
+                // gcd(0, Π·Π) = Π·Π prints zero as 0.
+                let g = gcd(v, pp);
+                match pp / g {
+                    1 => (v / g).to_string(),
+                    den => format!("{}/{den}", v / g),
+                }
+            })
+            .collect();
+        format!("({})", coords.join(", "))
     }
 
-    /// The line coordinates of a rational point, when it lies on the
-    /// hyperplane at integer line coordinates: the inverse of
-    /// [`point_at`](Self::point_at).
-    pub fn key_of(&self, q: &QVec) -> Option<Vec<i64>> {
+    /// The line coordinates of an integer point `x` on the hyperplane
+    /// `Π·x = 0`, where it is its own projection; `None` off the
+    /// hyperplane, for a point of another dimension, or on overflow.
+    pub fn key_of(&self, x: &[i64]) -> Option<Vec<i64>> {
         let l = &self.lines;
-        if q.dim() != l.pi.len() || !q.dot(&QVec::from_ints(&l.pi)).is_zero() {
+        let dot = x.iter().zip(&l.pi).try_fold(0i128, |acc, (&a, &b)| {
+            acc.checked_add(i128::from(a) * i128::from(b))
+        });
+        if x.len() != l.pi.len() || dot != Some(0) {
             return None;
         }
-        let a = l.axis;
-        (0..l.width)
-            .map(|c| {
-                let j = l.axis_of(c);
-                let v = Ratio::int(l.pi[a]) * q[j] - Ratio::int(l.pi[j]) * q[a];
-                (v / Ratio::int(l.gcd)).to_integer()
-            })
-            .collect()
+        (0..l.width).map(|c| l.coord(x, c)).collect()
     }
 
-    /// The scaled projection `S = (Π·Π)·point_at(key)` in integers, when
+    /// The scaled projection `S = (Π·Π)·x^p` in integers, for the
+    /// projected point `x^p` with line coordinates `key`, when
     /// `key` has one coordinate per axis but Π's and `S` is an integer
     /// vector that fits in `i64`, as it is for every projected point of a
     /// projection that succeeded.
@@ -634,8 +639,8 @@ impl ProjectedStructure {
 
     /// The projected point reached from projected point `pid` along
     /// projected dependence `k` (`pid` itself when `d_k ∥ Π`), if
-    /// present: the one at `point_at(line_key(pid)) + deps()[k]`, found
-    /// in integer arithmetic.
+    /// present: the one at `x^p + d_k^p`, found by adding line
+    /// coordinates.
     pub fn neighbor(&self, pid: usize, k: usize) -> Option<usize> {
         let (from, step) = (self.line_key(pid), self.dep_key(k));
         self.line_at(|c| from[c].checked_add(step[c]))
@@ -647,17 +652,17 @@ impl ProjectedStructure {
         &self.members[self.starts[pid]..self.starts[pid + 1]]
     }
 
-    /// The projected dependence vectors `D^p`, aligned index-for-index
-    /// with the original dependence set.
-    pub fn deps(&self) -> &[QVec] {
-        &self.proj_deps
+    /// Number of dependences `|D| = |D^p|`: the projected dependences
+    /// are aligned index-for-index with the original dependence set.
+    pub fn num_deps(&self) -> usize {
+        self.n_deps
     }
 
     /// Indices of dependences whose projection is nonzero (dependences
     /// parallel to Π project to the zero vector and stay inside a single
     /// projection line).
     pub fn nonzero_dep_indices(&self) -> Vec<usize> {
-        (0..self.proj_deps.len())
+        (0..self.n_deps)
             .filter(|&k| self.dep_key(k).iter().any(|&c| c != 0))
             .collect()
     }
@@ -700,7 +705,6 @@ impl ProjectedStructure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use loom_rational::Ratio;
 
     fn l1() -> (ComputationalStructure, TimeFn) {
         let space = IterSpace::rect(&[4, 4]).unwrap();
@@ -726,19 +730,21 @@ mod tests {
         let qp = ProjectedStructure::project(&cs, &pi);
         assert_eq!(qp.len(), 7);
         // The projected points include (−3/2, 3/2) … (3/2, −3/2).
-        let q = |a: i64, b: i64| QVec::new(vec![Ratio::new(a, 2), Ratio::new(b, 2)]);
-        for expected in [
-            q(-3, 3),
-            q(-2, 2),
-            q(-1, 1),
-            q(0, 0),
-            q(1, -1),
-            q(2, -2),
-            q(3, -3),
-        ] {
-            let found = (0..qp.len()).any(|pid| qp.point_at(qp.line_key(pid)) == expected);
-            assert!(found, "missing {expected}");
-        }
+        let mut shown: Vec<String> = (0..qp.len())
+            .map(|pid| qp.display_point(qp.line_key(pid)))
+            .collect();
+        shown.sort();
+        let mut expected = [
+            "(-3/2, 3/2)",
+            "(-1, 1)",
+            "(-1/2, 1/2)",
+            "(0, 0)",
+            "(1/2, -1/2)",
+            "(1, -1)",
+            "(3/2, -3/2)",
+        ];
+        expected.sort();
+        assert_eq!(shown, expected);
         // Line membership counts: 1,2,3,4,3,2,1 in some order; total 16.
         let mut sizes: Vec<usize> = (0..7).map(|i| qp.line_members(i).len()).collect();
         sizes.sort();
@@ -749,11 +755,11 @@ mod tests {
     fn l1_projected_deps_match_paper_fig3() {
         let (cs, pi) = l1();
         let qp = ProjectedStructure::project(&cs, &pi);
-        let h = |a: i64, b: i64| QVec::new(vec![Ratio::new(a, 2), Ratio::new(b, 2)]);
         // d1 = (0,1) → (−1/2, 1/2); d2 = (1,1) → (0,0); d3 = (1,0) → (1/2, −1/2).
-        assert_eq!(qp.deps()[0], h(-1, 1));
-        assert!(qp.deps()[1].is_zero());
-        assert_eq!(qp.deps()[2], h(1, -1));
+        let shown: Vec<String> = (0..qp.num_deps())
+            .map(|k| qp.display_point(qp.dep_key(k)))
+            .collect();
+        assert_eq!(shown, ["(-1/2, 1/2)", "(0, 0)", "(1/2, -1/2)"]);
         assert_eq!(qp.nonzero_dep_indices(), vec![0, 2]);
     }
 
@@ -778,25 +784,26 @@ mod tests {
     #[test]
     fn multiplier_scales_to_integral() {
         // Every d ∈ [−1, 1]³ \ 0 along every Π ∈ [−2, 2]³ \ 0: r is the
-        // lcm of the rational projection's denominators.
+        // lcm of the denominators of the rational projection
+        // `(d·(Π·Π) − (d·Π)·Π) / (Π·Π)`, reduced coordinate by coordinate.
         let cube: Vec<Vec<i64>> = (0..27)
             .map(|i| vec![i / 9 - 1, i / 3 % 3 - 1, i % 3 - 1])
             .filter(|v| v.iter().any(|&c| c != 0))
             .collect();
-        let cs = ComputationalStructure::new(IterSpace::rect(&[1, 1, 1]).unwrap(), cube.clone())
-            .unwrap();
+        let cs = ComputationalStructure::new(IterSpace::rect(&[1, 1, 1]).unwrap(), cube).unwrap();
         for i in 0..125 {
             let pi = vec![i / 25 - 2, i / 5 % 5 - 2, i % 5 - 2];
             if pi.iter().all(|&c| c == 0) {
                 continue;
             }
             let qp = ProjectedStructure::project(&cs, &TimeFn::new(pi.clone()));
-            for (k, d) in qp.deps().iter().enumerate() {
-                let lcm = d
-                    .coords()
-                    .iter()
-                    .fold(1, |l, c| l / gcd(l, c.den()) * c.den());
-                assert_eq!(qp.multiplier(k), lcm, "{:?} along {pi:?}", cube[k]);
+            let pp: i64 = pi.iter().map(|c| c * c).sum();
+            for (k, d) in cs.deps().iter().enumerate() {
+                let dot: i64 = d.iter().zip(&pi).map(|(a, b)| a * b).sum();
+                let lcm = (0..3)
+                    .map(|j| pp / gcd(d[j] * pp - dot * pi[j], pp))
+                    .fold(1, |l, den| l / gcd(l, den) * den);
+                assert_eq!(qp.multiplier(k), lcm, "{d:?} along {pi:?}");
             }
         }
     }

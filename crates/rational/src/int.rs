@@ -1,5 +1,4 @@
-//! Greatest common divisors, for the rational types and the integer
-//! lattice computations.
+//! Greatest common divisors, for the integer lattice computations.
 
 /// Greatest common divisor of two integers, always non-negative.
 ///
@@ -11,17 +10,13 @@
 /// assert_eq!(gcd(0, 7), 7);
 /// ```
 pub fn gcd(a: i64, b: i64) -> i64 {
-    gcd_u64(a.unsigned_abs(), b.unsigned_abs()) as i64
-}
-
-/// Greatest common divisor of two unsigned words.
-pub(crate) fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
     while b != 0 {
         let t = a % b;
         a = b;
         b = t;
     }
-    a
+    a as i64
 }
 
 /// GCD of a slice; `0` for an empty slice or an all-zero slice.

@@ -15,8 +15,9 @@ use loom_machine::Program;
 use loom_partition::comm::comm_stats;
 use loom_partition::{
     partition, partition_projected, ComputationalStructure, PartitionConfig, Partitioning,
-    ProjectedStructure, QVec,
+    ProjectedStructure,
 };
+use loom_tests_int::{key_of, point_at, QVec};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -112,9 +113,12 @@ fn check(name: &str, p: &Partitioning) {
     let qp = p.projected();
     let line_of: HashMap<&[i64], usize> =
         (0..qp.len()).map(|pid| (qp.line_key(pid), pid)).collect();
-    let id_of = |q: &QVec| line_of.get(&qp.key_of(q)?[..]).copied();
+    let id_of = |q: &QVec| line_of.get(&key_of(qp, q)?[..]).copied();
+    let deps: Vec<QVec> = (0..qp.num_deps())
+        .map(|k| point_at(qp, qp.dep_key(k)))
+        .collect();
     for pid in 0..qp.len() {
-        let point = qp.point_at(qp.line_key(pid));
+        let point = point_at(qp, qp.line_key(pid));
         assert_eq!(id_of(&point), Some(pid), "{name}: line id_of");
         let steps: Vec<i64> = qp
             .line_members(pid)
@@ -125,7 +129,7 @@ fn check(name: &str, p: &Partitioning) {
             steps.windows(2).all(|w| w[0] < w[1]),
             "{name}: line {pid} out of step order"
         );
-        for (k, d) in qp.deps().iter().enumerate() {
+        for (k, d) in deps.iter().enumerate() {
             let want = id_of(&(&point + d));
             assert_eq!(qp.neighbor(pid, k), want, "{name}: neighbor({pid}, {k})");
         }

@@ -1,8 +1,8 @@
 //! Algorithm 1 Steps 1–2 read the integer line coordinates of `D^p`:
 //! `r_i` from the scaled projection, `β` and independence from the rank
 //! of the dependences' line coordinates. These tests hold
-//! `select_vectors` against an oracle built from the rational view
-//! `ProjectedStructure::deps()` alone: `r_i` as the lcm of the
+//! `select_vectors` against an oracle that projects the dependences of
+//! `Q` itself, in rationals (Definition 3): `r_i` as the lcm of the
 //! coordinate denominators, rank and independence by fraction-free
 //! elimination in `i128`.
 
@@ -11,19 +11,7 @@ use loom_loopir::Point;
 use loom_partition::grouping::{select_vectors, GroupingVectors};
 use loom_partition::{ComputationalStructure, Error, ProjectedStructure};
 use loom_rational::int::gcd;
-use loom_rational::QVec;
-
-/// Every Π with coefficients in `[−2, 2]` that is legal for `deps`.
-fn legal_pis_within_two(dim: usize, deps: &[Point]) -> Vec<Vec<i64>> {
-    (0..5usize.pow(dim as u32))
-        .map(|code| {
-            (0..dim)
-                .map(|j| (code / 5usize.pow(j as u32) % 5) as i64 - 2)
-                .collect::<Vec<i64>>()
-        })
-        .filter(|pi| TimeFn::new(pi.clone()).is_legal_for(deps))
-        .collect()
-}
+use loom_tests_int::{legal_pis, QVec};
 
 /// The least positive `r` with `r·d ∈ ℤⁿ`: the lcm of the denominators.
 fn denominator_lcm(d: &QVec) -> i64 {
@@ -77,9 +65,13 @@ fn gcd128(a: i128, b: i128) -> i128 {
     a
 }
 
-/// Steps 1–2 from the rational view alone.
-fn oracle(qp: &ProjectedStructure, prefer: Option<usize>) -> Result<GroupingVectors, Error> {
-    let deps = qp.deps();
+/// Steps 1–2 from the rational projections of `deps` along `pi`.
+fn oracle(deps: &[Point], pi: &[i64], prefer: Option<usize>) -> Result<GroupingVectors, Error> {
+    let pi = QVec::from_ints(pi);
+    let deps: Vec<QVec> = deps
+        .iter()
+        .map(|d| QVec::from_ints(d).project(&pi))
+        .collect();
     let nonzero: Vec<usize> = (0..deps.len()).filter(|&i| !deps[i].is_zero()).collect();
     if nonzero.is_empty() {
         return Ok(GroupingVectors {
@@ -103,6 +95,11 @@ fn oracle(qp: &ProjectedStructure, prefer: Option<usize>) -> Result<GroupingVect
                     r_requested: r_p,
                     r_max: r,
                 });
+            }
+            // A zero projection passes Step 1 when r = 1 but spans
+            // nothing.
+            if deps[p].is_zero() {
+                return Err(Error::ZeroGroupingChoice { requested: p });
             }
             p
         }
@@ -128,14 +125,7 @@ fn oracle(qp: &ProjectedStructure, prefer: Option<usize>) -> Result<GroupingVect
             chosen.pop();
         }
     }
-    // A preferred zero projection passes Step 1 when r = 1 but spans
-    // nothing, so the scan comes up short.
-    if auxiliary.len() + 1 != beta {
-        return Err(Error::GroupingRankDeficit {
-            found: auxiliary.len() + 1,
-            beta,
-        });
-    }
+    assert_eq!(auxiliary.len() + 1, beta, "a nonzero start reaches rank β");
     Ok(GroupingVectors {
         grouping: Some(grouping),
         auxiliary,
@@ -146,29 +136,30 @@ fn oracle(qp: &ProjectedStructure, prefer: Option<usize>) -> Result<GroupingVect
 
 #[test]
 fn select_vectors_matches_rational_oracle() {
-    let (mut cases, mut rejected, mut with_auxiliary) = (0, 0, 0);
+    let (mut cases, mut rejected, mut zero, mut with_auxiliary) = (0, 0, 0, 0);
     for w in loom_workloads::all_default() {
         let (space, deps) = (w.nest.space(), w.verified_deps());
         let cs = ComputationalStructure::new(space.clone(), deps.clone()).unwrap();
-        for pi in legal_pis_within_two(space.dim(), &deps) {
+        for pi in legal_pis(space.dim(), &deps, 2) {
             let qp = ProjectedStructure::project(&cs, &TimeFn::new(pi.clone()));
             for prefer in std::iter::once(None).chain((0..deps.len()).map(Some)) {
                 let got = select_vectors(&qp, prefer);
                 assert_eq!(
                     got,
-                    oracle(&qp, prefer),
+                    oracle(cs.deps(), &pi, prefer),
                     "{}, Π = {pi:?}, prefer {prefer:?}",
                     w.nest.name()
                 );
                 cases += 1;
                 match got {
                     Err(Error::InvalidGroupingChoice { .. }) => rejected += 1,
+                    Err(Error::ZeroGroupingChoice { .. }) => zero += 1,
                     Ok(gv) if !gv.auxiliary.is_empty() => with_auxiliary += 1,
                     _ => {}
                 }
             }
         }
     }
-    // The walk reaches a rejected `prefer` and a nonempty Ψ.
-    assert!(cases > 0 && rejected > 0 && with_auxiliary > 0);
+    // The walk reaches both rejections of a `prefer` and a nonempty Ψ.
+    assert!(cases > 0 && rejected > 0 && zero > 0 && with_auxiliary > 0);
 }

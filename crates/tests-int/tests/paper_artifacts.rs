@@ -6,7 +6,7 @@ use loom_core::analytic::matvec_exec_terms;
 use loom_hyperplane::TimeFn;
 use loom_partition::comm::{comm_stats, group_dependence_graph};
 use loom_partition::{partition, PartitionConfig};
-use loom_rational::{QVec, Ratio};
+use loom_tests_int::{point_at, QVec, Ratio};
 
 fn l1_partitioning() -> loom_partition::Partitioning {
     let w = loom_workloads::l1::workload(4);
@@ -27,7 +27,7 @@ fn paper_matmul() -> loom_partition::Partitioning {
         TimeFn::new(w.pi.clone()),
         &PartitionConfig {
             grouping_choice: Some(1), // d_A in sorted order
-            seed: Some(QVec::from_ints(&[-1, -1, 2])),
+            seed: Some(vec![-1, -1, 2]),
         },
     )
     .unwrap()
@@ -64,7 +64,7 @@ fn fig3_seven_projected_points_and_specific_coordinates() {
         h(2, -2),
         h(3, -3),
     ] {
-        let found = (0..qp.len()).any(|pid| qp.point_at(qp.line_key(pid)) == v);
+        let found = (0..qp.len()).any(|pid| point_at(qp, qp.line_key(pid)) == v);
         assert!(found, "missing projected point {v}");
     }
 }
@@ -112,9 +112,9 @@ fn fig5_37_projected_points_and_projected_deps() {
     };
     // d_A^p = (-1/3, 2/3, -1/3), d_B^p = (2/3, -1/3, -1/3),
     // d_C^p = (-1/3, -1/3, 2/3); sorted dep order is [d_C, d_A, d_B].
-    assert_eq!(qp.deps()[0], third(-1, -1, 2));
-    assert_eq!(qp.deps()[1], third(-1, 2, -1));
-    assert_eq!(qp.deps()[2], third(2, -1, -1));
+    assert_eq!(point_at(qp, qp.dep_key(0)), third(-1, -1, 2));
+    assert_eq!(point_at(qp, qp.dep_key(1)), third(-1, 2, -1));
+    assert_eq!(point_at(qp, qp.dep_key(2)), third(2, -1, -1));
 }
 
 #[test]
@@ -132,11 +132,11 @@ fn step3_seed_group_members_match_paper() {
     let qp = p.projected();
     let seed_base = QVec::from_ints(&[-1, -1, 2]);
     let g0 = &p.grouping().groups[0];
-    assert_eq!(qp.point_at(&g0.base), seed_base);
+    assert_eq!(point_at(qp, &g0.base), seed_base);
     let members: Vec<QVec> = g0
         .members
         .iter()
-        .map(|&pid| qp.point_at(qp.line_key(pid)))
+        .map(|&pid| point_at(qp, qp.line_key(pid)))
         .collect();
     let third = |a: i64, b: i64, c: i64| {
         QVec::new(vec![Ratio::new(a, 3), Ratio::new(b, 3), Ratio::new(c, 3)])
@@ -176,8 +176,9 @@ fn matvec_projected_deps_and_m_groups() {
     )
     .unwrap();
     let h = |a: i64, b: i64| QVec::new(vec![Ratio::new(a, 2), Ratio::new(b, 2)]);
-    assert_eq!(p.projected().deps()[0], h(-1, 1));
-    assert_eq!(p.projected().deps()[1], h(1, -1));
+    let qp = p.projected();
+    assert_eq!(point_at(qp, qp.dep_key(0)), h(-1, 1));
+    assert_eq!(point_at(qp, qp.dep_key(1)), h(1, -1));
     assert_eq!(p.projected().len(), 2 * 8 - 1, "2M-1 projection lines");
     assert_eq!(p.num_blocks(), 8, "M groups");
 }

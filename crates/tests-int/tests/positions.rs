@@ -2,31 +2,19 @@
 //! coordinates only, and Algorithm 2 bisects blocks by integer positions:
 //! each group base's scaled projection `S = (Π·Π)·v₀^p` dotted with a
 //! direction's dependence. These tests hold both against exact rational
-//! arithmetic on the iteration points: the rational points
-//! `ProjectedStructure::point_at` rebuilds, and the order and ties of the
-//! rational products `v₀^p·d^p` the positions stand for.
+//! arithmetic on the iteration points: the rational points rebuilt from
+//! `ProjectedStructure::scaled` and the test's own `Π·Π`, and the order
+//! and ties of the rational products `v₀^p·d^p` the positions stand for.
 
 use loom_hyperplane::TimeFn;
 use loom_loopir::{IterSpace, Point};
 use loom_mapping::other_targets::partition_positions;
 use loom_partition::{partition, PartitionConfig, Partitioning};
-use loom_rational::{QVec, Ratio};
+use loom_tests_int::{key_of, legal_pis, point_at, QVec, Ratio};
 
 /// The projection `x − (x·Π / Π·Π)·Π` of an integer vector, in rationals.
 fn project(x: &[i64], pi: &QVec) -> QVec {
     QVec::from_ints(x).project(pi)
-}
-
-/// Every Π with coefficients in `[−1, 1]` that is legal for `deps`.
-fn legal_pis_within_one(dim: usize, deps: &[Point]) -> Vec<Vec<i64>> {
-    (0..3usize.pow(dim as u32))
-        .map(|code| {
-            (0..dim)
-                .map(|j| (code / 3usize.pow(j as u32) % 3) as i64 - 1)
-                .collect::<Vec<i64>>()
-        })
-        .filter(|pi| TimeFn::new(pi.clone()).is_legal_for(deps))
-        .collect()
 }
 
 /// The axis coefficient `Π_a`: the first coefficient of least nonzero
@@ -67,8 +55,12 @@ fn check(what: &str, p: &Partitioning) -> usize {
     let first_projected = |pid: usize| project(cs.point(qp.line_members(pid)[0]), &piq);
     for pid in 0..qp.len() {
         let key = qp.line_key(pid);
-        assert_eq!(qp.point_at(key), first_projected(pid), "{what}: line {pid}");
-        let back = qp.key_of(&qp.point_at(key));
+        assert_eq!(
+            point_at(qp, key),
+            first_projected(pid),
+            "{what}: line {pid}"
+        );
+        let back = key_of(qp, &point_at(qp, key));
         assert_eq!(back.as_deref(), Some(key), "{what}: line {pid} round trip");
     }
 
@@ -86,10 +78,10 @@ fn check(what: &str, p: &Partitioning) -> usize {
                     Some(dl) => &first - &dl.scale(Ratio::int(k)),
                     None => first.clone(),
                 })
-                .find(|b| qp.key_of(b).as_deref() == Some(&g.base[..]))
+                .find(|b| key_of(qp, b).as_deref() == Some(&g.base[..]))
                 .unwrap_or_else(|| panic!("{what}: base {:?} off its first line", g.base));
-            assert_eq!(qp.point_at(&g.base), base, "{what}: base {:?}", g.base);
-            let back = qp.key_of(&base);
+            assert_eq!(point_at(qp, &g.base), base, "{what}: base {:?}", g.base);
+            let back = key_of(qp, &base);
             assert_eq!(
                 back.as_deref(),
                 Some(&g.base[..]),
@@ -124,7 +116,7 @@ fn integer_positions_order_blocks_like_rational_products() {
     let mut cases = 0;
     for w in loom_workloads::all_default() {
         let (space, deps) = (w.nest.space(), w.verified_deps());
-        for pi in legal_pis_within_one(space.dim(), &deps) {
+        for pi in legal_pis(space.dim(), &deps, 1) {
             for p in partitionings(space, &deps, &pi) {
                 check(&format!("{}, Π = {pi:?}", w.nest.name()), &p);
                 cases += 1;

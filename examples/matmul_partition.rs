@@ -11,7 +11,7 @@
 use loom_core::report::Table;
 use loom_hyperplane::TimeFn;
 use loom_partition::comm::{comm_stats, group_dependence_graph};
-use loom_partition::{partition, PartitionConfig, QVec};
+use loom_partition::{partition, PartitionConfig};
 
 fn main() {
     let w = loom_workloads::matmul::workload(4);
@@ -26,7 +26,7 @@ fn main() {
             // The paper chooses d_A as grouping vector and the seed
             // group G₁ based at (−1,−1,2).
             grouping_choice: Some(1), // deps sorted: (0,0,1)=d_C, (0,1,0)=d_A, (1,0,0)=d_B
-            seed: Some(QVec::from_ints(&[-1, -1, 2])),
+            seed: Some(vec![-1, -1, 2]),
         },
     )
     .expect("matmul partitions");
@@ -34,8 +34,8 @@ fn main() {
     let qp = p.projected();
     println!("projection phase: {} projected points on Π·x = 0", qp.len());
     println!("projected dependence vectors:");
-    for (i, d) in qp.deps().iter().enumerate() {
-        println!("  D[{i}] = {:?} -> {d}", p.structure().deps()[i]);
+    for (i, d) in p.structure().deps().iter().enumerate() {
+        println!("  D[{i}] = {d:?} -> {}", qp.display_point(qp.dep_key(i)));
     }
     let gv = p.vectors();
     println!(
@@ -54,7 +54,7 @@ fn main() {
         t.row([
             format!("G{g}"),
             format!("{}", group.members.len()),
-            format!("{}", p.projected().point_at(&group.base)),
+            qp.display_point(&group.base),
             sends.join(" "),
         ]);
     }
