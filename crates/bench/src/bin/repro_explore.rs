@@ -12,7 +12,9 @@
 //! pruning effectiveness. Each leg of a row runs [`SAMPLES`] times and
 //! the row records its median wall time: one run is at the mercy of the
 //! host's scheduler, which on a two-CPU machine moves the small rows
-//! several-fold between runs. The sweep is written to `BENCH_explore.json`
+//! several-fold between runs. A row's `simulated` and `pruned` counts
+//! come from one more, untimed sweep on one worker, the exact serial
+//! path: with more workers they depend on the schedule. The sweep is written to `BENCH_explore.json`
 //! (the repo's bench trajectory artifact); `--smoke` shrinks it to a
 //! CI-sized subset and `--out <path>` redirects the artifact.
 
@@ -230,8 +232,10 @@ fn main() {
         for &pi_bound in pi_bounds {
             let (references, baseline_us) = sampled(|| run_baseline(&w.nest, pi_bound));
             let (legs, explore_us) = sampled(|| run_leg(&w.nest, pi_bound, THREADS, true));
+            let (serial, _) = run_leg(&w.nest, pi_bound, 1, true);
             let reference = &references[0];
-            for ranked in references.iter().chain(legs.iter().map(|l| &l.ranked)) {
+            let ranked_legs = legs.iter().chain([&serial]).map(|l| &l.ranked);
+            for ranked in references.iter().chain(ranked_legs) {
                 assert_eq!(
                     ranked,
                     reference,
@@ -239,7 +243,6 @@ fn main() {
                     w.nest.name()
                 );
             }
-            let fast = &legs[0];
             let speedup = baseline_us as f64 / explore_us.max(1) as f64;
             if pi_bound == 2 {
                 best_speedup_at_2 = best_speedup_at_2.max(speedup);
@@ -247,9 +250,9 @@ fn main() {
             t.row([
                 w.nest.name().to_string(),
                 format!("{pi_bound}"),
-                format!("{}", fast.candidates),
-                format!("{}", fast.simulated),
-                format!("{}", fast.pruned),
+                format!("{}", serial.candidates),
+                format!("{}", serial.simulated),
+                format!("{}", serial.pruned),
                 format!("{:.1}", baseline_us as f64 / 1000.0),
                 format!("{:.1}", explore_us as f64 / 1000.0),
                 format!("{speedup:.2}x"),
@@ -257,9 +260,9 @@ fn main() {
             entries.push(Json::obj(vec![
                 ("workload", Json::from(w.nest.name())),
                 ("pi_bound", Json::from(pi_bound)),
-                ("candidates", Json::from(fast.candidates)),
-                ("simulated", Json::from(fast.simulated)),
-                ("pruned", Json::from(fast.pruned)),
+                ("candidates", Json::from(serial.candidates)),
+                ("simulated", Json::from(serial.simulated)),
+                ("pruned", Json::from(serial.pruned)),
                 ("baseline_us", Json::from(baseline_us)),
                 ("explore_us", Json::from(explore_us)),
                 ("speedup", Json::from((speedup * 100.0).round() / 100.0)),

@@ -32,7 +32,7 @@ const CATALOG: [RuleDoc; 26] = [
         engine: "enumerative",
         paper: "Lemma 1 (Section III)",
         summary: "no two iterations of one partition block share a hyperplane step \
-                  (exact rational arithmetic)",
+                  (steps computed exactly in integers, Pi*x widened to i128)",
     },
     RuleDoc {
         rule: RuleId::NeighborBound,

@@ -5,12 +5,14 @@
 //! Every pipeline subcommand takes one path from flags to results. The
 //! input — a builtin named in [`BUILTINS`], instantiated from its
 //! `loom_workloads::family_of` size family, or a `--file` nest — is
-//! resolved once into its nest, dependence set `D` and Π by [`load`]; a
-//! variable-distance `.loom` nest is folded and certified there, once.
-//! [`config`] and [`machine_options`] turn the flags into the pipeline's
-//! configuration, and the subcommand runs the pipeline's own stages on
-//! the result (`stage_partition_with_deps`, `map_with`, `check_mode`,
-//! `complete_with`, `run_machine`). [`Obs`] writes the output flags.
+//! resolved once into its pipeline and Π by [`load`], which admits the
+//! nest's dependences (`Pipeline::admitted`): a variable-distance
+//! `.loom` nest is folded and certified there, once, and every later
+//! stage reads that admission. [`config`] and [`machine_options`] turn
+//! the flags into the pipeline's configuration, and the subcommand runs
+//! the pipeline's own stages on the result (`stage_partition`,
+//! `map_with`, `check_mode`, `complete_with`, `run_machine`,
+//! `explore`). [`Obs`] writes the output flags.
 //!
 //! Setting `LOOM_FLIGHT_DIR` makes every pipeline-running subcommand
 //! flush its flight-recorder ring (JSONL) into that directory on exit.
@@ -158,27 +160,21 @@ fn pi_flag(a: &Args) -> Result<Option<Vec<i64>>, CliError> {
 
 /// What a pipeline subcommand runs on, resolved once by [`load`].
 struct Input {
-    /// The pipeline over the nest.
+    /// The pipeline over the nest, its dependences admitted.
     pipeline: Pipeline,
-    /// The dependence set `D` (the certified folded set for a
-    /// variable-distance nest).
-    deps: Vec<loom_loopir::Point>,
     /// `--pi`, else the builtin's canonical Π, else the optimal one.
     pi: Vec<i64>,
     /// A builtin's size family and size; `None` for a `--file` nest.
     family: Option<(Family, i64)>,
-    /// The fold's certificate and tightness diagnostics (`LC016`/
-    /// `LC017`); empty unless the nest was uniformized.
-    folded: Vec<loom_check::Diagnostic>,
 }
 
 /// Resolve `--file` or `--workload` into an [`Input`]. This is the
-/// CLI's one dependence extraction, through the pipeline's own
-/// admission (`admitted_dependence_vectors`, proof counters on `rec`):
-/// a variable-distance nest is folded and certified here, once, unless
-/// `--no-uniformize` restores the front-end rejection. `Ok(None)` means
-/// an uncertifiable nest's report was rendered and `--allow` left no
-/// error in it.
+/// CLI's one dependence analysis, the pipeline's own admission
+/// (`Pipeline::admitted`, its span and proof counters on `rec`): a
+/// variable-distance nest is folded and certified here, once, unless
+/// `--no-uniformize` restores the front-end rejection first. `Ok(None)`
+/// means an uncertifiable nest's report was rendered and `--allow` left
+/// no error in it.
 fn load(a: &Args, rec: &Recorder) -> Result<Option<Input>, CliError> {
     let path = a.flags.get("file");
     let (nest, builtin_pi, family) = match path {
@@ -190,11 +186,12 @@ fn load(a: &Args, rec: &Recorder) -> Result<Option<Input>, CliError> {
         }
     };
     let label = path.map_or_else(|| nest.name().to_string(), String::clone);
-    let admitted = {
-        let _s = rec.span("pipeline.deps");
-        loom_core::pipeline::admitted_dependence_vectors(&nest, !a.switch("no-uniformize"), rec)
-    };
-    let (deps, folded) = match admitted {
+    if a.switch("no-uniformize") {
+        loom_loopir::deps::dependence_vectors(&nest, loom_loopir::DepOptions::default())
+            .map_err(|e| CliError::usage(format!("{label}: {e}")))?;
+    }
+    let pipeline = Pipeline::new(nest);
+    let admitted = match pipeline.admitted(rec) {
         Ok(admitted) => admitted,
         Err(PipelineError::StaticCheck(mut report)) => {
             apply_allow(a, &mut report);
@@ -210,14 +207,12 @@ fn load(a: &Args, rec: &Recorder) -> Result<Option<Input>, CliError> {
     };
     let pi = match pi_flag(a)?.or(builtin_pi) {
         Some(pi) => pi,
-        None => optimal_pi(&nest, &deps, &label)?,
+        None => optimal_pi(pipeline.nest(), &admitted.deps, &label)?,
     };
     Ok(Some(Input {
-        pipeline: Pipeline::new(nest),
-        deps,
+        pipeline,
         pi,
         family,
-        folded,
     }))
 }
 
@@ -247,8 +242,9 @@ fn optimal_pi(
 /// fails, and an admitted fold is noted on stderr.
 fn resolve(a: &Args, rec: &Recorder) -> Result<Input, CliError> {
     let input = load(a, rec)?.ok_or(CliError::Diagnostics)?;
-    if let (Some(path), false) = (a.flags.get("file"), input.folded.is_empty()) {
-        let vecs: Vec<String> = input
+    let admitted = input.pipeline.admitted(&Recorder::disabled())?;
+    if let (Some(path), false) = (a.flags.get("file"), admitted.folded.is_empty()) {
+        let vecs: Vec<String> = admitted
             .deps
             .iter()
             .map(|v| {
@@ -268,17 +264,15 @@ fn resolve(a: &Args, rec: &Recorder) -> Result<Input, CliError> {
 }
 
 impl Input {
-    /// Stages 1–4 through the pipeline: Algorithm 1 on the resolved `D`
-    /// and Π, then Algorithm 2's mapping and the placement on the
-    /// configured target.
+    /// Stages 1–4 through the pipeline: Algorithm 1 on the admitted `D`
+    /// and the resolved Π, then Algorithm 2's mapping and the placement
+    /// on the configured target.
     fn stage(
         &self,
         cfg: &PipelineConfig,
         rec: &Recorder,
     ) -> Result<(PartitionedStage, Mapping, Mapping), CliError> {
-        let stage = self
-            .pipeline
-            .stage_partition_with_deps(cfg, rec, self.deps.clone())?;
+        let stage = self.pipeline.stage_partition(cfg, rec)?;
         let (mapping, placement, _) = stage.map_with(cfg, rec)?;
         Ok((stage, mapping, placement))
     }
@@ -481,11 +475,9 @@ fn cmd_partition(a: &Args) -> Result<(), CliError> {
     // Partitioning is machine-independent: the stage stops before
     // Algorithm 2, so no machine flag can fail it.
     let input = resolve(a, &Recorder::disabled())?;
-    let stage = input.pipeline.stage_partition_with_deps(
-        &config(a, &input.pi)?,
-        &Recorder::disabled(),
-        input.deps.clone(),
-    )?;
+    let stage = input
+        .pipeline
+        .stage_partition(&config(a, &input.pi)?, &Recorder::disabled())?;
     let nest = input.pipeline.nest();
     println!("{nest}");
     println!("D = {:?}", stage.deps);
@@ -559,7 +551,7 @@ fn cmd_simulate(a: &Args) -> Result<(), CliError> {
     cfg.machine = Some(machine);
     let out = input
         .pipeline
-        .stage_partition_with_deps(&cfg, &obs.rec, input.deps.clone())?
+        .stage_partition(&cfg, &obs.rec)?
         .complete_with(&cfg, &obs.rec, None)?;
     let sim = out.sim_report()?;
     println!(
@@ -731,14 +723,15 @@ fn cmd_check(a: &Args) -> Result<(), CliError> {
     };
     let cfg = config(a, &input.pi)?;
     let pi = loom_hyperplane::TimeFn::new(input.pi.clone());
+    let admitted = input.pipeline.admitted(&Recorder::disabled())?;
 
     // An illegal Π must come back as an LC001/LC009 diagnostic on
     // stdout, not as a partitioner error on stderr, so legality is
     // checked before the pipeline stages run.
     let mut report = loom_check::Report::from_diagnostics(if symbolic {
-        loom_check::check_legality_symbolic(&pi, &input.deps)
+        loom_check::check_legality_symbolic(&pi, &admitted.deps)
     } else {
-        loom_check::check_legality(&pi, &input.deps)
+        loom_check::check_legality(&pi, &admitted.deps)
     });
     if !report.has_errors() {
         let (stage, mapping, ..) = input.stage(&cfg, &obs.rec)?;
@@ -780,8 +773,8 @@ fn cmd_check(a: &Args) -> Result<(), CliError> {
     }
     // Prepend the fold's certificate/tightness diagnostics — except in
     // symbolic mode, whose LC010 rule re-derives and reports them.
-    if !input.folded.is_empty() && !symbolic {
-        let mut merged = loom_check::Report::from_diagnostics(input.folded);
+    if !admitted.folded.is_empty() && !symbolic {
+        let mut merged = loom_check::Report::from_diagnostics(admitted.folded.clone());
         merged.extend(report.diagnostics().to_vec());
         report = merged;
     }
@@ -880,7 +873,9 @@ fn cmd_explore(a: &Args) -> Result<(), CliError> {
     };
     let start = std::time::Instant::now();
     let nest = input.pipeline.nest();
-    let best = loom_core::explore::explore_with_deps(nest, input.deps, &dims, &cfg, &obs.rec)
+    let best = input
+        .pipeline
+        .explore(&dims, &cfg, &obs.rec)
         .map_err(|e| CliError::failed(format!("exploration failed: {e}")))?;
     let wall_us = start.elapsed().as_micros() as u64;
     obs.finish(None, || None)?;

@@ -1,11 +1,11 @@
 //! Configuration exploration: let the cost model choose the compile.
 //!
 //! The paper fixes Π and the grouping vector by hand; a compiler has to
-//! *choose* them. [`explore_with`] sweeps the legal time transformations
-//! within a coefficient bound, every maximal grouping-vector choice, and
-//! the requested machine sizes, costs each configuration, and ranks by
-//! makespan. Deterministic: ties break toward smaller Π, smaller
-//! grouping index, smaller machine.
+//! *choose* them. [`Pipeline::explore`] sweeps the legal time
+//! transformations within a coefficient bound, every maximal
+//! grouping-vector choice, and the requested machine sizes, costs each
+//! configuration, and ranks by makespan. Deterministic: ties break
+//! toward smaller Π, smaller grouping index, smaller machine.
 //!
 //! There is one sweep; each candidate asks one of two cost oracles:
 //!
@@ -30,17 +30,18 @@
 //! (see `docs/PERFORMANCE.md`):
 //!
 //! * **stage caching** — the partitioning prefix of the pipeline
-//!   ([`Pipeline::stage_partition_with_deps`]) is built at most once per
-//!   (Π, grouping) pair and shared across every machine size. Dependence
-//!   extraction runs once per sweep, and every stage is built on one
-//!   [`Pipeline`], which shares the stage's own parts more widely: the
-//!   statement dependence records and the computational structure `Q`
-//!   once per sweep, `Q`'s projection once per Π, each built by the
-//!   first pair that needs it. Per pair only the statement offsets,
-//!   vector selection, growing and the blocks remain. The closed-form
-//!   oracle's [`ProbeCache`] is shared across machine sizes the same way,
-//!   and its probes are stages of the same `Pipeline`'s probe pipelines,
-//!   so every pair shares each probe size's `Q` and per-Π projection;
+//!   ([`Pipeline::stage_partition`]) is built at most once per
+//!   (Π, grouping) pair and shared across every machine size. Every
+//!   stage is built on the explored [`Pipeline`], which shares the
+//!   stage's own parts more widely: the admitted dependences
+//!   ([`Pipeline::admitted`]) once per `Pipeline`, the computational
+//!   structure `Q` once per sweep and `Q`'s projection once per Π, each
+//!   built by the first pair that needs it. Per pair only vector
+//!   selection, growing and the blocks remain. The closed-form oracle's
+//!   [`ProbeCache`] is shared across machine sizes the same way, and its
+//!   probes are stages of the same `Pipeline`'s probe pipelines, so
+//!   every pair shares each probe size's admission, `Q` and per-Π
+//!   projection;
 //! * **parallelism** — (Π, grouping) pairs fan out over a
 //!   [`loom_obs::Pool`], whose `map_indexed` returns results in input
 //!   order whatever order the workers ran; each worker reuses one
@@ -63,7 +64,7 @@ use crate::analytic::makespan_lower_bound;
 use crate::pipeline::{run_machine, MachineOptions, Pipeline, PipelineConfig, PipelineError};
 use crate::symbolic_cost::{self, Derivation, DeriveOptions, NestFamily, ProbeCache};
 use loom_hyperplane::TimeFn;
-use loom_loopir::{LoopNest, Point};
+use loom_loopir::LoopNest;
 use loom_machine::SimScratch;
 use loom_obs::{Pool, Recorder};
 use loom_partition::PartitionConfig;
@@ -90,7 +91,7 @@ pub struct Candidate {
 /// Symbolic exploration: rank candidates by closed-form `T_exec`
 /// instead of simulating each one at the target size.
 ///
-/// `nest` passed to [`explore_with`] **must** be `family(size)`'s nest
+/// The explored nest **must** be `family(size)`'s nest
 /// — the closed forms are derived over `family` and evaluated at
 /// `size`, while dependence extraction, Π enumeration and every
 /// simulation read the nest. The sweep checks it and fails with
@@ -276,20 +277,22 @@ fn rank(mut results: Vec<Candidate>, top: usize) -> Vec<Candidate> {
     results
 }
 
-/// The seed implementation of [`explore_with`], kept as the determinism
-/// oracle and the bench baseline: fully serial, no pruning, no stage
-/// caching — the entire pipeline (dependences → Π → partitioning → TIG
-/// → mapping → simulation) re-runs for every (Π, grouping, cube_dim)
-/// triple. `config.threads`, `config.prune` and `config.symbolic` are
-/// ignored. [`explore_with`] must return a byte-identical ranked list;
-/// `tests-int/tests/explore.rs` and `repro_explore` both enforce it.
+/// The seed implementation of [`Pipeline::explore`], kept as the
+/// determinism oracle and the bench baseline: fully serial, no pruning,
+/// no stage caching — the entire pipeline (dependences → Π →
+/// partitioning → TIG → mapping → simulation) re-runs for every (Π,
+/// grouping, cube_dim) triple. `config.threads`, `config.prune` and
+/// `config.symbolic` are ignored. [`Pipeline::explore`] must return a
+/// byte-identical ranked list; `tests-int/tests/explore.rs` and
+/// `repro_explore` both enforce it.
 pub fn explore_reference(
     nest: &LoopNest,
     cube_dims: &[usize],
     config: &ExploreConfig,
 ) -> Result<Vec<Candidate>, PipelineError> {
-    let deps = crate::pipeline::admitted_dependence_vectors(nest, true, &Recorder::disabled())?.0;
-    let pis = legal_pis(nest, &deps, config.pi_bound);
+    let pipeline = Pipeline::new(nest.clone());
+    let deps = &pipeline.admitted(&Recorder::disabled())?.deps;
+    let pis = legal_pis(nest, deps, config.pi_bound);
     let mut results: Vec<Candidate> = Vec::new();
     for pi in &pis {
         for grouping in 0..deps.len() {
@@ -351,223 +354,225 @@ impl Counts {
     }
 }
 
-/// Explore configurations for a nest across the given hypercube
-/// dimensions; returns candidates ranked by makespan (see the module
-/// docs for the two cost oracles).
-///
-/// Configurations whose partitioning or mapping fails (grouping choice
-/// not maximal, machine larger than the block count) are skipped
-/// silently; other pipeline failures propagate, the first in input
-/// order winning whatever order the workers hit them in.
-///
-/// Records `explore.candidates` / `explore.simulated` counters, plus
-/// `explore.pruned` when simulating (routed sweeps included), the full
-/// `explore.symbolic.*` set whenever `config.symbolic` is set (zeros
-/// but `routed` on a routed sweep), `pool.*` counters and per-worker
-/// busy spans, and an `explore.total` span around the sweep.
+/// [`Pipeline::explore`] on a pipeline of its own over `nest`.
 pub fn explore_with(
     nest: &LoopNest,
     cube_dims: &[usize],
     config: &ExploreConfig,
     recorder: &Recorder,
 ) -> Result<Vec<Candidate>, PipelineError> {
-    let (deps, _) = crate::pipeline::admitted_dependence_vectors(nest, true, recorder)?;
-    explore_with_deps(nest, deps, cube_dims, config, recorder)
+    Pipeline::new(nest.clone()).explore(cube_dims, config, recorder)
 }
 
-/// [`explore_with`] over a dependence set already extracted (and, for a
-/// folded nest, certified) by the caller.
-pub fn explore_with_deps(
-    nest: &LoopNest,
-    deps: Vec<Point>,
-    cube_dims: &[usize],
-    config: &ExploreConfig,
-    recorder: &Recorder,
-) -> Result<Vec<Candidate>, PipelineError> {
-    let _total = recorder.span("explore.total");
-    let pis = legal_pis(nest, &deps, config.pi_bound);
-    let pipeline = Pipeline::new(nest.clone());
-    let routed = match &config.symbolic {
-        None => false,
-        Some(sym) => {
-            if (sym.family)(sym.size) != *nest {
-                return Err(PipelineError::FamilyMismatch { size: sym.size });
+impl Pipeline {
+    /// Explore configurations for the nest across the given hypercube
+    /// dimensions; returns candidates ranked by makespan (see the module
+    /// docs for the two cost oracles). The sweep reads the nest's admitted
+    /// dependences ([`Pipeline::admitted`]), admitting it on `recorder` if
+    /// no stage has yet.
+    ///
+    /// Configurations whose partitioning or mapping fails (grouping choice
+    /// not maximal, machine larger than the block count) are skipped
+    /// silently; other pipeline failures propagate, the first in input
+    /// order winning whatever order the workers hit them in.
+    ///
+    /// Records `explore.candidates` / `explore.simulated` counters, plus
+    /// `explore.pruned` when simulating (routed sweeps included), the full
+    /// `explore.symbolic.*` set whenever `config.symbolic` is set (zeros
+    /// but `routed` on a routed sweep), `pool.*` counters and per-worker
+    /// busy spans, and an `explore.total` span around the sweep.
+    pub fn explore(
+        &self,
+        cube_dims: &[usize],
+        config: &ExploreConfig,
+        recorder: &Recorder,
+    ) -> Result<Vec<Candidate>, PipelineError> {
+        let deps = &self.admitted(recorder)?.deps;
+        let nest = self.nest();
+        let _total = recorder.span("explore.total");
+        let pis = legal_pis(nest, deps, config.pi_bound);
+        let routed = match &config.symbolic {
+            None => false,
+            Some(sym) => {
+                if (sym.family)(sym.size) != *nest {
+                    return Err(PipelineError::FamilyMismatch { size: sym.size });
+                }
+                routed(nest, cube_dims.len(), &sym.opts)
             }
-            routed(nest, cube_dims.len(), &sym.opts)
-        }
-    };
-    let symbolic = config.symbolic.as_ref().filter(|_| !routed);
+        };
+        let symbolic = config.symbolic.as_ref().filter(|_| !routed);
 
-    // One work item per (Π, grouping) pair: the partitioning prefix of
-    // the pipeline runs once per pair and is completed per cube_dim.
-    let pairs: Vec<(usize, usize)> = (0..pis.len())
-        .flat_map(|p| (0..deps.len()).map(move |g| (p, g)))
-        .collect();
-    let candidates = (pairs.len() * cube_dims.len()) as u64;
-    recorder.add("explore.candidates", candidates);
+        // One work item per (Π, grouping) pair: the partitioning prefix of
+        // the pipeline runs once per pair and is completed per cube_dim.
+        let pairs: Vec<(usize, usize)> = (0..pis.len())
+            .flat_map(|p| (0..deps.len()).map(move |g| (p, g)))
+            .collect();
+        let candidates = (pairs.len() * cube_dims.len()) as u64;
+        recorder.add("explore.candidates", candidates);
 
-    // Pruning is sound only when a k-th best exists to compare against
-    // (top > 0), the machine is fault-free (crash remap can beat the
-    // fault-free lower bound; see A8 in EXPERIMENTS.md), and every
-    // makespan in the gate was simulated.
-    let pruning =
-        config.prune && config.top > 0 && config.machine.faults.is_none() && symbolic.is_none();
-    let gate = Mutex::new(PruneGate::new(if pruning { config.top } else { 0 }));
+        // Pruning is sound only when a k-th best exists to compare against
+        // (top > 0), the machine is fault-free (crash remap can beat the
+        // fault-free lower bound; see A8 in EXPERIMENTS.md), and every
+        // makespan in the gate was simulated.
+        let pruning =
+            config.prune && config.top > 0 && config.machine.faults.is_none() && symbolic.is_none();
+        let gate = Mutex::new(PruneGate::new(if pruning { config.top } else { 0 }));
 
-    let pool = Pool::with_recorder(config.threads, recorder.clone());
-    type PairOutcome = Result<(Vec<Candidate>, Counts), PipelineError>;
-    let outcomes: Vec<PairOutcome> = pool.map_indexed_with(
-        &pairs,
-        SimScratch::default,
-        |scratch, _idx, &(pi_idx, grouping)| {
-            // Per-candidate pipeline stages run un-instrumented: the
-            // sweep-level counters are the meaningful signal, and
-            // thousands of interleaved stage spans are not.
-            let rec = Recorder::disabled();
-            let pi = &pis[pi_idx];
-            let base = PipelineConfig {
-                time_fn: Some(pi.clone()),
-                partition: PartitionConfig {
-                    grouping_choice: Some(grouping),
-                    seed: None,
-                },
-                machine: Some(config.machine.clone()),
-                ..Default::default()
-            };
-            let candidate = |cube_dim, makespan, messages, blocks| Candidate {
-                pi: pi.clone(),
-                grouping,
-                cube_dim,
-                makespan,
-                messages,
-                blocks,
-            };
-            let mut found = Vec::new();
-            let mut counts = Counts::default();
-            let mut cache = ProbeCache::new();
-            // The partitioning prefix at the nest's own size, built on
-            // the first cube the simulator has to cost.
-            let mut stage = None;
-            for &cube_dim in cube_dims {
-                let cfg = PipelineConfig {
-                    cube_dim,
-                    ..base.clone()
+        let pool = Pool::with_recorder(config.threads, recorder.clone());
+        type PairOutcome = Result<(Vec<Candidate>, Counts), PipelineError>;
+        let outcomes: Vec<PairOutcome> = pool.map_indexed_with(
+            &pairs,
+            SimScratch::default,
+            |scratch, _idx, &(pi_idx, grouping)| {
+                // Per-candidate pipeline stages run un-instrumented: the
+                // sweep-level counters are the meaningful signal, and
+                // thousands of interleaved stage spans are not.
+                let rec = Recorder::disabled();
+                let pi = &pis[pi_idx];
+                let base = PipelineConfig {
+                    time_fn: Some(pi.clone()),
+                    partition: PartitionConfig {
+                        grouping_choice: Some(grouping),
+                        seed: None,
+                    },
+                    machine: Some(config.machine.clone()),
+                    ..Default::default()
                 };
-                if let Some(sym) = symbolic {
-                    let derived = symbolic_cost::derive(
-                        &pipeline,
-                        &*sym.family,
-                        &deps,
-                        &cfg,
-                        sym.size,
-                        &sym.opts,
-                        &mut cache,
-                    );
-                    match derived {
-                        Derivation::Exact(cost) => {
-                            if let (Some(makespan), Some(messages), Some(blocks)) = (
-                                cost.makespan(sym.size),
-                                cost.messages_at(sym.size),
-                                cost.blocks_at(sym.size),
-                            ) {
-                                counts.exact += 1;
-                                found.push(candidate(
-                                    cube_dim,
-                                    makespan,
-                                    messages,
-                                    blocks as usize,
-                                ));
+                let candidate = |cube_dim, makespan, messages, blocks| Candidate {
+                    pi: pi.clone(),
+                    grouping,
+                    cube_dim,
+                    makespan,
+                    messages,
+                    blocks,
+                };
+                let mut found = Vec::new();
+                let mut counts = Counts::default();
+                let mut cache = ProbeCache::new();
+                // The partitioning prefix at the nest's own size, built on
+                // the first cube the simulator has to cost.
+                let mut stage = None;
+                for &cube_dim in cube_dims {
+                    let cfg = PipelineConfig {
+                        cube_dim,
+                        ..base.clone()
+                    };
+                    if let Some(sym) = symbolic {
+                        let derived = symbolic_cost::derive(
+                            self,
+                            &*sym.family,
+                            &cfg,
+                            sym.size,
+                            &sym.opts,
+                            &mut cache,
+                        );
+                        match derived {
+                            Derivation::Exact(cost) => {
+                                if let (Some(makespan), Some(messages), Some(blocks)) = (
+                                    cost.makespan(sym.size),
+                                    cost.messages_at(sym.size),
+                                    cost.blocks_at(sym.size),
+                                ) {
+                                    counts.exact += 1;
+                                    found.push(candidate(
+                                        cube_dim,
+                                        makespan,
+                                        messages,
+                                        blocks as usize,
+                                    ));
+                                    continue;
+                                }
+                                // Overflow at the target: fall through to
+                                // the simulator, which shares the
+                                // explorer's u64 domain.
+                            }
+                            Derivation::Infeasible { .. } => {
+                                counts.infeasible += 1;
                                 continue;
                             }
-                            // Overflow at the target: fall through to
-                            // the simulator, which shares the
-                            // explorer's u64 domain.
+                            Derivation::Unknown { .. } => {}
                         }
-                        Derivation::Infeasible { .. } => {
-                            counts.infeasible += 1;
+                        counts.fallback += 1;
+                    }
+                    if stage.is_none() {
+                        match self.stage_partition(&base, &rec) {
+                            Ok(s) => stage = Some(s),
+                            // Grouping choice not maximal: skip the pair.
+                            Err(PipelineError::Partition(_)) => break,
+                            Err(e) => return Err(e),
+                        }
+                    }
+                    let stage = stage.as_ref().expect("stage built above");
+                    let (mapping, placement, target) = match stage.map_with(&cfg, &rec) {
+                        Ok(x) => x,
+                        // Cube too large for the block count: skip.
+                        Err(PipelineError::Mapping(_)) => continue,
+                        Err(e) => return Err(e),
+                    };
+                    if let Some(mode) = config.machine.static_check_mode() {
+                        stage.check_mode(&mapping, mode, &rec)?;
+                    }
+                    let program = stage.program(&placement);
+                    if pruning && gate.lock().unwrap().is_full() {
+                        // The link-occupancy term is sound only when the
+                        // simulation serializes links.
+                        let topology = config.machine.link_contention.then_some(target);
+                        let bound = makespan_lower_bound(
+                            &program,
+                            &config.machine.params,
+                            config.machine.batch_messages,
+                            topology.as_ref(),
+                        );
+                        if gate.lock().unwrap().should_prune(bound) {
+                            counts.pruned += 1;
                             continue;
                         }
-                        Derivation::Unknown { .. } => {}
                     }
-                    counts.fallback += 1;
-                }
-                if stage.is_none() {
-                    match pipeline.stage_partition_with_deps(&base, &rec, deps.clone()) {
-                        Ok(s) => stage = Some(s),
-                        // Grouping choice not maximal: skip the pair.
-                        Err(PipelineError::Partition(_)) => break,
-                        Err(e) => return Err(e),
+                    let report =
+                        run_machine(&program, target, &config.machine, &rec, Some(scratch))?;
+                    counts.simulated += 1;
+                    if pruning {
+                        gate.lock().unwrap().record(report.makespan);
                     }
+                    found.push(candidate(
+                        cube_dim,
+                        report.makespan,
+                        report.messages,
+                        stage.partitioning.num_blocks(),
+                    ));
                 }
-                let stage = stage.as_ref().expect("stage built above");
-                let (mapping, placement, target) = match stage.map_with(&cfg, &rec) {
-                    Ok(x) => x,
-                    // Cube too large for the block count: skip.
-                    Err(PipelineError::Mapping(_)) => continue,
-                    Err(e) => return Err(e),
-                };
-                if let Some(mode) = config.machine.static_check_mode() {
-                    stage.check_mode(&mapping, mode, &rec)?;
-                }
-                let program = stage.program(&placement);
-                if pruning && gate.lock().unwrap().is_full() {
-                    // The link-occupancy term is sound only when the
-                    // simulation serializes links.
-                    let topology = config.machine.link_contention.then_some(target);
-                    let bound = makespan_lower_bound(
-                        &program,
-                        &config.machine.params,
-                        config.machine.batch_messages,
-                        topology.as_ref(),
-                    );
-                    if gate.lock().unwrap().should_prune(bound) {
-                        counts.pruned += 1;
-                        continue;
-                    }
-                }
-                let report = run_machine(&program, target, &config.machine, &rec, Some(scratch))?;
-                counts.simulated += 1;
-                if pruning {
-                    gate.lock().unwrap().record(report.makespan);
-                }
-                found.push(candidate(
-                    cube_dim,
-                    report.makespan,
-                    report.messages,
-                    stage.partitioning.num_blocks(),
-                ));
-            }
-            counts.probe_sims = cache.sims();
-            counts.probe_points = cache.points_spent();
-            Ok((found, counts))
-        },
-    );
-
-    // Merge in input order; the first error in input order propagates,
-    // whatever order the workers hit errors in.
-    let mut results: Vec<Candidate> = Vec::new();
-    let mut total = Counts::default();
-    for outcome in outcomes {
-        let (found, counts) = outcome?;
-        results.extend(found);
-        total.add(counts);
-    }
-    recorder.add("explore.simulated", total.simulated);
-    if symbolic.is_none() {
-        recorder.add("explore.pruned", total.pruned);
-    }
-    if config.symbolic.is_some() {
-        recorder.add(
-            "explore.symbolic.routed",
-            if routed { candidates } else { 0 },
+                counts.probe_sims = cache.sims();
+                counts.probe_points = cache.points_spent();
+                Ok((found, counts))
+            },
         );
-        recorder.add("explore.symbolic.exact", total.exact);
-        recorder.add("explore.symbolic.fallback", total.fallback);
-        recorder.add("explore.symbolic.infeasible", total.infeasible);
-        recorder.add("explore.symbolic.probe_sims", total.probe_sims);
-        recorder.add("explore.symbolic.probe_points", total.probe_points);
+
+        // Merge in input order; the first error in input order propagates,
+        // whatever order the workers hit errors in.
+        let mut results: Vec<Candidate> = Vec::new();
+        let mut total = Counts::default();
+        for outcome in outcomes {
+            let (found, counts) = outcome?;
+            results.extend(found);
+            total.add(counts);
+        }
+        recorder.add("explore.simulated", total.simulated);
+        if symbolic.is_none() {
+            recorder.add("explore.pruned", total.pruned);
+        }
+        if config.symbolic.is_some() {
+            recorder.add(
+                "explore.symbolic.routed",
+                if routed { candidates } else { 0 },
+            );
+            recorder.add("explore.symbolic.exact", total.exact);
+            recorder.add("explore.symbolic.fallback", total.fallback);
+            recorder.add("explore.symbolic.infeasible", total.infeasible);
+            recorder.add("explore.symbolic.probe_sims", total.probe_sims);
+            recorder.add("explore.symbolic.probe_points", total.probe_points);
+        }
+        Ok(rank(results, config.top))
     }
-    Ok(rank(results, config.top))
 }
 
 #[cfg(test)]

@@ -36,5 +36,6 @@ pub mod report;
 pub mod symbolic_cost;
 
 pub use pipeline::{
-    MachineOptions, PartitionedStage, Pipeline, PipelineConfig, PipelineError, PipelineOutput,
+    Admitted, MachineOptions, PartitionedStage, Pipeline, PipelineConfig, PipelineError,
+    PipelineOutput,
 };

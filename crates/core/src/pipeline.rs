@@ -2,7 +2,7 @@
 //! hypercube mapping → simulated execution.
 
 use loom_hyperplane::{SearchConfig, TimeFn};
-use loom_loopir::{DepOptions, LoopNest, Point};
+use loom_loopir::{DepOptions, Dependence, LoopNest, Point};
 use loom_machine::trace::{verify_trace, TraceViolation};
 use loom_machine::{
     simulate_scratch, simulate_with_faults_scratch, FaultConfig, MachineParams, Program, SimConfig,
@@ -246,11 +246,12 @@ impl std::error::Error for PipelineError {}
 ///
 /// The parts of a stage that depend on less than the whole stage are
 /// built once per `Pipeline`, by the first stage that needs them, and
-/// shared by every stage it builds afterwards, on any thread: `Q = (V,
-/// D)` (one per dependence set `D`) and `Q^p` (one per `D` and Π). The
+/// shared by every stage it builds afterwards, on any thread: the
+/// nest's admitted dependences ([`Pipeline::admitted`]), `Q = (V, D)`
+/// (one per dependence set `D`) and `Q^p` (one per `D` and Π). The
 /// symbolic-cost probes' pipelines are parts too, one per probe size and
 /// family, so every derivation on this `Pipeline` shares each probe
-/// size's `Q` and projections. Clones share them too.
+/// size's admission, `Q` and projections. Clones share them too.
 #[derive(Clone, Debug)]
 pub struct Pipeline {
     nest: Arc<LoopNest>,
@@ -260,6 +261,8 @@ pub struct Pipeline {
 /// The shared stage parts of a [`Pipeline`].
 #[derive(Debug, Default)]
 struct Parts {
+    /// The nest's admitted dependence analysis.
+    admitted: OnceLock<Result<Admitted, PipelineError>>,
     /// `Q` and its projections, per dependence set `D`.
     over: Mutex<BTreeMap<Vec<Point>, Arc<OverDeps>>>,
     /// The probe pipelines, per probe size: one per distinct nest a
@@ -278,6 +281,17 @@ struct OverDeps {
 
 /// One Π's projection, built by the first stage that needs it.
 type ProjectionCell = Arc<OnceLock<Arc<ProjectedStructure>>>;
+
+/// A nest's admitted dependence analysis ([`Pipeline::admitted`]).
+#[derive(Clone, Debug)]
+pub struct Admitted {
+    /// The dependence records, intra-iteration ones included.
+    pub records: Vec<Dependence>,
+    /// `D`: the distinct nonzero vectors of `records`.
+    pub deps: Vec<Point>,
+    /// The fold's `LC016`/`LC017` diagnostics; empty for a uniform nest.
+    pub folded: Vec<loom_check::Diagnostic>,
+}
 
 impl Pipeline {
     /// Wrap a loop nest.
@@ -323,6 +337,24 @@ impl Pipeline {
         Ok(out)
     }
 
+    /// Stage 1, shared by every stage of this `Pipeline`: the nest's
+    /// dependence records and their set `D`. A nest the uniform front
+    /// end rejects is admitted through certified uniformization: the
+    /// fold (`loom_loopir::uniformize`) stands for the nest only once
+    /// the Presburger core proves its cover (`LC016`), and an
+    /// uncertifiable nest, `Unknown` verdicts included, is a
+    /// [`PipelineError::StaticCheck`] with the full report. The first
+    /// call runs the analysis and records the `pipeline.deps` span and
+    /// the `check.uniformize.*` counters on `recorder`; later calls
+    /// record nothing.
+    pub fn admitted(&self, recorder: &Recorder) -> Result<&Admitted, PipelineError> {
+        let admitted = self
+            .parts
+            .admitted
+            .get_or_init(|| admit(&self.nest, recorder));
+        admitted.as_ref().map_err(Clone::clone)
+    }
+
     /// Run stages 1–3 (dependences → Π → partitioning + TIG): the
     /// prefix of the pipeline that depends only on the nest, the time
     /// function, and the grouping choice — never on the machine. The returned [`PartitionedStage`] can be
@@ -332,12 +364,7 @@ impl Pipeline {
         config: &PipelineConfig,
         recorder: &Recorder,
     ) -> Result<PartitionedStage, PipelineError> {
-        // 1. Dependence analysis (with certified uniformization of
-        // non-uniform nests).
-        let deps = {
-            let _s = recorder.span("pipeline.deps");
-            admitted_dependence_vectors(&self.nest, true, recorder)?.0
-        };
+        let deps = self.admitted(recorder)?.deps.clone();
         self.stage_partition_with_deps(config, recorder, deps)
     }
 
@@ -372,15 +399,13 @@ impl Pipeline {
         if family(target_size) != *self.nest {
             return Err(PipelineError::FamilyMismatch { size: target_size });
         }
-        let deps = admitted_dependence_vectors(&self.nest, true, recorder)?.0;
-        let pi = self.time_fn(config, &deps, recorder)?;
+        let pi = self.time_fn(config, &self.admitted(recorder)?.deps, recorder)?;
         let config = PipelineConfig {
             time_fn: Some(pi.coeffs().to_vec()),
             ..config.clone()
         };
         let (sims, points) = (cache.sims(), cache.points_spent());
-        let derived =
-            crate::symbolic_cost::derive(self, family, &deps, &config, target_size, opts, cache);
+        let derived = crate::symbolic_cost::derive(self, family, &config, target_size, opts, cache);
         recorder.add("pipeline.symbolic_probe_sims", cache.sims() - sims);
         recorder.add(
             "pipeline.symbolic_probe_points",
@@ -389,11 +414,9 @@ impl Pipeline {
         Ok(derived)
     }
 
-    /// [`stage_partition`](Pipeline::stage_partition) with the
-    /// dependence set already extracted (and, for a folded nest,
-    /// certified) by the caller. Exploration builds one stage per
-    /// (Π, grouping) pair this way, over the parts this `Pipeline`
-    /// shares (see [`Pipeline`]).
+    /// [`stage_partition`](Pipeline::stage_partition) over a dependence
+    /// set `D` the caller supplies instead of the admitted one, over the
+    /// parts this `Pipeline` shares (see [`Pipeline`]).
     pub fn stage_partition_with_deps(
         &self,
         config: &PipelineConfig,
@@ -441,7 +464,7 @@ impl Pipeline {
         };
         recorder.add("pipeline.blocks", partitioning.num_blocks() as u64);
         Ok(PartitionedStage {
-            nest: self.nest.clone(),
+            pipeline: self.clone(),
             deps,
             pi,
             partitioning,
@@ -494,37 +517,30 @@ impl Pipeline {
     }
 }
 
-/// Extract the dependence vector set `D`, admitting nests the uniform
-/// front end rejects through certified uniformization when `uniformize`
-/// is set (otherwise every non-uniform nest is a
-/// [`PipelineError::Deps`] rejection):
-/// the fold is synthesized (`loom_loopir::uniformize`) and its cover
-/// proven sound by the Presburger core (`LC016`) before the folded
-/// vectors are handed to the rest of the pipeline. An uncertifiable
-/// nest is rejected with the full diagnostic report; `Unknown`
-/// verdicts reject too — the pipeline never admits wrongly. An
-/// admitted fold comes back with its certificate and tightness
-/// diagnostics (`LC016`/`LC017`; empty for a uniform nest). Proof
-/// counts land on `recorder` as `check.uniformize.*` counters.
-pub fn admitted_dependence_vectors(
-    nest: &LoopNest,
-    uniformize: bool,
-    recorder: &Recorder,
-) -> Result<(Vec<Point>, Vec<loom_check::Diagnostic>), PipelineError> {
-    let opts = DepOptions::default();
-    match loom_loopir::deps::dependence_vectors(nest, opts) {
-        Ok(deps) => Ok((deps, Vec::new())),
-        Err(loom_loopir::Error::NonUniform { .. }) if uniformize => {
+/// [`Pipeline::admitted`]'s analysis of `nest`, with proof counts on
+/// `recorder`.
+fn admit(nest: &LoopNest, recorder: &Recorder) -> Result<Admitted, PipelineError> {
+    let _s = recorder.span("pipeline.deps");
+    let opts = DepOptions {
+        include_intra: true,
+        ..DepOptions::default()
+    };
+    let (records, folded) = match loom_loopir::extract_dependences(nest, opts) {
+        Ok(records) => (records, Vec::new()),
+        Err(loom_loopir::Error::NonUniform { .. }) => {
             let mut stats = loom_check::UniformizeStats::default();
             let admitted = loom_check::admit_uniformized(nest, opts, &mut stats);
             stats.record(recorder);
-            match admitted {
-                Ok((u, diags)) => Ok((u.vectors, diags)),
-                Err(report) => Err(PipelineError::StaticCheck(report)),
-            }
+            let (u, diags) = admitted.map_err(PipelineError::StaticCheck)?;
+            (u.deps, diags)
         }
-        Err(e) => Err(PipelineError::Deps(e)),
-    }
+        Err(e) => return Err(PipelineError::Deps(e)),
+    };
+    Ok(Admitted {
+        deps: loom_loopir::vector_set(&records),
+        records,
+        folded,
+    })
 }
 
 /// The machine-independent prefix of a pipeline run: everything up to
@@ -541,7 +557,7 @@ pub fn admitted_dependence_vectors(
 /// reads.
 #[derive(Clone, Debug)]
 pub struct PartitionedStage {
-    nest: Arc<LoopNest>,
+    pipeline: Pipeline,
     /// The extracted dependence set `D`.
     pub deps: Vec<Point>,
     /// The time transformation Π.
@@ -615,7 +631,7 @@ impl PartitionedStage {
         let _s = recorder.span("pipeline.check");
         let report = loom_check::check_pipeline_mode(
             &loom_check::PipelineCheck {
-                nest: &self.nest,
+                nest: self.pipeline.nest(),
                 deps: &self.deps,
                 pi: &self.pi,
                 partitioning: &self.partitioning,
@@ -639,7 +655,7 @@ impl PartitionedStage {
             &self.partitioning,
             placement.assignment(),
             placement.num_procs(),
-            self.nest.flops_per_iteration(),
+            self.pipeline.nest().flops_per_iteration(),
         )
     }
 
@@ -672,7 +688,15 @@ impl PartitionedStage {
             }
         };
 
-        let stmt_offsets = stmt_offsets(&self.nest, &self.pi, recorder)?;
+        // Fine-grain statement schedule offsets δ_s under Π, from the
+        // admitted records (intra-iteration ones included).
+        let stmt_offsets = {
+            let _s = recorder.span("pipeline.stmt_offsets");
+            let records = &self.pipeline.admitted(recorder)?.records;
+            let stmts = self.pipeline.nest().stmts().len();
+            loom_hyperplane::compute_offsets(stmts, records, &self.pi)
+                .map_err(|_| PipelineError::TimeFn(loom_hyperplane::Error::NotFound { bound: 0 }))?
+        };
         let PartitionedStage {
             deps,
             pi,
@@ -701,33 +725,6 @@ impl PartitionedStage {
             sim,
         })
     }
-}
-
-/// Fine-grain statement schedule offsets δ_s under Π, derived from the
-/// full per-statement dependence records, intra-iteration ones included.
-fn stmt_offsets(
-    nest: &LoopNest,
-    pi: &TimeFn,
-    recorder: &Recorder,
-) -> Result<Vec<i64>, PipelineError> {
-    let _s = recorder.span("pipeline.stmt_offsets");
-    let intra_opts = DepOptions {
-        include_intra: true,
-        ..DepOptions::default()
-    };
-    // An admitted uniformized nest trips the uniform extractor again
-    // here; its folded dependence records (already certified during
-    // stage 1) drive the offsets.
-    let records = loom_loopir::extract_or_fold(nest, intra_opts).map_err(|e| {
-        PipelineError::Deps(match e {
-            loom_loopir::FoldError::Extract(err) => err,
-            loom_loopir::FoldError::NoCover { array, .. } => {
-                loom_loopir::Error::NonUniform { array }
-            }
-        })
-    })?;
-    loom_hyperplane::compute_offsets(nest.stmts().len(), &records, pi)
-        .map_err(|_| PipelineError::TimeFn(loom_hyperplane::Error::NotFound { bound: 0 }))
 }
 
 /// Step 5 — simulate `program` on `target` under `opts`, with fault
@@ -838,7 +835,7 @@ mod tests {
     fn shares_with(stage: &PartitionedStage, other: &PartitionedStage) {
         let p = &stage.partitioning;
         let fresh = loom_partition::partition(
-            stage.nest.space().clone(),
+            stage.pipeline.nest().space().clone(),
             stage.deps.clone(),
             stage.pi.clone(),
             &PartitionConfig {
@@ -862,11 +859,7 @@ mod tests {
         let pipeline = Pipeline::new(w.nest.clone());
         let rec = Recorder::disabled();
         let stages: Vec<_> = (0..deps.len())
-            .filter_map(|g| {
-                pipeline
-                    .stage_partition_with_deps(&grouped(&[1, 1], g), &rec, deps.clone())
-                    .ok()
-            })
+            .filter_map(|g| pipeline.stage_partition(&grouped(&[1, 1], g), &rec).ok())
             .collect();
         assert!(stages.len() >= 2, "{} grouping(s) partition", stages.len());
         for stage in &stages {
@@ -874,7 +867,7 @@ mod tests {
         }
         // Another Π reads the same `Q` through its own projection.
         let other = pipeline
-            .stage_partition_with_deps(&grouped(&[2, 1], 0), &rec, deps.clone())
+            .stage_partition(&grouped(&[2, 1], 0), &rec)
             .unwrap();
         let (p, q) = (&other.partitioning, &stages[0].partitioning);
         assert!(std::ptr::eq(p.structure(), q.structure()));
@@ -889,13 +882,14 @@ mod tests {
         let groupings: Vec<usize> = (0..deps.len())
             .filter(|&g| {
                 Pipeline::new(w.nest.clone())
-                    .stage_partition_with_deps(&grouped(&[1, 1], g), &rec, deps.clone())
+                    .stage_partition(&grouped(&[1, 1], g), &rec)
                     .is_ok()
             })
             .collect();
         assert!(groupings.len() >= 2);
         // Two threads build different groupings at the same moment on
-        // one fresh `Pipeline`, so both race for `Q` and `Q^p`.
+        // one fresh `Pipeline`, so both race for its admission, `Q` and
+        // `Q^p`.
         for _ in 0..16 {
             let pipeline = Pipeline::new(w.nest.clone());
             let start = std::sync::Barrier::new(2);
@@ -903,12 +897,10 @@ mod tests {
                 let workers: Vec<_> = groupings[..2]
                     .iter()
                     .map(|&g| {
-                        let (pipeline, start, rec, deps) = (&pipeline, &start, &rec, &deps);
+                        let (pipeline, start, rec) = (&pipeline, &start, &rec);
                         scope.spawn(move || {
                             start.wait();
-                            pipeline
-                                .stage_partition_with_deps(&grouped(&[1, 1], g), rec, deps.clone())
-                                .unwrap()
+                            pipeline.stage_partition(&grouped(&[1, 1], g), rec).unwrap()
                         })
                     })
                     .collect();
@@ -951,17 +943,13 @@ mod tests {
         family: &dyn Fn(i64) -> LoopNest,
         grouping: usize,
     ) -> (Derivation, ProbeCache) {
-        let rec = Recorder::disabled();
-        let deps = admitted_dependence_vectors(&family(16), true, &rec)
-            .unwrap()
-            .0;
         let config = PipelineConfig {
             cube_dim: 1,
             ..grouped(&[1, 1], grouping)
         };
         let mut cache = ProbeCache::new();
         let opts = DeriveOptions::default();
-        let derived = derive(pipeline, family, &deps, &config, 16, &opts, &mut cache);
+        let derived = derive(pipeline, family, &config, 16, &opts, &mut cache);
         (derived, cache)
     }
 
@@ -1017,20 +1005,21 @@ mod tests {
 
     #[test]
     fn stage_parts_follow_a_new_family() {
-        // A second family on the same target pipeline probes its own
-        // nests, and derives what it derives on a pipeline of its own.
-        let matvec = |n: i64| loom_workloads::matvec::workload(n).nest;
+        // A second family with the target's `D` on the same target
+        // pipeline probes its own nests, and derives what it derives on
+        // a pipeline of its own.
+        let sor = |n: i64| loom_workloads::sor::workload(n, n).nest;
         let pipeline = Pipeline::new(l1(16));
         let (_, first) = derive_on(&pipeline, &l1, 0);
-        let (derived, second) = derive_on(&pipeline, &matvec, 0);
-        assert_eq!(derived, derive_on(&Pipeline::new(matvec(16)), &matvec, 0).0);
+        let (derived, second) = derive_on(&pipeline, &sor, 0);
+        assert_eq!(derived, derive_on(&Pipeline::new(sor(16)), &sor, 0).0);
         assert!(matches!(derived, Derivation::Exact(_)), "{derived:?}");
         for (n, stage) in second.stages() {
-            assert_eq!(*stage.nest, matvec(n), "size {n}");
+            assert_eq!(*stage.pipeline.nest(), sor(n), "size {n}");
         }
         // Its later derivations share its probe parts; the first
         // family's stay its own.
-        assert!(probes_share(&second, &derive_on(&pipeline, &matvec, 1).1) >= 5);
+        assert!(probes_share(&second, &derive_on(&pipeline, &sor, 1).1) >= 5);
         assert!(probes_share(&first, &derive_on(&pipeline, &l1, 1).1) >= 5);
     }
 
@@ -1548,22 +1537,6 @@ mod tests {
         assert_eq!(faulted.messages, base.messages);
         assert_eq!(faulted.words, base.words);
         assert_eq!(faulted.degradation.unwrap().faults_hit, 0);
-    }
-
-    #[test]
-    fn non_uniform_nest_rejected_with_uniformize_off() {
-        use loom_loopir::{Access, Aff, IterSpace, LoopNest, Stmt};
-        let nest = LoopNest::new(
-            "bad",
-            IterSpace::rect(&[4]).unwrap(),
-            vec![Stmt::assign(
-                Access::new("A", vec![Aff::new(vec![2], 0)]),
-                vec![Access::simple("A", 1, &[(0, 0)])],
-            )],
-        )
-        .unwrap();
-        let err = admitted_dependence_vectors(&nest, false, &Recorder::disabled()).unwrap_err();
-        assert!(matches!(err, PipelineError::Deps(_)));
     }
 
     #[test]

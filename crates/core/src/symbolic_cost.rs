@@ -29,11 +29,11 @@
 //! 2. **probes** the configuration at a window of small sizes through
 //!    the real pipeline and the real discrete-event engine (the
 //!    *validation oracle*): each probe is a stage that
-//!    [`Pipeline::stage_partition_with_deps`] builds for `family(n)`,
-//!    mapped, made a program and simulated by [`run_machine`], the path
-//!    the explorer simulates through. The target's `Pipeline` keeps one
-//!    probe pipeline per size, so every derivation on it shares each
-//!    probe size's `Q` and projections;
+//!    [`Pipeline::stage_partition`] builds for `family(n)`, mapped, made
+//!    a program and simulated by [`run_machine`], the path the explorer
+//!    simulates through. The target's `Pipeline` keeps one probe
+//!    pipeline per size, so every derivation on it shares each probe
+//!    size's admitted dependences, `Q` and projections;
 //! 3. **fits** each quantity as a quasi-polynomial by finite
 //!    differences, per residue class, trying periods in ascending
 //!    order; a fit is accepted only if it also reproduces at least two
@@ -57,7 +57,7 @@
 //! verbatim from the fitted forms.
 
 use crate::pipeline::{run_machine, MachineOptions, PartitionedStage, Pipeline, PipelineConfig};
-use loom_loopir::{DepOptions, LoopNest, Point};
+use loom_loopir::LoopNest;
 use loom_machine::SimScratch;
 use loom_obs::Recorder;
 use std::collections::BTreeMap;
@@ -412,8 +412,6 @@ struct Probes<'a> {
     /// all the derivations made on it.
     pipeline: &'a Pipeline,
     family: &'a dyn Fn(i64) -> LoopNest,
-    /// The target nest's dependence set; every probe must reproduce it.
-    deps: &'a [Point],
     /// Π, the grouping and the cube; probes map onto the hypercube.
     config: PipelineConfig,
     /// The caller's machine, recording a trace and metrics only when
@@ -507,16 +505,17 @@ impl ProbeCache {
 
     /// Probe `family(n)` up to its partitioned stage (memoized). The
     /// stage comes from the target pipeline's probe pipeline for
-    /// `family(n)`, so it shares that size's `Q` and projection along Π
-    /// with every other derivation on the target; this cache is charged
-    /// its points all the same.
+    /// `family(n)`, so it shares that size's admission, `Q` and
+    /// projection along Π with every other derivation on the target;
+    /// this cache is charged its points all the same, once the probe's
+    /// `D` is known to be the target's.
     fn probe(&mut self, ctx: &Probes, n: i64) -> Result<&mut Probe, String> {
         if let std::collections::btree_map::Entry::Vacant(slot) = self.probes.entry(n) {
-            let nest = (ctx.family)(n);
-            let got = loom_loopir::deps::dependence_vectors(&nest, DepOptions::default());
-            let entry = match got {
-                Ok(d) if d == ctx.deps => {
-                    let points = nest.space().count() as u64;
+            let pipeline = ctx.pipeline.probe_pipeline(n, (ctx.family)(n));
+            let rec = Recorder::disabled();
+            let entry = match (pipeline.admitted(&rec), ctx.pipeline.admitted(&rec)) {
+                (Ok(got), Ok(want)) if got.deps == want.deps => {
+                    let points = pipeline.nest().space().count() as u64;
                     if self.points_spent.saturating_add(points) > ctx.budget {
                         return Err(format!(
                             "probe budget exhausted at size {n} ({} of {} points spent)",
@@ -524,9 +523,7 @@ impl ProbeCache {
                         ));
                     }
                     self.points_spent += points;
-                    let pipeline = ctx.pipeline.probe_pipeline(n, nest);
-                    match pipeline.stage_partition_with_deps(&ctx.config, &Recorder::disabled(), d)
-                    {
+                    match pipeline.stage_partition(&ctx.config, &rec) {
                         Ok(stage) => Probe::Ok(Box::new(PartProbe {
                             blocks: stage.partitioning.num_blocks() as i128,
                             steps: stage.pi.steps(pipeline.nest().space()) as i128,
@@ -714,12 +711,13 @@ fn unknown(reason: impl Into<String>) -> Derivation {
 /// is a stage of `pipeline`'s probe pipeline for `family(n)`, mapped onto
 /// the hypercube and simulated through [`run_machine`].
 ///
-/// `deps` is the dependence set of the *target* nest; probes guard that
-/// every probed size reproduces it. Fits are validated three ways:
-/// held-out probes inside the window (≥ 2 per residue class), a
-/// geometric ladder of oracle probes at ~2× and ~4× the window end, and
-/// — whenever the probe budget can afford it — **at the target size
-/// itself**, making the answer oracle-equal by construction there. A
+/// Probes guard that every probed size reproduces the dependence set
+/// `D` that `pipeline` admitted for the *target* nest. Fits are
+/// validated three ways: held-out probes inside the window (≥ 2 per
+/// residue class), a geometric ladder of oracle probes at ~2× and ~4×
+/// the window end, and — whenever the probe budget can afford it — **at
+/// the target size itself**, making the answer oracle-equal by
+/// construction there. A
 /// ladder mismatch means the engine crossed into a different cost
 /// regime (pipeline-fill transients ending, compute overtaking
 /// communication); the window is rebased past the mismatch and refit,
@@ -729,7 +727,6 @@ fn unknown(reason: impl Into<String>) -> Derivation {
 pub(crate) fn derive(
     pipeline: &Pipeline,
     family: &dyn Fn(i64) -> LoopNest,
-    deps: &[Point],
     config: &PipelineConfig,
     target: i64,
     opts: &DeriveOptions,
@@ -748,7 +745,6 @@ pub(crate) fn derive(
     let mut ctx = Probes {
         pipeline,
         family,
-        deps,
         config: PipelineConfig {
             target: None,
             machine: None,
@@ -1121,7 +1117,6 @@ mod tests {
     /// Derive matvec under Π = (1, 1) on a fresh target pipeline.
     fn derive_matvec(cube_dim: usize, target: i64, opts: &DeriveOptions) -> Derivation {
         let fam = |n: i64| loom_workloads::matvec::workload(n).nest;
-        let deps = loom_workloads::matvec::workload(8).verified_deps();
         let config = PipelineConfig {
             time_fn: Some(vec![1, 1]),
             cube_dim,
@@ -1131,7 +1126,6 @@ mod tests {
         derive(
             &pipeline,
             &fam,
-            &deps,
             &config,
             target,
             opts,

@@ -352,13 +352,18 @@ pub(crate) fn kind_of(src_is_write: bool, dst_is_write: bool) -> DepKind {
 /// The distinct dependence-vector set `D` of a nest: every extracted
 /// dependence's vector, deduplicated, in lexicographic order.
 pub fn dependence_vectors(nest: &LoopNest, opts: DepOptions) -> Result<Vec<Point>, Error> {
-    let deps = extract_dependences(nest, opts)?;
-    let set: BTreeSet<Point> = deps
-        .into_iter()
-        .map(|d| d.vector)
+    extract_dependences(nest, opts).map(|deps| vector_set(&deps))
+}
+
+/// The distinct nonzero vectors of dependence records, in lexicographic
+/// order: the set `D` the partitioner consumes.
+pub fn vector_set(deps: &[Dependence]) -> Vec<Point> {
+    let set: BTreeSet<&Point> = deps
+        .iter()
+        .map(|d| &d.vector)
         .filter(|v| v.iter().any(|&x| x != 0))
         .collect();
-    Ok(set.into_iter().collect())
+    set.into_iter().cloned().collect()
 }
 
 /// A nest's dependence records: the uniform extractor's, or, when it

@@ -38,7 +38,7 @@ pub use access::Access;
 pub use aff::Aff;
 pub use deps::{
     accesses_by_array, extract_dependences, extract_dependences_relaxed, extract_or_fold,
-    AccessSite, DepKind, DepOptions, Dependence, NonUniformPair,
+    vector_set, AccessSite, DepKind, DepOptions, Dependence, NonUniformPair,
 };
 pub use front::{FrontDiag, FrontLimits, LpCode, ParseOutcome};
 pub use nest::{LoopNest, Stmt};

@@ -34,8 +34,8 @@
 
 use crate::access::Access;
 use crate::deps::{
-    extract_dependences_relaxed, kind_of, lex_sign, primitive_lex_positive, DepOptions, Dependence,
-    NonUniformPair,
+    extract_dependences_relaxed, kind_of, lex_sign, primitive_lex_positive, vector_set, DepOptions,
+    Dependence, NonUniformPair,
 };
 use crate::nest::LoopNest;
 use crate::{Error, Point};
@@ -197,17 +197,10 @@ pub fn uniformize(nest: &LoopNest, opts: DepOptions) -> Result<Uniformization, F
             .cmp(&(&b.array, b.kind, &b.vector, b.src_stmt, b.dst_stmt))
     });
     deps.dedup();
-    let vectors: Vec<Point> = deps
-        .iter()
-        .map(|d| d.vector.clone())
-        .filter(|v| v.iter().any(|&x| x != 0))
-        .collect::<BTreeSet<Point>>()
-        .into_iter()
-        .collect();
     Ok(Uniformization {
         pairs,
+        vectors: vector_set(&deps),
         deps,
-        vectors,
     })
 }
 

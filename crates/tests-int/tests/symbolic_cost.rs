@@ -454,10 +454,12 @@ fn shared_probe_parts_derive_what_unshared_ones_derive() {
         let fam = loom_workloads::family_of(name, None).expect("builtin family");
         let family = move |n: i64| fam(n).nest;
         let nest = family(target);
-        let deps = loom_core::pipeline::admitted_dependence_vectors(&nest, true, &rec)
-            .expect("builtin nests admit")
-            .0;
         let shared = Pipeline::new(nest.clone());
+        let deps = shared
+            .admitted(&rec)
+            .expect("builtin nests admit")
+            .deps
+            .clone();
         let mut exact = 0;
         for pi in legal_pis_within_one(nest.dim(), &deps) {
             for grouping in 0..deps.len() {

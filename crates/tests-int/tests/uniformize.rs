@@ -292,3 +292,82 @@ fn explore_ranks_mappings_for_formerly_rejected_nests() {
         }
     }
 }
+
+/// The pipeline's one admission stands for both of the paths it
+/// replaced: for every sample and builtin, the output's `D` is what the
+/// uniform extractor (or, for a variable-distance nest, the certified
+/// fold) gives, and its statement offsets are what `compute_offsets`
+/// makes of the extracted-or-folded records, intra-iteration ones
+/// included.
+#[test]
+fn pipeline_deps_and_offsets_match_the_extractors() {
+    let intra = DepOptions {
+        include_intra: true,
+        ..DepOptions::default()
+    };
+    let mut samples: Vec<String> = std::fs::read_dir(repo_path("samples"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.ends_with(".loom"))
+        .collect();
+    samples.sort();
+    assert_eq!(samples.len(), 8, "{samples:?}");
+    let nests = samples
+        .iter()
+        .map(|name| read_sample(name))
+        .chain(loom_workloads::all_default().into_iter().map(|w| w.nest));
+    let mut folded = 0;
+    for nest in nests {
+        let name = nest.name().to_string();
+        let out = Pipeline::new(nest.clone())
+            .run(&PipelineConfig {
+                cube_dim: 0,
+                machine: None,
+                ..Default::default()
+            })
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let deps = match loom_loopir::deps::dependence_vectors(&nest, DepOptions::default()) {
+            Ok(deps) => deps,
+            Err(_) => {
+                folded += 1;
+                let mut stats = UniformizeStats::default();
+                admit_uniformized(&nest, DepOptions::default(), &mut stats)
+                    .unwrap_or_else(|_| panic!("{name}: not admitted"))
+                    .0
+                    .vectors
+            }
+        };
+        let records = loom_loopir::extract_or_fold(&nest, intra).unwrap();
+        let offsets =
+            loom_hyperplane::compute_offsets(nest.stmts().len(), &records, &out.pi).unwrap();
+        assert_eq!((out.deps, out.stmt_offsets), (deps, offsets), "{name}");
+    }
+    assert_eq!(folded, 3);
+}
+
+/// A `Pipeline` admits its nest once, whatever runs on it: two runs and
+/// an exploration on one recorder fold and certify the nest's one
+/// variable-distance pair once.
+#[test]
+fn one_pipeline_admits_once() {
+    let pipeline = Pipeline::new(read_sample("vardist_scale.loom"));
+    let config = PipelineConfig {
+        cube_dim: 0,
+        ..Default::default()
+    };
+    let rec = Recorder::enabled();
+    let first = pipeline.run_with(&config, &rec).unwrap();
+    let second = pipeline.run_with(&config, &rec).unwrap();
+    assert_eq!(
+        (first.deps, first.stmt_offsets),
+        (second.deps, second.stmt_offsets)
+    );
+    let ranked = pipeline
+        .explore(&[0], &ExploreConfig::default(), &rec)
+        .unwrap();
+    assert!(!ranked.is_empty());
+    assert_eq!(rec.counters().get("check.uniformize.pairs"), Some(&1));
+    let spans = rec.spans();
+    let deps_spans = spans.iter().filter(|s| s.name == "pipeline.deps").count();
+    assert_eq!(deps_spans, 1);
+}
