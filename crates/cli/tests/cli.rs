@@ -727,3 +727,38 @@ fn zero_projection_is_no_grouping_vector() {
         );
     }
 }
+
+#[test]
+fn oversized_target_is_a_typed_error() {
+    // l1 at 10^5 has 10^10 points, past 32-bit point ids: the fallback
+    // and the simulating sweep count the space and fail, whether or not
+    // the derivation is asked for.
+    for symbolic in [true, false] {
+        let mut args = vec![
+            "explore",
+            "--workload",
+            "l1",
+            "--size",
+            "100000",
+            "--pi-bound",
+            "1",
+            "--cubes",
+            "1,2",
+            "--threads",
+            "1",
+        ];
+        if symbolic {
+            args.push("--symbolic");
+        }
+        let out = Command::new(env!("CARGO_BIN_EXE_loom"))
+            .args(&args)
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(
+            err.contains("iteration space has 10000000000 points"),
+            "{args:?}: {err}"
+        );
+    }
+}

@@ -319,6 +319,7 @@ pub fn explore_reference(
                             blocks: out.partitioning.num_blocks(),
                         });
                     }
+                    Err(e) if e.is_oversized() => return Err(e),
                     // Grouping choice not maximal, or cube too large:
                     // legitimate skips during exploration.
                     Err(PipelineError::Partition(_)) | Err(PipelineError::Mapping(_)) => {}
@@ -497,6 +498,7 @@ impl Pipeline {
                     if stage.is_none() {
                         match self.stage_partition(&base, &rec) {
                             Ok(s) => stage = Some(s),
+                            Err(e) if e.is_oversized() => return Err(e),
                             // Grouping choice not maximal: skip the pair.
                             Err(PipelineError::Partition(_)) => break,
                             Err(e) => return Err(e),

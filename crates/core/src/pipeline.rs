@@ -210,6 +210,18 @@ pub enum PipelineError {
     },
 }
 
+impl PipelineError {
+    /// `true` for a nest too large to enumerate
+    /// ([`loom_partition::Error::TooManyPoints`]): no configuration of it
+    /// can run, so a sweep reports it instead of skipping a candidate.
+    pub fn is_oversized(&self) -> bool {
+        matches!(
+            self,
+            PipelineError::Partition(loom_partition::Error::TooManyPoints { .. })
+        )
+    }
+}
+
 impl std::fmt::Display for PipelineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -37,7 +37,16 @@
 //! 3. **fits** each quantity as a quasi-polynomial by finite
 //!    differences, per residue class, trying periods in ascending
 //!    order; a fit is accepted only if it also reproduces at least two
-//!    held-out probes per residue class **exactly**;
+//!    held-out probes per residue class **exactly**. The candidate
+//!    windows are the slide schedule's starts (2, 7, 12, 17, 27, 47,
+//!    87, 167 for a 2-deep nest, each capped at the target) times the
+//!    window length of every period, and the **cheapest untried window
+//!    is fitted first**: the fewest probe points not yet paid (2·|V| for
+//!    an unprobed size, |V| for one partitioned but not simulated on
+//!    this cube), ties to the smaller window end, the smaller period,
+//!    the earlier start. Windows inside a pipeline-fill transient are
+//!    probed only when nothing cheaper is left to fit; at most
+//!    `8 · |PERIODS|` windows are fitted per derivation;
 //! 4. **validates** the fit against the oracle on a geometric ladder of
 //!    sizes beyond the window — and at the target itself whenever that
 //!    probe fits the budget. The event-driven makespan is *piecewise*
@@ -60,7 +69,7 @@ use crate::pipeline::{run_machine, MachineOptions, PartitionedStage, Pipeline, P
 use loom_loopir::LoopNest;
 use loom_machine::SimScratch;
 use loom_obs::Recorder;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A size-parameterized nest family: `family(n)` is the nest at size
 /// parameter `n`. The symbolic engine requires the dependence set to be
@@ -433,7 +442,9 @@ struct Probes<'a> {
 /// their parts.
 pub struct ProbeCache {
     probes: BTreeMap<i64, Probe>,
-    point_counts: BTreeMap<i64, u64>,
+    /// Each size's point count, or `Err(cap)` when it has more than
+    /// `cap` points.
+    point_counts: BTreeMap<i64, Result<u64, u64>>,
     points_spent: u64,
     sims: u64,
     lemma1_checked: bool,
@@ -461,41 +472,34 @@ impl ProbeCache {
         self.sims
     }
 
-    /// Upper bound on what probing `[start, start + len)` (partition +
-    /// one simulation each) would add to `points_spent`, skipping sizes
-    /// already paid for. No probes run; point counts are memoized, and
-    /// the walk stops early once the estimate clears `cap` — the
-    /// caller only needs "over budget", not the exact figure.
+    /// What probing `[start, start + len)` (partition + one simulation
+    /// each) would add to `points_spent`: 2·|V| for an unprobed size,
+    /// |V| for one partitioned but not yet simulated on this cube, and
+    /// nothing for a size already paid for. No probes run, and the walk
+    /// stops once the sum clears `cap` — the caller only needs "over",
+    /// not the exact figure. Each size's point count is counted once,
+    /// up to the whole budget; a larger size is recorded as
+    /// unaffordable and charged `u64::MAX`.
     fn window_cost(&mut self, ctx: &Probes, start: i64, len: i64, cap: u64) -> u64 {
         let mut cost = 0u64;
         for n in start..start + len {
-            match self.probes.get(&n) {
+            let pts = match self.probes.get(&n) {
                 None => {
-                    let pts = match self.point_counts.get(&n) {
-                        Some(&p) => p,
-                        None => {
-                            // Count with an early exit: a huge size only
-                            // needs to prove "over cap", not its exact
-                            // (possibly 10^12) point count — and an
-                            // incomplete count is not memoized. Over the
-                            // cap, charge the first count past the room.
-                            let room = cap.saturating_sub(cost) / 2;
-                            match (ctx.family)(n).space().count_at_most(room) {
-                                Some(p) => {
-                                    self.point_counts.insert(n, p);
-                                    p
-                                }
-                                None => room + 1,
-                            }
+                    let counted = match self.point_counts.get(&n) {
+                        Some(&Ok(p)) => Some(p),
+                        Some(&Err(over)) if over >= ctx.budget => None,
+                        _ => {
+                            let c = (ctx.family)(n).space().count_at_most(ctx.budget);
+                            self.point_counts.insert(n, c.ok_or(ctx.budget));
+                            c
                         }
                     };
-                    cost = cost.saturating_add(pts.saturating_mul(2));
+                    counted.map_or(u64::MAX, |p| p.saturating_mul(2))
                 }
-                Some(Probe::Ok(pp)) if !pp.sims.contains_key(&ctx.config.cube_dim) => {
-                    cost = cost.saturating_add(pp.points);
-                }
-                Some(_) => {}
-            }
+                Some(Probe::Ok(pp)) if !pp.sims.contains_key(&ctx.config.cube_dim) => pp.points,
+                Some(_) => 0,
+            };
+            cost = cost.saturating_add(pts);
             if cost > cap {
                 return cost;
             }
@@ -531,6 +535,9 @@ impl ProbeCache {
                             stage,
                             sims: BTreeMap::new(),
                         })),
+                        // Too many points at this size, not a rejection
+                        // at every size.
+                        Err(e) if e.is_oversized() => return Err(format!("probe size {n}: {e}")),
                         Err(e) => Probe::Rejected(e.to_string()),
                     }
                 }
@@ -826,141 +833,161 @@ pub(crate) fn derive(
         Some(_) => {}
     }
 
-    // 3. Fit / validate / rebase. Each attempt fits every component
-    // over one window (ascending periods until everything fits), then
-    // walks the validation ladder; a mismatch rebases the window past
-    // the offending size and tries again.
-    const MAX_ATTEMPTS: usize = 8;
+    // 3. Fit / validate / rebase. The candidate windows are the slide
+    // schedule's starts from the current start, times every period. Each
+    // round fits every component over the untried candidate with the
+    // fewest probe points left to pay, then walks the validation ladder;
+    // a mismatch rebases the schedule at the offending size. At most one
+    // schedule's worth of windows, `STARTS · |PERIODS|`, is fitted per
+    // derivation, rebases included.
+    const STARTS: usize = 8;
     const SIZE_CAP: i64 = 1 << 20;
     let mut start = base;
+    let mut tried = BTreeSet::new();
     let mut last_reason = format!("no window fitted from size {base}");
-    'attempts: for attempt in 0..MAX_ATTEMPTS {
-        let mut fitted: Option<FitSet> = None;
-        let mut skipped_for_budget = false;
-        'rounds: for p in PERIODS {
-            let window = p * (degree as i64 + 3);
-            // Place the window at or after `start` — but never start it
-            // beyond the target: a fit based past the target proves
-            // nothing at the target, while a window *containing* the
-            // target is oracle-equal there by construction.
-            let mut s = start.min(target);
-            // Never sink more than half the remaining budget into one
-            // speculative window: a long-period window that devours the
-            // budget here would starve the cheap short-period fits that
-            // later attempts (at slid starts) usually land. The skip is
-            // free — only nest bounds materialize, no probes run.
-            let remaining = budget.saturating_sub(cache.points_spent());
-            let est = cache.window_cost(&ctx, s, window, remaining / 2);
-            if est > remaining / 2 {
-                last_reason = format!(
-                    "probe budget {budget} cannot afford a period-{p} fit window \
-                     at size {s} (≈{est} points, {remaining} left)"
-                );
-                skipped_for_budget = true;
-                continue 'rounds;
-            }
-            'place: loop {
-                if s > SIZE_CAP {
-                    return unknown(format!(
-                        "no simulatable window below size {SIZE_CAP}: fewer blocks than processors"
-                    ));
-                }
-                // `s` is re-read by `continue 'place`, not by this range.
-                #[allow(clippy::mut_range_bound)]
-                for n in s..s + window {
-                    match cache.part(&ctx, n) {
-                        Err(e) => return unknown(e),
-                        Ok(pp) if pp.blocks >= num_procs as i128 => {}
-                        Ok(_) => {
-                            s = n + 1;
-                            continue 'place;
-                        }
-                    }
-                }
-                break;
-            }
-            let (blocks_v, steps_v) = match cache.partition_series(&ctx, s, window) {
-                Ok(v) => v,
-                Err(e) => return unknown(e),
-            };
-            let mut mk_v = Vec::new();
-            let mut msg_v = Vec::new();
-            let mut load_v = Vec::new();
-            let mut prof_v: Vec<(i128, i128, i128)> = Vec::new();
-            for n in s..s + window {
-                match cache.sim_probe(&mut ctx, n) {
-                    Err(e) => return unknown(e),
-                    Ok(sp) => {
-                        mk_v.push(sp.makespan);
-                        msg_v.push(sp.messages);
-                        load_v.push(sp.max_proc_flops);
-                        if let Some(t) = sp.profile {
-                            prof_v.push(t);
-                        }
-                    }
-                }
-            }
-            let fits = (
-                fit_component(&blocks_v, s, degree),
-                fit_component(&steps_v, s, degree),
-                fit_component(&mk_v, s, degree),
-                fit_component(&msg_v, s, degree),
-                fit_component(&load_v, s, degree),
-            );
-            let (Some(blocks), Some(steps), Some(t_exec), Some(messages), Some(load)) = fits else {
-                continue 'rounds;
-            };
-            let profile = if opts.profile {
-                let series: [Vec<i128>; 3] = [
-                    prof_v.iter().map(|t| t.0).collect(),
-                    prof_v.iter().map(|t| t.1).collect(),
-                    prof_v.iter().map(|t| t.2).collect(),
-                ];
-                let fitted = (
-                    fit_component(&series[0], s, degree),
-                    fit_component(&series[1], s, degree),
-                    fit_component(&series[2], s, degree),
-                );
-                let (Some(compute), Some(startup), Some(transit)) = fitted else {
-                    continue 'rounds;
-                };
-                Some(SymbolicProfile {
-                    compute,
-                    startup,
-                    transit,
-                })
-            } else {
-                None
-            };
-            fitted = Some(FitSet {
-                blocks,
-                steps,
-                t_exec,
-                messages,
-                load,
-                profile,
-                num_procs,
-                sim_base: s,
-                window,
-            });
-            break 'rounds;
+    let mut fitted = 0;
+    'windows: while fitted < STARTS * PERIODS.len() {
+        // Slide linearly at first (transients often end a handful of
+        // sizes in), then doubling. Never start a window beyond the
+        // target: a fit based past the target proves nothing there, while
+        // a window *containing* the target is oracle-equal there by
+        // construction.
+        let mut starts = vec![start.min(target)];
+        let mut slid = start;
+        for k in 0..STARTS - 1 {
+            slid += min_window << k.saturating_sub(2);
+            starts.push(slid.min(target));
         }
-        let Some(fit) = fitted else {
-            // No period fits any window at `start`: the window likely
-            // spans a regime boundary. Slide forward — linearly at
-            // first (transients often end a handful of sizes in), then
-            // doubling (the target clamp above anchors any late window
-            // at the target itself, so overshooting is safe). When a
-            // window was skipped for budget, keep that reason: it is
-            // the actionable one.
-            if !skipped_for_budget {
-                last_reason = format!(
-                    "no exact quasi-polynomial fit (period ≤ {}) over windows from size {start}",
-                    PERIODS[PERIODS.len() - 1]
-                );
+        starts.dedup();
+        // Cheapest first: fewest points still to pay, then the smaller
+        // window end, the smaller period, the earlier start. Pricing runs
+        // no probe, and a window's walk stops once it costs more than the
+        // best so far or more than half the remaining budget.
+        let remaining = budget.saturating_sub(cache.points_spent());
+        let mut pick: Option<(u64, i64, i64, i64)> = None;
+        for &s in &starts {
+            for p in PERIODS {
+                if tried.contains(&(s, p)) {
+                    continue;
+                }
+                let window = p * (degree as i64 + 3);
+                let cap = pick.map_or(remaining / 2, |(c, ..)| c.min(remaining / 2));
+                let key = (cache.window_cost(&ctx, s, window, cap), s + window, p, s);
+                if pick.is_none_or(|best| key < best) {
+                    pick = Some(key);
+                }
             }
-            start += min_window << attempt.saturating_sub(2);
-            continue 'attempts;
+        }
+        let Some((est, end, p, mut s)) = pick else {
+            break;
+        };
+        tried.insert((s, p));
+        let window = end - s;
+        // Never sink more than half the remaining budget into one
+        // speculative window: it would starve the validation ladder and
+        // the derivations that share this cache. The cheapest window is
+        // over, so every untried one is too.
+        if est > remaining / 2 {
+            last_reason = format!(
+                "probe budget {budget} cannot afford a period-{p} fit window \
+                 at size {s} (≈{est} points, {remaining} left)"
+            );
+            break;
+        }
+        fitted += 1;
+        'place: loop {
+            if s > SIZE_CAP {
+                return unknown(format!(
+                    "no simulatable window below size {SIZE_CAP}: fewer blocks than processors"
+                ));
+            }
+            // `s` is re-read by `continue 'place`, not by this range.
+            #[allow(clippy::mut_range_bound)]
+            for n in s..s + window {
+                match cache.part(&ctx, n) {
+                    Err(e) => return unknown(e),
+                    Ok(pp) if pp.blocks >= num_procs as i128 => {}
+                    Ok(_) => {
+                        s = n + 1;
+                        continue 'place;
+                    }
+                }
+            }
+            break;
+        }
+        let (blocks_v, steps_v) = match cache.partition_series(&ctx, s, window) {
+            Ok(v) => v,
+            Err(e) => return unknown(e),
+        };
+        let mut mk_v = Vec::new();
+        let mut msg_v = Vec::new();
+        let mut load_v = Vec::new();
+        let mut prof_v: Vec<(i128, i128, i128)> = Vec::new();
+        for n in s..s + window {
+            match cache.sim_probe(&mut ctx, n) {
+                Err(e) => return unknown(e),
+                Ok(sp) => {
+                    mk_v.push(sp.makespan);
+                    msg_v.push(sp.messages);
+                    load_v.push(sp.max_proc_flops);
+                    if let Some(t) = sp.profile {
+                        prof_v.push(t);
+                    }
+                }
+            }
+        }
+        // No period fits the window: it likely spans a regime boundary,
+        // and a later-starting candidate may not.
+        let no_fit = || {
+            format!(
+                "no exact quasi-polynomial fit (period ≤ {}) over windows from size {start}",
+                PERIODS[PERIODS.len() - 1]
+            )
+        };
+        let fits = (
+            fit_component(&blocks_v, s, degree),
+            fit_component(&steps_v, s, degree),
+            fit_component(&mk_v, s, degree),
+            fit_component(&msg_v, s, degree),
+            fit_component(&load_v, s, degree),
+        );
+        let (Some(blocks), Some(steps), Some(t_exec), Some(messages), Some(load)) = fits else {
+            last_reason = no_fit();
+            continue;
+        };
+        let profile = if opts.profile {
+            let series: [Vec<i128>; 3] = [
+                prof_v.iter().map(|t| t.0).collect(),
+                prof_v.iter().map(|t| t.1).collect(),
+                prof_v.iter().map(|t| t.2).collect(),
+            ];
+            let fitted = (
+                fit_component(&series[0], s, degree),
+                fit_component(&series[1], s, degree),
+                fit_component(&series[2], s, degree),
+            );
+            let (Some(compute), Some(startup), Some(transit)) = fitted else {
+                last_reason = no_fit();
+                continue;
+            };
+            Some(SymbolicProfile {
+                compute,
+                startup,
+                transit,
+            })
+        } else {
+            None
+        };
+        let fit = FitSet {
+            blocks,
+            steps,
+            t_exec,
+            messages,
+            load,
+            profile,
+            num_procs,
+            sim_base: s,
+            window,
         };
 
         // Mapping feasibility at the target, from the final block form.
@@ -1010,14 +1037,14 @@ pub(crate) fn derive(
                         fit.sim_base + fit.window
                     );
                     start = v;
-                    continue 'attempts;
+                    continue 'windows;
                 }
             }
         }
         return exact(fit, base, cache);
     }
     unknown(format!(
-        "no stable fit window after {MAX_ATTEMPTS} attempts: {last_reason}"
+        "no stable fit window after {fitted} fitted windows: {last_reason}"
     ))
 }
 

@@ -54,7 +54,9 @@ pub use blocks::{partition, partition_projected, PartitionConfig, Partitioning};
 pub use comm::CommStats;
 pub use grouping::GroupingVectors;
 pub use grow::Grouping;
-pub use project::{ArcRows, ComputationalStructure, PointTable, ProjectedStructure, Steps};
+pub use project::{
+    ArcRows, ComputationalStructure, PointTable, ProjectedStructure, Steps, MAX_POINTS,
+};
 pub use tig::Tig;
 
 /// Errors raised by the partitioning pipeline.
@@ -64,6 +66,12 @@ pub enum Error {
     IllegalTimeFn(loom_hyperplane::Error),
     /// The iteration space contains no points.
     EmptySpace,
+    /// The iteration space has more points than 32-bit point ids can
+    /// number ([`MAX_POINTS`]); it is counted, never enumerated.
+    TooManyPoints {
+        /// Its point count.
+        points: u64,
+    },
     /// A requested grouping-vector override does not achieve the maximal
     /// multiplier `r` (Algorithm 1 requires the grouping vector to have
     /// `r_l = r`).
@@ -104,6 +112,11 @@ impl std::fmt::Display for Error {
         match self {
             Error::IllegalTimeFn(e) => write!(f, "illegal time function: {e}"),
             Error::EmptySpace => write!(f, "iteration space is empty"),
+            Error::TooManyPoints { points } => write!(
+                f,
+                "iteration space has {points} points; point ids are 32-bit, so at most \
+                 {MAX_POINTS} are supported"
+            ),
             Error::InvalidGroupingChoice {
                 requested,
                 r_requested,

@@ -15,6 +15,10 @@ use loom_loopir::{IterSpace, Point};
 use loom_rational::int::{gcd, gcd_all};
 use std::sync::{Arc, OnceLock};
 
+/// The most points a computational structure holds: point ids and arc
+/// ends are `u32`.
+pub const MAX_POINTS: u64 = u32::MAX as u64;
+
 /// Iteration points stored flat, `dim` coordinates apiece: point `id`
 /// is `coords[id·dim..(id + 1)·dim]`. `Q` holds its table behind an
 /// [`Arc`], so a program built over `Q` reads the points without
@@ -38,13 +42,10 @@ impl PointTable {
         PointTable { dim, coords }
     }
 
-    /// Every point of a space, in lexicographic order.
-    fn of_space(space: &IterSpace) -> PointTable {
+    /// Every point of a space of `len` points, in lexicographic order.
+    fn of_space(space: &IterSpace, len: usize) -> PointTable {
         let dim = space.dim();
-        let mut coords = Vec::new();
-        if let Some(n) = space.count_at_most(u32::MAX as u64) {
-            coords.reserve_exact(n as usize * dim);
-        }
+        let mut coords = Vec::with_capacity(len * dim);
         space.for_each_point(|p| coords.extend_from_slice(p));
         PointTable { dim, coords }
     }
@@ -193,11 +194,18 @@ impl Steps {
 impl ComputationalStructure {
     /// Enumerate a space, attach its dependence set, and build the
     /// dependence arcs: `p → p + d` for every `p` and `p + d` in `V`.
+    /// The space is counted first: more than [`MAX_POINTS`] points is
+    /// [`Error::TooManyPoints`], and none of them is enumerated.
     pub fn new(space: IterSpace, deps: Vec<Point>) -> Result<ComputationalStructure, Error> {
-        let points = PointTable::of_space(&space);
-        if points.is_empty() {
+        let Some(len) = space.count_at_most(MAX_POINTS) else {
+            return Err(Error::TooManyPoints {
+                points: space.count() as u64,
+            });
+        };
+        if len == 0 {
             return Err(Error::EmptySpace);
         }
+        let points = PointTable::of_space(&space, len as usize);
         let index = Index::build(points.iter(), points.dim(), points.len(), |_| {});
         let (succ, pred) = match &index {
             Index::Dense { lo, extents, ids } => dense_arcs(&points, &deps, lo, extents, ids),
@@ -844,6 +852,20 @@ mod tests {
         assert!(cs.successors(corner).next().is_none());
         let origin = cs.id_of(&[0, 0]).unwrap();
         assert_eq!(cs.successors(origin).len(), 3);
+    }
+
+    #[test]
+    fn oversized_space_rejected_before_enumeration() {
+        // 10^10 points: counted row by row, never enumerated.
+        let space = IterSpace::rect(&[100_000, 100_000]).unwrap();
+        let err = ComputationalStructure::new(space, vec![vec![1, 0]]).unwrap_err();
+        assert_eq!(
+            err,
+            Error::TooManyPoints {
+                points: 10_000_000_000
+            }
+        );
+        assert!(err.to_string().contains("10000000000 points"), "{err}");
     }
 
     #[test]
