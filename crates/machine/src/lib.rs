@@ -48,6 +48,8 @@ pub mod fault;
 pub mod metrics;
 pub mod profile;
 pub mod program;
+mod queue;
+mod ready;
 pub mod sim;
 pub mod topology;
 pub mod trace;

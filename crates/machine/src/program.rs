@@ -125,6 +125,12 @@ impl Program {
         self.steps.order()
     }
 
+    /// Each task's position in [`step_order`](Self::step_order), indexed
+    /// by task: the simulator's dispatch priority.
+    pub(crate) fn step_ranks(&self) -> &[u32] {
+        self.steps.ranks()
+    }
+
     /// Number of arcs crossing processors (each becomes a message when
     /// unbatched).
     pub fn remote_arcs(&self) -> usize {
@@ -197,6 +203,7 @@ mod tests {
         );
         assert_eq!(prog.predecessors(3).collect::<Vec<_>>(), [1, 2]);
         assert_eq!(prog.step_order(), [0, 1, 2, 3]);
+        assert_eq!(prog.step_ranks(), [0, 1, 2, 3]);
     }
 
     #[test]

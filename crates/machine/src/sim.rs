@@ -10,13 +10,14 @@
 
 use crate::cost::MachineParams;
 use crate::fault::{DegradationReport, FaultConfig, FaultImpact, FaultPlan, RecoveryPolicy};
-use crate::metrics::{MsgRecord, SimMetrics};
+use crate::metrics::{LinkMetrics, MsgRecord, SimMetrics};
 use crate::program::Program;
+use crate::queue::EventQueue;
+use crate::ready::RankSet;
 use crate::topology::Topology;
 use crate::trace::TaskRecord;
 use loom_obs::SplitMix64;
-use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Simulation configuration.
 #[derive(Clone, Copy, Debug)]
@@ -236,31 +237,12 @@ enum Kind {
     },
 }
 
-#[derive(Debug, PartialEq, Eq)]
-struct Ev {
-    time: u64,
-    seq: u64,
-    kind: Kind,
-}
-
-impl Ord for Ev {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
+/// A queued send. Its destination is wherever its tasks live when it
+/// is issued, and it carries one word per task.
 #[derive(Clone, Copy)]
 struct PendingSend {
-    dst_proc: u32,
     src_task: u32,
     tasks: Span,
-    words: u64,
     /// Transmission attempt number (0 = first try).
     attempt: u32,
 }
@@ -268,7 +250,8 @@ struct PendingSend {
 #[derive(Default)]
 struct Proc {
     busy_until: u64,
-    ready: BinaryHeap<Reverse<(i64, u32)>>,
+    /// Ready tasks by their rank in the program's `(step, id)` order.
+    ready: RankSet,
     sends: VecDeque<PendingSend>,
     /// Messages that arrived but still need `t_recv` of software
     /// processing before their data is usable.
@@ -277,7 +260,7 @@ struct Proc {
 
 /// Reusable engine state for back-to-back simulations.
 ///
-/// The engine's working buffers (in-degrees, ready heaps, event heap,
+/// The engine's working buffers (task slots, ready sets, event queue,
 /// per-processor queues, the message payload arena, link/retry tables)
 /// are taken from a
 /// `SimScratch` at the start of a run and handed back — cleared but
@@ -288,13 +271,12 @@ struct Proc {
 /// before use; only spare capacity is carried over.
 #[derive(Default)]
 pub struct SimScratch {
-    indeg: Vec<u32>,
-    proc_of: Vec<u32>,
+    tasks: Vec<TaskSlot>,
     done: Vec<bool>,
     alive: Vec<bool>,
     running: Vec<Option<(u32, u64)>>,
     procs: Vec<Proc>,
-    heap: BinaryHeap<Reverse<Ev>>,
+    events: EventQueue<Kind>,
     payload: Vec<u32>,
     remote: Vec<(u32, u32)>,
     route: Vec<usize>,
@@ -330,19 +312,40 @@ struct RetryState {
     send: PendingSend,
 }
 
+/// What the engine reads of a task when one of its arcs retires, kept
+/// together so that retiring an arc touches one cache line.
+#[derive(Clone, Copy, Debug)]
+struct TaskSlot {
+    /// Unretired incoming arcs.
+    indeg: u32,
+    /// The task's processor; diverges from `program.proc_of` only when
+    /// `Remap` recovery moves tasks off a crashed processor.
+    proc: u32,
+    /// The task's rank in the program's `(step, id)` order.
+    rank: u32,
+}
+
 struct Engine<'a> {
     program: &'a Program,
     config: &'a SimConfig,
-    indeg: Vec<u32>,
-    /// Mutable task→processor map; diverges from `program.proc_of`
-    /// only when `Remap` recovery moves tasks off a crashed processor.
-    proc_of: Vec<u32>,
+    /// The task at each rank of the program's `(step, id)` order.
+    order: &'a [u32],
+    /// Fault-free ticks per task.
+    dur: u64,
+    tasks: Vec<TaskSlot>,
+    /// Which tasks completed; kept only under a fault plan, whose crash
+    /// handling reads it.
     done: Vec<bool>,
     alive: Vec<bool>,
-    /// The task each processor is executing, with its start tick.
+    /// The task each processor is executing, with its start tick; kept
+    /// only when a trace or a fault plan reads it.
     running: Vec<Option<(u32, u64)>>,
+    track_running: bool,
     procs: Vec<Proc>,
-    heap: BinaryHeap<Reverse<Ev>>,
+    /// Pending events, leaving by time and then in the order they were
+    /// scheduled: which event wins a shared tick decides every later
+    /// start time.
+    events: EventQueue<Kind>,
     /// Every message's destination tasks, appended as messages are
     /// formed; a message holds a [`Span`] of it.
     payload: Vec<u32>,
@@ -352,7 +355,6 @@ struct Engine<'a> {
     /// The links of the message being issued, by
     /// [`Topology::link_id`]; filled only when someone needs them.
     route: Vec<usize>,
-    seq: u64,
     compute: Vec<u64>,
     comm: Vec<u64>,
     messages: u64,
@@ -361,6 +363,9 @@ struct Engine<'a> {
     makespan: u64,
     trace: Option<Vec<TaskRecord>>,
     metrics: Option<SimMetrics>,
+    /// Per-link traffic under metrics, by [`Topology::link_id`]; it
+    /// becomes [`SimMetrics::links`] when the report is built.
+    link_metrics: Vec<LinkMetrics>,
     /// When each directed link is next free, by
     /// [`Topology::link_id`]; sized only under link contention.
     link_free: Vec<u64>,
@@ -386,15 +391,25 @@ impl<'a> Engine<'a> {
         }
         // Working buffers come from the scratch, logically reset so a
         // reused scratch behaves exactly like a fresh one.
-        let mut indeg = std::mem::take(&mut scratch.indeg);
-        indeg.clear();
-        indeg.extend((0..n_tasks).map(|t| program.predecessors(t).len() as u32));
-        let mut proc_of = std::mem::take(&mut scratch.proc_of);
-        proc_of.clear();
-        proc_of.extend_from_slice(&program.proc_of);
+        let mut tasks = std::mem::take(&mut scratch.tasks);
+        tasks.clear();
+        tasks.extend(
+            program
+                .proc_of
+                .iter()
+                .zip(program.step_ranks())
+                .enumerate()
+                .map(|(t, (&proc, &rank))| TaskSlot {
+                    indeg: program.predecessors(t).len() as u32,
+                    proc,
+                    rank,
+                }),
+        );
         let mut done = std::mem::take(&mut scratch.done);
         done.clear();
-        done.resize(n_tasks, false);
+        if faults.is_some() {
+            done.resize(n_tasks, false);
+        }
         let mut alive = std::mem::take(&mut scratch.alive);
         alive.clear();
         alive.resize(n_procs, true);
@@ -402,15 +417,15 @@ impl<'a> Engine<'a> {
         running.clear();
         running.resize(n_procs, None);
         let mut procs = std::mem::take(&mut scratch.procs);
+        procs.resize_with(n_procs, Proc::default);
         for p in &mut procs {
             p.busy_until = 0;
-            p.ready.clear();
+            p.ready.reset(n_tasks);
             p.sends.clear();
             p.recvs.clear();
         }
-        procs.resize_with(n_procs, Proc::default);
-        let mut heap = std::mem::take(&mut scratch.heap);
-        heap.clear();
+        let mut events = std::mem::take(&mut scratch.events);
+        events.clear();
         let mut payload = std::mem::take(&mut scratch.payload);
         payload.clear();
         let mut remote = std::mem::take(&mut scratch.remote);
@@ -423,20 +438,22 @@ impl<'a> Engine<'a> {
         }
         let mut retry_states = std::mem::take(&mut scratch.retry_states);
         retry_states.clear();
+        let track_running = config.record_trace || faults.is_some();
         Ok(Engine {
             program,
             config,
-            indeg,
-            proc_of,
+            order: program.step_order(),
+            dur: program.flops * config.params.t_calc,
+            tasks,
             done,
             alive,
             running,
+            track_running,
             procs,
-            heap,
+            events,
             payload,
             remote,
             route,
-            seq: 0,
             compute: vec![0; n_procs],
             comm: vec![0; n_procs],
             messages: 0,
@@ -445,6 +462,11 @@ impl<'a> Engine<'a> {
             makespan: 0,
             trace: config.record_trace.then(Vec::new),
             metrics: config.collect_metrics.then(|| SimMetrics::new(n_procs)),
+            link_metrics: if config.collect_metrics {
+                vec![LinkMetrics::default(); config.topology.num_link_ids()]
+            } else {
+                Vec::new()
+            },
             link_free,
             retry_states,
             faults,
@@ -454,13 +476,12 @@ impl<'a> Engine<'a> {
     /// Hand the working buffers back to `scratch` so the next run can
     /// reuse their allocations.
     fn reclaim(&mut self, scratch: &mut SimScratch) {
-        scratch.indeg = std::mem::take(&mut self.indeg);
-        scratch.proc_of = std::mem::take(&mut self.proc_of);
+        scratch.tasks = std::mem::take(&mut self.tasks);
         scratch.done = std::mem::take(&mut self.done);
         scratch.alive = std::mem::take(&mut self.alive);
         scratch.running = std::mem::take(&mut self.running);
         scratch.procs = std::mem::take(&mut self.procs);
-        scratch.heap = std::mem::take(&mut self.heap);
+        scratch.events = std::mem::take(&mut self.events);
         scratch.payload = std::mem::take(&mut self.payload);
         scratch.remote = std::mem::take(&mut self.remote);
         scratch.route = std::mem::take(&mut self.route);
@@ -468,28 +489,20 @@ impl<'a> Engine<'a> {
         scratch.retry_states = std::mem::take(&mut self.retry_states);
     }
 
-    fn push_ev(&mut self, time: u64, kind: Kind) {
-        self.seq += 1;
-        self.heap.push(Reverse(Ev {
-            time,
-            seq: self.seq,
-            kind,
-        }));
-    }
-
-    fn dur_of(&self) -> u64 {
-        self.program.flops * self.config.params.t_calc
+    /// The processor task `t` lives on now.
+    #[inline]
+    fn owner(&self, t: u32) -> usize {
+        self.tasks[t as usize].proc as usize
     }
 
     /// Retire one incoming arc of `w`; returns the owner processor when
     /// the task just became ready.
     fn complete_arc(&mut self, w: u32) -> Option<usize> {
-        self.indeg[w as usize] -= 1;
-        if self.indeg[w as usize] == 0 {
-            let q = self.proc_of[w as usize] as usize;
-            self.procs[q]
-                .ready
-                .push(Reverse((self.program.steps()[w as usize], w)));
+        let slot = &mut self.tasks[w as usize];
+        slot.indeg -= 1;
+        if slot.indeg == 0 {
+            let q = slot.proc as usize;
+            self.procs[q].ready.insert(slot.rank);
             Some(q)
         } else {
             None
@@ -531,7 +544,7 @@ impl<'a> Engine<'a> {
                         tasks: self.payload[tasks.range()].to_vec(),
                     });
                 }
-                self.push_ev(
+                self.events.push(
                     now + occ,
                     Kind::RecvDone {
                         proc: p as u32,
@@ -540,8 +553,8 @@ impl<'a> Engine<'a> {
                 );
                 return Ok(());
             }
-            if let Some(Reverse((_, task))) = self.procs[p].ready.pop() {
-                self.start_task(p, now, task);
+            if let Some(rank) = self.procs[p].ready.pop_min() {
+                self.start_task(p, now, self.order[rank as usize]);
                 return Ok(());
             }
             return Ok(());
@@ -549,33 +562,21 @@ impl<'a> Engine<'a> {
     }
 
     fn start_task(&mut self, p: usize, now: u64, task: u32) {
-        let mut dur = self.dur_of();
-        if let Some(f) = self.faults.as_mut() {
-            if f.has_slow && dur > 0 {
-                // The slowdown factor at the start tick governs the
-                // whole task (tasks are the atomic unit of work).
-                let factor = f.plan.slow_factor(p, now);
-                if factor > 1 {
-                    let extra = dur * (factor - 1);
-                    dur *= factor;
-                    f.deg.faults_hit += 1;
-                    f.deg.attribution.push(FaultImpact {
-                        fault: format!("P{p} slowed {factor}x during task {task}"),
-                        at: now,
-                        proc: p as u32,
-                        delay_ticks: extra,
-                    });
-                }
-            }
-        }
+        let dur = if self.faults.is_some() {
+            self.slowed(p, now, task)
+        } else {
+            self.dur
+        };
         self.procs[p].busy_until = now + dur;
         self.compute[p] += dur;
-        self.running[p] = Some((task, now));
+        if self.track_running {
+            self.running[p] = Some((task, now));
+        }
         if let Some(m) = self.metrics.as_mut() {
             m.procs[p].compute_ticks += dur;
             m.procs[p].tasks += 1;
         }
-        self.push_ev(
+        self.events.push(
             now + dur,
             Kind::TaskDone {
                 proc: p as u32,
@@ -584,18 +585,43 @@ impl<'a> Engine<'a> {
         );
     }
 
+    /// The duration of `task` started on `p` at `now` under the fault
+    /// plan's slowdown windows.
+    #[cold]
+    fn slowed(&mut self, p: usize, now: u64, task: u32) -> u64 {
+        let mut dur = self.dur;
+        let f = self.faults.as_mut().expect("slowdown without fault ctx");
+        if f.has_slow && dur > 0 {
+            // The slowdown factor at the start tick governs the
+            // whole task (tasks are the atomic unit of work).
+            let factor = f.plan.slow_factor(p, now);
+            if factor > 1 {
+                let extra = dur * (factor - 1);
+                dur *= factor;
+                f.deg.faults_hit += 1;
+                f.deg.attribution.push(FaultImpact {
+                    fault: format!("P{p} slowed {factor}x during task {task}"),
+                    at: now,
+                    proc: p as u32,
+                    delay_ticks: extra,
+                });
+            }
+        }
+        dur
+    }
+
     /// A fault consumed transmission attempt `send.attempt`. Apply the
     /// recovery policy: abort, or arm a bounded-backoff retry timer
     /// counted from `retry_base`.
     fn fault_lost(
         &mut self,
         p: usize,
+        dst: usize,
         now: u64,
         send: PendingSend,
         why: &str,
         retry_base: u64,
     ) -> Result<(), SimError> {
-        let dst = send.dst_proc;
         let task = Some(self.payload[send.tasks.start as usize]);
         let f = self.faults.as_mut().expect("fault_lost without fault ctx");
         f.deg.faults_hit += 1;
@@ -631,18 +657,21 @@ impl<'a> Engine<'a> {
                 ..send
             },
         }));
-        self.push_ev(retry_base + backoff, Kind::Retry { id });
+        self.events.push(retry_base + backoff, Kind::Retry { id });
         Ok(())
     }
 
     /// Issue one pending send from `p`. Returns `Ok(true)` when the
     /// send occupies the processor (the baseline outcome), `Ok(false)`
-    /// when it resolved without consuming processor time.
-    fn issue_send(&mut self, p: usize, now: u64, mut send: PendingSend) -> Result<bool, SimError> {
+    /// when it resolved without consuming processor time. Kept out of
+    /// line: `dispatch`, which calls it, runs once per task, and most
+    /// tasks send nothing.
+    #[inline(never)]
+    fn issue_send(&mut self, p: usize, now: u64, send: PendingSend) -> Result<bool, SimError> {
         // Destination is wherever the tasks live *now* — a remap may
         // have moved them since the send was queued.
-        let dst = self.proc_of[self.payload[send.tasks.start as usize] as usize] as usize;
-        send.dst_proc = dst as u32;
+        let dst = self.owner(self.payload[send.tasks.start as usize]);
+        let words = u64::from(send.tasks.len);
         if dst == p {
             // The remap brought producer and consumers together: the
             // transfer is local and free.
@@ -658,9 +687,9 @@ impl<'a> Engine<'a> {
         if send.attempt > 0 {
             let f = self.faults.as_mut().expect("retry without fault ctx");
             f.deg.retries += 1;
-            f.deg.retransmitted_words += send.words;
+            f.deg.retransmitted_words += words;
         }
-        let occ = self.config.params.send_occupancy(send.words);
+        let occ = self.config.params.send_occupancy(words);
 
         // Fault layer, part 1: route around links that are down at the
         // instant the message leaves the sender.
@@ -710,7 +739,7 @@ impl<'a> Engine<'a> {
                         {
                             return Err(SimError::Unroutable { src: p, dst });
                         }
-                        self.fault_lost(p, now, send, "link outage", now)?;
+                        self.fault_lost(p, dst, now, send, "link outage", now)?;
                         return Ok(false);
                     }
                 }
@@ -761,9 +790,8 @@ impl<'a> Engine<'a> {
             let mut first_end = now + occ;
             for (i, &id) in self.route.iter().enumerate() {
                 let start = cur.max(self.link_free[id]);
-                if let Some(m) = self.metrics.as_mut() {
-                    let lm = m.links.entry(topology.link_ends(id)).or_default();
-                    lm.wait_ticks += start - cur;
+                if self.metrics.is_some() {
+                    self.link_metrics[id].wait_ticks += start - cur;
                 }
                 let end = start + occ;
                 self.link_free[id] = end;
@@ -779,9 +807,9 @@ impl<'a> Engine<'a> {
         let arrival = arrival + extra_delay;
         if let Some(m) = self.metrics.as_mut() {
             for &id in &self.route {
-                let lm = m.links.entry(topology.link_ends(id)).or_default();
+                let lm = &mut self.link_metrics[id];
                 lm.messages += 1;
-                lm.words += send.words;
+                lm.words += words;
                 lm.busy_ticks += occ;
             }
             m.procs[p].msgs_sent += 1;
@@ -789,10 +817,10 @@ impl<'a> Engine<'a> {
             m.hops.record(hops);
             m.messages.push(MsgRecord {
                 src_proc: p as u32,
-                dst_proc: send.dst_proc,
+                dst_proc: dst as u32,
                 src_task: send.src_task,
                 dst_tasks: self.payload[send.tasks.range()].to_vec(),
-                words: send.words,
+                words,
                 send_start: now,
                 send_end: sender_done,
                 arrival,
@@ -805,15 +833,18 @@ impl<'a> Engine<'a> {
         self.procs[p].busy_until = sender_done;
         self.comm[p] += sender_done - now;
         self.messages += 1;
-        self.words_sent += send.words;
-        self.push_ev(sender_done, Kind::SendDone { proc: p as u32 });
+        self.words_sent += words;
+        self.events
+            .push(sender_done, Kind::SendDone { proc: p as u32 });
         match lost {
-            None => self.push_ev(arrival, Kind::Arrive { tasks: send.tasks }),
+            None => self
+                .events
+                .push(arrival, Kind::Arrive { tasks: send.tasks }),
             Some(why) => {
                 // The attempt burned wire time but delivers nothing;
                 // the sender learns from the missing ack after its
                 // timeout, counted from the end of the transmission.
-                self.fault_lost(p, now, send, why, sender_done)?;
+                self.fault_lost(p, dst, now, send, why, sender_done)?;
             }
         }
         Ok(true)
@@ -825,42 +856,49 @@ impl<'a> Engine<'a> {
             return Ok(());
         }
         // At a shared tick the processor may already have dispatched its
-        // next task (an Arrive with a lower sequence number freed it), so
+        // next task (an Arrive scheduled earlier for the same tick freed it), so
         // `running` can point past this completion; only clear it when it
         // still names the task that just finished.
-        let start = match self.running[p] {
-            Some((t, start)) if t == task => {
-                self.running[p] = None;
-                start
+        if self.track_running {
+            let start = match self.running[p] {
+                Some((t, start)) if t == task => {
+                    self.running[p] = None;
+                    start
+                }
+                _ => now.saturating_sub(self.dur),
+            };
+            if let Some(tr) = self.trace.as_mut() {
+                tr.push(TaskRecord {
+                    task,
+                    proc: p as u32,
+                    start,
+                    end: now,
+                });
             }
-            _ => now.saturating_sub(self.dur_of()),
-        };
-        self.done[task as usize] = true;
+        }
+        if let Some(done) = self.done.get_mut(task as usize) {
+            *done = true;
+        }
         self.completed += 1;
         self.makespan = self.makespan.max(now);
-        if let Some(tr) = self.trace.as_mut() {
-            tr.push(TaskRecord {
-                task,
-                proc: p as u32,
-                start,
-                end: now,
-            });
-        }
         // Local arcs complete immediately; remote arcs queue sends, each
         // carrying its tasks as a span of the payload arena.
         let program = self.program;
         if !self.config.batch_messages {
+            // The hottest loop of a run: the slot is read once here,
+            // where a call to `complete_arc` measured slower.
             for w in program.successors(task as usize) {
-                let q = self.proc_of[w as usize];
-                if q as usize == p {
-                    self.complete_arc(w);
+                let slot = &mut self.tasks[w as usize];
+                if slot.proc as usize == p {
+                    slot.indeg -= 1;
+                    if slot.indeg == 0 {
+                        self.procs[p].ready.insert(slot.rank);
+                    }
                 } else {
                     let tasks = self.push_payload(std::iter::once(w));
                     self.procs[p].sends.push_back(PendingSend {
-                        dst_proc: q,
                         src_task: task,
                         tasks,
-                        words: 1,
                         attempt: 0,
                     });
                 }
@@ -870,20 +908,18 @@ impl<'a> Engine<'a> {
         let mut remote = std::mem::take(&mut self.remote);
         remote.clear();
         for w in program.successors(task as usize) {
-            let q = self.proc_of[w as usize];
-            if q as usize == p {
+            let q = self.owner(w);
+            if q == p {
                 self.complete_arc(w);
             } else {
-                remote.push((q, w));
+                remote.push((q as u32, w));
             }
         }
         remote.sort_unstable();
         for group in remote.chunk_by(|a, b| a.0 == b.0) {
             let tasks = self.push_payload(group.iter().map(|&(_, w)| w));
             self.procs[p].sends.push_back(PendingSend {
-                dst_proc: group[0].0,
                 src_task: task,
-                words: tasks.len as u64,
                 tasks,
                 attempt: 0,
             });
@@ -907,10 +943,10 @@ impl<'a> Engine<'a> {
     fn on_arrive(&mut self, tasks: Span, now: u64) -> Result<(), SimError> {
         // All tasks of one message live on one processor (a remap moves
         // a crashed processor's tasks together, preserving this).
-        let q = self.proc_of[self.payload[tasks.start as usize] as usize] as usize;
+        let q = self.owner(self.payload[tasks.start as usize]);
         debug_assert!(self.payload[tasks.range()]
             .iter()
-            .all(|&w| self.proc_of[w as usize] as usize == q));
+            .all(|&w| self.owner(w) == q));
         if let Some(m) = self.metrics.as_mut() {
             m.procs[q].msgs_received += 1;
         }
@@ -932,7 +968,7 @@ impl<'a> Engine<'a> {
             // The receiver died mid-processing; the message data moved
             // with the crash state transfer — redeliver to the tasks'
             // current owner, who pays `t_recv` again.
-            let q = self.proc_of[self.payload[tasks.start as usize] as usize] as usize;
+            let q = self.owner(self.payload[tasks.start as usize]);
             self.procs[q].recvs.push_back(tasks);
             return self.dispatch(q, now);
         }
@@ -948,7 +984,7 @@ impl<'a> Engine<'a> {
             if !self.alive[p] {
                 // Owner crashed and ownership was not reassigned (the
                 // send's data now lives with the tasks' owner).
-                p = self.proc_of[self.payload[st.send.tasks.start as usize] as usize] as usize;
+                p = self.owner(self.payload[st.send.tasks.start as usize]);
             }
             self.procs[p].sends.push_back(st.send);
             self.dispatch(p, now)?;
@@ -962,7 +998,7 @@ impl<'a> Engine<'a> {
         }
         self.alive[p] = false;
         let stranded: Vec<u32> = (0..self.program.len())
-            .filter(|&t| self.proc_of[t] as usize == p && !self.done[t])
+            .filter(|&t| self.owner(t as u32) == p && !self.done[t])
             .map(|t| t as u32)
             .collect();
         let policy = {
@@ -997,13 +1033,14 @@ impl<'a> Engine<'a> {
                 at: now,
             })?;
         for &t in &stranded {
-            self.proc_of[t as usize] = survivor as u32;
+            self.tasks[t as usize].proc = survivor as u32;
         }
         // Migrate the dead processor's queues: ready tasks, unsent
         // messages (their payloads ride the state transfer), and
         // arrived-but-unprocessed messages.
-        let ready: Vec<_> = std::mem::take(&mut self.procs[p].ready).into_vec();
-        self.procs[survivor].ready.extend(ready);
+        let mut ready = std::mem::take(&mut self.procs[p].ready);
+        ready.drain_into(&mut self.procs[survivor].ready);
+        self.procs[p].ready = ready;
         let sends = std::mem::take(&mut self.procs[p].sends);
         self.procs[survivor].sends.extend(sends);
         let recvs = std::mem::take(&mut self.procs[p].recvs);
@@ -1012,7 +1049,7 @@ impl<'a> Engine<'a> {
         if let Some((task, _)) = self.running[p].take() {
             self.procs[survivor]
                 .ready
-                .push(Reverse((self.program.steps()[task as usize], task)));
+                .insert(self.tasks[task as usize].rank);
         }
         // Pending retransmissions now originate from the survivor.
         for st in self.retry_states.iter_mut().flatten() {
@@ -1043,7 +1080,7 @@ impl<'a> Engine<'a> {
             proc: survivor as u32,
             delay_ticks: cost,
         });
-        self.push_ev(
+        self.events.push(
             start + cost,
             Kind::SendDone {
                 proc: survivor as u32,
@@ -1058,6 +1095,15 @@ impl<'a> Engine<'a> {
         outcome?;
         if let Some(tr) = self.trace.as_mut() {
             tr.sort_by_key(|r| (r.start, r.task));
+        }
+        if let Some(m) = self.metrics.as_mut() {
+            let topology = self.config.topology;
+            m.links = std::mem::take(&mut self.link_metrics)
+                .into_iter()
+                .enumerate()
+                .filter(|(_, lm)| lm.messages > 0)
+                .map(|(id, lm)| (topology.link_ends(id), lm))
+                .collect();
         }
         let degradation = self.faults.take().map(|f| {
             let mut deg = f.deg;
@@ -1077,16 +1123,14 @@ impl<'a> Engine<'a> {
         })
     }
 
-    /// The event loop proper: seed ready sets, drain the heap.
+    /// The event loop proper: seed ready sets, drain the event queue.
     fn exec(&mut self) -> Result<(), SimError> {
         let n_tasks = self.program.len();
         // Seed the ready sets.
         for t in 0..n_tasks {
-            if self.indeg[t] == 0 {
-                let p = self.proc_of[t] as usize;
-                self.procs[p]
-                    .ready
-                    .push(Reverse((self.program.steps()[t], t as u32)));
+            let slot = self.tasks[t];
+            if slot.indeg == 0 {
+                self.procs[slot.proc as usize].ready.insert(slot.rank);
             }
         }
         // Arm scheduled crashes before anything else so a crash at tick
@@ -1095,16 +1139,15 @@ impl<'a> Engine<'a> {
             let crashes = f.plan.crashes();
             for (proc, at) in crashes {
                 if proc < self.program.num_procs {
-                    self.push_ev(at, Kind::Crash { proc: proc as u32 });
+                    self.events.push(at, Kind::Crash { proc: proc as u32 });
                 }
             }
         }
         for p in 0..self.program.num_procs {
             self.dispatch(p, 0)?;
         }
-        while let Some(Reverse(ev)) = self.heap.pop() {
-            let now = ev.time;
-            match ev.kind {
+        while let Some((now, kind)) = self.events.pop() {
+            match kind {
                 Kind::TaskDone { proc, task } => self.on_task_done(proc as usize, task, now)?,
                 Kind::SendDone { proc } => self.dispatch(proc as usize, now)?,
                 Kind::Arrive { tasks } => self.on_arrive(tasks, now)?,

@@ -156,14 +156,22 @@ impl ArcRows {
     }
 }
 
-/// The execution step `Π·x` of every point of `Q`, by point id, and the
-/// point ids in `(step, id)` order, built on first use. A projection
-/// computes the steps once per Π and holds them behind an [`Arc`], so
-/// every grouping and every program of that Π shares one table.
+/// The execution step `Π·x` of every point of `Q`, by point id, with
+/// the point ids in `(step, id)` order and each point's rank in that
+/// order, both built on first use. A projection computes the steps once
+/// per Π and holds them behind an [`Arc`], so every grouping and every
+/// program of that Π shares one table.
 #[derive(Debug)]
 pub struct Steps {
     step: Vec<i64>,
-    order: OnceLock<Vec<u32>>,
+    ranked: OnceLock<Ranked>,
+}
+
+/// The `(step, id)` order of a step table and its inverse.
+#[derive(Debug)]
+struct Ranked {
+    order: Vec<u32>,
+    rank: Vec<u32>,
 }
 
 impl Steps {
@@ -171,7 +179,7 @@ impl Steps {
     pub fn new(step: Vec<i64>) -> Steps {
         Steps {
             step,
-            order: OnceLock::new(),
+            ranked: OnceLock::new(),
         }
     }
 
@@ -183,11 +191,83 @@ impl Steps {
 
     /// Every point id, sorted by `(step, id)`.
     pub fn order(&self) -> &[u32] {
-        self.order.get_or_init(|| {
-            let mut order: Vec<u32> = (0..self.step.len() as u32).collect();
-            order.sort_unstable_by_key(|&t| (self.step[t as usize], t));
-            order
+        &self.ranked().order
+    }
+
+    /// The position of every point in [`order`](Self::order), indexed
+    /// by point id: `order()[ranks()[id]] == id`.
+    pub fn ranks(&self) -> &[u32] {
+        &self.ranked().rank
+    }
+
+    fn ranked(&self) -> &Ranked {
+        self.ranked.get_or_init(|| {
+            let order = sort_by_step(&self.step);
+            let mut rank = vec![0; order.len()];
+            for (r, &id) in order.iter().enumerate() {
+                rank[id as usize] = r as u32;
+            }
+            Ranked { order, rank }
         })
+    }
+}
+
+/// The ids `0..step.len()` sorted by `(step, id)`: a stable
+/// least-significant-digit radix sort of the ids by their offset from
+/// the least step, so equal steps keep id order. A step range that fits
+/// one digit, the common case, is a single counting pass straight from
+/// id order; digits are at most 16 bits wide and no wider than the id
+/// count needs.
+fn sort_by_step(step: &[i64]) -> Vec<u32> {
+    let n = step.len();
+    let (Some(&lo), Some(&hi)) = (step.iter().min(), step.iter().max()) else {
+        return Vec::new();
+    };
+    let bits = u64::BITS - hi.abs_diff(lo).leading_zeros();
+    if bits == 0 {
+        return (0..n as u32).collect();
+    }
+    let max_width = (usize::BITS - n.leading_zeros()).clamp(4, 16);
+    let passes = bits.div_ceil(max_width);
+    let width = bits.div_ceil(passes);
+    let mask = (1usize << width) - 1;
+    let mut counts = vec![0usize; mask + 1];
+    let mut order = vec![0u32; n];
+    let mut previous = Vec::new();
+    for pass in 0..passes {
+        let shift = pass * width;
+        let digit = |id: u32| (step[id as usize].abs_diff(lo) >> shift) as usize & mask;
+        if pass == 0 {
+            counting_pass(0..n as u32, digit, &mut counts, &mut order);
+        } else {
+            std::mem::swap(&mut order, &mut previous);
+            order.resize(n, 0);
+            counting_pass(previous.iter().copied(), digit, &mut counts, &mut order);
+        }
+    }
+    order
+}
+
+/// One stable counting pass: `out` receives `ids` ordered by `digit`,
+/// equal digits in `ids` order.
+fn counting_pass(
+    ids: impl Iterator<Item = u32> + Clone,
+    digit: impl Fn(u32) -> usize,
+    counts: &mut [usize],
+    out: &mut [u32],
+) {
+    counts.fill(0);
+    for id in ids.clone() {
+        counts[digit(id)] += 1;
+    }
+    let mut start = 0;
+    for c in counts.iter_mut() {
+        (*c, start) = (start, start + *c);
+    }
+    for id in ids {
+        let slot = &mut counts[digit(id)];
+        out[*slot] = id;
+        *slot += 1;
     }
 }
 
@@ -713,6 +793,42 @@ impl ProjectedStructure {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `Steps::order` and `Steps::ranks` against a comparison sort.
+    fn check_order(step: Vec<i64>) {
+        let mut expected: Vec<u32> = (0..step.len() as u32).collect();
+        expected.sort_unstable_by_key(|&t| (step[t as usize], t));
+        let steps = Steps::new(step.clone());
+        assert_eq!(steps.order(), expected, "steps {step:?}");
+        for (r, &id) in expected.iter().enumerate() {
+            assert_eq!(steps.ranks()[id as usize], r as u32);
+        }
+    }
+
+    #[test]
+    fn step_order_matches_a_comparison_sort() {
+        check_order(vec![]);
+        check_order(vec![5]);
+        check_order(vec![7; 100]);
+        check_order(vec![-3, 4, -3, 0, -9, 4, 1]);
+        check_order(vec![i64::MAX, i64::MIN, 0, -1, i64::MIN, i64::MAX, 1]);
+        check_order(vec![1 << 40, -(1 << 40), 3, (1 << 40) + 1, 3]);
+        // Seeded pseudo-random tables over narrow and wide step ranges,
+        // with ties.
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for (len, span) in [(70, 4), (5000, 600), (5000, 1 << 20), (300, u64::MAX)] {
+            let step = (0..len)
+                .map(|_| (next() % span).wrapping_sub(span / 2) as i64)
+                .collect();
+            check_order(step);
+        }
+    }
 
     fn l1() -> (ComputationalStructure, TimeFn) {
         let space = IterSpace::rect(&[4, 4]).unwrap();
